@@ -46,7 +46,7 @@ func main() {
 		shards     = flag.Int("cache-shards", 0, "cache lock shards, rounded up to a power of two (0: auto)")
 		fetchTO    = flag.Duration("fetch-timeout", 0, "per-attempt deadline on remote fetches (0: none)")
 		fetchRetry = flag.Int("fetch-retries", 0, "extra same-peer attempts after a timed-out or errored fetch")
-		lookahead  = flag.Int("prefetch", 0, "reads of look-ahead staged via batched FetchMany (0: fetch on demand)")
+		lookahead  = flag.Int("prefetch", 0, "reads of look-ahead staged via batched fetches (0: fetch on demand)")
 		traceOut   = flag.String("trace", "", "write this rank's Chrome trace-event JSON timeline to this file")
 		report     = flag.Bool("report", false, "run the cluster report collective; rank 0 prints the merged view")
 		members    = flag.Int("members", 0, "initial elastic members: ranks 0..members-1 mount, the rest are spare slots (0: static world)")

@@ -257,7 +257,7 @@ func main() {
 				})
 			case *lookahead > 0:
 				// Announce the sampler's upcoming window to the node so
-				// remote objects arrive in batched FetchMany round trips
+				// remote objects arrive in batched fetch round trips
 				// and land in the cache before the I/O threads open them.
 				popts.Prefetcher = node
 				popts.Lookahead = *lookahead

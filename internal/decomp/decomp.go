@@ -5,7 +5,7 @@
 //
 // The paper's bet (§IV-C, §VII-D) is that decompressing from node-local
 // memory beats shared-filesystem I/O — which only holds if decode
-// throughput scales with cores. A 64-item FetchMany batch therefore must
+// throughput scales with cores. A 64-item fetch batch therefore must
 // not decompress serially on the fetch goroutine: the prefetcher fans
 // its items out across this pool while the next round trip is in flight.
 // Demand opens outrank prefetch (two priority classes) so a deep

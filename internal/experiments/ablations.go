@@ -268,7 +268,7 @@ func (s *slowBackend) Peek(path string) (uint16, []byte, bool) { return 0, nil, 
 
 // ablationBatchedFetch runs a cold epoch of remote reads twice: serial
 // demand fetching (one round trip per file, the PR 1 data path) against
-// the batched look-ahead prefetcher (FetchMany windows staged into the
+// the batched look-ahead prefetcher (batched-fetch windows staged into the
 // cache ahead of the consumer). The batched path amortizes round trips
 // and overlaps the peer's backend reads, so it must win by well over
 // the 1.5x acceptance bar; the prefetched-opens column shows the staged
@@ -340,7 +340,7 @@ func ablationBatchedFetch(w io.Writer, opt Options) error {
 		}
 	}
 	t.Flush()
-	fmt.Fprintf(w, "batched/serial speedup: %.1fx — one FetchMany round trip carries a window and the peer overlaps its backend reads.\n\n",
+	fmt.Fprintf(w, "batched/serial speedup: %.1fx — one batched round trip carries a window and the peer overlaps its backend reads.\n\n",
 		filesPerSec[true]/filesPerSec[false])
 	return nil
 }

@@ -223,24 +223,13 @@ func (c *Cache) shard(path string) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
-// Acquire pins and returns the cached decompressed data for path at full
-// fidelity. The caller must Release it once per successful Acquire.
-func (c *Cache) Acquire(path string) ([]byte, bool) {
-	data, _, ok := c.AcquireFidelity(path, FidelityFull)
-	return data, ok
-}
-
-// AcquireAny pins whatever fidelity the cache holds for path — the
-// upgrade path uses it to grab the base entry it will refine.
-func (c *Cache) AcquireAny(path string) ([]byte, uint8, bool) {
-	return c.AcquireFidelity(path, 1)
-}
-
-// AcquireFidelity pins and returns the cached data for path if its
-// fidelity is at least min, reporting the entry's level. An entry below
-// min is a miss (not pinned): the caller fetches or upgrades. The caller
-// must Release once per successful acquire.
-func (c *Cache) AcquireFidelity(path string, min uint8) ([]byte, uint8, bool) {
+// Acquire pins and returns the cached decompressed data for path if its
+// fidelity is at least min (FidelityFull: the exact bytes; 1: whatever
+// level is resident — the upgrade path grabs its base that way),
+// reporting the entry's level. An entry below min is a miss (not pinned):
+// the caller fetches or upgrades. The caller must Release once per
+// successful Acquire.
+func (c *Cache) Acquire(path string, min uint8) ([]byte, uint8, bool) {
 	sh := c.shard(path)
 	sh.mu.Lock()
 	e, ok := sh.entries[path]
@@ -249,16 +238,7 @@ func (c *Cache) AcquireFidelity(path string, min uint8) ([]byte, uint8, bool) {
 		c.misses.Inc()
 		return nil, 0, false
 	}
-	if e.refs == 0 {
-		c.pins.Add(1)
-		c.pinnedB.Add(int64(len(e.data)))
-	}
-	e.refs++
-	wasPrefetched := e.prefetched
-	e.prefetched = false
-	if wasPrefetched {
-		c.staged.Add(-int64(len(e.data)))
-	}
+	wasPrefetched := c.pinLocked(e)
 	if c.policy == LRU {
 		sh.order.MoveToBack(e.elem)
 	}
@@ -271,14 +251,27 @@ func (c *Cache) AcquireFidelity(path string, min uint8) ([]byte, uint8, bool) {
 	return data, fid, true
 }
 
-// Contains reports whether path is cached, without pinning it or
-// counting a hit/miss (the prefetcher uses it to skip staged work).
-func (c *Cache) Contains(path string) bool {
-	return c.ContainsFidelity(path, 1)
+// pinLocked takes one reference on a resident entry. The first reader
+// of a staged entry consumes its staged-bytes credit; wasPrefetched
+// reports that, so the caller counts a prefetched open once unlocked.
+func (c *Cache) pinLocked(e *cacheEntry) (wasPrefetched bool) {
+	if e.refs == 0 {
+		c.pins.Add(1)
+		c.pinnedB.Add(int64(len(e.data)))
+	}
+	e.refs++
+	if e.prefetched {
+		e.prefetched = false
+		c.staged.Add(-int64(len(e.data)))
+		return true
+	}
+	return false
 }
 
-// ContainsFidelity reports whether path is cached at fidelity >= min.
-func (c *Cache) ContainsFidelity(path string, min uint8) bool {
+// Contains reports whether path is cached at fidelity >= min, without
+// pinning it or counting a hit/miss (the prefetcher uses it to skip
+// staged work).
+func (c *Cache) Contains(path string, min uint8) bool {
 	sh := c.shard(path)
 	sh.mu.Lock()
 	e, ok := sh.entries[path]
@@ -287,29 +280,16 @@ func (c *Cache) ContainsFidelity(path string, min uint8) bool {
 	return ok
 }
 
-// Insert adds decompressed data for path pinned once (refs=1) and returns
-// the canonical buffer (an existing entry wins races between two openers
-// decompressing the same file). The caller must Release it.
-func (c *Cache) Insert(path string, data []byte) []byte {
-	return c.insert(path, data, false, FidelityFull)
-}
-
-// InsertOwned is Insert for a buffer drawn from the decomp buffer pool:
-// ownership transfers to the cache, which recycles it when the entry is
-// removed with no readers, or immediately when an existing entry wins.
-func (c *Cache) InsertOwned(path string, data []byte) []byte {
-	return c.insert(path, data, true, FidelityFull)
-}
-
-// InsertOwnedFidelity is InsertOwned for a partial-fidelity decode. When
-// the path is already cached at a lower fidelity the entry is upgraded in
+// Insert adds data decoded at fidelity fid for path pinned once (refs=1)
+// and returns the canonical buffer (an existing entry wins races between
+// two openers decompressing the same file). The caller must Release it.
+// owned marks data as drawn from the decomp buffer pool: ownership
+// transfers to the cache, which recycles it when the entry is removed
+// with no readers, or immediately when an existing entry wins. When the
+// path is already cached at a lower fidelity the entry is upgraded in
 // place: the new bytes become canonical for future readers while current
 // readers keep the buffer they pinned.
-func (c *Cache) InsertOwnedFidelity(path string, data []byte, fid uint8) []byte {
-	return c.insert(path, data, true, fid)
-}
-
-func (c *Cache) insert(path string, data []byte, owned bool, fid uint8) []byte {
+func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
 	sh := c.shard(path)
 	sh.mu.Lock()
 	if e, ok := sh.entries[path]; ok {
@@ -318,16 +298,7 @@ func (c *Cache) insert(path string, data []byte, owned bool, fid uint8) []byte {
 		// here counts as a prefetched open, same as via Acquire. Pin
 		// before any fidelity upgrade — a pinned entry cannot be chosen
 		// as an eviction victim by the capacity check the upgrade runs.
-		if e.refs == 0 {
-			c.pins.Add(1)
-			c.pinnedB.Add(int64(len(e.data)))
-		}
-		e.refs++
-		wasPrefetched := e.prefetched
-		e.prefetched = false
-		if wasPrefetched {
-			c.staged.Add(-int64(len(e.data)))
-		}
+		wasPrefetched := c.pinLocked(e)
 		if e.fidelity < fid {
 			// Fidelity upgrade in place: swap the canonical bytes.
 			c.replaceLocked(sh, e, data, owned, fid)
@@ -385,30 +356,15 @@ func (c *Cache) replaceLocked(sh *cacheShard, e *cacheEntry, data []byte, owned 
 	}
 }
 
-// InsertIdle stages decompressed data for path unpinned (refs=0), for
-// the look-ahead prefetcher: the entry is immediately evictable, so a
-// canceled epoch cannot wedge the pool with pins nobody will release,
-// and the first Acquire of it is counted as a prefetched open. An
-// existing entry wins (nothing is replaced); reports whether the data
-// was staged.
-func (c *Cache) InsertIdle(path string, data []byte) bool {
-	return c.insertIdle(path, data, false, FidelityFull)
-}
-
-// InsertIdleOwned is InsertIdle for a decomp buffer-pool buffer; when an
-// existing entry wins, the duplicate is recycled immediately.
-func (c *Cache) InsertIdleOwned(path string, data []byte) bool {
-	return c.insertIdle(path, data, true, FidelityFull)
-}
-
-// InsertIdleOwnedFidelity is InsertIdleOwned for a partial-fidelity
-// decode. An existing entry of equal or higher fidelity wins; a
-// lower-fidelity one is upgraded in place (keeping its pin/staged state).
-func (c *Cache) InsertIdleOwnedFidelity(path string, data []byte, fid uint8) bool {
-	return c.insertIdle(path, data, true, fid)
-}
-
-func (c *Cache) insertIdle(path string, data []byte, owned bool, fid uint8) bool {
+// InsertIdle stages data decoded at fidelity fid for path unpinned
+// (refs=0), for the look-ahead prefetcher: the entry is immediately
+// evictable, so a canceled epoch cannot wedge the pool with pins nobody
+// will release, and the first Acquire of it is counted as a prefetched
+// open. An existing entry of equal or higher fidelity wins (nothing is
+// replaced, and an owned duplicate is recycled immediately); a
+// lower-fidelity one is upgraded in place, keeping its pin/staged state.
+// Reports whether the data was staged. owned is as for Insert.
+func (c *Cache) InsertIdle(path string, data []byte, owned bool, fid uint8) bool {
 	sh := c.shard(path)
 	sh.mu.Lock()
 	if e, ok := sh.entries[path]; ok {

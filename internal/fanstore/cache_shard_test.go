@@ -37,7 +37,7 @@ func TestCacheShardedCapacityAccounting(t *testing.T) {
 	paths := make([]string, 256)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("file-%04d", i)
-		c.Insert(paths[i], make([]byte, per))
+		c.Insert(paths[i], make([]byte, per), false, FidelityFull)
 	}
 	st := c.Stats()
 	if st.Pinned != len(paths) {
@@ -78,14 +78,14 @@ func TestCacheShardedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				p := fmt.Sprintf("file-%03d", (g*13+i)%64)
-				if data, ok := c.Acquire(p); ok {
+				if data, _, ok := c.Acquire(p, FidelityFull); ok {
 					if len(data) != per {
 						t.Errorf("%s: pinned entry has %d bytes", p, len(data))
 					}
 					c.Release(p)
 					continue
 				}
-				got := c.Insert(p, make([]byte, per))
+				got := c.Insert(p, make([]byte, per), false, FidelityFull)
 				if len(got) != per {
 					t.Errorf("%s: canonical buffer has %d bytes", p, len(got))
 				}
@@ -133,10 +133,10 @@ func TestCacheShardedConcurrent(t *testing.T) {
 func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
 	staged := []byte("staged-by-prefetcher")
-	if !c.InsertIdle("f", staged) {
+	if !c.InsertIdle("f", staged, false, FidelityFull) {
 		t.Fatal("stage failed")
 	}
-	got := c.Insert("f", []byte("loser-duplicate"))
+	got := c.Insert("f", []byte("loser-duplicate"), false, FidelityFull)
 	if string(got) != string(staged) {
 		t.Fatal("insert race did not return the canonical staged buffer")
 	}
@@ -146,7 +146,7 @@ func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 	c.Release("f")
 	// A second open of the same (no longer prefetched) entry counts a
 	// plain hit, not another prefetched open.
-	if _, ok := c.Acquire("f"); !ok {
+	if _, _, ok := c.Acquire("f", FidelityFull); !ok {
 		t.Fatal("entry vanished")
 	}
 	c.Release("f")
@@ -173,9 +173,9 @@ func TestCacheOwnedBufferRecycledOnEvict(t *testing.T) {
 	c := NewCacheShards(1<<20, Immediate, 1)
 	buf := decomp.GetBuf(8 << 10)
 	buf = append(buf, make([]byte, 8<<10)...)
-	c.InsertOwned("f", buf)
+	c.Insert("f", buf, true, FidelityFull)
 	c.Release("f") // Immediate: refs==0 drops the entry and recycles
-	if c.Contains("f") {
+	if c.Contains("f", 1) {
 		t.Fatal("immediate policy kept the entry")
 	}
 	got := decomp.GetBuf(8 << 10)
@@ -193,10 +193,10 @@ func TestCacheInsertRaceLoserRecycled(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := NewCacheShards(1<<20, FIFO, 1)
-	c.Insert("f", []byte("winner"))
+	c.Insert("f", []byte("winner"), false, FidelityFull)
 	loser := decomp.GetBuf(8 << 10)
 	loser = append(loser, make([]byte, 8<<10)...)
-	if got := c.InsertOwned("f", loser); samePtr(got, loser) {
+	if got := c.Insert("f", loser, true, FidelityFull); samePtr(got, loser) {
 		t.Fatal("losing duplicate became canonical")
 	}
 	back := decomp.GetBuf(8 << 10)
@@ -218,15 +218,15 @@ func TestCachePinnedBufferNeverRecycled(t *testing.T) {
 	c := NewCacheShards(2*size, FIFO, 1) // room for two entries
 	pinned := decomp.GetBuf(size)
 	pinned = append(pinned, make([]byte, size)...)
-	c.InsertOwned("pinned", pinned) // stays pinned for the whole test
+	c.Insert("pinned", pinned, true, FidelityFull) // stays pinned for the whole test
 	for i := 0; i < 4; i++ {
 		p := fmt.Sprintf("churn-%d", i)
 		fill := decomp.GetBuf(size)
 		fill = append(fill, make([]byte, size)...)
-		c.InsertOwned(p, fill)
+		c.Insert(p, fill, true, FidelityFull)
 		c.Release(p) // unpinned: evictable under pressure
 	}
-	if _, ok := c.Acquire("pinned"); !ok {
+	if _, _, ok := c.Acquire("pinned", FidelityFull); !ok {
 		t.Fatal("pinned entry was evicted under pressure")
 	}
 	c.Release("pinned") // the Acquire's pin; insert pin still held
@@ -246,10 +246,10 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
 	}
 	c := NewCacheShards(1<<20, FIFO, 8)
-	c.Insert("hot", make([]byte, 1024))
+	c.Insert("hot", make([]byte, 1024), false, FidelityFull)
 	c.Release("hot")
 	allocs := testing.AllocsPerRun(1000, func() {
-		data, ok := c.Acquire("hot")
+		data, _, ok := c.Acquire("hot", FidelityFull)
 		if !ok || len(data) != 1024 {
 			t.Fatal("lost the hot entry")
 		}

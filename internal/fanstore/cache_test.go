@@ -11,15 +11,15 @@ import (
 
 func TestCacheAcquireInsertRelease(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
-	if _, ok := c.Acquire("a"); ok {
+	if _, _, ok := c.Acquire("a", FidelityFull); ok {
 		t.Fatal("empty cache should miss")
 	}
 	data := []byte("hello")
-	got := c.Insert("a", data)
+	got := c.Insert("a", data, false, FidelityFull)
 	if !bytes.Equal(got, data) {
 		t.Fatal("Insert should return the buffer")
 	}
-	d2, ok := c.Acquire("a")
+	d2, _, ok := c.Acquire("a", FidelityFull)
 	if !ok || !bytes.Equal(d2, data) {
 		t.Fatal("Acquire after Insert should hit")
 	}
@@ -35,8 +35,8 @@ func TestCacheInsertRace(t *testing.T) {
 	// Two I/O threads decompress the same file; the second Insert must
 	// adopt the first buffer so both FDs share one entry (Fig. 4).
 	c := NewCache(1<<20, FIFO)
-	first := c.Insert("f", []byte("one"))
-	second := c.Insert("f", []byte("two"))
+	first := c.Insert("f", []byte("one"), false, FidelityFull)
+	second := c.Insert("f", []byte("two"), false, FidelityFull)
 	if !bytes.Equal(second, first) {
 		t.Fatal("second Insert must return the canonical buffer")
 	}
@@ -52,7 +52,7 @@ func TestCacheFIFOEviction(t *testing.T) {
 	c := NewCache(100, FIFO)
 	for i := 0; i < 10; i++ {
 		path := fmt.Sprintf("f%d", i)
-		c.Insert(path, make([]byte, 30))
+		c.Insert(path, make([]byte, 30), false, FidelityFull)
 		c.Release(path)
 	}
 	st := c.Stats()
@@ -60,10 +60,10 @@ func TestCacheFIFOEviction(t *testing.T) {
 		t.Fatalf("used %d exceeds capacity", st.Used)
 	}
 	// FIFO: the survivors must be the most recently inserted files.
-	if _, ok := c.Acquire("f0"); ok {
+	if _, _, ok := c.Acquire("f0", FidelityFull); ok {
 		t.Fatal("oldest entry should have been evicted first")
 	}
-	if _, ok := c.Acquire("f9"); !ok {
+	if _, _, ok := c.Acquire("f9", FidelityFull); !ok {
 		t.Fatal("newest entry should survive")
 	}
 	c.Release("f9")
@@ -74,13 +74,13 @@ func TestCacheFIFOEviction(t *testing.T) {
 
 func TestCacheNeverEvictsPinned(t *testing.T) {
 	c := NewCache(100, FIFO)
-	c.Insert("pinned", make([]byte, 80)) // stays pinned
+	c.Insert("pinned", make([]byte, 80), false, FidelityFull) // stays pinned
 	for i := 0; i < 5; i++ {
 		p := fmt.Sprintf("x%d", i)
-		c.Insert(p, make([]byte, 60))
+		c.Insert(p, make([]byte, 60), false, FidelityFull)
 		c.Release(p)
 	}
-	if _, ok := c.Acquire("pinned"); !ok {
+	if _, _, ok := c.Acquire("pinned", FidelityFull); !ok {
 		t.Fatal("pinned entry was evicted")
 	}
 	c.Release("pinned")
@@ -89,9 +89,9 @@ func TestCacheNeverEvictsPinned(t *testing.T) {
 
 func TestCacheImmediatePolicy(t *testing.T) {
 	c := NewCache(1<<20, Immediate)
-	c.Insert("a", []byte("data"))
+	c.Insert("a", []byte("data"), false, FidelityFull)
 	c.Release("a")
-	if _, ok := c.Acquire("a"); ok {
+	if _, _, ok := c.Acquire("a", FidelityFull); ok {
 		t.Fatal("immediate policy must drop at refs==0")
 	}
 	if st := c.Stats(); st.Used != 0 {
@@ -101,21 +101,21 @@ func TestCacheImmediatePolicy(t *testing.T) {
 
 func TestCacheLRUPolicy(t *testing.T) {
 	c := NewCache(100, LRU)
-	c.Insert("a", make([]byte, 40))
+	c.Insert("a", make([]byte, 40), false, FidelityFull)
 	c.Release("a")
-	c.Insert("b", make([]byte, 40))
+	c.Insert("b", make([]byte, 40), false, FidelityFull)
 	c.Release("b")
 	// Touch a so b becomes the LRU victim.
-	if _, ok := c.Acquire("a"); !ok {
+	if _, _, ok := c.Acquire("a", FidelityFull); !ok {
 		t.Fatal("a should be cached")
 	}
 	c.Release("a")
-	c.Insert("c", make([]byte, 40))
+	c.Insert("c", make([]byte, 40), false, FidelityFull)
 	c.Release("c")
-	if _, ok := c.Acquire("b"); ok {
+	if _, _, ok := c.Acquire("b", FidelityFull); ok {
 		t.Fatal("LRU should have evicted b")
 	}
-	if _, ok := c.Acquire("a"); !ok {
+	if _, _, ok := c.Acquire("a", FidelityFull); !ok {
 		t.Fatal("LRU should have kept a")
 	}
 	c.Release("a")
@@ -123,7 +123,7 @@ func TestCacheLRUPolicy(t *testing.T) {
 
 func TestCacheDoubleReleaseTolerated(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
-	c.Insert("a", []byte("x"))
+	c.Insert("a", []byte("x"), false, FidelityFull)
 	c.Release("a")
 	c.Release("a") // bug in caller: must not panic or corrupt
 	c.Release("nonexistent")
@@ -142,30 +142,30 @@ func TestCacheDoubleReleaseTolerated(t *testing.T) {
 
 func TestCacheInsertIdleStaysEvictable(t *testing.T) {
 	c := NewCache(100, FIFO)
-	if !c.InsertIdle("a", make([]byte, 60)) {
+	if !c.InsertIdle("a", make([]byte, 60), false, FidelityFull) {
 		t.Fatal("InsertIdle into empty cache must stage")
 	}
 	if st := c.Stats(); st.Pinned != 0 {
 		t.Fatalf("idle entry is pinned: %+v", st)
 	}
 	// An existing entry wins; nothing is replaced or re-staged.
-	if c.InsertIdle("a", make([]byte, 60)) {
+	if c.InsertIdle("a", make([]byte, 60), false, FidelityFull) {
 		t.Fatal("InsertIdle must not replace an existing entry")
 	}
 	// Unpinned staged entries yield to capacity pressure immediately.
-	c.Insert("b", make([]byte, 60))
-	if c.Contains("a") {
+	c.Insert("b", make([]byte, 60), false, FidelityFull)
+	if c.Contains("a", 1) {
 		t.Fatal("idle entry survived eviction pressure from a pinned insert")
 	}
 	c.Release("b")
 	// The first Acquire of a staged entry counts as a prefetched open;
 	// later acquires are plain hits.
-	c.InsertIdle("p", []byte("staged"))
-	if _, ok := c.Acquire("p"); !ok {
+	c.InsertIdle("p", []byte("staged"), false, FidelityFull)
+	if _, _, ok := c.Acquire("p", FidelityFull); !ok {
 		t.Fatal("staged entry must be acquirable")
 	}
 	c.Release("p")
-	if _, ok := c.Acquire("p"); !ok {
+	if _, _, ok := c.Acquire("p", FidelityFull); !ok {
 		t.Fatal("entry must survive under FIFO")
 	}
 	c.Release("p")
@@ -188,11 +188,11 @@ func TestCacheInvariantsQuick(t *testing.T) {
 		for _, o := range ops {
 			key := fmt.Sprintf("k%d", o.Key%16)
 			if o.Acquire {
-				if _, ok := c.Acquire(key); ok {
+				if _, _, ok := c.Acquire(key, FidelityFull); ok {
 					pins[key]++
 				}
 			} else {
-				c.Insert(key, make([]byte, 100))
+				c.Insert(key, make([]byte, 100), false, FidelityFull)
 				pins[key]++
 			}
 		}
@@ -218,13 +218,13 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g*31+i)%20)
-				if data, ok := c.Acquire(key); ok {
+				if data, _, ok := c.Acquire(key, FidelityFull); ok {
 					if len(data) != 512 {
 						t.Errorf("corrupt entry for %s", key)
 					}
 					c.Release(key)
 				} else {
-					c.Insert(key, make([]byte, 512))
+					c.Insert(key, make([]byte, 512), false, FidelityFull)
 					c.Release(key)
 				}
 			}
@@ -254,18 +254,18 @@ func TestCacheHeadroomAccounting(t *testing.T) {
 	if h := c.Headroom(); h != 1000 {
 		t.Fatalf("empty cache headroom = %d, want 1000", h)
 	}
-	c.Insert("a", make([]byte, 400)) // pinned
+	c.Insert("a", make([]byte, 400), false, FidelityFull) // pinned
 	if h := c.Headroom(); h != 600 {
 		t.Fatalf("after 400 pinned, headroom = %d, want 600", h)
 	}
-	c.InsertIdle("b", make([]byte, 300)) // staged
+	c.InsertIdle("b", make([]byte, 300), false, FidelityFull) // staged
 	if h := c.Headroom(); h != 300 {
 		t.Fatalf("after 300 staged, headroom = %d, want 300", h)
 	}
 	// Pin two more large entries: pinned total 1200 > capacity. The
 	// subtraction would be negative; Headroom must clamp.
-	c.Insert("c", make([]byte, 400))
-	c.Insert("d", make([]byte, 400))
+	c.Insert("c", make([]byte, 400), false, FidelityFull)
+	c.Insert("d", make([]byte, 400), false, FidelityFull)
 	if h := c.Headroom(); h != 0 {
 		t.Fatalf("overpinned cache headroom = %d, want 0", h)
 	}
@@ -316,12 +316,12 @@ func TestCacheHeadroomNeverNegativeUnderStorm(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := fmt.Sprintf("k%d", (g*7+i)%12)
 				if i%3 == 0 {
-					c.InsertIdle(key, make([]byte, 512))
+					c.InsertIdle(key, make([]byte, 512), false, FidelityFull)
 				}
-				if _, ok := c.Acquire(key); ok {
+				if _, _, ok := c.Acquire(key, FidelityFull); ok {
 					c.Release(key)
 				} else {
-					c.Insert(key, make([]byte, 512))
+					c.Insert(key, make([]byte, 512), false, FidelityFull)
 					c.Release(key)
 				}
 			}

@@ -288,7 +288,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 	snapshot := append([]byte(nil), base...)
 
 	// Stage at level 1 and pin it — this is the reader mid-open.
-	got := c.InsertOwnedFidelity(path, base, 1)
+	got := c.Insert(path, base, true, 1)
 	if fid, _ := c.entryFidelity(path); fid != 1 {
 		t.Fatalf("staged fidelity %d, want 1", fid)
 	}
@@ -301,7 +301,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 	for i := range upgraded {
 		upgraded[i] ^= 0xA5
 	}
-	canon := c.InsertOwnedFidelity(path, upgraded, FidelityFull)
+	canon := c.Insert(path, upgraded, true, FidelityFull)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -314,7 +314,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 					b[j] = 0xFF
 				}
 				decomp.PutBuf(b)
-				if data, _, ok := c.AcquireFidelity(path, 1); ok {
+				if data, _, ok := c.Acquire(path, 1); ok {
 					_ = data[0]
 					c.Release(path)
 				}
@@ -337,7 +337,7 @@ func TestCacheFidelityUpgradeInvariants(t *testing.T) {
 	// A lower-fidelity insert must not downgrade the entry.
 	dup := decomp.GetBuf(4 << 10)
 	dup = append(dup, snapshot...)
-	if c.InsertIdleOwnedFidelity(path, dup, 1) {
+	if c.InsertIdle(path, dup, true, 1) {
 		t.Fatalf("idle insert downgraded a full-fidelity entry")
 	}
 	if fid, _ := c.entryFidelity(path); fid != FidelityFull {

@@ -23,38 +23,24 @@ var errFlightAbandoned = errors.New("fanstore: in-flight fetch abandoned")
 type flight struct {
 	done chan struct{}
 	err  error // set before done closes; nil means the cache has the entry
-	// fid is the fidelity level the leader is producing. A waiter that
-	// needs more layers still joins — the flight's result is a strict
-	// prefix of what it wants, so after the flight lands it re-checks the
-	// cache, misses at its level, and leads an upgrade flight that
-	// fetches only the missing refinement extents.
-	fid uint8
 }
 
-// beginFlight joins or starts the full-fidelity flight for path.
+// beginFlight joins or starts the flight for path. leader reports
+// whether the caller owns the data path for this object and must call
+// finishFlight; when false another producer is already fetching it —
+// wait on f.done, then re-check the cache. Flights are keyed by path
+// alone, whatever fidelity their leader produces: a level-2 producer
+// racing a level-1 flight waits for the base rather than duplicating it
+// — the flight's result is a strict prefix of what it wants — then
+// misses the cache at its level and leads an upgrade flight that fetches
+// only the missing refinement extents.
 func (n *Node) beginFlight(path string) (f *flight, leader bool) {
-	return n.beginFlightFid(path, FidelityFull)
-}
-
-// beginFlightFid joins or starts the flight for path at fidelity fid.
-// leader reports whether the caller owns the data path for this object
-// and must call finishFlight; when false another producer is already
-// fetching it — wait on f.done, then re-check the cache. Flights stay
-// keyed by path alone: a level-2 producer racing a level-1 flight waits
-// for the base rather than duplicating it, then upgrades in place. With
-// coalescing disabled (comparison benchmarks) every caller leads a
-// private flight and duplicates are resolved by the cache's insert race,
-// the pre-PR 5 behaviour.
-func (n *Node) beginFlightFid(path string, fid uint8) (f *flight, leader bool) {
-	if n.noCoalesce {
-		return &flight{done: make(chan struct{}), fid: fid}, true
-	}
 	n.inflightMu.Lock()
 	if f, ok := n.inflight[path]; ok {
 		n.inflightMu.Unlock()
 		return f, false
 	}
-	f = &flight{done: make(chan struct{}), fid: fid}
+	f = &flight{done: make(chan struct{})}
 	n.inflight[path] = f
 	n.inflightMu.Unlock()
 	return f, true
@@ -66,11 +52,9 @@ func (n *Node) beginFlightFid(path string, fid uint8) (f *flight, leader bool) {
 // path; any other error propagates to waiting opens.
 func (n *Node) finishFlight(path string, f *flight, err error) {
 	f.err = err
-	if !n.noCoalesce {
-		n.inflightMu.Lock()
-		delete(n.inflight, path)
-		n.inflightMu.Unlock()
-	}
+	n.inflightMu.Lock()
+	delete(n.inflight, path)
+	n.inflightMu.Unlock()
 	close(f.done)
 }
 

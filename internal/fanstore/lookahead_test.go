@@ -2,6 +2,7 @@ package fanstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -121,12 +122,19 @@ func TestPrefetchSkipsSettledPaths(t *testing.T) {
 	}
 }
 
-// TestFetchManyPartialMissOverWire drives a hand-built FetchMany frame
-// through the live daemon: known keys come back ItemOK with a decodable
-// object frame, the miss comes back ItemNotFound, and the call itself
-// succeeds.
-func TestFetchManyPartialMissOverWire(t *testing.T) {
-	bundle, want := buildBundle(t, dataset.Language, 6, 2, 2<<10, nil)
+// TestFetchOverWire drives the one object-fetch request through a live
+// daemon with the production encoder, over every value its header takes:
+// no map version / the server's / a stale one, unbudgeted / a one-layer
+// budget, a batch of one / of three with the middle key absent / of one
+// absent key. Present keys come back ItemOK with a decodable object frame
+// (clipped to the budget's container prefix), the miss comes back per
+// item — not-found, or stale only under a non-zero mismatched version —
+// without failing the call, and a request with nothing to serve maps to
+// the matching rpc error. The separate range op returns exactly the
+// requested extent of the container.
+func TestFetchOverWire(t *testing.T) {
+	const layers = 3
+	bundle, want := buildLayeredBundle(t, dataset.EM, 6, 2, 4<<10, layers)
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{})
 		if err != nil {
@@ -137,35 +145,78 @@ func TestFetchManyPartialMissOverWire(t *testing.T) {
 			return nil
 		}
 		remote := ownedPaths(t, bundle.Scatter[1])
-		keys := []string{remote[0], "missing/object", remote[1]}
-		req := append([]byte{opFetchMany}, rpc.EncodeKeys(keys)...)
-		resp, err := node.client.Call(1, req)
+		const absent = "missing/object"
+		current := node.MapVersion() // a static mount: both ranks hold the same map
+		for _, ver := range []uint64{0, current, current + 7} {
+			missStatus, missErr := rpc.ItemNotFound, rpc.ErrNotFound
+			if ver != 0 && ver != current {
+				missStatus, missErr = rpc.ItemStale, rpc.ErrStale
+			}
+			for _, level := range []uint8{FidelityFull, 1} {
+				for _, keys := range [][]string{{remote[0]}, {remote[0], absent, remote[1]}, {absent}} {
+					name := fmt.Sprintf("v%d level %d keys %v", ver, level, keys)
+					levels := make([]uint8, len(keys))
+					for i := range levels {
+						levels[i] = level
+					}
+					resp, err := node.client.Call(1, encodeFetch(ver, keys, levels))
+					if len(keys) == 1 && keys[0] == absent {
+						if !errors.Is(err, missErr) {
+							return fmt.Errorf("%s: err %v, want %v", name, err, missErr)
+						}
+						continue
+					}
+					if err != nil {
+						return fmt.Errorf("%s: %w", name, err)
+					}
+					items, err := rpc.DecodeItems(resp)
+					if err != nil {
+						return fmt.Errorf("%s: %w", name, err)
+					}
+					if len(items) != len(keys) {
+						return fmt.Errorf("%s: got %d items", name, len(items))
+					}
+					for i, key := range keys {
+						it := items[i]
+						if key == absent {
+							if it.Status != missStatus || len(it.Payload) != 0 {
+								return fmt.Errorf("%s: miss came back %+v, want status %d", name, it, missStatus)
+							}
+							continue
+						}
+						m := node.meta[key]
+						wantLen := 2 + int(m.LayerPrefix[layers-1])
+						if level == 1 {
+							wantLen = 2 + int(m.LayerPrefix[0])
+						}
+						if it.Status != rpc.ItemOK || len(it.Payload) != wantLen {
+							return fmt.Errorf("%s: item %d status %d with %d bytes, want OK with %d", name, i, it.Status, len(it.Payload), wantLen)
+						}
+						id := uint16(it.Payload[0]) | uint16(it.Payload[1])<<8
+						data, fid, err := node.decompress(m, id, it.Payload[2:], decomp.PriOpen, level)
+						if err != nil {
+							return fmt.Errorf("%s: item %d: %w", name, i, err)
+						}
+						if fid != level || (level == FidelityFull) != bytes.Equal(data, want[key]) {
+							return fmt.Errorf("%s: item %d decoded at fidelity %d, exact=%v", name, i, fid, bytes.Equal(data, want[key]))
+						}
+					}
+				}
+			}
+		}
+		// The range op: the refinement extent above the base layer, raw.
+		m := node.meta[remote[0]]
+		_, whole, _, err := node.fetchRemote(m, FidelityFull)
 		if err != nil {
 			return err
 		}
-		items, err := rpc.DecodeItems(resp)
+		off, end := int(m.LayerPrefix[0]), int(m.LayerPrefix[1])
+		ext, err := node.fetchRemoteRange(m, int64(off), end-off)
 		if err != nil {
 			return err
 		}
-		if len(items) != len(keys) {
-			return fmt.Errorf("got %d items for %d keys", len(items), len(keys))
-		}
-		if items[1].Status != rpc.ItemNotFound {
-			return fmt.Errorf("miss came back status %d", items[1].Status)
-		}
-		for _, i := range []int{0, 2} {
-			if items[i].Status != rpc.ItemOK || len(items[i].Payload) < 2 {
-				return fmt.Errorf("item %d: %+v", i, items[i])
-			}
-			m := &FileMeta{Path: keys[i], Size: int64(len(want[keys[i]]))}
-			id := uint16(items[i].Payload[0]) | uint16(items[i].Payload[1])<<8
-			data, _, err := node.decompress(m, id, items[i].Payload[2:], decomp.PriOpen, FidelityFull)
-			if err != nil {
-				return fmt.Errorf("item %d: %w", i, err)
-			}
-			if !bytes.Equal(data, want[keys[i]]) {
-				return fmt.Errorf("item %d: content mismatch", i)
-			}
+		if !bytes.Equal(ext, whole[off:end]) {
+			return fmt.Errorf("range [%d,%d) differs from the container's bytes", off, end)
 		}
 		return nil
 	})

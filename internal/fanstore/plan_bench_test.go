@@ -33,79 +33,63 @@ func (l *serialLatencyBackend) Peek(path string) (uint16, []byte, bool) {
 }
 
 // BenchmarkCoalescedOpenStorm measures a storm of goroutines opening
-// the same cold remote path. "coalesced" is the singleflight data path:
-// one leader fetches and decodes, the rest wait and share the cache
-// entry — exactly one backend read per storm, asserted. "duplicated"
-// disables coalescing (Options.DisableCoalescing), reproducing the
-// pre-singleflight behaviour where every storm goroutine issues its own
-// fetch+decode and the cache's insert race keeps one result. The
-// serving backend serializes reads like a real device, so duplicated
-// fetches stack up as wall time.
+// the same cold remote path through the singleflight data path: one
+// leader fetches and decodes, the rest wait and share the cache entry —
+// exactly one backend read per storm, asserted. The serving backend
+// serializes reads like a real device, so a duplicated fetch would stack
+// up as wall time.
 func BenchmarkCoalescedOpenStorm(b *testing.B) {
 	const nFiles, fileSize, stormers = 16, 32 << 10, 8
 	const readLatency = 100 * time.Microsecond
 	bundle, _ := buildBundle(b, dataset.EM, nFiles, 2, fileSize, nil)
-	for _, bc := range []struct {
-		name      string
-		duplicate bool
-	}{
-		{"coalesced", false},
-		{"duplicated", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			err := mpi.Run(2, func(c *mpi.Comm) error {
-				// Two files of cache: the stormed path survives its own
-				// storm (late arrivals hit the cache, not a new flight)
-				// but is evicted long before the cycle revisits it.
-				opts := Options{
-					CacheBytes:        2 * fileSize,
-					DisableCoalescing: bc.duplicate,
-				}
-				if c.Rank() == 1 {
-					opts.Backend = &serialLatencyBackend{Backend: NewRAMBackend(), delay: readLatency}
-				}
-				node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
-				if err != nil {
-					return err
-				}
-				defer node.Close()
-				if c.Rank() != 0 {
-					return nil // serve until rank 0's Close barrier
-				}
-				paths := ownedPaths(b, bundle.Scatter[1])
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					path := paths[i%len(paths)]
-					errCh := make(chan error, stormers)
-					var wg sync.WaitGroup
-					for g := 0; g < stormers; g++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							if _, err := node.ReadFile(path); err != nil {
-								errCh <- err
-							}
-						}()
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		// Two files of cache: the stormed path survives its own
+		// storm (late arrivals hit the cache, not a new flight)
+		// but is evicted long before the cycle revisits it.
+		opts := Options{CacheBytes: 2 * fileSize}
+		if c.Rank() == 1 {
+			opts.Backend = &serialLatencyBackend{Backend: NewRAMBackend(), delay: readLatency}
+		}
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		if c.Rank() != 0 {
+			return nil // serve until rank 0's Close barrier
+		}
+		paths := ownedPaths(b, bundle.Scatter[1])
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			path := paths[i%len(paths)]
+			errCh := make(chan error, stormers)
+			var wg sync.WaitGroup
+			for g := 0; g < stormers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := node.ReadFile(path); err != nil {
+						errCh <- err
 					}
-					wg.Wait()
-					close(errCh)
-					for err := range errCh {
-						return err
-					}
-				}
-				b.StopTimer()
-				st := node.Stats()
-				if !bc.duplicate && st.RPC.Calls != int64(b.N) {
-					return fmt.Errorf("coalesced storm issued %d fetches for %d storms (duplicates!)", st.RPC.Calls, b.N)
-				}
-				b.ReportMetric(float64(st.RPC.Calls)/float64(b.N), "fetches/storm")
-				b.SetBytes(int64(fileSize))
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
+				}()
 			}
-		})
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				return err
+			}
+		}
+		b.StopTimer()
+		st := node.Stats()
+		if st.RPC.Calls != int64(b.N) {
+			return fmt.Errorf("coalesced storm issued %d fetches for %d storms (duplicates!)", st.RPC.Calls, b.N)
+		}
+		b.ReportMetric(float64(st.RPC.Calls)/float64(b.N), "fetches/storm")
+		b.SetBytes(int64(fileSize))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -61,61 +61,57 @@ const (
 // pulls deliberately share it with reads, so a handoff streams while
 // the cluster keeps serving.
 const (
-	// opFetchOne requests one object; the body is the path, the response
-	// payload is [u16 compressorID][compressed bytes].
-	opFetchOne = byte(0)
-	// opFetchMany requests a batch: the body is rpc.EncodeKeys(paths),
-	// the response an rpc.EncodeItems frame with per-item status, each
-	// OK payload shaped like an opFetchOne response. One round trip
-	// carries the whole look-ahead window.
-	opFetchMany = byte(1)
-	// opFetchOneV is the elastic opFetchOne: the body is
-	// [u64 mapVersion][path]. A server missing the object answers the
-	// stale status instead of not-found when its map version disagrees
-	// with the caller's — "I don't have it, and one of us is routing on
-	// an old map" — so the caller refreshes instead of burning failovers.
-	opFetchOneV = byte(2)
+	// opFetch requests compressed objects — the one object-fetch request,
+	// whoever asks (demand open, plan prefetch) and however the cluster is
+	// mounted. The body (encodeFetch / decodeFetch) is
+	//
+	//	[u64 mapVersion][u32 count]{[u8 level][u32 len][path]}×count
+	//
+	//	mapVersion  the cluster-map version the caller routed on; 0 on a
+	//	            static mount, which asks for no stale diagnosis
+	//	level       the item's layer budget; FidelityFull when unbudgeted
+	//	count       1 for a demand open, the chunk size for a prefetch
+	//
+	// and the answer is an rpc item frame in request order, each OK
+	// payload [u16 compressorID][compressed bytes], a layered object
+	// clipped to the container prefix covering its first `level` layers.
+	// A key the server does not hold is ItemNotFound, or ItemStale when
+	// mapVersion is non-zero and disagrees with the server's — "I don't
+	// have it, and one of us is routing on an old map" — so the caller
+	// refreshes instead of burning failovers. A request with nothing to
+	// serve is answered by the rpc status of its first item, no frame.
+	opFetch = byte(0)
 	// opFetchPart requests a whole partition blob by its global id
 	// ([u64 gid]) — the rebalance transfer: the new owner pulls the blob
 	// from the old owner over the ordinary fetch pool while the old
 	// owner keeps serving its objects until the handoff commits.
-	opFetchPart = byte(3)
+	opFetchPart = byte(1)
 	// opMetaSync requests one path's current metadata record from the
 	// coordinator (the stale-map refresh's metadata half); the response
 	// is encodeMetas of zero or one record.
-	opMetaSync = byte(4)
+	opMetaSync = byte(2)
 	// opFetchShard requests every erasure shard of one partition held by
 	// the answering node ([u64 gid]); the response is a concatenation of
 	// pack shard frames. Degraded reads and shard repair gather through
 	// it (ec redundancy mode only).
-	opFetchShard = byte(5)
+	opFetchShard = byte(3)
 	// opStoreShard delivers one or more shard frames for the answering
 	// node to hold — the shard-placement half of ec redundancy. Re-pushes
 	// of the same (gid, index) overwrite.
-	opStoreShard = byte(6)
-	// opFetchOneL is the budgeted opFetchOne: the body is
-	// [u8 level][path]. For a layered object the response payload is the
-	// container prefix covering the first `level` layers — the
-	// bandwidth-proportional read; unlayered objects (and level
-	// FidelityFull) answer the whole payload, exactly like opFetchOne.
-	opFetchOneL = byte(7)
-	// opFetchOneVL is the elastic budgeted fetch:
-	// [u64 mapVersion][u8 level][path], with opFetchOneV's stale-status
-	// semantics on a miss.
-	opFetchOneVL = byte(8)
-	// opFetchManyL is the budgeted opFetchMany: the body is
-	// rpc.EncodeKeysLevels(paths, levels) and each OK item is clipped to
-	// its per-item layer budget.
-	opFetchManyL = byte(9)
-	// opFetchRange requests raw payload bytes of one object:
+	opStoreShard = byte(4)
+	// opFetchRange requests raw payload bytes of one layered object:
 	// [u64 off][u32 len][path]. The response is the bytes themselves, no
-	// compressor header — the upgrade path uses it to pull only the
-	// refinement extents a cached lower-fidelity entry is missing.
-	opFetchRange = byte(10)
+	// compressor header and no item frame — the upgrade path uses it to
+	// pull only the refinement extents a cached lower-fidelity entry is
+	// missing. It is not folded into opFetch because nothing of that
+	// request applies to it (no level, no written-file or unlayered
+	// answer, no batch, no stale diagnosis): the shared handler would
+	// branch on is-this-a-range at every step.
+	opFetchRange = byte(5)
 )
 
 // batchGetConcurrency bounds concurrent backend reads inside one
-// FetchMany handler, so a batch over a spill backend overlaps its disk
+// opFetch handler, so a batch over a spill backend overlaps its disk
 // reads instead of serializing them, without letting one huge batch
 // monopolize the backend.
 const batchGetConcurrency = 8
@@ -215,16 +211,12 @@ type Options struct {
 	// FetchBackoff is the pause before the first same-peer retry,
 	// doubling per attempt (default 0: immediate).
 	FetchBackoff time.Duration
-	// BatchItems bounds the objects carried by one FetchMany round trip;
+	// BatchItems bounds the objects carried by one batched fetch round trip;
 	// larger prefetch groups are split into plan-sized calls so a whole-
 	// epoch window cannot build one monster frame (default
 	// rpc.DefaultBatchItems). Live-tunable: Node.SetBatchItems takes
 	// effect on the next prefetch split, mid-plan.
 	BatchItems int
-	// DisableCoalescing turns off the singleflight sharing of concurrent
-	// fetch+decode work for the same path, reproducing the duplicate-
-	// fetch behaviour for comparison benchmarks and ablations.
-	DisableCoalescing bool
 	// Redundancy selects the fault-tolerance mode: whole-partition
 	// replication (default) or ec(k,m) erasure coding, which stripes
 	// every partition into k data + m parity shards scattered across the
@@ -318,7 +310,7 @@ type Stats struct {
 	BytesRead       int64
 	RemoteBytes     int64
 	Failovers       int64 // fetches re-routed to another replica after an error
-	BatchedFetches  int64 // FetchMany calls issued by this rank's prefetcher
+	BatchedFetches  int64 // batched fetch calls issued by this rank's prefetcher
 	PrefetchedOpens int64 // opens served by an entry Prefetch staged
 	// FetchCoalesced counts opens that joined another producer's
 	// in-flight fetch+decode instead of issuing their own (singleflight).
@@ -376,8 +368,7 @@ type Node struct {
 	// (Fig. 4's refcount, extended through the fetch by flight.go).
 	inflightMu sync.Mutex
 	inflight   map[string]*flight
-	noCoalesce bool
-	// batchItems is the max objects per FetchMany call — atomic because
+	// batchItems is the max objects per batched fetch call — atomic because
 	// the autotuner retunes it mid-plan (SetBatchItems) while the
 	// prefetch path reads it per split.
 	batchItems atomic.Int64
@@ -502,22 +493,21 @@ func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bo
 		batchItems = rpc.DefaultBatchItems
 	}
 	n := &Node{
-		comm:       comm,
-		cache:      NewCacheShards(opts.CacheBytes, opts.CachePolicy, opts.CacheShards),
-		backend:    backend,
-		decode:     decomp.New(opts.DecodeWorkers, reg),
-		view:       view,
-		selfID:     selfID,
-		elastic:    elastic,
-		meta:       make(map[string]*FileMeta),
-		dirs:       newDirIndex(),
-		writes:     make(map[string][]byte),
-		parts:      make(map[uint64]*nodePart),
-		inflight:   make(map[string]*flight),
-		noCoalesce: opts.DisableCoalescing,
-		reg:        reg,
-		tracer:     opts.Tracer,
-		events:     opts.Events,
+		comm:     comm,
+		cache:    NewCacheShards(opts.CacheBytes, opts.CachePolicy, opts.CacheShards),
+		backend:  backend,
+		decode:   decomp.New(opts.DecodeWorkers, reg),
+		view:     view,
+		selfID:   selfID,
+		elastic:  elastic,
+		meta:     make(map[string]*FileMeta),
+		dirs:     newDirIndex(),
+		writes:   make(map[string][]byte),
+		parts:    make(map[uint64]*nodePart),
+		inflight: make(map[string]*flight),
+		reg:      reg,
+		tracer:   opts.Tracer,
+		events:   opts.Events,
 	}
 	n.batchItems.Store(int64(batchItems))
 	if opts.Redundancy.Mode == RedundancyEC {
@@ -739,22 +729,15 @@ func (n *Node) noteReplica(path string, rank int) {
 	m.Replicas = append(m.Replicas, int32(rank))
 }
 
-// handleFetch answers one peer fetch on a daemon worker, dispatching on
-// the op byte: a single-object request or a batched FetchMany. Unknown
-// single objects map to the transport's not-found status (the requester
-// fails over or surfaces ErrRemoteGone); batched misses are reported
-// per item.
+// handleFetch answers one peer request on a daemon worker, dispatching
+// on the op byte.
 func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("fanstore: empty fetch frame")
 	}
 	switch payload[0] {
-	case opFetchOne:
-		return n.fetchObject(string(payload[1:]))
-	case opFetchMany:
-		return n.handleFetchMany(payload[1:])
-	case opFetchOneV:
-		return n.handleFetchOneV(payload[1:])
+	case opFetch:
+		return n.handleFetchObjects(payload[1:])
 	case opFetchPart:
 		return n.handleFetchPart(payload[1:])
 	case opMetaSync:
@@ -763,12 +746,6 @@ func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 		return n.handleFetchShard(payload[1:])
 	case opStoreShard:
 		return n.handleStoreShard(payload[1:])
-	case opFetchOneL:
-		return n.handleFetchOneL(payload[1:])
-	case opFetchOneVL:
-		return n.handleFetchOneVL(payload[1:])
-	case opFetchManyL:
-		return n.handleFetchManyL(payload[1:])
 	case opFetchRange:
 		return n.handleFetchRange(payload[1:])
 	default:
@@ -776,24 +753,154 @@ func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 	}
 }
 
-// handleFetchOneV answers a versioned fetch. The version check only
-// triggers on a miss: while both sides agree on the map, or the object
-// is simply present, the op behaves exactly like opFetchOne. A miss
-// under version disagreement means the caller routed here on a map that
-// predates (or postdates) a rebalance — the stale status tells it to
-// refresh instead of failing over through dead routes.
-func (n *Node) handleFetchOneV(body []byte) ([]byte, error) {
+// encodeFetch builds an opFetch request (layout at opFetch) for keys
+// with their per-key layer budgets.
+func encodeFetch(mapVersion uint64, keys []string, levels []uint8) []byte {
+	req := make([]byte, 9, 9+rpc.KeysSize(keys))
+	req[0] = opFetch
+	binary.LittleEndian.PutUint64(req[1:], mapVersion)
+	return rpc.AppendKeysLevels(req, keys, levels)
+}
+
+// decodeFetch parses an opFetch request body (the frame after the op
+// byte) as received from a peer.
+func decodeFetch(body []byte) (mapVersion uint64, keys []string, levels []uint8, err error) {
 	if len(body) < 8 {
-		return nil, fmt.Errorf("fanstore: short versioned fetch frame")
+		return 0, nil, nil, fmt.Errorf("fanstore: fetch request truncated (%d bytes)", len(body))
 	}
-	callerVer := binary.LittleEndian.Uint64(body)
-	resp, err := n.fetchObject(string(body[8:]))
-	if err != nil && errors.Is(err, rpc.ErrNotFound) {
-		if have := n.view.Version(); have != callerVer {
-			return nil, fmt.Errorf("%w: have v%d, caller routed on v%d", rpc.ErrStale, have, callerVer)
+	keys, levels, err = rpc.DecodeKeysLevels(body[8:])
+	return binary.LittleEndian.Uint64(body), keys, levels, err
+}
+
+// fetchVersion is the mapVersion this node stamps on its opFetch
+// requests: the version it routes on, or 0 on a static mount, whose map
+// never moves.
+func (n *Node) fetchVersion() uint64 {
+	if n.elastic {
+		return n.view.Version()
+	}
+	return 0
+}
+
+// fetchedObject is one looked-up item of an opFetch answer, before it is
+// framed. data aliases backend storage (or the writes table).
+type fetchedObject struct {
+	status  byte // rpc.ItemOK unless err is set
+	id      uint16
+	data    []byte // compressed payload clipped to the item's layer budget
+	written bool   // data is a written file's bytes, uncompressed: framed as "store"
+	err     error
+}
+
+// lookupObject finds one object for an opFetch item. A layered object's
+// payload is clipped to the container prefix covering the first `level`
+// layers — any prefix of layers decodes to a valid lower-fidelity record,
+// so the answer is self-contained. Unlayered objects (written files
+// included) and the full-fidelity level answer whole.
+func (n *Node) lookupObject(path string, level uint8) fetchedObject {
+	n.mu.RLock()
+	wdata, written := n.writes[path]
+	n.mu.RUnlock()
+	if written && wdata != nil {
+		return fetchedObject{data: wdata, written: true}
+	}
+	id, data, err := n.backend.Get(path)
+	if err == nil && level != 0 && level != FidelityFull && codec.IsLayered(id) {
+		// A corrupt index would fail the client's decode anyway; answer
+		// whole so the error surfaces with full evidence.
+		if ix, perr := codec.ParseLayerIndex(data); perr == nil && int(level) < ix.Layers() {
+			data = data[:ix.PrefixSize(int(level))]
 		}
 	}
-	return resp, err
+	return fetchedObject{id: id, data: data, err: err}
+}
+
+// lookupObjects fills objs[i] for every step-th key from first on.
+func (n *Node) lookupObjects(keys []string, levels []uint8, objs []fetchedObject, first, step int) {
+	for i := first; i < len(keys); i += step {
+		objs[i] = n.lookupObject(keys[i], levels[i])
+	}
+}
+
+// handleFetchObjects answers opFetch. Every requested object is read
+// from the backend with bounded concurrency (a cold batch over the spill
+// backend overlaps its disk reads; a batch of one reads inline) and
+// answered in request order with per-item status, so a partial miss
+// never fails the whole batch. Items are framed straight from the
+// backend's bytes into one pooled response.
+func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
+	callerVer, keys, levels, err := decodeFetch(body)
+	if err != nil {
+		return nil, err
+	}
+	// Up to batchGetConcurrency readers take every readers-th key each;
+	// the handler's own goroutine is the first of them.
+	objs := make([]fetchedObject, len(keys))
+	readers := min(len(keys), batchGetConcurrency)
+	var wg sync.WaitGroup
+	for r := 1; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n.lookupObjects(keys, levels, objs, r, readers)
+		}()
+	}
+	n.lookupObjects(keys, levels, objs, 0, readers)
+	wg.Wait()
+
+	// A miss under version disagreement means the caller routed here on a
+	// map that predates (or postdates) a rebalance. The version check only
+	// triggers on a miss: while both sides agree on the map, or the object
+	// is simply present, the version changes nothing.
+	have := n.view.Version()
+	size, served := 0, false
+	for i := range objs {
+		o := &objs[i]
+		switch {
+		case o.err == nil:
+			served = true
+			size += 2 + len(o.data)
+			if o.written {
+				size += binary.MaxVarintLen64
+			}
+		case !errors.Is(o.err, ErrNotExist):
+			o.status = rpc.ItemError
+			size += len(o.err.Error())
+		case callerVer != 0 && callerVer != have:
+			o.status = rpc.ItemStale
+			o.err = fmt.Errorf("%w: have v%d, caller routed on v%d", rpc.ErrStale, have, callerVer)
+		default:
+			o.status = rpc.ItemNotFound
+			o.err = rpc.ErrNotFound
+		}
+	}
+	if !served && len(objs) > 0 {
+		return nil, objs[0].err
+	}
+	resp := rpc.BeginItems(decomp.GetBuf(rpc.ItemsSize(len(objs), size)), len(objs))
+	for i := range objs {
+		o := &objs[i]
+		resp = rpc.BeginItem(resp, o.status)
+		start := len(resp)
+		switch {
+		case o.status == rpc.ItemError:
+			resp = append(resp, o.err.Error()...)
+		case o.err != nil: // a miss carries no payload
+		case o.written:
+			// Output files are stored uncompressed; frame them as "store",
+			// compressing straight into the response.
+			resp = binary.LittleEndian.AppendUint16(resp, codec.StoreID)
+			if resp, err = codec.MustGet("store").Codec.Compress(resp, o.data); err != nil {
+				decomp.PutBuf(resp)
+				return nil, err
+			}
+		default:
+			resp = binary.LittleEndian.AppendUint16(resp, o.id)
+			resp = append(resp, o.data...)
+		}
+		rpc.EndItem(resp, start)
+	}
+	return resp, nil
 }
 
 // handleFetchPart streams one loaded partition blob to a new owner —
@@ -834,126 +941,6 @@ func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
 	return append(decomp.GetBuf(len(enc)), enc...), nil
 }
 
-// fetchObject serves one object's compressed bytes as
-// [u16 compressorID][compressed bytes].
-func (n *Node) fetchObject(path string) ([]byte, error) {
-	n.mu.RLock()
-	wdata, written := n.writes[path]
-	n.mu.RUnlock()
-	if written && wdata != nil {
-		// Output files are stored uncompressed; frame them as "store",
-		// compressing straight into a pooled response frame.
-		resp := decomp.GetBuf(2 + len(wdata) + binary.MaxVarintLen64)[:2]
-		binary.LittleEndian.PutUint16(resp, codec.StoreID)
-		resp, err := codec.MustGet("store").Codec.Compress(resp, wdata)
-		if err != nil {
-			decomp.PutBuf(resp)
-			return nil, err
-		}
-		return resp, nil
-	}
-	id, data, err := n.backend.Get(path)
-	if err != nil {
-		if errors.Is(err, ErrNotExist) {
-			return nil, rpc.ErrNotFound
-		}
-		return nil, err
-	}
-	resp := decomp.GetBuf(2 + len(data))[:2]
-	binary.LittleEndian.PutUint16(resp, id)
-	return append(resp, data...), nil
-}
-
-// fetchObjectBudget is fetchObject under a layer budget: a layered
-// object's payload is clipped to the container prefix covering the first
-// `level` layers — any prefix of layers decodes to a valid lower-fidelity
-// record, so the response is self-contained. Unlayered objects (written
-// files included) and the full-fidelity level answer whole.
-func (n *Node) fetchObjectBudget(path string, level uint8) ([]byte, error) {
-	resp, err := n.fetchObject(path)
-	if err != nil || level == 0 || level == FidelityFull || len(resp) < 2 {
-		return resp, err
-	}
-	id := binary.LittleEndian.Uint16(resp)
-	if !codec.IsLayered(id) {
-		return resp, nil
-	}
-	ix, perr := codec.ParseLayerIndex(resp[2:])
-	if perr != nil {
-		// A corrupt index would fail the client's decode anyway; answer
-		// whole so the error surfaces with full evidence.
-		return resp, nil
-	}
-	if k := int(level); k < ix.Layers() {
-		resp = resp[:2+ix.PrefixSize(k)]
-	}
-	return resp, nil
-}
-
-// handleFetchOneL answers a budgeted single fetch: [u8 level][path].
-func (n *Node) handleFetchOneL(body []byte) ([]byte, error) {
-	if len(body) < 1 {
-		return nil, fmt.Errorf("fanstore: short budgeted fetch frame")
-	}
-	return n.fetchObjectBudget(string(body[1:]), body[0])
-}
-
-// handleFetchOneVL answers the elastic budgeted fetch:
-// [u64 mapVersion][u8 level][path], with opFetchOneV's stale diagnosis
-// on a version-mismatched miss.
-func (n *Node) handleFetchOneVL(body []byte) ([]byte, error) {
-	if len(body) < 9 {
-		return nil, fmt.Errorf("fanstore: short versioned budgeted fetch frame")
-	}
-	callerVer := binary.LittleEndian.Uint64(body)
-	resp, err := n.fetchObjectBudget(string(body[9:]), body[8])
-	if err != nil && errors.Is(err, rpc.ErrNotFound) {
-		if have := n.view.Version(); have != callerVer {
-			return nil, fmt.Errorf("%w: have v%d, caller routed on v%d", rpc.ErrStale, have, callerVer)
-		}
-	}
-	return resp, err
-}
-
-// handleFetchManyL answers a budgeted batch: the body is
-// rpc.EncodeKeysLevels and every OK item is clipped to its own layer
-// budget, so one round trip carries a mixed-fidelity window.
-func (n *Node) handleFetchManyL(body []byte) ([]byte, error) {
-	paths, levels, err := rpc.DecodeKeysLevels(body)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]rpc.Item, len(paths))
-	sem := make(chan struct{}, batchGetConcurrency)
-	var wg sync.WaitGroup
-	for i, path := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, path string, level uint8) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			payload, err := n.fetchObjectBudget(path, level)
-			switch {
-			case err == nil:
-				items[i] = rpc.Item{Status: rpc.ItemOK, Payload: payload}
-			case errors.Is(err, rpc.ErrNotFound):
-				items[i] = rpc.Item{Status: rpc.ItemNotFound}
-			default:
-				items[i] = rpc.Item{Status: rpc.ItemError, Payload: []byte(err.Error())}
-			}
-		}(i, path, levels[i])
-	}
-	wg.Wait()
-	out := rpc.EncodeItems(items)
-	for i := range items {
-		if items[i].Status == rpc.ItemOK {
-			decomp.PutBuf(items[i].Payload)
-			items[i].Payload = nil
-		}
-	}
-	return out, nil
-}
-
 // handleFetchRange answers a raw byte-range read of one object's payload:
 // [u64 off][u32 len][path] → the bytes themselves, no compressor header.
 // The upgrade path uses it to pull exactly the refinement extents a
@@ -981,48 +968,6 @@ func (n *Node) handleFetchRange(body []byte) ([]byte, error) {
 	}
 	resp := decomp.GetBuf(int(length))
 	return append(resp, data[off:end]...), nil
-}
-
-// handleFetchMany answers a batched fetch: every requested object is
-// read from the backend with bounded concurrency (a cold batch over the
-// spill backend overlaps its disk reads) and answered in request order
-// with per-item status, so a partial miss never fails the whole batch.
-func (n *Node) handleFetchMany(body []byte) ([]byte, error) {
-	paths, err := rpc.DecodeKeys(body)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]rpc.Item, len(paths))
-	sem := make(chan struct{}, batchGetConcurrency)
-	var wg sync.WaitGroup
-	for i, path := range paths {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, path string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			payload, err := n.fetchObject(path)
-			switch {
-			case err == nil:
-				items[i] = rpc.Item{Status: rpc.ItemOK, Payload: payload}
-			case errors.Is(err, rpc.ErrNotFound):
-				items[i] = rpc.Item{Status: rpc.ItemNotFound}
-			default:
-				items[i] = rpc.Item{Status: rpc.ItemError, Payload: []byte(err.Error())}
-			}
-		}(i, path)
-	}
-	wg.Wait()
-	out := rpc.EncodeItems(items)
-	// EncodeItems copied every payload into the response frame; the
-	// per-item fetchObject frames are dead — recycle them.
-	for i := range items {
-		if items[i].Status == rpc.ItemOK {
-			decomp.PutBuf(items[i].Payload)
-			items[i].Payload = nil
-		}
-	}
-	return out, nil
 }
 
 // fetchCandidates lists the node IDs that can serve m's compressed
@@ -1088,10 +1033,10 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 // against the refreshed record — not a failover: the object exists, the
 // route was just planned on an old map.
 //
-// level is the layer budget: 0 or FidelityFull fetches the whole object
-// with the classic ops; anything else rides the budgeted ops and the
-// server clips layered containers to the level's prefix. Bytes the clip
-// kept off the wire are credited to fetch.bytes.saved.
+// level is the layer budget: 0 or FidelityFull fetches the whole object;
+// under anything else the server clips layered containers to the level's
+// prefix. Bytes the clip kept off the wire are credited to
+// fetch.bytes.saved.
 func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outcome, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
@@ -1133,35 +1078,17 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 				continue
 			}
 			attempts++
-			budgeted := level != 0 && level != FidelityFull
-			var req []byte
-			switch {
-			case n.elastic && budgeted:
-				req = make([]byte, 10, 10+len(path))
-				req[0] = opFetchOneVL
-				binary.LittleEndian.PutUint64(req[1:], n.view.Version())
-				req[9] = level
-			case n.elastic:
-				req = make([]byte, 9, 9+len(path))
-				req[0] = opFetchOneV
-				binary.LittleEndian.PutUint64(req[1:], n.view.Version())
-			case budgeted:
-				req = make([]byte, 2, 2+len(path))
-				req[0] = opFetchOneL
-				req[1] = level
-			default:
-				req = make([]byte, 1, 1+len(path))
-				req[0] = opFetchOne
-			}
-			resp, err := n.client.Call(dst, append(req, path...))
+			resp, err := n.client.Call(dst, encodeFetch(n.fetchVersion(), []string{path}, []uint8{level}))
 			if err == nil {
-				if len(resp) < 2 {
+				items, derr := rpc.DecodeItems(resp)
+				if derr != nil || len(items) != 1 || items[0].Status != rpc.ItemOK || len(items[0].Payload) < 2 {
 					lastErr = fmt.Errorf("rank %d sent a malformed object frame", dst)
 					continue
 				}
-				n.remoteBytes.Add(int64(len(resp)))
-				n.creditBytesSaved(m, int64(len(resp)-2))
-				return binary.LittleEndian.Uint16(resp), resp[2:], outcome, nil
+				obj := items[0].Payload
+				n.remoteBytes.Add(int64(len(obj)))
+				n.creditBytesSaved(m, int64(len(obj)-2))
+				return binary.LittleEndian.Uint16(obj), obj[2:], outcome, nil
 			}
 			lastErr = err
 			if errors.Is(err, mpi.ErrAborted) {
@@ -1303,7 +1230,7 @@ type prefetchTarget struct {
 // Prefetch stages an upcoming access window (the sampler's next
 // iterations) into the decompressed cache ahead of the consumer: paths
 // that are neither local, cached, nor already being opened are grouped
-// by replica owner, each group is fetched with one FetchMany round trip
+// by replica owner, each group is fetched with one batched round trip
 // — issued concurrently across owners — and the decompressed results
 // are inserted unpinned (InsertIdle), so prefetched-but-unopened files
 // stay evictable and a canceled epoch cannot wedge the pool. It is
@@ -1344,15 +1271,10 @@ func (n *Node) PrefetchFidelity(paths []string, level uint8) int {
 		if !ok || written || n.backend.Contains(cp) {
 			continue
 		}
-		want := metaFidelity(m, level)
-		if n.cache.ContainsFidelity(cp, want) {
-			n.prefetchSuppressed.Inc() // already staged or resident at this fidelity
-			continue
-		}
-		if n.cache.Contains(cp) {
-			// Resident below the budget: leave it — a demand open at the
-			// higher level will upgrade in place, which is cheaper than a
-			// speculative re-stage.
+		if n.cache.Contains(cp, 1) {
+			// Already staged or resident. If that is below this budget,
+			// leave it — a demand open at the higher level will upgrade
+			// in place, which is cheaper than a speculative re-stage.
 			n.prefetchSuppressed.Inc()
 			continue
 		}
@@ -1360,7 +1282,7 @@ func (n *Node) PrefetchFidelity(paths []string, level uint8) int {
 		if len(cands) == 0 {
 			continue
 		}
-		f, leader := n.beginFlightFid(cp, want)
+		f, leader := n.beginFlight(cp)
 		if !leader {
 			// A demand open or an overlapping prefetch is already
 			// producing it; that flight's result lands in the cache.
@@ -1426,7 +1348,7 @@ func (n *Node) PrefetchFidelity(paths []string, level uint8) int {
 	return staged
 }
 
-// prefetchFrom fetches group from dst with as many plan-sized FetchMany
+// prefetchFrom fetches group from dst with as many plan-sized opFetch
 // calls as BatchItems requires — an epoch-scale plan batch cannot build
 // one monster frame — and returns the targets dst could not serve so
 // the caller can fail over.
@@ -1447,23 +1369,17 @@ func (n *Node) prefetchFrom(dst int, group []*prefetchTarget, level uint8) (stag
 	return staged, failed
 }
 
-// prefetchChunk issues one FetchMany call to dst for one plan-sized
+// prefetchChunk issues one opFetch call to dst for one plan-sized
 // slice of targets, decompresses and stages what came back, and
 // finishes the flight of every staged target so coalesced opens
 // unblock as soon as their object lands.
 func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
-	var req []byte
-	if level != FidelityFull {
-		levels := make([]uint8, len(keys))
-		for i := range levels {
-			levels[i] = level
-		}
-		req = append([]byte{opFetchManyL}, rpc.EncodeKeysLevels(keys, levels)...)
-	} else {
-		req = append([]byte{opFetchMany}, rpc.EncodeKeys(keys)...)
+	levels := make([]uint8, len(keys))
+	for i := range levels {
+		levels[i] = level
 	}
 	n.batchedFetches.Inc()
-	resp, err := n.client.Call(dst, req)
+	resp, err := n.client.Call(dst, encodeFetch(n.fetchVersion(), keys, levels))
 	if err != nil {
 		return 0, group
 	}
@@ -1501,7 +1417,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 			failed = append(failed, t)
 			continue
 		}
-		if n.cache.InsertIdleOwnedFidelity(t.m.Path, decoded[i], fids[i]) {
+		if n.cache.InsertIdle(t.m.Path, decoded[i], true, fids[i]) {
 			staged++
 		}
 		n.finishFlight(t.m.Path, t.flight, nil)
@@ -1515,7 +1431,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 // (0/FidelityFull: decode everything the payload carries); the returned
 // fidelity reports what the bytes actually reached. The returned buffer
 // comes from the decomp buffer pool: ownership passes to the caller, who
-// must hand it to the cache via InsertOwned/InsertIdleOwned (or recycle
+// must hand it to the cache via Insert/InsertIdle as owned (or recycle
 // it on failure).
 func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte, pri decomp.Priority, level uint8) ([]byte, uint8, error) {
 	var out []byte
@@ -1591,14 +1507,14 @@ func (n *Node) openBytes(m *FileMeta, level uint8) (data []byte, pinned bool, ou
 	want := metaFidelity(m, level)
 	coalesced := false
 	for {
-		if data, _, ok := n.cache.AcquireFidelity(m.Path, want); ok {
+		if data, _, ok := n.cache.Acquire(m.Path, want); ok {
 			outcome := trace.OutcomeCacheHit
 			if coalesced {
 				outcome = trace.OutcomeCoalesced
 			}
 			return data, true, outcome, nil
 		}
-		f, leader := n.beginFlightFid(m.Path, want)
+		f, leader := n.beginFlight(m.Path)
 		if !leader {
 			n.fetchCoalesced.Inc()
 			coalesced = true
@@ -1632,7 +1548,7 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 	switch {
 	case written:
 		n.localOpens.Inc()
-		return n.cache.Insert(m.Path, wdata), true, trace.OutcomeMetaHit, nil
+		return n.cache.Insert(m.Path, wdata, false, FidelityFull), true, trace.OutcomeMetaHit, nil
 	case n.backend.Contains(m.Path):
 		n.localOpens.Inc()
 		// Uncompressed RAM-resident objects are served zero-copy from the
@@ -1660,7 +1576,7 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		return n.cache.InsertOwnedFidelity(m.Path, data, fid), true, outcome, nil
+		return n.cache.Insert(m.Path, data, true, fid), true, outcome, nil
 	default:
 		n.remoteOpens.Inc()
 		want := metaFidelity(m, level)
@@ -1675,7 +1591,7 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		return n.cache.InsertOwnedFidelity(m.Path, data, fid), true, outcome, nil
+		return n.cache.Insert(m.Path, data, true, fid), true, outcome, nil
 	}
 }
 
@@ -1693,7 +1609,7 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	if L == 0 || want < 2 {
 		return nil, false // unlayered, or nothing above the base to add
 	}
-	base, have, okBase := n.cache.AcquireAny(m.Path)
+	base, have, okBase := n.cache.Acquire(m.Path, 1)
 	if !okBase {
 		return nil, false
 	}
@@ -1739,7 +1655,7 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	}
 	n.fetchUpgrades.Inc()
 	n.fidelityHist.Observe(time.Duration(to) * time.Microsecond)
-	return n.cache.InsertOwnedFidelity(m.Path, out, metaFidelity(m, uint8(to))), true
+	return n.cache.Insert(m.Path, out, true, metaFidelity(m, uint8(to))), true
 }
 
 // Close shuts the daemon down. It must be called collectively after all

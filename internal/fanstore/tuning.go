@@ -22,10 +22,10 @@ func (n *Node) DecodeWorkers() int { return n.decode.Workers() }
 // see decomp.Pool.Resize.
 func (n *Node) SetDecodeWorkers(workers int) int { return n.decode.Resize(workers) }
 
-// BatchItems reports the current FetchMany split size.
+// BatchItems reports the current batched-fetch split size.
 func (n *Node) BatchItems() int { return int(n.batchItems.Load()) }
 
-// SetBatchItems sets the FetchMany split size live (<=0 restores
+// SetBatchItems sets the batched-fetch split size live (<=0 restores
 // rpc.DefaultBatchItems). The next prefetch split reads it — no
 // replanning needed.
 func (n *Node) SetBatchItems(items int) {
@@ -54,7 +54,7 @@ func (n *Node) SetAdmissionBytes(v int64) {
 // Knobs assembles the node's live knob set for a tune.Controller:
 //
 //   - "decode.workers": geometric in [1, 4xGOMAXPROCS].
-//   - "batch.items": geometric in [4, 1024] FetchMany items.
+//   - "batch.items": geometric in [4, 1024] objects per batched fetch.
 //   - "admission.bytes": geometric in [1 MiB, cache capacity] — present
 //     only when an explicit admission budget is already set, because in
 //     headroom mode (0) there is no number to climb.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fanstore/internal/mpi"
@@ -46,7 +47,7 @@ type Coordinator struct {
 
 	wg sync.WaitGroup
 
-	events *obs.EventLog // nil unless the ops plane is enabled
+	events atomic.Pointer[obs.EventLog] // nil unless the ops plane is enabled
 }
 
 // Membership is one node's handle on the elastic cluster: its stable ID,
@@ -63,18 +64,19 @@ type Membership struct {
 	wg     sync.WaitGroup
 	closed sync.Once
 
-	events *obs.EventLog // nil unless the ops plane is enabled
+	events atomic.Pointer[obs.EventLog] // nil unless the ops plane is enabled
 }
 
 // SetEvents attaches an ops-plane event log: the coordinator reports
 // joins and leaves as it admits them; a member reports each map
 // version it installs from a broadcast. nil (the default) keeps the
-// membership protocol event-free at zero cost. Call before traffic —
-// the listener reads the field without synchronization.
+// membership protocol event-free at zero cost. The serve loop and the
+// listener are already running when a mount attaches its log, so the
+// field is atomic.
 func (m *Membership) SetEvents(ev *obs.EventLog) {
-	m.events = ev
+	m.events.Store(ev)
 	if m.coord != nil {
-		m.coord.events = ev
+		m.coord.events.Store(ev)
 	}
 }
 
@@ -125,8 +127,8 @@ func (m *Membership) listen() {
 			return
 		}
 		if cm, err := DecodeMap(data); err == nil {
-			if m.view.Update(cm) && m.events.Enabled() {
-				m.events.Emitf(obs.EvMapChange, obs.SevInfo,
+			if ev := m.events.Load(); m.view.Update(cm) && ev.Enabled() {
+				ev.Emitf(obs.EvMapChange, obs.SevInfo,
 					"cluster map v%d installed from broadcast (%d members)", cm.Version, len(cm.Nodes))
 			}
 		}
@@ -223,8 +225,8 @@ func (c *Coordinator) serve() {
 		switch data[0] {
 		case opJoin:
 			id, m := c.admit(src)
-			if c.events.Enabled() {
-				c.events.Emitf(obs.EvMemberJoin, obs.SevInfo,
+			if ev := c.events.Load(); ev.Enabled() {
+				ev.Emitf(obs.EvMemberJoin, obs.SevInfo,
 					"node %v joined at rank %d (map v%d, %d members)", id, src, m.Version, len(m.Nodes))
 			}
 			reply := make([]byte, 4, 4+12)
@@ -240,8 +242,8 @@ func (c *Coordinator) serve() {
 			}
 			id := NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
 			m := c.remove(id)
-			if c.events.Enabled() {
-				c.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
+			if ev := c.events.Load(); ev.Enabled() {
+				ev.Emitf(obs.EvMemberLeave, obs.SevInfo,
 					"node %v left (map v%d, %d members)", id, m.Version, len(m.Nodes))
 			}
 			_ = c.comm.Send(src, tagMemberAck, m.Encode())

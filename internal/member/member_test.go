@@ -73,6 +73,24 @@ func TestViewMonotonicUpdate(t *testing.T) {
 	}
 }
 
+// tagDone carries a joiner's "my last round trip is over" to the
+// coordinator rank (it collides with no member-protocol tag).
+const tagDone = 777
+
+// holdOpen keeps the coordinator rank — and so its serve loop, which the
+// deferred Close stops — alive until every listed joiner has sent
+// tagDone. The coordinator sees the target map before the joiners do;
+// returning then would strand a joiner inside a Sync whose ack never
+// comes, and the world would abort on the 30 s ackTimeout.
+func holdOpen(c *mpi.Comm, joiners ...int) error {
+	for _, r := range joiners {
+		if _, _, err := c.Recv(r, tagDone); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestJoinLeaveLifecycle runs a coordinator and three members through
 // join, broadcast convergence, sync, and leave — concurrently, under the
 // race detector in `make ci`.
@@ -104,7 +122,7 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 			if cm.Version != before+1 {
 				return fmt.Errorf("advance: %d -> %d", before, cm.Version)
 			}
-			return nil
+			return holdOpen(c, 1, 2)
 		}
 		mem, err := Join(c, 0)
 		if err != nil {
@@ -140,7 +158,7 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 				return err
 			}
 			if m.Version >= 5 && len(m.Alive()) == ranks-1 {
-				return nil
+				return c.Send(0, tagDone, nil)
 			}
 		}
 	})
@@ -168,8 +186,7 @@ func TestMalformedRequestStillAcked(t *testing.T) {
 				}
 			}
 			// Hold the cluster open until the member is done probing.
-			_, _, err := c.Recv(1, 777)
-			return err
+			return holdOpen(c, 1)
 		}
 		mem, err := Join(c, 0)
 		if err != nil {
@@ -196,7 +213,7 @@ func TestMalformedRequestStillAcked(t *testing.T) {
 				return fmt.Errorf("frame %v: malformed request mutated the map: %+v", frame, m)
 			}
 		}
-		return c.Send(0, 777, nil)
+		return c.Send(0, tagDone, nil)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +236,7 @@ func TestConcurrentJoins(t *testing.T) {
 					return err
 				}
 				if len(m.Alive()) == ranks {
-					return nil
+					return holdOpen(c, 1, 2, 3, 4, 5)
 				}
 			}
 		}
@@ -237,7 +254,7 @@ func TestConcurrentJoins(t *testing.T) {
 				return err
 			}
 			if len(m.Alive()) == ranks {
-				return nil
+				return c.Send(0, tagDone, nil)
 			}
 		}
 	})

@@ -141,7 +141,7 @@ func BuildPlan(sampler Sampler, store PlanStore) *Plan {
 // SchedOptions configures a Scheduler.
 type SchedOptions struct {
 	// BatchFiles bounds the objects handed to one Prefetch call
-	// (default 32). The store splits further into wire-sized FetchMany
+	// (default 32). The store splits further into wire-sized batched fetch
 	// frames; this knob shapes admission granularity.
 	BatchFiles int
 	// AdmissionBytes overrides the staged-bytes budget. 0 means the

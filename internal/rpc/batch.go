@@ -13,8 +13,16 @@ import (
 // request/response payloads — but both daemon sides use this encoding,
 // so it lives with the wire layer.
 //
-// Key frame:   u32 count | (u32 len | bytes)*
+// Key frame:   u32 count | (u8 level | u32 len | bytes)*
 // Item frame:  u32 count | (u8 status | u32 len | bytes)*
+//
+// Both decoders read peer bytes: count is checked against the bytes that
+// remain (every key and item costs at least entryHeader bytes) before
+// anything is allocated for it.
+
+// entryHeader is the fixed cost of one key or item: u8 level/status plus
+// the u32 length.
+const entryHeader = 5
 
 // DefaultBatchItems is the default ceiling on keys per batched call.
 // Epoch-scale prefetch plans are split into frames of this many objects:
@@ -50,6 +58,9 @@ const (
 	// ItemError marks a per-item handler failure; the payload carries
 	// the error text.
 	ItemError = byte(2)
+	// ItemStale marks a key the responder does not hold while its cluster
+	// map disagrees with the caller's: the per-item form of ErrStale.
+	ItemStale = byte(3)
 )
 
 // Item is one object of a batched response.
@@ -58,142 +69,120 @@ type Item struct {
 	Payload []byte
 }
 
-// EncodeKeys serializes object keys into one batched request payload.
-func EncodeKeys(keys []string) []byte {
+// KeysSize is the encoded size of a key frame for keys.
+func KeysSize(keys []string) int {
 	n := 4
 	for _, k := range keys {
-		n += 4 + len(k)
+		n += entryHeader + len(k)
 	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
-	for _, k := range keys {
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(k)))
-		out = append(out, l[:]...)
-		out = append(out, k...)
-	}
-	return out
+	return n
 }
 
-// DecodeKeys parses a batched request payload back into object keys.
-func DecodeKeys(p []byte) ([]string, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rpc: batch key frame truncated (%d bytes)", len(p))
-	}
-	count := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	keys := make([]string, 0, count)
-	for i := 0; i < count; i++ {
-		if len(p) < 4 {
-			return nil, fmt.Errorf("rpc: batch key %d: length truncated", i)
-		}
-		l := int(binary.LittleEndian.Uint32(p))
-		p = p[4:]
-		if len(p) < l {
-			return nil, fmt.Errorf("rpc: batch key %d: %d bytes declared, %d remain", i, l, len(p))
-		}
-		keys = append(keys, string(p[:l]))
-		p = p[l:]
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("rpc: batch key frame has %d trailing bytes", len(p))
-	}
-	return keys, nil
-}
-
-// EncodeKeysLevels serializes object keys with a per-item fidelity budget
-// (the max layer count a budgeted fetch should return; fanstore's
-// FidelityFull sentinel means the whole object). Layout:
-// u32 count | (u8 level | u32 len | bytes)*.
-func EncodeKeysLevels(keys []string, levels []uint8) []byte {
-	n := 4
-	for _, k := range keys {
-		n += 5 + len(k)
-	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(keys)))
+// AppendKeysLevels appends a key frame to dst: every key with its
+// fidelity budget (the max layer count a budgeted fetch should return;
+// fanstore's FidelityFull sentinel, 0xFF, means the whole object). Keys
+// past the end of levels get the sentinel.
+func AppendKeysLevels(dst []byte, keys []string, levels []uint8) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
 	for i, k := range keys {
 		lvl := uint8(0xFF)
 		if i < len(levels) {
 			lvl = levels[i]
 		}
-		out = append(out, lvl)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(k)))
-		out = append(out, l[:]...)
-		out = append(out, k...)
+		dst = append(dst, lvl)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(k)))
+		dst = append(dst, k...)
 	}
-	return out
+	return dst
 }
 
-// DecodeKeysLevels parses a leveled batched request payload.
-func DecodeKeysLevels(p []byte) ([]string, []uint8, error) {
+// decodeCount reads a frame's u32 entry count and bounds it by what the
+// remaining bytes can hold, so a four-byte frame cannot make the decoder
+// allocate for entries that are not there.
+func decodeCount(p []byte, what string) (int, []byte, error) {
 	if len(p) < 4 {
-		return nil, nil, fmt.Errorf("rpc: leveled key frame truncated (%d bytes)", len(p))
+		return 0, nil, fmt.Errorf("rpc: %s frame truncated (%d bytes)", what, len(p))
 	}
-	count := int(binary.LittleEndian.Uint32(p))
+	count := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	keys := make([]string, 0, count)
-	levels := make([]uint8, 0, count)
-	for i := 0; i < count; i++ {
-		if len(p) < 5 {
-			return nil, nil, fmt.Errorf("rpc: leveled key %d: header truncated", i)
+	if uint64(count)*entryHeader > uint64(len(p)) {
+		return 0, nil, fmt.Errorf("rpc: %s frame truncated: %d entries declared, %d bytes remain", what, count, len(p))
+	}
+	return int(count), p, nil
+}
+
+// decodeEntry splits one (u8 tag | u32 len | bytes) entry off p.
+func decodeEntry(p []byte, what string, i int) (tag byte, body, rest []byte, err error) {
+	if len(p) < entryHeader {
+		return 0, nil, nil, fmt.Errorf("rpc: %s %d: header truncated", what, i)
+	}
+	tag = p[0]
+	l := binary.LittleEndian.Uint32(p[1:])
+	p = p[entryHeader:]
+	if uint64(l) > uint64(len(p)) {
+		return 0, nil, nil, fmt.Errorf("rpc: %s %d: %d bytes declared, %d remain", what, i, l, len(p))
+	}
+	return tag, p[:l], p[l:], nil
+}
+
+// DecodeKeysLevels parses a key frame into keys and their per-key
+// fidelity budgets.
+func DecodeKeysLevels(p []byte) ([]string, []uint8, error) {
+	count, p, err := decodeCount(p, "batch key")
+	if err != nil {
+		return nil, nil, err
+	}
+	keys := make([]string, count)
+	levels := make([]uint8, count)
+	for i := range keys {
+		var key []byte
+		if levels[i], key, p, err = decodeEntry(p, "batch key", i); err != nil {
+			return nil, nil, err
 		}
-		lvl := p[0]
-		l := int(binary.LittleEndian.Uint32(p[1:]))
-		p = p[5:]
-		if len(p) < l {
-			return nil, nil, fmt.Errorf("rpc: leveled key %d: %d bytes declared, %d remain", i, l, len(p))
-		}
-		keys = append(keys, string(p[:l]))
-		levels = append(levels, lvl)
-		p = p[l:]
+		keys[i] = string(key)
 	}
 	if len(p) != 0 {
-		return nil, nil, fmt.Errorf("rpc: leveled key frame has %d trailing bytes", len(p))
+		return nil, nil, fmt.Errorf("rpc: batch key frame has %d trailing bytes", len(p))
 	}
 	return keys, levels, nil
 }
 
-// EncodeItems serializes a batched response, one status-framed item per
-// requested key, in request order.
-func EncodeItems(items []Item) []byte {
-	n := 4
-	for i := range items {
-		n += 5 + len(items[i].Payload)
-	}
-	out := make([]byte, 4, n)
-	binary.LittleEndian.PutUint32(out, uint32(len(items)))
-	for i := range items {
-		out = append(out, items[i].Status)
-		var l [4]byte
-		binary.LittleEndian.PutUint32(l[:], uint32(len(items[i].Payload)))
-		out = append(out, l[:]...)
-		out = append(out, items[i].Payload...)
-	}
-	return out
+// BeginItems starts a batched response of count items in dst. Every
+// item follows as BeginItem, the payload appended in place, EndItem — so
+// a handler builds the whole response in one (pooled) frame without an
+// intermediate buffer per item. ItemsSize sizes that frame.
+func BeginItems(dst []byte, count int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, uint32(count))
 }
 
-// DecodeItems parses a batched response payload.
+// ItemsSize is the encoded size of an item frame carrying count items
+// whose payloads total payloadBytes.
+func ItemsSize(count, payloadBytes int) int { return 4 + count*entryHeader + payloadBytes }
+
+// BeginItem appends one item's header; the caller appends the payload
+// and then calls EndItem with the frame length BeginItem returned at.
+func BeginItem(dst []byte, status byte) []byte {
+	return append(dst, status, 0, 0, 0, 0)
+}
+
+// EndItem closes the item whose payload is frame[start:], start being
+// len(frame) right after its BeginItem.
+func EndItem(frame []byte, start int) {
+	binary.LittleEndian.PutUint32(frame[start-4:], uint32(len(frame)-start))
+}
+
+// DecodeItems parses a batched response payload. Item payloads alias p.
 func DecodeItems(p []byte) ([]Item, error) {
-	if len(p) < 4 {
-		return nil, fmt.Errorf("rpc: batch item frame truncated (%d bytes)", len(p))
+	count, p, err := decodeCount(p, "batch item")
+	if err != nil {
+		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	items := make([]Item, 0, count)
-	for i := 0; i < count; i++ {
-		if len(p) < 5 {
-			return nil, fmt.Errorf("rpc: batch item %d: header truncated", i)
+	items := make([]Item, count)
+	for i := range items {
+		it := &items[i]
+		if it.Status, it.Payload, p, err = decodeEntry(p, "batch item", i); err != nil {
+			return nil, err
 		}
-		status := p[0]
-		l := int(binary.LittleEndian.Uint32(p[1:]))
-		p = p[5:]
-		if len(p) < l {
-			return nil, fmt.Errorf("rpc: batch item %d: %d bytes declared, %d remain", i, l, len(p))
-		}
-		items = append(items, Item{Status: status, Payload: p[:l]})
-		p = p[l:]
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("rpc: batch item frame has %d trailing bytes", len(p))

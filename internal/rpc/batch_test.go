@@ -3,33 +3,23 @@ package rpc
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"fanstore/internal/mpi"
 )
 
-func TestBatchKeyFrameRoundTrip(t *testing.T) {
-	cases := [][]string{
-		nil,
-		{},
-		{""},
-		{"a"},
-		{"dir/file-000.tif", "dir/file-001.tif", "", "x/y/z"},
+// encodeItems frames items the way a handler does: one BeginItem /
+// payload / EndItem per item into a single buffer.
+func encodeItems(items []Item) []byte {
+	out := BeginItems(nil, len(items))
+	for _, it := range items {
+		out = BeginItem(out, it.Status)
+		start := len(out)
+		out = append(out, it.Payload...)
+		EndItem(out, start)
 	}
-	for _, keys := range cases {
-		got, err := DecodeKeys(EncodeKeys(keys))
-		if err != nil {
-			t.Fatalf("%v: %v", keys, err)
-		}
-		if len(got) != len(keys) {
-			t.Fatalf("%v: decoded %d keys", keys, len(got))
-		}
-		for i := range keys {
-			if got[i] != keys[i] {
-				t.Fatalf("key %d: %q != %q", i, got[i], keys[i])
-			}
-		}
-	}
+	return out
 }
 
 func TestBatchItemFrameRoundTrip(t *testing.T) {
@@ -39,7 +29,7 @@ func TestBatchItemFrameRoundTrip(t *testing.T) {
 		{Status: ItemError, Payload: []byte("spill read failed")},
 		{Status: ItemOK, Payload: nil},
 	}
-	got, err := DecodeItems(EncodeItems(items))
+	got, err := DecodeItems(encodeItems(items))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,13 +47,13 @@ func TestBatchItemFrameRoundTrip(t *testing.T) {
 }
 
 func TestBatchFrameMalformed(t *testing.T) {
-	if _, err := DecodeKeys(nil); err == nil {
+	if _, _, err := DecodeKeysLevels(nil); err == nil {
 		t.Fatal("nil key frame decoded")
 	}
-	if _, err := DecodeKeys([]byte{9, 0, 0, 0}); err == nil {
+	if _, _, err := DecodeKeysLevels([]byte{9, 0, 0, 0}); err == nil {
 		t.Fatal("truncated key frame decoded")
 	}
-	if _, err := DecodeKeys(append(EncodeKeys([]string{"a"}), 0xFF)); err == nil {
+	if _, _, err := DecodeKeysLevels(append(AppendKeysLevels(nil, []string{"a"}, nil), 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted in key frame")
 	}
 	if _, err := DecodeItems([]byte{1, 0}); err == nil {
@@ -72,7 +62,7 @@ func TestBatchFrameMalformed(t *testing.T) {
 	if _, err := DecodeItems([]byte{1, 0, 0, 0, ItemOK, 8, 0, 0, 0, 'x'}); err == nil {
 		t.Fatal("item with short payload decoded")
 	}
-	if _, err := DecodeItems(append(EncodeItems([]Item{{Status: ItemOK}}), 0)); err == nil {
+	if _, err := DecodeItems(append(encodeItems([]Item{{Status: ItemOK}}), 0)); err == nil {
 		t.Fatal("trailing bytes accepted in item frame")
 	}
 }
@@ -86,7 +76,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
-				keys, err := DecodeKeys(req)
+				keys, _, err := DecodeKeysLevels(req)
 				if err != nil {
 					return nil, err
 				}
@@ -98,7 +88,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 						items[i] = Item{Status: ItemNotFound}
 					}
 				}
-				return EncodeItems(items), nil
+				return encodeItems(items), nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -107,7 +97,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{})
-		resp, err := cl.Call(1, EncodeKeys([]string{"a", "b", "c"}))
+		resp, err := cl.Call(1, AppendKeysLevels(nil, []string{"a", "b", "c"}, nil))
 		if err != nil {
 			return err
 		}
@@ -137,7 +127,10 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 func TestLeveledKeyFrameRoundTrip(t *testing.T) {
 	keys := []string{"train/a", "train/b", "", "train/long/path/c"}
 	levels := []uint8{1, 2, 0xFF, 3}
-	p := EncodeKeysLevels(keys, levels)
+	p := AppendKeysLevels(nil, keys, levels)
+	if len(p) != KeysSize(keys) {
+		t.Fatalf("KeysSize %d, frame is %d bytes", KeysSize(keys), len(p))
+	}
 	gotKeys, gotLevels, err := DecodeKeysLevels(p)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +140,7 @@ func TestLeveledKeyFrameRoundTrip(t *testing.T) {
 	}
 
 	// A short levels slice pads with the full-fidelity sentinel.
-	p = EncodeKeysLevels(keys, levels[:1])
+	p = AppendKeysLevels(nil, keys, levels[:1])
 	_, gotLevels, err = DecodeKeysLevels(p)
 	if err != nil {
 		t.Fatal(err)
@@ -156,9 +149,107 @@ func TestLeveledKeyFrameRoundTrip(t *testing.T) {
 		t.Fatalf("padding: %v", gotLevels)
 	}
 
-	for _, bad := range [][]byte{nil, {1}, {1, 0, 0, 0, 2}, append(EncodeKeysLevels(keys, levels), 9)} {
+	// Degenerate key sets: no keys at all, empty keys, one key.
+	for _, keys := range [][]string{nil, {}, {""}, {"a"}} {
+		got, _, err := DecodeKeysLevels(AppendKeysLevels(nil, keys, nil))
+		if err != nil {
+			t.Fatalf("%v: %v", keys, err)
+		}
+		if len(got) != len(keys) {
+			t.Fatalf("%v: decoded %d keys", keys, len(got))
+		}
+		for i := range keys {
+			if got[i] != keys[i] {
+				t.Fatalf("key %d: %q != %q", i, got[i], keys[i])
+			}
+		}
+	}
+
+	for _, bad := range [][]byte{nil, {1}, {1, 0, 0, 0, 2}, append(AppendKeysLevels(nil, keys, levels), 9)} {
 		if _, _, err := DecodeKeysLevels(bad); err == nil {
 			t.Fatalf("malformed frame %v accepted", bad)
 		}
 	}
+}
+
+// hugeCountFrames are the four-byte bodies that made the decoders
+// allocate 4 GiB and 64 GiB for entries that were never there: the count
+// used to size a slice before any length check ran.
+var hugeCountFrames = [][]byte{{0xff, 0xff, 0xff, 0x0f}, {0xff, 0xff, 0xff, 0xff}}
+
+// allocSlack is what an allocation bound allows on top of its multiple
+// of the input: TotalAlloc is process-wide, so it also sees the error
+// value and whatever the test harness allocates meanwhile (a fuzz worker
+// talks to its coordinator). The defect it guards against asks for GiBs.
+const allocSlack = 1 << 16
+
+// allocatedBy reports the heap bytes the process allocates across one
+// call of f.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeCountBoundedByFrame is the regression test for a peer frame
+// whose declared count exceeds what its bytes can hold: both decoders
+// must reject it as truncated without allocating for the declared count.
+func TestDecodeCountBoundedByFrame(t *testing.T) {
+	for _, frame := range hugeCountFrames {
+		var kerr, ierr error
+		got := allocatedBy(func() {
+			_, _, kerr = DecodeKeysLevels(frame)
+			_, ierr = DecodeItems(frame)
+		})
+		if kerr == nil || ierr == nil {
+			t.Fatalf("frame %x decoded: keys err %v, items err %v", frame, kerr, ierr)
+		}
+		if got > allocSlack {
+			t.Fatalf("frame %x: decoders allocated %d bytes", frame, got)
+		}
+	}
+}
+
+// FuzzDecodeItems feeds DecodeItems arbitrary peer bytes — it must
+// return or error without panicking, and never allocate more than a
+// small multiple of the input — and checks that whatever decodes is the
+// frame's one reading: re-encoding the items gives the input back, and
+// items generated from the input survive encode → decode unchanged.
+func FuzzDecodeItems(f *testing.F) {
+	for _, frame := range hugeCountFrames {
+		f.Add(frame)
+	}
+	f.Add([]byte{1, 0})                                       // truncated count
+	f.Add([]byte{0, 0, 0, 0})                                 // zero-count batch
+	f.Add([]byte{1, 0, 0, 0, ItemOK, 8, 0, 0, 0, 'x'})        // payload shorter than declared
+	f.Add([]byte{1, 0, 0, 0, ItemOK, 0xff, 0xff, 0xff, 0xff}) // 4 GiB payload declared
+	f.Add(encodeItems([]Item{{Status: ItemOK, Payload: []byte("object")}, {Status: ItemStale}}))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var items []Item
+		var err error
+		if got := allocatedBy(func() { items, err = DecodeItems(p) }); got > uint64(16*len(p)+allocSlack) {
+			t.Fatalf("%d-byte frame made DecodeItems allocate %d bytes", len(p), got)
+		}
+		if err == nil && !bytes.Equal(encodeItems(items), p) {
+			t.Fatalf("frame %x decoded to %+v, which encodes differently", p, items)
+		}
+		// Generate items from the input: status byte, length byte, payload.
+		var gen []Item
+		for q := p; len(q) >= 2; {
+			l := min(int(q[1]), len(q)-2)
+			gen = append(gen, Item{Status: q[0], Payload: q[2 : 2+l]})
+			q = q[2+l:]
+		}
+		back, err := DecodeItems(encodeItems(gen))
+		if err != nil || len(back) != len(gen) {
+			t.Fatalf("generated items %+v: decoded %d, err %v", gen, len(back), err)
+		}
+		for i := range gen {
+			if back[i].Status != gen[i].Status || !bytes.Equal(back[i].Payload, gen[i].Payload) {
+				t.Fatalf("generated item %d: %+v != %+v", i, back[i], gen[i])
+			}
+		}
+	})
 }

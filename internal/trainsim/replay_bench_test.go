@@ -13,9 +13,8 @@ import (
 // 100 so I/O is congested enough for the fill term to matter (the
 // paper's healthy clusters are compute-bound and hide it). The modeled
 // epoch wall time is reported as the epoch-ms metric — lower is better,
-// and the window/planned gap is the number the epoch planner buys —
-// so BENCH_PR5.json carries the trajectory; ns/op only times the model
-// arithmetic itself.
+// and the window/planned gap is the number the epoch planner buys;
+// ns/op only times the model arithmetic itself.
 func BenchmarkEpochReplayFill(b *testing.B) {
 	cfg := Config{App: cluster.ResNet50, Clust: cluster.GTX, Nodes: 4, Ratio: 1, RemoteFrac: 0.75}
 	dataSize := cfg.App.CBatch * cfg.Nodes * 16

@@ -26,7 +26,7 @@ type TuneSim struct {
 	// nothing (default 8). This is what makes "decode.workers" a knob
 	// with a flat top the controller must detect by guarded probing.
 	Cores int
-	// RTT is the per-FetchMany round trip (default 2ms). Small batches
+	// RTT is the per-batched-fetch round trip (default 2ms). Small batches
 	// pay it often; the batch knob amortizes it.
 	RTT time.Duration
 	// BurstPerItem is the per-item serialization cost inside one batch
@@ -66,7 +66,7 @@ func (ts *TuneSim) defaults() {
 
 // model returns the knob-dependent per-iteration terms: the composed
 // iteration time, the decode-queue wait one file observes, the
-// round-trip one FetchMany batch observes, and the batch count.
+// round-trip one batched fetch observes, and the batch count.
 func (ts TuneSim) model(c Config, workers, batch int) (iter, decodeWait, fetchBatch time.Duration, batches int) {
 	app := c.App
 	eff := workers

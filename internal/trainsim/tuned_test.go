@@ -207,7 +207,7 @@ func TestTunedEmitsDecisionTrail(t *testing.T) {
 	}
 }
 
-// BenchmarkTunedEpochs / BenchmarkStaticEpochs is the BENCH_PR10
+// BenchmarkTunedEpochs / BenchmarkStaticEpochs is the autotuning
 // ablation pair: the same mis-tuned CPU-bound profile with the
 // controller in the loop versus frozen knobs. The modeled wall time is
 // the metric (lower is better); converged-vs-oracle reports how close

@@ -1,6 +1,6 @@
 // Package tune closes the observe→decide→act loop over the I/O stack's
 // live knobs. Every hot-path setting the store exposes — decode worker
-// count, FetchMany batch size, the staged-bytes admission budget,
+// count, batched-fetch size, the staged-bytes admission budget,
 // fidelity level — has a best value that depends on where the cluster's
 // bottleneck actually is (CPU-bound decode vs network-bound fetch, per
 // the regime split in "Predictive Modeling of I/O Performance for ML
