@@ -1,9 +1,9 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race bench benchsmoke
+.PHONY: ci fmt vet test race bench benchsmoke fuzzsmoke
 
-ci: fmt vet race test benchsmoke
+ci: fmt vet race test fuzzsmoke benchsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -31,3 +31,15 @@ bench:
 # silently stop compiling (or start panicking) in bench-only code.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
+
+# Five seconds of every fuzz target in the module, found by listing, not
+# by hand: `go test` alone only replays the seed corpora, and the decoders
+# of peer bytes (TCP frame header, rpc key/item frames, the fetch request)
+# sit on the hottest path.
+fuzzsmoke:
+	@$(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { names = names " " $$1 } /^ok/ { n = split(names, f, " "); for (i = 1; i <= n; i++) print $$2, f[i]; names = "" }' | \
+	while read -r pkg fuzz; do \
+		echo "fuzz $$pkg $$fuzz"; \
+		$(GO) test -run '^$$' -fuzz "^$$fuzz\$$" -fuzztime 5s "$$pkg" || exit 1; \
+	done

@@ -7,15 +7,25 @@ import (
 
 // Size-classed buffer pool for the hot-path byte buffers: decode
 // outputs (cache entries recycle here on eviction via the ownership
-// flag) and RPC frames (request/response framing copies, dead the
-// moment the transport send returns). Classes are powers of two from
-// 512 B to 64 MiB; smaller buffers are cheaper to allocate than to
-// pool, larger ones are rare enough to leave to the GC.
+// flag), the handlers' response payloads, and the frames the transport
+// receives into (internal/mpi draws them here; the receiver that owns
+// one may hand it back). Classes are powers of two from MinBuf to
+// MaxBuf; smaller buffers are cheaper to allocate than to pool, larger
+// ones are rare enough to leave to the GC.
 
 const (
 	minClassBits = 9  // 512 B
 	maxClassBits = 26 // 64 MiB
 	numClasses   = maxClassBits - minClassBits + 1
+)
+
+// MinBuf and MaxBuf are the capacities of the smallest and largest
+// pooled class. GetBuf rounds a request below MinBuf up to it and serves
+// one above MaxBuf with an exact-size allocation; PutBuf leaves buffers
+// outside the range to the GC.
+const (
+	MinBuf = 1 << minClassBits
+	MaxBuf = 1 << maxClassBits
 )
 
 var bufClasses [numClasses]sync.Pool

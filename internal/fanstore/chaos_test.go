@@ -46,7 +46,7 @@ func TestECKillRankDegradedReadsAndRepair(t *testing.T) {
 	}
 	sort.Strings(paths)
 
-	err := mpi.Run(world, func(c *mpi.Comm) error {
+	err := mpi.Run(world, func(c *mpi.Comm) (rerr error) {
 		red, err := ParseRedundancy("ec(2,1)")
 		if err != nil {
 			return err
@@ -93,7 +93,15 @@ func TestECKillRankDegradedReadsAndRepair(t *testing.T) {
 			return err
 		}
 
-		defer node.Close()
+		defer func() {
+			node.Close()
+			// Mailbox empty at shutdown: through timed-out calls to the
+			// corpse, failovers, shard gathers and repair pulls, every
+			// message that reached this survivor was received or reaped.
+			if n := c.Pending(); n != 0 && rerr == nil {
+				rerr = fmt.Errorf("rank %d: %d messages left queued at shutdown", c.Rank(), n)
+			}
+		}()
 
 		// Continuous read workload across the crash and repair.
 		stop := make(chan struct{})

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"fanstore/internal/decomp"
 	"fanstore/internal/member"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
@@ -665,8 +666,13 @@ func (e *elasticCtrl) pullPartition(gid uint64, from member.NodeID) {
 		var req [9]byte
 		req[0] = opFetchPart
 		binary.LittleEndian.PutUint64(req[1:], gid)
-		if blob, err := e.n.client.Call(rank, req[:]); err == nil {
-			// The rpc frame is receiver-owned; the backend may alias it.
+		if resp, err := e.n.client.Call(rank, req[:]); err == nil {
+			// The backend aliases the blob for as long as the partition is
+			// loaded, and a pooled frame carries up to 2x slack: keep an
+			// exact-size copy and recycle the frame.
+			blob := make([]byte, len(resp))
+			copy(blob, resp)
+			decomp.PutBuf(resp)
 			if _, err := e.n.loadPartitionGID(gid, blob); err == nil {
 				e.rebalBytes.Add(int64(len(blob)))
 				ok = true

@@ -206,7 +206,7 @@ func TestFetchOverWire(t *testing.T) {
 		}
 		// The range op: the refinement extent above the base layer, raw.
 		m := node.meta[remote[0]]
-		_, whole, _, err := node.fetchRemote(m, FidelityFull)
+		_, whole, _, _, err := node.fetchRemote(m, FidelityFull)
 		if err != nil {
 			return err
 		}

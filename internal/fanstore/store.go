@@ -1020,7 +1020,9 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 }
 
 // fetchRemote retrieves the compressed object for m over the interconnect
-// (§IV-C2) and returns (compressorID, compressed, outcome). Routing is
+// (§IV-C2) and returns (compressorID, compressed, frame, outcome): the
+// compressed bytes alias frame, the pooled rpc frame they arrived in,
+// which the caller recycles (decomp.PutBuf) once they are decoded. Routing is
 // replica-aware: requests rotate across the owner and its replicas to
 // spread load, and an errored peer triggers failover to the next
 // candidate, so a lost rank degrades throughput instead of killing opens.
@@ -1037,7 +1039,7 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 // under anything else the server clips layered containers to the level's
 // prefix. Bytes the clip kept off the wire are credited to
 // fetch.bytes.saved.
-func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outcome, error) {
+func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, trace.Outcome, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
 	outcome := trace.OutcomeRemoteFetch
@@ -1088,7 +1090,7 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 				obj := items[0].Payload
 				n.remoteBytes.Add(int64(len(obj)))
 				n.creditBytesSaved(m, int64(len(obj)-2))
-				return binary.LittleEndian.Uint16(obj), obj[2:], outcome, nil
+				return binary.LittleEndian.Uint16(obj), obj[2:], resp, outcome, nil
 			}
 			lastErr = err
 			if errors.Is(err, mpi.ErrAborted) {
@@ -1143,7 +1145,7 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 		if id, comp, err := n.ecDegradedObject(m); err == nil {
 			n.remoteBytes.Add(int64(len(comp)))
 			outcome = trace.OutcomeDegraded
-			return id, comp, outcome, nil
+			return id, comp, nil, outcome, nil
 		} else if lastErr == nil {
 			lastErr = err
 		}
@@ -1156,9 +1158,9 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, trace.Outc
 		if n.events.Enabled() {
 			n.events.Emitf(obs.EvFailover, obs.SevError, "object %q vanished: every candidate reports not-found", path)
 		}
-		return 0, nil, outcome, &vanishedError{path: path, err: lastErr}
+		return 0, nil, nil, outcome, &vanishedError{path: path, err: lastErr}
 	}
-	return 0, nil, outcome, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
+	return 0, nil, nil, outcome, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
 }
 
 // creditBytesSaved accounts a budgeted fetch's dividend: the container
@@ -1383,6 +1385,8 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 	if err != nil {
 		return 0, group
 	}
+	// The items alias resp; it is recycled once the last one is decoded.
+	defer decomp.PutBuf(resp)
 	items, err := rpc.DecodeItems(resp)
 	if err != nil || len(items) != len(group) {
 		return 0, group
@@ -1583,11 +1587,12 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 		if data, ok := n.upgradeInPlace(m, want); ok {
 			return data, true, trace.OutcomeRemoteFetch, nil
 		}
-		id, comp, outcome, err := n.fetchRemote(m, level)
+		id, comp, frame, outcome, err := n.fetchRemote(m, level)
 		if err != nil {
 			return nil, false, outcome, err
 		}
 		data, fid, err := n.decompress(m, id, comp, decomp.PriOpen, level)
+		decomp.PutBuf(frame) // every codec copies out of comp: the frame is dead
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}

@@ -8,6 +8,23 @@
 // semantics (non-overtaking per (src,tag) pair) and collective matching
 // are preserved, so the FanStore daemon logic is exercised exactly as it
 // would be across nodes.
+//
+// Buffer ownership. Send and Sendv are done with every part when they
+// return: the in-process transport has copied the parts into one buffer,
+// the TCP transport has written them to the socket (one vectored write of
+// header and parts; no frame is assembled). Recv and RecvDeadline return
+// a buffer the receiver owns. Buffers of decomp.MinBuf bytes and more
+// come from the shared size-classed pool (decomp.GetBuf), so a received
+// frame may carry up to 2x power-of-two slack in its capacity; smaller
+// messages (a Barrier token, a 4-byte Allgather part) are allocated
+// exact-size. The receiver may hand a buffer back with decomp.PutBuf
+// exactly once, when no alias of it is live; dropping it is always safe —
+// the GC takes it. A receiver that keeps a message for long should copy
+// it into an exact-size slice and release the frame.
+//
+// The pool is internal/decomp's, imported here rather than moved to a
+// leaf package: one implementation under the one name every layer
+// already calls.
 package mpi
 
 import (
@@ -15,6 +32,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"fanstore/internal/decomp"
 )
 
 // AnySource matches messages from any rank in Recv.
@@ -25,10 +44,23 @@ const AnySource = -1
 var ErrAborted = errors.New("mpi: world aborted")
 
 // ErrTimeout is returned by RecvDeadline when no matching message arrives
-// within the timeout. The message may still arrive later and stay queued
-// in the mailbox, so deadline users should receive on tags they will not
-// reuse (see internal/rpc's per-request response tags).
+// within the timeout. The message may still arrive later; it is then
+// queued for the next receive on that (src, tag). A waiter that will
+// never receive on the tag again (internal/rpc's per-attempt response
+// tags) must cancel with Discard, or the late message stays queued for
+// the life of the world.
 var ErrTimeout = errors.New("mpi: recv deadline exceeded")
+
+// maxFrame bounds one message. It must admit a partition blob, the
+// largest thing the store sends (a rebalance pull moves a whole one, and
+// the benchmark's are 64 MiB): 1 GiB leaves room for partitions sixteen
+// times that and stays clear of the u32 length field of the TCP frame,
+// where a longer payload would truncate its own length.
+const maxFrame = 1 << 30
+
+// ErrFrameTooLarge is returned by Send and Sendv, before anything is
+// written, for a message longer than the transport carries (1 GiB).
+var ErrFrameTooLarge = errors.New("mpi: message exceeds the frame limit")
 
 // message is one in-flight message.
 type message struct {
@@ -36,12 +68,19 @@ type message struct {
 	data     []byte
 }
 
+// msgKey names the (src, tag) pair of a canceled receive.
+type msgKey struct{ src, tag int }
+
 // mailbox is a rank's tag-matched receive queue.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []message
 	closed bool
+	// discards holds the canceled receives whose message has not arrived
+	// yet; push drops the message and forgets the entry. An entry whose
+	// message never comes (the peer died) stays, at two words each.
+	discards map[msgKey]struct{}
 }
 
 func newMailbox() *mailbox {
@@ -56,9 +95,38 @@ func (mb *mailbox) push(m message) error {
 	if mb.closed {
 		return ErrAborted
 	}
+	if len(mb.discards) > 0 {
+		k := msgKey{m.src, m.tag}
+		if _, ok := mb.discards[k]; ok {
+			delete(mb.discards, k)
+			decomp.PutBuf(m.data) // nobody has seen it: ours to recycle
+			return nil
+		}
+	}
 	mb.queue = append(mb.queue, m)
 	mb.cond.Broadcast()
 	return nil
+}
+
+// discard cancels the wait for one message from (src, tag): a queued
+// match is dropped now, otherwise the pair is remembered for push.
+func (mb *mailbox) discard(src, tag int) {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	for i, m := range mb.queue {
+		if m.src == src && m.tag == tag {
+			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+			decomp.PutBuf(m.data)
+			return
+		}
+	}
+	if mb.closed {
+		return
+	}
+	if mb.discards == nil {
+		mb.discards = make(map[msgKey]struct{})
+	}
+	mb.discards[msgKey{src, tag}] = struct{}{}
 }
 
 // pop blocks until a message matching (src, tag) is available.
@@ -105,20 +173,41 @@ func (mb *mailbox) close() {
 	mb.mu.Unlock()
 }
 
-// transport moves one message between ranks. The in-process transport
-// pushes straight into the destination mailbox; the TCP transport (see
-// tcp.go) serializes over real sockets.
+// transport moves one message, the concatenation of parts, between
+// ranks. The in-process transport pushes straight into the destination
+// mailbox; the TCP transport (see tcp.go) serializes over real sockets.
+// Both are done with parts when send returns.
 type transport interface {
-	send(src, dst, tag int, data []byte) error
+	send(src, dst, tag int, parts [][]byte) error
 	close()
+}
+
+// recvBuf returns the n-byte buffer a message is received into: pooled
+// from decomp.MinBuf up, exact-size below it.
+func recvBuf(n int) []byte {
+	if n < decomp.MinBuf {
+		return make([]byte, n)
+	}
+	return decomp.GetBuf(n)[:n]
+}
+
+// partsLen is the length of the message parts make up.
+func partsLen(parts [][]byte) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return n
 }
 
 // localTransport delivers via direct mailbox pushes.
 type localTransport struct{ w *World }
 
-func (t localTransport) send(src, dst, tag int, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
+func (t localTransport) send(src, dst, tag int, parts [][]byte) error {
+	cp := recvBuf(partsLen(parts))[:0]
+	for _, p := range parts {
+		cp = append(cp, p...)
+	}
 	return t.w.boxes[dst].push(message{src: src, tag: tag, data: cp})
 }
 
@@ -218,24 +307,38 @@ func (c *Comm) Size() int { return c.world.size }
 // extra-partition replication (§V-D).
 func (c *Comm) Neighbor() int { return (c.rank + 1) % c.world.size }
 
-// Send delivers data to dst with the given tag. The data is copied, so
-// the caller may reuse the buffer. User tags must be non-negative.
+// Send delivers data to dst with the given tag. The transport is done
+// with data when Send returns, so the caller may reuse the buffer. User
+// tags must be non-negative.
 func (c *Comm) Send(dst, tag int, data []byte) error {
+	return c.Sendv(dst, tag, data)
+}
+
+// Sendv is the vectored Send: dst receives one message, the parts in
+// order, without the caller assembling them (a header next to a payload
+// it does not own). Empty and nil parts contribute nothing; a message of
+// no bytes is received as len == 0. It returns ErrFrameTooLarge, having
+// sent nothing, when the parts exceed the frame limit.
+func (c *Comm) Sendv(dst, tag int, parts ...[]byte) error {
 	if tag < 0 {
 		return fmt.Errorf("mpi: negative tags are reserved (tag %d)", tag)
 	}
-	return c.send(dst, tag, data)
+	return c.send(dst, tag, parts...)
 }
 
-func (c *Comm) send(dst, tag int, data []byte) error {
+func (c *Comm) send(dst, tag int, parts ...[]byte) error {
 	if dst < 0 || dst >= c.world.size {
 		return fmt.Errorf("mpi: send to rank %d of %d", dst, c.world.size)
 	}
-	return c.world.trans.send(c.rank, dst, tag, data)
+	if n := partsLen(parts); n > maxFrame {
+		return fmt.Errorf("%w: %d bytes to rank %d", ErrFrameTooLarge, n, dst)
+	}
+	return c.world.trans.send(c.rank, dst, tag, parts)
 }
 
 // Recv blocks for a message from src (or AnySource) with the given tag
-// and returns its payload and actual source.
+// and returns its payload and actual source. The receiver owns the
+// payload (see the package doc).
 func (c *Comm) Recv(src, tag int) ([]byte, int, error) {
 	if tag < 0 {
 		return nil, 0, fmt.Errorf("mpi: negative tags are reserved (tag %d)", tag)
@@ -257,7 +360,9 @@ func (c *Comm) recv(src, tag int) ([]byte, int, error) {
 // RecvDeadline is Recv bounded by a timeout: it returns ErrTimeout when
 // no matching message arrives in time. A non-positive timeout blocks
 // forever, exactly like Recv. A message that arrives after the deadline
-// stays queued, so callers should use tags they never reuse.
+// is queued for the next receive on (src, tag) — what a caller that
+// reuses the tag wants (internal/member); one that does not follows the
+// timeout with Discard.
 func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, int, error) {
 	if tag < 0 {
 		return nil, 0, fmt.Errorf("mpi: negative tags are reserved (tag %d)", tag)
@@ -274,6 +379,26 @@ func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, int, e
 		return nil, 0, err
 	}
 	return m.data, m.src, nil
+}
+
+// Discard cancels the wait for one message from src with the given tag,
+// after a RecvDeadline on a tag the caller will not receive on again
+// timed out: a matching message already queued is dropped, otherwise the
+// next one to arrive is — and its buffer recycled — instead of staying
+// queued forever.
+func (c *Comm) Discard(src, tag int) {
+	if src >= 0 && src < c.world.size {
+		c.world.boxes[c.rank].discard(src, tag)
+	}
+}
+
+// Pending reports how many messages are queued at this rank and not yet
+// received: a diagnostic for "nothing is left behind" checks.
+func (c *Comm) Pending() int {
+	mb := c.world.boxes[c.rank]
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return len(mb.queue)
 }
 
 // Internal collective tag space: negative tags, keyed by (op, sequence).

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
+
+	"fanstore/internal/decomp"
 )
 
 // RunTCP starts n ranks whose messages travel over real TCP connections
@@ -50,9 +53,14 @@ type tcpTransport struct {
 
 // tcpConn pairs a connection with its writer lock, so concurrent senders
 // to the same destination serialize without stalling other destinations.
+// The frame header and the write vector live here, under the lock, so a
+// send allocates nothing.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu  sync.Mutex
+	c   net.Conn
+	hdr [tcpFrameHdr]byte
+	vec [][]byte    // backing array of buf, reused across sends
+	buf net.Buffers // the vector being written; WriteTo consumes it
 }
 
 // listen opens one listener per rank and starts accept loops.
@@ -90,7 +98,9 @@ func (t *tcpTransport) listen() error {
 	return nil
 }
 
-// reader drains one inbound connection into rank r's mailbox.
+// reader drains one inbound connection into rank r's mailbox. The header
+// is peer input: a source outside the world or a length above maxFrame
+// closes the connection before a byte of the body is allocated.
 func (t *tcpTransport) reader(r int, conn net.Conn) {
 	defer conn.Close()
 	var hdr [tcpFrameHdr]byte
@@ -98,21 +108,42 @@ func (t *tcpTransport) reader(r int, conn net.Conn) {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			return // peer closed (shutdown) or failed
 		}
-		src := int(binary.LittleEndian.Uint32(hdr[:4]))
+		src := binary.LittleEndian.Uint32(hdr[:4])
 		z := binary.LittleEndian.Uint64(hdr[4:12])
 		tag := int(int64(z>>1) ^ -int64(z&1))
-		length := int(binary.LittleEndian.Uint32(hdr[12:16]))
-		if src < 0 || src >= t.w.size || length < 0 || length > 1<<31 {
+		length := binary.LittleEndian.Uint32(hdr[12:16])
+		if src >= uint32(t.w.size) || length > maxFrame {
 			return
 		}
-		data := make([]byte, length)
-		if _, err := io.ReadFull(conn, data); err != nil {
+		data, err := readBody(conn, int(length))
+		if err != nil {
+			decomp.PutBuf(data) // never delivered: nobody else holds it
 			return
 		}
-		if t.w.boxes[r].push(message{src: src, tag: tag, data: data}) != nil {
+		if t.w.boxes[r].push(message{src: int(src), tag: tag, data: data}) != nil {
 			return // world aborted
 		}
 	}
+}
+
+// readBody reads one frame body into a buffer the receiver will own. Up
+// to the pool's largest class that is one pool draw filled in place.
+// Beyond it (a partition blob) the buffer grows as the bytes arrive, so
+// the most a header can buy before its body shows up is one pool class.
+func readBody(r io.Reader, length int) ([]byte, error) {
+	data := recvBuf(min(length, decomp.MaxBuf))
+	if _, err := io.ReadFull(r, data); err != nil {
+		return data, err
+	}
+	for len(data) < length {
+		have := len(data)
+		step := min(length-have, have) // at most double what has arrived
+		data = slices.Grow(data, step)[:have+step]
+		if _, err := io.ReadFull(r, data[have:]); err != nil {
+			return data, err
+		}
+	}
+	return data, nil
 }
 
 // conn returns (dialing if needed) the connection for the (src, dst)
@@ -148,21 +179,31 @@ func (t *tcpTransport) conn(src, dst int) (*tcpConn, error) {
 	return tc, nil
 }
 
-func (t *tcpTransport) send(src, dst, tag int, data []byte) error {
+// send writes header and parts as one vectored write (writev on a TCP
+// socket; net.Buffers falls back to a Write per part elsewhere), so no
+// frame is assembled in user space.
+func (t *tcpTransport) send(src, dst, tag int, parts [][]byte) error {
 	c, err := t.conn(src, dst)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, tcpFrameHdr+len(data))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(src))
-	z := uint64(int64(tag)<<1) ^ uint64(int64(tag)>>63)
-	binary.LittleEndian.PutUint64(frame[4:12], z)
-	binary.LittleEndian.PutUint32(frame[12:16], uint32(len(data)))
-	copy(frame[tcpFrameHdr:], data)
 	// Serialize writers per connection: a rank's daemon and main
-	// goroutine may send to the same destination concurrently.
+	// goroutine may send to the same destination concurrently, and the
+	// parts of one frame must not interleave with another's.
 	c.mu.Lock()
-	_, err = c.c.Write(frame)
+	binary.LittleEndian.PutUint32(c.hdr[:4], uint32(src))
+	z := uint64(int64(tag)<<1) ^ uint64(int64(tag)>>63)
+	binary.LittleEndian.PutUint64(c.hdr[4:12], z)
+	binary.LittleEndian.PutUint32(c.hdr[12:16], uint32(partsLen(parts)))
+	c.vec = append(c.vec[:0], c.hdr[:])
+	for _, p := range parts {
+		if len(p) > 0 {
+			c.vec = append(c.vec, p)
+		}
+	}
+	c.buf = c.vec
+	_, err = c.buf.WriteTo(c.c)
+	clear(c.vec) // keep no reference to the caller's parts
 	c.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("mpi: tcp send to rank %d: %w", dst, err)

@@ -7,7 +7,8 @@
 // so one slow handler (a spill read, a large response copy) does not
 // head-of-line-block every waiting rank. A Client issues calls with
 // per-attempt deadlines and retry/backoff, allocating a unique response
-// tag per attempt so late replies can never be mismatched.
+// tag per attempt so late replies can never be mismatched; a reply that
+// comes after its attempt timed out is discarded on arrival.
 //
 // Wire format. Request frame, sent to the server's request tag:
 //
@@ -15,7 +16,13 @@
 //
 // Response frame, sent back on respTag:
 //
-//	u8 status | payload            (payload is the error text on failure)
+//	payload | u8 status            (payload is the error text on failure)
+//
+// Neither frame is assembled: both sides send their two parts with one
+// mpi.Sendv. The status is a trailer so that the payload starts where the
+// received frame does — Call returns frame[:len-1], same base pointer and
+// capacity, and the caller that owns it can hand it straight back to the
+// buffer pool (decomp.PutBuf) once nothing aliases it.
 package rpc
 
 import (
@@ -39,6 +46,10 @@ const (
 	statusError    = 2
 	statusStale    = 3
 )
+
+// statusTrailer holds each status as the ready-made last part of a
+// response, so answering allocates nothing for it.
+var statusTrailer = [...][]byte{{statusOK}, {statusNotFound}, {statusError}, {statusStale}}
 
 // Errors surfaced by Client.Call.
 var (
@@ -65,9 +76,9 @@ var (
 // Buffer ownership: req is only valid for the duration of the call —
 // the server recycles the request frame into the shared buffer pool
 // once the reply is sent. A successfully returned payload transfers to
-// the server, which recycles it after copying it into the response
-// frame; it therefore must not alias req or be retained or reused by
-// the handler.
+// the server, which sends it as it is (no response frame is built) and
+// recycles it into the pool when the send returns; it therefore must not
+// alias req or be retained or reused by the handler.
 type Handler func(src int, req []byte) ([]byte, error)
 
 // ServerOptions configures a Server.
@@ -202,42 +213,31 @@ func (s *Server) worker() {
 	}
 }
 
-// answer runs the handler and sends the status-framed response.
+// answer runs the handler and sends the response: the handler's payload
+// (or the error text) and the status trailer, as two parts.
 func (s *Server) answer(req request) {
 	payload, err := s.handler(req.src, req.payload)
-	var resp []byte
+	status := statusOK
 	switch {
 	case err == nil:
-		resp = decomp.GetBuf(1 + len(payload))
-		resp = append(resp, statusOK)
-		resp = append(resp, payload...)
-		// The handler contract transfers payload ownership here; it was
-		// copied into resp above and must not alias req.raw.
-		decomp.PutBuf(payload)
 		s.served.Inc()
 	case errors.Is(err, ErrNotFound):
-		resp = []byte{statusNotFound}
+		status, payload = statusNotFound, nil
 		s.notFound.Inc()
 	case errors.Is(err, ErrStale):
 		// The payload carries the handler's map version (if it chose to
 		// include one via the error text); status alone is what routing
 		// layers branch on.
-		msg := err.Error()
-		resp = make([]byte, 1, 1+len(msg))
-		resp[0] = statusStale
-		resp = append(resp, msg...)
+		status, payload = statusStale, []byte(err.Error())
 		s.errors.Inc()
 	default:
-		msg := err.Error()
-		resp = make([]byte, 1, 1+len(msg))
-		resp[0] = statusError
-		resp = append(resp, msg...)
+		status, payload = statusError, []byte(err.Error())
 		s.errors.Inc()
 	}
-	// Both transports copy the frame before Send returns, so the
-	// response buffer can recycle immediately.
-	_ = s.comm.Send(req.src, req.respTag, resp)
-	decomp.PutBuf(resp)
+	_ = s.comm.Sendv(req.src, req.respTag, payload, statusTrailer[status])
+	// The handler contract transfers payload ownership here, and the
+	// transport is done with it once Sendv returns.
+	decomp.PutBuf(payload)
 }
 
 // Stop unblocks Serve with a self-addressed shutdown pill and waits for
@@ -326,6 +326,10 @@ func NewClient(comm *mpi.Comm, tag, respBase int, opts ClientOptions) *Client {
 // Call sends req to dst and returns the response payload, retrying per
 // the client options. The returned error wraps ErrNotFound, ErrRemote,
 // or ErrTimeout so routing layers can decide whether to fail over.
+//
+// The payload is the received frame less its status trailer — same base
+// pointer, same capacity — and the caller owns it: it may decomp.PutBuf
+// it once, when no alias is live, or just drop it.
 func (c *Client) Call(dst int, req []byte) ([]byte, error) {
 	c.calls.Inc()
 	backoff := c.opts.Backoff
@@ -357,16 +361,16 @@ func (c *Client) attempt(dst int, req []byte) ([]byte, error) {
 	start := time.Now()
 	defer metrics.ObserveSince(c.attemptHist, start)
 	respTag := c.respBase + int(c.seq.Add(1))
-	frame := decomp.GetBuf(4 + len(req))[:4]
-	binary.LittleEndian.PutUint32(frame, uint32(respTag))
-	frame = append(frame, req...)
-	err := c.comm.Send(dst, c.tag, frame)
-	decomp.PutBuf(frame) // Send copies; the frame is dead once it returns
-	if err != nil {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], uint32(respTag))
+	if err := c.comm.Sendv(dst, c.tag, hdr[:], req); err != nil {
 		return nil, fmt.Errorf("rpc: send to rank %d: %w", dst, err)
 	}
 	resp, _, err := c.comm.RecvDeadline(dst, respTag, c.opts.Timeout)
 	if errors.Is(err, mpi.ErrTimeout) {
+		// Nobody will receive on this tag again: have the late reply
+		// dropped when it arrives instead of queued forever.
+		c.comm.Discard(dst, respTag)
 		c.timeouts.Inc()
 		return nil, fmt.Errorf("%w: rank %d after %v", ErrTimeout, dst, c.opts.Timeout)
 	}
@@ -376,15 +380,16 @@ func (c *Client) attempt(dst int, req []byte) ([]byte, error) {
 	if len(resp) < 1 {
 		return nil, fmt.Errorf("%w: rank %d sent an empty frame", ErrRemote, dst)
 	}
-	switch resp[0] {
+	body := resp[:len(resp)-1]
+	switch resp[len(body)] {
 	case statusOK:
-		return resp[1:], nil
+		return body, nil
 	case statusNotFound:
 		return nil, fmt.Errorf("%w: rank %d", ErrNotFound, dst)
 	case statusStale:
-		return nil, fmt.Errorf("%w: rank %d: %s", ErrStale, dst, resp[1:])
+		return nil, fmt.Errorf("%w: rank %d: %s", ErrStale, dst, body)
 	default:
-		return nil, fmt.Errorf("%w: rank %d: %s", ErrRemote, dst, resp[1:])
+		return nil, fmt.Errorf("%w: rank %d: %s", ErrRemote, dst, body)
 	}
 }
 
