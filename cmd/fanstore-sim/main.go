@@ -15,21 +15,32 @@
 //
 //	fanstore-sim -case srgan-gtx -trace out.json -report -skew 100
 //
+// The replay is one scenario per rank and the scenario flags compose —
+// any subset runs together through the same replay, under -monitor too:
+//
+// -plan prices the epoch-plan prefetcher's per-epoch cold fill.
+//
 // -chaos-kill-rank fail-stops one simulated rank at -chaos-at-epoch over
 // an ec(k,m) mount (-redundancy): the kill epoch runs degraded reads and
 // the background repair, and the report shows the ec line (degraded-read
-// count, reconstruct p99, rebuild throughput):
-//
-//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -redundancy 'ec(4,2)'
+// count, reconstruct p99, rebuild throughput).
 //
 // -fidelity replays a progressive-compression schedule: the case's codec
 // is measured through the layered container (-layers planes), and the
 // scheduled leading epochs fetch only the base prefix — the
 // bandwidth-proportional read. The run prints the measured byte fraction
-// and the ablation against the full-fidelity baseline, and the report
-// shows the fidelity line (bytes saved, mean level):
+// and the ablation against the same scenario at full fidelity, and the
+// report shows the fidelity line (bytes saved, mean level).
 //
+// -tune starts every rank mis-tuned with the online controller in the
+// loop and prints rank 0's ablation against frozen and hand-tuned knobs.
+//
+// -monitor steps the ranks in epoch lockstep with the live health
+// monitor polling after every epoch, instead of one rank after another.
+//
+//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -redundancy 'ec(4,2)'
 //	fanstore-sim -case srgan-gtx -report -fidelity '1@2'
+//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -fidelity '1@2' -plan -tune
 package main
 
 import (
@@ -81,13 +92,12 @@ func main() {
 		simEpoch = flag.Int("sim-epochs", 3, "epochs in the -trace/-report epoch replay")
 		simFiles = flag.Int("sim-files", 4096, "dataset size (files) in the -trace/-report epoch replay")
 		skew     = flag.Float64("skew", 0, "I/O slowdown factor injected into the last simulated rank (0: none)")
-		plan     = flag.Bool("plan", false, "replay epochs with the clairvoyant epoch-plan prefetcher (one batched cold fill) instead of the reactive window")
-		window   = flag.Int("window", 4, "reactive look-ahead window priced by the replay's per-epoch cold fill (without -plan)")
+		plan     = flag.Bool("plan", false, "price the epoch-plan prefetcher's per-epoch cold fill (one batched round trip before overlap primes)")
 		admitMB  = flag.Int("admission", 0, "staged-bytes admission budget reported by the -plan replay, MiB (0: unbounded)")
 		killRank = flag.Int("chaos-kill-rank", -1, "fail-stop this simulated rank and replay the degraded reads + repair (-1: no chaos)")
 		killAt   = flag.Int("chaos-at-epoch", 1, "epoch at whose start -chaos-kill-rank dies")
 		redun    = flag.String("redundancy", "ec(4,2)", "redundancy mode of the chaos replay: ec(k,m) (replicate is not survivable by reconstruction)")
-		monitor  = flag.Bool("monitor", false, "run the monitored-epoch replay: the live health monitor polls every rank after each epoch and flags the skewed rank mid-run (-skew 0 derives a reliably detectable skew)")
+		monitor  = flag.Bool("monitor", false, "step the ranks in epoch lockstep: the live health monitor polls every rank after each epoch and flags the skewed rank mid-run (-skew 0 derives a reliably detectable skew)")
 		opsAddr  = flag.String("ops-addr", "", "serve per-rank HTTP ops endpoints during -monitor (rank r listens on port+r; empty disables)")
 		pace     = flag.Duration("pace", 0, "wall-clock pause per simulated epoch in -monitor, so the ops endpoints can be curled mid-run (0: full speed)")
 		fidSched = flag.String("fidelity", "", "fidelity schedule for the epoch replay, \"level@epochs[,...]\" (e.g. '1@2'): the leading epochs fetch only that many layers of the layered container")
@@ -230,13 +240,13 @@ func main() {
 		DecompressPerFile: cd.DecompressPerFile, Ratio: cd.Ratio,
 		RemoteFrac: float64(n-1) / float64(n),
 	}
-	if *monitor {
-		runMonitoredSim(cfg, n, *simEpoch, *simFiles, *skew, *opsAddr, *pace)
-		return
+	// The scenario: every flag adds one independent part.
+	var sc trainsim.Scenario
+	if *plan {
+		sc.Plan = &trainsim.PlanConfig{AdmissionBytes: int64(*admitMB) << 20}
 	}
 	// Fidelity schedule: measure the codec's layered curve so the replay
 	// prices the measured base-prefix fraction, not a guess.
-	var fsim trainsim.FidelitySim
 	if *fidSched != "" {
 		sched, err := prefetch.ParseFidelitySchedule(*fidSched)
 		if err != nil {
@@ -259,7 +269,7 @@ func main() {
 		}
 		if baseEpochs > 0 {
 			pt := lc.Points[level-1]
-			fsim = trainsim.FidelitySim{
+			sc.Fidelity = &trainsim.FidelitySim{
 				BaseEpochs: baseEpochs, BaseFrac: pt.BytesFrac,
 				Level: level, Layers: *layersN,
 			}
@@ -267,9 +277,7 @@ func main() {
 				level, *layersN, 100*pt.BytesFrac, lc.EffectiveRatio(pt), lc.Ratio, baseEpochs)
 		}
 	}
-	chaos := *killRank >= 0
-	var cc trainsim.ChaosConfig
-	if chaos {
+	if *killRank >= 0 {
 		if *killRank >= n {
 			log.Fatalf("-chaos-kill-rank %d out of range (0..%d)", *killRank, n-1)
 		}
@@ -280,18 +288,15 @@ func main() {
 		if red.Mode != fanstore.RedundancyEC {
 			log.Fatalf("-chaos-kill-rank needs -redundancy ec(k,m); %q cannot reconstruct a lost rank", red)
 		}
-		cc = trainsim.ChaosConfig{
-			KillRank: *killRank, KillEpoch: *killAt, K: red.K, M: red.M,
-		}
+		sc.Kill = &trainsim.ChaosConfig{KillRank: *killRank, KillEpoch: *killAt, K: red.K, M: red.M}
 	}
-	var tuneSim trainsim.TuneSim
-	tuneCfg := cfg
+	tuneEvents := obs.NewEventLog(0, 0)
 	if *tuneOn {
 		switch strings.ToLower(*tuneProf) {
 		case "cpu":
 			// Decode-bound mis-tune: serial decode on a multi-core box,
 			// cheap fabric. The controller must grow decode.workers.
-			tuneSim = trainsim.TuneSim{
+			sc.Tune = &trainsim.TuneSim{
 				Cores: 8, RTT: 200 * time.Microsecond, BurstPerItem: time.Microsecond,
 				DecodeWorkers: 1, BatchItems: 64,
 			}
@@ -300,8 +305,8 @@ func main() {
 			// a cheap codec (the measured one would re-bind the run on
 			// decode). The controller must grow batch.items to amortize
 			// the RTT.
-			tuneCfg.DecompressPerFile = 10 * time.Microsecond
-			tuneSim = trainsim.TuneSim{
+			cfg.DecompressPerFile = 10 * time.Microsecond
+			sc.Tune = &trainsim.TuneSim{
 				Cores: 8, RTT: 2 * time.Millisecond, BurstPerItem: 20 * time.Microsecond,
 				DecodeWorkers: 8, BatchItems: 4,
 			}
@@ -309,51 +314,56 @@ func main() {
 			log.Fatalf("unknown -tune-profile %q (want cpu or net)", *tuneProf)
 		}
 	}
+	lastSkew := *skew
+	if *monitor && lastSkew <= 0 {
+		// Derive a skew that lands robustly past the detector: push the
+		// skewed rank's I/O to 4x the compute term, so the async
+		// pipeline cannot hide it and the epoch stretches well past the
+		// 2x-median threshold even after bucket rounding.
+		lastSkew = 4 * float64(cfg.ComputeTime()) / float64(cfg.IOTime())
+	}
+
+	// One replay per rank, each with its own tracer and registry, exported
+	// and aggregated exactly as a live run would be.
 	tracers := make([]*trace.Tracer, n)
-	snaps := make([]metrics.RegistrySnapshot, n)
-	var elapsed time.Duration
-	var tuneRes trainsim.TunedResult
-	tuneEvents := obs.NewEventLog(0, 0)
-	for rank := 0; rank < n; rank++ {
+	regs := make([]*metrics.Registry, n)
+	replays := make([]*trainsim.Replay, n)
+	for rank := range replays {
 		tracers[rank] = trace.NewSynthetic(rank, 0)
-		reg := metrics.NewRegistry()
-		obs := trainsim.SimObserver{Tracer: tracers[rank], Metrics: reg}
-		if *skew > 0 && rank == n-1 {
-			obs.Skew = *skew
+		regs[rank] = metrics.NewRegistry()
+		sink := trainsim.SimObserver{Tracer: tracers[rank], Metrics: regs[rank]}
+		if rank == n-1 {
+			sink.Skew = lastSkew
 		}
-		var t time.Duration
-		if *tuneOn {
-			ts := tuneSim
-			if rank == 0 {
-				ts.Controller.Events = tuneEvents
-			}
-			res := tuneCfg.TraceEpochsTuned(*simEpoch, *simFiles, ts, obs)
-			t = res.Wall
-			if rank == 0 {
-				tuneRes = res
-			}
-		} else if chaos {
-			rcc := cc
-			rcc.Rank = rank
-			t = cfg.TraceEpochsChaos(*simEpoch, *simFiles, rcc, obs)
-		} else if fsim.BaseEpochs > 0 {
-			t = cfg.TraceEpochsFidelity(*simEpoch, *simFiles, fsim, obs)
-		} else {
-			rc := trainsim.ReplayConfig{Mode: trainsim.PrefetchWindow, Window: *window}
-			if *plan {
-				rc.Mode = trainsim.PrefetchPlanned
-				rc.AdmissionBytes = int64(*admitMB) << 20
-			}
-			t = cfg.TraceEpochsReplay(*simEpoch, *simFiles, rc, obs)
+		rsc := sc
+		rsc.Rank = rank
+		if sc.Tune != nil && rank == 0 {
+			ts := *sc.Tune
+			ts.Controller.Events = tuneEvents
+			rsc.Tune = &ts
 		}
-		if t > elapsed {
+		replays[rank] = cfg.NewReplay(*simFiles, rsc, sink)
+	}
+	if *monitor {
+		runMonitored(replays, regs, *simEpoch, lastSkew, *opsAddr, *pace)
+	} else {
+		for _, rp := range replays {
+			rp.Run(*simEpoch)
+		}
+	}
+	var elapsed time.Duration
+	snaps := make([]metrics.RegistrySnapshot, n)
+	for rank, rp := range replays {
+		if t := rp.Now(); t > elapsed {
 			elapsed = t
 		}
-		snaps[rank] = reg.Snapshot()
+		snaps[rank] = regs[rank].Snapshot()
 	}
-	if *tuneOn {
+
+	if sc.Tune != nil {
 		// The ablation, from rank 0's run: mis-tuned static knobs vs the
 		// online controller vs the grid-swept hand-tuned oracle.
+		tuneRes := replays[0].Tuned()
 		fmt.Printf("tune ablation (%s profile): static %v | tuned %v | hand-tuned %v\n",
 			strings.ToLower(*tuneProf),
 			tuneRes.StaticWall.Round(time.Millisecond),
@@ -376,16 +386,19 @@ func main() {
 			}
 		}
 	}
-	if fsim.BaseEpochs > 0 {
-		// The ablation, on an unskewed rank: the scheduled run against the
-		// same configuration at full fidelity throughout.
-		baseline := cfg.TraceEpochs(*simEpoch, *simFiles, trainsim.SimObserver{})
-		sched := cfg.TraceEpochsFidelity(*simEpoch, *simFiles, fsim, trainsim.SimObserver{})
+	if sc.Fidelity != nil {
+		// The ablation, on an unskewed rank: the same scenario with and
+		// without the schedule.
+		sc.Rank = -1 // no rank: it outlives whichever one -chaos-kill-rank names
+		full := sc
+		full.Fidelity = nil
+		baseline := cfg.NewReplay(*simFiles, full, trainsim.SimObserver{}).Run(*simEpoch)
+		sched := cfg.NewReplay(*simFiles, sc, trainsim.SimObserver{}).Run(*simEpoch)
 		fmt.Printf("fidelity ablation: scheduled %v vs full-fidelity %v (%.1f%% faster)\n",
 			sched.Round(time.Millisecond), baseline.Round(time.Millisecond),
 			100*(1-sched.Seconds()/baseline.Seconds()))
 	}
-	if *report {
+	if *report || *monitor {
 		rep := fanstore.BuildClusterReport(snaps, fanstore.ReportOptions{
 			StragglerMetric: "trainsim.epoch.latency",
 			Elapsed:         elapsed,
@@ -407,26 +420,16 @@ func main() {
 	}
 }
 
-// runMonitoredSim is the -monitor replay: the per-rank registries are
+// runMonitored is the -monitor driver: the per-rank registries are
 // (optionally) served on live ops endpoints while the epochs replay in
 // lockstep, and the health monitor polls after every epoch — the
 // simulated version of catching a straggler mid-run instead of in the
 // post-run report.
-func runMonitoredSim(cfg trainsim.Config, ranks, epochs, files int, skew float64, opsAddr string, pace time.Duration) {
-	if skew <= 0 {
-		// Derive a skew that lands robustly past the detector: push the
-		// skewed rank's I/O to 4x the compute term, so the async
-		// pipeline cannot hide it and the epoch stretches well past the
-		// 2x-median threshold even after bucket rounding.
-		skew = 4 * float64(cfg.ComputeTime()) / float64(cfg.IOTime())
-	}
-	regs := make([]*metrics.Registry, ranks)
-	for i := range regs {
-		regs[i] = metrics.NewRegistry()
-	}
+func runMonitored(replays []*trainsim.Replay, regs []*metrics.Registry, epochs int, skew float64, opsAddr string, pace time.Duration) {
+	last := len(replays) - 1
 	events := obs.NewEventLog(0, 0)
 	if opsAddr != "" {
-		for r := 0; r < ranks; r++ {
+		for r := range regs {
 			addr, err := obs.OffsetAddr(opsAddr, r)
 			if err != nil {
 				log.Fatal(err)
@@ -445,22 +448,18 @@ func runMonitoredSim(cfg trainsim.Config, ranks, epochs, files int, skew float64
 			fmt.Printf("rank %d: ops endpoints at http://%s\n", r, srv.Addr())
 		}
 	}
-	res := cfg.RunMonitored(epochs, files, trainsim.MonitoredConfig{
-		Ranks:      ranks,
-		SkewRank:   ranks - 1,
-		Skew:       skew,
-		Events:     events,
-		Health:     regs[0],
-		Registries: regs,
-		Pace:       pace,
+	res := trainsim.RunMonitored(replays, epochs, trainsim.MonitoredConfig{
+		SkewRank: last,
+		Events:   events,
+		Health:   regs[0],
+		Pace:     pace,
 	})
 	if res.FlaggedEpoch >= 0 {
 		fmt.Printf("monitor: rank %d flagged as straggler after epoch %d of %d (while the run was live)\n",
-			ranks-1, res.FlaggedEpoch, epochs)
+			last, res.FlaggedEpoch, epochs)
 	} else {
 		fmt.Printf("monitor: no straggler flagged in %d epochs (skew %.1fx)\n", epochs, skew)
 	}
 	fmt.Printf("events:\n")
 	_ = events.WriteText(os.Stdout)
-	fmt.Print(res.Report.String())
 }

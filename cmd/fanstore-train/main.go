@@ -44,8 +44,7 @@ func main() {
 		batch      = flag.Int("batch", 8, "files per rank per iteration")
 		compressor = flag.String("compressor", "lzsse8", "codec configuration or alias")
 		workers    = flag.Int("io-threads", 4, "prefetch I/O threads per rank")
-		lookahead  = flag.Int("prefetch", 8, "iterations of look-ahead announced to the store's batched prefetcher (0 disables)")
-		plan       = flag.Bool("plan", false, "build a whole-epoch prefetch plan at epoch start and stage it under admission control (replaces the reactive -prefetch window)")
+		plan       = flag.Bool("plan", true, "build a whole-epoch prefetch plan at epoch start and stage it under admission control (-plan=false fetches on demand)")
 		admission  = flag.Int("admission", 0, "staged-bytes admission budget for -plan, MiB (0: live cache headroom)")
 		policy     = flag.String("cache-policy", "fifo", "fifo|lru|immediate")
 		cacheMB    = flag.Int("cache-mb", 64, "decompressed cache size per rank (MiB)")
@@ -228,9 +227,8 @@ func main() {
 			for i, idx := range order {
 				shuffled[i] = paths[idx]
 			}
-			// Fidelity schedule: demand opens and the reactive prefetcher
-			// follow the node-level budget; the epoch planner gets the
-			// level explicitly. Epochs past the schedule run at full
+			// Fidelity schedule: demand opens follow the node-level
+			// budget; the epoch planner gets the level explicitly. Epochs past the schedule run at full
 			// fidelity (level 0), upgrading warm entries in place.
 			level := sched.LevelAt(epoch)
 			node.SetFidelity(level)
@@ -243,11 +241,10 @@ func main() {
 			}
 			popts := prefetch.Options{Workers: *workers, Depth: 2, Metrics: reg, Tracer: tr}
 			sampler := prefetch.RangeSampler(shuffled, *batch, c.Rank(), *ranks)
-			switch {
-			case *plan:
-				// Clairvoyant mode: the permutation is fully known now, so
-				// materialize the epoch's remote access sequence and stream
-				// it under cache-pressure admission control.
+			if *plan {
+				// The permutation is fully known now, so materialize the
+				// epoch's remote access sequence and stream it under
+				// cache-pressure admission control.
 				epochPlan := prefetch.BuildPlan(sampler, node)
 				popts.Scheduler = prefetch.NewScheduler(node, epochPlan, prefetch.SchedOptions{
 					AdmissionSource: node.AdmissionBytes,
@@ -255,12 +252,6 @@ func main() {
 					Metrics:         reg,
 					Tracer:          tr,
 				})
-			case *lookahead > 0:
-				// Announce the sampler's upcoming window to the node so
-				// remote objects arrive in batched fetch round trips
-				// and land in the cache before the I/O threads open them.
-				popts.Prefetcher = node
-				popts.Lookahead = *lookahead
 			}
 			pipe := prefetch.New(node, sampler, popts)
 			for it := 0; it < itersPerEpoch; it++ {

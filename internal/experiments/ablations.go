@@ -345,54 +345,13 @@ func ablationBatchedFetch(w io.Writer, opt Options) error {
 	return nil
 }
 
-// ablationPlannedPrefetch compares the PR 2 reactive look-ahead window
-// against the clairvoyant epoch planner, in two parts. First the
-// trainsim replay model prices the term the planner attacks: an async
-// pipeline hides steady-state I/O behind compute, but every epoch pays
-// a cold fill before overlap primes — Window serial staging round trips
-// reactively, one batched round trip with the plan in hand (sync
-// pipelines never overlap, so both modes converge there). Second, a
-// live two-rank run drives the same cold epoch through the real
-// pipeline both ways with a cache far smaller than the epoch: on this
-// one-core host the epoch is decode-bound so wall time is parity, and
-// the table instead shows the mechanism — fewer, larger fetch RPCs and
-// a staged-but-unread high-water held inside the cache's free capacity.
+// ablationPlannedPrefetch shows what the clairvoyant epoch planner buys:
+// a live two-rank run drives the same cold epoch through the real
+// pipeline with and without the plan, with a cache far smaller than the
+// epoch — a few large fetch RPCs instead of one per remote open, and a
+// staged-but-unread high-water held inside the cache's free capacity.
 func ablationPlannedPrefetch(w io.Writer, opt Options) error {
-	fmt.Fprintf(w, "--- epoch-plan prefetch vs fixed look-ahead window ---\n")
-	fmt.Fprintf(w, "replayed per-epoch cold fill (trainsim, 4 nodes, 75%% remote, 16-iteration epochs, window = 4 iterations):\n")
-	rt := tw(w)
-	fmt.Fprintf(rt, "case\tio mode\tfill window\tfill planned\tepoch speedup\tspeedup at io x100\n")
-	for _, cs := range []struct {
-		name string
-		cfg  trainsim.Config
-	}{
-		{"ResNet-50 / GTX", trainsim.Config{App: cluster.ResNet50, Clust: cluster.GTX, Nodes: 4, Ratio: 1, RemoteFrac: 0.75}},
-		{"FRNN / CPU", trainsim.Config{App: cluster.FRNNonCPU, Clust: cluster.CPU, Nodes: 4, Ratio: 1, RemoteFrac: 0.75}},
-		{"SRGAN / GTX (sync)", trainsim.Config{App: cluster.SRGANonGTX, Clust: cluster.GTX, Nodes: 4, Ratio: 1, RemoteFrac: 0.75}},
-	} {
-		// Short epochs (16 iterations) so the per-epoch fill is visible
-		// against steady state, as it is for small per-rank shards.
-		dataSize := cs.cfg.App.CBatch * cs.cfg.Nodes * 16
-		wcfg := trainsim.ReplayConfig{Mode: trainsim.PrefetchWindow, Window: 4}
-		pcfg := trainsim.ReplayConfig{Mode: trainsim.PrefetchPlanned}
-		win := cs.cfg.TraceEpochsReplay(1, dataSize, wcfg, trainsim.SimObserver{})
-		pln := cs.cfg.TraceEpochsReplay(1, dataSize, pcfg, trainsim.SimObserver{})
-		// The paper's clusters are compute-bound (io is ms against
-		// hundreds of ms of compute), so also replay with the Skew knob
-		// modeling congested I/O — a shared parallel FS under load or a
-		// saturated fabric — where the fill term actually bites.
-		slow := trainsim.SimObserver{Skew: 100}
-		winSlow := cs.cfg.TraceEpochsReplay(1, dataSize, wcfg, slow)
-		plnSlow := cs.cfg.TraceEpochsReplay(1, dataSize, pcfg, slow)
-		mode, fillW, fillP := "async", 4*cs.cfg.IOTime(), cs.cfg.IOTime()
-		if cs.cfg.App.Sync {
-			mode, fillW, fillP = "sync", 0, 0
-		}
-		fmt.Fprintf(rt, "%s\t%s\t%v\t%v\t%.3fx\t%.2fx\n", cs.name, mode,
-			fillW.Round(10*time.Microsecond), fillP.Round(10*time.Microsecond),
-			float64(win)/float64(pln), float64(winSlow)/float64(plnSlow))
-	}
-	rt.Flush()
+	fmt.Fprintf(w, "--- epoch-plan prefetch vs demand-only fetching ---\n")
 	const n, size, batch, rounds = 96, 8 << 10, 4, 3
 	const readLatency = 400 * time.Microsecond
 	g := dataset.Generator{Kind: dataset.EM, Seed: opt.Seed + 5, Size: size}
@@ -438,9 +397,6 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 					plan := prefetch.BuildPlan(sampler, node)
 					sched = prefetch.NewScheduler(node, plan, prefetch.SchedOptions{BatchFiles: 16})
 					popts.Scheduler = sched
-				} else {
-					popts.Prefetcher = node
-					popts.Lookahead = 4
 				}
 				pipe := prefetch.New(node, sampler, popts)
 				start := time.Now()
@@ -468,7 +424,7 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 		}
 		mean := total / rounds
 		epochSecs[planned] = mean.Seconds()
-		label, high := "look-ahead window", "-"
+		label, high := "demand only", "-"
 		if planned {
 			label = "epoch plan"
 			high = fmt.Sprintf("%d B", lastHigh)
@@ -478,7 +434,7 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 			lastStats.BatchedFetches, high, lastStats.Cache.Pinned)
 	}
 	t.Flush()
-	fmt.Fprintf(w, "live planned/window wall-time ratio: %.2fx — decode-bound parity on one core; the plan's win is the fill term above, bought with ~3x fewer fetch RPCs and bounded staging.\n\n",
+	fmt.Fprintf(w, "live demand-only/planned wall-time ratio: %.2fx — wall time is noisy on a shared core; what repeats is the fetch count: a few batched round trips instead of one per remote open, with staging bounded by the cache.\n\n",
 		epochSecs[false]/epochSecs[true])
 	return nil
 }

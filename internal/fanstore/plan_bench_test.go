@@ -93,76 +93,57 @@ func BenchmarkCoalescedOpenStorm(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochPlannedPrefetch compares the PR 2 reactive look-ahead
-// window against the clairvoyant epoch planner on the same workload:
+// BenchmarkEpochPlannedPrefetch measures the clairvoyant epoch planner:
 // one consumer draining a prefetch pipeline over an epoch whose remote
 // half lives behind a peer with per-read backend latency, with a cache
-// far smaller than the epoch. "window" announces fixed look-ahead
-// windows as iterations are sampled (announcements are best-effort and
-// sized by the look-ahead); "planned" materializes the whole epoch at
+// far smaller than the epoch. The plan materializes the whole epoch at
 // start and streams plan-sized batches under cache-pressure admission.
 // One benchmark iteration is one full epoch.
 func BenchmarkEpochPlannedPrefetch(b *testing.B) {
 	const nFiles, fileSize, batch = 64, 32 << 10, 4
 	const readLatency = 200 * time.Microsecond
 	bundle, _ := buildBundle(b, dataset.EM, nFiles, 2, fileSize, nil)
-	for _, bc := range []struct {
-		name    string
-		planned bool
-	}{
-		{"window", false},
-		{"planned", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			err := mpi.Run(2, func(c *mpi.Comm) error {
-				// The cache holds 16 of the epoch's 64 files (half its
-				// remote set), so staging stays admission-bounded.
-				opts := Options{CacheBytes: 16 * fileSize}
-				if c.Rank() == 1 {
-					opts.Backend = &latencyBackend{Backend: NewRAMBackend(), delay: readLatency}
-				}
-				node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		// The cache holds 16 of the epoch's 64 files (half its
+		// remote set), so staging stays admission-bounded.
+		opts := Options{CacheBytes: 16 * fileSize}
+		if c.Rank() == 1 {
+			opts.Backend = &latencyBackend{Backend: NewRAMBackend(), delay: readLatency}
+		}
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		if c.Rank() != 0 {
+			return nil // serve until rank 0's Close barrier
+		}
+		var paths []string
+		paths = append(paths, ownedPaths(b, bundle.Scatter[0])...)
+		paths = append(paths, ownedPaths(b, bundle.Scatter[1])...)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sampler := prefetch.RangeSampler(paths, batch, 0, 1)
+			plan := prefetch.BuildPlan(sampler, node)
+			sched := prefetch.NewScheduler(node, plan, prefetch.SchedOptions{BatchFiles: 16})
+			pipe := prefetch.New(node, sampler, prefetch.Options{Workers: 4, Depth: 2, Scheduler: sched})
+			for {
+				_, ok, err := pipe.Next()
 				if err != nil {
+					pipe.Stop()
 					return err
 				}
-				defer node.Close()
-				if c.Rank() != 0 {
-					return nil // serve until rank 0's Close barrier
+				if !ok {
+					break
 				}
-				var paths []string
-				paths = append(paths, ownedPaths(b, bundle.Scatter[0])...)
-				paths = append(paths, ownedPaths(b, bundle.Scatter[1])...)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sampler := prefetch.RangeSampler(paths, batch, 0, 1)
-					popts := prefetch.Options{Workers: 4, Depth: 2}
-					if bc.planned {
-						plan := prefetch.BuildPlan(sampler, node)
-						popts.Scheduler = prefetch.NewScheduler(node, plan, prefetch.SchedOptions{BatchFiles: 16})
-					} else {
-						popts.Prefetcher = node
-						popts.Lookahead = 4
-					}
-					pipe := prefetch.New(node, sampler, popts)
-					for {
-						_, ok, err := pipe.Next()
-						if err != nil {
-							pipe.Stop()
-							return err
-						}
-						if !ok {
-							break
-						}
-					}
-					pipe.Stop()
-				}
-				b.StopTimer()
-				b.SetBytes(int64(nFiles) * fileSize)
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
 			}
-		})
+			pipe.Stop()
+		}
+		b.StopTimer()
+		b.SetBytes(int64(nFiles) * fileSize)
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }

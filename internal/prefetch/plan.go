@@ -24,7 +24,10 @@ import (
 // the staging entry point plus the three signals the plan and its
 // admission rule are built from. fanstore's Node satisfies it.
 type PlanStore interface {
-	Prefetcher
+	// Prefetch stages the remote, uncached files among paths in batched
+	// round trips and returns how many it staged. Best-effort: a file it
+	// does not stage is fetched on demand when the worker opens it.
+	Prefetch(paths []string) int
 	// PlanTarget resolves one path: its decompressed size and whether
 	// producing it needs a remote fetch (false: local or unknown, the
 	// plan skips it).

@@ -220,7 +220,7 @@ func TestSchedulerStopUnblocksAdmissionWait(t *testing.T) {
 
 // TestPipelineWithSchedulerDelivers wires a Scheduler into the Pipeline
 // end to end over the fake store: every batch arrives in order and the
-// plan ships without the reactive announcer.
+// plan ships.
 func TestPipelineWithSchedulerDelivers(t *testing.T) {
 	const files, size = 24, 64
 	store, paths := fakeStore(files, size)

@@ -10,17 +10,13 @@
 // configurable number of I/O goroutines — the paper's "4 I/O threads per
 // process" (§II-B1).
 //
-// Remote staging runs in one of two modes. The reactive mode
-// (Options.Prefetcher + Options.Lookahead) announces a fixed window of
-// upcoming iterations as they are sampled, and the store stages each
-// window with batched fetches. The clairvoyant mode (Options.Scheduler,
-// plan.go) exploits that the sampler's permutation is fully known at
-// epoch start: BuildPlan materializes the epoch's entire remote access
-// sequence up front and a Scheduler streams it into the store under
-// cache-pressure admission control — staged-but-unread bytes never
-// exceed the cache's unpinned capacity, backing off until delivered
-// batches (reported via Advance) free room. The plan replaces the
-// window; it is not limited by it.
+// Remote staging exploits that the sampler's permutation is fully known
+// at epoch start (Options.Scheduler, plan.go): BuildPlan materializes the
+// epoch's entire remote access sequence up front and a Scheduler streams
+// it into the store under cache-pressure admission control —
+// staged-but-unread bytes never exceed the cache's unpinned capacity,
+// backing off until delivered batches (reported via Advance) free room.
+// Without a Scheduler the workers fetch on demand.
 package prefetch
 
 import (
@@ -50,20 +46,11 @@ type Batch struct {
 
 // Sampler yields the file list for iteration i, or ok=false at the end
 // of the epoch. Implementations must be safe for calls from the pipeline
-// goroutine. The pipeline calls each iteration exactly once, but when a
-// Prefetcher is configured iterations are sampled ahead of consumption,
-// so a sampler must not depend on being called in lockstep with the
-// training loop.
+// goroutine. The pipeline calls each iteration exactly once, in order,
+// but up to Depth iterations ahead of consumption (and BuildPlan walks
+// the whole epoch before iteration 0), so a sampler must not depend on
+// being called in lockstep with the training loop.
 type Sampler func(iter int) (paths []string, ok bool)
-
-// Prefetcher receives the pipeline's look-ahead window: the paths of
-// upcoming iterations, announced as the sequencer samples them, so a
-// store can stage remote objects in batched round trips before the I/O
-// workers ask for them. fanstore's Node.Prefetch satisfies it.
-// Announcements are best-effort and may be dropped under backpressure.
-type Prefetcher interface {
-	Prefetch(paths []string) int
-}
 
 // Options configures a Pipeline.
 type Options struct {
@@ -73,17 +60,10 @@ type Options struct {
 	// Depth is how many batches may be in flight ahead of the consumer
 	// (default 2: the classic double-buffering of Fig. 5b).
 	Depth int
-	// Prefetcher, when set, is announced the paths of upcoming
-	// iterations so it can stage them ahead of the workers.
-	Prefetcher Prefetcher
-	// Lookahead is how many iterations beyond the one being dispatched
-	// are sampled and announced to the Prefetcher (default 2*Depth).
-	Lookahead int
-	// Scheduler, when set, replaces the reactive Prefetcher/Lookahead
-	// window with clairvoyant epoch-plan staging: the pipeline reports
-	// delivered iterations to it (Advance) and stops it on teardown,
-	// and the scheduler stages the whole epoch under admission control.
-	// Prefetcher and Lookahead are ignored when a Scheduler is set.
+	// Scheduler, when set, stages the whole epoch's remote files ahead of
+	// the workers under admission control: the pipeline reports
+	// delivered iterations to it (Advance) and stops it on teardown.
+	// Nil leaves every remote file to be fetched on demand.
 	Scheduler *Scheduler
 	// Metrics registers the pipeline's instruments ("prefetch.*"):
 	// wait.latency is how long the consumer stalls in Next (I/O the
@@ -102,7 +82,7 @@ type Pipeline struct {
 	stop  chan struct{}
 	once  sync.Once
 	wg    sync.WaitGroup
-	sched *Scheduler // epoch-plan staging, nil in reactive mode
+	sched *Scheduler // epoch-plan staging; nil fetches on demand
 
 	waitHist  *metrics.Histogram // consumer stall per Next that blocked
 	batchHist *metrics.Histogram // worker time per produced batch
@@ -129,18 +109,6 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 	if depth <= 0 {
 		depth = 2
 	}
-	look := opts.Lookahead
-	if look <= 0 {
-		look = 2 * depth
-	}
-	if opts.Scheduler != nil {
-		// The epoch plan already covers everything a window would
-		// announce; the reactive path stands down entirely.
-		opts.Prefetcher = nil
-	}
-	if opts.Prefetcher == nil {
-		look = 0 // nobody to announce to; sample lazily as before
-	}
 	p := &Pipeline{
 		out:       make(chan result, depth),
 		stop:      make(chan struct{}),
@@ -161,71 +129,17 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 	jobs := make(chan job, depth)
 	done := make(chan result, depth+workers)
 
-	// The announcer forwards look-ahead windows to the Prefetcher off
-	// the sequencer's critical path: a slow prefetch round trip must not
-	// stall job dispatch, so the sequencer's sends are non-blocking and
-	// a window may be dropped under backpressure (the workers then fetch
-	// those files on demand — correctness never depends on an
-	// announcement landing).
-	announce := make(chan []string, 2)
-	if opts.Prefetcher != nil {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for {
-				select {
-				case w, ok := <-announce:
-					if !ok {
-						return
-					}
-					opts.Prefetcher.Prefetch(w)
-				case <-p.stop:
-					return
-				}
-			}
-		}()
-	}
-
 	p.wg.Add(1)
-	go func() { // sequencer
+	go func() { // sequencer: samples one iteration per dispatch
 		defer p.wg.Done()
 		defer close(jobs)
-		defer close(announce)
-		var pending []job // sampled ahead, not yet dispatched
-		sampled := 0
-		ended := false
 		for i := 0; ; i++ {
-			// Top up the look-ahead window and announce what's new.
-			var window []string
-			for !ended && sampled <= i+look {
-				paths, ok := sampler(sampled)
-				if !ok {
-					ended = true
-					break
-				}
-				pending = append(pending, job{index: sampled, paths: paths})
-				if sampled > i {
-					// Iteration i goes straight to a worker; only the
-					// iterations beyond it are worth staging.
-					window = append(window, paths...)
-				}
-				sampled++
-			}
-			if len(window) > 0 {
-				select {
-				case announce <- window:
-				case <-p.stop:
-					return
-				default: // prefetcher busy; skip this window
-				}
-			}
-			if len(pending) == 0 {
+			paths, ok := sampler(i)
+			if !ok {
 				return
 			}
-			j := pending[0]
-			pending = pending[1:]
 			select {
-			case jobs <- j:
+			case jobs <- job{index: i, paths: paths}:
 			case <-p.stop:
 				return
 			}

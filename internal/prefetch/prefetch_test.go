@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -293,64 +292,6 @@ func TestNextPrefersBufferedResultOverStop(t *testing.T) {
 	_, ok, err := p.Next()
 	if ok || err == nil || errors.Is(err, ErrStopped) {
 		t.Fatalf("Next after self-stop: ok=%v err=%v, want the injected read error", ok, err)
-	}
-}
-
-// recordingPrefetcher captures every announced look-ahead window.
-type recordingPrefetcher struct {
-	mu      sync.Mutex
-	windows [][]string
-}
-
-func (r *recordingPrefetcher) Prefetch(paths []string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := make([]string, len(paths))
-	copy(w, paths)
-	r.windows = append(r.windows, w)
-	return len(paths)
-}
-
-func TestLookaheadAnnouncedToPrefetcher(t *testing.T) {
-	r, paths := newMapReader(24)
-	rec := &recordingPrefetcher{}
-	p := New(r, RangeSampler(paths, 2, 0, 1), Options{Workers: 2, Depth: 2, Prefetcher: rec, Lookahead: 4})
-	defer p.Stop()
-	for {
-		_, ok, err := p.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.windows) == 0 {
-		t.Fatal("no look-ahead window was announced")
-	}
-	// The first window is deterministic: iterations 1..4 (iteration 0 is
-	// dispatched straight to a worker, not worth staging).
-	first := rec.windows[0]
-	if len(first) != 8 {
-		t.Fatalf("first window holds %d paths, want 8 (iterations 1..4)", len(first))
-	}
-	for i, p := range first {
-		if want := paths[2+i]; p != want {
-			t.Fatalf("first window[%d] = %s, want %s", i, p, want)
-		}
-	}
-	valid := make(map[string]bool, len(paths))
-	for _, p := range paths {
-		valid[p] = true
-	}
-	for _, w := range rec.windows {
-		for _, p := range w {
-			if !valid[p] {
-				t.Fatalf("announced unknown path %s", p)
-			}
-		}
 	}
 }
 

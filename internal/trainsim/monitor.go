@@ -6,38 +6,22 @@ import (
 	"fanstore/internal/fanstore"
 	"fanstore/internal/metrics"
 	"fanstore/internal/obs"
-	"fanstore/internal/trace"
 )
 
-// MonitoredConfig parameterizes RunMonitored: a multi-rank replay with
-// one deterministic straggler and the live health monitor folding the
-// per-rank registries after every epoch — the simulation of "the
-// operator notices the slow rank while the job is still running"
+// MonitoredConfig parameterizes RunMonitored: the live health monitor
+// folding the per-rank registries after every epoch — the simulation of
+// "the operator notices the slow rank while the job is still running"
 // instead of in the post-run report.
 type MonitoredConfig struct {
-	// Ranks is the number of simulated ranks (default 4).
-	Ranks int
-	// SkewRank is the rank replayed with its I/O time multiplied by
-	// Skew (default rank 1, skew 4 — comfortably past the 2x-median
-	// straggler threshold).
+	// SkewRank is the rank whose first flagging FlaggedEpoch reports: the
+	// one replayed with a Skew well past the 2x-median threshold.
 	SkewRank int
-	Skew     float64
-	// StragglerFactor is the detector threshold handed to the cluster
-	// report (0 uses its 2.0 default).
-	StragglerFactor float64
 	// Events receives the monitor's straggler/health events. When nil
 	// a private log is created so the result can still report them.
 	Events *obs.EventLog
 	// Health is the registry receiving the monitor's health.*
 	// instruments (rank 0's registry in the live layout). Optional.
 	Health *metrics.Registry
-	// Registries, when len == Ranks, supplies the per-rank registries
-	// (so a caller can serve them on ops endpoints while the run is
-	// live); otherwise fresh ones are created.
-	Registries []*metrics.Registry
-	// Tracers optionally supplies per-rank tracers (nil entries skip
-	// tracing, as everywhere else in the simulator).
-	Tracers []*trace.Tracer
 	// Pace, when positive, sleeps this long of real wall-clock time
 	// per simulated epoch, so a human (or a test) can curl the ops
 	// endpoints mid-run. Zero replays as fast as the CPU allows.
@@ -65,58 +49,35 @@ type MonitoredResult struct {
 	Wall time.Duration
 }
 
-// RunMonitored replays a training run across mc.Ranks simulated ranks
-// in epoch lockstep, with mc.SkewRank's I/O skewed, and drives an
-// obs.Monitor poll after every epoch — the same detector
-// (fanstore.FlagStragglers over trainsim.epoch.latency) the end-of-run
-// cluster report uses, so live flagging and the post-run report can
-// never disagree. The straggler event lands in the event log the
-// moment the detector first fires, which for any Skew well past the
-// threshold is after epoch 0 — long before the run ends.
-func (c Config) RunMonitored(epochs, dataSize int, mc MonitoredConfig) MonitoredResult {
-	if mc.Ranks <= 0 {
-		mc.Ranks = 4
-	}
-	if mc.SkewRank < 0 || mc.SkewRank >= mc.Ranks {
-		mc.SkewRank = 1 % mc.Ranks
-	}
-	if mc.Skew <= 0 {
-		mc.Skew = 4
-	}
+// RunMonitored drives one Replay per rank in epoch lockstep and polls
+// an obs.Monitor over their registries (every replay needs one) after
+// every epoch — the same detector (fanstore.FlagStragglers over
+// trainsim.epoch.latency) the end-of-run cluster report uses, so live
+// flagging and the post-run report can never disagree. The straggler
+// event is logged the moment the detector first fires, which for any skew
+// well past the threshold is after epoch 0 — long before the run ends.
+func RunMonitored(replays []*Replay, epochs int, mc MonitoredConfig) MonitoredResult {
 	events := mc.Events
 	if events == nil {
 		events = obs.NewEventLog(0, 0)
 	}
-	regs := mc.Registries
-	if len(regs) != mc.Ranks {
-		regs = make([]*metrics.Registry, mc.Ranks)
-		for i := range regs {
-			regs[i] = metrics.NewRegistry()
-		}
+	regs := make([]*metrics.Registry, len(replays))
+	for i, rp := range replays {
+		regs[i] = rp.obs.Metrics
 	}
-
+	stragglers := fanstore.ReportOptions{StragglerMetric: "trainsim.epoch.latency"}
+	collect := obs.CollectRegistries(regs)
 	mon := obs.NewMonitor(obs.MonitorOptions{
-		Collect: obs.CollectRegistries(regs),
-		Flag: fanstore.FlagStragglers(fanstore.ReportOptions{
-			StragglerMetric: "trainsim.epoch.latency",
-			StragglerFactor: mc.StragglerFactor,
-		}),
+		Collect: collect,
+		Flag:    fanstore.FlagStragglers(stragglers),
 		Metrics: mc.Health,
 		Events:  events,
 	})
 
 	res := MonitoredResult{FlaggedEpoch: -1, Events: events}
-	walls := make([]time.Duration, mc.Ranks)
 	for e := 0; e < epochs; e++ {
-		for r := 0; r < mc.Ranks; r++ {
-			sink := SimObserver{Metrics: regs[r]}
-			if len(mc.Tracers) == mc.Ranks {
-				sink.Tracer = mc.Tracers[r]
-			}
-			if r == mc.SkewRank {
-				sink.Skew = mc.Skew
-			}
-			walls[r] += c.traceEpochsFrom(walls[r], 1, dataSize, sink)
+		for _, rp := range replays {
+			rp.Epoch()
 		}
 		flagged, _ := mon.Poll()
 		if res.FlaggedEpoch < 0 {
@@ -134,16 +95,10 @@ func (c Config) RunMonitored(epochs, dataSize int, mc MonitoredConfig) Monitored
 
 	res.Flagged = mon.Flagged()
 	res.Polls = mon.Polls()
-	snaps := make([]metrics.RegistrySnapshot, mc.Ranks)
-	for i, r := range regs {
-		snaps[i] = r.Snapshot()
-	}
-	res.Report = fanstore.BuildClusterReport(snaps, fanstore.ReportOptions{
-		StragglerMetric: "trainsim.epoch.latency",
-		StragglerFactor: mc.StragglerFactor,
-	})
-	for _, w := range walls {
-		if w > res.Wall {
+	snaps, _ := collect() // in-process registries: no scrape to fail
+	res.Report = fanstore.BuildClusterReport(snaps, stragglers)
+	for _, rp := range replays {
+		if w := rp.Now(); w > res.Wall {
 			res.Wall = w
 		}
 	}

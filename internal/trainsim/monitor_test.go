@@ -7,6 +7,20 @@ import (
 	"fanstore/internal/obs"
 )
 
+// monitoredRanks builds one plain replay per rank over dataSize files,
+// skewRank's I/O multiplied by skew.
+func monitoredRanks(cfg Config, dataSize, ranks, skewRank int, skew float64) []*Replay {
+	replays := make([]*Replay, ranks)
+	for r := range replays {
+		sink := SimObserver{Metrics: metrics.NewRegistry()}
+		if r == skewRank {
+			sink.Skew = skew
+		}
+		replays[r] = cfg.NewReplay(dataSize, Scenario{Rank: r}, sink)
+	}
+	return replays
+}
+
 // TestRunMonitoredFlagsStragglerMidRun is the live-ops acceptance
 // scenario: a skew-injected rank must be flagged by the continuous
 // health monitor strictly before the run's final epoch, with the
@@ -21,10 +35,8 @@ func TestRunMonitoredFlagsStragglerMidRun(t *testing.T) {
 	// pipeline hides anything smaller) — same derivation as
 	// TestTraceEpochsSkewSlowsRank.
 	skew := 4 * float64(cfg.ComputeTime()) / float64(cfg.IOTime())
-	res := cfg.RunMonitored(epochs, 4000, MonitoredConfig{
-		Ranks:    4,
+	res := RunMonitored(monitoredRanks(cfg, 4000, 4, 2, skew), epochs, MonitoredConfig{
 		SkewRank: 2,
-		Skew:     skew,
 		Events:   ev,
 		Health:   health,
 	})
@@ -79,12 +91,12 @@ func TestRunMonitoredFlagsStragglerMidRun(t *testing.T) {
 }
 
 // TestRunMonitoredDefaults exercises the zero-value config path: a
-// private event log is created, defaults (4 ranks, one poll per
-// epoch) apply, and the replay completes.
+// private event log is created, the monitor polls once per epoch, and
+// the replay completes.
 func TestRunMonitoredDefaults(t *testing.T) {
 	cfg := simConfig()
 	const epochs = 4
-	res := cfg.RunMonitored(epochs, 4000, MonitoredConfig{})
+	res := RunMonitored(monitoredRanks(cfg, 4000, 4, 1, 4), epochs, MonitoredConfig{})
 	if res.Events == nil {
 		t.Fatal("no private event log created")
 	}

@@ -28,7 +28,7 @@ func TestTraceEpochsMatchesTrainTime(t *testing.T) {
 	const epochs, dataSize = 3, 4000
 	reg := metrics.NewRegistry()
 	tr := trace.NewSynthetic(0, 1<<10)
-	total := cfg.TraceEpochs(epochs, dataSize, SimObserver{Tracer: tr, Metrics: reg})
+	total := cfg.NewReplay(dataSize, Scenario{}, SimObserver{Tracer: tr, Metrics: reg}).Run(epochs)
 	if want := cfg.TrainTime(epochs, dataSize); total != want {
 		t.Fatalf("simulated %v, TrainTime says %v", total, want)
 	}
@@ -64,7 +64,7 @@ func TestTraceEpochsMatchesTrainTime(t *testing.T) {
 		t.Fatalf("wait %v + compute %v != total %v", waitDur, computeDur, total)
 	}
 	// Nil sinks must be safe and free.
-	if got := cfg.TraceEpochs(epochs, dataSize, SimObserver{}); got != total {
+	if got := cfg.NewReplay(dataSize, Scenario{}, SimObserver{}).Run(epochs); got != total {
 		t.Fatalf("nil-sink run returned %v, want %v", got, total)
 	}
 }
@@ -73,13 +73,13 @@ func TestTraceEpochsSkewSlowsRank(t *testing.T) {
 	cfg := simConfig()
 	healthy := metrics.NewRegistry()
 	slowed := metrics.NewRegistry()
-	cfg.TraceEpochs(2, 4000, SimObserver{Metrics: healthy})
+	cfg.NewReplay(4000, Scenario{}, SimObserver{Metrics: healthy}).Run(2)
 	// The skew must push the skewed rank's I/O well past the compute
 	// term (the pipeline hides anything smaller) and across a
 	// power-of-two histogram bucket; derive it from the config rather
 	// than guessing.
 	skew := 4 * float64(cfg.ComputeTime()) / float64(cfg.IOTime())
-	cfg.TraceEpochs(2, 4000, SimObserver{Metrics: slowed, Skew: skew})
+	cfg.NewReplay(4000, Scenario{}, SimObserver{Metrics: slowed, Skew: skew}).Run(2)
 	h := healthy.Snapshot().Histograms["trainsim.epoch.latency"].P99
 	s := slowed.Snapshot().Histograms["trainsim.epoch.latency"].P99
 	if s <= h {
@@ -111,7 +111,7 @@ func TestSimulatedClusterChromeExport(t *testing.T) {
 		if rank == 3 {
 			obs.Skew = 4
 		}
-		cfg.TraceEpochs(2, 4000, obs)
+		cfg.NewReplay(4000, Scenario{Rank: rank}, obs).Run(2)
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteChrome(&buf, tracers...); err != nil {
@@ -152,8 +152,8 @@ func TestTraceEpochsJoinGrowsCluster(t *testing.T) {
 	const epochs, dataSize = 4, 4000
 	reg := metrics.NewRegistry()
 	tr := trace.NewSynthetic(0, 1<<10)
-	total := cfg.TraceEpochsJoin(epochs, dataSize, JoinConfig{JoinEpoch: 1},
-		SimObserver{Tracer: tr, Metrics: reg})
+	total := cfg.NewReplay(dataSize, Scenario{Join: &JoinConfig{JoinEpoch: 1}},
+		SimObserver{Tracer: tr, Metrics: reg}).Run(epochs)
 
 	// The join epoch and everything before run on the old membership;
 	// afterwards the per-node share shrinks, so the grown epochs are no
@@ -202,12 +202,12 @@ func TestTraceEpochsChaosKillsRank(t *testing.T) {
 	cfg := simConfig()
 	cfg.RemoteFrac = float64(cfg.Nodes-1) / float64(cfg.Nodes)
 	const epochs, dataSize = 4, 4000
-	cc := ChaosConfig{Rank: 0, KillRank: 3, KillEpoch: 1, K: 4, M: 2}
+	cc := ChaosConfig{KillRank: 3, KillEpoch: 1, K: 4, M: 2}
 
 	reg := metrics.NewRegistry()
 	tr := trace.NewSynthetic(0, 1<<10)
-	total := cfg.TraceEpochsChaos(epochs, dataSize, cc,
-		SimObserver{Tracer: tr, Metrics: reg})
+	total := cfg.NewReplay(dataSize, Scenario{Rank: 0, Kill: &cc},
+		SimObserver{Tracer: tr, Metrics: reg}).Run(epochs)
 
 	// One healthy epoch, a degraded kill epoch (at least as slow as a
 	// healthy one — reconstruction only adds I/O), then the tail on
@@ -268,9 +268,7 @@ func TestTraceEpochsChaosKillsRank(t *testing.T) {
 	}
 
 	// The victim's replay stops at the kill epoch.
-	vc := cc
-	vc.Rank = cc.KillRank
-	victim := cfg.TraceEpochsChaos(epochs, dataSize, vc, SimObserver{})
+	victim := cfg.NewReplay(dataSize, Scenario{Rank: cc.KillRank, Kill: &cc}, SimObserver{}).Run(epochs)
 	if victim >= total {
 		t.Fatalf("victim timeline %v not shorter than survivor %v", victim, total)
 	}
@@ -278,9 +276,10 @@ func TestTraceEpochsChaosKillsRank(t *testing.T) {
 		t.Fatalf("victim ran %v, want %v (its pre-kill epochs)", victim, want)
 	}
 
-	// Chaos disabled degenerates to the plain replay.
-	plain := cfg.TraceEpochsChaos(epochs, dataSize, ChaosConfig{KillRank: -1}, SimObserver{})
-	if want := cfg.TraceEpochs(epochs, dataSize, SimObserver{}); plain != want {
+	// A kill epoch the run never reaches degenerates to the plain replay.
+	never := ChaosConfig{KillRank: 3, KillEpoch: epochs}
+	plain := cfg.NewReplay(dataSize, Scenario{Kill: &never}, SimObserver{}).Run(epochs)
+	if want := cfg.NewReplay(dataSize, Scenario{}, SimObserver{}).Run(epochs); plain != want {
 		t.Fatalf("disabled chaos ran %v, want %v", plain, want)
 	}
 }
@@ -300,11 +299,11 @@ func TestTraceEpochsFidelitySchedule(t *testing.T) {
 	fs := FidelitySim{BaseEpochs: 4, BaseFrac: 1.0 / 3, Level: 1, Layers: 4}
 
 	reg := metrics.NewRegistry()
-	total := cfg.TraceEpochsFidelity(epochs, dataSize, fs, SimObserver{Metrics: reg})
+	total := cfg.NewReplay(dataSize, Scenario{Fidelity: &fs}, SimObserver{Metrics: reg}).Run(epochs)
 
 	// The schedule beats the full-fidelity baseline, and the total is
 	// exactly base epochs at the scaled config plus full epochs.
-	baseline := cfg.TraceEpochs(epochs, dataSize, SimObserver{})
+	baseline := cfg.NewReplay(dataSize, Scenario{}, SimObserver{}).Run(epochs)
 	if total >= baseline {
 		t.Fatalf("scheduled run %v not faster than full-fidelity %v", total, baseline)
 	}
@@ -340,7 +339,118 @@ func TestTraceEpochsFidelitySchedule(t *testing.T) {
 
 	// A zero schedule degenerates to the plain replay, and nil sinks are
 	// safe.
-	if plain := cfg.TraceEpochsFidelity(epochs, dataSize, FidelitySim{}, SimObserver{}); plain != baseline {
+	if plain := cfg.NewReplay(dataSize, Scenario{Fidelity: &FidelitySim{}}, SimObserver{}).Run(epochs); plain != baseline {
 		t.Fatalf("disabled schedule ran %v, want %v", plain, baseline)
+	}
+}
+
+// TestComposedScenario runs what no single fork could: on 4 ranks, rank
+// 3 dies at epoch 1 of a fidelity warm-up (base epochs 0-1) with the
+// plan's cold fill priced and the tuner in the loop — one Replay per rank,
+// every part's instruments in one registry.
+func TestComposedScenario(t *testing.T) {
+	cfg := Config{
+		App: cluster.SRGANonGTX, Clust: cluster.GTX, Nodes: 4,
+		Ratio: 2, DecompressPerFile: 2 * time.Millisecond, RemoteFrac: 0.75,
+	}
+	const epochs, dataSize, victim = 4, 4000, 3
+	scenario := func(rank int) Scenario {
+		return Scenario{
+			Rank:     rank,
+			Plan:     &PlanConfig{},
+			Kill:     &ChaosConfig{KillRank: victim, KillEpoch: 1},
+			Fidelity: &FidelitySim{BaseEpochs: 2, BaseFrac: 0.25, Level: 1, Layers: 4},
+		}
+	}
+	oneEpoch := cfg.NewReplay(dataSize, Scenario{Fidelity: scenario(0).Fidelity}, SimObserver{}).Run(1)
+
+	for rank := 0; rank < 4; rank++ {
+		sc := scenario(rank)
+		_, ts := cpuBoundConfig()
+		sc.Tune = &ts
+		reg := metrics.NewRegistry()
+		tr := trace.NewSynthetic(rank, 1<<10)
+		rp := cfg.NewReplay(dataSize, sc, SimObserver{Tracer: tr, Metrics: reg})
+		wall := rp.Run(epochs)
+		snap := reg.Snapshot()
+		var end time.Duration
+		for _, s := range tr.Spans() {
+			if s.Start+s.Dur > end {
+				end = s.Start + s.Dur
+			}
+		}
+		if end != wall {
+			t.Errorf("rank %d: timeline ends at %v, replay at %v", rank, end, wall)
+		}
+		if rank == victim {
+			// The victim's timeline ends at the crash: one epoch, no fault
+			// instruments, and further stepping replays nothing.
+			if snap.Counters["trainsim.epochs"] != 1 || rp.Epoch() {
+				t.Errorf("victim replayed %d epochs, want 1", snap.Counters["trainsim.epochs"])
+			}
+			if _, ok := snap.Counters["ec.degraded.reads"]; ok {
+				t.Errorf("victim recorded its own degraded reads")
+			}
+			continue
+		}
+		if got := snap.Counters["trainsim.epochs"]; got != epochs {
+			t.Errorf("rank %d: %d epochs, want %d", rank, got, epochs)
+		}
+		for _, name := range []string{
+			"trainsim.iters", "trainsim.plan.staged.bytes", // engine, Plan
+			"ec.degraded.reads", "ec.repair.bytes", "rebalance.bytes.moved", // Kill
+			"fanstore.fetch.bytes.saved", // Fidelity
+			"tune.ticks",                 // Tune
+		} {
+			if snap.Counters[name] <= 0 {
+				t.Errorf("rank %d: counter %s = %d, want > 0", rank, name, snap.Counters[name])
+			}
+		}
+		for name, want := range map[string]int64{
+			"trainsim.epoch.latency": epochs, "trainsim.fill.latency": epochs,
+			"trainsim.rebalance.latency": 1,
+			"ec.reconstruct.latency":     snap.Counters["ec.degraded.reads"],
+			"fanstore.fidelity.level":    snap.Counters["trainsim.iters"],
+		} {
+			if got := snap.Histograms[name].Count; got != want {
+				t.Errorf("rank %d: histogram %s has %d observations, want %d", rank, name, got, want)
+			}
+		}
+		for _, name := range []string{"decomp.queue.wait.latency", "fanstore.fetch.latency"} {
+			if snap.Histograms[name].Count == 0 {
+				t.Errorf("rank %d: tuner signal %s never observed", rank, name)
+			}
+		}
+		if v := snap.Gauges["member.map.version"].Value; v != 3 {
+			t.Errorf("rank %d: map version %d, want 3 (dead-mark + repair)", rank, v)
+		}
+		if g := snap.Gauges["rebalance.partitions.pending"]; g.Value != 0 || g.Max != 1 {
+			t.Errorf("rank %d: pending gauge %+v, want 0 after a peak of 1", rank, g)
+		}
+		if res := rp.Tuned(); res.Wall != wall || len(res.EpochDurs) != epochs {
+			t.Errorf("rank %d: scorecard wall %v over %d epochs, replay %v over %d", rank, res.Wall, len(res.EpochDurs), wall, epochs)
+		}
+	}
+
+	// With the controller's path not a variable: losing a rank never
+	// shortens a survivor's run, and the victim ran exactly its one
+	// pre-crash base-fidelity epoch.
+	killed := cfg.NewReplay(dataSize, scenario(0), SimObserver{}).Run(epochs)
+	healthy := scenario(0)
+	healthy.Kill = nil
+	if whole := cfg.NewReplay(dataSize, healthy, SimObserver{}).Run(epochs); killed < whole {
+		t.Errorf("survivor ran %v with the kill, %v without", killed, whole)
+	}
+	if got := cfg.NewReplay(dataSize, scenario(victim), SimObserver{}).Run(epochs); got != oneEpoch {
+		t.Errorf("victim ran %v, want its one base epoch %v", got, oneEpoch)
+	}
+
+	// One map-version counter: a join and a kill in one run commit three
+	// times past the static map's version 1.
+	reg := metrics.NewRegistry()
+	both := Scenario{Join: &JoinConfig{JoinEpoch: 0}, Kill: &ChaosConfig{KillRank: victim, KillEpoch: 2}}
+	cfg.NewReplay(dataSize, both, SimObserver{Metrics: reg}).Run(epochs)
+	if v := reg.Snapshot().Gauges["member.map.version"].Value; v != 4 {
+		t.Errorf("join + kill left map version %d, want 4", v)
 	}
 }

@@ -57,15 +57,19 @@ func (c Config) device() fsim.Device {
 	return c.Clust.Local
 }
 
+func (c Config) ioThreads() int {
+	if c.App.IOThreads < 1 {
+		return 1
+	}
+	return c.App.IOThreads
+}
+
 // IOTime returns the per-iteration input-pipeline wall time on one node:
 // read CBatch compressed files (IOThreads-way parallel), fetch the remote
 // fraction over the fabric, and decompress.
 func (c Config) IOTime() time.Duration {
 	app := c.App
-	threads := app.IOThreads
-	if threads < 1 {
-		threads = 1
-	}
+	threads := c.ioThreads()
 	compSize := int64(float64(app.FileSizeBytes()) / c.ratio())
 	dev := c.device()
 
@@ -89,10 +93,13 @@ func (c Config) ComputeTime() time.Duration {
 	return t
 }
 
-// IterTime composes I/O and compute per §VI-A: serial for synchronous
-// I/O (Fig. 5a), overlapped for asynchronous (Fig. 5b).
-func (c Config) IterTime() time.Duration {
-	io := c.IOTime()
+// IterTime is the per-iteration wall time of the configuration.
+func (c Config) IterTime() time.Duration { return c.iterTime(c.IOTime()) }
+
+// iterTime composes an I/O term with compute per §VI-A: serial for
+// synchronous I/O (Fig. 5a), overlapped for asynchronous (Fig. 5b). What
+// the consumer stalls for is the result minus ComputeTime.
+func (c Config) iterTime(io time.Duration) time.Duration {
 	compute := c.ComputeTime()
 	if c.App.Sync {
 		return compute + io
@@ -177,11 +184,7 @@ type LustreRun struct {
 // LustreScalingAt evaluates one node count.
 func LustreScalingAt(base Config, n int, datasetFiles, datasetDirs int, t1 float64) LustreRun {
 	shared := base.Clust.Shared
-	threads := base.App.IOThreads
-	if threads < 1 {
-		threads = 1
-	}
-	shared.Clients = n * threads
+	shared.Clients = n * base.ioThreads()
 	dev := shared.Device()
 	cfg := base
 	cfg.Nodes = n
@@ -304,12 +307,8 @@ type Breakdown struct {
 // Explain returns the iteration breakdown for this configuration.
 func (c Config) Explain() Breakdown {
 	app := c.App
-	threads := app.IOThreads
-	if threads < 1 {
-		threads = 1
-	}
 	compSize := int64(float64(app.FileSizeBytes()) / c.ratio())
-	batch := float64(app.CBatch) / float64(threads)
+	batch := float64(app.CBatch) / float64(c.ioThreads())
 
 	b := Breakdown{
 		Compute:    app.TIter,

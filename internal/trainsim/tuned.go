@@ -1,11 +1,10 @@
 package trainsim
 
-// The autotuning ablation: the same analytic iteration model the other
-// replays use, but with the decode-worker and fetch-batch knobs live —
-// each simulated epoch emits the registry signals the real store would
-// (decode queue wait, per-batch fetch latency, iteration throughput)
-// and then hands the clock to a tune.Controller, whose knob moves
-// reshape the next epoch. Against it the harness prices the same run
+// The autotuning ablation: the replay's analytic iteration model with
+// the decode-worker and fetch-batch knobs live — each simulated epoch
+// emits the registry signals the real store would (decode queue wait,
+// per-batch fetch latency, iteration throughput) and then hands the
+// clock to a tune.Controller, whose knob moves reshape the next epoch. Against it the harness prices the same run
 // with the knobs frozen (static) and with the best values a power-of-2
 // grid sweep finds (hand-tuned), which is the paper-style question the
 // ablation answers: how close does online tuning get to oracle knobs,
@@ -16,11 +15,10 @@ import (
 	"time"
 
 	"fanstore/internal/metrics"
-	"fanstore/internal/trace"
 	"fanstore/internal/tune"
 )
 
-// TuneSim parameterizes TraceEpochsTuned's knob-sensitive terms.
+// TuneSim parameterizes Scenario.Tune's knob-sensitive terms.
 type TuneSim struct {
 	// Cores bounds useful decode parallelism: workers beyond it add
 	// nothing (default 8). This is what makes "decode.workers" a knob
@@ -64,10 +62,10 @@ func (ts *TuneSim) defaults() {
 	}
 }
 
-// model returns the knob-dependent per-iteration terms: the composed
-// iteration time, the decode-queue wait one file observes, the
-// round-trip one batched fetch observes, and the batch count.
-func (ts TuneSim) model(c Config, workers, batch int) (iter, decodeWait, fetchBatch time.Duration, batches int) {
+// model returns the knob-dependent per-iteration terms: the I/O term
+// that replaces Config.IOTime, the decode-queue wait one file observes,
+// the round-trip one batched fetch observes, and the batch count.
+func (ts TuneSim) model(c Config, workers, batch int) (io, decodeWait, fetchBatch time.Duration, batches int) {
 	app := c.App
 	eff := workers
 	if eff > ts.Cores {
@@ -91,28 +89,19 @@ func (ts TuneSim) model(c Config, workers, batch int) (iter, decodeWait, fetchBa
 		// an oversized batch knob pays.
 		fetch = time.Duration(batches) * fetchBatch
 	}
-	io := decode + fetch
-	compute := c.ComputeTime()
-	iter = compute + io
-	if !app.Sync {
-		iter = compute
-		if io > compute {
-			iter = io
-		}
-	}
-	return iter, decodeWait, fetchBatch, batches
+	return decode + fetch, decodeWait, fetchBatch, batches
 }
 
 // TunedResult is the autotuning ablation's scorecard.
 type TunedResult struct {
 	// Wall is the tuned run's simulated wall time; StaticWall freezes
 	// the knobs at their starting values; BestWall runs the grid-swept
-	// hand-tuned knobs from epoch 0.
+	// hand-tuned knobs from epoch 0 — the same Scenario and skew all three.
 	Wall, StaticWall, BestWall time.Duration
 	// FinalEpoch is the sustained per-epoch time at the end of the
 	// tuned run — the median of the trailing quarter of EpochDurs, so
 	// one late guarded probe cannot misreport convergence; BestEpoch
-	// is the per-epoch time at the hand-tuned values. FinalEpoch <=
+	// is the last epoch's time at the hand-tuned values. FinalEpoch <=
 	// ~1.05*BestEpoch means the controller found the oracle's regime.
 	FinalEpoch, BestEpoch time.Duration
 	// The knob values: where the sweep's oracle sits and where the
@@ -131,59 +120,40 @@ type TunedResult struct {
 	BatchTrace   []int
 }
 
-// TraceEpochsTuned replays a training run with the autotuner in the
-// loop. Each epoch runs at the current knob values, emits the live
-// store's signal instruments — "decomp.queue.wait.latency" per file
-// wait, "fanstore.fetch.latency" per batch round trip — plus the usual
-// trainsim epoch/iteration instruments and spans, then ticks the
-// controller at the simulated clock; kept moves reshape the next
-// epoch. The controller's objective is iteration throughput
-// ("trainsim.iters" rate, tie-broken by "trainsim.iter.latency" p99).
-// The returned result also prices the static and hand-tuned runs so
-// callers get the full ablation from one call.
-func (c Config) TraceEpochsTuned(epochs, dataSize int, ts TuneSim, obs SimObserver) TunedResult {
-	ts.defaults()
-	if obs.Metrics == nil {
-		// The controller both reads signals from and registers tune.*
-		// instruments in a registry; a silent run still needs one.
-		obs.Metrics = metrics.NewRegistry()
-	}
-
-	iters := NumIters(1, dataSize, c.App.CBatch*c.Nodes)
-	if iters < 1 {
-		iters = 1
-	}
-
-	// The hand-tuned oracle: sweep both knobs over their power-of-2
-	// grids and keep the fastest iteration.
-	res := TunedResult{}
-	for w := 1; w <= 64; w *= 2 {
-		for b := 4; b <= 1024; b *= 2 {
-			it, _, _, _ := ts.model(c, w, b)
-			if res.BestEpoch == 0 || it < res.BestEpoch {
-				res.BestEpoch = it
-				res.BestWorkers, res.BestBatch = w, b
-			}
-		}
-	}
-	res.BestEpoch *= time.Duration(iters)
-	res.BestWall = time.Duration(epochs) * res.BestEpoch
-	staticIter, _, _, _ := ts.model(c, ts.DecodeWorkers, ts.BatchItems)
-	res.StaticWall = time.Duration(epochs) * time.Duration(iters) * staticIter
-
-	// Live knobs: plain variables closed over by the knob callbacks —
+// tuner is a Replay's Scenario.Tune part: each epoch runs at the current
+// knob values and emits the live store's signal instruments —
+// "decomp.queue.wait.latency" per file wait, "fanstore.fetch.latency"
+// per batch round trip — then the controller ticks at the simulated
+// clock and kept moves reshape the next epoch. Its objective is iteration
+// throughput ("trainsim.iters" rate, tie-broken by "trainsim.iter.latency"
+// p99). Every epoch is also priced at the frozen starting knobs and at the
+// hand-tuned oracle, so one replay yields the whole ablation.
+type tuner struct {
+	ts   TuneSim
+	ctrl *tune.Controller
+	// The live knobs: plain fields closed over by the knob callbacks —
 	// the replay and the controller tick on one goroutine.
-	workers := int64(ts.DecodeWorkers)
-	batch := int64(ts.BatchItems)
+	workers, batch      int64
+	waitHist, fetchHist *metrics.Histogram
+	res                 TunedResult
+}
+
+func newTuner(ts TuneSim, reg *metrics.Registry) *tuner {
+	ts.defaults()
+	t := &tuner{
+		ts: ts, workers: int64(ts.DecodeWorkers), batch: int64(ts.BatchItems),
+		waitHist:  reg.Histogram("decomp.queue.wait.latency"),
+		fetchHist: reg.Histogram("fanstore.fetch.latency"),
+	}
 	opts := ts.Controller
-	opts.Registry = obs.Metrics
+	opts.Registry = reg
 	opts.Knobs = []tune.Knob{
 		tune.StepKnob("decode.workers", 1, 64,
-			func() int64 { return workers },
-			func(v int64) { workers = v }),
+			func() int64 { return t.workers },
+			func(v int64) { t.workers = v }),
 		tune.StepKnob("batch.items", 4, 1024,
-			func() int64 { return batch },
-			func(v int64) { batch = v }),
+			func() int64 { return t.batch },
+			func(v int64) { t.batch = v }),
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = time.Millisecond
@@ -194,63 +164,60 @@ func (c Config) TraceEpochsTuned(epochs, dataSize int, ts TuneSim, obs SimObserv
 	if opts.ObjectiveLatency == "" {
 		opts.ObjectiveLatency = "trainsim.iter.latency"
 	}
-	ctrl := tune.New(opts)
+	t.ctrl = tune.New(opts)
+	t.ctrl.Tick(time.Unix(0, 0)) // simulated time zero: prime the sampler baseline
+	return t
+}
 
-	epochHist := obs.Metrics.Histogram("trainsim.epoch.latency")
-	iterHist := obs.Metrics.Histogram("trainsim.iter.latency")
-	waitHist := obs.Metrics.Histogram("decomp.queue.wait.latency")
-	fetchHist := obs.Metrics.Histogram("fanstore.fetch.latency")
-	epochCount := obs.Metrics.Counter("trainsim.epochs")
-	iterCount := obs.Metrics.Counter("trainsim.iters")
-
-	skew := obs.Skew
-	if skew <= 0 {
-		skew = 1
+// epoch returns the I/O term of one iteration at the current knobs,
+// having emitted the epoch's signals and booked it — at the current, the
+// starting and the oracle's knobs — with the engine's epochAt.
+func (t *tuner) epoch(cfg Config, iters int, epochAt func(io time.Duration) (iter, fill, dur time.Duration)) time.Duration {
+	io, wait, fetchBatch, batches := t.ts.model(cfg, int(t.workers), int(t.batch))
+	for i := 0; i < iters; i++ {
+		if wait > 0 {
+			t.waitHist.Observe(wait)
+		}
+		for j := 0; j < batches; j++ {
+			t.fetchHist.Observe(fetchBatch)
+		}
 	}
-	base := time.Unix(0, 0)
-	var now time.Duration
-	ctrl.Tick(base) // prime the sampler baseline before epoch 0
-	res.EpochDurs = make([]time.Duration, 0, epochs)
-	for e := 0; e < epochs; e++ {
-		iter, wait, fetchB, batches := ts.model(c, int(workers), int(batch))
-		iter = time.Duration(float64(iter) * skew)
-		epochDur := time.Duration(iters) * iter
-		compute := c.ComputeTime()
-		epochStall := epochDur - time.Duration(iters)*compute
-		if epochStall < 0 {
-			epochStall = 0
-		}
-
-		obs.Tracer.Record(trace.OpEpoch, "", trace.OutcomeNone, now, epochDur)
-		if epochStall > 0 {
-			obs.Tracer.Record(trace.OpWait, "", trace.OutcomeNone, now, epochStall)
-			obs.Tracer.Record(trace.OpCompute, "", trace.OutcomeNone, now+epochStall, epochDur-epochStall)
-		} else {
-			obs.Tracer.Record(trace.OpCompute, "", trace.OutcomeNone, now, epochDur)
-		}
-		epochHist.Observe(epochDur)
-		for i := 0; i < iters; i++ {
-			iterHist.Observe(iter)
-			if wait > 0 {
-				waitHist.Observe(wait)
-			}
-			for j := 0; j < batches; j++ {
-				fetchHist.Observe(fetchB)
+	epochWith := func(workers, batch int) time.Duration {
+		io, _, _, _ := t.ts.model(cfg, workers, batch)
+		_, _, dur := epochAt(io)
+		return dur
+	}
+	res := &t.res
+	res.EpochDurs = append(res.EpochDurs, epochWith(int(t.workers), int(t.batch)))
+	res.WorkersTrace = append(res.WorkersTrace, int(t.workers))
+	res.BatchTrace = append(res.BatchTrace, int(t.batch))
+	res.StaticWall += epochWith(t.ts.DecodeWorkers, t.ts.BatchItems)
+	// The hand-tuned oracle: sweep both knobs over their power-of-2
+	// grids and keep the fastest epoch.
+	res.BestEpoch = 0
+	for w := 1; w <= 64; w *= 2 {
+		for b := 4; b <= 1024; b *= 2 {
+			if d := epochWith(w, b); res.BestEpoch == 0 || d < res.BestEpoch {
+				res.BestEpoch = d
+				res.BestWorkers, res.BestBatch = w, b
 			}
 		}
-		epochCount.Inc()
-		iterCount.Add(int64(iters))
-		now += epochDur
-		res.EpochDurs = append(res.EpochDurs, epochDur)
-		res.WorkersTrace = append(res.WorkersTrace, int(workers))
-		res.BatchTrace = append(res.BatchTrace, int(batch))
-		ctrl.Tick(base.Add(now))
 	}
+	res.BestWall += res.BestEpoch
+	return io
+}
 
-	res.Wall = now
-	res.FinalWorkers, res.FinalBatch = int(workers), int(batch)
+// Tuned returns the scorecard of the epochs replayed so far (the zero
+// TunedResult without Scenario.Tune).
+func (r *Replay) Tuned() TunedResult {
+	if r.tuner == nil {
+		return TunedResult{}
+	}
+	res := r.tuner.res
+	res.Wall = r.now
+	res.FinalWorkers, res.FinalBatch = int(r.tuner.workers), int(r.tuner.batch)
 	res.FinalEpoch = trailingMedian(res.EpochDurs)
-	res.Moves, res.Reverts = ctrl.Moves(), ctrl.Reverts()
+	res.Moves, res.Reverts = r.tuner.ctrl.Moves(), r.tuner.ctrl.Reverts()
 	return res
 }
 

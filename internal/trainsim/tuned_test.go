@@ -66,13 +66,20 @@ const (
 	convergeSlack = 1.05
 )
 
+// runTuned replays the tuned ablation's epochs and returns its scorecard.
+func runTuned(cfg Config, ts TuneSim, obs SimObserver) TunedResult {
+	rp := cfg.NewReplay(tunedData, Scenario{Tune: &ts}, obs)
+	rp.Run(tunedEpochs)
+	return rp.Tuned()
+}
+
 // checkConverges runs the tuned replay and asserts the acceptance
 // criterion: from the mis-tuned start, the sustained epoch time lands
 // within 5% of the hand-tuned oracle, and the first crossing happens
 // within the convergence budget.
 func checkConverges(t *testing.T, cfg Config, ts TuneSim) TunedResult {
 	t.Helper()
-	res := cfg.TraceEpochsTuned(tunedEpochs, tunedData, ts, SimObserver{Metrics: metrics.NewRegistry()})
+	res := runTuned(cfg, ts, SimObserver{Metrics: metrics.NewRegistry()})
 	limit := time.Duration(float64(res.BestEpoch) * convergeSlack)
 	if res.FinalEpoch > limit {
 		t.Fatalf("did not converge: final epoch %v, hand-tuned %v (+5%% = %v); trace %v",
@@ -160,7 +167,7 @@ func TestTunedBalancedHolds(t *testing.T) {
 		DecodeWorkers: 4,
 		BatchItems:    32,
 	}
-	res := cfg.TraceEpochsTuned(tunedEpochs, tunedData, ts, SimObserver{Metrics: metrics.NewRegistry()})
+	res := runTuned(cfg, ts, SimObserver{Metrics: metrics.NewRegistry()})
 	if res.Moves != 0 || res.Reverts != 0 {
 		t.Fatalf("balanced profile moved: moves=%d reverts=%d", res.Moves, res.Reverts)
 	}
@@ -178,7 +185,7 @@ func TestTunedEmitsDecisionTrail(t *testing.T) {
 	reg := metrics.NewRegistry()
 	ev := obs.NewEventLog(0, 64)
 	ts.Controller.Events = ev
-	res := cfg.TraceEpochsTuned(tunedEpochs, tunedData, ts, SimObserver{Metrics: reg})
+	res := runTuned(cfg, ts, SimObserver{Metrics: reg})
 
 	snap := reg.Snapshot()
 	if got := snap.Counters["tune.moves"]; got != res.Moves {
@@ -217,7 +224,7 @@ func BenchmarkTunedEpochs(b *testing.B) {
 	cfg, ts := cpuBoundConfig()
 	var wall, final, best time.Duration
 	for i := 0; i < b.N; i++ {
-		res := cfg.TraceEpochsTuned(tunedEpochs, tunedData, ts, SimObserver{Metrics: metrics.NewRegistry()})
+		res := runTuned(cfg, ts, SimObserver{Metrics: metrics.NewRegistry()})
 		wall += res.Wall
 		final += res.FinalEpoch
 		best += res.BestEpoch
@@ -230,8 +237,49 @@ func BenchmarkStaticEpochs(b *testing.B) {
 	cfg, ts := cpuBoundConfig()
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
-		res := cfg.TraceEpochsTuned(tunedEpochs, tunedData, ts, SimObserver{Metrics: metrics.NewRegistry()})
+		res := runTuned(cfg, ts, SimObserver{Metrics: metrics.NewRegistry()})
 		wall += res.StaticWall
 	}
 	b.ReportMetric(float64(wall.Milliseconds())/float64(b.N), "wall-ms")
+}
+
+// TestTunedSkewStretchesIOOnly: SimObserver.Skew multiplies the I/O term,
+// under the tuner as everywhere else. A compute-bound async replay hides
+// the skewed I/O entirely; a synchronous one stretches by exactly the
+// I/O term at the knobs each epoch ran with.
+func TestTunedSkewStretchesIOOnly(t *testing.T) {
+	_, ts := cpuBoundConfig()
+	const epochs, dataSize = 8, 8192
+
+	async := Config{App: cluster.ResNet50, Clust: cluster.GTX, Nodes: 4, Ratio: 1, RemoteFrac: 0.75}
+	run := func(cfg Config, skew float64) TunedResult {
+		rp := cfg.NewReplay(dataSize, Scenario{Tune: &ts}, SimObserver{Skew: skew})
+		rp.Run(epochs)
+		return rp.Tuned()
+	}
+	healthy, skewed := run(async, 1), run(async, 100)
+	if healthy.Wall != skewed.Wall {
+		t.Errorf("compute-bound tuned replay: %v at Skew 1, %v at Skew 100 — the skew slowed compute", healthy.Wall, skewed.Wall)
+	}
+	if want := async.TrainTime(epochs, dataSize); healthy.Wall != want {
+		t.Errorf("compute-bound tuned replay ran %v, TrainTime says %v", healthy.Wall, want)
+	}
+
+	sync := Config{
+		App: cluster.SRGANonGTX, Clust: cluster.GTX, Nodes: 4,
+		Ratio: 2, DecompressPerFile: 300 * time.Microsecond, RemoteFrac: 0.75,
+	}
+	const skew = 3
+	res := run(sync, skew)
+	tuned := ts
+	tuned.defaults()
+	iters := NumIters(1, dataSize, sync.App.CBatch*sync.Nodes)
+	for e, got := range res.EpochDurs {
+		io, _, _, _ := tuned.model(sync, res.WorkersTrace[e], res.BatchTrace[e])
+		want := time.Duration(iters) * (sync.ComputeTime() + time.Duration(float64(io)*skew))
+		if got != want {
+			t.Errorf("epoch %d (workers=%d batch=%d): %v, want compute + %dx I/O = %v",
+				e, res.WorkersTrace[e], res.BatchTrace[e], got, skew, want)
+		}
+	}
 }
