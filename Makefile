@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race benchsmoke fuzzsmoke loc
+.PHONY: ci fmt vet test race benchsmoke fuzzsmoke soak loc
 
 ci: fmt vet race test fuzzsmoke benchsmoke
 
@@ -41,11 +41,17 @@ fuzzsmoke:
 		$(GO) test -run '^$$' -fuzz "^$$fuzz\$$" -fuzztime 5s "$$pkg" || exit 1; \
 	done
 
+# The long-running tests (build tag `soak`), outside ci: those that must
+# wait out a real protocol timeout, such as the survivors' Close after a
+# member died without saying bye (60 s).
+soak:
+	$(GO) test -tags soak -run Soak -timeout 10m ./internal/fanstore
+
 # Non-test Go lines of the directories the ROADMAP's simplicity
 # acceptances quote, so a PR compares `make loc` at parent and change
 # instead of counting by hand.
 loc:
-	@for d in internal/fanstore internal/rpc internal/mpi internal/prefetch \
-		internal/trainsim internal/experiments cmd; do \
+	@for d in internal/fanstore internal/member internal/rpc internal/mpi \
+		internal/prefetch internal/trainsim internal/experiments cmd; do \
 		printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done

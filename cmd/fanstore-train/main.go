@@ -57,7 +57,6 @@ func main() {
 		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON timeline of all ranks to this file")
 		report     = flag.Bool("report", false, "print the cluster-wide aggregated I/O report after training")
 		statsJSON  = flag.Bool("stats-json", false, "emit the final merged registry snapshot as one JSON object on stdout")
-		redun      = flag.String("redundancy", "", "accepted for symmetry with fanstore-daemon; ec(k,m) needs an elastic mount")
 		opsAddr    = flag.String("ops-addr", "", "serve live HTTP ops endpoints (/metrics /varz /series /healthz /statusz /trace /events); rank r listens on port+r (empty disables)")
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 polls every rank's registry at this period and flags stragglers mid-run (0 disables)")
 		layers     = flag.Int("layers", 0, "pack every file as a progressive layered container with this many layers (0: classic single-layer objects)")
@@ -73,12 +72,6 @@ func main() {
 	}
 	if len(sched) > 0 && *layers < 2 {
 		log.Fatal("-fidelity needs -layers >= 2 (there is only one fidelity without layers)")
-	}
-
-	if red, err := fanstore.ParseRedundancy(*redun); err != nil {
-		log.Fatal(err)
-	} else if red.Mode == fanstore.RedundancyEC {
-		log.Fatal("-redundancy ec(k,m) needs an elastic mount; use fanstore-daemon -members with -redundancy instead")
 	}
 
 	kind, ok := kindByName(*dsName)

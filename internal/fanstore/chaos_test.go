@@ -13,6 +13,7 @@ import (
 	"fanstore/internal/dataset"
 	"fanstore/internal/member"
 	"fanstore/internal/mpi"
+	"fanstore/internal/obs"
 )
 
 // Chaos-test choreography tags (see elastic_test.go for 555/556).
@@ -409,6 +410,130 @@ func TestLeaveWithDeadDestinationFailsLoudly(t *testing.T) {
 			}
 			return node.Close()
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChaosECRepairEvent pins the ec-repair event: after a rank of an
+// ec(2,1) cluster is killed and marked dead, every node the repair commit
+// made an owner re-encodes and re-scatters the shards of what it took
+// over and reports that batch with exactly one ec-repair event; nodes
+// that took nothing over, and the mount's initial placement, report none.
+func TestChaosECRepairEvent(t *testing.T) {
+	const (
+		world      = 4
+		victimRank = 2
+	)
+	bundle, _ := buildBundle(t, dataset.ImageNet, 16, 2*world, 2<<10, nil)
+	repairEvents := func(n *Node) int {
+		count := 0
+		for _, ev := range n.Events().Events() {
+			if ev.Kind == obs.EvECRepair {
+				count++
+			}
+		}
+		return count
+	}
+	err := mpi.Run(world, func(c *mpi.Comm) error {
+		opts := ElasticOptions{
+			Options: Options{
+				CacheBytes:   1 << 20,
+				FetchTimeout: 200 * time.Millisecond,
+				Redundancy:   Redundancy{Mode: RedundancyEC, K: 2, M: 1},
+				Events:       obs.NewEventLog(c.Rank(), 0),
+			},
+			PullTimeout: 2 * time.Second,
+		}
+		node, err := MountElastic(c, [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}, opts)
+		if err != nil {
+			return err
+		}
+		// Nobody may die until every member's shard pushes have landed.
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if got := repairEvents(node); got != 0 {
+			return fmt.Errorf("rank %d: the initial placement reported %d ec-repair events", c.Rank(), got)
+		}
+		var frame [4]byte
+		if c.Rank() == victimRank {
+			binary.LittleEndian.PutUint32(frame[:], uint32(node.ID()))
+			node.FailStop()
+			if err := c.Send(0, tagTestKilled, frame[:]); err != nil {
+				return err
+			}
+			_, _, err := c.Recv(0, tagTestRelease)
+			return err
+		}
+		defer node.Close()
+
+		survivors := []int{1, 3}
+		if c.Rank() == 0 {
+			data, _, err := c.Recv(victimRank, tagTestKilled)
+			if err != nil {
+				return err
+			}
+			if err := node.MarkDead(member.NodeID(int32(binary.LittleEndian.Uint32(data)))); err != nil {
+				return err
+			}
+			for _, r := range survivors {
+				if err := c.Send(r, tagTestRepaired, data); err != nil {
+					return err
+				}
+			}
+			copy(frame[:], data)
+		} else {
+			data, _, err := c.Recv(0, tagTestRepaired)
+			if err != nil {
+				return err
+			}
+			copy(frame[:], data)
+		}
+		victim := member.NodeID(int32(binary.LittleEndian.Uint32(frame[:])))
+		if err := awaitCond("the repair commit", func() bool { return ownedBy(node, victim) == 0 }); err != nil {
+			return fmt.Errorf("rank %d: %w", c.Rank(), err)
+		}
+
+		// A gid carries the node that mounted the partition: what this
+		// node holds of the victim's, the commit just made it the owner of.
+		tookOver := 0
+		node.mu.RLock()
+		for gid := range node.parts {
+			if member.NodeID(gid>>32)-1 == victim {
+				tookOver++
+			}
+		}
+		node.mu.RUnlock()
+		wantEvents := min(tookOver, 1)
+		if wantEvents == 1 {
+			// The re-push runs behind the commit and reports when it is done.
+			if err := awaitCond("the ec-repair event", func() bool { return repairEvents(node) >= 1 }); err != nil {
+				return fmt.Errorf("rank %d took over %d partitions: %w", c.Rank(), tookOver, err)
+			}
+		}
+		if got := repairEvents(node); got != wantEvents {
+			return fmt.Errorf("rank %d took over %d partitions and reported %d ec-repair events, want %d",
+				c.Rank(), tookOver, got, wantEvents)
+		}
+
+		// The coordinator checks the victim's partitions all found an owner.
+		binary.LittleEndian.PutUint32(frame[:], uint32(tookOver))
+		if c.Rank() != 0 {
+			return c.Send(0, tagTestApplied, frame[:])
+		}
+		for range survivors {
+			data, _, err := c.Recv(mpi.AnySource, tagTestApplied)
+			if err != nil {
+				return err
+			}
+			tookOver += int(binary.LittleEndian.Uint32(data))
+		}
+		if tookOver != 2 {
+			return fmt.Errorf("survivors took over %d of the victim's 2 partitions", tookOver)
+		}
+		return c.Send(victimRank, tagTestRelease, nil)
 	})
 	if err != nil {
 		t.Fatal(err)

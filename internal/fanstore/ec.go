@@ -70,6 +70,18 @@ func (r Redundancy) String() string {
 	return "replicate"
 }
 
+// code validates the redundancy selection and returns the erasure code
+// of an ec(k,m) mount (nil when replicating).
+func (r Redundancy) code(elastic bool) (*ec.Code, error) {
+	if r.Mode != RedundancyEC {
+		return nil, nil
+	}
+	if !elastic {
+		return nil, fmt.Errorf("fanstore: ec redundancy requires an elastic mount (static mounts replicate)")
+	}
+	return ec.New(r.K, r.M)
+}
+
 // ecShard is one erasure shard held for a peer's partition.
 type ecShard struct {
 	hdr  pack.ShardHeader
@@ -220,36 +232,35 @@ func (n *Node) ecStoreShard(sh pack.Shard) {
 	n.ec.mu.Unlock()
 }
 
-// ecPushShards encodes and scatters the shards of every partition this
-// node owns, under the current map. Called at mount (initial placement)
-// and after a repair commit re-homes partitions (countRepair: the
-// pushed bytes count into ec.repair.bytes — this is the re-encode that
-// restores full redundancy after a loss).
-func (n *Node) ecPushShards(countRepair bool) error {
-	if n.ec == nil {
-		return nil
-	}
-	n.mu.RLock()
-	parts := make([]*nodePart, 0, len(n.parts))
-	for _, p := range n.parts {
-		parts = append(parts, p)
-	}
-	n.mu.RUnlock()
-	sort.Slice(parts, func(i, j int) bool { return parts[i].gid < parts[j].gid })
-	cm := n.view.Map()
+// ecPushParts encodes and scatters the shards of the given partitions
+// this node owns, under map cm: every partition it mounted with (the
+// initial placement), or the ones a commit just made it the owner of
+// (repair: the re-encode that restores full m-loss redundancy after a
+// loss or move — shards the dead node held are regenerated; the pushed
+// bytes count into ec.repair.bytes and the batch reports one event). A
+// partition handed off again before its push ran is skipped.
+func (n *Node) ecPushParts(cm *member.ClusterMap, gids []uint64, repair bool) error {
 	var lastErr error
-	for _, p := range parts {
-		if err := n.ecPushPartition(cm, p, countRepair); err != nil {
+	pushed := 0
+	for _, gid := range gids {
+		n.mu.RLock()
+		p := n.parts[gid]
+		n.mu.RUnlock()
+		if p == nil {
+			continue
+		}
+		pushed++
+		if err := n.ecPushPartition(cm, p, repair); err != nil {
 			lastErr = err
 		}
 	}
-	if countRepair && len(parts) > 0 && n.events.Enabled() {
+	if repair && pushed > 0 && n.events.Enabled() {
 		if lastErr != nil {
 			n.events.Emitf(obs.EvECRepair, obs.SevError,
-				"re-encoded shards for %d partitions under map v%d; incomplete: %v", len(parts), cm.Version, lastErr)
+				"re-encoded shards for %d partitions under map v%d; incomplete: %v", pushed, cm.Version, lastErr)
 		} else {
 			n.events.Emitf(obs.EvECRepair, obs.SevInfo,
-				"re-encoded and re-scattered shards for %d partitions under map v%d", len(parts), cm.Version)
+				"re-encoded and re-scattered shards for %d partitions under map v%d", pushed, cm.Version)
 		}
 	}
 	return lastErr

@@ -85,10 +85,9 @@ type partRec struct {
 type coordState struct {
 	registry map[uint64]*partRec
 	// One rebalance runs at a time; later joins/leaves queue.
-	active  *rebalanceJob
-	queue   []*rebalanceJob
-	byes    map[member.NodeID]bool
-	closing bool
+	active *rebalanceJob
+	queue  []*rebalanceJob
+	byes   map[member.NodeID]bool
 }
 
 // maxJobAttempts bounds how many dispatch rounds one rebalance job may
@@ -111,19 +110,20 @@ type rebalanceJob struct {
 // listener, commit signaling, and (on the coordinator) the rebalance
 // state machine.
 type elasticCtrl struct {
-	n         *Node
-	mem       *member.Membership
-	coordRank int
-	opts      ElasticOptions
+	n    *Node
+	mem  *member.Membership
+	opts ElasticOptions
 
-	wg sync.WaitGroup // ctrl loop
+	// done is nil until the ctrl loop is started and closed when it
+	// returns — on a poison pill, on the coordinator's bye ack (on the
+	// coordinator: on the last member's bye), or with the world.
+	done chan struct{}
 
 	mu      sync.Mutex
 	waiters []*commitWaiter
 	coord   *coordState // nil on non-coordinators
 
-	drained chan byte     // drain-ack status from the coordinator (1: fully drained)
-	byeAck  chan struct{} // closed when the coordinator acks shutdown
+	drained chan byte // drain-ack status from the coordinator (1: fully drained)
 
 	rebalBytes   *metrics.Counter
 	rebalPending *metrics.Gauge
@@ -135,19 +135,17 @@ type commitWaiter struct {
 	ch         chan struct{}
 }
 
-func newElasticCtrl(n *Node, mem *member.Membership, coordRank int, opts ElasticOptions) *elasticCtrl {
+func newElasticCtrl(n *Node, opts ElasticOptions) *elasticCtrl {
 	e := &elasticCtrl{
 		n:            n,
-		mem:          mem,
-		coordRank:    coordRank,
+		mem:          n.mem,
 		opts:         opts,
 		drained:      make(chan byte, 1),
-		byeAck:       make(chan struct{}),
 		rebalBytes:   n.reg.Counter("rebalance.bytes.moved"),
 		rebalPending: n.reg.Gauge("rebalance.partitions.pending"),
 		jobsFailed:   n.reg.Counter("rebalance.jobs.failed"),
 	}
-	if mem.IsCoordinator() {
+	if e.mem.IsCoordinator() {
 		e.coord = &coordState{
 			registry: make(map[uint64]*partRec),
 			byes:     make(map[member.NodeID]bool),
@@ -180,198 +178,175 @@ func MountElastic(comm *mpi.Comm, partitions [][]byte, opts ElasticOptions) (*No
 			return nil, err
 		}
 	}
-	n, err := newNode(comm, mem.View(), mem.ID(), true, opts.Options)
+	n, err := newNode(comm, mem, opts.Options)
 	if err != nil {
 		mem.Close()
 		return nil, err
 	}
-	n.mem = mem
-	mem.SetEvents(opts.Events)
-	e := newElasticCtrl(n, mem, coordRank, opts)
-	n.ectrl = e
+	n.ectrl = newElasticCtrl(n, opts)
+	if err := n.ectrl.mount(partitions, members); err != nil {
+		_ = n.stop()
+		return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
+	}
+	return n, nil
+}
 
+// mount is the elastic mount's load and its exchange through the
+// coordinator star; it starts the ctrl loop once the table is in place.
+func (e *elasticCtrl) mount(partitions [][]byte, members int) error {
+	n, mem, comm := e.n, e.mem, e.n.comm
 	// Load this rank's partitions under cluster-unique gids.
-	var localMetas []FileMeta
 	var localParts []*partRec
+	gids := make([]uint64, len(partitions))
 	for i, blob := range partitions {
 		// +1 keeps every gid nonzero, so FileMeta.PartGID == 0 can mean
 		// "not in any partition" (written files, static mounts).
-		gid := uint64(mem.ID()+1)<<32 | uint64(i)
-		metas, err := n.loadPartitionGID(gid, blob)
+		gids[i] = uint64(mem.ID()+1)<<32 | uint64(i)
+		metas, err := n.loadPartitionGID(gids[i], blob)
 		if err != nil {
-			mem.Close()
-			return nil, err
+			return err
 		}
-		localMetas = append(localMetas, metas...)
-		localParts = append(localParts, &partRec{gid: gid, size: int64(len(blob)), owner: mem.ID(), metas: metas})
+		localParts = append(localParts, &partRec{gid: gids[i], size: int64(len(blob)), owner: mem.ID(), metas: metas})
 	}
 
+	var deferred []ctrlFrame
 	if mem.IsCoordinator() {
 		// Gather the other initial members' inventories, merge, reply
 		// with the full table. Frames that are not registrations (an
 		// eager joiner racing the mount) are deferred to the ctrl loop.
-		for _, rec := range localParts {
-			e.coord.registry[rec.gid] = rec
-		}
-		for i := range localMetas {
-			n.addMeta(localMetas[i])
-		}
-		var deferred []ctrlFrame
+		e.adopt(localParts)
 		seen := 0
 		for seen < members-1 {
 			data, src, err := comm.Recv(mpi.AnySource, tagCtrl)
 			if err != nil {
-				mem.Close()
-				return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
+				return err
 			}
 			if len(data) == 0 || data[0] != ctrlRegister {
 				deferred = append(deferred, ctrlFrame{data: data, src: src})
 				continue
 			}
-			recs, metas, err := decodeRegister(data[1:])
+			recs, err := decodeRegister(data[1:])
 			if err != nil {
-				mem.Close()
-				return nil, fmt.Errorf("fanstore: rank %d registration: %w", src, err)
+				return fmt.Errorf("rank %d registration: %w", src, err)
 			}
-			for _, rec := range recs {
-				e.coord.registry[rec.gid] = rec
-			}
-			for i := range metas {
-				n.addMeta(metas[i])
-			}
+			e.adopt(recs)
 			seen++
 		}
 		table := e.encodeTable()
 		for r := 1; r < members; r++ {
 			if err := comm.Send(r, tagCtrl, table); err != nil {
-				mem.Close()
-				return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
+				return err
 			}
 		}
-		e.wg.Add(1)
-		go e.ctrlLoop(deferred)
 	} else {
-		reg := encodeRegister(mem.ID(), localParts)
-		if err := comm.Send(coordRank, tagCtrl, reg); err != nil {
-			mem.Close()
-			return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
+		if err := comm.Send(mem.CoordRank(), tagCtrl, encodeRegister(mem.ID(), localParts)); err != nil {
+			return err
 		}
-		data, _, err := comm.Recv(coordRank, tagCtrl)
-		if err != nil || len(data) == 0 || data[0] != ctrlTable {
-			mem.Close()
-			return nil, fmt.Errorf("fanstore: elastic mount: bad table frame (%v)", err)
+		if err := e.recvTable(); err != nil {
+			return err
 		}
-		metas, err := decodeMetas(data[1:])
-		if err != nil {
-			mem.Close()
-			return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-		}
-		for i := range metas {
-			n.addMeta(metas[i])
-		}
-		e.wg.Add(1)
-		go e.ctrlLoop(nil)
 	}
-
-	n.daemon.Add(1)
-	go n.server.Serve()
-	go n.serveWriteMeta()
+	e.start(deferred)
 
 	if n.ec != nil {
 		// Initial shard placement: every owner splits its partitions into
 		// k+m erasure shards and scatters them under the initial-member
-		// map. Non-coordinators sync their view first — admission
-		// broadcasts may still be in flight, but by table time every
-		// initial member has registered, so the synced map is complete.
-		// Each rank's own server is already serving, so the cross-pushes
-		// cannot deadlock: requests queue in mailboxes until every peer
-		// reaches its serve loop.
-		if !mem.IsCoordinator() {
-			if _, err := mem.Sync(); err != nil {
-				return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
-			}
+		// map. Members sync their view first — admission broadcasts may
+		// still be in flight, but by table time every initial member has
+		// registered, so the synced map is complete. Every rank's server
+		// has been serving since newNode, so the cross-pushes cannot
+		// deadlock.
+		if _, err := mem.Sync(); err != nil {
+			return err
 		}
-		if err := n.ecPushShards(false); err != nil {
-			return nil, fmt.Errorf("fanstore: elastic mount: shard placement: %w", err)
+		if err := n.ecPushParts(n.view.Map(), gids, false); err != nil {
+			return fmt.Errorf("shard placement: %w", err)
 		}
 	}
-	return n, nil
+	return nil
+}
+
+// adopt enters a member's partition inventory into the coordinator's
+// registry and namespace.
+func (e *elasticCtrl) adopt(recs []*partRec) {
+	for _, rec := range recs {
+		e.coord.registry[rec.gid] = rec
+		for i := range rec.metas {
+			e.n.addMeta(rec.metas[i])
+		}
+	}
+}
+
+// recvTable installs the coordinator's answer to a registration or a
+// join announcement: the full metadata table.
+func (e *elasticCtrl) recvTable() error {
+	data, _, err := e.n.comm.Recv(e.mem.CoordRank(), tagCtrl)
+	if err != nil || len(data) == 0 || data[0] != ctrlTable {
+		return fmt.Errorf("bad table frame (%v)", err)
+	}
+	metas, err := decodeMetas(data[1:])
+	if err != nil {
+		return err
+	}
+	for i := range metas {
+		e.n.addMeta(metas[i])
+	}
+	return nil
 }
 
 // JoinCluster admits this rank to a running elastic cluster: membership
 // join, metadata table download, and the triggered delta rebalance. It
 // returns once the rebalance commit lands, so the returned node already
-// owns its share of the partitions and the map version has advanced.
+// owns its share of the partitions and the map version has advanced. A
+// join that fails at any step after admission leaves the map again
+// (best-effort: member requests are deadline-bounded, so a dead
+// coordinator cannot wedge the exit) — a failed join must leak neither
+// goroutines nor a ghost member that future rebalances would target.
 func JoinCluster(comm *mpi.Comm, coordRank int, opts ElasticOptions) (*Node, error) {
 	mem, err := member.Join(comm, coordRank)
 	if err != nil {
 		return nil, err
 	}
-	joinedVersion := mem.View().Version()
-	n, err := newNode(comm, mem.View(), mem.ID(), true, opts.Options)
+	admitted := mem.View().Version()
+	n, err := newNode(comm, mem, opts.Options)
 	if err != nil {
-		mem.Close()
-		return nil, err
-	}
-	n.mem = mem
-	mem.SetEvents(opts.Events)
-	e := newElasticCtrl(n, mem, coordRank, opts)
-	n.ectrl = e
-
-	// Announce; the coordinator replies with the table, then plans the
-	// rebalance. The fetch daemon must be serving before the table
-	// arrives — move pulls may target this node immediately after.
-	n.daemon.Add(1)
-	go n.server.Serve()
-	go n.serveWriteMeta()
-
-	var req [5]byte
-	req[0] = ctrlJoin
-	binary.LittleEndian.PutUint32(req[1:], uint32(mem.ID()))
-	if err := comm.Send(coordRank, tagCtrl, req[:]); err != nil {
-		mem.Close()
-		return nil, fmt.Errorf("fanstore: join: %w", err)
-	}
-	data, _, err := comm.Recv(coordRank, tagCtrl)
-	if err != nil || len(data) == 0 || data[0] != ctrlTable {
-		mem.Close()
-		return nil, fmt.Errorf("fanstore: join: bad table frame (%v)", err)
-	}
-	metas, err := decodeMetas(data[1:])
-	if err != nil {
-		mem.Close()
-		return nil, fmt.Errorf("fanstore: join: %w", err)
-	}
-	for i := range metas {
-		n.addMeta(metas[i])
-	}
-	wait := e.addWaiter(joinedVersion + 1)
-	e.wg.Add(1)
-	go e.ctrlLoop(nil)
-
-	// The join rebalance always ends in a commit (even a no-move one),
-	// whose version is strictly above the admission version.
-	select {
-	case <-wait:
-	case <-time.After(60 * time.Second):
-		// Tear the half-joined node down: stop the ctrl loop, leave the
-		// map best-effort (member requests are deadline-bounded, so a
-		// dead coordinator cannot re-wedge us), and shut the local
-		// daemons down — a failed join must leak neither goroutines nor
-		// a ghost member that future rebalances would target.
-		n.closed.Store(true)
-		_ = comm.Send(comm.Rank(), tagCtrl, nil) // poison the ctrl loop
-		e.wg.Wait()
 		_ = mem.Leave()
 		mem.Close() // idempotent when Leave already closed
-		n.server.Stop()
-		_ = comm.Send(comm.Rank(), tagWriteMeta, nil)
-		n.daemon.Wait()
-		n.decode.Close()
-		_ = n.backend.Close()
-		return nil, fmt.Errorf("fanstore: join: rebalance commit did not arrive")
+		return nil, err
+	}
+	n.ectrl = newElasticCtrl(n, opts)
+	if err := n.ectrl.join(admitted); err != nil {
+		_ = mem.Leave()
+		_ = n.stop()
+		return nil, fmt.Errorf("fanstore: join: %w", err)
 	}
 	return n, nil
+}
+
+// join announces this node to the coordinator, which replies with the
+// table and then plans the rebalance — move pulls may target this node
+// immediately after, which its fetch daemon (serving since newNode) and
+// the ctrl loop started here answer. The join rebalance always ends in a
+// commit (even a no-move one) whose version is strictly above the
+// admission version.
+func (e *elasticCtrl) join(admitted uint64) error {
+	var req [5]byte
+	req[0] = ctrlJoin
+	binary.LittleEndian.PutUint32(req[1:], uint32(e.mem.ID()))
+	if err := e.n.comm.Send(e.mem.CoordRank(), tagCtrl, req[:]); err != nil {
+		return err
+	}
+	if err := e.recvTable(); err != nil {
+		return err
+	}
+	wait := e.addWaiter(admitted + 1)
+	e.start(nil)
+	select {
+	case <-wait:
+		return nil
+	case <-time.After(60 * time.Second):
+		return fmt.Errorf("rebalance commit did not arrive")
+	}
 }
 
 // addWaiter registers a channel closed by the first commit at or above
@@ -408,12 +383,34 @@ type ctrlFrame struct {
 	src  int
 }
 
+// start launches the ctrl loop, first replaying the frames a mount
+// exchange received ahead of it.
+func (e *elasticCtrl) start(deferred []ctrlFrame) {
+	e.done = make(chan struct{})
+	go e.ctrlLoop(deferred)
+}
+
+// stopLoop ends the ctrl loop if it was started and has not already
+// returned (after a bye ack it has): a self-addressed pill nobody
+// receives would stay queued in this rank's mailbox.
+func (e *elasticCtrl) stopLoop() {
+	if e.done == nil {
+		return
+	}
+	select {
+	case <-e.done:
+	default:
+		_ = e.n.comm.Send(e.n.comm.Rank(), tagCtrl, nil)
+		<-e.done
+	}
+}
+
 // ctrlLoop is the per-node control listener. On the coordinator it is
 // also the rebalance state machine: joins and leaves arrive here, move
 // acks advance the active job, and the commit is cut here, so every map
 // mutation observed by the data plane is totally ordered.
 func (e *elasticCtrl) ctrlLoop(deferred []ctrlFrame) {
-	defer e.wg.Done()
+	defer close(e.done)
 	for _, f := range deferred {
 		if e.handleCtrl(f.data, f.src) {
 			return
@@ -433,7 +430,7 @@ func (e *elasticCtrl) ctrlLoop(deferred []ctrlFrame) {
 // handleCtrl dispatches one control frame; true means the loop is done.
 func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 	if len(data) == 0 {
-		return true // poison pill (leaver teardown)
+		return true // poison pill (stopLoop)
 	}
 	switch data[0] {
 	case ctrlJoin:
@@ -475,7 +472,6 @@ func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
 		return e.noteBye(id)
 	case ctrlByeAck:
-		close(e.byeAck)
 		return true
 	case ctrlDrained:
 		// Status byte: 1 means every partition left this node. The send
@@ -699,11 +695,11 @@ func (e *elasticCtrl) pullPartition(gid uint64, from member.NodeID) {
 	if ok {
 		frame[9] = 1
 	}
-	if e.coordRank == e.n.comm.Rank() {
+	if e.mem.IsCoordinator() {
 		e.moveFinished(gid, ok)
 		return
 	}
-	_ = e.n.comm.Send(e.coordRank, tagCtrl, frame)
+	_ = e.n.comm.Send(e.mem.CoordRank(), tagCtrl, frame)
 }
 
 // moveFinished records one transfer ack; the last one cuts the commit.
@@ -897,24 +893,10 @@ func (e *elasticCtrl) applyCommit(cm *member.ClusterMap, transfers []transfer, m
 			// post-commit map, restoring full m-loss redundancy (shards
 			// previously held by the dead node are regenerated). Async —
 			// reads are already healthy, only redundancy is catching up.
-			go e.repushShards(cm, takenOver)
+			go e.n.ecPushParts(cm, takenOver, true)
 		}
 	}
 	e.signalWaiters()
-}
-
-// repushShards re-places the erasure shards of partitions this node
-// just took ownership of. The pushed bytes count into ec.repair.bytes —
-// this is the traffic that restores redundancy after a loss or move.
-func (e *elasticCtrl) repushShards(cm *member.ClusterMap, gids []uint64) {
-	for _, gid := range gids {
-		e.n.mu.RLock()
-		p := e.n.parts[gid]
-		e.n.mu.RUnlock()
-		if p != nil {
-			_ = e.n.ecPushPartition(cm, p, true)
-		}
-	}
 }
 
 // noteBye records a member's shutdown intent; once every alive member
@@ -936,38 +918,24 @@ func (e *elasticCtrl) noteBye(id member.NodeID) bool {
 		}
 		_ = e.n.comm.Send(node.Rank, tagCtrl, []byte{ctrlByeAck})
 	}
-	close(e.byeAck)
 	return true
 }
 
-// closeElastic is the elastic Node.Close: a bye/ack handshake through
-// the coordinator replaces the static barrier (only members may
-// participate, and the world stays up for them), then the local
-// daemons shut down exactly like the static path.
-func (n *Node) closeElastic() error {
-	e := n.ectrl
+// sayBye is Close's handshake on an elastic node: a bye/ack exchange
+// through the coordinator replaces the static barrier (only members may
+// participate, and the world stays up for them). The coordinator's own
+// bye goes through its ctrl loop like any other. What ends the wait ends
+// the ctrl loop: a member's ack, the coordinator's last collected bye.
+func (e *elasticCtrl) sayBye() {
 	var bye [5]byte
 	bye[0] = ctrlBye
-	binary.LittleEndian.PutUint32(bye[1:], uint32(n.selfID))
-	if e.mem.IsCoordinator() {
-		// The coordinator's own bye goes through its ctrl loop like any
-		// other, keeping the all-byes count in one place.
-		_ = n.comm.Send(n.comm.Rank(), tagCtrl, bye[:])
-	} else {
-		_ = n.comm.Send(e.coordRank, tagCtrl, bye[:])
-	}
+	binary.LittleEndian.PutUint32(bye[1:], uint32(e.n.selfID))
+	_ = e.n.comm.Send(e.mem.CoordRank(), tagCtrl, bye[:])
 	select {
-	case <-e.byeAck:
+	case <-e.done:
 	case <-time.After(60 * time.Second):
 		// A peer died without saying bye; shut down anyway.
 	}
-	e.wg.Wait()
-	e.mem.Close()
-	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
-	n.decode.Close()
-	return n.backend.Close()
 }
 
 // LeaveCluster drains this node out of the cluster and shuts it down:
@@ -978,54 +946,49 @@ func (n *Node) closeElastic() error {
 // LeaveCluster returns an error and the node stays a serving member;
 // the caller may retry.
 func (n *Node) LeaveCluster() error {
+	if n.ectrl == nil {
+		return fmt.Errorf("fanstore: LeaveCluster on a static mount")
+	}
 	if n.closed.Swap(true) {
 		return nil
 	}
-	e := n.ectrl
-	if e == nil {
-		return fmt.Errorf("fanstore: LeaveCluster on a static mount")
+	if err := n.ectrl.drain(); err != nil {
+		n.closed.Store(false) // still a serving member
+		return err
 	}
+	return n.stop()
+}
+
+// drain is LeaveCluster's handshake: have the coordinator re-home this
+// node's partitions, then leave the map.
+func (e *elasticCtrl) drain() error {
 	if e.mem.IsCoordinator() {
-		n.closed.Store(false)
 		return fmt.Errorf("fanstore: the coordinator cannot leave; Close the cluster instead")
 	}
 	var req [5]byte
 	req[0] = ctrlLeave
-	binary.LittleEndian.PutUint32(req[1:], uint32(n.selfID))
-	if err := n.comm.Send(e.coordRank, tagCtrl, req[:]); err != nil {
-		n.closed.Store(false)
+	binary.LittleEndian.PutUint32(req[1:], uint32(e.n.selfID))
+	if err := e.n.comm.Send(e.mem.CoordRank(), tagCtrl, req[:]); err != nil {
 		return fmt.Errorf("fanstore: leave: %w", err)
 	}
-	var status byte
 	select {
-	case status = <-e.drained:
+	case status := <-e.drained:
+		if status != 1 {
+			// Some partitions could not be re-homed; this node holds the
+			// only copy, so it must stay a serving member.
+			return fmt.Errorf("fanstore: leave: drain failed; this node still owns partitions")
+		}
 	case <-time.After(60 * time.Second):
-		n.closed.Store(false)
 		return fmt.Errorf("fanstore: leave: drain did not complete")
 	}
-	if status != 1 {
-		// Some partitions could not be re-homed; this node holds the
-		// only copy, so it must stay a serving member. The caller may
-		// retry the leave.
-		n.closed.Store(false)
-		return fmt.Errorf("fanstore: leave: drain failed; this node still owns partitions")
-	}
 	if err := e.mem.Leave(); err != nil {
-		n.closed.Store(false)
 		return err
 	}
-	if n.events.Enabled() {
-		n.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
-			"member %v drained and left the cluster", n.selfID)
+	if e.n.events.Enabled() {
+		e.n.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
+			"member %v drained and left the cluster", e.n.selfID)
 	}
-	// Unblock the ctrl loop (it has no ByeAck coming) and tear down.
-	_ = n.comm.Send(n.comm.Rank(), tagCtrl, nil)
-	e.wg.Wait()
-	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
-	n.decode.Close()
-	return n.backend.Close()
+	return nil
 }
 
 // RebalancePending reports the coordinator's outstanding transfer count
@@ -1083,21 +1046,9 @@ func (n *Node) MarkDead(id member.NodeID) error {
 // return from mpi.Run), but no cluster-visible goodbye is sent — the
 // survivors must detect the death and MarkDead it.
 func (n *Node) FailStop() {
-	if n.closed.Swap(true) {
-		return
+	if !n.closed.Swap(true) {
+		_ = n.stop()
 	}
-	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagCtrl, nil) // poison the ctrl loop
-	if n.ectrl != nil {
-		n.ectrl.wg.Wait()
-	}
-	if n.mem != nil {
-		n.mem.Close()
-	}
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
-	n.decode.Close()
-	_ = n.backend.Close()
 }
 
 // encodeTable frames the full metadata table (coordinator's view).
@@ -1136,35 +1087,37 @@ func encodeRegister(id member.NodeID, parts []*partRec) []byte {
 	return out
 }
 
-func decodeRegister(src []byte) ([]*partRec, []FileMeta, error) {
+func decodeRegister(src []byte) ([]*partRec, error) {
 	if len(src) < 8 {
-		return nil, nil, errors.New("fanstore: register frame truncated")
+		return nil, errors.New("fanstore: register frame truncated")
 	}
 	id := member.NodeID(int32(binary.LittleEndian.Uint32(src)))
 	nParts := int(binary.LittleEndian.Uint32(src[4:]))
 	off := 8
+	// The declared count is untrusted; refuse what the frame cannot hold.
+	if nParts > (len(src)-off)/20 {
+		return nil, errors.New("fanstore: register frame truncated")
+	}
 	recs := make([]*partRec, 0, nParts)
-	var all []FileMeta
 	for i := 0; i < nParts; i++ {
 		if off+20 > len(src) {
-			return nil, nil, errors.New("fanstore: register frame truncated")
+			return nil, errors.New("fanstore: register frame truncated")
 		}
 		gid := binary.LittleEndian.Uint64(src[off:])
 		size := int64(binary.LittleEndian.Uint64(src[off+8:]))
 		ml := int(binary.LittleEndian.Uint32(src[off+16:]))
 		off += 20
 		if off+ml > len(src) {
-			return nil, nil, errors.New("fanstore: register frame truncated")
+			return nil, errors.New("fanstore: register frame truncated")
 		}
 		metas, err := decodeMetas(src[off : off+ml])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		off += ml
 		recs = append(recs, &partRec{gid: gid, size: size, owner: id, metas: metas})
-		all = append(all, metas...)
 	}
-	return recs, all, nil
+	return recs, nil
 }
 
 // encodeCommit frames a rebalance commit:

@@ -452,3 +452,32 @@ func TestVanishedObjectBoundsRefreshLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVanishedObjectOnStaticMount is the identity-map half of the test
+// above: a static mount diagnoses a ghost record as ErrVanished through
+// the same path, and since its map never moves the diagnosis costs no
+// map refresh at all.
+func TestVanishedObjectOnStaticMount(t *testing.T) {
+	bundle, _ := buildBundle(t, dataset.EM, 8, 2, 4<<10, nil)
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: 1 << 20})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		if c.Rank() != 0 {
+			return nil // Close's barrier keeps this rank serving until rank 0 is done
+		}
+		node.addMeta(FileMeta{Path: "ghost/deleted.bin", Size: 64, Owner: 1, MapVersion: node.MapVersion()})
+		if _, err := node.ReadFile("ghost/deleted.bin"); !errors.Is(err, ErrVanished) {
+			return fmt.Errorf("ghost read error = %v, want ErrVanished", err)
+		}
+		if got := node.mapRefreshes.Value(); got != 0 {
+			return fmt.Errorf("ghost read on a static mount counted %d map refreshes, want 0", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -246,16 +246,12 @@ func (n *Node) seal(path string, data []byte) error {
 }
 
 // metaHome maps a written file's path to the rank responsible for its
-// metadata record. On a static mount every slot is a member, so the
-// hash spans the whole world; an elastic mount hashes over the alive
-// members of the current map, so a record is never homed on an empty
-// slot or a departed node.
+// metadata record: a hash over the alive members of the current map, so
+// a record is never homed on an empty slot or a departed node. On a
+// static mount every slot is a member and the hash spans the world.
 func (n *Node) metaHome(path string) int {
 	h := fnv.New32a()
 	h.Write([]byte(path))
-	if !n.elastic {
-		return int(h.Sum32() % uint32(n.comm.Size()))
-	}
 	alive := n.view.Map().Alive()
 	if len(alive) == 0 {
 		return n.comm.Rank()

@@ -60,20 +60,6 @@ const maxLayerFan = 255
 // Layers reports the layer count of a layered object (0 if unlayered).
 func (m *FileMeta) Layers() int { return len(m.LayerPrefix) }
 
-// LayerPrefixSize returns the container bytes a fidelity-level reader
-// needs: the whole payload for unlayered objects or level 0/FidelityFull,
-// else the level-layer prefix.
-func (m *FileMeta) LayerPrefixSize(level uint8) int64 {
-	n := len(m.LayerPrefix)
-	if n == 0 || level == 0 || int(level) >= n {
-		if n == 0 {
-			return -1 // unlayered: caller uses the payload length
-		}
-		return int64(m.LayerPrefix[n-1])
-	}
-	return int64(m.LayerPrefix[level-1])
-}
-
 // maxReplicaFan caps the replica IDs carried per record on the wire:
 // the count is a single byte, so a longer list is truncated at encode
 // time instead of letting byte(len) wrap and desynchronize the frame.

@@ -48,7 +48,7 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	sw.Section("fanstore")
 	sw.KV("rank", n.Rank())
 	sw.KV("node.id", n.selfID)
-	sw.KV("elastic", n.elastic)
+	sw.KV("elastic", n.mem != nil)
 	red := "replicate"
 	if n.ec != nil {
 		red = fmt.Sprintf("ec(%d,%d)", n.ec.code.K(), n.ec.code.M())
@@ -63,10 +63,8 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	sw.KV("cache.pinned.bytes", cs.PinnedBytes)
 	sw.KV("cache.staged.bytes", cs.StagedBytes)
 	sw.KV("cache.headroom", n.cache.Headroom())
-	if n.elastic {
-		sw.KV("rebalance.pending", n.RebalancePending())
-		sw.KV("rebalance.bytes", n.RebalancedBytes())
-	}
+	sw.KV("rebalance.pending", n.RebalancePending())
+	sw.KV("rebalance.bytes", n.RebalancedBytes())
 	if n.ec != nil {
 		sw.KV("ec.degraded.parts", n.ecDegradedCount())
 	}

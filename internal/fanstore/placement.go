@@ -21,65 +21,19 @@ type Placement struct {
 	Replicas [][]int
 }
 
-// PlanPlacement fails when the partitions cannot fit the aggregate
+// PlanPlacement is the planner's from-scratch case: nothing is placed
+// yet, so every partition goes first-fit-decreasing to the node with the
+// most free space (PlanDelta's place pass; its keep and fill passes have
+// nothing to do). It fails when the partitions cannot fit the aggregate
 // capacity at all — the Fig. 1 infeasible region, where the caller must
 // add nodes or compress harder.
 func PlanPlacement(partSizes []int64, nodes int, capacity int64) (*Placement, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("fanstore: placement over %d nodes", nodes)
+	unplaced := make([]int, len(partSizes))
+	for i := range unplaced {
+		unplaced[i] = -1
 	}
-	var total int64
-	for i, s := range partSizes {
-		if s < 0 {
-			return nil, fmt.Errorf("fanstore: partition %d has negative size", i)
-		}
-		if s > capacity {
-			return nil, fmt.Errorf("fanstore: partition %d (%d bytes) exceeds node capacity %d", i, s, capacity)
-		}
-		total += s
-	}
-	if total > capacity*int64(nodes) {
-		return nil, fmt.Errorf("fanstore: %d bytes of partitions exceed %d nodes x %d capacity (need %d more nodes or a higher compression ratio)",
-			total, nodes, capacity, (total+capacity-1)/capacity-int64(nodes))
-	}
-
-	p := &Placement{
-		Own:      make([][]int, nodes),
-		Replicas: make([][]int, nodes),
-	}
-	free := make([]int64, nodes)
-	for i := range free {
-		free[i] = capacity
-	}
-
-	// First-fit decreasing: largest partitions first, each to the node
-	// with the most free space (keeps load balanced).
-	order := make([]int, len(partSizes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return partSizes[order[a]] > partSizes[order[b]] })
-	owner := make([]int, len(partSizes))
-	for _, pi := range order {
-		best := 0
-		for n := 1; n < nodes; n++ {
-			if free[n] > free[best] {
-				best = n
-			}
-		}
-		if free[best] < partSizes[pi] {
-			return nil, fmt.Errorf("fanstore: partition %d does not fit any node's remaining space", pi)
-		}
-		p.Own[best] = append(p.Own[best], pi)
-		owner[pi] = best
-		free[best] -= partSizes[pi]
-	}
-	for n := range p.Own {
-		sort.Ints(p.Own[n])
-	}
-
-	p.fillRingReplicas(partSizes, free)
-	return p, nil
+	p, _, err := PlanDelta(partSizes, unplaced, nodes, capacity)
+	return p, err
 }
 
 // fillRingReplicas spends each node's spare capacity on replicas of the
@@ -105,8 +59,8 @@ type Move struct {
 	To   int // new owner node
 }
 
-// PlanDelta is PlanPlacement's incremental mode: given the previous owner
-// of every partition (prevOwner[i] < 0 or >= nodes means unplaced — a new
+// PlanDelta is the one planner: given the previous owner of every
+// partition (prevOwner[i] < 0 or >= nodes means unplaced — a new
 // partition, or one stranded by a departed node), it computes a placement
 // that moves as little data as possible while staying feasible and
 // roughly balanced. Three passes:
@@ -145,7 +99,8 @@ func PlanDelta(partSizes []int64, prevOwner []int, nodes int, capacity int64) (*
 		total += s
 	}
 	if total > capacity*int64(nodes) {
-		return nil, nil, fmt.Errorf("fanstore: %d bytes of partitions exceed %d nodes x %d capacity", total, nodes, capacity)
+		return nil, nil, fmt.Errorf("fanstore: %d bytes of partitions exceed %d nodes x %d capacity (need %d more nodes or a higher compression ratio)",
+			total, nodes, capacity, (total+capacity-1)/capacity-int64(nodes))
 	}
 
 	free := make([]int64, nodes)

@@ -37,7 +37,6 @@ import (
 
 	"fanstore/internal/codec"
 	"fanstore/internal/decomp"
-	"fanstore/internal/ec"
 	"fanstore/internal/member"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
@@ -67,8 +66,9 @@ const (
 	//
 	//	[u64 mapVersion][u32 count]{[u8 level][u32 len][path]}×count
 	//
-	//	mapVersion  the cluster-map version the caller routed on; 0 on a
-	//	            static mount, which asks for no stale diagnosis
+	//	mapVersion  the cluster-map version the caller routed on (1 for
+	//	            the life of a static mount); 0 names no version and
+	//	            asks for no stale diagnosis
 	//	level       the item's layer budget; FidelityFull when unbudgeted
 	//	count       1 for a demand open, the chunk size for a prefetch
 	//
@@ -157,8 +157,8 @@ func (e *vanishedError) Unwrap() error { return e.err }
 // Knob lifetimes: some fields are live-tunable after Mount — the online
 // autotuner (internal/tune, the -tune flag) moves them through atomics
 // while training runs — and the rest are mount-only. Live-tunable:
-// DecodeWorkers (Node.SetDecodeWorkers), BatchItems (Node.SetBatchItems),
-// the admission budget (Node.SetAdmissionBytes, read live by the plan
+// DecodeWorkers (Node.SetDecodeWorkers), the batched-fetch split
+// (Node.SetBatchItems), the admission budget (Node.SetAdmissionBytes, read live by the plan
 // scheduler), and the fidelity level (Node.SetFidelity). Mount-only:
 // CacheBytes and CacheShards stay fixed for the node's lifetime —
 // resizing or restriping the sharded cache would require a stop-the-
@@ -196,7 +196,8 @@ type Options struct {
 	SpillDir string
 	// Backend overrides the storage backend entirely (nil: RAM, or the
 	// spill backend when SpillDir is set). See NewRAMBackend and
-	// NewSpillBackend.
+	// NewSpillBackend. The mount owns it: the node closes it on every
+	// exit, a failed mount included.
 	Backend Backend
 	// FetchWorkers bounds the daemon's concurrent fetch handlers
 	// (default: GOMAXPROCS, floored at 4). 1 reproduces the old serial
@@ -208,15 +209,6 @@ type Options struct {
 	// errored fetch to the same peer, before routing fails over to the
 	// next replica (default 0).
 	FetchRetries int
-	// FetchBackoff is the pause before the first same-peer retry,
-	// doubling per attempt (default 0: immediate).
-	FetchBackoff time.Duration
-	// BatchItems bounds the objects carried by one batched fetch round trip;
-	// larger prefetch groups are split into plan-sized calls so a whole-
-	// epoch window cannot build one monster frame (default
-	// rpc.DefaultBatchItems). Live-tunable: Node.SetBatchItems takes
-	// effect on the next prefetch split, mid-plan.
-	BatchItems int
 	// Redundancy selects the fault-tolerance mode: whole-partition
 	// replication (default) or ec(k,m) erasure coding, which stripes
 	// every partition into k data + m parity shards scattered across the
@@ -340,16 +332,15 @@ type Node struct {
 	backend Backend
 	decode  *decomp.Pool // shared decode workers (opens > prefetch)
 
-	// Elastic identity. In a static Mount the view is the identity
+	// Cluster identity. In a static Mount the view is the identity
 	// StaticMap (node ID i == rank i, version 1) and every membership
 	// code path degenerates to the fixed-world behaviour; an elastic
 	// mount (elastic.go) wires a live view fed by the coordinator.
-	view    *member.View
-	selfID  member.NodeID
-	elastic bool
-	mem     *member.Membership // nil on static mounts
-	ectrl   *elasticCtrl       // elastic control plane; nil on static mounts
-	ec      *ecState           // erasure redundancy; nil on replicate mounts
+	view   *member.View
+	selfID member.NodeID
+	mem    *member.Membership // nil on static mounts
+	ectrl  *elasticCtrl       // elastic control plane; nil on static mounts
+	ec     *ecState           // erasure redundancy; nil on replicate mounts
 
 	mu   sync.RWMutex
 	meta map[string]*FileMeta
@@ -460,167 +451,6 @@ func (n *Node) Metrics() Metrics {
 		Fetch:   n.fetchHist.Snapshot(),
 		Service: n.server.ServiceTime(),
 	}
-}
-
-// newNode builds a Node's data-path machinery — cache, backend, decode
-// pool, rpc server/client, instruments — without any collective traffic.
-// Mount (static) and MountElastic share it; only the view and the
-// metadata exchange differ.
-func newNode(comm *mpi.Comm, view *member.View, selfID member.NodeID, elastic bool, opts Options) (*Node, error) {
-	if opts.CacheBytes <= 0 {
-		opts.CacheBytes = 256 << 20
-	}
-	backend := opts.Backend
-	if backend == nil {
-		if opts.SpillDir != "" {
-			var err error
-			backend, err = NewSpillBackend(opts.SpillDir, fmt.Sprintf("rank%04d", comm.Rank()))
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			backend = NewRAMBackend()
-		}
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		// A private registry keeps Stats()/Metrics() truthful even when
-		// the caller did not ask for unified observability.
-		reg = metrics.NewRegistry()
-	}
-	batchItems := opts.BatchItems
-	if batchItems <= 0 {
-		batchItems = rpc.DefaultBatchItems
-	}
-	n := &Node{
-		comm:     comm,
-		cache:    NewCacheShards(opts.CacheBytes, opts.CachePolicy, opts.CacheShards),
-		backend:  backend,
-		decode:   decomp.New(opts.DecodeWorkers, reg),
-		view:     view,
-		selfID:   selfID,
-		elastic:  elastic,
-		meta:     make(map[string]*FileMeta),
-		dirs:     newDirIndex(),
-		writes:   make(map[string][]byte),
-		parts:    make(map[uint64]*nodePart),
-		inflight: make(map[string]*flight),
-		reg:      reg,
-		tracer:   opts.Tracer,
-		events:   opts.Events,
-	}
-	n.batchItems.Store(int64(batchItems))
-	if opts.Redundancy.Mode == RedundancyEC {
-		if !elastic {
-			return nil, fmt.Errorf("fanstore: ec redundancy requires an elastic mount (static mounts replicate)")
-		}
-		code, err := ec.New(opts.Redundancy.K, opts.Redundancy.M)
-		if err != nil {
-			return nil, err
-		}
-		n.ec = newECState(code, reg)
-	}
-	n.instrument()
-	n.mapVersion.Set(int64(view.Version()))
-	n.cache.instrument(reg, opts.Tracer)
-	n.cache.setEvents(opts.Events)
-	n.server = rpc.NewServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{
-		Workers: opts.FetchWorkers,
-		Metrics: reg,
-	})
-	n.client = rpc.NewClient(comm, tagFetch, tagRespBase, rpc.ClientOptions{
-		Timeout: opts.FetchTimeout,
-		Retries: opts.FetchRetries,
-		Backoff: opts.FetchBackoff,
-		Metrics: reg,
-	})
-	return n, nil
-}
-
-// Mount loads this rank's partitions (plus an optional broadcast
-// partition replicated on every rank), exchanges metadata and replica
-// announcements with all peers, and starts the daemon. Every rank of the
-// communicator must call Mount collectively with its own partitions.
-func Mount(comm *mpi.Comm, partitions [][]byte, broadcast []byte, opts Options) (*Node, error) {
-	// The static world is the identity map: node ID i is rank i, and the
-	// version never moves past 1, so stale-map machinery stays inert.
-	n, err := newNode(comm, member.NewView(member.StaticMap(comm.Size())), member.NodeID(comm.Rank()), false, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Load assigned partitions into the local backend (§IV-C1).
-	var localMetas []FileMeta
-	for _, blob := range partitions {
-		metas, err := n.loadPartition(blob)
-		if err != nil {
-			return nil, err
-		}
-		localMetas = append(localMetas, metas...)
-	}
-	// Replica partitions are served locally but owned by the rank that
-	// announces them; this rank announces only the paths, so peers can
-	// route fetches here as an alternative to the owner.
-	var replicaPaths []string
-	for _, blob := range opts.Replicas {
-		metas, err := n.loadPartition(blob)
-		if err != nil {
-			return nil, err
-		}
-		for i := range metas {
-			replicaPaths = append(replicaPaths, metas[i].Path)
-		}
-	}
-	// The broadcast partition (validation data) is local on every rank
-	// but owned by rank 0 for metadata purposes; it is not re-announced
-	// by every rank to keep the Allgather frames linear in dataset size.
-	if broadcast != nil {
-		bmetas, err := n.loadPartition(broadcast)
-		if err != nil {
-			return nil, err
-		}
-		if comm.Rank() == 0 {
-			localMetas = append(localMetas, bmetas...)
-		}
-	}
-
-	// Construct the global metadata view (§IV-C1): one Allgather, then
-	// all metadata traffic is served from RAM.
-	frames, err := comm.Allgather(encodeMetas(localMetas))
-	if err != nil {
-		return nil, fmt.Errorf("fanstore: metadata allgather: %w", err)
-	}
-	for r, frame := range frames {
-		metas, err := decodeMetas(frame)
-		if err != nil {
-			return nil, fmt.Errorf("fanstore: rank %d metadata: %w", r, err)
-		}
-		for i := range metas {
-			n.addMeta(metas[i])
-		}
-	}
-
-	// Second collective: replica announcements. Running it after the
-	// metadata exchange guarantees every owner record exists before a
-	// replica rank is attached to it, whatever the rank order.
-	repFrames, err := comm.Allgather(encodePaths(replicaPaths))
-	if err != nil {
-		return nil, fmt.Errorf("fanstore: replica allgather: %w", err)
-	}
-	for r, frame := range repFrames {
-		paths, err := decodePaths(frame)
-		if err != nil {
-			return nil, fmt.Errorf("fanstore: rank %d replicas: %w", r, err)
-		}
-		for _, p := range paths {
-			n.noteReplica(p, r)
-		}
-	}
-
-	n.daemon.Add(1)
-	go n.server.Serve()
-	go n.serveWriteMeta()
-	return n, nil
 }
 
 // loadPartition parses one partition blob into the backend and returns
@@ -770,16 +600,6 @@ func decodeFetch(body []byte) (mapVersion uint64, keys []string, levels []uint8,
 	}
 	keys, levels, err = rpc.DecodeKeysLevels(body[8:])
 	return binary.LittleEndian.Uint64(body), keys, levels, err
-}
-
-// fetchVersion is the mapVersion this node stamps on its opFetch
-// requests: the version it routes on, or 0 on a static mount, whose map
-// never moves.
-func (n *Node) fetchVersion() uint64 {
-	if n.elastic {
-		return n.view.Version()
-	}
-	return 0
 }
 
 // fetchedObject is one looked-up item of an opFetch answer, before it is
@@ -993,7 +813,7 @@ func (n *Node) fetchCandidates(m *FileMeta) []member.NodeID {
 // and return the refreshed record for re-resolution. Static mounts have
 // nothing to refresh and return nil.
 func (n *Node) refreshRoutes(path string) *FileMeta {
-	if !n.elastic || n.mem == nil {
+	if n.mem == nil {
 		return nil
 	}
 	n.mapRefreshes.Inc()
@@ -1080,7 +900,7 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 				continue
 			}
 			attempts++
-			resp, err := n.client.Call(dst, encodeFetch(n.fetchVersion(), []string{path}, []uint8{level}))
+			resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), []string{path}, []uint8{level}))
 			if err == nil {
 				items, derr := rpc.DecodeItems(resp)
 				if derr != nil || len(items) != 1 || items[0].Status != rpc.ItemOK || len(items[0].Payload) < 2 {
@@ -1103,16 +923,15 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 			}
 			if errors.Is(err, rpc.ErrNotFound) {
 				misses++
-				if n.elastic {
-					// Even a version-matched miss can be a commit race: map
-					// and meta land in separate steps, so this node may have
-					// routed to the old owner under the new version after
-					// the owner already dropped the partition. Suspect a
-					// stale route first; only when the refresh cap trips
-					// with every candidate still answering not-found is the
-					// object declared vanished.
-					stale = true
-				}
+				// Even a version-matched miss can be a commit race: map
+				// and meta land in separate steps, so this node may have
+				// routed to the old owner under the new version after
+				// the owner already dropped the partition. Suspect a
+				// stale route first; only when the refresh finds nothing
+				// newer (a static mount never does) or the cap trips with
+				// every candidate still answering not-found is the object
+				// declared vanished.
+				stale = true
 				continue
 			}
 			if i+1 < len(cands) {
@@ -1151,10 +970,11 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 		}
 	}
 	outcome = trace.OutcomeError
-	if allNotFound && (!n.elastic || refreshes > 0) {
-		// The routes were current (or just refreshed) and every candidate
-		// authoritatively answered not-found: the object is gone, not
-		// mis-routed — callers can distinguish this from transport death.
+	if allNotFound {
+		// Every miss above asked for a refresh, so the routes are as
+		// current as they get and every candidate authoritatively answered
+		// not-found: the object is gone, not mis-routed — callers can
+		// distinguish this from transport death.
 		if n.events.Enabled() {
 			n.events.Emitf(obs.EvFailover, obs.SevError, "object %q vanished: every candidate reports not-found", path)
 		}
@@ -1381,7 +1201,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 		levels[i] = level
 	}
 	n.batchedFetches.Inc()
-	resp, err := n.client.Call(dst, encodeFetch(n.fetchVersion(), keys, levels))
+	resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), keys, levels))
 	if err != nil {
 		return 0, group
 	}
@@ -1661,34 +1481,6 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	n.fetchUpgrades.Inc()
 	n.fidelityHist.Observe(time.Duration(to) * time.Microsecond)
 	return n.cache.Insert(m.Path, out, true, metaFidelity(m, uint8(to))), true
-}
-
-// Close shuts the daemon down. It must be called collectively after all
-// ranks are done with the namespace (a barrier inside ensures no peer
-// still needs this rank's objects). Even when the barrier fails — a peer
-// aborted mid-run — the serve loops are still unblocked so Close cannot
-// hang on daemon.Wait.
-func (n *Node) Close() error {
-	if n.closed.Swap(true) {
-		return nil
-	}
-	if n.elastic {
-		// An elastic node cannot barrier over the fixed-size world (only
-		// a subset of slots are members); it hands shutdown sequencing to
-		// the coordinator's bye/ack handshake instead.
-		return n.closeElastic()
-	}
-	_ = n.comm.Barrier()
-	// Unblock the daemons unconditionally. On the error path the sends
-	// may fail too, but then the world is aborted and the loops exit on
-	// their closed mailboxes.
-	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
-	// With the daemons down no new decode work arrives; the pool drains
-	// whatever is queued (stragglers run inline on their submitters).
-	n.decode.Close()
-	return n.backend.Close()
 }
 
 // Stats snapshots the node's data-path counters — a thin view over the

@@ -282,7 +282,14 @@ func TestWriteMetadataForwarding(t *testing.T) {
 		}
 		home := node.metaHome(path)
 		if c.Rank() == home || c.Rank() == 0 {
-			info, err := node.Stat(path)
+			// The forward is a one-way send: the barrier orders its delivery
+			// to the home's mailbox, not the home daemon's processing of it.
+			var info Info
+			err := awaitCond("the forwarded record", func() bool {
+				var serr error
+				info, serr = node.Stat(path)
+				return serr == nil
+			})
 			if err != nil {
 				return fmt.Errorf("rank %d (home=%d): %w", c.Rank(), home, err)
 			}

@@ -147,12 +147,6 @@ func (m *Membership) CoordRank() int { return m.coordRank }
 // IsCoordinator reports whether this membership runs the coordinator.
 func (m *Membership) IsCoordinator() bool { return m.coord != nil }
 
-// Transport returns the membership-aware transport over this node's
-// communicator and view.
-func (m *Membership) Transport() *Transport {
-	return &Transport{comm: m.comm, view: m.view}
-}
-
 // Sync pulls the coordinator's current map, updates the view, and
 // returns it — the refresh a StaleMapError asks for.
 func (m *Membership) Sync() (*ClusterMap, error) {
@@ -349,37 +343,4 @@ func (c *Coordinator) broadcast(m *ClusterMap, skipRank int) {
 		}
 		_ = c.comm.Send(n.Rank, tagMemberMap, frame)
 	}
-}
-
-// Transport is the membership-aware wrapper over an mpi communicator:
-// peers are dialed by stable NodeID, resolved through the current map at
-// call time. A route that cannot resolve surfaces a typed, retryable
-// StaleMapError instead of a hard failure.
-type Transport struct {
-	comm *mpi.Comm
-	view *View
-}
-
-// NewTransport wraps comm with the given view (the static-world case
-// uses NewView(StaticMap(size))).
-func NewTransport(comm *mpi.Comm, view *View) *Transport {
-	return &Transport{comm: comm, view: view}
-}
-
-// Resolve maps a node ID to its transport rank under the current map.
-func (t *Transport) Resolve(id NodeID) (int, error) { return t.view.Resolve(id) }
-
-// Version returns the map version routes are currently resolved under.
-func (t *Transport) Version() uint64 { return t.view.Version() }
-
-// View returns the transport's map view.
-func (t *Transport) View() *View { return t.view }
-
-// Send delivers data to the node with the given ID.
-func (t *Transport) Send(id NodeID, tag int, data []byte) error {
-	rank, err := t.Resolve(id)
-	if err != nil {
-		return err
-	}
-	return t.comm.Send(rank, tag, data)
 }

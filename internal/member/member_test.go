@@ -134,7 +134,7 @@ func TestJoinLeaveLifecycle(t *testing.T) {
 		if _, ok := mem.View().Map().Lookup(mem.ID()); !ok {
 			return fmt.Errorf("own id %d missing from joined map", mem.ID())
 		}
-		if rank, err := mem.Transport().Resolve(0); err != nil || rank != 0 {
+		if rank, err := mem.View().Resolve(0); err != nil || rank != 0 {
 			return fmt.Errorf("resolve coordinator: %d, %v", rank, err)
 		}
 		if c.Rank() == 3 {

@@ -265,8 +265,8 @@ func scrapeVarz(client *http.Client, addr string) (metrics.RegistrySnapshot, err
 
 // CollectRegistries returns a Collect function over in-process
 // registries — the single-process multi-rank shape (fanstore-train,
-// fanstore-bench, trainsim), where every rank's registry is directly
-// readable and a network scrape would be theater.
+// trainsim), where every rank's registry is directly readable and a
+// network scrape would be theater.
 func CollectRegistries(regs []*metrics.Registry) func() ([]metrics.RegistrySnapshot, error) {
 	return func() ([]metrics.RegistrySnapshot, error) {
 		snaps := make([]metrics.RegistrySnapshot, len(regs))

@@ -87,10 +87,6 @@ type ServerOptions struct {
 	// GOMAXPROCS, floored at 4 — fetch handlers block on backend I/O,
 	// so even a single-core node benefits from a few in flight.
 	Workers int
-	// Queue bounds requests accepted but not yet in service
-	// (0 means 4x workers, at least 16). A full queue backpressures
-	// the receive loop rather than growing without bound.
-	Queue int
 	// Metrics is the registry the server's instruments live in
 	// ("rpc.server.*"). Nil means a private, unexported registry — the
 	// counters still work, they just aren't part of a rank-wide
@@ -143,13 +139,9 @@ func NewServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Se
 			workers = 4
 		}
 	}
-	depth := opts.Queue
-	if depth <= 0 {
-		depth = 4 * workers
-		if depth < 16 {
-			depth = 16
-		}
-	}
+	// Requests accepted but not yet in service: a full queue
+	// backpressures the receive loop rather than growing without bound.
+	depth := max(4*workers, 16)
 	reg := opts.Metrics
 	if reg == nil {
 		reg = metrics.NewRegistry()
