@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race benchsmoke fuzzsmoke soak loc
+.PHONY: ci fmt vet test race benchsmoke fuzzsmoke soak loc surface
 
 ci: fmt vet race test fuzzsmoke benchsmoke
 
@@ -49,9 +49,22 @@ soak:
 
 # Non-test Go lines of the directories the ROADMAP's simplicity
 # acceptances quote, so a PR compares `make loc` at parent and change
-# instead of counting by hand.
+# instead of counting by hand. The last four are where lines that leave
+# cmd/ tend to land; "." is the root package alone (api.go).
 loc:
 	@for d in internal/fanstore internal/member internal/rpc internal/mpi \
-		internal/prefetch internal/trainsim internal/experiments cmd; do \
+		internal/prefetch internal/trainsim internal/experiments cmd \
+		internal/dataset internal/cluster examples; do \
 		printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+	done
+	@printf '%-22s %6d\n' . $$(cat $$(ls *.go | grep -v _test.go) | wc -l)
+
+# The exported surface of the packages the simplicity acceptances quote:
+# package-level identifiers (`go doc -short`: constants, variables,
+# functions, types — an alias counts as a type) and exported methods.
+surface:
+	@for p in . ./internal/fanstore ./internal/rpc ./internal/prefetch; do \
+		printf '%-22s %4d identifiers %4d methods\n' $$p \
+			$$($(GO) doc -short $$p | wc -l) \
+			$$($(GO) doc -short -all $$p | grep -c '^func ('); \
 	done

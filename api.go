@@ -53,10 +53,6 @@ type (
 	Info = store.Info
 	// DirEntry is one readdir() result.
 	DirEntry = store.DirEntry
-	// Stats counts data-path events.
-	Stats = store.Stats
-	// Metrics carries open/fetch latency histogram snapshots.
-	Metrics = store.Metrics
 	// Policy selects the cache replacement strategy.
 	Policy = store.Policy
 	// Backend stores a rank's compressed objects (RAM or spill-to-disk);
@@ -277,6 +273,15 @@ func WriteChromeTrace(w io.Writer, tracers ...*Tracer) error {
 // merged report. Every rank must call it together.
 func GatherReport(c *Comm, reg *Registry, opts ReportOptions) (ClusterReport, error) {
 	return store.GatherReport(c, reg, opts)
+}
+
+// WriteSummary renders one registry snapshot — a rank's
+// (Node.Registry().Snapshot()) or a report's Merged — as the end-of-run
+// read-out, with files/s over elapsed (0 omits rates). It is the only
+// formatter of a node's numbers: ClusterReport.Render prints its totals
+// through it, so a rank and the cluster read the same way.
+func WriteSummary(w io.Writer, snap RegistrySnapshot, elapsed time.Duration) {
+	store.WriteSummary(w, snap, elapsed)
 }
 
 // BuildClusterReport folds per-rank snapshots (index = rank) into a

@@ -39,7 +39,7 @@ func main() {
 	)
 	flag.Parse()
 
-	kind, ok := kindByName(*dsName)
+	kind, ok := dataset.KindByName(*dsName)
 	if !ok {
 		log.Fatalf("unknown dataset %q", *dsName)
 	}
@@ -136,24 +136,6 @@ func sweepLossy(kind dataset.Kind, samples [][]byte) {
 			float64(elapsed)/float64(time.Microsecond))
 	}
 	w.Flush()
-}
-
-func kindByName(name string) (dataset.Kind, bool) {
-	switch strings.ToLower(name) {
-	case "em":
-		return dataset.EM, true
-	case "tokamak", "rs":
-		return dataset.Tokamak, true
-	case "lung":
-		return dataset.Lung, true
-	case "astro", "astronomy":
-		return dataset.Astro, true
-	case "imagenet":
-		return dataset.ImageNet, true
-	case "language", "text":
-		return dataset.Language, true
-	}
-	return 0, false
 }
 
 func flagSet(name string) bool {

@@ -12,11 +12,12 @@
 //
 // Each daemon mounts its partition, joins the collective metadata
 // exchange, serves its objects to peers, reads -reads random files from
-// the global namespace (fetching remote ones over TCP), reports stats,
-// and shuts down collectively.
+// the global namespace (fetching remote ones over TCP), prints the
+// summary of its registry, and shuts down collectively.
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -272,32 +273,11 @@ func main() {
 		byteCount += int64(len(data))
 	}
 	elapsed := time.Since(start)
-	st := node.Stats()
-	log.Printf("read %d files (%d bytes) in %v: %d local, %d remote, %d decompressions",
-		*reads, byteCount, elapsed.Round(time.Millisecond),
-		st.LocalOpens, st.RemoteOpens, st.Decompresses)
-	m := node.Metrics()
-	log.Printf("open latency: %s", m.Open)
-	log.Printf("daemon: served %d (not-found %d, errors %d), peak in-service %d, peak queue %d",
-		st.Daemon.Served, st.Daemon.NotFound, st.Daemon.Errors,
-		st.Daemon.MaxInService, st.Daemon.MaxQueue)
-	if st.Daemon.Served > 0 {
-		log.Printf("service time: %s", m.Service)
-	}
-	if st.RPC.Calls > 0 {
-		log.Printf("fetch calls: %d (%d retries, %d timeouts, %d failovers)",
-			st.RPC.Calls, st.RPC.Retries, st.RPC.Timeouts, st.Failovers)
-	}
-	if st.BatchedFetches > 0 {
-		log.Printf("prefetch: %d batched fetches staged entries serving %d opens (cache hit rate %.0f%%)",
-			st.BatchedFetches, st.PrefetchedOpens,
-			float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses)*100)
-	}
-
-	if elastic {
-		log.Printf("elastic: map v%d, rebalance moved %d bytes here, %d transfers pending",
-			node.MapVersion(), node.RebalancedBytes(), node.RebalancePending())
-	}
+	log.Printf("read %d files (%d bytes) in %v", *reads, byteCount, elapsed.Round(time.Millisecond))
+	// One write, so daemons sharing a terminal do not interleave their lines.
+	var summary bytes.Buffer
+	fanstore.WriteSummary(&summary, reg.Snapshot(), elapsed)
+	log.Writer().Write(summary.Bytes())
 
 	if *report {
 		if elastic {

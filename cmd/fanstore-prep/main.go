@@ -147,31 +147,8 @@ func loadDir(root string) ([]pack.InputFile, error) {
 }
 
 func generate(name string, seed int64, files, size int) ([]pack.InputFile, error) {
-	var kind dataset.Kind
-	found := false
-	for _, k := range dataset.Kinds() {
-		if strings.EqualFold(k.Spec().Name, name) || strings.EqualFold(k.Spec().Format, name) {
-			kind, found = k, true
-			break
-		}
-	}
-	if !found {
-		switch strings.ToLower(name) {
-		case "em":
-			kind, found = dataset.EM, true
-		case "tokamak":
-			kind, found = dataset.Tokamak, true
-		case "lung":
-			kind, found = dataset.Lung, true
-		case "astro", "astronomy":
-			kind, found = dataset.Astro, true
-		case "imagenet":
-			kind, found = dataset.ImageNet, true
-		case "language", "text":
-			kind, found = dataset.Language, true
-		}
-	}
-	if !found {
+	kind, ok := dataset.KindByName(name)
+	if !ok {
 		return nil, fmt.Errorf("unknown synthetic dataset %q", name)
 	}
 	g := dataset.Generator{Kind: kind, Seed: seed, Size: size}

@@ -22,48 +22,38 @@ import (
 	"fanstore/internal/selector"
 )
 
-var cases = map[string]struct {
-	app      cluster.App
-	clust    cluster.Cluster
-	kind     dataset.Kind
-	defaults []string
-}{
-	"srgan-gtx":  {cluster.SRGANonGTX, cluster.GTX, dataset.EM, []string{"lzsse8", "lz4hc", "brotli", "zling", "lzma"}},
-	"frnn-cpu":   {cluster.FRNNonCPU, cluster.CPU, dataset.Tokamak, []string{"lzf", "lzsse8", "brotli"}},
-	"srgan-v100": {cluster.SRGANonV100, cluster.V100, dataset.EM, []string{"lz4fast", "lz4hc", "brotli", "lzma"}},
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fanstore-select: ")
 	var (
-		caseName = flag.String("case", "srgan-gtx", "srgan-gtx|frnn-cpu|srgan-v100")
+		caseName = flag.String("case", "srgan-gtx", "srgan-gtx|frnn-cpu|srgan-v100|resnet-gtx|resnet-cpu")
 		codecs   = flag.String("codecs", "", "override candidate list (comma separated)")
 		seed     = flag.Int64("seed", 42, "generator seed")
 	)
 	flag.Parse()
 
-	tc, ok := cases[strings.ToLower(*caseName)]
+	tc, ok := cluster.Cases[strings.ToLower(*caseName)]
 	if !ok {
 		log.Fatalf("unknown case %q", *caseName)
 	}
-	names := tc.defaults
+	kind, _ := dataset.KindByName(tc.App.FileKind)
+	names := tc.Candidates
 	if *codecs != "" {
 		names = strings.Split(*codecs, ",")
 	}
 
 	// Sample the application's dataset at a measurement-friendly size;
 	// per-file costs rescale linearly to the app's real file size.
-	fileSize := tc.app.FileSizeBytes()
+	fileSize := tc.App.FileSizeBytes()
 	sampleSize := int(fileSize)
 	if sampleSize > 256<<10 {
 		sampleSize = 256 << 10
 	}
 	n := 4
-	if tc.kind == dataset.Tokamak {
+	if kind == dataset.Tokamak {
 		n = 32
 	}
-	g := dataset.Generator{Kind: tc.kind, Seed: *seed, Size: sampleSize}
+	g := dataset.Generator{Kind: kind, Seed: *seed, Size: sampleSize}
 	samples := make([][]byte, n)
 	for i := range samples {
 		samples[i] = g.Bytes(i)
@@ -85,11 +75,11 @@ func main() {
 			nominal = c.Ratio
 		}
 	}
-	perf := tc.clust.FanStorePerf(int64(float64(fileSize) / nominal))
-	prof := tc.app.SelectorProfile()
+	perf := tc.Cluster.FanStorePerf(int64(float64(fileSize) / nominal))
+	prof := tc.App.SelectorProfile()
 
 	fmt.Printf("case %s: %s on %s, %s I/O, T_iter=%v, C_batch=%d, S'_batch=%.1f MB\n",
-		*caseName, tc.app.Name, tc.clust.Name, prof.IO, prof.TIter, prof.CBatch, prof.SBatchMB)
+		*caseName, tc.App.Name, tc.Cluster.Name, prof.IO, prof.TIter, prof.CBatch, prof.SBatchMB)
 	fmt.Printf("FanStore perf at ~%d-byte compressed files: %.0f files/s, %.0f MB/s\n\n",
 		int64(float64(fileSize)/nominal), perf.TptRead, perf.BdwRead)
 

@@ -64,19 +64,6 @@ import (
 	"fanstore/internal/trainsim"
 )
 
-var simCases = map[string]struct {
-	app   cluster.App
-	clust cluster.Cluster
-	kind  dataset.Kind
-	cands []string
-}{
-	"srgan-gtx":  {cluster.SRGANonGTX, cluster.GTX, dataset.EM, []string{"lzsse8", "lz4hc", "brotli", "zling", "lzma"}},
-	"frnn-cpu":   {cluster.FRNNonCPU, cluster.CPU, dataset.Tokamak, []string{"lzf", "lzsse8", "brotli"}},
-	"srgan-v100": {cluster.SRGANonV100, cluster.V100, dataset.EM, []string{"lz4fast", "lz4hc", "brotli", "lzma"}},
-	"resnet-gtx": {cluster.ResNet50, cluster.GTX, dataset.ImageNet, []string{"memcpy"}},
-	"resnet-cpu": {cluster.ResNet50, cluster.CPU, dataset.ImageNet, []string{"memcpy"}},
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("fanstore-sim: ")
@@ -107,21 +94,22 @@ func main() {
 	)
 	flag.Parse()
 
-	tc, ok := simCases[strings.ToLower(*caseName)]
+	tc, ok := cluster.Cases[strings.ToLower(*caseName)]
 	if !ok {
 		log.Fatalf("unknown case %q", *caseName)
 	}
+	kind, _ := dataset.KindByName(tc.App.FileKind)
 
-	sampleSize := int(tc.app.FileSizeBytes())
+	sampleSize := int(tc.App.FileSizeBytes())
 	if sampleSize > 256<<10 {
 		sampleSize = 256 << 10
 	}
 	genSamples := func() [][]byte {
 		n := 4
-		if tc.kind == dataset.Tokamak {
+		if kind == dataset.Tokamak {
 			n = 32
 		}
-		g := dataset.Generator{Kind: tc.kind, Seed: *seed, Size: sampleSize}
+		g := dataset.Generator{Kind: kind, Seed: *seed, Size: sampleSize}
 		samples := make([][]byte, n)
 		for i := range samples {
 			samples[i] = g.Bytes(i)
@@ -129,7 +117,7 @@ func main() {
 		return samples
 	}
 	measure := func(name string) selector.Candidate {
-		fileSize := tc.app.FileSizeBytes()
+		fileSize := tc.App.FileSizeBytes()
 		c, err := selector.MeasureCandidate(name, genSamples())
 		if err != nil {
 			log.Fatal(err)
@@ -142,12 +130,12 @@ func main() {
 	case "perf":
 		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 		fmt.Fprintf(w, "compressor\tratio\tdecompress us/file\titer time\trelative perf\n")
-		base := trainsim.Config{App: tc.app, Clust: tc.clust, Nodes: 4, Ratio: 1}
+		base := trainsim.Config{App: tc.App, Clust: tc.Cluster, Nodes: 4, Ratio: 1}
 		fmt.Fprintf(w, "baseline\t1.00\t0\t%v\t100.0%%\n", base.IterTime().Round(time.Millisecond))
-		for _, name := range tc.cands {
+		for _, name := range tc.Candidates {
 			c := measure(name)
 			cfg := trainsim.Config{
-				App: tc.app, Clust: tc.clust, Nodes: 4,
+				App: tc.App, Clust: tc.Cluster, Nodes: 4,
 				DecompressPerFile: c.DecompressPerFile, Ratio: c.Ratio,
 			}
 			fmt.Fprintf(w, "%s\t%.2f\t%.0f\t%v\t%.1f%%\n",
@@ -167,25 +155,25 @@ func main() {
 				counts = append(counts, n)
 			}
 		} else {
-			for n := 1; n <= tc.clust.Nodes; n *= 2 {
+			for n := 1; n <= tc.Cluster.Nodes; n *= 2 {
 				counts = append(counts, n)
 			}
 		}
 		codecName := *codecArg
 		if codecName == "" {
-			codecName = tc.cands[0]
+			codecName = tc.Candidates[0]
 		}
 		c := measure(codecName)
 		cfg := trainsim.Config{
-			App: tc.app, Clust: tc.clust,
+			App: tc.App, Clust: tc.Cluster,
 			DecompressPerFile: c.DecompressPerFile, Ratio: c.Ratio,
 		}
-		fmt.Printf("%s on %s with %s (ratio %.2f)\n", tc.app.Name, tc.clust.Name, codecName, c.Ratio)
+		fmt.Printf("%s on %s with %s (ratio %.2f)\n", tc.App.Name, tc.Cluster.Name, codecName, c.Ratio)
 		single := cfg
 		single.Nodes = 1
 		single.RemoteFrac = 0
 		t1 := single.Throughput()
-		spec := tc.kind.Spec()
+		spec := kind.Spec()
 		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 		fmt.Fprintf(w, "nodes\tFanStore samples/s\teff\tLustre samples/s\teff\tLustre startup\n")
 		for _, p := range trainsim.WeakScaling(cfg, counts) {
@@ -199,17 +187,17 @@ func main() {
 	case "explain":
 		codecName := *codecArg
 		if codecName == "" {
-			codecName = tc.cands[0]
+			codecName = tc.Candidates[0]
 		}
 		cd := measure(codecName)
 		cfg := trainsim.Config{
-			App: tc.app, Clust: tc.clust, Nodes: 4,
+			App: tc.App, Clust: tc.Cluster, Nodes: 4,
 			DecompressPerFile: cd.DecompressPerFile, Ratio: cd.Ratio,
 			RemoteFrac: 0.75,
 		}
 		b := cfg.Explain()
 		fmt.Printf("%s on %s with %s (ratio %.2f), 4 nodes, per-iteration breakdown:\n",
-			tc.app.Name, tc.clust.Name, codecName, cd.Ratio)
+			tc.App.Name, tc.Cluster.Name, codecName, cd.Ratio)
 		w := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
 		fmt.Fprintf(w, "compute\t%v\n", b.Compute)
 		fmt.Fprintf(w, "allreduce\t%v\n", b.Allreduce)
@@ -231,12 +219,12 @@ func main() {
 	// would — same formats, same straggler detector.
 	codecName := *codecArg
 	if codecName == "" {
-		codecName = tc.cands[0]
+		codecName = tc.Candidates[0]
 	}
 	cd := measure(codecName)
 	n := *simRanks
 	cfg := trainsim.Config{
-		App: tc.app, Clust: tc.clust, Nodes: n,
+		App: tc.App, Clust: tc.Cluster, Nodes: n,
 		DecompressPerFile: cd.DecompressPerFile, Ratio: cd.Ratio,
 		RemoteFrac: float64(n-1) / float64(n),
 	}

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -74,7 +75,7 @@ func main() {
 		log.Fatal("-fidelity needs -layers >= 2 (there is only one fidelity without layers)")
 	}
 
-	kind, ok := kindByName(*dsName)
+	kind, ok := dataset.KindByName(*dsName)
 	if !ok {
 		log.Fatalf("unknown dataset %q", *dsName)
 	}
@@ -213,16 +214,15 @@ func main() {
 		}
 
 		start := time.Now()
-		var samples int64
 		for epoch := startEpoch; epoch < startEpoch+*epochs; epoch++ {
 			order := rand.New(rand.NewSource(int64(epoch))).Perm(*files)
 			shuffled := make([]string, *files)
 			for i, idx := range order {
 				shuffled[i] = paths[idx]
 			}
-			// Fidelity schedule: demand opens follow the node-level
-			// budget; the epoch planner gets the level explicitly. Epochs past the schedule run at full
-			// fidelity (level 0), upgrading warm entries in place.
+			// Fidelity schedule: demand opens and the epoch plan's staging
+			// both read at the node-level budget. Epochs past the schedule run
+			// at full fidelity (level 0), upgrading warm entries in place.
 			level := sched.LevelAt(epoch)
 			node.SetFidelity(level)
 			if c.Rank() == 0 && len(sched) > 0 {
@@ -241,7 +241,6 @@ func main() {
 				epochPlan := prefetch.BuildPlan(sampler, node)
 				popts.Scheduler = prefetch.NewScheduler(node, epochPlan, prefetch.SchedOptions{
 					AdmissionSource: node.AdmissionBytes,
-					Fidelity:        level,
 					Metrics:         reg,
 					Tracer:          tr,
 				})
@@ -256,7 +255,6 @@ func main() {
 				if !ok {
 					break
 				}
-				samples += int64(len(b.Data))
 				var grad uint32
 				for _, img := range b.Data {
 					grad ^= crc32.ChecksumIEEE(img)
@@ -282,16 +280,12 @@ func main() {
 			}
 		}
 
-		st := node.Stats()
-		fmt.Printf("rank %d: %.0f samples/s | local %d remote %d | decompress %d | cache hits=%d evict=%d | prefetched opens=%d (batched fetches=%d)\n",
-			c.Rank(), float64(samples)/time.Since(start).Seconds(),
-			st.LocalOpens, st.RemoteOpens, st.Decompresses,
-			st.Cache.Hits, st.Cache.Evictions,
-			st.PrefetchedOpens, st.BatchedFetches)
-		if st.FetchBytesSaved > 0 || st.FetchUpgrades > 0 {
-			fmt.Printf("rank %d: fidelity saved=%d B upgrades=%d\n",
-				c.Rank(), st.FetchBytesSaved, st.FetchUpgrades)
-		}
+		// One buffered write per rank: the ranks run in-process and their
+		// lines must not interleave.
+		var out bytes.Buffer
+		fmt.Fprintf(&out, "rank %d:\n", c.Rank())
+		fanstore.WriteSummary(&out, reg.Snapshot(), time.Since(start))
+		os.Stdout.Write(out.Bytes())
 
 		if *report || *statsJSON {
 			// Collective: every rank contributes its snapshot; rank 0
@@ -341,24 +335,6 @@ func u32le(v uint32) []byte {
 
 func le32(p []byte) uint32 {
 	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
-}
-
-func kindByName(name string) (dataset.Kind, bool) {
-	switch strings.ToLower(name) {
-	case "em":
-		return dataset.EM, true
-	case "tokamak", "rs":
-		return dataset.Tokamak, true
-	case "lung":
-		return dataset.Lung, true
-	case "astro", "astronomy":
-		return dataset.Astro, true
-	case "imagenet":
-		return dataset.ImageNet, true
-	case "language", "text":
-		return dataset.Language, true
-	}
-	return 0, false
 }
 
 func policyByName(name string) (fanstore.Policy, bool) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fanstore"
-	"fanstore/internal/dataset"
 )
 
 // TestPlanIsDefaultAndWeightsMatchDemandOnly runs the command as shipped
@@ -58,24 +57,6 @@ func TestPlanIsDefaultAndWeightsMatchDemandOnly(t *testing.T) {
 		if i >= len(demand) || planned[i] != demand[i] {
 			t.Fatalf("epoch weights differ:\n planned %v\n demand  %v", planned, demand)
 		}
-	}
-}
-
-func TestKindByName(t *testing.T) {
-	cases := map[string]dataset.Kind{
-		"EM": dataset.EM, "em": dataset.EM,
-		"Tokamak": dataset.Tokamak, "rs": dataset.Tokamak,
-		"LUNG": dataset.Lung, "astro": dataset.Astro,
-		"imagenet": dataset.ImageNet, "text": dataset.Language,
-	}
-	for in, want := range cases {
-		got, ok := kindByName(in)
-		if !ok || got != want {
-			t.Errorf("kindByName(%q) = %v, %v", in, got, ok)
-		}
-	}
-	if _, ok := kindByName("nope"); ok {
-		t.Error("unknown dataset accepted")
 	}
 }
 

@@ -10,10 +10,12 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"log"
 	"math/rand"
+	"os"
 	"time"
 
 	"fanstore"
@@ -135,11 +137,12 @@ func main() {
 			}
 		}
 
-		st := node.Stats()
-		samplesPerSec := float64(epochs*itersPerEpoch*batchSize) / time.Since(start).Seconds()
-		fmt.Printf("rank %d: %.0f samples/s | opens: %d local, %d remote | decompressions %d | cache hits %d evictions %d\n",
-			c.Rank(), samplesPerSec, st.LocalOpens, st.RemoteOpens,
-			st.Decompresses, st.Cache.Hits, st.Cache.Evictions)
+		// The rank's registry through the one summary, files/s included;
+		// one buffered write, so in-process ranks do not interleave.
+		var out bytes.Buffer
+		fmt.Fprintf(&out, "rank %d:\n", c.Rank())
+		fanstore.WriteSummary(&out, node.Registry().Snapshot(), time.Since(start))
+		os.Stdout.Write(out.Bytes())
 		return nil
 	})
 	if err != nil {

@@ -4,8 +4,10 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	"fanstore"
 	"fanstore/internal/dataset"
@@ -75,9 +77,12 @@ func main() {
 			return err
 		}
 
-		st := node.Stats()
-		fmt.Printf("rank %d: %d local opens, %d remote fetches, %d decompressions, cache hits %d\n",
-			c.Rank(), st.LocalOpens, st.RemoteOpens, st.Decompresses, st.Cache.Hits)
+		// 5. Every number the node keeps lives in its registry; WriteSummary
+		// is the one read-out (one buffered write per in-process rank).
+		var out bytes.Buffer
+		fmt.Fprintf(&out, "rank %d:\n", c.Rank())
+		fanstore.WriteSummary(&out, node.Registry().Snapshot(), 0)
+		os.Stdout.Write(out.Bytes())
 		return nil
 	})
 	if err != nil {

@@ -155,6 +155,23 @@ var (
 // Apps lists the evaluation applications.
 func Apps() []App { return []App{SRGANonGTX, SRGANonV100, FRNNonCPU, ResNet50} }
 
+// Case is one §VII pairing of an application and a platform, with Table
+// VII's candidate compressors; the dataset it trains on is App.FileKind.
+type Case struct {
+	App        App
+	Cluster    Cluster
+	Candidates []string
+}
+
+// Cases is the table the commands' -case flags resolve against.
+var Cases = map[string]Case{
+	"srgan-gtx":  {SRGANonGTX, GTX, []string{"lzsse8", "lz4hc", "brotli", "zling", "lzma"}},
+	"frnn-cpu":   {FRNNonCPU, CPU, []string{"lzf", "lzsse8", "brotli"}},
+	"srgan-v100": {SRGANonV100, V100, []string{"lz4fast", "lz4hc", "brotli", "lzma"}},
+	"resnet-gtx": {ResNet50, GTX, []string{"memcpy"}},
+	"resnet-cpu": {ResNet50, CPU, []string{"memcpy"}},
+}
+
 // MinNodesForData returns the Fig. 1 data-capacity lower bound: the node
 // count needed to hold datasetGB across local burst buffers at the given
 // compression ratio.

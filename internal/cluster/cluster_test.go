@@ -3,6 +3,8 @@ package cluster
 import (
 	"testing"
 	"time"
+
+	"fanstore/internal/dataset"
 )
 
 func TestPlatformProfiles(t *testing.T) {
@@ -94,5 +96,22 @@ func TestMinNodesForData(t *testing.T) {
 	}
 	if n := GTX.MinNodesForData(0.001, 1); n != 1 {
 		t.Fatalf("tiny dataset: %d nodes", n)
+	}
+}
+
+// TestCasesNameTheirDataset: the commands resolve a case's dataset from
+// App.FileKind, so every case must name one Table II knows and carry at
+// least one candidate compressor.
+func TestCasesNameTheirDataset(t *testing.T) {
+	if len(Cases) != 5 {
+		t.Fatalf("%d cases, want the five of §VII", len(Cases))
+	}
+	for name, c := range Cases {
+		if _, ok := dataset.KindByName(c.App.FileKind); !ok {
+			t.Errorf("case %s: app %s trains on unknown dataset %q", name, c.App.Name, c.App.FileKind)
+		}
+		if len(c.Candidates) == 0 || c.Cluster.Name == "" {
+			t.Errorf("case %s is incomplete: %+v", name, c)
+		}
 	}
 }

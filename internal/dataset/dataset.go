@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 )
 
 // Kind identifies one of the six evaluation datasets.
@@ -65,6 +66,23 @@ func (k Kind) String() string { return specs[k].Name }
 // Kinds lists all datasets in Table II order.
 func Kinds() []Kind {
 	return []Kind{EM, Tokamak, Lung, Astro, ImageNet, Language}
+}
+
+// aliases are the short names the commands accept beside Table II's.
+var aliases = map[string]Kind{
+	"rs": Tokamak, "lung": Lung, "astro": Astro, "astronomy": Astro, "text": Language,
+}
+
+// KindByName resolves a dataset by its Table II name or format, or by a
+// short alias, case-insensitively.
+func KindByName(name string) (Kind, bool) {
+	for _, k := range Kinds() {
+		if s := k.Spec(); strings.EqualFold(s.Name, name) || strings.EqualFold(s.Format, name) {
+			return k, true
+		}
+	}
+	k, ok := aliases[strings.ToLower(name)]
+	return k, ok
 }
 
 // File is one generated dataset member.

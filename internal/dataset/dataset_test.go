@@ -117,3 +117,23 @@ func TestCompressibilityBands(t *testing.T) {
 		}
 	}
 }
+
+func TestKindByName(t *testing.T) {
+	for in, want := range map[string]Kind{
+		"EM": EM, "em": EM, "tif": EM,
+		"Tokamak": Tokamak, "rs": Tokamak, "RS": Tokamak, "npz": Tokamak,
+		"LUNG": Lung, "Lung image": Lung,
+		"astro": Astro, "Astronomy": Astro, "fits": Astro,
+		"imagenet": ImageNet, "jpg": ImageNet,
+		"language": Language, "text": Language, "txt": Language,
+	} {
+		if got, ok := KindByName(in); !ok || got != want {
+			t.Errorf("KindByName(%q) = %v, %v, want %v", in, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"nope", "bogus", ""} {
+		if _, ok := KindByName(bad); ok {
+			t.Errorf("unknown dataset %q accepted", bad)
+		}
+	}
+}

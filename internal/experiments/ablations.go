@@ -10,6 +10,7 @@ import (
 	"fanstore/internal/dataset"
 	"fanstore/internal/fanstore"
 	"fanstore/internal/iobench"
+	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
 	"fanstore/internal/pack"
 	"fanstore/internal/prefetch"
@@ -78,10 +79,9 @@ func ablationCache(w io.Writer, opt Options) error {
 					return err
 				}
 			}
-			st := node.Stats()
+			snap := node.Registry().Snapshot()
 			fmt.Fprintf(t, "%s\t%.2f\t%.0f%%\n", pol,
-				float64(st.Decompresses)/reads,
-				float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses)*100)
+				float64(snap.Counters["fanstore.decompresses"])/reads, hitRate(snap))
 			return nil
 		})
 		if err != nil {
@@ -137,12 +137,12 @@ func ablationRing(w io.Writer, opt Options) error {
 						}
 					}
 				}
-				st := node.Stats()
+				snap := node.Registry().Snapshot()
 				label := "remote fetch"
 				if replicate {
 					label = "ring replicated"
 				}
-				fmt.Fprintf(t, "%s\t%d\t%d\n", label, st.RemoteOpens, st.RemoteBytes)
+				fmt.Fprintf(t, "%s\t%d\t%d\n", label, snap.Counters["fanstore.opens.remote"], snap.Counters["fanstore.bytes.remote"])
 			}
 			return c.Barrier()
 		})
@@ -170,7 +170,7 @@ func (d *deadBackend) Peek(path string) (uint16, []byte, bool) { return 0, nil, 
 // spreads across owner and replica, and when the owner's storage fails,
 // reads keep succeeding by failing over to the replica.
 func ablationRouting(w io.Writer, opt Options) error {
-	const n, size, rounds, tagStats = 8, 16 << 10, 4, 7100
+	const n, size, rounds = 8, 16 << 10, 4
 	g := dataset.Generator{Kind: dataset.EM, Seed: opt.Seed + 2, Size: size}
 	files := make([]pack.InputFile, n)
 	paths := make([]string, n)
@@ -216,29 +216,18 @@ func ablationRouting(w io.Writer, opt Options) error {
 					}
 				}
 			}
-			if err := c.Barrier(); err != nil { // reads done before sampling stats
+			// GatherReport snapshots before its Allgather: without this
+			// barrier the serving ranks would report before rank 0 has read.
+			if err := c.Barrier(); err != nil {
 				return err
 			}
-			st := node.Stats()
-			if c.Rank() != 0 {
-				frame := fmt.Sprintf("%d %d", st.Daemon.Served, st.Daemon.Errors)
-				return c.Send(0, tagStats, []byte(frame))
+			rep, err := fanstore.GatherReport(c, node.Registry(), fanstore.ReportOptions{})
+			if err != nil || c.Rank() != 0 {
+				return err
 			}
-			served := make(map[int]int64, 2)
-			errCount := make(map[int]int64, 2)
-			for i := 0; i < 2; i++ {
-				data, src, err := c.Recv(mpi.AnySource, tagStats)
-				if err != nil {
-					return err
-				}
-				var s, e int64
-				if _, err := fmt.Sscanf(string(data), "%d %d", &s, &e); err != nil {
-					return err
-				}
-				served[src], errCount[src] = s, e
-			}
-			fmt.Fprintf(t, "%s\t%d\t%d\t%d\t%d\n",
-				mode, served[1], served[2], st.Failovers, errCount[1])
+			owner, replica := rep.PerRank[1].Counters, rep.PerRank[2].Counters
+			fmt.Fprintf(t, "%s\t%d\t%d\t%d\t%d\n", mode, owner["rpc.server.served"], replica["rpc.server.served"],
+				rep.PerRank[0].Counters["fanstore.failovers"], owner["rpc.server.errors"])
 			return nil
 		})
 		if err != nil {
@@ -323,16 +312,15 @@ func ablationBatchedFetch(w io.Writer, opt Options) error {
 				}
 			}
 			elapsed := time.Since(start)
-			st := node.Stats()
-			label, rpcs := "serial demand", st.RPC.Calls
+			snap := node.Registry().Snapshot()
+			label, rpcs := "serial demand", snap.Counters["rpc.client.calls"]
 			if batched {
-				label, rpcs = "batched look-ahead", st.BatchedFetches
+				label, rpcs = "batched look-ahead", snap.Counters["fanstore.fetch.batched"]
 			}
 			filesPerSec[batched] = n / elapsed.Seconds()
 			fmt.Fprintf(t, "%s\t%.0f\t%d\t%d\t%.0f%%\t%d\n",
-				label, filesPerSec[batched], rpcs, st.PrefetchedOpens,
-				float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses)*100,
-				st.Cache.Pinned)
+				label, filesPerSec[batched], rpcs, snap.Counters["fanstore.cache.prefetched_opens"],
+				hitRate(snap), pinnedBytes(node, opts.CacheBytes))
 			return nil
 		})
 		if err != nil {
@@ -374,8 +362,7 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 	for _, planned := range []bool{false, true} {
 		planned := planned
 		var total time.Duration
-		var lastStats fanstore.Stats
-		var lastHigh int64
+		var lastBatched, lastPinned, lastHigh int64
 		for round := 0; round < rounds; round++ { // fresh mount: every epoch cold
 			err := mpi.Run(2, func(c *mpi.Comm) error {
 				opts := fanstore.Options{CacheBytes: int64(16 * size)}
@@ -412,7 +399,8 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 				}
 				total += time.Since(start)
 				pipe.Stop()
-				lastStats = node.Stats()
+				lastBatched = node.Registry().Snapshot().Counters["fanstore.fetch.batched"]
+				lastPinned = pinnedBytes(node, opts.CacheBytes)
 				if sched != nil {
 					lastHigh = sched.MaxStagedBytes()
 				}
@@ -430,13 +418,24 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 			high = fmt.Sprintf("%d B", lastHigh)
 		}
 		fmt.Fprintf(t, "%s\t%v\t%.0f\t%d\t%s\t%d\n",
-			label, mean.Round(10*time.Microsecond), n/mean.Seconds(),
-			lastStats.BatchedFetches, high, lastStats.Cache.Pinned)
+			label, mean.Round(10*time.Microsecond), n/mean.Seconds(), lastBatched, high, lastPinned)
 	}
 	t.Flush()
 	fmt.Fprintf(w, "live demand-only/planned wall-time ratio: %.2fx — wall time is noisy on a shared core; what repeats is the fetch count: a few batched round trips instead of one per remote open, with staging bounded by the cache.\n\n",
 		epochSecs[false]/epochSecs[true])
 	return nil
+}
+
+// hitRate is the cache hit percentage of a node's snapshot.
+func hitRate(s metrics.RegistrySnapshot) float64 {
+	hits, misses := s.Counters["fanstore.cache.hits"], s.Counters["fanstore.cache.misses"]
+	return float64(hits) / float64(hits+misses) * 100
+}
+
+// pinnedBytes is the cache capacity open files still hold down — an
+// invariant, 0 once every file is closed — from what the planner reads.
+func pinnedBytes(node *fanstore.Node, cacheBytes int64) int64 {
+	return cacheBytes - node.CacheHeadroom() - node.StagedBytes()
 }
 
 // ablationMetadata measures the live RAM-table stat() against the modeled

@@ -75,15 +75,7 @@ func samples(kind dataset.Kind, seed int64, n, size int) [][]byte {
 // appSamples produces sample files for an application's dataset with
 // sizes scaled down in quick mode.
 func appSamples(app cluster.App, opt Options) ([][]byte, int) {
-	var kind dataset.Kind
-	switch app.FileKind {
-	case "Tokamak":
-		kind = dataset.Tokamak
-	case "ImageNet":
-		kind = dataset.ImageNet
-	default:
-		kind = dataset.EM
-	}
+	kind, _ := dataset.KindByName(app.FileKind)
 	// Samples stay small — per-file costs rescale linearly to the app's
 	// real file size in scaledCandidate.
 	size := int(app.FileSizeBytes())

@@ -512,12 +512,6 @@ func (c *Cache) Headroom() int64 {
 	return h
 }
 
-// prefetchedOpens reports how many Acquires were served by an entry
-// staged by InsertIdle (the node surfaces it as Stats.PrefetchedOpens).
-func (c *Cache) prefetchedOpens() int64 {
-	return c.prefetchedHits.Value()
-}
-
 // pinned reports the number of entries with live references (test hook).
 func (c *Cache) pinned() int {
 	return int(c.pins.Load())

@@ -140,7 +140,7 @@ func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 	if string(got) != string(staged) {
 		t.Fatal("insert race did not return the canonical staged buffer")
 	}
-	if n := c.prefetchedOpens(); n != 1 {
+	if n := c.prefetchedHits.Value(); n != 1 {
 		t.Fatalf("prefetchedOpens = %d, want 1 (insert-race open not counted)", n)
 	}
 	c.Release("f")
@@ -150,7 +150,7 @@ func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 		t.Fatal("entry vanished")
 	}
 	c.Release("f")
-	if n := c.prefetchedOpens(); n != 1 {
+	if n := c.prefetchedHits.Value(); n != 1 {
 		t.Fatalf("prefetchedOpens = %d after plain re-open, want 1", n)
 	}
 }

@@ -169,7 +169,7 @@ func TestCacheInsertIdleStaysEvictable(t *testing.T) {
 		t.Fatal("entry must survive under FIFO")
 	}
 	c.Release("p")
-	if got := c.prefetchedOpens(); got != 1 {
+	if got := c.prefetchedHits.Value(); got != 1 {
 		t.Fatalf("prefetched opens = %d, want 1", got)
 	}
 }

@@ -66,24 +66,24 @@ func TestColdOpenStormCoalesces(t *testing.T) {
 			return err
 		}
 
-		st := node.Stats()
-		if st.RPC.Calls != 1 {
-			return fmt.Errorf("storm issued %d fetch calls, want exactly 1", st.RPC.Calls)
+		st := read(t, node)
+		if st.counter("rpc.client.calls") != 1 {
+			return fmt.Errorf("storm issued %d fetch calls, want exactly 1", st.counter("rpc.client.calls"))
 		}
-		if st.Decompresses != 1 {
-			return fmt.Errorf("storm ran %d decode jobs, want exactly 1", st.Decompresses)
+		if st.counter("fanstore.decompresses") != 1 {
+			return fmt.Errorf("storm ran %d decode jobs, want exactly 1", st.counter("fanstore.decompresses"))
 		}
-		if st.RemoteOpens != 1 {
-			return fmt.Errorf("%d opens took the remote path, want 1 leader", st.RemoteOpens)
+		if st.counter("fanstore.opens.remote") != 1 {
+			return fmt.Errorf("%d opens took the remote path, want 1 leader", st.counter("fanstore.opens.remote"))
 		}
-		if st.FetchCoalesced != goroutines-1 {
-			return fmt.Errorf("coalesced %d opens, want %d", st.FetchCoalesced, goroutines-1)
+		if st.counter("fanstore.fetch.coalesced") != goroutines-1 {
+			return fmt.Errorf("coalesced %d opens, want %d", st.counter("fanstore.fetch.coalesced"), goroutines-1)
 		}
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d pins survived the storm", st.Cache.Pinned)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d pins survived the storm", node.cache.pinned())
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("%d double releases", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("%d double releases", st.counter("fanstore.cache.double_releases"))
 		}
 		return nil
 	})
@@ -132,24 +132,24 @@ func TestOpenDuringPrefetchCoalesces(t *testing.T) {
 			return fmt.Errorf("prefetch staged %d of %d", staged, len(window))
 		}
 
-		st := node.Stats()
-		if st.RemoteOpens != 0 {
-			return fmt.Errorf("open duplicated the in-flight prefetch (%d remote opens)", st.RemoteOpens)
+		st := read(t, node)
+		if st.counter("fanstore.opens.remote") != 0 {
+			return fmt.Errorf("open duplicated the in-flight prefetch (%d remote opens)", st.counter("fanstore.opens.remote"))
 		}
-		if st.FetchCoalesced != 1 {
-			return fmt.Errorf("coalesced %d opens, want 1", st.FetchCoalesced)
+		if st.counter("fanstore.fetch.coalesced") != 1 {
+			return fmt.Errorf("coalesced %d opens, want 1", st.counter("fanstore.fetch.coalesced"))
 		}
 		// Re-announcing the staged window must refetch nothing.
-		calls := st.RPC.Calls
+		calls := st.counter("rpc.client.calls")
 		if restaged := node.Prefetch(window); restaged != 0 {
 			return fmt.Errorf("re-staged %d already-cached objects", restaged)
 		}
-		st = node.Stats()
-		if st.RPC.Calls != calls {
-			return fmt.Errorf("suppressed window still issued %d calls", st.RPC.Calls-calls)
+		st = read(t, node)
+		if st.counter("rpc.client.calls") != calls {
+			return fmt.Errorf("suppressed window still issued %d calls", st.counter("rpc.client.calls")-calls)
 		}
-		if st.PrefetchSuppressed != int64(len(window)) {
-			return fmt.Errorf("suppressed %d targets, want %d", st.PrefetchSuppressed, len(window))
+		if st.counter("fanstore.prefetch.suppressed") != int64(len(window)) {
+			return fmt.Errorf("suppressed %d targets, want %d", st.counter("fanstore.prefetch.suppressed"), len(window))
 		}
 		return nil
 	})
@@ -204,12 +204,12 @@ func TestRemoteOpenCloseStormCoalescingPinInvariants(t *testing.T) {
 		for err := range errCh {
 			return err
 		}
-		st := node.Stats()
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d pins survived the storm", st.Cache.Pinned)
+		st := read(t, node)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d pins survived the storm", node.cache.pinned())
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("%d double releases under storm", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("%d double releases under storm", st.counter("fanstore.cache.double_releases"))
 		}
 		if n := node.flightCount(); n != 0 {
 			return fmt.Errorf("%d flights leaked", n)
@@ -280,14 +280,14 @@ func TestPlannedEpochBoundsStagedBytes(t *testing.T) {
 		if max := sched.MaxStagedBytes(); max > 4*fileSize {
 			return fmt.Errorf("staged-but-unread high-water %d exceeds cache capacity %d", max, 4*fileSize)
 		}
-		st := node.Stats()
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d pins survived the planned epoch", st.Cache.Pinned)
+		st := read(t, node)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d pins survived the planned epoch", node.cache.pinned())
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("%d double releases", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("%d double releases", st.counter("fanstore.cache.double_releases"))
 		}
-		if st.BatchedFetches == 0 {
+		if st.counter("fanstore.fetch.batched") == 0 {
 			return fmt.Errorf("planned epoch issued no batched fetches")
 		}
 		return nil

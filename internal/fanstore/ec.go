@@ -211,10 +211,20 @@ func (n *Node) handleStoreShard(body []byte) ([]byte, error) {
 			return nil, fmt.Errorf("fanstore: shard %d of partition %d has geometry (%d,%d), mount is (%d,%d)",
 				sh.Header.Index, sh.Header.GID, sh.Header.K, sh.Header.M, n.ec.code.K(), n.ec.code.M())
 		}
+		if !shardFits(sh) {
+			return nil, fmt.Errorf("fanstore: shard %d of partition %d claims a %d-byte blob over %d-byte shards",
+				sh.Header.Index, sh.Header.GID, sh.Header.BlobSize, len(sh.Data))
+		}
 		n.ecStoreShard(sh)
 	}
 	resp := decomp.GetBuf(1)
 	return append(resp, 1), nil
+}
+
+// shardFits bounds BlobSize — a peer's u64, which sizes the allocation a
+// rebuild joins into — by what k shards of this length can hold.
+func shardFits(sh pack.Shard) bool {
+	return sh.Header.BlobSize <= uint64(sh.Header.K)*uint64(len(sh.Data))
 }
 
 // ecStoreShard copies one shard into the held set (the frame's backing
@@ -329,13 +339,15 @@ func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, countRepair b
 }
 
 // ecGatherShards collects gid's shards from this node and every alive
-// peer, stopping at any k distinct indices with consistent geometry.
+// peer, stopping at any k distinct indices with consistent geometry that
+// fit and agree on the blob they stripe (a refused shard counts as lost).
 // Per-peer failures (including the dead owner timing out) only matter
 // if they leave fewer than k shards.
 func (n *Node) ecGatherShards(gid uint64) ([][]byte, pack.ShardHeader, error) {
 	code := n.ec.code
 	shards := make([][]byte, code.Shards())
 	var hdr pack.ShardHeader
+	var lastErr error
 	have := 0
 	take := func(sh pack.Shard) {
 		if sh.Header.GID != gid || int(sh.Header.K) != code.K() || int(sh.Header.M) != code.M() {
@@ -343,6 +355,11 @@ func (n *Node) ecGatherShards(gid uint64) ([][]byte, pack.ShardHeader, error) {
 		}
 		i := int(sh.Header.Index)
 		if i >= len(shards) || shards[i] != nil {
+			return
+		}
+		if !shardFits(sh) || have > 0 && (sh.Header.BlobSize != hdr.BlobSize || sh.Header.BlobCRC != hdr.BlobCRC) {
+			lastErr = fmt.Errorf("shard %d refused: it describes a %d-byte blob, crc %08x, over %d-byte shards; the %d taken, %d bytes, crc %08x",
+				i, sh.Header.BlobSize, sh.Header.BlobCRC, len(sh.Data), have, hdr.BlobSize, hdr.BlobCRC)
 			return
 		}
 		cp := make([]byte, len(sh.Data))
@@ -367,7 +384,6 @@ func (n *Node) ecGatherShards(gid uint64) ([][]byte, pack.ShardHeader, error) {
 		req := make([]byte, 9)
 		req[0] = opFetchShard
 		binary.LittleEndian.PutUint64(req[1:], gid)
-		var lastErr error
 		for _, res := range n.client.Scatter(dsts, req) {
 			if res.Err != nil {
 				lastErr = res.Err
@@ -383,7 +399,7 @@ func (n *Node) ecGatherShards(gid uint64) ([][]byte, pack.ShardHeader, error) {
 			}
 		}
 		if have < code.K() {
-			return nil, hdr, fmt.Errorf("fanstore: partition %d: %d/%d shards survive (%w, last peer error: %v)",
+			return nil, hdr, fmt.Errorf("fanstore: partition %d: %d/%d shards survive (%w, last error: %v)",
 				gid, have, code.K(), ec.ErrShortSet, lastErr)
 		}
 	}

@@ -263,6 +263,7 @@ func (e *elasticCtrl) mount(partitions [][]byte, members int) error {
 			return fmt.Errorf("shard placement: %w", err)
 		}
 	}
+	n.mapVersion.Set(int64(n.view.Version())) // the admissions since newNode
 	return nil
 }
 

@@ -84,7 +84,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 					return fmt.Errorf("joiner: %s: content mismatch", p)
 				}
 			}
-			if node.Stats().LocalOpens == 0 {
+			if read(t, node).counter("fanstore.opens.local") == 0 {
 				return fmt.Errorf("joiner served no local opens; rebalanced partitions not serving")
 			}
 			return nil

@@ -74,14 +74,14 @@ func TestFidelityBudgetedFetchEndToEnd(t *testing.T) {
 				return fmt.Errorf("base epoch %s: cached at fidelity %d (ok=%v), want 1", p, fid, ok)
 			}
 		}
-		st := node.Stats()
-		if st.FetchBytesSaved == 0 {
+		st := read(t, node)
+		if st.counter("fanstore.fetch.bytes.saved") == 0 {
 			return fmt.Errorf("base epoch saved no bytes")
 		}
-		if st.FetchUpgrades != 0 {
-			return fmt.Errorf("base epoch counted %d upgrades", st.FetchUpgrades)
+		if st.counter("fanstore.fetch.upgrades") != 0 {
+			return fmt.Errorf("base epoch counted %d upgrades", st.counter("fanstore.fetch.upgrades"))
 		}
-		baseRemote := st.RemoteBytes
+		baseRemote := st.counter("fanstore.bytes.remote")
 		// The budgeted epoch must move at most ~1/3 of the full containers
 		// (base layer = 2 of 8 bit-planes here).
 		full := int64(0)
@@ -110,12 +110,12 @@ func TestFidelityBudgetedFetchEndToEnd(t *testing.T) {
 				return fmt.Errorf("full epoch %s: cached at fidelity %d (ok=%v), want full", p, fid, ok)
 			}
 		}
-		st = node.Stats()
-		if st.FetchUpgrades != int64(len(remote)) {
-			return fmt.Errorf("full epoch upgraded %d entries, want %d", st.FetchUpgrades, len(remote))
+		st = read(t, node)
+		if st.counter("fanstore.fetch.upgrades") != int64(len(remote)) {
+			return fmt.Errorf("full epoch upgraded %d entries, want %d", st.counter("fanstore.fetch.upgrades"), len(remote))
 		}
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d pins leaked", st.Cache.Pinned)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d pins leaked", node.cache.pinned())
 		}
 		return nil
 	})
@@ -125,8 +125,8 @@ func TestFidelityBudgetedFetchEndToEnd(t *testing.T) {
 }
 
 // TestFidelityPrefetchBudgeted checks the batched half of the budget
-// plane: PrefetchFidelity stages a window of level-1 prefixes with
-// budgeted FetchMany round trips, the staged entries carry their
+// plane: at SetFidelity(1) Prefetch stages a window of level-1 prefixes
+// with budgeted batched round trips, the staged entries carry their
 // fidelity, and re-announcing the window at the same level is
 // suppressed while a higher level is NOT re-staged (upgrades belong to
 // the demand path).
@@ -143,7 +143,8 @@ func TestFidelityPrefetchBudgeted(t *testing.T) {
 			return nil
 		}
 		window := ownedPaths(t, bundle.Scatter[1])
-		if staged := node.PrefetchFidelity(window, 1); staged != len(window) {
+		node.SetFidelity(1)
+		if staged := node.Prefetch(window); staged != len(window) {
 			return fmt.Errorf("staged %d of %d", staged, len(window))
 		}
 		for _, p := range window {
@@ -151,14 +152,15 @@ func TestFidelityPrefetchBudgeted(t *testing.T) {
 				return fmt.Errorf("%s staged at fidelity %d (ok=%v), want 1", p, fid, ok)
 			}
 		}
-		st := node.Stats()
-		if st.FetchBytesSaved == 0 {
+		st := read(t, node)
+		if st.counter("fanstore.fetch.bytes.saved") == 0 {
 			return fmt.Errorf("budgeted prefetch saved no bytes")
 		}
-		if restaged := node.PrefetchFidelity(window, 1); restaged != 0 {
+		if restaged := node.Prefetch(window); restaged != 0 {
 			return fmt.Errorf("re-staged %d targets at the same level", restaged)
 		}
-		if restaged := node.PrefetchFidelity(window, 2); restaged != 0 {
+		node.SetFidelity(2)
+		if restaged := node.Prefetch(window); restaged != 0 {
 			return fmt.Errorf("prefetch upgraded %d resident entries", restaged)
 		}
 		// The demand path still upgrades and delivers exact bytes.
@@ -172,7 +174,7 @@ func TestFidelityPrefetchBudgeted(t *testing.T) {
 				return fmt.Errorf("%s: content mismatch after prefetch+upgrade", p)
 			}
 		}
-		if st := node.Stats(); st.FetchUpgrades == 0 {
+		if st := read(t, node); st.counter("fanstore.fetch.upgrades") == 0 {
 			return fmt.Errorf("demand opens never upgraded the staged window")
 		}
 		return nil
@@ -246,21 +248,21 @@ func TestMixedFidelityCoalescingStorm(t *testing.T) {
 			return err
 		}
 
-		st := node.Stats()
-		if st.RPC.Calls != 2 {
-			return fmt.Errorf("storm issued %d fetch calls, want exactly 2 (base + upgrade)", st.RPC.Calls)
+		st := read(t, node)
+		if st.counter("rpc.client.calls") != 2 {
+			return fmt.Errorf("storm issued %d fetch calls, want exactly 2 (base + upgrade)", st.counter("rpc.client.calls"))
 		}
-		if st.FetchUpgrades != 1 {
-			return fmt.Errorf("storm ran %d upgrades, want exactly 1", st.FetchUpgrades)
+		if st.counter("fanstore.fetch.upgrades") != 1 {
+			return fmt.Errorf("storm ran %d upgrades, want exactly 1", st.counter("fanstore.fetch.upgrades"))
 		}
-		if st.Decompresses != 1 {
-			return fmt.Errorf("storm ran %d decode jobs, want exactly 1 (upgrades XOR, not re-decode)", st.Decompresses)
+		if st.counter("fanstore.decompresses") != 1 {
+			return fmt.Errorf("storm ran %d decode jobs, want exactly 1 (upgrades XOR, not re-decode)", st.counter("fanstore.decompresses"))
 		}
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d pins survived the storm", st.Cache.Pinned)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d pins survived the storm", node.cache.pinned())
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("%d double releases", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("%d double releases", st.counter("fanstore.cache.double_releases"))
 		}
 		if fid, ok := node.cache.entryFidelity(m.Path); !ok || fid != 2 {
 			return fmt.Errorf("entry ended at fidelity %d (ok=%v), want 2", fid, ok)
@@ -398,8 +400,8 @@ func BenchmarkBudgetedFetch(b *testing.B) {
 					}
 				}
 				b.StopTimer()
-				st := node.Stats()
-				b.ReportMetric(float64(st.RemoteBytes)/float64(b.N), "wireB/op")
+				st := read(b, node)
+				b.ReportMetric(float64(st.counter("fanstore.bytes.remote"))/float64(b.N), "wireB/op")
 				b.SetBytes(int64(fileSize))
 				return nil
 			})

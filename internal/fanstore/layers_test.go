@@ -181,7 +181,7 @@ func TestSpillFetchConcurrency(t *testing.T) {
 		for err := range errCh {
 			return err
 		}
-		if st := node.Stats(); st.RemoteOpens == 0 || st.RPC.Calls == 0 {
+		if st := read(t, node); st.counter("fanstore.opens.remote") == 0 || st.counter("rpc.client.calls") == 0 {
 			return fmt.Errorf("no remote traffic recorded: %+v", st)
 		}
 		return nil
@@ -255,16 +255,16 @@ func TestDaemonConcurrentUnderStall(t *testing.T) {
 					return err
 				}
 			}
-			st := node.Stats().Daemon
+			st := read(t, node)
 			close(gate.release)
-			if st.InService < 1 {
+			if st.gauge("rpc.server.inservice").Value < 1 {
 				return fmt.Errorf("stalled request not in service: %+v", st)
 			}
-			if st.MaxInService <= 1 {
+			if st.gauge("rpc.server.inservice").Max <= 1 {
 				return fmt.Errorf("daemon served serially under stall: %+v", st)
 			}
-			if wantServed := int64(2 * openers * opens); st.Served < wantServed {
-				return fmt.Errorf("served %d fast fetches, want >= %d", st.Served, wantServed)
+			if wantServed := int64(2 * openers * opens); st.counter("rpc.server.served") < wantServed {
+				return fmt.Errorf("served %d fast fetches, want >= %d", st.counter("rpc.server.served"), wantServed)
 			}
 			return nil
 		case 1:
@@ -360,26 +360,26 @@ func TestReplicaFailover(t *testing.T) {
 					return fmt.Errorf("%s: content mismatch", p)
 				}
 			}
-			st := node.Stats()
-			if st.Failovers < 1 {
+			st := read(t, node)
+			if st.counter("fanstore.failovers") < 1 {
 				return fmt.Errorf("no failovers recorded: %+v", st)
 			}
-			if st.RemoteOpens != int64(len(want)) {
-				return fmt.Errorf("remote opens %d, want %d", st.RemoteOpens, len(want))
+			if st.counter("fanstore.opens.remote") != int64(len(want)) {
+				return fmt.Errorf("remote opens %d, want %d", st.counter("fanstore.opens.remote"), len(want))
 			}
 		}
 		if err := node.Close(); err != nil {
 			return err
 		}
-		st := node.Stats()
+		st := read(t, node)
 		switch c.Rank() {
 		case 1:
-			if st.Daemon.Errors < 1 {
-				return fmt.Errorf("owner never reported its broken backend: %+v", st.Daemon)
+			if st.counter("rpc.server.errors") < 1 {
+				return fmt.Errorf("owner never reported its broken backend: %+v", st)
 			}
 		case 2:
-			if st.Daemon.Served != int64(len(want)) {
-				return fmt.Errorf("replica served %d, want %d", st.Daemon.Served, len(want))
+			if st.counter("rpc.server.served") != int64(len(want)) {
+				return fmt.Errorf("replica served %d, want %d", st.counter("rpc.server.served"), len(want))
 			}
 		}
 		return nil
@@ -421,11 +421,11 @@ func TestReplicaRoutingSpread(t *testing.T) {
 					}
 				}
 			}
-			st := node.Stats()
-			if st.RemoteOpens != int64(rounds*len(want)) {
-				return fmt.Errorf("remote opens %d, want %d", st.RemoteOpens, rounds*len(want))
+			st := read(t, node)
+			if st.counter("fanstore.opens.remote") != int64(rounds*len(want)) {
+				return fmt.Errorf("remote opens %d, want %d", st.counter("fanstore.opens.remote"), rounds*len(want))
 			}
-			if st.Failovers != 0 {
+			if st.counter("fanstore.failovers") != 0 {
 				return fmt.Errorf("unexpected failovers with healthy peers: %+v", st)
 			}
 		}
@@ -433,7 +433,7 @@ func TestReplicaRoutingSpread(t *testing.T) {
 			return err
 		}
 		if c.Rank() != 0 {
-			if served := node.Stats().Daemon.Served; served == 0 {
+			if served := read(t, node).counter("rpc.server.served"); served == 0 {
 				return fmt.Errorf("rank %d served no traffic; routing did not spread", c.Rank())
 			}
 		}
@@ -518,15 +518,15 @@ func TestZeroCopyStats(t *testing.T) {
 				return fmt.Errorf("%s: content mismatch", p)
 			}
 		}
-		st := node.Stats()
-		if st.ZeroCopyOpens != nFiles {
-			return fmt.Errorf("zero-copy opens %d, want %d", st.ZeroCopyOpens, nFiles)
+		st := read(t, node)
+		if st.counter("fanstore.opens.zerocopy") != nFiles {
+			return fmt.Errorf("zero-copy opens %d, want %d", st.counter("fanstore.opens.zerocopy"), nFiles)
 		}
-		if st.LocalOpens != nFiles || st.BytesRead != total || st.Decompresses != 0 {
+		if st.counter("fanstore.opens.local") != nFiles || st.counter("fanstore.bytes.read") != total || st.counter("fanstore.decompresses") != 0 {
 			return fmt.Errorf("passthrough stats gap: %+v", st)
 		}
-		if m := node.Metrics(); m.Open.Count != nFiles {
-			return fmt.Errorf("open histogram count %d, want %d", m.Open.Count, nFiles)
+		if n := st.hist("fanstore.open.latency").Count; n != nFiles {
+			return fmt.Errorf("open histogram count %d, want %d", n, nFiles)
 		}
 		return nil
 	})

@@ -57,21 +57,21 @@ func TestPrefetchStagesRemoteWindow(t *testing.T) {
 				return fmt.Errorf("%s: content mismatch", p)
 			}
 		}
-		st := node.Stats()
-		if st.BatchedFetches < 1 {
+		st := read(t, node)
+		if st.counter("fanstore.fetch.batched") < 1 {
 			return fmt.Errorf("no batched fetches issued: %+v", st)
 		}
-		if st.RemoteOpens != 0 {
-			return fmt.Errorf("%d opens fell back to on-demand fetch", st.RemoteOpens)
+		if st.counter("fanstore.opens.remote") != 0 {
+			return fmt.Errorf("%d opens fell back to on-demand fetch", st.counter("fanstore.opens.remote"))
 		}
-		if st.PrefetchedOpens != int64(len(window)) {
-			return fmt.Errorf("prefetched opens %d, want %d", st.PrefetchedOpens, len(window))
+		if st.counter("fanstore.cache.prefetched_opens") != int64(len(window)) {
+			return fmt.Errorf("prefetched opens %d, want %d", st.counter("fanstore.cache.prefetched_opens"), len(window))
 		}
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d entries still pinned after close", st.Cache.Pinned)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d entries still pinned after close", node.cache.pinned())
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("%d double releases", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("%d double releases", st.counter("fanstore.cache.double_releases"))
 		}
 		return nil
 	})
@@ -100,19 +100,19 @@ func TestPrefetchSkipsSettledPaths(t *testing.T) {
 		if staged := node.Prefetch([]string{"no/such/file", ""}); staged != 0 {
 			return fmt.Errorf("staged %d unknown files", staged)
 		}
-		if st := node.Stats(); st.BatchedFetches != 0 {
-			return fmt.Errorf("filtered windows still issued %d fetches", st.BatchedFetches)
+		if st := read(t, node); st.counter("fanstore.fetch.batched") != 0 {
+			return fmt.Errorf("filtered windows still issued %d fetches", st.counter("fanstore.fetch.batched"))
 		}
 		remote := ownedPaths(t, bundle.Scatter[1])
 		if staged := node.Prefetch(remote); staged != len(remote) {
 			return fmt.Errorf("staged %d of %d remote files", staged, len(remote))
 		}
-		calls := node.Stats().BatchedFetches
+		calls := read(t, node).counter("fanstore.fetch.batched")
 		// The window is already staged: announcing it again is free.
 		if staged := node.Prefetch(remote); staged != 0 {
 			return fmt.Errorf("re-staged %d already-cached files", staged)
 		}
-		if got := node.Stats().BatchedFetches; got != calls {
+		if got := read(t, node).counter("fanstore.fetch.batched"); got != calls {
 			return fmt.Errorf("cached window issued %d extra fetches", got-calls)
 		}
 		return nil
@@ -263,12 +263,12 @@ func TestPrefetchFailsOverToReplica(t *testing.T) {
 				return fmt.Errorf("%s: content mismatch", p)
 			}
 		}
-		st := node.Stats()
-		if st.RemoteOpens != 0 {
-			return fmt.Errorf("%d opens fell back to on-demand fetch", st.RemoteOpens)
+		st := read(t, node)
+		if st.counter("fanstore.opens.remote") != 0 {
+			return fmt.Errorf("%d opens fell back to on-demand fetch", st.counter("fanstore.opens.remote"))
 		}
-		if st.PrefetchedOpens != int64(len(window)) {
-			return fmt.Errorf("prefetched opens %d, want %d", st.PrefetchedOpens, len(window))
+		if st.counter("fanstore.cache.prefetched_opens") != int64(len(window)) {
+			return fmt.Errorf("prefetched opens %d, want %d", st.counter("fanstore.cache.prefetched_opens"), len(window))
 		}
 		return nil
 	})
@@ -309,15 +309,15 @@ func TestZeroCopyCloseHoldsNoPin(t *testing.T) {
 				}
 			}
 		}
-		st := node.Stats()
-		if st.ZeroCopyOpens != 3*nFiles {
-			return fmt.Errorf("zero-copy opens %d, want %d", st.ZeroCopyOpens, 3*nFiles)
+		st := read(t, node)
+		if st.counter("fanstore.opens.zerocopy") != 3*nFiles {
+			return fmt.Errorf("zero-copy opens %d, want %d", st.counter("fanstore.opens.zerocopy"), 3*nFiles)
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("zero-copy closes produced %d double releases", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("zero-copy closes produced %d double releases", st.counter("fanstore.cache.double_releases"))
 		}
-		if st.Cache.Entries != 0 || st.Cache.Pinned != 0 {
-			return fmt.Errorf("zero-copy path touched the cache: %+v", st.Cache)
+		if node.cache.Stats().Entries != 0 || node.cache.pinned() != 0 {
+			return fmt.Errorf("zero-copy path touched the cache: %+v", node.cache.Stats())
 		}
 		return nil
 	})
@@ -381,15 +381,15 @@ func TestConcurrentOpenCloseStormPinInvariants(t *testing.T) {
 		for err := range errCh {
 			return err
 		}
-		st := node.Stats()
-		if st.Cache.Pinned != 0 {
-			return fmt.Errorf("%d pins survived the storm", st.Cache.Pinned)
+		st := read(t, node)
+		if node.cache.pinned() != 0 {
+			return fmt.Errorf("%d pins survived the storm", node.cache.pinned())
 		}
-		if st.Cache.DoubleReleases != 0 {
-			return fmt.Errorf("%d double releases under storm", st.Cache.DoubleReleases)
+		if st.counter("fanstore.cache.double_releases") != 0 {
+			return fmt.Errorf("%d double releases under storm", st.counter("fanstore.cache.double_releases"))
 		}
-		if st.Cache.Used != 0 {
-			return fmt.Errorf("immediate cache still holds %d bytes after quiesce", st.Cache.Used)
+		if node.cache.Stats().Used != 0 {
+			return fmt.Errorf("immediate cache still holds %d bytes after quiesce", node.cache.Stats().Used)
 		}
 		return nil
 	})

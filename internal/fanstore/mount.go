@@ -60,8 +60,6 @@ func newNode(comm *mpi.Comm, mem *member.Membership, opts Options) (*Node, error
 	}
 	reg := opts.Metrics
 	if reg == nil {
-		// A private registry keeps Stats()/Metrics() truthful even when
-		// the caller did not ask for unified observability.
 		reg = metrics.NewRegistry()
 	}
 	view, selfID := member.NewView(member.StaticMap(comm.Size())), member.NodeID(comm.Rank())

@@ -439,8 +439,8 @@ func TestPlacementEndToEnd(t *testing.T) {
 			}
 		}
 		// Replicated partitions must have served locally.
-		st := node.Stats()
-		if len(reps) > 0 && st.LocalOpens == 0 {
+		st := read(t, node)
+		if len(reps) > 0 && st.counter("fanstore.opens.local") == 0 {
 			return fmt.Errorf("rank %d: replicas unused", c.Rank())
 		}
 		return nil

@@ -80,11 +80,11 @@ func BenchmarkCoalescedOpenStorm(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		st := node.Stats()
-		if st.RPC.Calls != int64(b.N) {
-			return fmt.Errorf("coalesced storm issued %d fetches for %d storms (duplicates!)", st.RPC.Calls, b.N)
+		st := read(b, node)
+		if st.counter("rpc.client.calls") != int64(b.N) {
+			return fmt.Errorf("coalesced storm issued %d fetches for %d storms (duplicates!)", st.counter("rpc.client.calls"), b.N)
 		}
-		b.ReportMetric(float64(st.RPC.Calls)/float64(b.N), "fetches/storm")
+		b.ReportMetric(float64(st.counter("rpc.client.calls"))/float64(b.N), "fetches/storm")
 		b.SetBytes(int64(fileSize))
 		return nil
 	})

@@ -116,37 +116,26 @@ func GatherReport(comm *mpi.Comm, reg *metrics.Registry, opts ReportOptions) (Cl
 	return BuildClusterReport(snaps, opts), nil
 }
 
-// counterTotal sums a counter across the merged view (0 when absent).
-func (r *ClusterReport) counterTotal(name string) int64 {
-	return r.Merged.Counters[name]
-}
-
-// CacheHitRatio is hits / (hits + misses) across the cluster.
-func (r *ClusterReport) CacheHitRatio() float64 {
-	h := float64(r.counterTotal("fanstore.cache.hits"))
-	m := float64(r.counterTotal("fanstore.cache.misses"))
-	if h+m == 0 {
-		return 0
-	}
-	return h / (h + m)
-}
-
-// Render writes the human-readable cluster report: totals, the latency
-// mode split the paper's evaluation keys on (open/fetch/decompress),
-// cache behaviour, failovers, per-rank p99 spread, and flagged
-// stragglers.
-func (r *ClusterReport) Render(w io.Writer) {
-	fmt.Fprintf(w, "=== cluster I/O report (%d ranks) ===\n", len(r.PerRank))
-	opens := r.counterTotal("fanstore.opens.local") +
-		r.counterTotal("fanstore.opens.remote")
-	fmt.Fprintf(w, "opens: %d total  local=%d remote=%d zerocopy=%d\n",
-		opens,
-		r.counterTotal("fanstore.opens.local"),
-		r.counterTotal("fanstore.opens.remote"),
-		r.counterTotal("fanstore.opens.zerocopy"))
-	if r.Options.Elapsed > 0 && opens > 0 {
-		fmt.Fprintf(w, "throughput: %.1f files/s over %v\n",
-			float64(opens)/r.Options.Elapsed.Seconds(), r.Options.Elapsed)
+// WriteSummary renders one registry snapshot — a rank's, or the merged
+// cluster's — as the read-out every command prints at the end of a run:
+// opens and files/s (the paper's Tables III/VI unit; elapsed is the window
+// the snapshot covers, 0 omits rates), the open/fetch/decompress/service
+// latency split, cache, remote traffic, the fetch daemon and client, and
+// the rebalance / fidelity / ec / tune lines. A line appears when its
+// subsystem did something, so the zero snapshot renders nothing. It is
+// the only formatter of these numbers: a rank and the cluster cannot be
+// summarised by different rules.
+func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration) {
+	c := func(name string) int64 { return s.Counters[name] }
+	// Every Open lands in the open histogram; opens.local and opens.remote
+	// count only the producers of a cache miss, so the rest were hits.
+	if opens := s.Histograms["fanstore.open.latency"].Count; opens > 0 {
+		local, remote := c("fanstore.opens.local"), c("fanstore.opens.remote")
+		fmt.Fprintf(w, "opens: %d total  cached=%d local=%d remote=%d zerocopy=%d  decompressions=%d\n",
+			opens, opens-local-remote, local, remote, c("fanstore.opens.zerocopy"), c("fanstore.decompresses"))
+		if elapsed > 0 {
+			fmt.Fprintf(w, "throughput: %.1f files/s over %v\n", float64(opens)/elapsed.Seconds(), elapsed)
+		}
 	}
 	for _, h := range []struct{ label, name string }{
 		{"open", "fanstore.open.latency"},
@@ -154,40 +143,42 @@ func (r *ClusterReport) Render(w io.Writer) {
 		{"decompress", "fanstore.decompress.latency"},
 		{"rpc service", "rpc.server.service.latency"},
 	} {
-		s, ok := r.Merged.Histograms[h.name]
-		if !ok || s.Count == 0 {
-			continue
+		if hs := s.Histograms[h.name]; hs.Count > 0 {
+			fmt.Fprintf(w, "%-12s %s\n", h.label+":", hs.String())
 		}
-		fmt.Fprintf(w, "%-12s %s\n", h.label+":", s.String())
 	}
-	fmt.Fprintf(w, "cache: hit ratio %.1f%%  evictions=%d  prefetched opens=%d\n",
-		100*r.CacheHitRatio(),
-		r.counterTotal("fanstore.cache.evictions"),
-		r.counterTotal("fanstore.cache.prefetched_opens"))
-	fmt.Fprintf(w, "remote: %d B fetched  failovers=%d  batched fetches=%d\n",
-		r.counterTotal("fanstore.bytes.remote"),
-		r.counterTotal("fanstore.failovers"),
-		r.counterTotal("fanstore.fetch.batched"))
-	// Elastic clusters only: rebalance progress since mount. The map
-	// version gauge merges by max, so the line shows the newest commit
-	// any rank has applied; pending sums the coordinator's outstanding
-	// transfers (zero once every handoff committed).
-	if moved := r.counterTotal("rebalance.bytes.moved"); moved > 0 {
+	if hits, misses := c("fanstore.cache.hits"), c("fanstore.cache.misses"); hits+misses > 0 {
+		fmt.Fprintf(w, "cache: hit ratio %.1f%%  evictions=%d  prefetched opens=%d\n",
+			100*float64(hits)/float64(hits+misses), c("fanstore.cache.evictions"), c("fanstore.cache.prefetched_opens"))
+	}
+	if fetched, fo, batched := c("fanstore.bytes.remote"), c("fanstore.failovers"), c("fanstore.fetch.batched"); fetched+fo+batched > 0 {
+		fmt.Fprintf(w, "remote: %d B fetched  failovers=%d  batched fetches=%d\n", fetched, fo, batched)
+	}
+	// Gauge high-water marks merge by max: the cluster line shows the
+	// deepest queue and the busiest pool any rank saw.
+	if served, nf, errs, calls := c("rpc.server.served"), c("rpc.server.notfound"), c("rpc.server.errors"), c("rpc.client.calls"); served+nf+errs+calls > 0 {
+		fmt.Fprintf(w, "rpc: served=%d not-found=%d errors=%d  peak in-service=%d peak queue=%d  calls=%d retries=%d timeouts=%d\n",
+			served, nf, errs, s.Gauges["rpc.server.inservice"].Max, s.Gauges["rpc.server.queue"].Max,
+			calls, c("rpc.client.retries"), c("rpc.client.timeouts"))
+	}
+	// Elastic clusters only (a static map stays at version 1): rebalance
+	// progress since mount. The map version gauge merges by max, so the
+	// line shows the newest commit any rank has applied; pending sums the
+	// coordinator's outstanding transfers (zero once every handoff
+	// committed).
+	if moved, ver := c("rebalance.bytes.moved"), s.Gauges["member.map.version"].Max; moved > 0 || ver > 1 {
 		fmt.Fprintf(w, "rebalance: %d B moved  pending=%d  map version=%d  stale-map refreshes=%d\n",
-			moved,
-			r.Merged.Gauges["rebalance.partitions.pending"].Value,
-			r.Merged.Gauges["member.map.version"].Max,
-			r.counterTotal("fanstore.map.refreshes"))
+			moved, s.Gauges["rebalance.partitions.pending"].Value, ver, c("fanstore.map.refreshes"))
 	}
 	// Progressive-compression clusters only: the bandwidth-proportional
 	// read's dividend. Bytes saved and upgrades are both zero on a
 	// full-fidelity run, which keeps the line out of the classic report.
 	// The fidelity histogram observes each layered decode's layer count
 	// as that many microseconds, so Sum/Count recovers the mean level.
-	if saved, ups := r.counterTotal("fanstore.fetch.bytes.saved"), r.counterTotal("fanstore.fetch.upgrades"); saved > 0 || ups > 0 {
+	if saved, ups := c("fanstore.fetch.bytes.saved"), c("fanstore.fetch.upgrades"); saved > 0 || ups > 0 {
 		line := fmt.Sprintf("fidelity: %d B saved  upgrades=%d", saved, ups)
-		if s, ok := r.Merged.Histograms["fanstore.fidelity.level"]; ok && s.Count > 0 {
-			line += fmt.Sprintf("  mean level=%.2f", float64(s.Sum)/float64(s.Count))
+		if hs := s.Histograms["fanstore.fidelity.level"]; hs.Count > 0 {
+			line += fmt.Sprintf("  mean level=%.2f", float64(hs.Sum)/float64(hs.Count))
 		}
 		fmt.Fprintf(w, "%s\n", line)
 	}
@@ -195,14 +186,14 @@ func (r *ClusterReport) Render(w io.Writer) {
 	// behaved while the stripe was short. Degraded reads and repaired
 	// bytes are both zero on a healthy run, which keeps the line out of
 	// the fair-weather report.
-	if deg, rep := r.counterTotal("ec.degraded.reads"), r.counterTotal("ec.repair.bytes"); deg > 0 || rep > 0 {
+	if deg, rep := c("ec.degraded.reads"), c("ec.repair.bytes"); deg > 0 || rep > 0 {
 		line := fmt.Sprintf("ec: degraded reads=%d", deg)
-		if s, ok := r.Merged.Histograms["ec.reconstruct.latency"]; ok && s.Count > 0 {
-			line += fmt.Sprintf("  reconstruct p99=%v", s.P99)
+		if hs := s.Histograms["ec.reconstruct.latency"]; hs.Count > 0 {
+			line += fmt.Sprintf("  reconstruct p99=%v", hs.P99)
 		}
 		line += fmt.Sprintf("  repaired=%d B", rep)
-		if r.Options.Elapsed > 0 && rep > 0 {
-			line += fmt.Sprintf(" (%.1f MB/s)", float64(rep)/r.Options.Elapsed.Seconds()/1e6)
+		if elapsed > 0 && rep > 0 {
+			line += fmt.Sprintf(" (%.1f MB/s)", float64(rep)/elapsed.Seconds()/1e6)
 		}
 		fmt.Fprintf(w, "%s\n", line)
 	}
@@ -210,10 +201,10 @@ func (r *ClusterReport) Render(w io.Writer) {
 	// landed. Knob gauges merge by Max, so a knob line shows the highest
 	// value any rank settled on — ranks tune independently, and the
 	// per-rank /statusz endpoints carry the exact local values.
-	if moves, reverts := r.counterTotal("tune.moves"), r.counterTotal("tune.reverts"); moves > 0 || reverts > 0 {
+	if moves, reverts := c("tune.moves"), c("tune.reverts"); moves > 0 || reverts > 0 {
 		line := fmt.Sprintf("tune: moves=%d reverts=%d", moves, reverts)
 		var knobs []string
-		for name, g := range r.Merged.Gauges {
+		for name, g := range s.Gauges {
 			if strings.HasPrefix(name, "tune.knob.") {
 				knobs = append(knobs, fmt.Sprintf("%s=%d", strings.TrimPrefix(name, "tune.knob."), g.Max))
 			}
@@ -224,6 +215,14 @@ func (r *ClusterReport) Render(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%s\n", line)
 	}
+}
+
+// Render writes the human-readable cluster report: the summary of the
+// merged snapshot (WriteSummary — the same lines a rank prints for
+// itself), the per-rank p99 spread, and flagged stragglers.
+func (r *ClusterReport) Render(w io.Writer) {
+	fmt.Fprintf(w, "=== cluster I/O report (%d ranks) ===\n", len(r.PerRank))
+	WriteSummary(w, r.Merged, r.Options.Elapsed)
 	var spread []string
 	for rank, s := range r.PerRank {
 		spread = append(spread, fmt.Sprintf("r%d=%v", rank, s.Histograms[r.Options.StragglerMetric].P99))

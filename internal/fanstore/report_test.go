@@ -44,9 +44,6 @@ func TestBuildClusterReportFlagsStraggler(t *testing.T) {
 	if got := r.Merged.Histograms["fanstore.open.latency"].Count; got != 200 {
 		t.Fatalf("merged histogram count = %d, want 200", got)
 	}
-	if ratio := r.CacheHitRatio(); ratio != 0.5 {
-		t.Fatalf("cache hit ratio = %v, want 0.5", ratio)
-	}
 	out := r.String()
 	for _, want := range []string{
 		"4 ranks", "opens: 200", "files/s", "hit ratio 50.0%",
@@ -72,10 +69,9 @@ func TestBuildClusterReportHealthy(t *testing.T) {
 	}
 	// Empty input must not panic or divide by zero.
 	empty := BuildClusterReport(nil, ReportOptions{})
-	if len(empty.Stragglers) != 0 || empty.CacheHitRatio() != 0 {
-		t.Fatal("empty report not inert")
+	if len(empty.Stragglers) != 0 || strings.Contains(empty.String(), "hit ratio") {
+		t.Fatalf("empty report not inert:\n%s", empty.String())
 	}
-	_ = empty.String()
 }
 
 // TestGatherReportCollective runs the real collective on a 4-rank world:

@@ -219,7 +219,7 @@ type Options struct {
 	// Metrics re-homes every data-path instrument (cache, rpc, store) in
 	// a shared registry, so one snapshot captures the whole rank and the
 	// cluster report can merge rank snapshots name-by-name. Nil means a
-	// private registry: counters still work, Stats() stays truthful.
+	// private registry, reached through Node.Registry.
 	Metrics *metrics.Registry
 	// Tracer records per-operation spans (open, fetch, decompress, evict,
 	// prefetch) into a fixed-size ring for Chrome trace export. Nil
@@ -293,37 +293,6 @@ func RingReplicate(comm *mpi.Comm, partitions [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Stats counts data-path events for tests and benchmarks.
-type Stats struct {
-	LocalOpens      int64
-	RemoteOpens     int64
-	ZeroCopyOpens   int64 // uncompressed objects served straight from the blob
-	Decompresses    int64
-	BytesRead       int64
-	RemoteBytes     int64
-	Failovers       int64 // fetches re-routed to another replica after an error
-	BatchedFetches  int64 // batched fetch calls issued by this rank's prefetcher
-	PrefetchedOpens int64 // opens served by an entry Prefetch staged
-	// FetchCoalesced counts opens that joined another producer's
-	// in-flight fetch+decode instead of issuing their own (singleflight).
-	FetchCoalesced int64
-	// PrefetchSuppressed counts prefetch targets dropped because the
-	// object was already staged or already being produced by a
-	// concurrent open or overlapping prefetch.
-	PrefetchSuppressed int64
-	// FetchUpgrades counts in-place fidelity upgrades: a cached lower-
-	// fidelity entry promoted by fetching only its missing refinement
-	// extents instead of the whole object.
-	FetchUpgrades int64
-	// FetchBytesSaved totals the container bytes budgeted fetches and
-	// upgrades did NOT move, relative to fetching each object whole at
-	// full fidelity — the bandwidth-proportional read's dividend.
-	FetchBytesSaved int64
-	Cache           CacheStats
-	Daemon          rpc.ServerStats // this rank's fetch daemon (peer-facing)
-	RPC             rpc.ClientStats // this rank's outbound fetch calls
-}
-
 // Node is one rank's FanStore instance: metadata table, storage backend,
 // decompressed cache, and the daemon servicing peers.
 type Node struct {
@@ -380,8 +349,8 @@ type Node struct {
 	// at the base layer, say) flips it between epochs via SetFidelity.
 	fidelity atomic.Uint32
 
-	// Registry-backed data-path instruments ("fanstore.*"); Stats() and
-	// Metrics() are thin views over them.
+	// The registry every data-path instrument lives in ("fanstore.*",
+	// "rpc.*", "decomp.*"): the one read-out of the node's numbers.
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 	events *obs.EventLog // nil unless the ops plane is enabled
@@ -432,25 +401,6 @@ func (n *Node) instrument() {
 	// each layered decode observes its decoded layer count as that many
 	// microseconds, so Snapshot.Sum/Count recovers the mean level.
 	n.fidelityHist = n.reg.Histogram("fanstore.fidelity.level")
-}
-
-// Metrics exposes the node's latency histograms: open() end-to-end, the
-// remote-fetch round trip, and the daemon-side in-service time. The
-// bimodal open() distribution (local decompress vs. remote fetch) is the
-// signature of a healthy FanStore deployment.
-type Metrics struct {
-	Open    metrics.Snapshot
-	Fetch   metrics.Snapshot
-	Service metrics.Snapshot // daemon worker time per answered fetch
-}
-
-// Metrics snapshots the node's latency histograms.
-func (n *Node) Metrics() Metrics {
-	return Metrics{
-		Open:    n.openHist.Snapshot(),
-		Fetch:   n.fetchHist.Snapshot(),
-		Service: n.server.ServiceTime(),
-	}
 }
 
 // loadPartition parses one partition blob into the backend and returns
@@ -1059,22 +1009,18 @@ type prefetchTarget struct {
 // best-effort: a partial miss or peer failure falls over to the next
 // replica and finally to on-demand fetching at Open; Prefetch never
 // fails the training loop. Returns the number of objects staged.
-// Prefetch stages at the node's current fidelity level (SetFidelity).
-func (n *Node) Prefetch(paths []string) int {
-	return n.PrefetchFidelity(paths, n.FidelityLevel())
-}
-
-// PrefetchFidelity is Prefetch under an explicit layer budget: layered
+//
+// It stages at the node's current fidelity level (SetFidelity): layered
 // objects are fetched as level-layer container prefixes (one budgeted
-// batch round trip per owner) and staged at that fidelity. A cached entry
-// already at or above the budget suppresses the target; prefetch never
-// upgrades a resident entry — upgrades belong to the demand path, which
-// knows a reader actually wants the extra layers.
-func (n *Node) PrefetchFidelity(paths []string, level uint8) int {
+// batch round trip per owner) and staged at that fidelity. A resident
+// entry suppresses its target whatever its fidelity; prefetch never
+// upgrades one — upgrades belong to the demand path, which knows a
+// reader actually wants the extra layers.
+func (n *Node) Prefetch(paths []string) int {
 	if n.closed.Load() || len(paths) == 0 {
 		return 0
 	}
-	level = normalizeFidelity(level)
+	level := n.FidelityLevel()
 	tstart := n.tracer.Begin()
 	defer n.tracer.End(trace.OpPrefetch, "", trace.OutcomeNone, tstart)
 	// Resolve the window down to remote, uncached, not-in-flight paths.
@@ -1378,7 +1324,7 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 		// Uncompressed RAM-resident objects are served zero-copy from the
 		// partition blob: no decompression, no cache footprint (the blob
 		// is already resident node-local storage). Counted separately so
-		// Stats stays truthful for uncompressed datasets.
+		// the decompression count stays truthful for uncompressed datasets.
 		outcome = trace.OutcomeLocal
 		if id, raw, ok := n.backend.Peek(m.Path); ok {
 			if payload, ok := codec.Passthrough(id, raw); ok {
@@ -1481,29 +1427,6 @@ func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
 	n.fetchUpgrades.Inc()
 	n.fidelityHist.Observe(time.Duration(to) * time.Microsecond)
 	return n.cache.Insert(m.Path, out, true, metaFidelity(m, uint8(to))), true
-}
-
-// Stats snapshots the node's data-path counters — a thin view over the
-// registry instruments, kept for tests and existing callers.
-func (n *Node) Stats() Stats {
-	return Stats{
-		LocalOpens:         n.localOpens.Value(),
-		RemoteOpens:        n.remoteOpens.Value(),
-		ZeroCopyOpens:      n.zeroCopyOpens.Value(),
-		Decompresses:       n.decompresses.Value(),
-		BytesRead:          n.bytesRead.Value(),
-		RemoteBytes:        n.remoteBytes.Value(),
-		Failovers:          n.failovers.Value(),
-		BatchedFetches:     n.batchedFetches.Value(),
-		PrefetchedOpens:    n.cache.prefetchedOpens(),
-		FetchCoalesced:     n.fetchCoalesced.Value(),
-		PrefetchSuppressed: n.prefetchSuppressed.Value(),
-		FetchUpgrades:      n.fetchUpgrades.Value(),
-		FetchBytesSaved:    n.fetchBytesSaved.Value(),
-		Cache:              n.cache.Stats(),
-		Daemon:             n.server.Stats(),
-		RPC:                n.client.Stats(),
-	}
 }
 
 // PlanTarget resolves a path for the epoch planner

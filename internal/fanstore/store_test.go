@@ -60,11 +60,11 @@ func TestMountAndReadEverythingEverywhere(t *testing.T) {
 				return fmt.Errorf("rank %d: %s: content mismatch", c.Rank(), path)
 			}
 		}
-		st := node.Stats()
-		if st.RemoteOpens == 0 {
+		st := read(t, node)
+		if st.counter("fanstore.opens.remote") == 0 {
 			return fmt.Errorf("rank %d never fetched remotely", c.Rank())
 		}
-		if st.LocalOpens == 0 {
+		if st.counter("fanstore.opens.local") == 0 {
 			return fmt.Errorf("rank %d never served locally", c.Rank())
 		}
 		return nil
@@ -125,7 +125,7 @@ func TestMetadataServedFromRAM(t *testing.T) {
 		if total != len(want) {
 			return fmt.Errorf("walk found %d files, want %d", total, len(want))
 		}
-		if st := node.Stats(); st.RemoteOpens != 0 || st.RemoteBytes != 0 {
+		if st := read(t, node); st.counter("fanstore.opens.remote") != 0 || st.counter("fanstore.bytes.remote") != 0 {
 			return fmt.Errorf("metadata access caused remote traffic: %+v", st)
 		}
 		return nil
@@ -156,7 +156,7 @@ func TestBroadcastPartitionIsLocalEverywhere(t *testing.T) {
 				return fmt.Errorf("%s mismatch", path)
 			}
 		}
-		if st := node.Stats(); st.RemoteOpens != 0 {
+		if st := read(t, node); st.counter("fanstore.opens.remote") != 0 {
 			return fmt.Errorf("broadcast data should be local: %+v", st)
 		}
 		return nil
@@ -197,7 +197,7 @@ func TestRingReplicate(t *testing.T) {
 				return err
 			}
 		}
-		if st := node.Stats(); st.RemoteOpens != 0 {
+		if st := read(t, node); st.counter("fanstore.opens.remote") != 0 {
 			return fmt.Errorf("replicated partition still fetched remotely: %+v", st)
 		}
 		// And the rest of the namespace still resolves.
@@ -452,12 +452,12 @@ func TestConcurrentReadersShareCache(t *testing.T) {
 		for err := range errCh {
 			return err
 		}
-		st := node.Stats()
+		st := read(t, node)
 		// 8 goroutines x 20 reads with 6 files: the cache must have
 		// absorbed most opens (each file decompressed far fewer times
 		// than it was read).
-		if st.Decompresses >= 100 {
-			return fmt.Errorf("cache ineffective: %d decompresses for 160 reads", st.Decompresses)
+		if st.counter("fanstore.decompresses") >= 100 {
+			return fmt.Errorf("cache ineffective: %d decompresses for 160 reads", st.counter("fanstore.decompresses"))
 		}
 		return nil
 	})
@@ -507,7 +507,7 @@ func TestFanStoreOverTCP(t *testing.T) {
 				return fmt.Errorf("rank %d: %s corrupted over TCP", c.Rank(), path)
 			}
 		}
-		if st := node.Stats(); st.RemoteOpens == 0 {
+		if st := read(t, node); st.counter("fanstore.opens.remote") == 0 {
 			return fmt.Errorf("rank %d: no remote fetches over TCP", c.Rank())
 		}
 		return node.WriteFile(fmt.Sprintf("out/r%d.log", c.Rank()), []byte("done"))
@@ -581,8 +581,8 @@ func TestDiskBackend(t *testing.T) {
 				}
 			}
 		}
-		if st := node.Stats(); st.RemoteOpens == 0 || st.LocalOpens == 0 {
-			return fmt.Errorf("rank %d: unexpected stats %+v", c.Rank(), node.Stats())
+		if st := read(t, node); st.counter("fanstore.opens.remote") == 0 || st.counter("fanstore.opens.local") == 0 {
+			return fmt.Errorf("rank %d: unexpected stats %+v", c.Rank(), read(t, node))
 		}
 		return nil
 	})
@@ -624,15 +624,16 @@ func TestNodeMetrics(t *testing.T) {
 				return err
 			}
 		}
-		m := node.Metrics()
-		if m.Open.Count != int64(len(want)) {
-			return fmt.Errorf("open histogram has %d samples, want %d", m.Open.Count, len(want))
+		st := read(t, node)
+		open, fetch := st.hist("fanstore.open.latency"), st.hist("fanstore.fetch.latency")
+		if open.Count != int64(len(want)) {
+			return fmt.Errorf("open histogram has %d samples, want %d", open.Count, len(want))
 		}
-		if m.Fetch.Count == 0 || m.Fetch.Count >= m.Open.Count {
-			return fmt.Errorf("fetch histogram count %d vs opens %d", m.Fetch.Count, m.Open.Count)
+		if fetch.Count == 0 || fetch.Count >= open.Count {
+			return fmt.Errorf("fetch histogram count %d vs opens %d", fetch.Count, open.Count)
 		}
-		if m.Open.P99 <= 0 || m.Fetch.Mean <= 0 {
-			return fmt.Errorf("degenerate metrics: %+v", m)
+		if open.P99 <= 0 || fetch.Mean <= 0 {
+			return fmt.Errorf("degenerate metrics: open %v fetch %v", open, fetch)
 		}
 		return nil
 	})
@@ -716,8 +717,8 @@ func TestSingleflightFetch(t *testing.T) {
 			for err := range errCh {
 				return err
 			}
-			if st := node.Stats(); st.RemoteOpens != 1 {
-				return fmt.Errorf("%d remote fetches for %d concurrent opens, want 1", st.RemoteOpens, openers)
+			if st := read(t, node); st.counter("fanstore.opens.remote") != 1 {
+				return fmt.Errorf("%d remote fetches for %d concurrent opens, want 1", st.counter("fanstore.opens.remote"), openers)
 			}
 		}
 		return c.Barrier()

@@ -90,8 +90,8 @@ func TestRemoteOpenAllocBudget(t *testing.T) {
 				}
 				runtime.ReadMemStats(&after)
 				opens := uint64(cycles * len(remote))
-				if st := node.Stats(); st.RemoteOpens < int64(opens) {
-					return fmt.Errorf("only %d remote opens in %d: the cache absorbed the cycle", st.RemoteOpens, opens)
+				if st := read(t, node); st.counter("fanstore.opens.remote") < int64(opens) {
+					return fmt.Errorf("only %d remote opens in %d: the cache absorbed the cycle", st.counter("fanstore.opens.remote"), opens)
 				}
 				if per := (after.TotalAlloc - before.TotalAlloc) / opens; per > budget {
 					return fmt.Errorf("%d bytes allocated per remote open of a %d-byte object, budget %d", per, size, budget)
@@ -157,8 +157,8 @@ func TestRecycledFrameNeverReachesTheCache(t *testing.T) {
 			}
 		}
 		<-staged
-		if st := node.Stats(); st.RemoteOpens == 0 || st.PrefetchedOpens == 0 {
-			return fmt.Errorf("want demand and prefetched opens, got %d remote, %d prefetched", st.RemoteOpens, st.PrefetchedOpens)
+		if st := read(t, node); st.counter("fanstore.opens.remote") == 0 || st.counter("fanstore.cache.prefetched_opens") == 0 {
+			return fmt.Errorf("want demand and prefetched opens, got %d remote, %d prefetched", st.counter("fanstore.opens.remote"), st.counter("fanstore.cache.prefetched_opens"))
 		}
 		got := make([]byte, len(want[remote[0]]))
 		if _, err := pinned.ReadAt(got, 0); err != nil && err != io.EOF {

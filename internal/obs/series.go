@@ -220,8 +220,10 @@ func (s *Sampler) orderedLocked() []Window {
 
 // Rate returns the named counter's per-second rate over the given
 // lookback (all retained history when <= 0): total increments across
-// the covered windows divided by their covered wall time. The second
-// result reports whether any window covered the counter.
+// the covered windows divided by their covered wall time. A histogram's
+// name reads as the counter of its observations, so "fanstore.open.latency"
+// rates every open. The second result reports whether any window covered
+// the instrument.
 func (s *Sampler) Rate(counter string, lookback time.Duration) (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,6 +237,9 @@ func (s *Sampler) Rate(counter string, lookback time.Duration) (float64, bool) {
 		}
 		if v, ok := w.Delta.Counters[counter]; ok {
 			total += v
+			found = true
+		} else if h, ok := w.Delta.Histograms[counter]; ok {
+			total += h.Count
 			found = true
 		}
 		span += w.Seconds()

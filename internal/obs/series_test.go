@@ -27,6 +27,7 @@ func (c *sampleClock) tick() time.Time {
 func TestSamplerPrimingAndRates(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reads := reg.Counter("reads")
+	readLat := reg.Histogram("read.latency")
 	s := NewSampler(reg, SamplerOptions{Interval: time.Second, Windows: 8})
 	clk := newSampleClock(time.Second)
 
@@ -39,6 +40,9 @@ func TestSamplerPrimingAndRates(t *testing.T) {
 
 	// 50 increments over one 1s window → 50/s.
 	reads.Add(50)
+	for i := 0; i < 30; i++ {
+		readLat.Observe(time.Millisecond)
+	}
 	s.Sample(clk.tick())
 	if s.Retained() != 1 {
 		t.Fatalf("Retained = %d, want 1", s.Retained())
@@ -46,6 +50,10 @@ func TestSamplerPrimingAndRates(t *testing.T) {
 	rate, ok := s.Rate("reads", 0)
 	if !ok || rate != 50 {
 		t.Errorf("Rate = %v/%v, want 50/true", rate, ok)
+	}
+	// A histogram's name rates its observations.
+	if rate, ok := s.Rate("read.latency", 0); !ok || rate != 30 {
+		t.Errorf("Rate of a histogram = %v/%v, want 30/true", rate, ok)
 	}
 
 	// A second idle window halves the all-history rate.

@@ -29,11 +29,11 @@ func (r *recordingPlanStore) Prefetch(paths []string) int {
 }
 
 // TestSetAdmissionBytesMidPlan is the regression test for the budget
-// snapshot bug: budget() used to capture AdmissionBytes once at
+// snapshot bug: budget() used to capture the admission budget once at
 // construction, so a mid-plan shrink never took effect. Here the plan
-// fills a 1200-byte budget, the budget is shrunk to 600 while a batch
-// is parked in the admission wait, and every batch staged after the
-// shrink must land the staging pool at or below the new budget.
+// fills a 1200-byte budget, the source's budget is shrunk to 600 while
+// a batch is parked in the admission wait, and every batch staged after
+// the shrink must land the staging pool at or below the new budget.
 func TestSetAdmissionBytesMidPlan(t *testing.T) {
 	const files, size, batch = 32, 100, 4
 	const oldBudget, newBudget = 3 * batch * size, 6 * size // 1200, 600
@@ -43,11 +43,13 @@ func TestSetAdmissionBytesMidPlan(t *testing.T) {
 	plan := BuildPlan(sampler, store)
 
 	reg := metrics.NewRegistry()
+	var budget atomic.Int64
+	budget.Store(oldBudget)
 	sched := NewScheduler(store, plan, SchedOptions{
-		BatchFiles:     batch,
-		AdmissionBytes: oldBudget,
-		Poll:           50 * time.Microsecond,
-		Metrics:        reg,
+		BatchFiles:      batch,
+		AdmissionSource: budget.Load,
+		Poll:            50 * time.Microsecond,
+		Metrics:         reg,
 	})
 	defer sched.Stop()
 
@@ -58,7 +60,7 @@ func TestSetAdmissionBytesMidPlan(t *testing.T) {
 	})
 
 	// Shrink mid-plan, while a batch is parked waiting.
-	sched.SetAdmissionBytes(newBudget)
+	budget.Store(newBudget)
 	store.rmu.Lock()
 	callsAtShrink := store.recordCalls
 	store.rmu.Unlock()
@@ -104,7 +106,8 @@ func TestSetAdmissionBytesMidPlan(t *testing.T) {
 
 // TestAdmissionSourceDrivesBudgetLive wires the external live-knob hook:
 // the scheduler reads AdmissionSource on every decision, so flipping the
-// atomic mid-plan reshapes admission with no scheduler call at all.
+// atomic mid-plan reshapes admission with no scheduler call at all —
+// here with a batch in flight rather than parked.
 func TestAdmissionSourceDrivesBudgetLive(t *testing.T) {
 	const files, size, batch = 16, 100, 4
 	store := &recordingPlanStore{}
@@ -116,7 +119,6 @@ func TestAdmissionSourceDrivesBudgetLive(t *testing.T) {
 	budget.Store(2 * batch * size) // 800: two batches fit
 	sched := NewScheduler(store, plan, SchedOptions{
 		BatchFiles:      batch,
-		AdmissionBytes:  1 << 40, // superseded by the source — must be ignored
 		AdmissionSource: budget.Load,
 		Poll:            50 * time.Microsecond,
 	})
@@ -126,7 +128,7 @@ func TestAdmissionSourceDrivesBudgetLive(t *testing.T) {
 		return store.StagedBytes() == budget.Load()
 	})
 	if st := store.StagedBytes(); st != 800 {
-		t.Fatalf("staged %d with source budget 800 (AdmissionBytes must not win)", st)
+		t.Fatalf("staged %d with source budget 800", st)
 	}
 
 	// Shrink through the source only; drain and check the cap holds.

@@ -25,8 +25,9 @@ import (
 // admission rule are built from. fanstore's Node satisfies it.
 type PlanStore interface {
 	// Prefetch stages the remote, uncached files among paths in batched
-	// round trips and returns how many it staged. Best-effort: a file it
-	// does not stage is fetched on demand when the worker opens it.
+	// round trips, at the fidelity the store currently reads at, and
+	// returns how many it staged. Best-effort: a file it does not stage
+	// is fetched on demand when the worker opens it.
 	Prefetch(paths []string) int
 	// PlanTarget resolves one path: its decompressed size and whether
 	// producing it needs a remote fetch (false: local or unknown, the
@@ -37,16 +38,6 @@ type PlanStore interface {
 	CacheHeadroom() int64
 	// StagedBytes is the bytes currently staged but not yet consumed.
 	StagedBytes() int64
-}
-
-// FidelityPrefetcher is the optional budgeted staging surface: a store
-// that can fetch layered objects as container prefixes exposes it, and
-// a Scheduler with a fidelity level routes staging through it.
-// fanstore's Node satisfies it.
-type FidelityPrefetcher interface {
-	// PrefetchFidelity stages paths at the given layer budget and
-	// returns how many were staged. Level 0 means full fidelity.
-	PrefetchFidelity(paths []string, level uint8) int
 }
 
 // FidelityPhase is one leg of a fidelity schedule: Epochs epochs at
@@ -147,18 +138,13 @@ type SchedOptions struct {
 	// (default 32). The store splits further into wire-sized batched fetch
 	// frames; this knob shapes admission granularity.
 	BatchFiles int
-	// AdmissionBytes overrides the staged-bytes budget. 0 means the
-	// live cache headroom (capacity minus pinned bytes), re-read before
-	// every batch so the budget tracks open-file pressure. Live-tunable
-	// after construction via SetAdmissionBytes (or AdmissionSource).
-	AdmissionBytes int64
-	// AdmissionSource, when set, supersedes AdmissionBytes: it is called
-	// before every budget decision, so an external live knob (the
-	// autotuner's admission budget on fanstore.Node) takes effect
-	// mid-plan — including for a batch already parked in the admission
-	// wait, which re-reads it on every poll. Same semantics as
-	// AdmissionBytes: a returned 0 means live cache headroom. Must be
-	// safe for concurrent use.
+	// AdmissionSource is the staged-bytes budget, called before every
+	// budget decision so a live knob (the admission budget on
+	// fanstore.Node, which the autotuner moves) takes effect mid-plan —
+	// including for a batch already parked in the admission wait, which
+	// re-reads it on every poll. Nil, or a returned 0, means the live
+	// cache headroom (capacity minus pinned bytes), so the budget tracks
+	// open-file pressure. Must be safe for concurrent use.
 	AdmissionSource func() int64
 	// Poll is how often the admission wait re-checks cache pressure
 	// when no Advance arrives (default 200µs): evictions free space
@@ -168,11 +154,6 @@ type SchedOptions struct {
 	Metrics *metrics.Registry
 	// Tracer records one OpPrefetch span covering the whole plan replay.
 	Tracer *trace.Tracer
-	// Fidelity is the layer budget this epoch's staging runs at (0: full
-	// fidelity). Takes effect only when the store also implements
-	// FidelityPrefetcher; admission still accounts full decompressed
-	// sizes — layered decodes are full-length at every level.
-	Fidelity uint8
 }
 
 // Scheduler streams an epoch plan into a store: batches of upcoming
@@ -185,10 +166,8 @@ type Scheduler struct {
 	store    PlanStore
 	plan     *Plan
 	batch    int
-	admit    atomic.Int64 // live staged-bytes budget (0: cache headroom)
-	admitSrc func() int64 // optional live override, read per decision
+	admitSrc func() int64 // live staged-bytes budget (nil or 0: cache headroom)
 	poll     time.Duration
-	fidelity uint8
 
 	consumed atomic.Int64 // first iteration not yet delivered
 	maxStage atomic.Int64 // high-water of StagedBytes (test hook)
@@ -223,7 +202,6 @@ func NewScheduler(store PlanStore, plan *Plan, opts SchedOptions) *Scheduler {
 		batch:    batch,
 		admitSrc: opts.AdmissionSource,
 		poll:     poll,
-		fidelity: opts.Fidelity,
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		planned:  opts.Metrics.Counter("prefetch.plan.items"),
@@ -233,7 +211,6 @@ func NewScheduler(store PlanStore, plan *Plan, opts SchedOptions) *Scheduler {
 		waits:    opts.Metrics.Counter("prefetch.plan.admission.waits"),
 		tracer:   opts.Tracer,
 	}
-	s.admit.Store(opts.AdmissionBytes)
 	s.planned.Add(int64(len(plan.Items)))
 	s.wg.Add(1)
 	go s.run()
@@ -280,53 +257,21 @@ func (s *Scheduler) run() {
 			return // stopped while waiting
 		}
 		s.batches.Inc()
-		s.staged.Add(int64(s.stage(paths)))
+		s.staged.Add(int64(s.store.Prefetch(paths)))
 		if st := s.store.StagedBytes(); st > s.maxStage.Load() {
 			s.maxStage.Store(st)
 		}
 	}
 }
 
-// stage hands one admitted batch to the store, through the budgeted
-// surface when a fidelity level is set and the store supports it.
-func (s *Scheduler) stage(paths []string) int {
-	if s.fidelity != 0 {
-		if fp, ok := s.store.(FidelityPrefetcher); ok {
-			return fp.PrefetchFidelity(paths, s.fidelity)
-		}
-	}
-	return s.store.Prefetch(paths)
-}
-
 // admitBytes is the current admission override, re-read on every budget
-// decision: the live source if configured, else the (atomically
-// settable) constructed value. Never snapshotted — a mid-plan change
-// must steer the very next decision, including a batch already parked
-// in the admission wait.
+// decision and never snapshotted — a mid-plan change must steer the very
+// next decision, including a batch already parked in the admission wait.
 func (s *Scheduler) admitBytes() int64 {
 	if s.admitSrc != nil {
 		return s.admitSrc()
 	}
-	return s.admit.Load()
-}
-
-// SetAdmissionBytes replaces the staged-bytes budget mid-plan (0: live
-// cache headroom) and pings the admission wait so a parked batch
-// re-evaluates under the new budget immediately instead of on the next
-// poll. When an AdmissionSource is configured the source stays
-// authoritative and this only updates the fallback. Nil-safe.
-func (s *Scheduler) SetAdmissionBytes(v int64) {
-	if s == nil {
-		return
-	}
-	if v < 0 {
-		v = 0
-	}
-	s.admit.Store(v)
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
+	return 0
 }
 
 // budget is the total ceiling for staged-but-unread bytes: the override

@@ -134,9 +134,9 @@ func TestSchedulerAdmissionBoundsStagedBytes(t *testing.T) {
 	plan := BuildPlan(sampler, store)
 
 	sched := NewScheduler(store, plan, SchedOptions{
-		BatchFiles:     4,
-		AdmissionBytes: budget,
-		Poll:           50 * time.Microsecond,
+		BatchFiles:      4,
+		AdmissionSource: func() int64 { return budget },
+		Poll:            50 * time.Microsecond,
 	})
 	// Consumer: drain one object at a time until the plan is through.
 	deadline := time.After(5 * time.Second)
@@ -205,7 +205,7 @@ func TestSchedulerStopUnblocksAdmissionWait(t *testing.T) {
 	plan := BuildPlan(sampler, store)
 
 	// Budget admits exactly one 4-file batch, and nothing ever drains.
-	sched := NewScheduler(store, plan, SchedOptions{BatchFiles: 4, AdmissionBytes: 4 * size, Poll: time.Hour})
+	sched := NewScheduler(store, plan, SchedOptions{BatchFiles: 4, AdmissionSource: func() int64 { return 4 * size }, Poll: time.Hour})
 	done := make(chan struct{})
 	go func() {
 		sched.Stop()
@@ -266,54 +266,6 @@ func (f readerFunc) ReadFile(path string) ([]byte, error) { return f(path) }
 
 // schedSkipped reads the scheduler's skipped-items counter.
 func schedSkipped(s *Scheduler) int64 { return s.skipped.Value() }
-
-// fidelityPlanStore extends the fake store with the budgeted surface so
-// the scheduler's FidelityPrefetcher routing is observable.
-type fidelityPlanStore struct {
-	fakePlanStore
-	levels []uint8 // level of each budgeted call
-}
-
-func (f *fidelityPlanStore) PrefetchFidelity(paths []string, level uint8) int {
-	f.mu.Lock()
-	f.levels = append(f.levels, level)
-	f.mu.Unlock()
-	return f.fakePlanStore.Prefetch(paths)
-}
-
-// TestSchedulerStagesAtFidelity checks that a fidelity-budgeted
-// scheduler routes every batch through PrefetchFidelity at its level,
-// and that level 0 keeps using the classic Prefetch path.
-func TestSchedulerStagesAtFidelity(t *testing.T) {
-	store := &fidelityPlanStore{}
-	paths := initFakeStore(&store.fakePlanStore, 8, 1<<10)
-	plan := BuildPlan(RangeSampler(paths, 2, 0, 1), store)
-	sched := NewScheduler(store, plan, SchedOptions{BatchFiles: 4, Fidelity: 1})
-	sched.Wait()
-	if len(store.fetched) != len(paths) {
-		t.Fatalf("staged %d paths, want %d", len(store.fetched), len(paths))
-	}
-	if len(store.levels) == 0 {
-		t.Fatalf("no batch went through the budgeted surface")
-	}
-	for _, lvl := range store.levels {
-		if lvl != 1 {
-			t.Fatalf("batch staged at level %d, want 1", lvl)
-		}
-	}
-
-	store2 := &fidelityPlanStore{}
-	paths2 := initFakeStore(&store2.fakePlanStore, 4, 1<<10)
-	plan2 := BuildPlan(RangeSampler(paths2, 2, 0, 1), store2)
-	sched2 := NewScheduler(store2, plan2, SchedOptions{BatchFiles: 4})
-	sched2.Wait()
-	if len(store2.levels) != 0 {
-		t.Fatalf("full-fidelity scheduler used the budgeted surface %d times", len(store2.levels))
-	}
-	if len(store2.fetched) != len(paths2) {
-		t.Fatalf("full-fidelity scheduler staged %d paths, want %d", len(store2.fetched), len(paths2))
-	}
-}
 
 // TestFidelityScheduleParseAndLevels covers the CLI schedule syntax and
 // the epoch→level mapping, including the implicit full-fidelity tail.

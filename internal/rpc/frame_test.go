@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"fanstore/internal/decomp"
+	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
 )
 
@@ -109,16 +110,17 @@ func TestLateRepliesAreReaped(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			err := tr.run(2, func(c *mpi.Comm) error {
 				if c.Rank() == 1 {
+					reg := metrics.NewRegistry()
 					s := serveOn(c, func(int, []byte) ([]byte, error) {
 						time.Sleep(50 * time.Millisecond)
 						return append(decomp.GetBuf(4000), make([]byte, 4000)...), nil
-					}, ServerOptions{Workers: calls})
+					}, ServerOptions{Workers: calls, Metrics: reg})
 					if err := c.Barrier(); err != nil {
 						return err
 					}
 					s.Stop() // every handler has returned and replied
-					if st := s.Stats(); st.Served != calls {
-						return fmt.Errorf("server stats %+v", st)
+					if n := read(t, reg).counter("rpc.server.served"); n != calls {
+						return fmt.Errorf("server served %d, want %d", n, calls)
 					}
 					// This rank's side of the barrier travels behind the
 					// replies, so rank 0 leaves it with all of them delivered.

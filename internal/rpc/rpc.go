@@ -88,21 +88,8 @@ type ServerOptions struct {
 	// so even a single-core node benefits from a few in flight.
 	Workers int
 	// Metrics is the registry the server's instruments live in
-	// ("rpc.server.*"). Nil means a private, unexported registry — the
-	// counters still work, they just aren't part of a rank-wide
-	// snapshot.
+	// ("rpc.server.*"), the only way to read them. Nil: unregistered.
 	Metrics *metrics.Registry
-}
-
-// ServerStats snapshots the daemon-side counters.
-type ServerStats struct {
-	Served       int64 // requests answered successfully
-	NotFound     int64 // requests answered with a not-found status
-	Errors       int64 // requests answered with an error status
-	QueueDepth   int32 // requests currently waiting for a worker
-	MaxQueue     int32 // high-water mark of QueueDepth
-	InService    int32 // requests currently inside a handler
-	MaxInService int32 // high-water mark of InService
 }
 
 // request is one dequeued unit of work. raw is the whole received
@@ -116,8 +103,8 @@ type request struct {
 
 // Server answers requests on one tag of a communicator through a bounded
 // worker pool. Start it with Serve (usually in a goroutine); Stop unblocks
-// the receive loop and drains the pool. Its counters and gauges are
-// registry-backed ("rpc.server.*"); ServerStats remains as a thin view.
+// the receive loop and drains the pool. Its counters, gauges and service-
+// time histogram are registry instruments ("rpc.server.*").
 type Server struct {
 	comm    *mpi.Comm
 	tag     int
@@ -142,10 +129,7 @@ func NewServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Se
 	// Requests accepted but not yet in service: a full queue
 	// backpressures the receive loop rather than growing without bound.
 	depth := max(4*workers, 16)
-	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
+	reg := opts.Metrics // nil hands out unregistered instruments
 	s := &Server{
 		comm:        comm,
 		tag:         tag,
@@ -244,23 +228,6 @@ func (s *Server) Stop() {
 // Wait blocks until the receive loop and every worker have exited.
 func (s *Server) Wait() { s.wg.Wait() }
 
-// Stats snapshots the server counters — a thin view over the
-// registry-backed instruments, kept for existing callers and tests.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Served:       s.served.Value(),
-		NotFound:     s.notFound.Value(),
-		Errors:       s.errors.Value(),
-		QueueDepth:   int32(s.queueDepth.Value()),
-		MaxQueue:     int32(s.queueDepth.Max()),
-		InService:    int32(s.inService.Value()),
-		MaxInService: int32(s.inService.Max()),
-	}
-}
-
-// ServiceTime snapshots the in-service time histogram (handler + reply).
-func (s *Server) ServiceTime() metrics.Snapshot { return s.serviceHist.Snapshot() }
-
 // ClientOptions configures per-call behaviour.
 type ClientOptions struct {
 	// Timeout bounds each attempt (0 means block until the reply).
@@ -273,15 +240,8 @@ type ClientOptions struct {
 	// attempt. 0 means retry immediately.
 	Backoff time.Duration
 	// Metrics is the registry the client's instruments live in
-	// ("rpc.client.*"). Nil means a private registry.
+	// ("rpc.client.*"), the only way to read them. Nil: unregistered.
 	Metrics *metrics.Registry
-}
-
-// ClientStats snapshots the caller-side counters.
-type ClientStats struct {
-	Calls    int64
-	Retries  int64
-	Timeouts int64
 }
 
 // Client issues framed calls to Servers listening on tag. Each attempt
@@ -303,9 +263,6 @@ type Client struct {
 // tag traffic on the communicator.
 func NewClient(comm *mpi.Comm, tag, respBase int, opts ClientOptions) *Client {
 	reg := opts.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
 	return &Client{
 		comm: comm, tag: tag, respBase: respBase, opts: opts,
 		calls:       reg.Counter("rpc.client.calls"),
@@ -382,15 +339,5 @@ func (c *Client) attempt(dst int, req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: rank %d: %s", ErrStale, dst, body)
 	default:
 		return nil, fmt.Errorf("%w: rank %d: %s", ErrRemote, dst, body)
-	}
-}
-
-// Stats snapshots the client counters — a thin view over the
-// registry-backed instruments.
-func (c *Client) Stats() ClientStats {
-	return ClientStats{
-		Calls:    c.calls.Value(),
-		Retries:  c.retries.Value(),
-		Timeouts: c.timeouts.Value(),
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
 )
 
@@ -23,24 +24,25 @@ func serveOn(c *mpi.Comm, h Handler, opts ServerOptions) *Server {
 
 func TestCallBasic(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
+		reg := metrics.NewRegistry()
 		if c.Rank() == 1 {
 			s := serveOn(c, func(src int, req []byte) ([]byte, error) {
 				return append(bytes.ToUpper(req), byte('0'+src)), nil
-			}, ServerOptions{})
+			}, ServerOptions{Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
 			}
 			s.Stop()
-			st := s.Stats()
-			if st.Served != 3 || st.QueueDepth != 0 || st.InService != 0 {
-				return fmt.Errorf("server stats %+v", st)
+			st := read(t, reg)
+			if st.counter("rpc.server.served") != 3 || st.gauge("rpc.server.queue").Value != 0 || st.gauge("rpc.server.inservice").Value != 0 {
+				return fmt.Errorf("server stats %s", st.snap.Text())
 			}
-			if s.ServiceTime().Count != 3 {
-				return fmt.Errorf("service histogram count %d", s.ServiceTime().Count)
+			if n := st.hist("rpc.server.service.latency").Count; n != 3 {
+				return fmt.Errorf("service histogram count %d", n)
 			}
 			return nil
 		}
-		cl := NewClient(c, 500, 1<<20, ClientOptions{})
+		cl := NewClient(c, 500, 1<<20, ClientOptions{Metrics: reg})
 		for i := 0; i < 3; i++ {
 			resp, err := cl.Call(1, []byte("ping"))
 			if err != nil {
@@ -50,8 +52,8 @@ func TestCallBasic(t *testing.T) {
 				return fmt.Errorf("resp %q", resp)
 			}
 		}
-		if st := cl.Stats(); st.Calls != 3 || st.Retries != 0 {
-			return fmt.Errorf("client stats %+v", st)
+		if st := read(t, reg); st.counter("rpc.client.calls") != 3 || st.counter("rpc.client.retries") != 0 {
+			return fmt.Errorf("client stats %s", st.snap.Text())
 		}
 		return c.Barrier()
 	})
@@ -63,6 +65,7 @@ func TestCallBasic(t *testing.T) {
 func TestNotFoundAndRemoteError(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
+			reg := metrics.NewRegistry()
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
 				switch string(req) {
 				case "missing":
@@ -71,13 +74,13 @@ func TestNotFoundAndRemoteError(t *testing.T) {
 					return nil, errors.New("handler exploded")
 				}
 				return append([]byte(nil), req...), nil
-			}, ServerOptions{})
+			}, ServerOptions{Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
 			}
 			s.Stop()
-			if st := s.Stats(); st.NotFound != 1 || st.Errors != 1 || st.Served != 1 {
-				return fmt.Errorf("server stats %+v", st)
+			if st := read(t, reg); st.counter("rpc.server.notfound") != 1 || st.counter("rpc.server.errors") != 1 || st.counter("rpc.server.served") != 1 {
+				return fmt.Errorf("server stats %s", st.snap.Text())
 			}
 			return nil
 		}
@@ -118,13 +121,14 @@ func TestStaleStatus(t *testing.T) {
 			}
 			return nil
 		}
-		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3})
+		reg := metrics.NewRegistry()
+		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3, Metrics: reg})
 		_, err := cl.Call(1, []byte("read"))
 		if !errors.Is(err, ErrStale) || !strings.Contains(err.Error(), "have v3") {
 			return fmt.Errorf("stale: %v", err)
 		}
-		if st := cl.Stats(); st.Retries != 0 {
-			return fmt.Errorf("client stats %+v", st)
+		if n := read(t, reg).counter("rpc.client.retries"); n != 0 {
+			return fmt.Errorf("stale call retried %d times", n)
 		}
 		return c.Barrier()
 	})
@@ -153,12 +157,13 @@ func TestCallDeadline(t *testing.T) {
 			s.Stop()
 			return nil
 		}
-		cl := NewClient(c, 500, 1<<20, ClientOptions{Timeout: 50 * time.Millisecond})
+		reg := metrics.NewRegistry()
+		cl := NewClient(c, 500, 1<<20, ClientOptions{Timeout: 50 * time.Millisecond, Metrics: reg})
 		if _, err := cl.Call(1, []byte("slow")); !errors.Is(err, ErrTimeout) {
 			return fmt.Errorf("slow call: %v", err)
 		}
-		if st := cl.Stats(); st.Timeouts != 1 {
-			return fmt.Errorf("client stats %+v", st)
+		if n := read(t, reg).counter("rpc.client.timeouts"); n != 1 {
+			return fmt.Errorf("client counted %d timeouts, want 1", n)
 		}
 		// A fast call on the same client still works: the stale reply
 		// cannot be mismatched because response tags are never reused.
@@ -177,6 +182,7 @@ func TestCallDeadline(t *testing.T) {
 
 func TestRetryBackoff(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
+		reg := metrics.NewRegistry()
 		if c.Rank() == 1 {
 			var fails atomic.Int32
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
@@ -184,23 +190,23 @@ func TestRetryBackoff(t *testing.T) {
 					return nil, errors.New("transient")
 				}
 				return append([]byte(nil), req...), nil
-			}, ServerOptions{})
+			}, ServerOptions{Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
 			}
 			s.Stop()
-			if st := s.Stats(); st.Errors != 2 || st.Served != 1 {
-				return fmt.Errorf("server stats %+v", st)
+			if st := read(t, reg); st.counter("rpc.server.errors") != 2 || st.counter("rpc.server.served") != 1 {
+				return fmt.Errorf("server stats %s", st.snap.Text())
 			}
 			return nil
 		}
-		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3, Backoff: time.Millisecond})
+		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3, Backoff: time.Millisecond, Metrics: reg})
 		resp, err := cl.Call(1, []byte("eventually"))
 		if err != nil || string(resp) != "eventually" {
 			return fmt.Errorf("call: %q %v", resp, err)
 		}
-		if st := cl.Stats(); st.Retries != 2 {
-			return fmt.Errorf("client stats %+v", st)
+		if n := read(t, reg).counter("rpc.client.retries"); n != 2 {
+			return fmt.Errorf("client counted %d retries, want 2", n)
 		}
 		return c.Barrier()
 	})
@@ -216,21 +222,22 @@ func TestWorkerPoolStress(t *testing.T) {
 	const ranks, goroutines, calls = 4, 8, 10
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
+			reg := metrics.NewRegistry()
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
 				time.Sleep(time.Millisecond) // give requests time to pile up
 				return append([]byte(nil), req...), nil
-			}, ServerOptions{Workers: goroutines})
+			}, ServerOptions{Workers: goroutines, Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
 			}
 			s.Stop()
-			st := s.Stats()
+			st := read(t, reg)
 			want := int64((ranks - 1) * goroutines * calls)
-			if st.Served != want {
-				return fmt.Errorf("served %d, want %d", st.Served, want)
+			if got := st.counter("rpc.server.served"); got != want {
+				return fmt.Errorf("served %d, want %d", got, want)
 			}
-			if st.MaxInService <= 1 {
-				return fmt.Errorf("pool never ran concurrently: %+v", st)
+			if peak := st.gauge("rpc.server.inservice").Max; peak <= 1 {
+				return fmt.Errorf("pool never ran concurrently: peak in-service %d", peak)
 			}
 			return nil
 		}

@@ -128,8 +128,11 @@ type Options struct {
 	// Knobs are the settings the controller may move. Required (an
 	// empty set makes every tick a no-op).
 	Knobs []Knob
-	// ObjectiveCounters are summed into the objective rate, files/s
-	// (default fanstore.opens.local + fanstore.opens.remote).
+	// ObjectiveCounters are summed into the objective rate, files/s.
+	// Default: the observation count of ObjectiveLatency — every open,
+	// cache hit or miss. (The producers' counters, opens.local +
+	// opens.remote, count misses only: on a warm cache they rate nothing,
+	// and a move that makes staging fall behind scores as a gain.)
 	ObjectiveCounters []string
 	// ObjectiveLatency is the histogram whose windowed p99 breaks
 	// objective ties — flat throughput with a better tail still keeps
@@ -225,11 +228,11 @@ func New(o Options) *Controller {
 	if o.Windows <= 0 {
 		o.Windows = 8
 	}
-	if len(o.ObjectiveCounters) == 0 {
-		o.ObjectiveCounters = []string{"fanstore.opens.local", "fanstore.opens.remote"}
-	}
 	if o.ObjectiveLatency == "" {
 		o.ObjectiveLatency = "fanstore.open.latency"
+	}
+	if len(o.ObjectiveCounters) == 0 {
+		o.ObjectiveCounters = []string{o.ObjectiveLatency}
 	}
 	if o.Signals.DecodeWait == "" {
 		o.Signals.DecodeWait = "decomp.queue.wait.latency"
@@ -515,7 +518,7 @@ func (c *Controller) classify(look time.Duration) Verdict {
 }
 
 // objective is the summed per-second rate of the objective counters
-// over the lookback.
+// over the lookback (a histogram's name rates its observations).
 func (c *Controller) objective(look time.Duration) float64 {
 	var sum float64
 	for _, name := range c.o.ObjectiveCounters {

@@ -364,3 +364,25 @@ func TestStartStop(t *testing.T) {
 	var nilC *Controller
 	nilC.Stop() // nil-safe
 }
+
+// TestDefaultObjectiveCountsEveryOpen: on a warm cache every open is a
+// hit, so the producers' counters (opens.local, opens.remote) stand
+// still and only the open histogram moves. The default objective must
+// rate those opens — it read 0 while it summed the two miss counters,
+// and the controller steered on a rate of nothing.
+func TestDefaultObjectiveCountsEveryOpen(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("fanstore.opens.local")
+	reg.Counter("fanstore.opens.remote")
+	opens := reg.Histogram("fanstore.open.latency")
+	c := New(Options{Registry: reg, Interval: time.Second})
+	now := time.Unix(1000, 0)
+	c.Tick(now) // primes the sampler
+	for i := 0; i < 250; i++ {
+		opens.Observe(20 * time.Microsecond)
+	}
+	c.Tick(now.Add(time.Second))
+	if got := c.Objective(); got != 250 {
+		t.Fatalf("objective = %v/s after 250 cache-hit opens in one second, want 250", got)
+	}
+}
