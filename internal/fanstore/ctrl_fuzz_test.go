@@ -4,17 +4,20 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"fanstore/internal/member"
 )
 
-// The two control-plane decoders that size allocations from a peer's
-// count: decodeRegister (MountElastic's gather on the coordinator) and
-// decodeCommit (every member's ctrl loop). Neither may panic on arbitrary
-// bytes or allocate more than a small multiple of the frame — a count
-// the frame cannot hold is refused, not reserved — and a frame generated
-// from the input survives encode → decode unchanged.
+// The control-plane decoders that size allocations from a peer's count
+// or length: decodeRegister (MountElastic's gather on the coordinator),
+// decodeCommit (every table and every commit, on every member's ctrl
+// loop) and decodeMetaSync (every stale-map refresh); member.DecodeMap,
+// which the last two reach, is fuzzed in its own package. None may panic
+// on arbitrary bytes or allocate more than a small multiple of the frame
+// — a count the frame cannot hold is refused, not reserved — and a frame
+// generated from the input survives encode → decode unchanged.
 
 // ctrlAllocSlack covers the error value and the fuzz worker's own
 // traffic: TotalAlloc is process-wide. The defect guarded against
@@ -106,28 +109,30 @@ func FuzzDecodeRegister(f *testing.F) {
 	})
 }
 
-// FuzzDecodeCommit fuzzes the ctrlCommit body decoder.
+// FuzzDecodeCommit fuzzes the decoder of the ctrlCommit and ctrlTable
+// body.
 func FuzzDecodeCommit(f *testing.F) {
 	cm := &member.ClusterMap{Version: 7, Nodes: []member.Node{
 		{ID: 0, Rank: 0, State: member.StateAlive}, {ID: 2, Rank: 1, State: member.StateDead}, {ID: 3, Rank: 2, State: member.StateAlive},
 	}}
 	mapEnc := cm.Encode()
-	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(mapEnc)))
+	hdr := binary.LittleEndian.AppendUint32([]byte{3, 0, 0, 0}, uint32(len(mapEnc))) // node 3's join
 	hdr = append(hdr, mapEnc...)
 	f.Add(append(hdr[:len(hdr):len(hdr)], 0xff, 0xff, 0xff, 0xff)) // 4 G transfers, none present
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})                          // map length past the frame
+	f.Add([]byte{3, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f})              // map length past the frame
 	f.Add(hdr)                                                     // no transfer count
 	metas, _ := genMetas([]byte{0x61, 3, 'a', '/', 'b', 0x12, 1, 'c'}, 2)
-	f.Add(encodeCommit(cm, []transfer{{gid: 9, from: 2, to: 3}}, metas)[1:])
+	f.Add(encodeCommit(ctrlCommit, 3, cm, []transfer{{gid: 9, from: 2, to: 3}}, metas)[1:])
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if got := allocated(func() { _, _, _, _ = decodeCommit(body) }); got > uint64(16*len(body)+ctrlAllocSlack) {
+		if got := allocated(func() { _, _, _, _, _ = decodeCommit(body) }); got > uint64(16*len(body)+ctrlAllocSlack) {
 			t.Fatalf("%d-byte commit made decodeCommit allocate %d bytes", len(body), got)
 		}
 
 		// Generate a commit from the input: a version byte, a node count,
 		// a transfer count, then one byte per node, three per transfer, and
-		// the moved records.
+		// the moved records; the joiner it names is the first byte again,
+		// NoNode included.
 		if len(body) < 3 {
 			return
 		}
@@ -144,8 +149,9 @@ func FuzzDecodeCommit(f *testing.F) {
 			q = q[3:]
 		}
 		moved, _ := genMetas(q, 4)
-		gotMap, gotTransfers, gotMetas, err := decodeCommit(encodeCommit(gen, transfers, moved)[1:])
-		if err != nil || gotMap.Version != gen.Version || len(gotMap.Nodes) != len(gen.Nodes) ||
+		joiner := member.NodeID(int32(body[0]%8) - 1)
+		gotJoiner, gotMap, gotTransfers, gotMetas, err := decodeCommit(encodeCommit(ctrlCommit, joiner, gen, transfers, moved)[1:])
+		if err != nil || gotJoiner != joiner || gotMap.Version != gen.Version || len(gotMap.Nodes) != len(gen.Nodes) ||
 			len(gotTransfers) != len(transfers) || !sameMetas(gotMetas, moved) {
 			t.Fatalf("generated commit (v%d, %d nodes, %d transfers, %d records) came back %+v %v %d records, err %v",
 				gen.Version, len(gen.Nodes), len(transfers), len(moved), gotMap, gotTransfers, len(gotMetas), err)
@@ -159,6 +165,48 @@ func FuzzDecodeCommit(f *testing.F) {
 			if tr != transfers[i] {
 				t.Fatalf("transfer %d came back %+v, want %+v", i, tr, transfers[i])
 			}
+		}
+	})
+}
+
+// FuzzDecodeMetaSync fuzzes the decoder of the opMetaSync reply, against
+// the handler that encodes it.
+func FuzzDecodeMetaSync(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})                          // map length past the frame
+	f.Add([]byte{12, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // map declares 4 G nodes... in two bytes
+	f.Add([]byte{12, 0})                                           // truncated length
+	f.Add(append([]byte{12, 0, 0, 0}, append((&member.ClusterMap{Version: 3}).Encode(), encodeMetas(nil)...)...))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if got := allocated(func() { _, _, _ = decodeMetaSync(body) }); got > uint64(16*len(body)+ctrlAllocSlack) {
+			t.Fatalf("%d-byte reply made decodeMetaSync allocate %d bytes", len(body), got)
+		}
+
+		// Generate a coordinator from the input — a version byte, a node
+		// count, one byte per node, then at most one record — and ask it
+		// for that record's path.
+		if len(body) < 2 {
+			return
+		}
+		gen := &member.ClusterMap{Version: uint64(body[0]) + 1}
+		q := body[2:]
+		for i := 0; i < int(body[1]%6) && len(q) >= 1; i, q = i+1, q[1:] {
+			gen.Nodes = append(gen.Nodes, member.Node{ID: member.NodeID(i), Rank: int(q[0] % 8), State: member.State(q[0] % 4)})
+		}
+		recs, _ := genMetas(q, 1)
+		n := &Node{view: member.NewView(gen), meta: map[string]*FileMeta{}}
+		path := "absent"
+		for i := range recs {
+			path = recs[i].Path
+			n.meta[cleanPath(path)] = &recs[i]
+		}
+		resp, err := n.handleMetaSync([]byte(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotMap, gotMetas, err := decodeMetaSync(resp)
+		if err != nil || gotMap.Version != gen.Version || !slices.Equal(gotMap.Nodes, gen.Nodes) || !sameMetas(gotMetas, recs) {
+			t.Fatalf("reply for map %+v and %d record(s) came back %+v, %d record(s), err %v", gen, len(recs), gotMap, len(gotMetas), err)
 		}
 	})
 }

@@ -18,32 +18,47 @@ import (
 // Elastic mode: the fixed-size mpi world becomes a pool of slots, and the
 // member package's versioned ClusterMap decides which slots are cluster
 // members. Ranks 0..InitialMembers-1 call MountElastic collectively
-// (rank 0 runs the coordinator); any other slot can later call
+// (rank 0 is the coordinator); any other slot can later call
 // JoinCluster, which admits it to the map, ships it the metadata table,
 // and triggers an online delta rebalance — moving partitions stream to
 // the new owner over the ordinary fetch worker pool while every member
 // keeps serving reads, and the handoff only commits (map version bump +
 // ownership rewrite + old-owner drop) once all transfers have landed.
 //
-// The control plane is a star on tagCtrl: members talk to the
-// coordinator, the coordinator broadcasts commits. Reads never wait on
-// it — they run on the fetch plane and recover from the one race the
-// scheme allows (routing planned on a map one commit behind) through the
-// typed stale-map retry in fetchRemote.
+// There is one control plane, a star on tagCtrl, and one sender of
+// everything a member learns about its map or its metadata: the
+// coordinator's ctrl loop owns the cluster map, is the only goroutine
+// that changes it, and publishes every change — an admission, a death,
+// a rebalance — as a frame on the (coordinator, tagCtrl) stream, which
+// the transport keeps in order. A rank is on nobody's map before the
+// first frame it is owed (its table) has been sent, and the commit that
+// drains a leaver is the commit that takes it off. Reads never wait on
+// the control plane — they run on the fetch plane and recover from the
+// one race the scheme allows (routing planned on a map one commit
+// behind) through the typed stale-map retry in fetchRemote.
 
-// Control ops, the first byte of every tagCtrl frame.
+// Control ops, the first byte of every tagCtrl frame (DESIGN.md,
+// "Membership & rebalance", has the table). Table, move, commit, drained
+// and bye-ack frames are accepted from the coordinator's rank only, a
+// dead frame and the stop pill from this rank only.
 const (
 	ctrlRegister = byte(1)  // member -> coord: partition inventory at mount
-	ctrlTable    = byte(2)  // coord -> member: full metadata table
-	ctrlJoin     = byte(3)  // joiner -> coord: rebalance me in
+	ctrlTable    = byte(2)  // coord -> rank: its identity, the map, the full metadata table (commit layout)
+	ctrlJoin     = byte(3)  // rank -> coord: admit me; u8 1: and rebalance me in, 0: I register next
 	ctrlMove     = byte(4)  // coord -> dest: pull one partition
 	ctrlMoved    = byte(5)  // dest -> coord: pull finished (ok or failed)
 	ctrlCommit   = byte(6)  // coord -> members: new map + rewritten owners
-	ctrlLeave    = byte(7)  // leaver -> coord: drain my partitions
-	ctrlDrained  = byte(8)  // coord -> leaver: drain ack, u8 status (1: you own nothing, go)
+	ctrlLeave    = byte(7)  // leaver -> coord: drain my partitions; i32 id, NoNode: whoever is at my rank
+	ctrlDrained  = byte(8)  // coord -> leaver: drain ack, u8 status (1: you own nothing and are off the map, go)
 	ctrlBye      = byte(9)  // member -> coord: done with the namespace
 	ctrlByeAck   = byte(10) // coord -> members: everyone said bye, shut down
+	ctrlDead     = byte(11) // coord -> itself: i32 id, a member failed (MarkDead)
 )
+
+// ctrlWait bounds every wait for the coordinator — the table, a join's
+// commit, a drain's verdict, the bye ack — so a dead or wedged
+// coordinator turns the call into an error instead of a hang.
+const ctrlWait = 60 * time.Second
 
 // ElasticOptions configures an elastic mount.
 type ElasticOptions struct {
@@ -79,15 +94,21 @@ type partRec struct {
 	metas []FileMeta // records for the partition's entries (owner-stamped)
 }
 
-// coordState is the coordinator-only rebalance machinery. All fields are
-// guarded by elasticCtrl.mu; the ctrl loop is the only long-lived writer,
-// but bye/leave bookkeeping crosses goroutines.
+// coordState is what only the coordinator holds: the cluster map and the
+// rebalance machinery. The ctrl loop is its only user (MountElastic's
+// gather, before the loop starts, included), but for what elasticCtrl.mu
+// guards because another goroutine uses it: the pull watchdog reads the
+// active job and its pending transfers, tests the queue, and MarkDead
+// leaves its mark. Everyone else reads the map through the node's view.
 type coordState struct {
+	cur      *member.ClusterMap // the cluster map; every change is a transition of it
+	nextID   member.NodeID      // identity of the next admission; never reused
 	registry map[uint64]*partRec
 	// One rebalance runs at a time; later joins/leaves queue.
 	active *rebalanceJob
 	queue  []*rebalanceJob
 	byes   map[member.NodeID]bool
+	marks  map[member.NodeID]chan struct{} // MarkDead calls waiting for the loop, by the node they report
 }
 
 // maxJobAttempts bounds how many dispatch rounds one rebalance job may
@@ -96,66 +117,65 @@ type coordState struct {
 // counts the job, and the partitions keep their current owner.
 const maxJobAttempts = 3
 
-// rebalanceJob tracks one in-flight join or leave rebalance.
+// rebalanceJob tracks one in-flight join, leave or repair rebalance.
 type rebalanceJob struct {
 	transfers map[uint64]transfer // pending pulls, keyed by gid
 	done      []transfer          // acked pulls (these commit)
 	failed    []transfer          // failed pulls (re-planned against the refreshed map)
 	attempts  int                 // dispatch rounds run so far
-	leaver    member.NodeID       // NoNode for a join
-	leaveRank int
+	joiner    member.NodeID       // the node whose join this is; its commit names it. NoNode otherwise
+	leaver    member.NodeID       // the node to empty (a leave, a death); NoNode for a join
+	leaveRank int                 // where a voluntary leaver waits for its verdict; -1 otherwise
 }
 
-// elasticCtrl is a Node's elastic control plane: membership handle, ctrl
-// listener, commit signaling, and (on the coordinator) the rebalance
-// state machine.
+// elasticCtrl is a Node's elastic control plane: the ctrl loop, the
+// signals it raises for the calls waiting on it, and (on the
+// coordinator) the cluster map and the rebalance state machine.
 type elasticCtrl struct {
-	n    *Node
-	mem  *member.Membership
-	opts ElasticOptions
+	n         *Node
+	opts      ElasticOptions
+	coordRank int
 
 	// done is nil until the ctrl loop is started and closed when it
 	// returns — on a poison pill, on the coordinator's bye ack (on the
 	// coordinator: on the last member's bye), or with the world.
 	done chan struct{}
 
-	mu      sync.Mutex
-	waiters []*commitWaiter
-	coord   *coordState // nil on non-coordinators
+	mu    sync.Mutex
+	coord *coordState // nil on non-coordinators
 
-	drained chan byte // drain-ack status from the coordinator (1: fully drained)
+	joined  chan struct{} // closed by the commit that names this node: its join's rebalance landed
+	drained chan byte     // drain verdict from the coordinator (1: fully drained)
 
 	rebalBytes   *metrics.Counter
 	rebalPending *metrics.Gauge
 	jobsFailed   *metrics.Counter
 }
 
-type commitWaiter struct {
-	minVersion uint64
-	ch         chan struct{}
-}
-
-func newElasticCtrl(n *Node, opts ElasticOptions) *elasticCtrl {
+func newElasticCtrl(n *Node, coordRank int, opts ElasticOptions) *elasticCtrl {
 	e := &elasticCtrl{
 		n:            n,
-		mem:          n.mem,
 		opts:         opts,
+		coordRank:    coordRank,
+		joined:       make(chan struct{}),
 		drained:      make(chan byte, 1),
 		rebalBytes:   n.reg.Counter("rebalance.bytes.moved"),
 		rebalPending: n.reg.Gauge("rebalance.partitions.pending"),
 		jobsFailed:   n.reg.Counter("rebalance.jobs.failed"),
 	}
-	if e.mem.IsCoordinator() {
+	if n.comm.Rank() == coordRank {
 		e.coord = &coordState{
+			cur:      &member.ClusterMap{},
 			registry: make(map[uint64]*partRec),
 			byes:     make(map[member.NodeID]bool),
+			marks:    make(map[member.NodeID]chan struct{}),
 		}
 	}
 	return e
 }
 
 // MountElastic mounts an elastic FanStore over ranks
-// 0..InitialMembers-1 of the world; rank 0 runs the coordinator. Unlike
+// 0..InitialMembers-1 of the world; rank 0 is the coordinator. Unlike
 // the static Mount it uses no world-wide collectives — metadata flows
 // through the coordinator star — so the remaining slots stay free for
 // later JoinCluster calls. Each mounting rank passes its own partitions.
@@ -167,23 +187,11 @@ func MountElastic(comm *mpi.Comm, partitions [][]byte, opts ElasticOptions) (*No
 	if comm.Rank() >= members {
 		return nil, fmt.Errorf("fanstore: rank %d is not an initial member (InitialMembers=%d); use JoinCluster", comm.Rank(), members)
 	}
-	const coordRank = 0
-	var mem *member.Membership
-	if comm.Rank() == coordRank {
-		mem = member.StartCoordinator(comm)
-	} else {
-		var err error
-		mem, err = member.Join(comm, coordRank)
-		if err != nil {
-			return nil, err
-		}
-	}
-	n, err := newNode(comm, mem, opts.Options)
+	n, err := newNode(comm, true, opts.Options)
 	if err != nil {
-		mem.Close()
 		return nil, err
 	}
-	n.ectrl = newElasticCtrl(n, opts)
+	n.ectrl = newElasticCtrl(n, 0, opts)
 	if err := n.ectrl.mount(partitions, members); err != nil {
 		_ = n.stop()
 		return nil, fmt.Errorf("fanstore: elastic mount: %w", err)
@@ -191,55 +199,78 @@ func MountElastic(comm *mpi.Comm, partitions [][]byte, opts ElasticOptions) (*No
 	return n, nil
 }
 
-// mount is the elastic mount's load and its exchange through the
-// coordinator star; it starts the ctrl loop once the table is in place.
+// mount is the elastic mount's admission, its load and its exchange
+// through the coordinator star; it starts the ctrl loop once the table
+// is in place.
 func (e *elasticCtrl) mount(partitions [][]byte, members int) error {
-	n, mem, comm := e.n, e.mem, e.n.comm
+	n, comm := e.n, e.n.comm
+	// The cluster starts as its coordinator alone (node 0, map v1); every
+	// other initial member says hello and is told who it is.
+	if e.coord != nil {
+		n.selfID = e.admit(comm.Rank())
+	} else if err := e.hello(0); err != nil {
+		return err
+	}
 	// Load this rank's partitions under cluster-unique gids.
 	var localParts []*partRec
 	gids := make([]uint64, len(partitions))
 	for i, blob := range partitions {
 		// +1 keeps every gid nonzero, so FileMeta.PartGID == 0 can mean
 		// "not in any partition" (written files, static mounts).
-		gids[i] = uint64(mem.ID()+1)<<32 | uint64(i)
+		gids[i] = uint64(n.selfID+1)<<32 | uint64(i)
 		metas, err := n.loadPartitionGID(gids[i], blob)
 		if err != nil {
 			return err
 		}
-		localParts = append(localParts, &partRec{gid: gids[i], size: int64(len(blob)), owner: mem.ID(), metas: metas})
+		localParts = append(localParts, &partRec{gid: gids[i], size: int64(len(blob)), owner: n.selfID, metas: metas})
 	}
 
 	var deferred []ctrlFrame
-	if mem.IsCoordinator() {
-		// Gather the other initial members' inventories, merge, reply
-		// with the full table. Frames that are not registrations (an
-		// eager joiner racing the mount) are deferred to the ctrl loop.
+	if e.coord != nil {
+		// Gather: admit each initial member at its hello, merge the
+		// inventories, and end with the complete map and table to everyone
+		// admitted. Nobody is told of an admission before that — the others
+		// are not listening yet — and anything else (an eager joiner racing
+		// the mount) is deferred to the ctrl loop.
 		e.adopt(localParts)
-		seen := 0
-		for seen < members-1 {
+		for seen := 0; seen < members-1; {
 			data, src, err := comm.Recv(mpi.AnySource, tagCtrl)
 			if err != nil {
 				return err
 			}
-			if len(data) == 0 || data[0] != ctrlRegister {
+			switch {
+			case len(data) == 2 && data[0] == ctrlJoin && data[1] == 0:
+				if err := comm.Send(src, tagCtrl, encodeCommit(ctrlTable, e.admit(src), e.coord.cur, nil, nil)); err != nil {
+					return err
+				}
+			case len(data) > 0 && data[0] == ctrlRegister:
+				recs, err := decodeRegister(data[1:])
+				if err != nil {
+					return fmt.Errorf("rank %d registration: %w", src, err)
+				}
+				for _, rec := range recs {
+					if rank, err := e.coord.cur.RankOf(rec.owner); err != nil || rank != src {
+						return fmt.Errorf("rank %d registered as node %v, which it is not", src, rec.owner)
+					}
+				}
+				e.adopt(recs)
+				seen++
+			default:
 				deferred = append(deferred, ctrlFrame{data: data, src: src})
+			}
+		}
+		table := e.encodeTable(member.NoNode) // encoded once, addressed to each in turn
+		for _, node := range e.coord.cur.Alive() {
+			if node.Rank == comm.Rank() {
 				continue
 			}
-			recs, err := decodeRegister(data[1:])
-			if err != nil {
-				return fmt.Errorf("rank %d registration: %w", src, err)
-			}
-			e.adopt(recs)
-			seen++
-		}
-		table := e.encodeTable()
-		for r := 1; r < members; r++ {
-			if err := comm.Send(r, tagCtrl, table); err != nil {
+			binary.LittleEndian.PutUint32(table[1:], uint32(node.ID))
+			if err := comm.Send(node.Rank, tagCtrl, table); err != nil {
 				return err
 			}
 		}
 	} else {
-		if err := comm.Send(mem.CoordRank(), tagCtrl, encodeRegister(mem.ID(), localParts)); err != nil {
+		if err := comm.Send(e.coordRank, tagCtrl, encodeRegister(n.selfID, localParts)); err != nil {
 			return err
 		}
 		if err := e.recvTable(); err != nil {
@@ -251,20 +282,46 @@ func (e *elasticCtrl) mount(partitions [][]byte, members int) error {
 	if n.ec != nil {
 		// Initial shard placement: every owner splits its partitions into
 		// k+m erasure shards and scatters them under the initial-member
-		// map. Members sync their view first — admission broadcasts may
-		// still be in flight, but by table time every initial member has
-		// registered, so the synced map is complete. Every rank's server
-		// has been serving since newNode, so the cross-pushes cannot
-		// deadlock.
-		if _, err := mem.Sync(); err != nil {
-			return err
-		}
+		// map, which the table that ended the gather carried complete.
+		// Every rank's server has been serving since newNode, so the
+		// cross-pushes cannot deadlock.
 		if err := n.ecPushParts(n.view.Map(), gids, false); err != nil {
 			return fmt.Errorf("shard placement: %w", err)
 		}
 	}
-	n.mapVersion.Set(int64(n.view.Version())) // the admissions since newNode
 	return nil
+}
+
+// admit puts the rank on the map under the next identity. Like every
+// change of the map it runs on the coordinator's ctrl loop (or in the
+// gather before it).
+func (e *elasticCtrl) admit(rank int) member.NodeID {
+	id := e.coord.nextID
+	e.coord.nextID++
+	e.setMap(e.coord.cur.WithNode(member.Node{ID: id, Rank: rank, State: member.StateAlive}))
+	if e.n.events.Enabled() {
+		e.n.events.Emitf(obs.EvMemberJoin, obs.SevInfo,
+			"node %v joined at rank %d (map v%d, %d members)", id, rank, e.coord.cur.Version, len(e.coord.cur.Nodes))
+	}
+	return id
+}
+
+// setMap makes cm the cluster map and publishes it to this node's view;
+// telling the other members is the caller's next step.
+func (e *elasticCtrl) setMap(cm *member.ClusterMap) {
+	e.coord.cur = cm
+	e.n.installMap(cm)
+}
+
+// tell sends one frame to every alive member of cm but this rank and
+// skip. Best-effort: a member that cannot be reached learns the version
+// from a peer's stale-map error.
+func (e *elasticCtrl) tell(cm *member.ClusterMap, skip int, frame []byte) {
+	for _, node := range cm.Alive() {
+		if node.Rank != e.n.comm.Rank() && node.Rank != skip {
+			_ = e.n.comm.Send(node.Rank, tagCtrl, frame)
+		}
+	}
 }
 
 // adopt enters a member's partition inventory into the coordinator's
@@ -278,105 +335,75 @@ func (e *elasticCtrl) adopt(recs []*partRec) {
 	}
 }
 
-// recvTable installs the coordinator's answer to a registration or a
-// join announcement: the full metadata table.
+// hello asks the coordinator to admit this rank and installs its answer.
+// rebalance 1 also queues the join's rebalance (JoinCluster); 0 is an
+// initial member, which registers its inventory next.
+func (e *elasticCtrl) hello(rebalance byte) error {
+	if err := e.n.comm.Send(e.coordRank, tagCtrl, []byte{ctrlJoin, rebalance}); err != nil {
+		return err
+	}
+	return e.recvTable()
+}
+
+// recvTable installs a table frame: who this node is, the map it is on
+// and the metadata table under that map. The node's identity and map are
+// set here, before any peer can know the node — it is on no map sent to
+// anyone until the coordinator has sent this frame.
 func (e *elasticCtrl) recvTable() error {
-	data, _, err := e.n.comm.Recv(e.mem.CoordRank(), tagCtrl)
+	data, _, err := e.n.comm.RecvDeadline(e.coordRank, tagCtrl, ctrlWait)
 	if err != nil || len(data) == 0 || data[0] != ctrlTable {
 		return fmt.Errorf("bad table frame (%v)", err)
 	}
-	metas, err := decodeMetas(data[1:])
+	id, cm, _, metas, err := decodeCommit(data[1:])
 	if err != nil {
 		return err
 	}
+	e.n.selfID = id
+	e.n.installMap(cm)
 	for i := range metas {
 		e.n.addMeta(metas[i])
 	}
 	return nil
 }
 
-// JoinCluster admits this rank to a running elastic cluster: membership
-// join, metadata table download, and the triggered delta rebalance. It
-// returns once the rebalance commit lands, so the returned node already
-// owns its share of the partitions and the map version has advanced. A
-// join that fails at any step after admission leaves the map again
-// (best-effort: member requests are deadline-bounded, so a dead
-// coordinator cannot wedge the exit) — a failed join must leak neither
-// goroutines nor a ghost member that future rebalances would target.
+// JoinCluster admits this rank to a running elastic cluster: one hello
+// answered by its identity, the map and the metadata table, then the
+// delta rebalance the hello queued. It returns once the commit of that
+// rebalance lands — the one that names this node — so the returned node
+// already owns its share of the partitions. A join that fails in newNode
+// has asked nothing of the coordinator; one that fails later asks to be
+// drained off the map again (best-effort, by rank: it may never have
+// learned its identity), so a failed join leaks neither goroutines nor a
+// ghost member that future rebalances would target.
 func JoinCluster(comm *mpi.Comm, coordRank int, opts ElasticOptions) (*Node, error) {
-	mem, err := member.Join(comm, coordRank)
+	n, err := newNode(comm, true, opts.Options)
 	if err != nil {
 		return nil, err
 	}
-	admitted := mem.View().Version()
-	n, err := newNode(comm, mem, opts.Options)
-	if err != nil {
-		_ = mem.Leave()
-		mem.Close() // idempotent when Leave already closed
-		return nil, err
-	}
-	n.ectrl = newElasticCtrl(n, opts)
-	if err := n.ectrl.join(admitted); err != nil {
-		_ = mem.Leave()
+	n.ectrl = newElasticCtrl(n, coordRank, opts)
+	if err := n.ectrl.join(); err != nil {
+		_ = comm.Send(coordRank, tagCtrl, idFrame(ctrlLeave, member.NoNode))
 		_ = n.stop()
 		return nil, fmt.Errorf("fanstore: join: %w", err)
 	}
 	return n, nil
 }
 
-// join announces this node to the coordinator, which replies with the
-// table and then plans the rebalance — move pulls may target this node
-// immediately after, which its fetch daemon (serving since newNode) and
-// the ctrl loop started here answer. The join rebalance always ends in a
-// commit (even a no-move one) whose version is strictly above the
-// admission version.
-func (e *elasticCtrl) join(admitted uint64) error {
-	var req [5]byte
-	req[0] = ctrlJoin
-	binary.LittleEndian.PutUint32(req[1:], uint32(e.mem.ID()))
-	if err := e.n.comm.Send(e.mem.CoordRank(), tagCtrl, req[:]); err != nil {
+// join says hello and waits for the rebalance it asked for. Move pulls
+// may target this node right after its table, which its fetch daemon
+// (serving since newNode) and the ctrl loop started here answer. The
+// join's rebalance always ends in a commit, even a no-move one.
+func (e *elasticCtrl) join() error {
+	if err := e.hello(1); err != nil {
 		return err
 	}
-	if err := e.recvTable(); err != nil {
-		return err
-	}
-	wait := e.addWaiter(admitted + 1)
 	e.start(nil)
 	select {
-	case <-wait:
+	case <-e.joined:
 		return nil
-	case <-time.After(60 * time.Second):
+	case <-time.After(ctrlWait):
 		return fmt.Errorf("rebalance commit did not arrive")
 	}
-}
-
-// addWaiter registers a channel closed by the first commit at or above
-// minVersion (checked against already-current state too).
-func (e *elasticCtrl) addWaiter(minVersion uint64) chan struct{} {
-	ch := make(chan struct{})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.n.view.Version() >= minVersion {
-		close(ch)
-		return ch
-	}
-	e.waiters = append(e.waiters, &commitWaiter{minVersion: minVersion, ch: ch})
-	return ch
-}
-
-func (e *elasticCtrl) signalWaiters() {
-	v := e.n.view.Version()
-	e.mu.Lock()
-	kept := e.waiters[:0]
-	for _, w := range e.waiters {
-		if v >= w.minVersion {
-			close(w.ch)
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	e.waiters = kept
-	e.mu.Unlock()
 }
 
 type ctrlFrame struct {
@@ -406,10 +433,12 @@ func (e *elasticCtrl) stopLoop() {
 	}
 }
 
-// ctrlLoop is the per-node control listener. On the coordinator it is
-// also the rebalance state machine: joins and leaves arrive here, move
-// acks advance the active job, and the commit is cut here, so every map
-// mutation observed by the data plane is totally ordered.
+// ctrlLoop is the per-node control listener, the one control goroutine
+// of an elastic node. On the coordinator it is also the membership and
+// rebalance state machine: hellos, leaves and deaths arrive here, move
+// acks advance the active job, and every commit is cut here, so every
+// change of the map is made by one goroutine and reaches each member in
+// the order it was made.
 func (e *elasticCtrl) ctrlLoop(deferred []ctrlFrame) {
 	defer close(e.done)
 	for _, f := range deferred {
@@ -429,26 +458,62 @@ func (e *elasticCtrl) ctrlLoop(deferred []ctrlFrame) {
 }
 
 // handleCtrl dispatches one control frame; true means the loop is done.
+// What a frame may do depends on who sent it: only the coordinator's rank
+// moves this node's map, metadata or partitions, which is what makes the
+// one-sender order of the stream true rather than assumed. A frame that
+// is short, or from the wrong rank, is ignored.
 func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 	if len(data) == 0 {
-		return true // poison pill (stopLoop)
+		return src == e.n.comm.Rank() // poison pill (stopLoop)
 	}
-	switch data[0] {
+	switch op := data[0]; op {
 	case ctrlJoin:
+		if e.coord == nil || len(data) < 2 {
+			return false
+		}
+		// One exchange: the rank is on the map, holds the table, and the
+		// members already running know it, in that order on each stream.
+		id := e.admit(src)
+		_ = e.n.comm.Send(src, tagCtrl, e.encodeTable(id))
+		e.tell(e.coord.cur, src, encodeCommit(ctrlCommit, member.NoNode, e.coord.cur, nil, nil))
+		if data[1] == 1 {
+			e.enqueueJob(&rebalanceJob{joiner: id, leaver: member.NoNode, leaveRank: -1})
+		}
+	case ctrlLeave, ctrlBye, ctrlDead:
 		if e.coord == nil || len(data) < 5 {
 			return false
 		}
 		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
-		_ = e.n.comm.Send(src, tagCtrl, e.encodeTable())
-		e.enqueueJob(&rebalanceJob{leaver: member.NoNode, leaveRank: -1}, id)
-	case ctrlLeave:
-		if e.coord == nil || len(data) < 5 {
-			return false
+		switch op {
+		case ctrlBye:
+			return e.noteBye(id)
+		case ctrlDead:
+			if src != e.n.comm.Rank() {
+				return false
+			}
+			e.setMap(e.coord.cur.WithState(id, member.StateDead))
+			if e.n.events.Enabled() {
+				e.n.events.Emitf(obs.EvMemberDead, obs.SevError,
+					"member %v marked dead; queuing repair rebalance", id)
+			}
+			e.tell(e.coord.cur, -1, encodeCommit(ctrlCommit, member.NoNode, e.coord.cur, nil, nil))
+			e.enqueueJob(&rebalanceJob{joiner: member.NoNode, leaver: id, leaveRank: -1})
+			e.mu.Lock()
+			if ack := e.coord.marks[id]; ack != nil {
+				close(ack)
+				delete(e.coord.marks, id)
+			}
+			e.mu.Unlock()
+		case ctrlLeave:
+			if id == member.NoNode {
+				id = nodeAt(e.coord.cur, src)
+			}
+			if node, ok := e.coord.cur.Lookup(id); ok && node.Rank == src {
+				e.enqueueJob(&rebalanceJob{joiner: member.NoNode, leaver: id, leaveRank: src})
+			}
 		}
-		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
-		e.enqueueJob(&rebalanceJob{leaver: id, leaveRank: src}, member.NoNode)
 	case ctrlMove:
-		if len(data) < 13 {
+		if src != e.coordRank || len(data) < 13 {
 			return false
 		}
 		gid := binary.LittleEndian.Uint64(data[1:])
@@ -462,37 +527,50 @@ func (e *elasticCtrl) handleCtrl(data []byte, src int) bool {
 		ok := data[9] == 1
 		e.moveFinished(gid, ok)
 	case ctrlCommit:
-		cm, transfers, metas, err := decodeCommit(data[1:])
-		if err == nil {
-			e.applyCommit(cm, transfers, metas)
-		}
-	case ctrlBye:
-		if e.coord == nil || len(data) < 5 {
+		if src != e.coordRank {
 			return false
 		}
-		id := member.NodeID(int32(binary.LittleEndian.Uint32(data[1:])))
-		return e.noteBye(id)
+		node, cm, transfers, metas, err := decodeCommit(data[1:])
+		if err == nil {
+			e.applyCommit(node, cm, transfers, metas)
+		}
 	case ctrlByeAck:
-		return true
+		return src == e.coordRank
 	case ctrlDrained:
 		// Status byte: 1 means every partition left this node. The send
 		// is non-blocking so a late ack from a timed-out leave attempt
 		// cannot wedge the ctrl loop.
-		st := byte(0)
-		if len(data) >= 2 {
-			st = data[1]
+		if src != e.coordRank || len(data) < 2 {
+			return false
 		}
 		select {
-		case e.drained <- st:
+		case e.drained <- data[1]:
 		default:
 		}
 	}
 	return false
 }
 
-// enqueueJob starts (or queues) a rebalance. joiner is the node that
-// triggered it for a join, NoNode for a leave.
-func (e *elasticCtrl) enqueueJob(job *rebalanceJob, joiner member.NodeID) {
+// nodeAt resolves a rank to the member last admitted at it — what a
+// joiner that failed before it learned its identity can say of itself —
+// or NoNode.
+func nodeAt(cm *member.ClusterMap, rank int) member.NodeID {
+	id := member.NoNode
+	for _, node := range cm.Alive() {
+		if node.Rank == rank {
+			id = node.ID
+		}
+	}
+	return id
+}
+
+// idFrame is a control frame whose body is one node ID.
+func idFrame(op byte, id member.NodeID) []byte {
+	return binary.LittleEndian.AppendUint32([]byte{op}, uint32(id))
+}
+
+// enqueueJob starts (or queues) a rebalance.
+func (e *elasticCtrl) enqueueJob(job *rebalanceJob) {
 	e.mu.Lock()
 	if e.coord.active != nil {
 		e.coord.queue = append(e.coord.queue, job)
@@ -508,13 +586,11 @@ func (e *elasticCtrl) enqueueJob(job *rebalanceJob, joiner member.NodeID) {
 // commits straight away when nothing moves).
 func (e *elasticCtrl) startJob(job *rebalanceJob) {
 	transfers := e.planRebalance(job.leaver)
-	e.mu.Lock()
 	job.transfers = make(map[uint64]transfer, len(transfers))
 	for _, tr := range transfers {
 		job.transfers[tr.gid] = tr
 	}
 	e.rebalPending.Set(int64(len(transfers)))
-	e.mu.Unlock()
 	if e.n.events.Enabled() {
 		e.n.events.Emitf(obs.EvRebalanceStart, obs.SevInfo,
 			"rebalance started: %d partition transfer(s) planned (leaver=%v)",
@@ -544,9 +620,8 @@ func (e *elasticCtrl) dispatch(job *rebalanceJob, transfers []transfer) {
 		timeout = 30 * time.Second
 	}
 	time.AfterFunc(timeout, func() { e.reapStalled(job, gids) })
-	m := e.n.view.Map()
 	for _, tr := range transfers {
-		rank, err := m.RankOf(tr.to)
+		rank, err := e.coord.cur.RankOf(tr.to)
 		if err != nil {
 			// Destination vanished between planning and dispatch: treat
 			// the transfer as failed; the partition keeps its old owner.
@@ -570,34 +645,41 @@ func (e *elasticCtrl) dispatch(job *rebalanceJob, transfers []transfer) {
 }
 
 // reapStalled fails every transfer of this dispatch round still pending
-// after the pull timeout. moveFinished ignores gids no longer pending,
-// so a real ack racing the reap (either order) is counted exactly once;
-// the job identity check keeps a stale timer from touching a later job.
+// after the pull timeout, by handing the ctrl loop the failed ack the
+// destination never sent: the timer's goroutine changes nothing itself.
+// moveFinished ignores gids no longer pending, so a real ack racing the
+// reap (either order) is counted exactly once; the job identity check
+// keeps a stale timer from touching a later job.
 func (e *elasticCtrl) reapStalled(job *rebalanceJob, gids []uint64) {
 	var stalled []uint64
 	e.mu.Lock()
-	if e.coord == nil || e.coord.active != job {
-		e.mu.Unlock()
-		return
-	}
 	for _, gid := range gids {
-		if _, ok := job.transfers[gid]; ok {
+		if _, ok := job.transfers[gid]; ok && e.coord.active == job {
 			stalled = append(stalled, gid)
 		}
 	}
 	e.mu.Unlock()
 	for _, gid := range stalled {
-		e.moveFinished(gid, false)
+		_ = e.n.comm.Send(e.n.comm.Rank(), tagCtrl, movedFrame(gid, false))
 	}
+}
+
+// movedFrame is the ack of one pull.
+func movedFrame(gid uint64, ok bool) []byte {
+	frame := make([]byte, 10)
+	frame[0] = ctrlMoved
+	binary.LittleEndian.PutUint64(frame[1:], gid)
+	if ok {
+		frame[9] = 1
+	}
+	return frame
 }
 
 // planRebalance computes the transfers for the current membership: a
 // minimal-movement delta placement over the registry, excluding leaver
 // from the candidate set. Coordinator-only; called from the ctrl loop.
 func (e *elasticCtrl) planRebalance(leaver member.NodeID) []transfer {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	alive := e.n.view.Map().Alive()
+	alive := e.coord.cur.Alive()
 	ids := make([]member.NodeID, 0, len(alive))
 	for _, node := range alive {
 		if leaver != member.NoNode && node.ID == leaver {
@@ -690,44 +772,33 @@ func (e *elasticCtrl) pullPartition(gid uint64, from member.NodeID) {
 			}
 		}
 	}
-	frame := make([]byte, 10)
-	frame[0] = ctrlMoved
-	binary.LittleEndian.PutUint64(frame[1:], gid)
-	if ok {
-		frame[9] = 1
-	}
-	if e.mem.IsCoordinator() {
-		e.moveFinished(gid, ok)
-		return
-	}
-	_ = e.n.comm.Send(e.mem.CoordRank(), tagCtrl, frame)
+	// The coordinator's own pulls ack through its mailbox like anyone's:
+	// the job advances on the ctrl loop only.
+	_ = e.n.comm.Send(e.coordRank, tagCtrl, movedFrame(gid, ok))
 }
 
 // moveFinished records one transfer ack; the last one cuts the commit.
+// An ack for a gid no longer pending — the watchdog's after the real one,
+// or the reverse — is ignored.
 func (e *elasticCtrl) moveFinished(gid uint64, ok bool) {
-	e.mu.Lock()
 	job := e.coord.active
 	if job == nil {
-		e.mu.Unlock()
 		return
 	}
 	tr, pending := job.transfers[gid]
 	if !pending {
-		e.mu.Unlock()
 		return
 	}
+	e.mu.Lock()
 	delete(job.transfers, gid)
+	e.mu.Unlock()
 	if ok {
 		job.done = append(job.done, tr)
 	} else {
 		job.failed = append(job.failed, tr)
 	}
-	remaining := len(job.transfers)
-	// The gauge moves under the same lock as the transfer set, so a late
-	// ack can never overwrite the terminal zero with a stale count.
-	e.rebalPending.Set(int64(remaining))
-	e.mu.Unlock()
-	if remaining == 0 {
+	e.rebalPending.Set(int64(len(job.transfers)))
+	if len(job.transfers) == 0 {
 		e.finishJob(job)
 	}
 }
@@ -742,7 +813,6 @@ func (e *elasticCtrl) moveFinished(gid uint64, ok bool) {
 // leaver that still owns data is refused its drain ack (see commitJob)
 // so its only copies never leave the cluster.
 func (e *elasticCtrl) finishJob(job *rebalanceJob) {
-	e.mu.Lock()
 	if len(job.failed) > 0 && job.attempts+1 < maxJobAttempts {
 		job.attempts++
 		failedSet := make(map[uint64]bool, len(job.failed))
@@ -750,12 +820,8 @@ func (e *elasticCtrl) finishJob(job *rebalanceJob) {
 			failedSet[tr.gid] = true
 		}
 		job.failed = nil
-		e.mu.Unlock()
-		// planRebalance locks e.mu itself; it must run unlocked. The job
-		// stays active throughout, so no commit can interleave.
-		planned := e.planRebalance(job.leaver)
 		var retry []transfer
-		for _, tr := range planned {
+		for _, tr := range e.planRebalance(job.leaver) {
 			if failedSet[tr.gid] {
 				retry = append(retry, tr)
 			}
@@ -770,8 +836,8 @@ func (e *elasticCtrl) finishJob(job *rebalanceJob) {
 		for _, tr := range retry {
 			job.transfers[tr.gid] = tr
 		}
-		e.rebalPending.Set(int64(len(job.transfers)))
 		e.mu.Unlock()
+		e.rebalPending.Set(int64(len(job.transfers)))
 		e.dispatch(job, retry)
 		return
 	}
@@ -783,27 +849,40 @@ func (e *elasticCtrl) finishJob(job *rebalanceJob) {
 				maxJobAttempts, len(job.failed))
 		}
 	}
-	e.mu.Unlock()
 	e.commitJob(job)
 }
 
-// commitJob publishes the rebalance: bump the map version, rewrite the
-// moved partitions' ownership under it, apply locally, broadcast to all
-// members, and release the leaver (if any). Then the next queued job
+// commitJob publishes the rebalance: the landed transfers go into the
+// registry, the map moves one version on — without the leaver, when this
+// is a voluntary leave and nothing in the registry still names it: the
+// commit that drains a node is the commit that takes it off the map, so
+// no later plan can see an empty member to fill — the moved partitions'
+// ownership is rewritten under it, and the commit is applied here and
+// sent to every member, the leaver included. Then the next queued job
 // starts.
 func (e *elasticCtrl) commitJob(job *rebalanceJob) {
-	cm, err := e.mem.Advance()
-	if err != nil {
-		return
+	prev := e.coord.cur
+	for _, tr := range job.done {
+		if rec := e.coord.registry[tr.gid]; rec != nil {
+			rec.owner = tr.to
+		}
 	}
-	e.mu.Lock()
+	// A failed pull leaves the leaver holding the only copy of that
+	// partition: it stays a serving member, and its verdict says so.
+	drained := job.leaveRank >= 0
+	for _, rec := range e.coord.registry {
+		drained = drained && rec.owner != job.leaver
+	}
+	cm := prev.Next()
+	if drained {
+		cm = prev.Without(job.leaver)
+	}
 	var moved []FileMeta
 	for _, tr := range job.done {
 		rec := e.coord.registry[tr.gid]
 		if rec == nil {
 			continue
 		}
-		rec.owner = tr.to
 		for i := range rec.metas {
 			rec.metas[i].Owner = int32(tr.to)
 			rec.metas[i].MapVersion = cm.Version
@@ -811,32 +890,19 @@ func (e *elasticCtrl) commitJob(job *rebalanceJob) {
 		}
 		moved = append(moved, rec.metas...)
 	}
-	frame := encodeCommit(cm, job.done, moved)
-	e.mu.Unlock()
-
-	e.applyCommit(cm, job.done, moved)
-	self := e.n.comm.Rank()
-	for _, node := range cm.Alive() {
-		if node.Rank == self {
-			continue
-		}
-		_ = e.n.comm.Send(node.Rank, tagCtrl, frame)
-	}
-	if job.leaver != member.NoNode && job.leaveRank >= 0 {
-		// The leaver may only shut down once nothing in the registry
-		// still names it: a failed pull leaves the leaver holding the
-		// only copy of that partition, so the ack carries a status and
-		// LeaveCluster surfaces the failure instead of closing the node.
-		e.mu.Lock()
-		drained := byte(1)
-		for _, rec := range e.coord.registry {
-			if rec.owner == job.leaver {
-				drained = 0
-				break
+	e.coord.cur = cm
+	e.applyCommit(job.joiner, cm, job.done, moved)
+	e.tell(prev, -1, encodeCommit(ctrlCommit, job.joiner, cm, job.done, moved))
+	if job.leaveRank >= 0 {
+		status := byte(0)
+		if drained {
+			status = 1
+			if e.n.events.Enabled() {
+				e.n.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
+					"node %v left (map v%d, %d members)", job.leaver, cm.Version, len(cm.Nodes))
 			}
 		}
-		e.mu.Unlock()
-		_ = e.n.comm.Send(job.leaveRank, tagCtrl, []byte{ctrlDrained, drained})
+		_ = e.n.comm.Send(job.leaveRank, tagCtrl, []byte{ctrlDrained, status})
 	}
 
 	e.mu.Lock()
@@ -853,20 +919,24 @@ func (e *elasticCtrl) commitJob(job *rebalanceJob) {
 	}
 }
 
-// applyCommit installs a rebalance commit on this member: newer map,
-// rewritten metadata records, and — when this node was an old owner —
-// the partition drop that completes the handoff. The map is installed
-// first so a reader racing the metadata rewrite fails toward the
-// stale-map retry, not toward a dead route.
-func (e *elasticCtrl) applyCommit(cm *member.ClusterMap, transfers []transfer, metas []FileMeta) {
-	e.n.view.Update(cm)
-	e.n.mapVersion.Set(int64(e.n.view.Version()))
+// applyCommit installs a commit on this member: newer map, rewritten
+// metadata records, and — when this node was an old owner — the
+// partition drop that completes the handoff. An admission or a death is
+// a commit that moves nothing. The map is installed first so a reader
+// racing the metadata rewrite fails toward the stale-map retry, not
+// toward a dead route. joiner is the node whose join this commits.
+func (e *elasticCtrl) applyCommit(joiner member.NodeID, cm *member.ClusterMap, transfers []transfer, metas []FileMeta) {
+	installed := e.n.installMap(cm)
 	if e.n.events.Enabled() {
-		e.n.events.Emitf(obs.EvMapChange, obs.SevInfo,
-			"cluster map v%d installed (%d alive, %d partition move(s))",
-			cm.Version, len(cm.Alive()), len(transfers))
-		e.n.events.Emitf(obs.EvRebalanceCommit, obs.SevInfo,
-			"rebalance committed under map v%d: %d transfer(s) applied", cm.Version, len(transfers))
+		if installed {
+			e.n.events.Emitf(obs.EvMapChange, obs.SevInfo,
+				"cluster map v%d installed (%d alive, %d partition move(s))",
+				cm.Version, len(cm.Alive()), len(transfers))
+		}
+		if len(transfers) > 0 {
+			e.n.events.Emitf(obs.EvRebalanceCommit, obs.SevInfo,
+				"rebalance committed under map v%d: %d transfer(s) applied", cm.Version, len(transfers))
+		}
 	}
 	for i := range metas {
 		e.n.addMeta(metas[i])
@@ -897,28 +967,24 @@ func (e *elasticCtrl) applyCommit(cm *member.ClusterMap, transfers []transfer, m
 			go e.n.ecPushParts(cm, takenOver, true)
 		}
 	}
-	e.signalWaiters()
+	if joiner == e.n.selfID {
+		select {
+		case <-e.joined:
+		default:
+			close(e.joined)
+		}
+	}
 }
 
 // noteBye records a member's shutdown intent; once every alive member
 // has said bye the coordinator acks all of them. Returns true when the
 // coordinator itself is done (acks sent).
 func (e *elasticCtrl) noteBye(id member.NodeID) bool {
-	e.mu.Lock()
 	e.coord.byes[id] = true
-	alive := e.n.view.Map().Alive()
-	all := len(e.coord.byes) >= len(alive)
-	e.mu.Unlock()
-	if !all {
+	if len(e.coord.byes) < len(e.coord.cur.Alive()) {
 		return false
 	}
-	self := e.n.comm.Rank()
-	for _, node := range alive {
-		if node.Rank == self {
-			continue
-		}
-		_ = e.n.comm.Send(node.Rank, tagCtrl, []byte{ctrlByeAck})
-	}
+	e.tell(e.coord.cur, -1, []byte{ctrlByeAck})
 	return true
 }
 
@@ -928,24 +994,21 @@ func (e *elasticCtrl) noteBye(id member.NodeID) bool {
 // bye goes through its ctrl loop like any other. What ends the wait ends
 // the ctrl loop: a member's ack, the coordinator's last collected bye.
 func (e *elasticCtrl) sayBye() {
-	var bye [5]byte
-	bye[0] = ctrlBye
-	binary.LittleEndian.PutUint32(bye[1:], uint32(e.n.selfID))
-	_ = e.n.comm.Send(e.mem.CoordRank(), tagCtrl, bye[:])
+	_ = e.n.comm.Send(e.coordRank, tagCtrl, idFrame(ctrlBye, e.n.selfID))
 	select {
 	case <-e.done:
-	case <-time.After(60 * time.Second):
+	case <-time.After(ctrlWait):
 		// A peer died without saying bye; shut down anyway.
 	}
 }
 
 // LeaveCluster drains this node out of the cluster and shuts it down:
 // the coordinator re-places its partitions on the survivors (reads keep
-// being served here until the commit), then the node leaves the map and
-// closes locally. The remaining members keep running. If any partition
-// could not be re-homed — this node would depart with the only copy —
-// LeaveCluster returns an error and the node stays a serving member;
-// the caller may retry.
+// being served here until the commit), takes it off the map with that
+// commit, and the node closes locally. The remaining members keep
+// running. If any partition could not be re-homed — this node would
+// depart with the only copy — LeaveCluster returns an error and the node
+// stays a serving member; the caller may retry.
 func (n *Node) LeaveCluster() error {
 	if n.ectrl == nil {
 		return fmt.Errorf("fanstore: LeaveCluster on a static mount")
@@ -960,16 +1023,14 @@ func (n *Node) LeaveCluster() error {
 	return n.stop()
 }
 
-// drain is LeaveCluster's handshake: have the coordinator re-home this
-// node's partitions, then leave the map.
+// drain is LeaveCluster's handshake: one request, answered once the
+// coordinator has re-homed this node's partitions and committed the map
+// without it.
 func (e *elasticCtrl) drain() error {
-	if e.mem.IsCoordinator() {
+	if e.coord != nil {
 		return fmt.Errorf("fanstore: the coordinator cannot leave; Close the cluster instead")
 	}
-	var req [5]byte
-	req[0] = ctrlLeave
-	binary.LittleEndian.PutUint32(req[1:], uint32(e.n.selfID))
-	if err := e.n.comm.Send(e.mem.CoordRank(), tagCtrl, req[:]); err != nil {
+	if err := e.n.comm.Send(e.coordRank, tagCtrl, idFrame(ctrlLeave, e.n.selfID)); err != nil {
 		return fmt.Errorf("fanstore: leave: %w", err)
 	}
 	select {
@@ -979,11 +1040,8 @@ func (e *elasticCtrl) drain() error {
 			// only copy, so it must stay a serving member.
 			return fmt.Errorf("fanstore: leave: drain failed; this node still owns partitions")
 		}
-	case <-time.After(60 * time.Second):
+	case <-time.After(ctrlWait):
 		return fmt.Errorf("fanstore: leave: drain did not complete")
-	}
-	if err := e.mem.Leave(); err != nil {
-		return err
 	}
 	if e.n.events.Enabled() {
 		e.n.events.Emitf(obs.EvMemberLeave, obs.SevInfo,
@@ -1014,7 +1072,9 @@ func (n *Node) RebalancedBytes() int64 {
 // node as StateDead (routes to it start erroring toward refresh) and
 // queues a repair rebalance that re-homes its partitions onto the
 // survivors — on an ec mount by reconstructing them from surviving
-// shards, there being no live full copy to pull. Coordinator-only; the
+// shards, there being no live full copy to pull. The death is handed to
+// the ctrl loop, which alone changes the map, and MarkDead returns once
+// the loop has published it and queued the repair. Coordinator-only; the
 // failure detection itself (missed heartbeats, a scheduler signal) is
 // the caller's.
 func (n *Node) MarkDead(id member.NodeID) error {
@@ -1022,22 +1082,28 @@ func (n *Node) MarkDead(id member.NodeID) error {
 	if e == nil {
 		return fmt.Errorf("fanstore: MarkDead on a static mount")
 	}
-	if !n.mem.IsCoordinator() {
+	if e.coord == nil {
 		return fmt.Errorf("fanstore: MarkDead is coordinator-only")
 	}
 	if id == n.selfID {
 		return fmt.Errorf("fanstore: the coordinator cannot mark itself dead")
 	}
-	if _, err := n.mem.SetState(id, member.StateDead); err != nil {
+	e.mu.Lock()
+	ack := e.coord.marks[id]
+	if ack == nil {
+		ack = make(chan struct{})
+		e.coord.marks[id] = ack
+	}
+	e.mu.Unlock()
+	if err := n.comm.Send(n.comm.Rank(), tagCtrl, idFrame(ctrlDead, id)); err != nil {
 		return err
 	}
-	n.mapVersion.Set(int64(n.view.Version()))
-	if n.events.Enabled() {
-		n.events.Emitf(obs.EvMemberDead, obs.SevError,
-			"member %v marked dead; queuing repair rebalance", id)
+	select {
+	case <-ack:
+		return nil
+	case <-e.done:
+		return ErrUnmounted
 	}
-	e.enqueueJob(&rebalanceJob{leaver: id, leaveRank: -1}, member.NoNode)
-	return nil
 }
 
 // FailStop simulates this node crashing, for chaos testing: every
@@ -1052,15 +1118,16 @@ func (n *Node) FailStop() {
 	}
 }
 
-// encodeTable frames the full metadata table (coordinator's view).
-func (e *elasticCtrl) encodeTable() []byte {
+// encodeTable frames what the node id is owed at its admission: its
+// identity, the map and the full metadata table (coordinator's view).
+func (e *elasticCtrl) encodeTable(id member.NodeID) []byte {
 	e.n.mu.RLock()
 	metas := make([]FileMeta, 0, len(e.n.meta))
 	for _, m := range e.n.meta {
 		metas = append(metas, *m)
 	}
 	e.n.mu.RUnlock()
-	return append([]byte{ctrlTable}, encodeMetas(metas)...)
+	return encodeCommit(ctrlTable, id, e.coord.cur, nil, metas)
 }
 
 // encodeRegister frames a member's partition inventory:
@@ -1121,12 +1188,16 @@ func decodeRegister(src []byte) ([]*partRec, error) {
 	return recs, nil
 }
 
-// encodeCommit frames a rebalance commit:
+// encodeCommit frames a commit, and under op ctrlTable the table a rank
+// is admitted with — one layout, one decoder:
 //
-//	u8 op | u32 mapLen | map | u32 nTransfers |
+//	u8 op | i32 node | u32 mapLen | map | u32 nTransfers |
 //	nTransfers x (u64 gid | u32 from | u32 to) | encodeMetas(moved)
-func encodeCommit(cm *member.ClusterMap, transfers []transfer, moved []FileMeta) []byte {
-	out := []byte{ctrlCommit}
+//
+// node is the joiner whose rebalance a commit commits (NoNode for any
+// other), and in a table the recipient's identity.
+func encodeCommit(op byte, node member.NodeID, cm *member.ClusterMap, transfers []transfer, moved []FileMeta) []byte {
+	out := idFrame(op, node)
 	var b [8]byte
 	mapEnc := cm.Encode()
 	binary.LittleEndian.PutUint32(b[:4], uint32(len(mapEnc)))
@@ -1145,24 +1216,27 @@ func encodeCommit(cm *member.ClusterMap, transfers []transfer, moved []FileMeta)
 	return append(out, encodeMetas(moved)...)
 }
 
-func decodeCommit(src []byte) (*member.ClusterMap, []transfer, []FileMeta, error) {
-	if len(src) < 4 {
-		return nil, nil, nil, errors.New("fanstore: commit frame truncated")
+func decodeCommit(src []byte) (member.NodeID, *member.ClusterMap, []transfer, []FileMeta, error) {
+	truncated := errors.New("fanstore: commit frame truncated")
+	if len(src) < 8 {
+		return 0, nil, nil, nil, truncated
 	}
-	ml := int(binary.LittleEndian.Uint32(src))
-	off := 4
-	if off+ml+4 > len(src) {
-		return nil, nil, nil, errors.New("fanstore: commit frame truncated")
+	node := member.NodeID(int32(binary.LittleEndian.Uint32(src)))
+	ml := int(binary.LittleEndian.Uint32(src[4:]))
+	off := 8
+	// Refused before anything is sized from it: the map length is a peer's.
+	if ml > len(src)-off-4 {
+		return 0, nil, nil, nil, truncated
 	}
 	cm, err := member.DecodeMap(src[off : off+ml])
 	if err != nil {
-		return nil, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
 	off += ml
 	nt := int(binary.LittleEndian.Uint32(src[off:]))
 	off += 4
 	if nt > (len(src)-off)/16 {
-		return nil, nil, nil, errors.New("fanstore: commit frame truncated")
+		return 0, nil, nil, nil, truncated
 	}
 	transfers := make([]transfer, 0, nt)
 	for i := 0; i < nt; i++ {
@@ -1175,7 +1249,7 @@ func decodeCommit(src []byte) (*member.ClusterMap, []transfer, []FileMeta, error
 	}
 	metas, err := decodeMetas(src[off:])
 	if err != nil {
-		return nil, nil, nil, err
+		return 0, nil, nil, nil, err
 	}
-	return cm, transfers, metas, nil
+	return node, cm, transfers, metas, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"fanstore/internal/dataset"
 	"fanstore/internal/member"
 	"fanstore/internal/mpi"
+	"fanstore/internal/pack"
 )
 
 // countingBackend counts how often the node closed the backend it was
@@ -178,6 +180,15 @@ func ownedBy(n *Node, id member.NodeID) int {
 
 var errInjected = errors.New("injected: this rank aborts the world")
 
+// The overlap rows' dataset, built once a process: `make ci` runs those
+// rows -count 20 under the race detector, where compressing it costs
+// three times what the two rows do.
+var (
+	wideOnce sync.Once
+	wide     *pack.Bundle
+	wantWide map[string][]byte
+)
+
 // garbageTable is a ctrlTable frame whose metadata cannot be decoded.
 var garbageTable = []byte{ctrlTable, 0xff, 0xff, 0xff, 0xff, 1, 2, 3}
 
@@ -314,11 +325,9 @@ func TestNodeLifecycle(t *testing.T) {
 		runLifecycle(t, 2, false, func(c *mpi.Comm, x *exited) error {
 			if c.Rank() == 1 {
 				// A member that registers with a frame its count outruns.
-				mem, err := member.Join(c, 0)
-				if err != nil {
+				if _, err := handRolledHello(c); err != nil {
 					return err
 				}
-				defer mem.Close()
 				return c.Send(0, tagCtrl, []byte{ctrlRegister, 1, 0, 0, 0, 3, 0, 0, 0})
 			}
 			x.survivor = true
@@ -352,9 +361,7 @@ func TestNodeLifecycle(t *testing.T) {
 		t.Run("member/table-"+reply, func(t *testing.T) {
 			runLifecycle(t, 2, reply == "abort", func(c *mpi.Comm, x *exited) error {
 				if c.Rank() == 0 {
-					mem := member.StartCoordinator(c)
-					defer mem.Close()
-					if _, _, err := c.Recv(1, tagCtrl); err != nil {
+					if _, _, err := c.Recv(1, tagCtrl); err != nil { // the hello
 						return err
 					}
 					if reply == "abort" {
@@ -383,12 +390,11 @@ func TestNodeLifecycle(t *testing.T) {
 	t.Run("member/ec-push", func(t *testing.T) {
 		runLifecycle(t, 3, false, func(c *mpi.Comm, x *exited) error {
 			if c.Rank() == 2 {
-				mem, err := member.Join(c, 0)
+				id, err := handRolledHello(c)
 				if err != nil {
 					return err
 				}
-				defer mem.Close()
-				if err := c.Send(0, tagCtrl, encodeRegister(mem.ID(), nil)); err != nil {
+				if err := c.Send(0, tagCtrl, encodeRegister(id, nil)); err != nil {
 					return err
 				}
 				for i := 0; i < 3; i++ { // the table, then both mounts' verdicts
@@ -470,6 +476,292 @@ func TestNodeLifecycle(t *testing.T) {
 			})
 		})
 	}
+
+	// ---- overlapping membership changes ----
+	//
+	// The schedules two control planes lost: joins released together, and a
+	// leave racing a join. 24 partitions of two 64 KiB files, so a
+	// rebalance is still pulling when the next request arrives.
+	wideOnce.Do(func() { wide, wantWide = buildBundle(t, dataset.ImageNet, 48, 24, 64<<10, nil) })
+	share := func(rank, members int) [][]byte {
+		per := len(wide.Scatter) / members
+		return wide.Scatter[rank*per : (rank+1)*per]
+	}
+	// joinOnceMounted joins as soon as every initial member has mounted,
+	// tells the coordinator who it became, and settles with the rest once
+	// the leaver, if the row has one, says who it was.
+	joinOnceMounted := func(c *mpi.Comm, x *exited, opts ElasticOptions, leaver int) error {
+		for i := 0; i < opts.InitialMembers; i++ {
+			if _, _, err := c.Recv(mpi.AnySource, tagTestReady); err != nil {
+				return err
+			}
+		}
+		node, err := JoinCluster(c, 0, opts)
+		if err != nil {
+			return err
+		}
+		x.node = node
+		observed := watchVersion(node)
+		if err := c.Send(0, tagTestJoined, idBytes(node.ID())); err != nil {
+			return err
+		}
+		gone := member.NoNode
+		if leaver >= 0 {
+			data, _, err := c.Recv(leaver, tagTestKilled)
+			if err != nil {
+				return err
+			}
+			gone = idOf(data)
+		}
+		if err := settle(c, node, observed, nil, gone, wantWide); err != nil {
+			return err
+		}
+		return node.Close()
+	}
+	// joinersAreNew collects the joiners' identities on the coordinator:
+	// distinct from each other and from every identity seen before.
+	joinersAreNew := func(c *mpi.Comm, seen *member.ClusterMap, joiners ...int) error {
+		ids := make(map[member.NodeID]int)
+		for _, node := range seen.Nodes {
+			ids[node.ID] = node.Rank
+		}
+		for _, r := range joiners {
+			data, _, err := c.Recv(r, tagTestJoined)
+			if err != nil {
+				return err
+			}
+			id := idOf(data)
+			if was, dup := ids[id]; dup || id == member.NoNode {
+				return fmt.Errorf("rank %d joined as node %v, the identity of rank %d", r, id, was)
+			}
+			ids[id] = r
+		}
+		return nil
+	}
+
+	t.Run("joiner/concurrent", func(t *testing.T) {
+		runLifecycle(t, 5, false, func(c *mpi.Comm, x *exited) error {
+			x.survivor = true
+			opts := ElasticOptions{Options: x.options(), InitialMembers: 2}
+			if c.Rank() >= 2 {
+				return joinOnceMounted(c, x, opts, -1)
+			}
+			node, err := MountElastic(c, share(c.Rank(), 2), opts)
+			if err != nil {
+				return err
+			}
+			x.node = node
+			mounted, observed := node.View().Map(), watchVersion(node)
+			for r := 2; r < 5; r++ {
+				if err := c.Send(r, tagTestReady, nil); err != nil {
+					return err
+				}
+			}
+			if c.Rank() == 0 {
+				if err := joinersAreNew(c, mounted, 2, 3, 4); err != nil {
+					return err
+				}
+			}
+			if err := settle(c, node, observed, []int{1, 2, 3, 4}, member.NoNode, wantWide); err != nil {
+				return err
+			}
+			return node.Close()
+		})
+	})
+
+	t.Run("joiner/during-leave", func(t *testing.T) {
+		runLifecycle(t, 4, false, func(c *mpi.Comm, x *exited) error {
+			x.survivor = true
+			opts := ElasticOptions{Options: x.options(), InitialMembers: 3, PullTimeout: 2 * time.Second}
+			if c.Rank() == 3 {
+				return joinOnceMounted(c, x, opts, 2)
+			}
+			node, err := MountElastic(c, share(c.Rank(), 3), opts)
+			if err != nil {
+				return err
+			}
+			x.node = node
+			mounted, observed := node.View().Map(), watchVersion(node)
+			if err := c.Send(3, tagTestReady, nil); err != nil {
+				return err
+			}
+			if c.Rank() == 2 {
+				// The leaver goes straight after its mount, against the join
+				// that mount released, and then tells everyone who it was.
+				if err := node.LeaveCluster(); err != nil {
+					return err
+				}
+				for _, r := range []int{0, 1, 3} {
+					if err := c.Send(r, tagTestKilled, idBytes(node.ID())); err != nil {
+						return err
+					}
+				}
+				return observed()
+			}
+			data, _, err := c.Recv(2, tagTestKilled)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				if err := joinersAreNew(c, mounted, 3); err != nil {
+					return err
+				}
+			}
+			gone := idOf(data)
+			if err := settle(c, node, observed, []int{1, 3}, gone, wantWide); err != nil {
+				return err
+			}
+			return node.Close()
+		})
+	})
+
+	// Frames no honest peer sends reach both kinds of loop from a member:
+	// truncated requests, a death and a pill that are not the
+	// coordinator's own, a commit and a bye ack that are not the
+	// coordinator's. All are ignored: the leave behind them on the same
+	// stream is served, and the map moves by that leave's commit alone.
+	t.Run("member/malformed", func(t *testing.T) {
+		runLifecycle(t, 3, false, func(c *mpi.Comm, x *exited) error {
+			x.survivor = true
+			node, err := MountElastic(c, parts(c.Rank()), ElasticOptions{Options: x.options()})
+			if err != nil {
+				return err
+			}
+			x.node = node
+			mounted, observed := node.View().Map(), watchVersion(node)
+			if c.Rank() != 2 {
+				data, _, err := c.Recv(2, tagTestKilled)
+				if err != nil {
+					return err
+				}
+				gone := idOf(data)
+				if err := settle(c, node, observed, []int{1}, gone, want); err != nil {
+					return err
+				}
+				if got := node.MapVersion(); got != mounted.Version+1 {
+					return fmt.Errorf("rank %d: map at v%d after one leave from v%d", c.Rank(), got, mounted.Version)
+				}
+				return node.Close()
+			}
+			forged := &member.ClusterMap{Version: 99, Nodes: []member.Node{{ID: node.ID(), Rank: 2, State: member.StateAlive}}}
+			for _, f := range []struct {
+				to    int
+				frame []byte
+			}{
+				{0, []byte{ctrlJoin}}, {0, []byte{ctrlLeave, 1}}, {0, []byte{ctrlDead, 1, 0, 0}},
+				{0, idFrame(ctrlDead, 1)}, {0, nil}, {0, []byte{0x7f, 1, 2, 3}},
+				{1, encodeCommit(ctrlCommit, member.NoNode, forged, nil, nil)}, {1, []byte{ctrlByeAck}}, {1, nil},
+				{1, []byte{ctrlDrained, 1}}, {1, idFrame(ctrlLeave, 1)},
+			} {
+				if err := c.Send(f.to, tagCtrl, f.frame); err != nil {
+					return err
+				}
+			}
+			if err := node.LeaveCluster(); err != nil {
+				return err
+			}
+			for r := 0; r < 2; r++ {
+				if err := c.Send(r, tagTestKilled, idBytes(node.ID())); err != nil {
+					return err
+				}
+			}
+			return observed()
+		})
+	})
+}
+
+// idBytes and idOf carry a node's identity between the ranks of a row.
+func idBytes(id member.NodeID) []byte { return binary.LittleEndian.AppendUint32(nil, uint32(id)) }
+func idOf(data []byte) member.NodeID  { return member.NodeID(int32(binary.LittleEndian.Uint32(data))) }
+
+// watchVersion samples the map version the node routes on until the
+// returned function is called, which reports a decrease: what a member
+// observes only ever moves forward.
+func watchVersion(node *Node) (stop func() error) {
+	done, verdict := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for last := uint64(0); ; time.Sleep(100 * time.Microsecond) {
+			v := node.MapVersion()
+			if v < last {
+				verdict <- fmt.Errorf("rank %d: map version went from v%d back to v%d", node.Rank(), last, v)
+				return
+			}
+			last = v
+			select {
+			case <-done:
+				verdict <- nil
+				return
+			default:
+			}
+		}
+	}()
+	return func() error { close(done); return <-verdict }
+}
+
+// settle ends a row of membership changes on one surviving node, whose
+// map versions observed has been watching since it mounted. The
+// coordinator waits until no rebalance is active or queued and sends the
+// others its final map; every node then converges on that map, under
+// which every record must name an owner the node can route to (the
+// departed node is gone from it) and every file must read back
+// byte-exact.
+func settle(c *mpi.Comm, node *Node, observed func() error, others []int, gone member.NodeID, want map[string][]byte) (err error) {
+	defer func() {
+		if werr := observed(); err == nil {
+			err = werr
+		}
+	}()
+	var final []byte
+	if c.Rank() == 0 {
+		if err := awaitCond("the coordinator to be idle", node.ectrl.idle); err != nil {
+			return err
+		}
+		final = node.View().Map().Encode()
+		for _, r := range others {
+			if err := c.Send(r, tagTestFreeze, final); err != nil {
+				return err
+			}
+		}
+	} else if final, _, err = c.Recv(0, tagTestFreeze); err != nil {
+		return err
+	}
+	err = awaitCond("the coordinator's final map", func() bool { return bytes.Equal(node.View().Map().Encode(), final) })
+	if err != nil {
+		return fmt.Errorf("rank %d: %w (at %+v)", c.Rank(), err, node.View().Map())
+	}
+	if _, ok := node.View().Map().Lookup(gone); ok {
+		return fmt.Errorf("rank %d: the departed node %v is still on the map %+v", c.Rank(), gone, node.View().Map())
+	}
+	// The records of the last commit land right behind its map.
+	stranded := func() (count int) {
+		node.mu.RLock()
+		defer node.mu.RUnlock()
+		for _, m := range node.meta {
+			if _, err := node.View().Resolve(member.NodeID(m.Owner)); err != nil {
+				count++
+			}
+		}
+		return count
+	}
+	if err := awaitCond("every record to name an owner on the map", func() bool { return stranded() == 0 }); err != nil {
+		return fmt.Errorf("rank %d: %d of %d records name an owner outside the map (%d the departed node %v); alive=%v",
+			c.Rank(), stranded(), len(want), ownedBy(node, gone), gone, node.View().Map().Alive())
+	}
+	return readAll(node, want)
+}
+
+// handRolledHello is the admission of a hand-rolled initial member: the
+// hello, answered by a table frame that says who it is.
+func handRolledHello(c *mpi.Comm) (member.NodeID, error) {
+	if err := c.Send(0, tagCtrl, []byte{ctrlJoin, 0}); err != nil {
+		return member.NoNode, err
+	}
+	data, _, err := c.Recv(0, tagCtrl)
+	if err != nil || len(data) == 0 || data[0] != ctrlTable {
+		return member.NoNode, fmt.Errorf("hello answered by %v (%v)", data, err)
+	}
+	id, _, _, _, err := decodeCommit(data[1:])
+	return id, err
 }
 
 // idle reports whether the coordinator has no rebalance job active or
@@ -601,4 +893,52 @@ func elasticExit(c *mpi.Comm, x *exited, joiner bool, exit string, parts func(in
 		return err
 	}
 	return node.Close()
+}
+
+// TestElasticNodeRunsOneControlGoroutine is the census of the one control
+// plane: a mounted elastic world at rest runs exactly one goroutine a
+// node more than a static world mounted with the same options — the ctrl
+// loop. (Two before the membership protocol was folded into it.)
+func TestElasticNodeRunsOneControlGoroutine(t *testing.T) {
+	const world = 3
+	bundle, _ := buildBundle(t, dataset.ImageNet, 12, 6, 2<<10, nil)
+	atRest := func(elastic bool) int {
+		count := 0
+		err := mpi.Run(world, func(c *mpi.Comm) (err error) {
+			parts, opts := [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}, Options{CacheBytes: 1 << 20}
+			var node *Node
+			if elastic {
+				node, err = MountElastic(c, parts, ElasticOptions{Options: opts})
+			} else {
+				node, err = Mount(c, parts, nil, opts)
+			}
+			if err != nil {
+				return err
+			}
+			defer node.Close()
+			// Everyone is mounted past the first barrier and parked in the
+			// second while rank 0 counts; the lowest of a few samples is the
+			// world at rest.
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				count = runtime.NumGoroutine()
+				for i := 0; i < 50; i++ {
+					time.Sleep(time.Millisecond)
+					count = min(count, runtime.NumGoroutine())
+				}
+			}
+			return c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return count
+	}
+	static := atRest(false)
+	if got := atRest(true) - static; got != world {
+		t.Fatalf("a %d-rank elastic world at rest runs %d goroutines more than a static one (%d), want %d: one ctrl loop a node",
+			world, got, static, world)
+	}
 }

@@ -18,26 +18,29 @@ import (
 //
 //	Close, static mount       world barrier
 //	Close, elastic mount      bye to the coordinator, wait for its ack
-//	LeaveCluster              drain the partitions, then leave the map
+//	LeaveCluster              one drain request; its commit takes the node off the map
 //	FailStop, failed mount    none
-//	failed JoinCluster        best-effort leave of the map
+//	failed JoinCluster        none before its hello, a best-effort drain request after
 
 // newNode builds a Node's data-path machinery — cache, backend, decode
 // pool, rpc server/client, instruments — and starts its daemons, without
-// any collective traffic. mem is nil for a static mount, whose world is
-// the identity map: node ID i is rank i and the version never moves past
-// 1, so every membership code path runs unchanged and finds nothing to
-// do. The node owns opts.Backend from here on, whatever newNode returns.
+// any collective traffic. A static mount's world is the identity map:
+// node ID i is rank i and the version never moves past 1, so every
+// membership code path runs unchanged and finds nothing to do. An
+// elastic node starts as nobody on the empty map (version 0); its
+// admission installs its identity and its map before any peer can know
+// it (recvTable). The node owns opts.Backend from here on, whatever
+// newNode returns.
 //
 // Serving before the exchange is safe: no peer can route a request here
 // until this rank's mount has announced its objects, which happens after
 // they are loaded (static: both Allgathers follow the load; elastic: the
 // table is sent after every registration). It is what lets every exit
 // after newNode call stop without asking whether Serve ever ran.
-func newNode(comm *mpi.Comm, mem *member.Membership, opts Options) (*Node, error) {
+func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	// Validate before anything is started: past this block there is a
 	// decode pool and a worker pool to stop.
-	code, err := opts.Redundancy.code(mem != nil)
+	code, err := opts.Redundancy.code(elastic)
 	if err != nil {
 		if opts.Backend != nil {
 			_ = opts.Backend.Close()
@@ -63,9 +66,8 @@ func newNode(comm *mpi.Comm, mem *member.Membership, opts Options) (*Node, error
 		reg = metrics.NewRegistry()
 	}
 	view, selfID := member.NewView(member.StaticMap(comm.Size())), member.NodeID(comm.Rank())
-	if mem != nil {
-		view, selfID = mem.View(), mem.ID()
-		mem.SetEvents(opts.Events)
+	if elastic {
+		view, selfID = member.NewView(&member.ClusterMap{}), member.NoNode
 	}
 	n := &Node{
 		comm:     comm,
@@ -74,7 +76,6 @@ func newNode(comm *mpi.Comm, mem *member.Membership, opts Options) (*Node, error
 		decode:   decomp.New(opts.DecodeWorkers, reg),
 		view:     view,
 		selfID:   selfID,
-		mem:      mem,
 		meta:     make(map[string]*FileMeta),
 		dirs:     newDirIndex(),
 		writes:   make(map[string][]byte),
@@ -112,7 +113,7 @@ func newNode(comm *mpi.Comm, mem *member.Membership, opts Options) (*Node, error
 // announcements with all peers. Every rank of the communicator must call
 // Mount collectively with its own partitions.
 func Mount(comm *mpi.Comm, partitions [][]byte, broadcast []byte, opts Options) (*Node, error) {
-	n, err := newNode(comm, nil, opts)
+	n, err := newNode(comm, false, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -214,16 +215,13 @@ func (n *Node) Close() error {
 	return n.stop()
 }
 
-// stop is the one teardown, downstream first: control loop, membership,
-// fetch server, write-metadata loop, decode pool, backend. The pills are
+// stop is the one teardown, downstream first: control loop, fetch
+// server, write-metadata loop, decode pool, backend. The pills are
 // sent unconditionally: when the world is already aborted the sends fail
 // too, but then the loops have exited on their closed mailboxes.
 func (n *Node) stop() error {
 	if n.ectrl != nil {
 		n.ectrl.stopLoop()
-	}
-	if n.mem != nil {
-		n.mem.Close()
 	}
 	n.server.Stop()
 	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)

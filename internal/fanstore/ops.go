@@ -48,7 +48,7 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	sw.Section("fanstore")
 	sw.KV("rank", n.Rank())
 	sw.KV("node.id", n.selfID)
-	sw.KV("elastic", n.mem != nil)
+	sw.KV("elastic", n.ectrl != nil)
 	red := "replicate"
 	if n.ec != nil {
 		red = fmt.Sprintf("ec(%d,%d)", n.ec.code.K(), n.ec.code.M())

@@ -126,6 +126,13 @@ func GatherReport(comm *mpi.Comm, reg *metrics.Registry, opts ReportOptions) (Cl
 // the only formatter of these numbers: a rank and the cluster cannot be
 // summarised by different rules.
 func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration) {
+	writeSummary(w, s, elapsed, false)
+}
+
+// writeSummary is WriteSummary told whether s is a merge of several
+// ranks' snapshots, in which a gauge's level is a sum and only its
+// high-water mark still means something.
+func writeSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration, merged bool) {
 	c := func(name string) int64 { return s.Counters[name] }
 	// Every Open lands in the open histogram; opens.local and opens.remote
 	// count only the producers of a cache miss, so the rest were hits.
@@ -198,15 +205,19 @@ func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 		fmt.Fprintf(w, "%s\n", line)
 	}
 	// Autotuned runs only: what the controller did and where the knobs
-	// landed. Knob gauges merge by Max, so a knob line shows the highest
-	// value any rank settled on — ranks tune independently, and the
-	// per-rank /statusz endpoints carry the exact local values.
+	// landed — a rank's own gauges say, and a probe the controller
+	// reverted is not where they are. Ranks tune independently and merged
+	// levels are sums, so the cluster line shows the highest value any
+	// rank tried, marked as the bound it is; the per-rank /statusz
+	// endpoints carry the exact local values.
 	if moves, reverts := c("tune.moves"), c("tune.reverts"); moves > 0 || reverts > 0 {
 		line := fmt.Sprintf("tune: moves=%d reverts=%d", moves, reverts)
 		var knobs []string
 		for name, g := range s.Gauges {
-			if strings.HasPrefix(name, "tune.knob.") {
-				knobs = append(knobs, fmt.Sprintf("%s=%d", strings.TrimPrefix(name, "tune.knob."), g.Max))
+			if knob, ok := strings.CutPrefix(name, "tune.knob."); ok && merged {
+				knobs = append(knobs, fmt.Sprintf("%s<=%d", knob, g.Max))
+			} else if ok {
+				knobs = append(knobs, fmt.Sprintf("%s=%d", knob, g.Value))
 			}
 		}
 		sort.Strings(knobs)
@@ -222,7 +233,7 @@ func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 // itself), the per-rank p99 spread, and flagged stragglers.
 func (r *ClusterReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "=== cluster I/O report (%d ranks) ===\n", len(r.PerRank))
-	WriteSummary(w, r.Merged, r.Options.Elapsed)
+	writeSummary(w, r.Merged, r.Options.Elapsed, true)
 	var spread []string
 	for rank, s := range r.PerRank {
 		spread = append(spread, fmt.Sprintf("r%d=%v", rank, s.Histograms[r.Options.StragglerMetric].P99))

@@ -86,9 +86,9 @@ const (
 	// from the old owner over the ordinary fetch pool while the old
 	// owner keeps serving its objects until the handoff commits.
 	opFetchPart = byte(1)
-	// opMetaSync requests one path's current metadata record from the
-	// coordinator (the stale-map refresh's metadata half); the response
-	// is encodeMetas of zero or one record.
+	// opMetaSync is the stale-map refresh, asked of the coordinator: one
+	// path in, the cluster map and the path's current metadata record out
+	// ([u32 mapLen][map][encodeMetas of zero or one record]).
 	opMetaSync = byte(2)
 	// opFetchShard requests every erasure shard of one partition held by
 	// the answering node ([u64 gid]); the response is a concatenation of
@@ -307,9 +307,8 @@ type Node struct {
 	// mount (elastic.go) wires a live view fed by the coordinator.
 	view   *member.View
 	selfID member.NodeID
-	mem    *member.Membership // nil on static mounts
-	ectrl  *elasticCtrl       // elastic control plane; nil on static mounts
-	ec     *ecState           // erasure redundancy; nil on replicate mounts
+	ectrl  *elasticCtrl // elastic control plane; nil on static mounts
+	ec     *ecState     // erasure redundancy; nil on replicate mounts
 
 	mu   sync.RWMutex
 	meta map[string]*FileMeta
@@ -691,24 +690,39 @@ func (n *Node) handleFetchPart(body []byte) ([]byte, error) {
 	return append(resp, p.blob...), nil
 }
 
-// handleMetaSync answers a single-path metadata refresh from this
-// node's table (callers direct it at the coordinator, whose table is
-// authoritative after a commit). Unknown paths return an empty list,
-// not an error: the caller's next fetch will surface the real miss.
+// handleMetaSync answers a stale-map refresh from this node's map and
+// table (callers direct it at the coordinator, whose table is
+// authoritative after a commit). An answer racing a commit may pair the
+// new map with the old record: the caller's fetch then misses at the old
+// owner and refreshes once more, which fetchRemote bounds. Unknown paths
+// return an empty list, not an error: the caller's next fetch will
+// surface the real miss.
 func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
-	cp := cleanPath(string(body))
+	mapEnc := n.view.Map().Encode()
+	var recs []FileMeta
 	n.mu.RLock()
-	m, ok := n.meta[cp]
-	var rec FileMeta
-	if ok {
-		rec = *m
+	if m, ok := n.meta[cleanPath(string(body))]; ok {
+		recs = []FileMeta{*m}
 	}
 	n.mu.RUnlock()
-	if !ok {
-		return append(decomp.GetBuf(4), encodeMetas(nil)...), nil
+	enc := encodeMetas(recs)
+	resp := binary.LittleEndian.AppendUint32(decomp.GetBuf(4+len(mapEnc)+len(enc)), uint32(len(mapEnc)))
+	return append(append(resp, mapEnc...), enc...), nil
+}
+
+// decodeMetaSync parses an opMetaSync reply. The map length is a peer's:
+// it is checked against the frame before anything is decoded from it.
+func decodeMetaSync(resp []byte) (*member.ClusterMap, []FileMeta, error) {
+	if len(resp) < 4 || uint64(binary.LittleEndian.Uint32(resp)) > uint64(len(resp)-4) {
+		return nil, nil, errors.New("fanstore: meta sync reply truncated")
 	}
-	enc := encodeMetas([]FileMeta{rec})
-	return append(decomp.GetBuf(len(enc)), enc...), nil
+	ml, body := int(binary.LittleEndian.Uint32(resp)), resp[4:]
+	cm, err := member.DecodeMap(body[:ml])
+	if err != nil {
+		return nil, nil, err
+	}
+	metas, err := decodeMetas(body[ml:])
+	return cm, metas, err
 }
 
 // handleFetchRange answers a raw byte-range read of one object's payload:
@@ -758,35 +772,44 @@ func (n *Node) fetchCandidates(m *FileMeta) []member.NodeID {
 	return cands
 }
 
-// refreshRoutes is the stale-map recovery path: sync the membership
-// view from the coordinator, pull the path's current metadata record,
-// and return the refreshed record for re-resolution. Static mounts have
-// nothing to refresh and return nil.
+// refreshRoutes is the stale-map recovery path: one call to the
+// coordinator, whose map and table are authoritative after a commit,
+// for the cluster map and the one record this fetch needs; it returns
+// the refreshed record for re-resolution. Static mounts have nothing to
+// refresh and return nil; the coordinator's own record is the answer.
 func (n *Node) refreshRoutes(path string) *FileMeta {
-	if n.mem == nil {
+	if n.ectrl == nil {
 		return nil
 	}
 	n.mapRefreshes.Inc()
-	if _, err := n.mem.Sync(); err != nil {
-		return nil
-	}
-	n.mapVersion.Set(int64(n.view.Version()))
-	// The coordinator's table is authoritative after a commit; pull the
-	// one record this fetch needs.
-	coord := n.mem.CoordRank()
-	if coord != n.comm.Rank() {
+	if n.ectrl.coord == nil {
 		req := make([]byte, 1, 1+len(path))
 		req[0] = opMetaSync
-		if resp, err := n.client.Call(coord, append(req, path...)); err == nil {
-			if metas, err := decodeMetas(resp); err == nil && len(metas) == 1 {
-				n.addMeta(metas[0])
-			}
+		resp, err := n.client.Call(n.ectrl.coordRank, append(req, path...))
+		if err != nil {
+			return nil
+		}
+		cm, metas, err := decodeMetaSync(resp)
+		if err != nil {
+			return nil
+		}
+		n.installMap(cm)
+		if len(metas) == 1 {
+			n.addMeta(metas[0])
 		}
 	}
 	n.mu.RLock()
 	m := n.meta[cleanPath(path)]
 	n.mu.RUnlock()
 	return m
+}
+
+// installMap publishes a newer cluster map to this node's view,
+// reporting whether it was newer.
+func (n *Node) installMap(cm *member.ClusterMap) bool {
+	installed := n.view.Update(cm)
+	n.mapVersion.Set(int64(n.view.Version()))
+	return installed
 }
 
 // fetchRemote retrieves the compressed object for m over the interconnect

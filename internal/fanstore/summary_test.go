@@ -41,6 +41,9 @@ func TestWriteSummary(t *testing.T) {
 	} {
 		reg.Gauge(name).Set(v)
 	}
+	// A probe the controller reverted: the knob is back at 64, whatever
+	// its high-water mark says.
+	reg.Gauge("tune.knob.batch.items").Set(64)
 	for name, h := range map[string]struct {
 		n int
 		d time.Duration
@@ -65,12 +68,20 @@ rpc: served=9 not-found=1 errors=2  peak in-service=4 peak queue=6  calls=8 retr
 rebalance: 1048576 B moved  pending=2  map version=5  stale-map refreshes=4
 fidelity: 2048 B saved  upgrades=7  mean level=2.00
 ec: degraded reads=17  reconstruct p99=4.096ms  repaired=8000000 B (4.0 MB/s)
-tune: moves=3 reverts=1  batch.items=128 decode.workers=2
+tune: moves=3 reverts=1  batch.items=64 decode.workers=2
 `
 	var b strings.Builder
 	WriteSummary(&b, reg.Snapshot(), 2*time.Second)
 	if got := b.String(); got != want {
 		t.Errorf("summary:\n%s\nwant:\n%s", got, want)
+	}
+	// Merged, a gauge's level is a sum over ranks: the cluster line prints
+	// the peak and says that is what it is.
+	snap := reg.Snapshot()
+	report := BuildClusterReport([]metrics.RegistrySnapshot{snap, snap}, ReportOptions{})
+	merged := report.String()
+	if line := "tune: moves=6 reverts=2  batch.items<=128 decode.workers<=2\n"; !strings.Contains(merged, line) {
+		t.Errorf("cluster report lacks %q:\n%s", line, merged)
 	}
 	b.Reset()
 	WriteSummary(&b, metrics.NewRegistry().Snapshot(), 2*time.Second)
@@ -132,7 +143,7 @@ func summaryNames(t *testing.T) []string {
 	var names []string
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "WriteSummary" {
+		if !ok || fn.Name.Name != "writeSummary" { // WriteSummary's body
 			continue
 		}
 		ast.Inspect(fn.Body, func(n ast.Node) bool {

@@ -1,18 +1,18 @@
-// Package member turns the static rank world into an elastic cluster:
-// a coordinator-maintained, monotonically versioned ClusterMap decouples
+// Package member is the data of an elastic cluster and its pure
+// transitions: a monotonically versioned ClusterMap that decouples
 // stable node identities from transport ranks, so nodes can join and
 // leave at runtime while every peer keeps resolving routes from a local,
 // RAM-resident map — the same property the paper's Allgather'd metadata
 // table provides for file metadata (§IV-C1), extended to membership.
 //
-// The map only ever moves forward: every mutation (join, leave, state
-// change, placement commit) bumps Version. Join/leave/state changes are
-// broadcast to all alive members; a placement commit (Advance) instead
-// hands the bumped map to the caller, which must distribute it
-// atomically with the ownership records placed under it. A peer
-// observing a version disagreement surfaces it as a typed, retryable
-// StaleMapError; the caller refreshes its map (Sync) and retries
-// instead of failing or burning a failover.
+// The map only ever moves forward: every transition (Next, WithNode,
+// Without, WithState) returns a new map one version on and leaves the
+// published one untouched. Nothing here sends, receives or runs: the
+// protocol that decides and distributes the transitions is
+// internal/fanstore/elastic.go's control stream. A peer observing a
+// version disagreement surfaces it as a typed, retryable StaleMapError;
+// the caller refreshes its map and retries instead of failing or burning
+// a failover.
 package member
 
 import (
@@ -35,29 +35,22 @@ const NoNode NodeID = -1
 // State is a node's lifecycle position in the map.
 type State uint8
 
+// The values are the wire encoding. A joiner is on no map before it holds
+// the table and a leaver is taken off by its drain's commit, so there is
+// no state between the two.
 const (
-	// StateJoining marks a node admitted to the map but not yet serving
-	// data (its partitions are still rebalancing toward it).
-	StateJoining State = iota
-	// StateAlive marks a full member: it serves its partitions and
+	// StateAlive marks a member: it serves its partitions and
 	// participates in placement.
-	StateAlive
-	// StateLeaving marks a member draining out: it still serves reads,
-	// but placement no longer assigns it partitions.
-	StateLeaving
+	StateAlive State = 1
 	// StateDead marks a member that stopped responding; routes to it
 	// resolve as stale so callers fail over or refresh.
-	StateDead
+	StateDead State = 3
 )
 
 func (s State) String() string {
 	switch s {
-	case StateJoining:
-		return "joining"
 	case StateAlive:
 		return "alive"
-	case StateLeaving:
-		return "leaving"
 	case StateDead:
 		return "dead"
 	default:
@@ -68,13 +61,13 @@ func (s State) String() string {
 // Node is one member of the cluster map.
 type Node struct {
 	ID    NodeID
-	Rank  int // transport address (mpi rank / slot)
+	Rank  int // transport address (the slot of the world the node runs at)
 	State State
 }
 
 // ClusterMap is the versioned membership view. It is immutable once
-// published: mutations clone, bump Version, and re-broadcast, so readers
-// holding a *ClusterMap never observe a torn update.
+// published: a transition returns a new map, so readers holding a
+// *ClusterMap never observe a torn update.
 type ClusterMap struct {
 	Version uint64
 	Nodes   []Node // sorted by ID
@@ -127,11 +120,11 @@ func (m *ClusterMap) RankOf(id NodeID) (int, error) {
 	return n.Rank, nil
 }
 
-// Alive returns the members that serve data (alive or draining out).
+// Alive returns the members that serve data.
 func (m *ClusterMap) Alive() []Node {
 	out := make([]Node, 0, len(m.Nodes))
 	for _, n := range m.Nodes {
-		if n.State == StateAlive || n.State == StateLeaving {
+		if n.State == StateAlive {
 			out = append(out, n)
 		}
 	}
@@ -148,7 +141,46 @@ func (m *ClusterMap) normalize() {
 	sort.Slice(m.Nodes, func(i, j int) bool { return m.Nodes[i].ID < m.Nodes[j].ID })
 }
 
-// Encode serializes the map for broadcast:
+// Next returns the map one version on with the same members: what a
+// placement commit publishes, so stale readers are detectable by version
+// alone.
+func (m *ClusterMap) Next() *ClusterMap {
+	next := m.Clone()
+	next.Version++
+	return next
+}
+
+// WithNode returns the next map with n admitted.
+func (m *ClusterMap) WithNode(n Node) *ClusterMap {
+	next := m.Next()
+	next.Nodes = append(next.Nodes, n)
+	next.normalize()
+	return next
+}
+
+// Without returns the next map with the node id removed.
+func (m *ClusterMap) Without(id NodeID) *ClusterMap {
+	next := &ClusterMap{Version: m.Version + 1, Nodes: make([]Node, 0, len(m.Nodes))}
+	for _, n := range m.Nodes {
+		if n.ID != id {
+			next.Nodes = append(next.Nodes, n)
+		}
+	}
+	return next
+}
+
+// WithState returns the next map with the node id in state s.
+func (m *ClusterMap) WithState(id NodeID, s State) *ClusterMap {
+	next := m.Next()
+	for i := range next.Nodes {
+		if next.Nodes[i].ID == id {
+			next.Nodes[i].State = s
+		}
+	}
+	return next
+}
+
+// Encode serializes the map for the wire:
 //
 //	u64 version | u32 count | count x (i32 id | u32 rank | u8 state)
 func (m *ClusterMap) Encode() []byte {
@@ -205,8 +237,8 @@ func StaticMap(size int) *ClusterMap {
 
 // View is a node's atomically swappable handle on the current map.
 // Readers load the pointer once per operation and route consistently
-// against that version; Update only ever installs newer maps, so late or
-// duplicated broadcasts are harmless.
+// against that version; Update only ever installs newer maps, so a late
+// or duplicated delivery is harmless.
 type View struct {
 	cur atomic.Pointer[ClusterMap]
 }

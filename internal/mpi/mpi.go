@@ -361,7 +361,7 @@ func (c *Comm) recv(src, tag int) ([]byte, int, error) {
 // no matching message arrives in time. A non-positive timeout blocks
 // forever, exactly like Recv. A message that arrives after the deadline
 // is queued for the next receive on (src, tag) — what a caller that
-// reuses the tag wants (internal/member); one that does not follows the
+// reuses the tag wants (the elastic ctrl stream); one that does not follows the
 // timeout with Discard.
 func (c *Comm) RecvDeadline(src, tag int, timeout time.Duration) ([]byte, int, error) {
 	if tag < 0 {

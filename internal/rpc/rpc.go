@@ -6,7 +6,7 @@
 // A Server answers requests concurrently through a bounded worker pool,
 // so one slow handler (a spill read, a large response copy) does not
 // head-of-line-block every waiting rank. A Client issues calls with
-// per-attempt deadlines and retry/backoff, allocating a unique response
+// per-attempt deadlines and retries, allocating a unique response
 // tag per attempt so late replies can never be mismatched; a reply that
 // comes after its attempt timed out is discarded on arrival.
 //
@@ -236,9 +236,6 @@ type ClientOptions struct {
 	// remote-errored attempt. Not-found, stale-map, and world-abort
 	// errors are terminal and never retried.
 	Retries int
-	// Backoff is the pause before the first retry; it doubles per
-	// attempt. 0 means retry immediately.
-	Backoff time.Duration
 	// Metrics is the registry the client's instruments live in
 	// ("rpc.client.*"), the only way to read them. Nil: unregistered.
 	Metrics *metrics.Registry
@@ -281,15 +278,10 @@ func NewClient(comm *mpi.Comm, tag, respBase int, opts ClientOptions) *Client {
 // it once, when no alias is live, or just drop it.
 func (c *Client) Call(dst int, req []byte) ([]byte, error) {
 	c.calls.Inc()
-	backoff := c.opts.Backoff
 	var lastErr error
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
 			c.retries.Inc()
-			if backoff > 0 {
-				time.Sleep(backoff)
-				backoff *= 2
-			}
 		}
 		resp, err := c.attempt(dst, req)
 		if err == nil {

@@ -180,7 +180,9 @@ func TestCallDeadline(t *testing.T) {
 	}
 }
 
-func TestRetryBackoff(t *testing.T) {
+// TestRetryUntilServed: a remote error is retried, at once, up to
+// Retries times; both sides count what happened.
+func TestRetryUntilServed(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		reg := metrics.NewRegistry()
 		if c.Rank() == 1 {
@@ -200,7 +202,7 @@ func TestRetryBackoff(t *testing.T) {
 			}
 			return nil
 		}
-		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3, Backoff: time.Millisecond, Metrics: reg})
+		cl := NewClient(c, 500, 1<<20, ClientOptions{Retries: 3, Metrics: reg})
 		resp, err := cl.Call(1, []byte("eventually"))
 		if err != nil || string(resp) != "eventually" {
 			return fmt.Errorf("call: %q %v", resp, err)
