@@ -1,9 +1,9 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race overlap benchsmoke fuzzsmoke soak loc surface
+.PHONY: ci fmt vet test race overlap planrule benchsmoke fuzzsmoke soak loc surface
 
-ci: fmt vet race overlap test fuzzsmoke benchsmoke
+ci: fmt vet race overlap planrule test fuzzsmoke benchsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -29,6 +29,13 @@ race:
 # pass of `race` draws one: run them twenty times.
 overlap:
 	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)' ./internal/fanstore
+
+# The cache's next-use eviction rule: its property test draws new random
+# operation streams on every run, and the live two-rank row (the plan's
+# staged and retained entries survive until they are read) depends on how
+# the stager and the consumer interleave: five passes of each (~10 s).
+planrule:
+	$(GO) test -race -count 5 -run 'TestCacheInvariantsQuick|TestPlanDecidesEvictionLive' ./internal/fanstore
 
 # One iteration of every benchmark, so instrumented hot paths cannot
 # silently stop compiling (or start panicking) in bench-only code.

@@ -28,6 +28,7 @@ import (
 
 	"fanstore"
 	"fanstore/internal/mpi"
+	"fanstore/internal/prefetch"
 )
 
 func main() {
@@ -47,7 +48,7 @@ func main() {
 		shards     = flag.Int("cache-shards", 0, "cache lock shards, rounded up to a power of two (0: auto)")
 		fetchTO    = flag.Duration("fetch-timeout", 0, "per-attempt deadline on remote fetches (0: none)")
 		fetchRetry = flag.Int("fetch-retries", 0, "extra same-peer attempts after a timed-out or errored fetch")
-		lookahead  = flag.Int("prefetch", 0, "reads of look-ahead staged via batched fetches (0: fetch on demand)")
+		lookahead  = flag.Int("prefetch", 0, "plan the reads in steps of this many and stage the plan ahead of the read loop (0: fetch on demand)")
 		traceOut   = flag.String("trace", "", "write this rank's Chrome trace-event JSON timeline to this file")
 		report     = flag.Bool("report", false, "run the cluster report collective; rank 0 prints the merged view")
 		members    = flag.Int("members", 0, "initial elastic members: ranks 0..members-1 mount, the rest are spare slots (0: static world)")
@@ -250,28 +251,32 @@ func main() {
 	}
 	rng := rand.New(rand.NewSource(s))
 	// The read order is drawn up front — the training-loop shape, where
-	// the sampler's sequence is known ahead of the consumer — so the
-	// upcoming window can be announced to the batched prefetcher.
+	// the sampler's sequence is known ahead of the consumer — so it is a
+	// sampler: -prefetch plans it in steps of that many reads and a
+	// scheduler stages the plan ahead of the loop below.
 	sequence := make([]string, *reads)
 	for i := range sequence {
 		sequence[i] = paths[rng.Intn(len(paths))]
 	}
+	var sched *prefetch.Scheduler // nil: fetch on demand
 	start := time.Now()
+	if *lookahead > 0 {
+		sampler := prefetch.RangeSampler(sequence, *lookahead, 0, 1)
+		sched = prefetch.NewScheduler(node, prefetch.BuildPlan(sampler, node),
+			prefetch.SchedOptions{BatchFiles: *lookahead, Metrics: reg})
+	}
 	var byteCount int64
 	for i, path := range sequence {
-		if *lookahead > 0 && i%*lookahead == 0 {
-			end := i + 2**lookahead
-			if end > len(sequence) {
-				end = len(sequence)
-			}
-			node.Prefetch(sequence[i:end])
-		}
 		data, err := node.ReadFile(path)
 		if err != nil {
 			log.Fatal(err)
 		}
 		byteCount += int64(len(data))
+		if sched != nil && (i+1)%*lookahead == 0 {
+			sched.Advance(i / *lookahead)
+		}
 	}
+	sched.Stop()
 	elapsed := time.Since(start)
 	log.Printf("read %d files (%d bytes) in %v", *reads, byteCount, elapsed.Round(time.Millisecond))
 	// One write, so daemons sharing a terminal do not interleave their lines.

@@ -30,9 +30,6 @@ func Ablations(w io.Writer, opt Options) error {
 	if err := ablationRouting(w, opt); err != nil {
 		return err
 	}
-	if err := ablationBatchedFetch(w, opt); err != nil {
-		return err
-	}
 	if err := ablationPlannedPrefetch(w, opt); err != nil {
 		return err
 	}
@@ -90,6 +87,30 @@ func ablationCache(w io.Writer, opt Options) error {
 	}
 	t.Flush()
 	fmt.Fprintf(w, "uniform access probability (the paper's argument): FIFO ~ LRU, both beat immediate release.\n\n")
+
+	// That argument is about a cache that does not know the future. The
+	// training loop's cache does: replay the benchmark's access shapes
+	// offline through the paper's rule, the rule the cache applies once
+	// the epoch's order is installed, and Belady's MIN.
+	epochs := 60
+	if opt.Quick {
+		epochs = 12
+	}
+	fmt.Fprintf(w, "--- eviction with the epoch's order known (offline replay, %d shuffled epochs, rank 0 of 2, cache = 1/4 of the data, filled on demand) ---\n", epochs)
+	t = tw(w)
+	fmt.Fprintf(t, "access shape\tfifo\tplan\tMIN\tplan -> MIN\n")
+	for _, s := range benchShapes {
+		seq := s.record(epochs, opt.Seed)
+		opens := 0
+		for _, e := range seq {
+			opens += len(e)
+		}
+		share := func(hits int) float64 { return float64(hits) / float64(opens) }
+		fifo, plan, best := share(replayFIFO(seq, s.slots)), share(replayPlan(seq, s.slots)), share(replayMIN(seq, s.slots))
+		fmt.Fprintf(t, "%s\t%.3f\t%.3f\t%.3f\t+%.3f\n", s.name, fifo, plan, best, best-plan)
+	}
+	t.Flush()
+	fmt.Fprintf(w, "share of cache-eligible opens served without a fetch or decode (train_raw: remote files only; the others decode local files into the cache too). plan is fanstore.Cache with the epoch installed, to the hit (TestEvictionModelsMatchLiveCache); plan -> MIN is what a plan spanning the epoch barrier could still claim.\n\n")
 	return nil
 }
 
@@ -241,8 +262,8 @@ func ablationRouting(w io.Writer, opt Options) error {
 
 // slowBackend models storage with a fixed per-read access latency (a
 // cold spill read on a busy disk), so fetch-path round-trip structure
-// dominates the cold-epoch cost — the regime the batched look-ahead
-// fetch is designed for.
+// dominates the cold-epoch cost — the regime the planner's batched
+// fetches are designed for.
 type slowBackend struct {
 	fanstore.Backend
 	delay time.Duration
@@ -254,84 +275,6 @@ func (s *slowBackend) Get(path string) (uint16, []byte, error) {
 }
 
 func (s *slowBackend) Peek(path string) (uint16, []byte, bool) { return 0, nil, false }
-
-// ablationBatchedFetch runs a cold epoch of remote reads twice: serial
-// demand fetching (one round trip per file, the PR 1 data path) against
-// the batched look-ahead prefetcher (batched-fetch windows staged into the
-// cache ahead of the consumer). The batched path amortizes round trips
-// and overlaps the peer's backend reads, so it must win by well over
-// the 1.5x acceptance bar; the prefetched-opens column shows the staged
-// entries turning into cache hits without leaving anything pinned.
-func ablationBatchedFetch(w io.Writer, opt Options) error {
-	const n, size, window = 48, 8 << 10, 12
-	const readLatency = 200 * time.Microsecond
-	g := dataset.Generator{Kind: dataset.EM, Seed: opt.Seed + 3, Size: size}
-	files := make([]pack.InputFile, n)
-	paths := make([]string, n)
-	for i := range files {
-		f := g.File(i, n)
-		files[i] = pack.InputFile{Path: f.Path, Data: f.Data}
-		paths[i] = f.Path
-	}
-	bundle, err := pack.Build(files, pack.BuildOptions{Partitions: 1, Compressor: "lzsse8"})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "--- batched look-ahead fetch vs serial demand fetch (cold epoch, %v/read backend) ---\n", readLatency)
-	t := tw(w)
-	fmt.Fprintf(t, "fetch path\tfiles/s\tfetch RPCs\tprefetched opens\thit rate\tpinned after\n")
-	filesPerSec := make(map[bool]float64, 2)
-	for _, batched := range []bool{false, true} {
-		batched := batched
-		err := mpi.Run(2, func(c *mpi.Comm) error {
-			opts := fanstore.Options{CacheBytes: int64(2 * n * size)}
-			var parts [][]byte
-			if c.Rank() == 1 {
-				parts = bundle.Scatter
-				opts.Backend = &slowBackend{Backend: fanstore.NewRAMBackend(), delay: readLatency}
-			}
-			node, err := fanstore.Mount(c, parts, nil, opts)
-			if err != nil {
-				return err
-			}
-			defer node.Close()
-			if c.Rank() != 0 {
-				return nil // serve until rank 0's Close barrier
-			}
-			start := time.Now()
-			for i, p := range paths {
-				if batched && i%window == 0 {
-					end := i + 2*window
-					if end > len(paths) {
-						end = len(paths)
-					}
-					node.Prefetch(paths[i:end])
-				}
-				if _, err := node.ReadFile(p); err != nil {
-					return err
-				}
-			}
-			elapsed := time.Since(start)
-			snap := node.Registry().Snapshot()
-			label, rpcs := "serial demand", snap.Counters["rpc.client.calls"]
-			if batched {
-				label, rpcs = "batched look-ahead", snap.Counters["fanstore.fetch.batched"]
-			}
-			filesPerSec[batched] = n / elapsed.Seconds()
-			fmt.Fprintf(t, "%s\t%.0f\t%d\t%d\t%.0f%%\t%d\n",
-				label, filesPerSec[batched], rpcs, snap.Counters["fanstore.cache.prefetched_opens"],
-				hitRate(snap), pinnedBytes(node, opts.CacheBytes))
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	t.Flush()
-	fmt.Fprintf(w, "batched/serial speedup: %.1fx — one batched round trip carries a window and the peer overlaps its backend reads.\n\n",
-		filesPerSec[true]/filesPerSec[false])
-	return nil
-}
 
 // ablationPlannedPrefetch shows what the clairvoyant epoch planner buys:
 // a live two-rank run drives the same cold epoch through the real
@@ -399,8 +342,9 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 				}
 				total += time.Since(start)
 				pipe.Stop()
-				lastBatched = node.Registry().Snapshot().Counters["fanstore.fetch.batched"]
-				lastPinned = pinnedBytes(node, opts.CacheBytes)
+				snap := node.Registry().Snapshot()
+				// Pinned after: an invariant, 0 once every file is closed.
+				lastBatched, lastPinned = snap.Counters["fanstore.fetch.batched"], snap.Gauges["fanstore.cache.pinned_bytes"].Value
 				if sched != nil {
 					lastHigh = sched.MaxStagedBytes()
 				}
@@ -430,12 +374,6 @@ func ablationPlannedPrefetch(w io.Writer, opt Options) error {
 func hitRate(s metrics.RegistrySnapshot) float64 {
 	hits, misses := s.Counters["fanstore.cache.hits"], s.Counters["fanstore.cache.misses"]
 	return float64(hits) / float64(hits+misses) * 100
-}
-
-// pinnedBytes is the cache capacity open files still hold down — an
-// invariant, 0 once every file is closed — from what the planner reads.
-func pinnedBytes(node *fanstore.Node, cacheBytes int64) int64 {
-	return cacheBytes - node.CacheHeadroom() - node.StagedBytes()
 }
 
 // ablationMetadata measures the live RAM-table stat() against the modeled

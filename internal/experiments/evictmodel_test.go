@@ -1,0 +1,58 @@
+package experiments
+
+import (
+	"fmt"
+	"testing"
+
+	"fanstore/internal/fanstore"
+)
+
+// liveHits feeds one recorded sequence to the real cache, single-threaded,
+// one shard of slots equal-sized entries: install the epoch's order (or
+// not), then open, fill on a miss, close.
+func liveHits(epochs [][]int, slots int, install bool) (hits int) {
+	const size = 64
+	c := fanstore.NewCacheShards(int64(slots*size), fanstore.FIFO, 1)
+	path := func(id int) string { return fmt.Sprintf("f/%05d", id) }
+	for _, seq := range epochs {
+		if install {
+			paths := make([]string, len(seq))
+			for i, id := range seq {
+				paths[i] = path(id)
+			}
+			c.Expect(paths)
+		}
+		for _, id := range seq {
+			if _, _, ok := c.Acquire(path(id), fanstore.FidelityFull); ok {
+				hits++
+			} else {
+				c.Insert(path(id), make([]byte, size), false, fanstore.FidelityFull)
+			}
+			c.Release(path(id))
+		}
+	}
+	return hits
+}
+
+// TestEvictionModelsMatchLiveCache: the offline replays are the cache's
+// rule, not a cousin of it — fed the same recorded sequence the live cache
+// hits exactly as often as replayPlan with the epoch order installed, and
+// as replayFIFO without. MIN bounds both from above.
+func TestEvictionModelsMatchLiveCache(t *testing.T) {
+	for _, s := range benchShapes {
+		if s.files > 1024 {
+			s.files, s.batch, s.slots = s.files/16, s.batch/4, s.slots/16
+		}
+		epochs := s.record(12, 7)
+		fifo, plan, best := replayFIFO(epochs, s.slots), replayPlan(epochs, s.slots), replayMIN(epochs, s.slots)
+		if live := liveHits(epochs, s.slots, false); live != fifo {
+			t.Errorf("%s: live cache without a plan hit %d times, replayFIFO %d", s.name, live, fifo)
+		}
+		if live := liveHits(epochs, s.slots, true); live != plan {
+			t.Errorf("%s: live cache with the plan installed hit %d times, replayPlan %d", s.name, live, plan)
+		}
+		if !(fifo < plan && plan < best) {
+			t.Errorf("%s: hits FIFO %d, plan %d, MIN %d: want FIFO < plan < MIN", s.name, fifo, plan, best)
+		}
+	}
+}

@@ -34,73 +34,6 @@ func (l *latencyBackend) Peek(path string) (uint16, []byte, bool) {
 // backend. "serial" pins the daemon to one worker — the pre-layered
 // architecture's behaviour — and "pooled" uses a worker per opener; the
 // gap is the head-of-line blocking removed by the rpc worker pool.
-// BenchmarkBatchedLookaheadFetch measures one consumer reading cold
-// remote files from a peer with per-read backend latency. "serial"
-// fetches every file on demand — one round trip per open, the PR 1 data
-// path — while "batched" announces the upcoming window via Node.Prefetch
-// first, so a FetchMany round trip stages the window into the cache
-// (unpinned) before the opens arrive. The gap is round-trip amortization
-// plus the peer overlapping its backend reads within one batch. The
-// Immediate policy drops each entry after its single open, keeping every
-// window cold.
-func BenchmarkBatchedLookaheadFetch(b *testing.B) {
-	const nFiles, fileSize, window = 32, 32 << 10, 16
-	const readLatency = 100 * time.Microsecond
-	bundle, _ := buildBundle(b, dataset.EM, nFiles, 2, fileSize, nil)
-	owned, err := pack.Parse(bundle.Scatter[1])
-	if err != nil {
-		b.Fatal(err)
-	}
-	paths := make([]string, len(owned.Entries))
-	for i := range owned.Entries {
-		paths[i] = owned.Entries[i].Path
-	}
-	for _, bc := range []struct {
-		name    string
-		batched bool
-	}{
-		{"serial", false},
-		{"batched", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			err := mpi.Run(2, func(c *mpi.Comm) error {
-				opts := Options{CachePolicy: Immediate}
-				if c.Rank() == 1 {
-					opts.Backend = &latencyBackend{Backend: NewRAMBackend(), delay: readLatency}
-				}
-				node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
-				if err != nil {
-					return err
-				}
-				defer node.Close()
-				if c.Rank() != 0 {
-					return nil // serve until rank 0's Close barrier
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					idx := i % len(paths)
-					if bc.batched && idx%window == 0 {
-						end := idx + window
-						if end > len(paths) {
-							end = len(paths)
-						}
-						node.Prefetch(paths[idx:end])
-					}
-					if _, err := node.ReadFile(paths[idx]); err != nil {
-						return err
-					}
-				}
-				b.StopTimer()
-				b.SetBytes(int64(fileSize))
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
 func BenchmarkConcurrentRemoteFetch(b *testing.B) {
 	const nFiles, fileSize, openers = 16, 32 << 10, 8
 	const readLatency = 100 * time.Microsecond

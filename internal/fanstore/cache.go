@@ -1,8 +1,9 @@
 package fanstore
 
 import (
-	"container/list"
+	"container/heap"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -13,11 +14,16 @@ import (
 	"fanstore/internal/trace"
 )
 
-// Policy selects the cache replacement strategy. The paper argues (§IV-C3)
-// that because every training file has identical access probability each
-// epoch, recency carries no signal — so FanStore uses FIFO, modified to
-// never evict an entry that an open file descriptor still references.
-// The other policies exist for the ablation benchmarks.
+// Policy selects the replacement order among entries with no known next
+// use. The paper argues (§IV-C3) that because every training file has
+// identical access probability each epoch, recency carries no signal — so
+// FanStore uses FIFO, modified to never evict an entry that an open file
+// descriptor still references. That is an argument about a cache that does
+// not know the future: once an epoch plan is installed (Expect) the entries
+// it will read carry their position in it, and the one eviction rule is
+// "unknown next use first, in Policy order; then the entry needed furthest
+// ahead". With no plan every entry's next use is unknown and Policy alone
+// decides. The other policies exist for the ablation benchmarks.
 type Policy int
 
 const (
@@ -43,12 +49,22 @@ func (p Policy) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// noPos is the next use of an entry no installed plan will read: +∞.
+const noPos = math.MaxInt64
+
 // cacheEntry is one decompressed file in the shared memory pool.
 type cacheEntry struct {
 	path string
 	data []byte
 	refs int
-	elem *list.Element
+	// pos is the entry's next use: its position in the installed plan
+	// while the plan's read of it is still ahead (a protected entry: it is
+	// unpinned, sits in its shard's heap at hidx and counts as staged), or
+	// noPos (it sits in the shard's policy-ordered list between prev and
+	// next). The first pin of a protected entry consumes its position.
+	pos        int64
+	prev, next *cacheEntry
+	hidx       int
 	// prefetched marks an entry staged by InsertIdle that has not been
 	// acquired yet; the first Acquire counts it as a prefetched open.
 	prefetched bool
@@ -77,8 +93,9 @@ type CacheStats struct {
 	// PinnedBytes is the byte total of pinned entries — capacity the
 	// replacement policy cannot reclaim until readers close.
 	PinnedBytes int64
-	// StagedBytes is the byte total of prefetched entries nobody has
-	// acquired yet — the epoch planner's admission control bounds it.
+	// StagedBytes is the byte total of protected entries — staged by a
+	// prefetch or retained for the installed plan, and not yet opened —
+	// the epoch planner's admission control bounds it.
 	StagedBytes int64
 	// DoubleReleases counts Release calls with no pin to release — a
 	// caller bug (the pool tolerates it rather than corrupting shared
@@ -87,15 +104,61 @@ type CacheStats struct {
 }
 
 // cacheShard is one stripe of the cache: its own lock, entry table,
-// eviction list, and capacity slice. Entries never move between shards
-// (a path's shard is a pure function of its hash), so every pin/evict
-// invariant holds shard-locally.
+// eviction order, capacity slice and slice of the installed plan. Entries
+// never move between shards (a path's shard is a pure function of its
+// hash), so every pin/evict invariant holds shard-locally.
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
 	entries  map[string]*cacheEntry
-	order    *list.List // eviction order: front = next victim
+	// Eviction order: the entries with no known next use, in policy order
+	// from idle.next (the next victim) around the ring, then the protected
+	// entries, furthest position first. Intrusive links and an
+	// index-tracked heap: moving an entry between the two allocates nothing.
+	idle cacheEntry // ring sentinel
+	far  farthest
+	// plan maps each path the installed plan has not seen opened yet to
+	// its position.
+	plan map[string]int64
+	// pinnedB and staged are the bytes this shard cannot give to a
+	// newcomer: entries with live references, and protected ones. Written
+	// under mu; atomic so Headroom and Stats read them without it.
+	pinnedB, staged atomic.Int64
+}
+
+// farthest is a max-heap of protected entries by plan position.
+type farthest []*cacheEntry
+
+func (h farthest) Len() int           { return len(h) }
+func (h farthest) Less(i, j int) bool { return h[i].pos > h[j].pos }
+func (h farthest) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].hidx, h[j].hidx = i, j
+}
+func (h *farthest) Push(x any) {
+	e := x.(*cacheEntry)
+	e.hidx = len(*h)
+	*h = append(*h, e)
+}
+func (h *farthest) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
+}
+
+// pushIdle appends e to the policy-ordered ring: the last to be evicted
+// among the entries with no known next use.
+func (sh *cacheShard) pushIdle(e *cacheEntry) {
+	e.prev, e.next = sh.idle.prev, &sh.idle
+	e.prev.next, sh.idle.prev = e, e
+}
+
+func unlinkIdle(e *cacheEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // Cache is the thread-safe decompressed-data pool of Fig. 4: a hash table
@@ -113,18 +176,22 @@ type Cache struct {
 	policy   Policy
 	capacity int64 // aggregate byte bound across all shards
 
-	used    atomic.Int64
-	entries atomic.Int64
-	pins    atomic.Int64 // entries with refs > 0
-	pinnedB atomic.Int64 // bytes held by entries with refs > 0
-	staged  atomic.Int64 // bytes staged by InsertIdle, not yet acquired
+	used     atomic.Int64
+	entries  atomic.Int64
+	pins     atomic.Int64 // entries with refs > 0
+	retained atomic.Int64 // protected bytes no prefetch fetched: residents the plan kept
+	// planEnd is the first position past every plan installed so far, so
+	// positions grow across plans and a path the plan does not know is
+	// stamped "after everything known".
+	planEnd atomic.Int64
 
 	// Counters are registry-backed ("fanstore.cache.*") once instrument
 	// is called; until then they are private unregistered instruments,
 	// so a standalone Cache still counts correctly.
-	hits, misses, evictions        *metrics.Counter
-	prefetchedHits, doubleReleases *metrics.Counter
-	tracer                         *trace.Tracer
+	hits, misses, evictions      *metrics.Counter
+	prefetchedHits, retainedHits *metrics.Counter
+	stageRefused, doubleReleases *metrics.Counter
+	tracer                       *trace.Tracer
 
 	// events, when set, receives an eviction-pressure event once per
 	// evictionPressureStride evictions (the first eviction also fires,
@@ -188,7 +255,8 @@ func NewCacheShards(capacity int64, policy Policy, shards int) *Cache {
 			sh.capacity++
 		}
 		sh.entries = make(map[string]*cacheEntry)
-		sh.order = list.New()
+		sh.plan = make(map[string]int64)
+		sh.idle.prev, sh.idle.next = &sh.idle, &sh.idle
 	}
 	c.instrument(nil, nil)
 	return c
@@ -202,8 +270,21 @@ func (c *Cache) instrument(reg *metrics.Registry, tr *trace.Tracer) {
 	c.misses = reg.Counter("fanstore.cache.misses")
 	c.evictions = reg.Counter("fanstore.cache.evictions")
 	c.prefetchedHits = reg.Counter("fanstore.cache.prefetched_opens")
+	c.retainedHits = reg.Counter("fanstore.cache.retained_opens")
+	c.stageRefused = reg.Counter("fanstore.cache.stage_refused")
 	c.doubleReleases = reg.Counter("fanstore.cache.double_releases")
 	c.tracer = tr
+	// Occupancy is published when somebody looks (a snapshot, so every
+	// sampler tick), from the atomics the data path already keeps: no
+	// gauge is touched on a pin or unpin.
+	used, pinned := reg.Gauge("fanstore.cache.used_bytes"), reg.Gauge("fanstore.cache.pinned_bytes")
+	staged, retained := reg.Gauge("fanstore.cache.staged_bytes"), reg.Gauge("fanstore.cache.retained_bytes")
+	reg.OnSnapshot(func() {
+		used.Set(c.used.Load())
+		pinned.Set(c.PinnedBytes())
+		staged.Set(c.StagedBytes())
+		retained.Set(c.retained.Load())
+	})
 }
 
 // setEvents attaches the ops-plane event log for eviction-pressure
@@ -238,34 +319,67 @@ func (c *Cache) Acquire(path string, min uint8) ([]byte, uint8, bool) {
 		c.misses.Inc()
 		return nil, 0, false
 	}
-	wasPrefetched := c.pinLocked(e)
-	if c.policy == LRU {
-		sh.order.MoveToBack(e.elem)
+	first := c.pinLocked(sh, e)
+	if c.policy == LRU && e.next != &sh.idle {
+		unlinkIdle(e)
+		sh.pushIdle(e)
 	}
 	data, fid := e.data, e.fidelity
 	sh.mu.Unlock()
 	c.hits.Inc()
-	if wasPrefetched {
-		c.prefetchedHits.Inc()
-	}
+	first.Inc()
 	return data, fid, true
 }
 
-// pinLocked takes one reference on a resident entry. The first reader
-// of a staged entry consumes its staged-bytes credit; wasPrefetched
-// reports that, so the caller counts a prefetched open once unlocked.
-func (c *Cache) pinLocked(e *cacheEntry) (wasPrefetched bool) {
-	if e.refs == 0 {
-		c.pins.Add(1)
-		c.pinnedB.Add(int64(len(e.data)))
+// pinLocked takes one reference on a resident entry. The first reader of
+// a protected entry consumes its position: the plan's read has happened,
+// so the entry joins the ones with no known next use, youngest, and its
+// staged-bytes credit returns. It returns the counter to bump once
+// unlocked: a prefetched open (the first reader of an entry a prefetch
+// fetched, protected or not), a retained open, or nil.
+func (c *Cache) pinLocked(sh *cacheShard, e *cacheEntry) (first *metrics.Counter) {
+	if e.pos != noPos {
+		first = c.retainedHits
+		c.unprotectLocked(sh, e)
+		sh.pushIdle(e)
+		delete(sh.plan, e.path)
 	}
-	e.refs++
 	if e.prefetched {
 		e.prefetched = false
-		c.staged.Add(-int64(len(e.data)))
-		return true
+		first = c.prefetchedHits
 	}
-	return false
+	if e.refs == 0 {
+		c.pins.Add(1)
+		sh.pinnedB.Add(int64(len(e.data)))
+	}
+	e.refs++
+	return first
+}
+
+// protectLocked gives an unpinned entry outside the policy order the
+// position pos: it joins the heap and its bytes count as staged until its
+// first reader (or an eviction, or the next plan) takes the position away.
+func (c *Cache) protectLocked(sh *cacheShard, e *cacheEntry, pos int64) {
+	e.pos = pos
+	heap.Push(&sh.far, e)
+	c.creditLocked(sh, e, int64(len(e.data)))
+}
+
+// unprotectLocked takes a protected entry's position away and returns its
+// staged credit. The caller links it into the policy order or drops it.
+func (c *Cache) unprotectLocked(sh *cacheShard, e *cacheEntry) {
+	c.creditLocked(sh, e, -int64(len(e.data)))
+	heap.Remove(&sh.far, e.hidx)
+	e.pos = noPos
+}
+
+// creditLocked moves a protected entry's bytes in or out of the staged
+// totals.
+func (c *Cache) creditLocked(sh *cacheShard, e *cacheEntry, delta int64) {
+	sh.staged.Add(delta)
+	if !e.prefetched {
+		c.retained.Add(delta)
+	}
 }
 
 // Contains reports whether path is cached at fidelity >= min, without
@@ -298,7 +412,7 @@ func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
 		// here counts as a prefetched open, same as via Acquire. Pin
 		// before any fidelity upgrade — a pinned entry cannot be chosen
 		// as an eviction victim by the capacity check the upgrade runs.
-		wasPrefetched := c.pinLocked(e)
+		first := c.pinLocked(sh, e)
 		if e.fidelity < fid {
 			// Fidelity upgrade in place: swap the canonical bytes.
 			c.replaceLocked(sh, e, data, owned, fid)
@@ -307,23 +421,22 @@ func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
 		canonical := e.data
 		sh.mu.Unlock()
 		c.hits.Inc()
-		if wasPrefetched {
-			c.prefetchedHits.Inc()
-		}
+		first.Inc()
 		if owned {
 			decomp.PutBuf(data) // the losing duplicate is dead
 		}
 		return canonical
 	}
-	e := &cacheEntry{path: path, data: data, refs: 1, owned: owned, fidelity: fid}
-	e.elem = sh.order.PushBack(e)
+	e := &cacheEntry{path: path, data: data, refs: 1, pos: noPos, owned: owned, fidelity: fid}
+	sh.pushIdle(e)
 	sh.entries[path] = e
+	delete(sh.plan, path) // a demand read: the plan's read of it is no longer ahead
 	sh.used += int64(len(data))
 	c.used.Add(int64(len(data)))
 	c.entries.Add(1)
 	c.pins.Add(1)
-	c.pinnedB.Add(int64(len(data)))
-	c.evictLocked(sh)
+	sh.pinnedB.Add(int64(len(data)))
+	c.evictLocked(sh, nil)
 	sh.mu.Unlock()
 	return data
 }
@@ -338,10 +451,10 @@ func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
 func (c *Cache) replaceLocked(sh *cacheShard, e *cacheEntry, data []byte, owned bool, fid uint8) {
 	delta := int64(len(data)) - int64(len(e.data))
 	if e.refs > 0 {
-		c.pinnedB.Add(delta)
+		sh.pinnedB.Add(delta)
 	}
-	if e.prefetched {
-		c.staged.Add(delta)
+	if e.pos != noPos {
+		c.creditLocked(sh, e, delta)
 	}
 	sh.used += delta
 	c.used.Add(delta)
@@ -351,19 +464,21 @@ func (c *Cache) replaceLocked(sh *cacheShard, e *cacheEntry, data []byte, owned 
 	e.data = data
 	e.owned = owned
 	e.fidelity = fid
-	if sh.used > sh.capacity {
-		c.evictLocked(sh)
-	}
+	c.evictLocked(sh, nil)
 }
 
 // InsertIdle stages data decoded at fidelity fid for path unpinned
-// (refs=0), for the look-ahead prefetcher: the entry is immediately
-// evictable, so a canceled epoch cannot wedge the pool with pins nobody
-// will release, and the first Acquire of it is counted as a prefetched
-// open. An existing entry of equal or higher fidelity wins (nothing is
-// replaced, and an owned duplicate is recycled immediately); a
-// lower-fidelity one is upgraded in place, keeping its pin/staged state.
-// Reports whether the data was staged. owned is as for Insert.
+// (refs=0), for the prefetcher: the entry is protected at the path's
+// position in the installed plan (a path no plan knows is stamped after
+// everything known — call order) but evictable, so a canceled epoch cannot
+// wedge the pool with pins nobody will release, and its first Acquire is
+// counted as a prefetched open. It does no harm: when its shard is full
+// of pinned entries and entries needed before it, the newcomer is the one
+// dropped (stage_refused) and the open falls back to demand. An existing
+// entry of equal or higher fidelity wins (an owned duplicate is recycled
+// immediately); a lower-fidelity one is upgraded in place, keeping its
+// pin/staged state. Reports whether the data was staged. owned is as for
+// Insert.
 func (c *Cache) InsertIdle(path string, data []byte, owned bool, fid uint8) bool {
 	sh := c.shard(path)
 	sh.mu.Lock()
@@ -379,16 +494,56 @@ func (c *Cache) InsertIdle(path string, data []byte, owned bool, fid uint8) bool
 		sh.mu.Unlock()
 		return true
 	}
+	pos, planned := sh.plan[path]
+	if !planned {
+		pos = c.planEnd.Add(1) - 1
+	}
 	e := &cacheEntry{path: path, data: data, prefetched: true, owned: owned, fidelity: fid}
-	e.elem = sh.order.PushBack(e)
+	c.protectLocked(sh, e, pos)
 	sh.entries[path] = e
 	sh.used += int64(len(data))
 	c.used.Add(int64(len(data)))
 	c.entries.Add(1)
-	c.staged.Add(int64(len(data)))
-	c.evictLocked(sh)
+	refused := c.evictLocked(sh, e)
 	sh.mu.Unlock()
-	return true
+	if refused {
+		c.stageRefused.Inc()
+	}
+	return !refused
+}
+
+// Expect installs a plan: paths, distinct, in the order they will be
+// read. Whatever an older plan left protected is first demoted to no
+// known next use (a stopped epoch cannot wedge the pool), then every path
+// takes the next position, and an unpinned resident entry among them is
+// protected at it before any staging starts, instead of being evicted as
+// old and fetched again when its turn comes. An empty plan only demotes.
+func (c *Cache) Expect(paths []string) {
+	base := c.planEnd.Add(int64(len(paths))) - int64(len(paths))
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		for len(sh.far) > 0 {
+			e := sh.far[len(sh.far)-1]
+			c.unprotectLocked(sh, e)
+			sh.pushIdle(e)
+		}
+		clear(sh.plan)
+		sh.mu.Unlock()
+	}
+	for i, path := range paths {
+		sh := c.shard(path)
+		sh.mu.Lock()
+		if _, dup := sh.plan[path]; !dup {
+			pos := base + int64(i)
+			sh.plan[path] = pos
+			if e, ok := sh.entries[path]; ok && e.refs == 0 && e.pos == noPos {
+				unlinkIdle(e)
+				c.protectLocked(sh, e, pos)
+			}
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Release unpins one reference. With the Immediate policy the entry is
@@ -408,54 +563,64 @@ func (c *Cache) Release(path string) {
 	e.refs--
 	if e.refs == 0 {
 		c.pins.Add(-1)
-		c.pinnedB.Add(-int64(len(e.data)))
+		sh.pinnedB.Add(-int64(len(e.data)))
 		if c.policy == Immediate {
 			c.removeLocked(sh, e)
 		}
 	}
-	if sh.used > sh.capacity {
-		c.evictLocked(sh)
-	}
+	c.evictLocked(sh, nil)
 	sh.mu.Unlock()
 }
 
-// evictLocked removes unpinned entries in policy order until the shard
-// is within its capacity slice.
-func (c *Cache) evictLocked(sh *cacheShard) {
-	el := sh.order.Front()
-	for sh.used > sh.capacity && el != nil {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.refs == 0 { // never evict a file an open FD is reading
-			c.removeLocked(sh, e)
-			c.evictions.Inc()
-			c.tracer.Event(trace.OpEvict, e.path, trace.OutcomeNone)
-			if c.events.Enabled() {
-				if seq := c.evictSeq.Add(1); seq%evictionPressureStride == 1 {
-					c.events.Emitf(obs.EvEvictionPressure, obs.SevWarn,
-						"cache under pressure: %d evictions so far (capacity=%d B, pinned=%d B)",
-						c.evictions.Value(), c.capacity, c.pinnedB.Load())
-				}
+// evictLocked removes unpinned entries until the shard is within its
+// capacity slice: first those with no known next use, in policy order,
+// then the protected one needed furthest ahead — which may be newcomer,
+// the entry being staged; that is reported, not counted as an eviction.
+func (c *Cache) evictLocked(sh *cacheShard, newcomer *cacheEntry) (refused bool) {
+	next := sh.idle.next
+	for sh.used > sh.capacity {
+		for next != &sh.idle && next.refs > 0 { // never evict a file an open FD is reading
+			next = next.next
+		}
+		var e *cacheEntry
+		if next != &sh.idle {
+			e, next = next, next.next
+		} else if len(sh.far) > 0 {
+			e = sh.far[0]
+		} else {
+			break
+		}
+		c.removeLocked(sh, e)
+		if e == newcomer {
+			refused = true
+			continue
+		}
+		c.evictions.Inc()
+		c.tracer.Event(trace.OpEvict, e.path, trace.OutcomeNone)
+		if c.events.Enabled() {
+			if seq := c.evictSeq.Add(1); seq%evictionPressureStride == 1 {
+				c.events.Emitf(obs.EvEvictionPressure, obs.SevWarn,
+					"cache under pressure: %d evictions so far (capacity=%d B, pinned=%d B)",
+					c.evictions.Value(), c.capacity, c.PinnedBytes())
 			}
 		}
-		el = next
 	}
+	return refused
 }
 
 // removeLocked unlinks an entry and recycles its buffer if the cache
 // owns it. Callers guarantee refs == 0: a pinned entry's buffer is
 // still visible to a reader and must never reach the pool.
 func (c *Cache) removeLocked(sh *cacheShard, e *cacheEntry) {
-	sh.order.Remove(e.elem)
+	if e.pos != noPos {
+		c.unprotectLocked(sh, e) // evicted unread: the consumer will fetch on demand
+	} else {
+		unlinkIdle(e)
+	}
 	delete(sh.entries, e.path)
 	sh.used -= int64(len(e.data))
 	c.used.Add(-int64(len(e.data)))
 	c.entries.Add(-1)
-	if e.prefetched {
-		// A staged entry evicted unread: its admission credit returns
-		// (the planner may restage it; the consumer will fetch on demand).
-		c.staged.Add(-int64(len(e.data)))
-	}
 	if e.owned {
 		decomp.PutBuf(e.data)
 		e.data = nil
@@ -473,8 +638,8 @@ func (c *Cache) Stats() CacheStats {
 		Used:           c.used.Load(),
 		Entries:        int(c.entries.Load()),
 		Pinned:         int(c.pins.Load()),
-		PinnedBytes:    c.pinnedB.Load(),
-		StagedBytes:    c.staged.Load(),
+		PinnedBytes:    c.PinnedBytes(),
+		StagedBytes:    c.StagedBytes(),
 		DoubleReleases: c.doubleReleases.Value(),
 	}
 }
@@ -483,33 +648,48 @@ func (c *Cache) Stats() CacheStats {
 func (c *Cache) Capacity() int64 { return c.capacity }
 
 // PinnedBytes reports the byte total of entries with live references.
-func (c *Cache) PinnedBytes() int64 { return c.pinnedB.Load() }
-
-// StagedBytes reports the byte total of prefetched entries that have not
-// been acquired yet — staged-but-unread data awaiting its first open.
-func (c *Cache) StagedBytes() int64 {
-	return c.staged.Load()
+func (c *Cache) PinnedBytes() (n int64) {
+	for i := range c.shards {
+		n += c.shards[i].pinnedB.Load()
+	}
+	return n
 }
 
-// Headroom reports the capacity still available for new staged data:
-// capacity minus pinned minus already-staged bytes. The epoch planner's
-// admission control never stages beyond it — staging more would evict
-// staged-but-unread entries and turn the plan against itself. Unpinned
-// already-read entries count as headroom because they are evictable the
-// moment pressure arrives.
+// StagedBytes reports the byte total of protected entries — fetched by a
+// prefetch or retained for the installed plan — that have not been opened
+// yet: what admission bounds.
+func (c *Cache) StagedBytes() (n int64) {
+	for i := range c.shards {
+		n += c.shards[i].staged.Load()
+	}
+	return n
+}
+
+// Headroom reports the capacity still available for new staged data: what
+// the tightest shard can take — its slice minus its pinned and staged
+// bytes — times the shard count. Capacity is enforced per shard, so the
+// aggregate free space would let the planner overflow the fuller shard
+// while the sum still read free; with many shards and few large objects
+// this is conservative. Unpinned entries with no known next use count as
+// headroom: they are evictable the moment pressure arrives.
 //
-// The three atomics are read independently while the data path mutates
-// them, so the sampled sum can transiently exceed capacity — a pin can
-// land before the staged-byte decrement of the same Acquire is visible.
-// The clamp keeps such a sample at zero instead of letting the
-// subtraction go negative, which (cast or compared carelessly upstream)
-// disabled the scheduler's admission gate entirely.
+// The atomics are read while the data path mutates them, so a shard's
+// sampled sum can transiently exceed its slice (a pin can land before the
+// staged-byte decrement of the same Acquire is visible). The clamp keeps
+// such a sample at zero: a negative one, cast or compared carelessly
+// upstream, disabled the scheduler's admission gate entirely.
 func (c *Cache) Headroom() int64 {
-	h := c.capacity - c.pinnedB.Load() - c.staged.Load()
-	if h < 0 {
+	tightest := int64(math.MaxInt64)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		if h := sh.capacity - sh.pinnedB.Load() - sh.staged.Load(); h < tightest {
+			tightest = h
+		}
+	}
+	if tightest < 0 {
 		return 0
 	}
-	return h
+	return tightest * int64(len(c.shards))
 }
 
 // pinned reports the number of entries with live references (test hook).

@@ -64,6 +64,16 @@ func TestCacheShardedCapacityAccounting(t *testing.T) {
 	}
 }
 
+// orderLen counts the entries in the shard's two eviction-order
+// structures. Callers hold sh.mu.
+func (sh *cacheShard) orderLen() int {
+	n := len(sh.far)
+	for e := sh.idle.next; e != &sh.idle; e = e.next {
+		n++
+	}
+	return n
+}
+
 // TestCacheShardedConcurrent hammers a small sharded cache from many
 // goroutines (run under -race by make ci) and then checks every
 // aggregate invariant: no pin leaks, no used-bytes drift against a
@@ -103,8 +113,8 @@ func TestCacheShardedConcurrent(t *testing.T) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if sh.order.Len() != len(sh.entries) {
-			t.Fatalf("shard %d: order list %d != table %d", i, sh.order.Len(), len(sh.entries))
+		if n := sh.orderLen(); n != len(sh.entries) {
+			t.Fatalf("shard %d: eviction order holds %d != table %d", i, n, len(sh.entries))
 		}
 		var shUsed int64
 		for _, e := range sh.entries {

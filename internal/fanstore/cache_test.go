@@ -3,6 +3,8 @@ package fanstore
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,39 +176,225 @@ func TestCacheInsertIdleStaysEvictable(t *testing.T) {
 	}
 }
 
-// TestCacheInvariantsQuick property-tests the capacity invariant: after
-// any sequence of insert/acquire/release operations where every pin is
-// released, used never exceeds capacity.
-func TestCacheInvariantsQuick(t *testing.T) {
-	type op struct {
-		Key     uint8
-		Acquire bool
-	}
-	f := func(ops []op) bool {
-		c := NewCache(500, FIFO)
-		pins := make(map[string]int)
-		for _, o := range ops {
-			key := fmt.Sprintf("k%d", o.Key%16)
-			if o.Acquire {
-				if _, _, ok := c.Acquire(key, FidelityFull); ok {
-					pins[key]++
+// checkCacheInvariants recounts every shard under its lock against the
+// incremental accounting: used, staged (protected-unread), pinned, and the
+// two order structures; a protected entry is unpinned and sits at its heap
+// index, and the heap is ordered furthest-first. Headroom is the tightest
+// shard's room times the shard count.
+func checkCacheInvariants(c *Cache, pins map[string]int) error {
+	var used, staged, pinned int64
+	tightest := int64(noPos)
+	for i := range c.shards {
+		sh := &c.shards[i]
+		var shUsed, shStaged, shPinned int64
+		err := func() error {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			for path, e := range sh.entries {
+				size := int64(len(e.data))
+				shUsed += size
+				if e.refs != pins[path] {
+					return fmt.Errorf("%s: %d refs, the model holds %d pins", path, e.refs, pins[path])
 				}
-			} else {
-				c.Insert(key, make([]byte, 100), false, FidelityFull)
-				pins[key]++
+				if e.refs > 0 {
+					shPinned += size
+				}
+				if e.pos == noPos {
+					continue
+				}
+				shStaged += size
+				if e.refs > 0 || e.hidx >= len(sh.far) || sh.far[e.hidx] != e {
+					return fmt.Errorf("%s: protected at %d with %d refs, heap index %d of %d", path, e.pos, e.refs, e.hidx, len(sh.far))
+				}
+			}
+			for j := 1; j < len(sh.far); j++ {
+				if sh.far[(j-1)/2].pos < sh.far[j].pos {
+					return fmt.Errorf("shard %d: heap out of order at %d", i, j)
+				}
+			}
+			switch n := sh.orderLen(); {
+			case n != len(sh.entries):
+				return fmt.Errorf("shard %d: eviction order holds %d entries, table %d", i, n, len(sh.entries))
+			case shUsed != sh.used || shStaged != sh.staged.Load() || shPinned != sh.pinnedB.Load():
+				return fmt.Errorf("shard %d: recount used/staged/pinned %d/%d/%d != %d/%d/%d", i,
+					shUsed, shStaged, shPinned, sh.used, sh.staged.Load(), sh.pinnedB.Load())
+			case shUsed > sh.capacity+shPinned:
+				return fmt.Errorf("shard %d: used %d > capacity %d + pinned %d", i, shUsed, sh.capacity, shPinned)
+			}
+			return nil
+		}()
+		if err != nil {
+			return err
+		}
+		used, staged, pinned = used+shUsed, staged+shStaged, pinned+shPinned
+		tightest = max(0, min(tightest, sh.capacity-shPinned-shStaged))
+	}
+	room := tightest * int64(len(c.shards))
+	if st := c.Stats(); st.Used != used || st.StagedBytes != staged || st.PinnedBytes != pinned || c.Headroom() != room {
+		return fmt.Errorf("aggregates used/staged/pinned/headroom %d/%d/%d/%d, recount %d/%d/%d/%d",
+			st.Used, st.StagedBytes, st.PinnedBytes, c.Headroom(), used, staged, pinned, room)
+	}
+	return nil
+}
+
+// TestCacheInvariantsQuick property-tests the eviction rule over random
+// Insert / InsertIdle / Expect / Acquire / Release streams, 1, 2 and 4
+// shards, all three policies: the accounting recounts exactly after every
+// operation (checkCacheInvariants); an entry never leaves while the model
+// still holds a pin on it; a protected entry never leaves before an
+// unpinned one no plan reads; nothing needed before a staged newcomer is
+// evicted to admit it, whether the newcomer stays or is refused (and
+// every refusal is counted); and once
+// every pin is released and the plan is replaced by an empty one, used is
+// within capacity and nothing is staged.
+func TestCacheInvariantsQuick(t *testing.T) {
+	type op struct{ Kind, Key, Arg uint8 }
+	const keys, size = 16, 100
+	name := func(k uint8) string { return fmt.Sprintf("k%d", k%keys) }
+	for _, policy := range []Policy{FIFO, LRU, Immediate} {
+		for _, shards := range []int{1, 2, 4} {
+			f := func(ops []op) bool {
+				c := NewCacheShards(6*size, policy, shards)
+				pins := make(map[string]int)
+				refused := int64(0) // stagings of a non-resident path that did not stay
+				fail := func(format string, args ...any) bool {
+					t.Logf("%v/%d shards: "+format, append([]any{policy, shards}, args...)...)
+					return false
+				}
+				for _, o := range ops {
+					key := name(o.Key)
+					before := make(map[string]int64) // resident path -> next use
+					for k := uint8(0); k < keys; k++ {
+						if sh := c.shard(name(k)); sh.entries[name(k)] != nil {
+							before[name(k)] = sh.entries[name(k)].pos
+						}
+					}
+					newcomer := int64(noPos) // the position an InsertIdle stages at
+					switch o.Kind % 8 {
+					case 0, 1:
+						c.Insert(key, make([]byte, size), false, FidelityFull)
+						pins[key]++
+					case 2, 3:
+						if _, resident := before[key]; !resident {
+							pos, planned := c.shard(key).plan[key]
+							if !planned {
+								pos = c.planEnd.Load()
+							}
+							newcomer = pos
+						}
+						_, resident := before[key]
+						if !c.InsertIdle(key, make([]byte, size), false, FidelityFull) && !resident {
+							refused++
+						}
+					case 4:
+						var plan []string // Arg picks the plan: a rotation of a prefix of the keys
+						for k := uint8(0); k < o.Arg%keys; k++ {
+							plan = append(plan, name(o.Key+k))
+						}
+						c.Expect(plan)
+					case 5, 6:
+						if _, _, ok := c.Acquire(key, FidelityFull); ok {
+							pins[key]++
+						}
+					default:
+						if pins[key] > 0 {
+							c.Release(key)
+							pins[key]--
+						}
+					}
+					if err := checkCacheInvariants(c, pins); err != nil {
+						return fail("after %+v: %v", o, err)
+					}
+					for path, pos := range before {
+						if c.Contains(path, 1) {
+							continue
+						}
+						if pins[path] > 0 {
+							return fail("%+v evicted %s while pinned", o, path)
+						}
+						if pos < newcomer && newcomer != noPos {
+							return fail("%+v staged at %d over %s, needed at %d", o, newcomer, path, pos)
+						}
+						for _, e := range c.shard(path).entries {
+							if pos != noPos && e.pos == noPos && e.refs == 0 {
+								return fail("%+v evicted %s, needed at %d, before %s, which no plan reads", o, path, pos, e.path)
+							}
+						}
+					}
+				}
+				for k, n := range pins {
+					for ; n > 0; n-- {
+						c.Release(k)
+					}
+				}
+				c.Expect(nil)
+				if st := c.Stats(); st.Used > 6*size || st.StagedBytes != 0 || st.Pinned != 0 || c.stageRefused.Value() != refused {
+					return fail("quiesced: %+v, %d refusals counted of %d", st, c.stageRefused.Value(), refused)
+				}
+				return checkCacheInvariants(c, nil) == nil
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Fatal(err)
 			}
 		}
-		for k, n := range pins {
-			for i := 0; i < n; i++ {
-				c.Release(k)
+	}
+}
+
+// TestCacheDemandEvictionSequenceIsTheParents: with no plan installed and
+// nothing staged every entry's next use is unknown, and the eviction
+// sequence is the policy's alone — the hashes below were recorded by this
+// function at the commit before the next-use rule existed (811595e).
+func TestCacheDemandEvictionSequenceIsTheParents(t *testing.T) {
+	golden := map[Policy][3]uint64{
+		FIFO:      {0x5e1315e0014fe18f, 0x7cf559e29270bd8c, 0x937b766a120bf4af},
+		LRU:       {0xe50bfce70d542ceb, 0x7e5f3d7c61b65356, 0xa6b6494833668555},
+		Immediate: {0x6898d8a9870fbc62, 0x4a8c625823311967, 0xe4c0de93ee19fd2c},
+	}
+	for policy, want := range golden {
+		for i, shards := range []int{1, 2, 4} {
+			if got := demandEvictionHash(policy, shards); got != want[i] {
+				t.Errorf("%v, %d shards: eviction sequence hash %#x, recorded %#x", policy, shards, got, want[i])
 			}
 		}
-		st := c.Stats()
-		return st.Used <= 500 && st.Used >= 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+}
+
+// demandEvictionHash replays a fixed pseudo-random stream of demand
+// operations (Insert, Acquire, Release — no staging, no plan) and hashes
+// the (operation, path) of every entry that left the cache, in order.
+func demandEvictionHash(policy Policy, shards int) uint64 {
+	const keys, size, ops = 24, 100, 4000
+	c := NewCacheShards(10*size, policy, shards)
+	rng := rand.New(rand.NewSource(int64(policy)*16 + int64(shards)))
+	pins := make([]int, keys)
+	resident := make([]bool, keys)
+	h := fnv.New64a()
+	for op := 0; op < ops; op++ {
+		k := rng.Intn(keys)
+		key := fmt.Sprintf("k%02d", k)
+		switch r := rng.Intn(10); {
+		case r < 4:
+			c.Insert(key, make([]byte, size), false, FidelityFull)
+			pins[k]++
+		case r < 6:
+			if _, _, ok := c.Acquire(key, FidelityFull); ok {
+				pins[k]++
+			}
+		default:
+			if pins[k] > 0 {
+				c.Release(key)
+				pins[k]--
+			}
+		}
+		for j := range resident {
+			now := c.Contains(fmt.Sprintf("k%02d", j), 1)
+			if resident[j] && !now {
+				fmt.Fprintf(h, "%d:%d;", op, j)
+			}
+			resident[j] = now
+		}
 	}
+	return h.Sum64()
 }
 
 func TestCacheConcurrent(t *testing.T) {

@@ -155,8 +155,9 @@ func writeSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 		}
 	}
 	if hits, misses := c("fanstore.cache.hits"), c("fanstore.cache.misses"); hits+misses > 0 {
-		fmt.Fprintf(w, "cache: hit ratio %.1f%%  evictions=%d  prefetched opens=%d\n",
-			100*float64(hits)/float64(hits+misses), c("fanstore.cache.evictions"), c("fanstore.cache.prefetched_opens"))
+		fmt.Fprintf(w, "cache: hit ratio %.1f%%  evictions=%d  prefetched opens=%d retained=%d refused=%d\n",
+			100*float64(hits)/float64(hits+misses), c("fanstore.cache.evictions"), c("fanstore.cache.prefetched_opens"),
+			c("fanstore.cache.retained_opens"), c("fanstore.cache.stage_refused"))
 	}
 	if fetched, fo, batched := c("fanstore.bytes.remote"), c("fanstore.failovers"), c("fanstore.fetch.batched"); fetched+fo+batched > 0 {
 		fmt.Fprintf(w, "remote: %d B fetched  failovers=%d  batched fetches=%d\n", fetched, fo, batched)

@@ -169,7 +169,8 @@ type Options struct {
 	// Mount-only: the cache never resizes live (see the knob-lifetimes
 	// note above).
 	CacheBytes int64
-	// CachePolicy selects the replacement policy (default FIFO).
+	// CachePolicy selects the replacement order among entries no
+	// installed epoch plan will read (default FIFO); see Policy.
 	CachePolicy Policy
 	// CacheShards overrides the decompressed cache's stripe count,
 	// rounded up to a power of two (0: automatic — sized to GOMAXPROCS,
@@ -1486,15 +1487,35 @@ func (n *Node) FidelityLevel() uint8 {
 	return uint8(v)
 }
 
-// CacheHeadroom reports the decompressed cache capacity not held down
-// by pinned (currently open) entries — the bytes the planner may stage
-// into. Unpinned entries count as headroom: they are evictable, so
-// staging over them is admission-safe.
+// Expect installs an epoch's access order in the cache
+// (prefetch.PlanStore): every distinct path the epoch will read, local
+// and remote, in order. Until the next call the cache evicts by next use,
+// and what is already resident and will be read is protected before
+// staging starts (Cache.Expect). Unknown paths are dropped.
+func (n *Node) Expect(paths []string) {
+	known := make([]string, 0, len(paths))
+	n.mu.RLock()
+	for _, p := range paths {
+		m, ok := n.meta[p] // a clean path is its own key; cleaning allocates
+		if !ok {
+			m, ok = n.meta[cleanPath(p)]
+		}
+		if ok {
+			known = append(known, m.Path)
+		}
+	}
+	n.mu.RUnlock()
+	n.cache.Expect(known)
+}
+
+// CacheHeadroom reports the decompressed cache capacity the planner may
+// still stage into: the room of the tightest cache shard after its pinned
+// and staged entries, times the shard count (Cache.Headroom).
 func (n *Node) CacheHeadroom() int64 { return n.cache.Headroom() }
 
-// StagedBytes reports the bytes currently staged by prefetch but not
-// yet consumed by an open — the quantity the planner's admission rule
-// bounds.
+// StagedBytes reports the bytes protected for the installed plan —
+// staged by prefetch or retained from an earlier epoch — and not yet
+// consumed by an open: the quantity the planner's admission rule bounds.
 func (n *Node) StagedBytes() int64 { return n.cache.StagedBytes() }
 
 // Registry exposes the node's metrics registry (the one passed in

@@ -25,6 +25,7 @@ func TestWriteSummary(t *testing.T) {
 		"fanstore.opens.local": 10, "fanstore.opens.remote": 6, "fanstore.opens.zerocopy": 2,
 		"fanstore.decompresses": 14, "fanstore.cache.hits": 24, "fanstore.cache.misses": 16,
 		"fanstore.cache.evictions": 3, "fanstore.cache.prefetched_opens": 5,
+		"fanstore.cache.retained_opens": 4, "fanstore.cache.stage_refused": 1,
 		"fanstore.bytes.remote": 4096, "fanstore.failovers": 1, "fanstore.fetch.batched": 2,
 		"rpc.server.served": 9, "rpc.server.notfound": 1, "rpc.server.errors": 2,
 		"rpc.client.calls": 8, "rpc.client.retries": 3, "rpc.client.timeouts": 1,
@@ -62,7 +63,7 @@ open:        n=40 mean=100µs p50<=128µs p99<=128µs max<=128µs
 fetch:       n=6 mean=200µs p50<=256µs p99<=256µs max<=256µs
 decompress:  n=14 mean=50µs p50<=64µs p99<=64µs max<=64µs
 rpc service: n=12 mean=30µs p50<=32µs p99<=32µs max<=32µs
-cache: hit ratio 60.0%  evictions=3  prefetched opens=5
+cache: hit ratio 60.0%  evictions=3  prefetched opens=5 retained=4 refused=1
 remote: 4096 B fetched  failovers=1  batched fetches=2
 rpc: served=9 not-found=1 errors=2  peak in-service=4 peak queue=6  calls=8 retries=3 timeouts=1
 rebalance: 1048576 B moved  pending=2  map version=5  stale-map refreshes=4

@@ -113,6 +113,7 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
+	collectors []func()
 }
 
 // NewRegistry builds an empty registry.
@@ -172,6 +173,33 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
+// OnSnapshot registers fn to run at the start of every Snapshot and
+// SnapshotInto, before any instrument is read: the way a component
+// publishes levels it already keeps (the cache's occupancy atomics) as
+// gauges without touching a gauge on its own hot path — they are set when
+// somebody looks, a sampler tick included. fn runs without the registry
+// lock, possibly from several goroutines at once. A nil registry ignores
+// it.
+func (r *Registry) OnSnapshot(fn func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.collectors = append(r.collectors, fn)
+	r.mu.Unlock()
+}
+
+// collect runs the registered collectors. The slice is append-only, so
+// the header read under the lock stays valid outside it.
+func (r *Registry) collect() {
+	r.mu.Lock()
+	fns := r.collectors
+	r.mu.Unlock()
+	for _, fn := range fns {
+		fn()
+	}
+}
+
 // GaugeValue is a gauge's snapshot: current level and high-water mark.
 type GaugeValue struct {
 	Value int64 `json:"value"`
@@ -197,6 +225,7 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	if r == nil {
 		return s
 	}
+	r.collect()
 	r.mu.Lock()
 	counters := make(map[string]*Counter, len(r.counters))
 	for n, c := range r.counters {
@@ -245,6 +274,7 @@ func (r *Registry) SnapshotInto(s *RegistrySnapshot) {
 	if r == nil {
 		return
 	}
+	r.collect()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for n, c := range r.counters {

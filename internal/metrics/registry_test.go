@@ -245,3 +245,25 @@ func TestObserveSince(t *testing.T) {
 	}
 	ObserveSince(nil, time.Now()) // must not panic
 }
+
+// TestOnSnapshotRunsBeforeEveryRead: a collector publishes a level its
+// owner keeps elsewhere, and both snapshot paths see the value it set on
+// that very call.
+func TestOnSnapshotRunsBeforeEveryRead(t *testing.T) {
+	reg := NewRegistry()
+	level := int64(7)
+	g := reg.Gauge("pool.bytes")
+	reg.OnSnapshot(func() { g.Set(level) })
+	if got := reg.Snapshot().Gauges["pool.bytes"].Value; got != 7 {
+		t.Fatalf("Snapshot read %d before the collector ran, want 7", got)
+	}
+	level = 3
+	var s RegistrySnapshot
+	reg.SnapshotInto(&s)
+	if got := s.Gauges["pool.bytes"]; got.Value != 3 || got.Max != 7 {
+		t.Fatalf("SnapshotInto read %+v, want level 3 with high-water 7", got)
+	}
+	var none *Registry
+	none.OnSnapshot(func() { t.Error("a nil registry ran a collector") })
+	none.Snapshot()
+}

@@ -3,10 +3,11 @@
 // I/O") is that an epoch's access sequence is fully known the moment
 // the sampler's permutation is drawn — so instead of reacting with a
 // fixed look-ahead window, the scheduler materializes the whole epoch,
-// keeps only the entries that need a remote fetch, and streams them to
-// the store in plan-sized batches, gated by cache-pressure admission:
-// never hold more staged-but-unread bytes than the cache's unpinned
-// capacity, backing off until the consumer (or an eviction) frees room.
+// tells the store its order — so the store's cache evicts by next use
+// and keeps what it already holds of it — and streams the entries that
+// need a remote fetch to the store in plan-sized batches, gated by
+// cache-pressure admission: never hold more staged-but-unread bytes than
+// the cache has room for, backing off until the consumer frees some.
 package prefetch
 
 import (
@@ -21,9 +22,14 @@ import (
 )
 
 // PlanStore is the store surface the epoch planner schedules against:
-// the staging entry point plus the three signals the plan and its
-// admission rule are built from. fanstore's Node satisfies it.
+// the install and staging entry points plus the three signals the plan
+// and its admission rule are built from. fanstore's Node satisfies it.
 type PlanStore interface {
+	// Expect installs the epoch's access order — every distinct path, in
+	// the order it will be read — before any of it is staged, so the
+	// store's cache can evict by next use and keep what is already
+	// resident and will be read. It replaces the previous epoch's.
+	Expect(paths []string)
 	// Prefetch stages the remote, uncached files among paths in batched
 	// round trips, at the fidelity the store currently reads at, and
 	// returns how many it staged. Best-effort: a file it does not stage
@@ -33,10 +39,11 @@ type PlanStore interface {
 	// producing it needs a remote fetch (false: local or unknown, the
 	// plan skips it).
 	PlanTarget(path string) (size int64, remote bool)
-	// CacheHeadroom is the cache capacity not pinned by open files —
-	// the bytes staging may occupy.
+	// CacheHeadroom is the cache capacity neither pinned by open files
+	// nor staged — the bytes one more batch may occupy.
 	CacheHeadroom() int64
-	// StagedBytes is the bytes currently staged but not yet consumed.
+	// StagedBytes is the bytes held for the plan — staged or kept
+	// resident — and not yet consumed.
 	StagedBytes() int64
 }
 
@@ -100,6 +107,10 @@ type Plan struct {
 	Items []PlanItem
 	Iters int   // iterations the sampler yielded
 	Bytes int64 // total decompressed bytes of Items
+
+	// order is every distinct path of the epoch, local ones too, in
+	// access order: what the scheduler installs in the store.
+	order []string
 }
 
 // BuildPlan consumes sampler's full permutation (iteration 0 until
@@ -121,6 +132,7 @@ func BuildPlan(sampler Sampler, store PlanStore) *Plan {
 				continue
 			}
 			seen[path] = true
+			p.order = append(p.order, path)
 			size, remote := store.PlanTarget(path)
 			if !remote {
 				continue
@@ -143,7 +155,7 @@ type SchedOptions struct {
 	// fanstore.Node, which the autotuner moves) takes effect mid-plan —
 	// including for a batch already parked in the admission wait, which
 	// re-reads it on every poll. Nil, or a returned 0, means the live
-	// cache headroom (capacity minus pinned bytes), so the budget tracks
+	// cache headroom (PlanStore.CacheHeadroom), so the budget tracks
 	// open-file pressure. Must be safe for concurrent use.
 	AdmissionSource func() int64
 	// Poll is how often the admission wait re-checks cache pressure
@@ -185,8 +197,9 @@ type Scheduler struct {
 	tracer  *trace.Tracer
 }
 
-// NewScheduler builds a scheduler for plan over store and starts its
-// staging goroutine immediately. Stop (or plan exhaustion) releases it.
+// NewScheduler builds a scheduler for plan over store, installs the
+// plan's access order in the store and starts its staging goroutine
+// immediately. Stop (or plan exhaustion) releases it.
 func NewScheduler(store PlanStore, plan *Plan, opts SchedOptions) *Scheduler {
 	batch := opts.BatchFiles
 	if batch <= 0 {
@@ -212,6 +225,7 @@ func NewScheduler(store PlanStore, plan *Plan, opts SchedOptions) *Scheduler {
 		tracer:   opts.Tracer,
 	}
 	s.planned.Add(int64(len(plan.Items)))
+	store.Expect(plan.order)
 	s.wg.Add(1)
 	go s.run()
 	return s
@@ -232,8 +246,11 @@ func (s *Scheduler) run() {
 		}
 		// Carve the next batch: up to BatchFiles not-yet-consumed items,
 		// clipped so one batch alone never exceeds the budget (a single
-		// oversized object still ships, or nothing ever would).
+		// oversized object still ships, or nothing ever would). The budget
+		// is read once per batch — it is two store calls, each a walk over
+		// the cache's shards; the admission wait below re-reads it live.
 		consumed := int(s.consumed.Load())
+		budget := s.budget()
 		var paths []string
 		var batchBytes int64
 		for cursor < len(s.plan.Items) && len(paths) < s.batch {
@@ -243,7 +260,7 @@ func (s *Scheduler) run() {
 				cursor++
 				continue
 			}
-			if len(paths) > 0 && batchBytes+it.Size > s.budget() {
+			if len(paths) > 0 && batchBytes+it.Size > budget {
 				break
 			}
 			paths = append(paths, it.Path)
@@ -306,7 +323,7 @@ func (s *Scheduler) free() int64 {
 // staging is fully drained — an oversized batch must not starve).
 // Returns false if stopped.
 func (s *Scheduler) admitted(batchBytes int64) bool {
-	waited := false
+	var poll *time.Ticker // one per wait: admission binds, so this loops
 	for {
 		staged := s.store.StagedBytes()
 		if staged > s.maxStage.Load() {
@@ -315,15 +332,16 @@ func (s *Scheduler) admitted(batchBytes int64) bool {
 		if staged == 0 || batchBytes <= s.free() {
 			return true
 		}
-		if !waited {
-			waited = true
+		if poll == nil {
 			s.waits.Inc()
+			poll = time.NewTicker(s.poll)
+			defer poll.Stop()
 		}
 		select {
 		case <-s.done:
 			return false
 		case <-s.kick:
-		case <-time.After(s.poll):
+		case <-poll.C:
 		}
 	}
 }

@@ -29,6 +29,8 @@ func (f *fakePlanStore) PlanTarget(path string) (int64, bool) {
 	return size, ok
 }
 
+func (f *fakePlanStore) Expect([]string) {}
+
 func (f *fakePlanStore) CacheHeadroom() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
