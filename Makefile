@@ -1,7 +1,7 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race overlap planrule benchsmoke fuzzsmoke soak loc surface
+.PHONY: ci fmt vet test race overlap planrule benchsmoke fuzzsmoke soak loc surface knobs
 
 ci: fmt vet race overlap planrule test fuzzsmoke benchsmoke
 
@@ -62,18 +62,20 @@ soak:
 
 # Non-test Go lines of the directories the ROADMAP's simplicity
 # acceptances quote, so a PR compares `make loc` at parent and change
-# instead of counting by hand. The last four are where lines that leave
-# cmd/ tend to land; "." is the root package alone (api.go); the last line
-# is internal/fanstore + internal/member, the pair the store's control
-# protocol lives in.
+# instead of counting by hand. The four after cmd are where lines that
+# leave cmd/ tend to land; "." is the root package alone (api.go);
+# fanstore+member is the pair the store's control protocol lives in; the
+# last line is every non-test .go file of the module (bench/ is a module
+# of its own).
 loc:
 	@for d in internal/fanstore internal/member internal/rpc internal/mpi \
 		internal/prefetch internal/trainsim internal/experiments cmd \
-		internal/dataset internal/cluster examples; do \
+		internal/dataset internal/cluster examples internal/decomp internal/obs; do \
 		printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
 	@printf '%-22s %6d\n' . $$(cat $$(ls *.go | grep -v _test.go) | wc -l)
 	@printf '%-22s %6d\n' fanstore+member $$(find internal/fanstore internal/member -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l)
+	@printf '%-22s %6d\n' module $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec cat {} + | wc -l)
 
 # The exported surface of the packages the simplicity acceptances quote:
 # package-level identifiers (`go doc -short`: constants, variables,
@@ -83,4 +85,21 @@ surface:
 		printf '%-22s %4d identifiers %4d methods\n' $$p \
 			$$($(GO) doc -short $$p | wc -l) \
 			$$($(GO) doc -short -all $$p | grep -c '^func ('); \
+	done
+
+# What a user can set: the fields of the option structs (a line naming
+# two fields counts twice, an embedded struct once) and the flags each
+# command defines. The simplicity guide asks every PR for this count at
+# parent and change.
+knobs:
+	@for ft in internal/fanstore/store.go:Options internal/fanstore/elastic.go:ElasticOptions \
+		internal/prefetch/plan.go:SchedOptions internal/prefetch/prefetch.go:Options; do \
+		printf '%-44s %3d fields\n' $$ft $$(awk -v t="$${ft#*:}" ' \
+			$$0 == "type " t " struct {" { on = 1; next } \
+			on && /^}/ { on = 0 } \
+			on && NF && $$1 !~ /^\/\// { n++; for (i = 1; i < NF && $$i ~ /,$$/; i++) n++ } \
+			END { print n + 0 }' $${ft%:*}); \
+	done
+	@for d in cmd/*/; do \
+		printf '%-44s %3d flags\n' $$d $$(cat $$d*.go | grep -oE 'flag\.(Bool|Int|Int64|Uint|Uint64|String|Duration|Float64|Func|BoolFunc|TextVar|Var)(Var)?\(' | wc -l); \
 	done

@@ -36,7 +36,6 @@ import (
 	"fanstore/internal/prefetch"
 	"fanstore/internal/selector"
 	"fanstore/internal/trace"
-	"fanstore/internal/tune"
 )
 
 // Core store types.
@@ -199,24 +198,6 @@ type (
 	// Health is the /healthz payload.
 	Health = obs.Health
 )
-
-// Online autotuning (internal/tune): the metrics-driven controller
-// that hill-climbs the store's live knobs — decode workers, fetch
-// batch size, the admission budget — with guarded revert. Wire it
-// with Node.Knobs and the rank's registry; Node.AddStatus surfaces
-// its verdict on /statusz.
-type (
-	// Tuner is the online knob controller.
-	Tuner = tune.Controller
-	// TunerOptions configures a Tuner (Registry and Knobs required).
-	TunerOptions = tune.Options
-	// TuneKnob is one live-adjustable setting a Tuner may move.
-	TuneKnob = tune.Knob
-)
-
-// NewTuner builds an autotuning controller; Start runs it periodically,
-// Tick drives one deterministic step.
-func NewTuner(o TunerOptions) *Tuner { return tune.New(o) }
 
 // NewEventLog builds an event log for rank with a bounded ring of the
 // given capacity (the package default when <= 0).

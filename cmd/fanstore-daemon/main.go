@@ -58,8 +58,6 @@ func main() {
 		opsAddr    = flag.String("ops-addr", "", "serve live HTTP ops endpoints; pass the same base address to every daemon, rank r listens on port+r (empty disables)")
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 scrapes every member's /varz at this period and flags stragglers mid-run (needs -ops-addr; 0 disables)")
 		healthN    = flag.Int("health-members", 0, "member count the health monitor scrapes (0: -members for elastic worlds, else -size)")
-		tuneOn     = flag.Bool("tune", false, "run the online autotuner against this daemon's live knobs (decode workers, fetch batch size)")
-		tuneEvery  = flag.Duration("tune-interval", time.Second, "autotuner sample-and-decide period")
 	)
 	flag.Parse()
 	log.SetPrefix(fmt.Sprintf("fanstore-daemon[%d]: ", *rank))
@@ -167,18 +165,6 @@ func main() {
 		log.Printf("mounted: %d files global, %d local", node.NumFiles(), node.LocalFiles())
 	}
 
-	if *tuneOn {
-		ctrl := fanstore.NewTuner(fanstore.TunerOptions{
-			Registry: reg,
-			Interval: *tuneEvery,
-			Knobs:    node.Knobs(),
-			Events:   events,
-		})
-		ctrl.Start()
-		defer ctrl.Stop()
-		node.AddStatus(ctrl.WriteStatus)
-		log.Printf("tune: controller live, deciding every %v", *tuneEvery)
-	}
 	if *opsAddr != "" {
 		addr, err := fanstore.OpsAddrForRank(*opsAddr, *rank)
 		if err != nil {

@@ -32,15 +32,12 @@
 // and the ablation against the same scenario at full fidelity, and the
 // report shows the fidelity line (bytes saved, mean level).
 //
-// -tune starts every rank mis-tuned with the online controller in the
-// loop and prints rank 0's ablation against frozen and hand-tuned knobs.
-//
 // -monitor steps the ranks in epoch lockstep with the live health
 // monitor polling after every epoch, instead of one rank after another.
 //
 //	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -redundancy 'ec(4,2)'
 //	fanstore-sim -case srgan-gtx -report -fidelity '1@2'
-//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -fidelity '1@2' -plan -tune
+//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -fidelity '1@2' -plan
 package main
 
 import (
@@ -89,8 +86,6 @@ func main() {
 		pace     = flag.Duration("pace", 0, "wall-clock pause per simulated epoch in -monitor, so the ops endpoints can be curled mid-run (0: full speed)")
 		fidSched = flag.String("fidelity", "", "fidelity schedule for the epoch replay, \"level@epochs[,...]\" (e.g. '1@2'): the leading epochs fetch only that many layers of the layered container")
 		layersN  = flag.Int("layers", 4, "layer count of the layered container priced by -fidelity")
-		tuneOn   = flag.Bool("tune", false, "replay the autotuning ablation: each rank starts mis-tuned and the online controller hill-climbs the live knobs against the simulated signals")
-		tuneProf = flag.String("tune-profile", "cpu", "mis-tune profile for -tune: cpu (decode-bound, 1 decode worker) or net (fetch-bound, 4-item batches)")
 	)
 	flag.Parse()
 
@@ -211,7 +206,7 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	if *traceOut == "" && !*report && !*monitor && *fidSched == "" && !*tuneOn {
+	if *traceOut == "" && !*report && !*monitor && *fidSched == "" {
 		return
 	}
 	// Epoch replay: run the case's configuration through the per-rank
@@ -278,30 +273,6 @@ func main() {
 		}
 		sc.Kill = &trainsim.ChaosConfig{KillRank: *killRank, KillEpoch: *killAt, K: red.K, M: red.M}
 	}
-	tuneEvents := obs.NewEventLog(0, 0)
-	if *tuneOn {
-		switch strings.ToLower(*tuneProf) {
-		case "cpu":
-			// Decode-bound mis-tune: serial decode on a multi-core box,
-			// cheap fabric. The controller must grow decode.workers.
-			sc.Tune = &trainsim.TuneSim{
-				Cores: 8, RTT: 200 * time.Microsecond, BurstPerItem: time.Microsecond,
-				DecodeWorkers: 1, BatchItems: 64,
-			}
-		case "net":
-			// Fetch-bound mis-tune: long round trips, 4-item batches, and
-			// a cheap codec (the measured one would re-bind the run on
-			// decode). The controller must grow batch.items to amortize
-			// the RTT.
-			cfg.DecompressPerFile = 10 * time.Microsecond
-			sc.Tune = &trainsim.TuneSim{
-				Cores: 8, RTT: 2 * time.Millisecond, BurstPerItem: 20 * time.Microsecond,
-				DecodeWorkers: 8, BatchItems: 4,
-			}
-		default:
-			log.Fatalf("unknown -tune-profile %q (want cpu or net)", *tuneProf)
-		}
-	}
 	lastSkew := *skew
 	if *monitor && lastSkew <= 0 {
 		// Derive a skew that lands robustly past the detector: push the
@@ -325,11 +296,6 @@ func main() {
 		}
 		rsc := sc
 		rsc.Rank = rank
-		if sc.Tune != nil && rank == 0 {
-			ts := *sc.Tune
-			ts.Controller.Events = tuneEvents
-			rsc.Tune = &ts
-		}
 		replays[rank] = cfg.NewReplay(*simFiles, rsc, sink)
 	}
 	if *monitor {
@@ -348,32 +314,6 @@ func main() {
 		snaps[rank] = regs[rank].Snapshot()
 	}
 
-	if sc.Tune != nil {
-		// The ablation, from rank 0's run: mis-tuned static knobs vs the
-		// online controller vs the grid-swept hand-tuned oracle.
-		tuneRes := replays[0].Tuned()
-		fmt.Printf("tune ablation (%s profile): static %v | tuned %v | hand-tuned %v\n",
-			strings.ToLower(*tuneProf),
-			tuneRes.StaticWall.Round(time.Millisecond),
-			tuneRes.Wall.Round(time.Millisecond),
-			tuneRes.BestWall.Round(time.Millisecond))
-		fmt.Printf("tune convergence: final epoch %v vs oracle %v (%.1f%% off; oracle knobs workers=%d batch=%d)\n",
-			tuneRes.FinalEpoch.Round(time.Millisecond), tuneRes.BestEpoch.Round(time.Millisecond),
-			100*(float64(tuneRes.FinalEpoch)/float64(tuneRes.BestEpoch)-1),
-			tuneRes.BestWorkers, tuneRes.BestBatch)
-		fmt.Printf("tune decisions: %d moves, %d reverts; knob trace (workers/batch per epoch):\n", tuneRes.Moves, tuneRes.Reverts)
-		for e := range tuneRes.WorkersTrace {
-			fmt.Printf("  epoch %2d: workers=%-3d batch=%-4d epoch time %v\n",
-				e, tuneRes.WorkersTrace[e], tuneRes.BatchTrace[e],
-				tuneRes.EpochDurs[e].Round(time.Millisecond))
-		}
-		if evs := tuneEvents.Events(); len(evs) > 0 {
-			fmt.Printf("tune event log (rank 0):\n")
-			for _, e := range evs {
-				fmt.Printf("  [%s] %s\n", e.Kind, e.Msg)
-			}
-		}
-	}
 	if sc.Fidelity != nil {
 		// The ablation, on an unskewed rank: the same scenario with and
 		// without the schedule.

@@ -62,8 +62,6 @@ func main() {
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 polls every rank's registry at this period and flags stragglers mid-run (0 disables)")
 		layers     = flag.Int("layers", 0, "pack every file as a progressive layered container with this many layers (0: classic single-layer objects)")
 		fidelity   = flag.String("fidelity", "", "per-epoch layer budget schedule \"level@epochs[,...]\" (e.g. '1@2': base layer for two epochs, then full); needs -layers")
-		tuneOn     = flag.Bool("tune", false, "run the online autotuner: each rank hill-climbs its live knobs (decode workers, fetch batch, admission budget) against its own metrics")
-		tuneEvery  = flag.Duration("tune-interval", time.Second, "autotuner sample-and-decide period")
 	)
 	flag.Parse()
 
@@ -157,22 +155,9 @@ func main() {
 		}
 		defer node.Close()
 
-		// The admission budget lives on the node so the autotuner (and
-		// anything else) can move it mid-plan; the scheduler below reads
-		// it through AdmissionSource on every admission decision.
+		// The admission budget lives on the node; the scheduler below
+		// reads it through AdmissionSource on every admission decision.
 		node.SetAdmissionBytes(int64(*admission) << 20)
-		if *tuneOn {
-			ctrl := fanstore.NewTuner(fanstore.TunerOptions{
-				Registry: reg,
-				Interval: *tuneEvery,
-				Knobs:    node.Knobs(),
-				Events:   events,
-			})
-			ctrl.Start()
-			defer ctrl.Stop()
-			node.AddStatus(ctrl.WriteStatus)
-		}
-
 		if *opsAddr != "" {
 			addr, err := fanstore.OpsAddrForRank(*opsAddr, c.Rank())
 			if err != nil {

@@ -51,13 +51,7 @@ type Pool struct {
 	stop      chan struct{}
 	once      sync.Once
 	workers   sync.WaitGroup
-	nworkers  atomic.Int64
-	// retire hands a shutdown token to exactly one idle worker; Resize
-	// shrinks the pool by sending one token per excess worker.
-	retire chan struct{}
-	// resizeMu serializes Resize calls so concurrent tuners cannot
-	// interleave grow and shrink bookkeeping.
-	resizeMu sync.Mutex
+	nworkers  int // fixed at New
 	// submitting counts Submit calls between their stop check and their
 	// enqueue, so Close can wait out racing submitters before the final
 	// drain.
@@ -70,7 +64,7 @@ type Pool struct {
 	depth    *metrics.Gauge     // queued jobs not yet picked up
 	waitHist *metrics.Histogram // queue wait: enqueue to worker pickup
 	jobs     *metrics.Counter
-	poolSize *metrics.Gauge // current worker count (live: tracks Resize)
+	poolSize *metrics.Gauge // worker count
 }
 
 // New builds a pool with the given worker count (<=0 means GOMAXPROCS).
@@ -88,13 +82,12 @@ func New(workers int, reg *metrics.Registry) *Pool {
 		high:     make(chan job, depth),
 		low:      make(chan job, depth),
 		stop:     make(chan struct{}),
-		retire:   make(chan struct{}),
+		nworkers: workers,
 		depth:    reg.Gauge("decomp.pool.depth"),
 		waitHist: reg.Histogram("decomp.queue.wait.latency"),
 		jobs:     reg.Counter("decomp.jobs"),
 		poolSize: reg.Gauge("decomp.pool.workers"),
 	}
-	p.nworkers.Store(int64(workers))
 	p.poolSize.Set(int64(workers))
 	p.waiters.New = func() interface{} { return new(sync.WaitGroup) }
 	p.workers.Add(workers)
@@ -104,64 +97,12 @@ func New(workers int, reg *metrics.Registry) *Pool {
 	return p
 }
 
-// Workers reports the pool's current worker count (0 for a nil pool).
+// Workers reports the pool's worker count (0 for a nil pool).
 func (p *Pool) Workers() int {
 	if p == nil {
 		return 0
 	}
-	return int(p.nworkers.Load())
-}
-
-// Resize grows or shrinks the pool to the given worker count (<=0 means
-// GOMAXPROCS, floored at 1) and returns the effective count. It is the
-// live-tunable side of the DecodeWorkers mount option: growing spawns
-// fresh workers immediately; shrinking hands a retire token to one idle
-// worker per excess, so a retiring worker finishes its current job, takes
-// no new one, and queued jobs are never dropped — the survivors keep
-// draining both classes, demand opens still first. Shrinking blocks until
-// the excess workers have accepted their tokens (bounded by the longest
-// in-flight decode), which keeps the count the return value reports
-// truthful. The queue depth stays at its mount-time sizing, so a
-// shrunken pool simply exerts backpressure sooner. Safe for concurrent
-// use with Submit/Run/Close; a Resize racing Close yields to the
-// shutdown. No-op on a nil pool.
-func (p *Pool) Resize(workers int) int {
-	if p == nil {
-		return 0
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p.resizeMu.Lock()
-	defer p.resizeMu.Unlock()
-	cur := int(p.nworkers.Load())
-	for cur < workers {
-		select {
-		case <-p.stop:
-			return cur // closing: the pool is draining, don't spawn
-		default:
-		}
-		p.workers.Add(1)
-		go p.worker()
-		cur++
-		p.nworkers.Store(int64(cur))
-		p.poolSize.Set(int64(cur))
-	}
-	for cur > workers {
-		select {
-		case p.retire <- struct{}{}:
-			cur--
-			p.nworkers.Store(int64(cur))
-			p.poolSize.Set(int64(cur))
-		case <-p.stop:
-			// Close won the race: every worker exits via stop anyway.
-			return cur
-		}
-	}
-	return cur
+	return p.nworkers
 }
 
 // Submit enqueues fn at the given priority; wg.Done fires when it
@@ -248,10 +189,6 @@ func (p *Pool) worker() {
 			p.exec(j, s, true)
 		case j := <-p.low:
 			p.exec(j, s, true)
-		case <-p.retire:
-			// Resize shrank the pool; this worker bows out. Queued work
-			// stays queued for the survivors.
-			return
 		case <-p.stop:
 			// Drain what is already queued so no submitted waiter is
 			// left hanging, then exit.

@@ -1,0 +1,172 @@
+package fanstore
+
+import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+	"testing"
+
+	"fanstore/internal/dataset"
+	"fanstore/internal/mpi"
+)
+
+// The peer-bytes decoders the frame-level targets only reach through
+// their envelopes: decodeMetas (every tagWriteMeta frame, opMetaSync
+// reply, mount table and ctrlCommit ends in it), decodePaths (the
+// replica announcement), and the two fixed-header fetch requests,
+// opFetchPart and opFetchRange, as a mounted node's daemon sees them.
+// None may panic or allocate more than a small multiple of the frame, or
+// of the object the frame names.
+
+// FuzzDecodeMetas fuzzes the metadata-list decoder.
+func FuzzDecodeMetas(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // 4 G records in a 4-byte frame
+	f.Add([]byte{1, 0, 0})                // truncated count
+	f.Add(encodeMetas(nil))
+	metas, _ := genMetas([]byte{0x61, 3, 'a', '/', 'b', 0x12, 1, 'c'}, 2)
+	enc := encodeMetas(metas)
+	f.Add(enc)
+	f.Add(enc[:len(enc)-3]) // cut short inside the last record
+	fan := encodeMetas(metas[1:])
+	fan[len(fan)-2] = 0xff // 255 replicas declared, none present
+	f.Add(fan)
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got []FileMeta
+		var err error
+		if n := allocated(func() { got, err = decodeMetas(body) }); n > uint64(16*len(body)+ctrlAllocSlack) {
+			t.Fatalf("%d-byte frame made decodeMetas allocate %d bytes", len(body), n)
+		}
+		if err == nil {
+			if back, err := decodeMetas(encodeMetas(got)); err != nil || !sameMetas(back, got) {
+				t.Fatalf("frame %x decoded to %+v, which re-encodes to %+v, err %v", body, got, back, err)
+			}
+		}
+		gen, _ := genMetas(body, 8)
+		if back, err := decodeMetas(encodeMetas(gen)); err != nil || !sameMetas(back, gen) {
+			t.Fatalf("generated records %+v came back %+v, err %v", gen, back, err)
+		}
+	})
+}
+
+// FuzzDecodePaths fuzzes the path-list decoder.
+func FuzzDecodePaths(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}) // 4 G paths in a 4-byte frame
+	f.Add([]byte{2, 0})                   // truncated count
+	f.Add(encodePaths(nil))
+	enc := encodePaths([]string{"train/a.tif", "", "ckpt/rank0"})
+	f.Add(enc)
+	f.Add(enc[:len(enc)-4]) // the last path cut short
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var got []string
+		var err error
+		if n := allocated(func() { got, err = decodePaths(body) }); n > uint64(16*len(body)+ctrlAllocSlack) {
+			t.Fatalf("%d-byte frame made decodePaths allocate %d bytes", len(body), n)
+		}
+		if err == nil {
+			if back, err := decodePaths(encodePaths(got)); err != nil || !slices.Equal(back, got) {
+				t.Fatalf("frame %x decoded to %q, which re-encodes to %q, err %v", body, got, back, err)
+			}
+		}
+		// Generate a list from the input: a length byte, then the path.
+		var gen []string
+		for q := body; len(q) >= 1; {
+			l := min(int(q[0]), len(q)-1)
+			gen, q = append(gen, string(q[1:1+l])), q[1+l:]
+		}
+		if back, err := decodePaths(encodePaths(gen)); err != nil || !slices.Equal(back, gen) {
+			t.Fatalf("generated paths %q came back %q, err %v", gen, back, err)
+		}
+	})
+}
+
+// mountedForFuzz mounts a one-rank elastic node (the kind that keeps its
+// partition blobs for opFetchPart) that lives until the target ends.
+func mountedForFuzz(f *testing.F, part []byte) *Node {
+	ready, done, exited := make(chan *Node), make(chan struct{}), make(chan error, 1)
+	go func() {
+		exited <- mpi.Run(1, func(c *mpi.Comm) error {
+			node, err := MountElastic(c, [][]byte{part}, ElasticOptions{Options: Options{CacheBytes: 1 << 20}})
+			if err != nil {
+				return err
+			}
+			defer node.Close()
+			ready <- node
+			<-done
+			return nil
+		})
+	}()
+	select {
+	case node := <-ready:
+		f.Cleanup(func() {
+			close(done)
+			if err := <-exited; err != nil {
+				f.Error(err)
+			}
+		})
+		return node
+	case err := <-exited:
+		f.Fatalf("mount: %v", err)
+		return nil
+	}
+}
+
+// FuzzFetchPartRangeRequest feeds a mounted node's fetch daemon arbitrary
+// opFetchPart and opFetchRange bodies through handleFetch, the way a
+// peer's frame arrives. Neither may panic; a reply is exactly the
+// partition or the extent the request names; and nothing is allocated
+// beyond that object — a length the object cannot hold is refused, not
+// reserved.
+func FuzzFetchPartRangeRequest(f *testing.F) {
+	bundle, _ := buildLayeredBundle(f, dataset.EM, 2, 1, 2<<10, 3)
+	blob := bundle.Scatter[0]
+	n := mountedForFuzz(f, blob)
+	held := ownedPaths(f, blob)[0]
+	var gid uint64
+	for g := range n.parts {
+		gid = g
+	}
+
+	f.Add(false, binary.LittleEndian.AppendUint64(nil, gid))   // the request pullPartition sends
+	f.Add(false, binary.LittleEndian.AppendUint64(nil, gid+1)) // no such partition
+	f.Add(false, []byte{1, 0, 0})                              // short frame
+	rng := func(off uint64, length uint32, path string) []byte {
+		b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, off), length)
+		return append(b, path...)
+	}
+	f.Add(true, rng(4, 16, held))               // the request fetchRemoteRange sends
+	f.Add(true, rng(0, 0xffffffff, held))       // 4 GiB of a 2 KiB object
+	f.Add(true, rng(^uint64(0)-3, 8, held))     // off+len wraps past u64
+	f.Add(true, rng(0, 8, "no/such/object"))    // unknown path
+	f.Add(true, []byte{0, 0, 0, 0, 0, 0, 0, 0}) // short frame
+
+	f.Fuzz(func(t *testing.T, rangeOp bool, body []byte) {
+		op := opFetchPart
+		if rangeOp {
+			op = opFetchRange
+		}
+		var resp []byte
+		var err error
+		got := allocated(func() { resp, err = n.handleFetch(0, append([]byte{op}, body...)) })
+		// A pooled reply buffer carries up to 2x slack over the object.
+		if limit := uint64(2*len(blob) + 16*len(body) + ctrlAllocSlack); got > limit {
+			t.Fatalf("%d-byte request (range %v) made the daemon allocate %d bytes over a %d-byte partition", len(body), rangeOp, got, len(blob))
+		}
+		if err != nil {
+			return
+		}
+		want := blob
+		if rangeOp {
+			_, data, gerr := n.backend.Get(string(body[12:]))
+			if gerr != nil {
+				t.Fatalf("range request %x answered for an object the backend lacks: %v", body, gerr)
+			}
+			off := binary.LittleEndian.Uint64(body)
+			want = data[off : off+uint64(binary.LittleEndian.Uint32(body[8:]))]
+		}
+		if !bytes.Equal(resp, want) {
+			t.Fatalf("request %x (range %v) answered %d bytes, want %d", body, rangeOp, len(resp), len(want))
+		}
+	})
+}

@@ -85,7 +85,6 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 		tracer:   opts.Tracer,
 		events:   opts.Events,
 	}
-	n.batchItems.Store(rpc.DefaultBatchItems)
 	if code != nil {
 		n.ec = newECState(code, reg)
 	}

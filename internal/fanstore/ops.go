@@ -76,31 +76,11 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	sw.KV("fetch.bytes.saved", n.fetchBytesSaved.Value())
 	sw.KV("fetch.upgrades", n.fetchUpgrades.Value())
 	sw.KV("decode.workers", n.DecodeWorkers())
-	sw.KV("batch.items", n.BatchItems())
 	if a := n.AdmissionBytes(); a > 0 {
 		sw.KV("admission.bytes", a)
 	} else {
 		sw.KV("admission.bytes", "headroom")
 	}
-	n.statusMu.Lock()
-	extras := n.statusExtra
-	n.statusMu.Unlock()
-	for _, fn := range extras {
-		fn(sw)
-	}
-}
-
-// AddStatus appends an extra section renderer to this node's /statusz
-// output — the hook components wired after Mount (like the -tune
-// controller) use to ride the existing ops server without replumbing
-// StartOps. Renderers run in registration order on every /statusz hit.
-func (n *Node) AddStatus(fn func(*obs.StatusWriter)) {
-	if fn == nil {
-		return
-	}
-	n.statusMu.Lock()
-	n.statusExtra = append(n.statusExtra, fn)
-	n.statusMu.Unlock()
 }
 
 // StartOps binds addr and serves this rank's ops endpoints —

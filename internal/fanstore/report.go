@@ -121,18 +121,11 @@ func GatherReport(comm *mpi.Comm, reg *metrics.Registry, opts ReportOptions) (Cl
 // opens and files/s (the paper's Tables III/VI unit; elapsed is the window
 // the snapshot covers, 0 omits rates), the open/fetch/decompress/service
 // latency split, cache, remote traffic, the fetch daemon and client, and
-// the rebalance / fidelity / ec / tune lines. A line appears when its
+// the rebalance / fidelity / ec lines. A line appears when its
 // subsystem did something, so the zero snapshot renders nothing. It is
 // the only formatter of these numbers: a rank and the cluster cannot be
 // summarised by different rules.
 func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration) {
-	writeSummary(w, s, elapsed, false)
-}
-
-// writeSummary is WriteSummary told whether s is a merge of several
-// ranks' snapshots, in which a gauge's level is a sum and only its
-// high-water mark still means something.
-func writeSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration, merged bool) {
 	c := func(name string) int64 { return s.Counters[name] }
 	// Every Open lands in the open histogram; opens.local and opens.remote
 	// count only the producers of a cache miss, so the rest were hits.
@@ -205,28 +198,6 @@ func writeSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 		}
 		fmt.Fprintf(w, "%s\n", line)
 	}
-	// Autotuned runs only: what the controller did and where the knobs
-	// landed — a rank's own gauges say, and a probe the controller
-	// reverted is not where they are. Ranks tune independently and merged
-	// levels are sums, so the cluster line shows the highest value any
-	// rank tried, marked as the bound it is; the per-rank /statusz
-	// endpoints carry the exact local values.
-	if moves, reverts := c("tune.moves"), c("tune.reverts"); moves > 0 || reverts > 0 {
-		line := fmt.Sprintf("tune: moves=%d reverts=%d", moves, reverts)
-		var knobs []string
-		for name, g := range s.Gauges {
-			if knob, ok := strings.CutPrefix(name, "tune.knob."); ok && merged {
-				knobs = append(knobs, fmt.Sprintf("%s<=%d", knob, g.Max))
-			} else if ok {
-				knobs = append(knobs, fmt.Sprintf("%s=%d", knob, g.Value))
-			}
-		}
-		sort.Strings(knobs)
-		if len(knobs) > 0 {
-			line += "  " + strings.Join(knobs, " ")
-		}
-		fmt.Fprintf(w, "%s\n", line)
-	}
 }
 
 // Render writes the human-readable cluster report: the summary of the
@@ -234,7 +205,7 @@ func writeSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 // itself), the per-rank p99 spread, and flagged stragglers.
 func (r *ClusterReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "=== cluster I/O report (%d ranks) ===\n", len(r.PerRank))
-	writeSummary(w, r.Merged, r.Options.Elapsed, true)
+	WriteSummary(w, r.Merged, r.Options.Elapsed)
 	var spread []string
 	for rank, s := range r.PerRank {
 		spread = append(spread, fmt.Sprintf("r%d=%v", rank, s.Histograms[r.Options.StragglerMetric].P99))

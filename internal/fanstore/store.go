@@ -154,16 +154,13 @@ func (e *vanishedError) Unwrap() error { return e.err }
 
 // Options configures a Node.
 //
-// Knob lifetimes: some fields are live-tunable after Mount — the online
-// autotuner (internal/tune, the -tune flag) moves them through atomics
-// while training runs — and the rest are mount-only. Live-tunable:
-// DecodeWorkers (Node.SetDecodeWorkers), the batched-fetch split
-// (Node.SetBatchItems), the admission budget (Node.SetAdmissionBytes, read live by the plan
-// scheduler), and the fidelity level (Node.SetFidelity). Mount-only:
-// CacheBytes and CacheShards stay fixed for the node's lifetime —
-// resizing or restriping the sharded cache would require a stop-the-
-// world rehash of every resident entry, which no mid-epoch gain
-// justifies — along with the backend, redundancy, and transport fields.
+// Knob lifetimes: every field is mount-only, fixed for the node's
+// lifetime. What moves after Mount is set on the Node: the admission
+// budget (Node.SetAdmissionBytes, read by the plan scheduler on every
+// admission decision) and the fidelity level (Node.SetFidelity).
+// CacheBytes and CacheShards could not be otherwise — resizing or
+// restriping the sharded cache would require a stop-the-world rehash of
+// every resident entry.
 type Options struct {
 	// CacheBytes bounds the decompressed data cache (default 256 MiB).
 	// Mount-only: the cache never resizes live (see the knob-lifetimes
@@ -181,8 +178,6 @@ type Options struct {
 	// DecodeWorkers bounds the shared decode pool that demand opens and
 	// the look-ahead prefetcher decompress through (default GOMAXPROCS).
 	// 1 reproduces serial decode for comparison benchmarks.
-	// Live-tunable: Node.SetDecodeWorkers resizes the pool without
-	// dropping queued jobs.
 	DecodeWorkers int
 	// Replicas are extra partition blobs this node serves locally
 	// without owning them (typically obtained via RingReplicate when the
@@ -328,10 +323,6 @@ type Node struct {
 	// (Fig. 4's refcount, extended through the fetch by flight.go).
 	inflightMu sync.Mutex
 	inflight   map[string]*flight
-	// batchItems is the max objects per batched fetch call — atomic because
-	// the autotuner retunes it mid-plan (SetBatchItems) while the
-	// prefetch path reads it per split.
-	batchItems atomic.Int64
 	// admission is the live staged-bytes budget the plan scheduler reads
 	// through AdmissionBytes each admission decision (0: cache headroom).
 	admission atomic.Int64
@@ -354,11 +345,6 @@ type Node struct {
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 	events *obs.EventLog // nil unless the ops plane is enabled
-
-	// statusExtra holds extra /statusz section renderers registered via
-	// AddStatus (the -tune controller's section rides here).
-	statusMu    sync.Mutex
-	statusExtra []func(*obs.StatusWriter)
 
 	localOpens, remoteOpens, zeroCopyOpens *metrics.Counter
 	decompresses, failovers                *metrics.Counter
@@ -1141,18 +1127,16 @@ func (n *Node) Prefetch(paths []string) int {
 }
 
 // prefetchFrom fetches group from dst with as many plan-sized opFetch
-// calls as BatchItems requires — an epoch-scale plan batch cannot build
-// one monster frame — and returns the targets dst could not serve so
-// the caller can fail over.
+// calls as rpc.DefaultBatchItems requires — an epoch-scale plan batch
+// cannot build one monster frame — and returns the targets dst could not
+// serve so the caller can fail over.
 func (n *Node) prefetchFrom(dst int, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
 	keys := make([]string, len(group))
 	for i, t := range group {
 		keys[i] = t.m.Path
 	}
 	off := 0
-	// The split size is read live: a mid-plan SetBatchItems (the
-	// autotuner's fetch-shape knob) reshapes the very next call.
-	for _, chunk := range rpc.SplitKeys(keys, n.BatchItems()) {
+	for _, chunk := range rpc.SplitKeys(keys, rpc.DefaultBatchItems) {
 		ok, f := n.prefetchChunk(dst, chunk, group[off:off+len(chunk)], level)
 		off += len(chunk)
 		staged += ok
@@ -1517,6 +1501,24 @@ func (n *Node) CacheHeadroom() int64 { return n.cache.Headroom() }
 // staged by prefetch or retained from an earlier epoch — and not yet
 // consumed by an open: the quantity the planner's admission rule bounds.
 func (n *Node) StagedBytes() int64 { return n.cache.StagedBytes() }
+
+// DecodeWorkers reports the decode pool's worker count.
+func (n *Node) DecodeWorkers() int { return n.decode.Workers() }
+
+// AdmissionBytes reports the node's staged-bytes budget (0: the plan
+// scheduler falls back to live cache headroom). Hand this method to
+// prefetch.SchedOptions.AdmissionSource.
+func (n *Node) AdmissionBytes() int64 { return n.admission.Load() }
+
+// SetAdmissionBytes sets the staged-bytes budget the plan scheduler
+// admits against (0: cache headroom; negatives clamp to 0). Takes
+// effect at the scheduler's next admission decision.
+func (n *Node) SetAdmissionBytes(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	n.admission.Store(v)
+}
 
 // Registry exposes the node's metrics registry (the one passed in
 // Options.Metrics, or the private one Mount created). Cluster reports

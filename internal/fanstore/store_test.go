@@ -727,3 +727,33 @@ func TestSingleflightFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeWorkersIsMountOnly: Options.DecodeWorkers sizes the decode
+// pool at mount and nothing moves it afterwards — the node and the
+// "decomp.pool.workers" gauge read the mounted count before and after
+// the pool has worked, until Close.
+func TestDecodeWorkersIsMountOnly(t *testing.T) {
+	bundle, want := buildBundle(t, dataset.EM, 4, 1, 2<<10, nil)
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		node, err := Mount(c, bundle.Scatter, nil, Options{CacheBytes: 1 << 20, DecodeWorkers: 3})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		for round := 0; round < 2; round++ {
+			if n, g := node.DecodeWorkers(), read(t, node).gauge("decomp.pool.workers"); n != 3 || g.Value != 3 || g.Max != 3 {
+				return fmt.Errorf("round %d: DecodeWorkers() = %d, gauge %+v, want 3 throughout", round, n, g)
+			}
+			if err := readAll(node, want); err != nil {
+				return err
+			}
+		}
+		if jobs := read(t, node).counter("decomp.jobs"); jobs == 0 {
+			return fmt.Errorf("the reads never went through the decode pool")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -13,7 +13,6 @@ import (
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
 	"fanstore/internal/prefetch"
-	"fanstore/internal/tune"
 )
 
 // TestWriteSummary pins the one read-out: a snapshot in which every
@@ -32,19 +31,15 @@ func TestWriteSummary(t *testing.T) {
 		"rebalance.bytes.moved": 1 << 20, "fanstore.map.refreshes": 4,
 		"fanstore.fetch.bytes.saved": 2048, "fanstore.fetch.upgrades": 7,
 		"ec.degraded.reads": 17, "ec.repair.bytes": 8_000_000,
-		"tune.moves": 3, "tune.reverts": 1,
 	} {
 		reg.Counter(name).Add(v)
 	}
 	for name, v := range map[string]int64{
 		"rpc.server.inservice": 4, "rpc.server.queue": 6, "rebalance.partitions.pending": 2,
-		"member.map.version": 5, "tune.knob.batch.items": 128, "tune.knob.decode.workers": 2,
+		"member.map.version": 5,
 	} {
 		reg.Gauge(name).Set(v)
 	}
-	// A probe the controller reverted: the knob is back at 64, whatever
-	// its high-water mark says.
-	reg.Gauge("tune.knob.batch.items").Set(64)
 	for name, h := range map[string]struct {
 		n int
 		d time.Duration
@@ -69,20 +64,11 @@ rpc: served=9 not-found=1 errors=2  peak in-service=4 peak queue=6  calls=8 retr
 rebalance: 1048576 B moved  pending=2  map version=5  stale-map refreshes=4
 fidelity: 2048 B saved  upgrades=7  mean level=2.00
 ec: degraded reads=17  reconstruct p99=4.096ms  repaired=8000000 B (4.0 MB/s)
-tune: moves=3 reverts=1  batch.items=64 decode.workers=2
 `
 	var b strings.Builder
 	WriteSummary(&b, reg.Snapshot(), 2*time.Second)
 	if got := b.String(); got != want {
 		t.Errorf("summary:\n%s\nwant:\n%s", got, want)
-	}
-	// Merged, a gauge's level is a sum over ranks: the cluster line prints
-	// the peak and says that is what it is.
-	snap := reg.Snapshot()
-	report := BuildClusterReport([]metrics.RegistrySnapshot{snap, snap}, ReportOptions{})
-	merged := report.String()
-	if line := "tune: moves=6 reverts=2  batch.items<=128 decode.workers<=2\n"; !strings.Contains(merged, line) {
-		t.Errorf("cluster report lacks %q:\n%s", line, merged)
 	}
 	b.Reset()
 	WriteSummary(&b, metrics.NewRegistry().Snapshot(), 2*time.Second)
@@ -144,7 +130,7 @@ func summaryNames(t *testing.T) []string {
 	var names []string
 	for _, decl := range file.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "writeSummary" { // WriteSummary's body
+		if !ok || fn.Name.Name != "WriteSummary" {
 			continue
 		}
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -163,7 +149,7 @@ func summaryNames(t *testing.T) []string {
 }
 
 // TestSummaryNamesAreRegistered mounts the node with everything on — an
-// elastic ec(2,1) cluster, a plan scheduler, a tuner — and checks that
+// elastic ec(2,1) cluster, a plan scheduler — and checks that
 // its registry holds every name WriteSummary reads, so renaming an
 // instrument fails here instead of zeroing a line of every report.
 func TestSummaryNamesAreRegistered(t *testing.T) {
@@ -180,18 +166,12 @@ func TestSummaryNamesAreRegistered(t *testing.T) {
 		}
 		defer node.Close()
 		reg := node.Registry()
-		tune.New(tune.Options{Registry: reg, Knobs: node.Knobs()})
 		prefetch.NewScheduler(node, &prefetch.Plan{}, prefetch.SchedOptions{Metrics: reg}).Stop()
 		snap := reg.Snapshot()
 		for _, name := range names {
 			_, isCounter := snap.Counters[name]
 			_, isGauge := snap.Gauges[name]
 			_, isHist := snap.Histograms[name]
-			if strings.HasSuffix(name, ".") { // a prefix: the tune.knob.* family
-				for g := range snap.Gauges {
-					isGauge = isGauge || strings.HasPrefix(g, name)
-				}
-			}
 			if !isCounter && !isGauge && !isHist {
 				t.Errorf("rank %d: WriteSummary reads %q, which the registry does not hold", c.Rank(), name)
 			}

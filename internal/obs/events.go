@@ -110,12 +110,6 @@ const (
 	// EvHealth: the cluster health monitor changed state (poll
 	// failures beginning or clearing).
 	EvHealth Kind = "health"
-	// EvTuneMove: the autotuner applied a knob move (message carries
-	// knob, old -> new value, and the verdict that motivated it).
-	EvTuneMove Kind = "tune-move"
-	// EvTuneRevert: the autotuner rolled a move back because the
-	// objective did not improve beyond the noise band.
-	EvTuneRevert Kind = "tune-revert"
 )
 
 // Event is one structured log entry. Seq is a per-log monotonic

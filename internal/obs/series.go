@@ -46,7 +46,7 @@ const (
 // Sampler turns a cumulative metrics.Registry into rolling time
 // series: every Interval it snapshots the registry, subtracts the
 // previous snapshot, and stores the difference in a fixed ring of
-// Windows. Queries (Rate, WindowQuantiles, Windows) fold the retained
+// Windows. Queries (Rates, WindowQuantiles, Windows) fold the retained
 // ring; the cumulative registry itself is never reset.
 //
 // The steady-state sample path is allocation-free: snapshots land in
@@ -218,38 +218,6 @@ func (s *Sampler) orderedLocked() []Window {
 	return out
 }
 
-// Rate returns the named counter's per-second rate over the given
-// lookback (all retained history when <= 0): total increments across
-// the covered windows divided by their covered wall time. A histogram's
-// name reads as the counter of its observations, so "fanstore.open.latency"
-// rates every open. The second result reports whether any window covered
-// the instrument.
-func (s *Sampler) Rate(counter string, lookback time.Duration) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	var span float64
-	found := false
-	for i := range s.ring {
-		w := &s.ring[i]
-		if lookback > 0 && w.End.Before(s.prevAt.Add(-lookback)) {
-			continue
-		}
-		if v, ok := w.Delta.Counters[counter]; ok {
-			total += v
-			found = true
-		} else if h, ok := w.Delta.Histograms[counter]; ok {
-			total += h.Count
-			found = true
-		}
-		span += w.Seconds()
-	}
-	if !found || span <= 0 {
-		return 0, found
-	}
-	return float64(total) / span, true
-}
-
 // Rates returns per-second rates over the lookback for every counter
 // the retained windows cover.
 func (s *Sampler) Rates(lookback time.Duration) map[string]float64 {
@@ -294,47 +262,6 @@ func (s *Sampler) Levels() map[string]metrics.GaugeValue {
 		out[n] = v
 	}
 	return out
-}
-
-// WindowSnapshot merges one named histogram's deltas across the
-// lookback (all retained history when <= 0) into a single windowed
-// snapshot — the single-instrument sibling of WindowQuantiles for
-// callers that poll on a hot path: it returns by value and allocates
-// nothing, so a periodic controller can read windowed p99s every tick.
-// The second result reports whether any window covered the histogram.
-func (s *Sampler) WindowSnapshot(hist string, lookback time.Duration) (metrics.Snapshot, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out metrics.Snapshot
-	found := false
-	for i := range s.ring {
-		w := &s.ring[i]
-		if lookback > 0 && w.End.Before(s.prevAt.Add(-lookback)) {
-			continue
-		}
-		if v, ok := w.Delta.Histograms[hist]; ok {
-			out = out.Merge(v)
-			found = true
-		}
-	}
-	return out, found
-}
-
-// Level returns one gauge's level from the most recent window — the
-// single-instrument, allocation-free sibling of Levels. The second
-// result reports whether the latest window covered the gauge.
-func (s *Sampler) Level(gauge string) (metrics.GaugeValue, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.ring) == 0 {
-		return metrics.GaugeValue{}, false
-	}
-	last := s.next - 1
-	if last < 0 {
-		last = len(s.ring) - 1
-	}
-	v, ok := s.ring[last].Delta.Gauges[gauge]
-	return v, ok
 }
 
 // WindowQuantiles merges the histogram deltas across the lookback and

@@ -27,7 +27,6 @@ func (c *sampleClock) tick() time.Time {
 func TestSamplerPrimingAndRates(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reads := reg.Counter("reads")
-	readLat := reg.Histogram("read.latency")
 	s := NewSampler(reg, SamplerOptions{Interval: time.Second, Windows: 8})
 	clk := newSampleClock(time.Second)
 
@@ -40,42 +39,28 @@ func TestSamplerPrimingAndRates(t *testing.T) {
 
 	// 50 increments over one 1s window → 50/s.
 	reads.Add(50)
-	for i := 0; i < 30; i++ {
-		readLat.Observe(time.Millisecond)
-	}
 	s.Sample(clk.tick())
 	if s.Retained() != 1 {
 		t.Fatalf("Retained = %d, want 1", s.Retained())
 	}
-	rate, ok := s.Rate("reads", 0)
-	if !ok || rate != 50 {
-		t.Errorf("Rate = %v/%v, want 50/true", rate, ok)
-	}
-	// A histogram's name rates its observations.
-	if rate, ok := s.Rate("read.latency", 0); !ok || rate != 30 {
-		t.Errorf("Rate of a histogram = %v/%v, want 30/true", rate, ok)
+	if rate, ok := s.Rates(0)["reads"]; !ok || rate != 50 {
+		t.Errorf("Rates()[reads] = %v/%v, want 50/true", rate, ok)
 	}
 
 	// A second idle window halves the all-history rate.
 	s.Sample(clk.tick())
-	rate, ok = s.Rate("reads", 0)
-	if !ok || rate != 25 {
-		t.Errorf("Rate over 2 windows = %v/%v, want 25/true", rate, ok)
+	if rate, ok := s.Rates(0)["reads"]; !ok || rate != 25 {
+		t.Errorf("Rates()[reads] over 2 windows = %v/%v, want 25/true", rate, ok)
 	}
 
 	// A short lookback sees only the idle window (the counter is still
 	// covered — deltas keep zero-valued entries).
-	rate, ok = s.Rate("reads", 500*time.Millisecond)
-	if !ok || rate != 0 {
-		t.Errorf("Rate over last window = %v/%v, want 0/true", rate, ok)
+	if rate, ok := s.Rates(500 * time.Millisecond)["reads"]; !ok || rate != 0 {
+		t.Errorf("Rates()[reads] over last window = %v/%v, want 0/true", rate, ok)
 	}
 
-	if _, ok := s.Rate("no-such-counter", 0); ok {
-		t.Error("Rate found a counter that was never registered")
-	}
-	all := s.Rates(0)
-	if all["reads"] != 25 {
-		t.Errorf("Rates()[reads] = %v, want 25", all["reads"])
+	if _, ok := s.Rates(0)["no-such-counter"]; ok {
+		t.Error("Rates found a counter that was never registered")
 	}
 }
 

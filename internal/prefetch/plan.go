@@ -151,8 +151,8 @@ type SchedOptions struct {
 	// frames; this knob shapes admission granularity.
 	BatchFiles int
 	// AdmissionSource is the staged-bytes budget, called before every
-	// budget decision so a live knob (the admission budget on
-	// fanstore.Node, which the autotuner moves) takes effect mid-plan —
+	// budget decision so a budget set on the node
+	// (fanstore.Node.SetAdmissionBytes) takes effect mid-plan —
 	// including for a batch already parked in the admission wait, which
 	// re-reads it on every poll. Nil, or a returned 0, means the live
 	// cache headroom (PlanStore.CacheHeadroom), so the budget tracks

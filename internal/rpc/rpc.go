@@ -241,9 +241,17 @@ type ClientOptions struct {
 	Metrics *metrics.Registry
 }
 
+// respWindow is how many response tags a client cycles through. The
+// request header carries the tag as a u32 and the server answers on what
+// it read, so respBase + sequence must stay below 2^32 — past it the
+// replies would land on tags 0, 1, ..., the protocol's own. A tag comes
+// round again 2^30 attempts later, long after its earlier reply was
+// received or discarded.
+const respWindow = 1 << 30
+
 // Client issues framed calls to Servers listening on tag. Each attempt
-// allocates a fresh response tag from respBase upward, so a reply that
-// arrives after its deadline can never satisfy a later call.
+// takes the next response tag of [respBase, respBase+respWindow), so a
+// reply that arrives after its deadline cannot satisfy a later call.
 type Client struct {
 	comm     *mpi.Comm
 	tag      int
@@ -256,8 +264,8 @@ type Client struct {
 }
 
 // NewClient builds a client for servers on tag. respBase is the first of
-// a tag range reserved for responses; it must not collide with any other
-// tag traffic on the communicator.
+// the respWindow tags reserved for responses; the range must end below
+// 2^32 and not collide with any other tag traffic on the communicator.
 func NewClient(comm *mpi.Comm, tag, respBase int, opts ClientOptions) *Client {
 	reg := opts.Metrics
 	return &Client{
@@ -301,7 +309,7 @@ func (c *Client) Call(dst int, req []byte) ([]byte, error) {
 func (c *Client) attempt(dst int, req []byte) ([]byte, error) {
 	start := time.Now()
 	defer metrics.ObserveSince(c.attemptHist, start)
-	respTag := c.respBase + int(c.seq.Add(1))
+	respTag := c.respBase + int(c.seq.Add(1)%respWindow)
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(respTag))
 	if err := c.comm.Sendv(dst, c.tag, hdr[:], req); err != nil {

@@ -299,3 +299,39 @@ func TestServerStopOnAbortedWorld(t *testing.T) {
 		t.Fatal("Stop hung after world abort")
 	}
 }
+
+// TestResponseTagsStayInTheirWindow: the request header carries the
+// response tag as a u32. A client whose sequence ran on past it waited on
+// respBase+seq while the server answered on the truncated value — tags 0,
+// 1, ..., the protocol's own — so every call hung or timed out. Calls
+// across both edges (the window's, and the one the u32 used to impose)
+// must all return.
+func TestResponseTagsStayInTheirWindow(t *testing.T) {
+	const respBase = 1 << 20
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		if c.Rank() == 1 {
+			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
+				return append([]byte(nil), req...), nil
+			}, ServerOptions{})
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			s.Stop()
+			return nil
+		}
+		cl := NewClient(c, 500, respBase, ClientOptions{Timeout: 2 * time.Second})
+		for _, edge := range []int64{respWindow, 1<<32 - respBase} {
+			cl.seq.Store(edge - 3)
+			for i := 0; i < 6; i++ {
+				resp, err := cl.Call(1, []byte("ping"))
+				if err != nil || string(resp) != "ping" {
+					return fmt.Errorf("call %d across sequence %d: %q, %v", i, edge, resp, err)
+				}
+			}
+		}
+		return c.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -17,22 +17,19 @@ import (
 
 // The parity table (testdata/replay_parity.json) was captured at the
 // parent of the commit that folded TraceEpochs, TraceEpochsJoin,
-// TraceEpochsReplay, TraceEpochsChaos, TraceEpochsFidelity,
-// TraceEpochsTuned and RunMonitored into Replay: every scenario below x
-// three configs x Skew {1, 3, 100}, each row the fork's literal wall time
+// TraceEpochsReplay, TraceEpochsChaos, TraceEpochsFidelity and
+// RunMonitored into Replay: every scenario below x three configs x Skew
+// {1, 3, 100}, each row the fork's literal wall time
 // (with sinks and with nil sinks), span multiset and registry text, plus
 // one RunMonitored. The engine must reproduce every row exactly, so any
 // drift in the model fails here, which inequality asserts do not catch.
-// Two families may differ, and only as named:
+// One family may differ, and only as named: the join engine also emits
+// the "rebalance.partitions.pending" 1 -> 0 that the live join and the
+// simulated repair already did; that one gauge line is dropped before
+// comparing.
 //
-//   - tuned at Skew != 1: the fork skewed the whole iteration, compute
-//     included, where SimObserver.Skew documents the I/O term
-//     (TestTunedSkewStretchesIOOnly pins the fixed behaviour).
-//   - join: the engine also emits the "rebalance.partitions.pending"
-//     1 -> 0 that the live join and the simulated repair already did;
-//     that one gauge line is dropped before comparing.
-//
-// The reactive window's nine rows went with the mode.
+// The reactive window's nine rows went with the mode, the tuned replay's
+// eighteen with the autotuner.
 
 type parityCase struct {
 	Scenario string   `json:"scenario"`
@@ -40,18 +37,16 @@ type parityCase struct {
 	Skew     float64  `json:"skew"`
 	WallNS   int64    `json:"wall_ns"`
 	NilNS    int64    `json:"wall_nil_sinks_ns"`
-	Tuned    string   `json:"tuned"`
 	Spans    []string `json:"spans"`
 	Registry []string `json:"registry"`
 }
 
 type parityTable struct {
-	Parent      string       `json:"parent"`
-	Epochs      int          `json:"epochs"`
-	TunedEpochs int          `json:"tuned_epochs"`
-	DataSize    int          `json:"data_size"`
-	Cases       []parityCase `json:"cases"`
-	Monitored   struct {
+	Parent    string       `json:"parent"`
+	Epochs    int          `json:"epochs"`
+	DataSize  int          `json:"data_size"`
+	Cases     []parityCase `json:"cases"`
+	Monitored struct {
 		WallNS       int64      `json:"wall_ns"`
 		FlaggedEpoch int        `json:"flagged_epoch"`
 		Flagged      []int      `json:"flagged"`
@@ -77,33 +72,27 @@ func parityConfig(name string) Config {
 }
 
 // parityScenario maps a captured scenario name to the Scenario that
-// stands for the fork's arguments, and to the config tweak the capture
-// applied (the net tune profile prices a cheap codec).
-func parityScenario(name string, c Config) (Scenario, Config) {
+// stands for the fork's arguments.
+func parityScenario(name string) Scenario {
 	switch name {
 	case "plain":
-		return Scenario{}, c
+		return Scenario{}
 	case "join":
-		return Scenario{Join: &JoinConfig{JoinEpoch: 1}}, c
+		return Scenario{Join: &JoinConfig{JoinEpoch: 1}}
 	case "join-flood": // a stream that outlives its epoch
-		return Scenario{Join: &JoinConfig{JoinEpoch: 0, MovedFrac: 200}}, c
+		return Scenario{Join: &JoinConfig{JoinEpoch: 0, MovedFrac: 200}}
 	case "planned":
-		return Scenario{Plan: &PlanConfig{}}, c
+		return Scenario{Plan: &PlanConfig{}}
 	case "planned-admission":
-		return Scenario{Plan: &PlanConfig{AdmissionBytes: 64 << 20}}, c
+		return Scenario{Plan: &PlanConfig{AdmissionBytes: 64 << 20}}
 	case "kill-survivor":
-		return Scenario{Rank: 0, Kill: &ChaosConfig{KillRank: 3, KillEpoch: 1, K: 6, M: 2}}, c
+		return Scenario{Rank: 0, Kill: &ChaosConfig{KillRank: 3, KillEpoch: 1, K: 6, M: 2}}
 	case "kill-victim":
-		return Scenario{Rank: 3, Kill: &ChaosConfig{KillRank: 3, KillEpoch: 1, K: 6, M: 2}}, c
+		return Scenario{Rank: 3, Kill: &ChaosConfig{KillRank: 3, KillEpoch: 1, K: 6, M: 2}}
 	case "kill-at-0": // default geometry
-		return Scenario{Rank: 1, Kill: &ChaosConfig{KillRank: 0, KillEpoch: 0}}, c
+		return Scenario{Rank: 1, Kill: &ChaosConfig{KillRank: 0, KillEpoch: 0}}
 	case "fidelity":
-		return Scenario{Fidelity: &FidelitySim{BaseEpochs: 2, BaseFrac: 0.4, Level: 1, Layers: 4}}, c
-	case "tuned-cpu":
-		return Scenario{Tune: &TuneSim{Cores: 8, RTT: 200 * time.Microsecond, BurstPerItem: time.Microsecond, DecodeWorkers: 1, BatchItems: 64}}, c
-	case "tuned-net":
-		c.DecompressPerFile = 10 * time.Microsecond
-		return Scenario{Tune: &TuneSim{Cores: 8, RTT: 2 * time.Millisecond, BurstPerItem: 20 * time.Microsecond, DecodeWorkers: 8, BatchItems: 4}}, c
+		return Scenario{Fidelity: &FidelitySim{BaseEpochs: 2, BaseFrac: 0.4, Level: 1, Layers: 4}}
 	}
 	panic("parity table names an unknown scenario: " + name)
 }
@@ -125,17 +114,6 @@ func textLines(s string) []string {
 	return strings.Split(strings.TrimRight(s, "\n"), "\n")
 }
 
-func tunedLine(r TunedResult) string {
-	durs := make([]int64, len(r.EpochDurs))
-	for i, d := range r.EpochDurs {
-		durs[i] = int64(d)
-	}
-	return fmt.Sprintf("wall=%d static=%d best=%d final_epoch=%d best_epoch=%d best=%d/%d final=%d/%d moves=%d reverts=%d durs=%v workers=%v batch=%v",
-		int64(r.Wall), int64(r.StaticWall), int64(r.BestWall), int64(r.FinalEpoch), int64(r.BestEpoch),
-		r.BestWorkers, r.BestBatch, r.FinalWorkers, r.FinalBatch, r.Moves, r.Reverts,
-		durs, r.WorkersTrace, r.BatchTrace)
-}
-
 func loadParity(t *testing.T) parityTable {
 	t.Helper()
 	raw, err := os.ReadFile("testdata/replay_parity.json")
@@ -146,40 +124,25 @@ func loadParity(t *testing.T) parityTable {
 	if err := json.Unmarshal(raw, &tab); err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Cases) != 99 {
-		t.Fatalf("parity table has %d rows, want 99 (11 scenarios x 3 configs x 3 skews)", len(tab.Cases))
+	if len(tab.Cases) != 81 {
+		t.Fatalf("parity table has %d rows, want 81 (9 scenarios x 3 configs x 3 skews)", len(tab.Cases))
 	}
 	return tab
 }
 
 func TestReplayParityWithForks(t *testing.T) {
 	tab := loadParity(t)
-	exempt := 0
 	for _, pc := range tab.Cases {
 		pc := pc
-		tuned := strings.HasPrefix(pc.Scenario, "tuned")
-		if tuned && pc.Skew != 1 {
-			exempt++ // exemption 1: the fork skewed compute
-			continue
-		}
 		t.Run(fmt.Sprintf("%s/%s/skew%v", pc.Scenario, pc.Config, pc.Skew), func(t *testing.T) {
-			sc, cfg := parityScenario(pc.Scenario, parityConfig(pc.Config))
-			epochs := tab.Epochs
-			if tuned {
-				epochs = tab.TunedEpochs
-			}
+			sc, cfg := parityScenario(pc.Scenario), parityConfig(pc.Config)
 			reg := metrics.NewRegistry()
 			tr := trace.NewSynthetic(0, 0)
 			rp := cfg.NewReplay(tab.DataSize, sc, SimObserver{Tracer: tr, Metrics: reg, Skew: pc.Skew})
-			if wall := rp.Run(epochs); int64(wall) != pc.WallNS {
+			if wall := rp.Run(tab.Epochs); int64(wall) != pc.WallNS {
 				t.Errorf("wall %d ns, fork replayed %d ns", int64(wall), pc.WallNS)
 			}
-			if tuned {
-				if got := tunedLine(rp.Tuned()); got != pc.Tuned {
-					t.Errorf("scorecard\n got %s\nwant %s", got, pc.Tuned)
-				}
-			}
-			if wall := cfg.NewReplay(tab.DataSize, sc, SimObserver{Skew: pc.Skew}).Run(epochs); int64(wall) != pc.NilNS {
+			if wall := cfg.NewReplay(tab.DataSize, sc, SimObserver{Skew: pc.Skew}).Run(tab.Epochs); int64(wall) != pc.NilNS {
 				t.Errorf("nil-sink wall %d ns, fork replayed %d ns", int64(wall), pc.NilNS)
 			}
 			if got := spanLines(tr); !reflect.DeepEqual(got, pc.Spans) {
@@ -187,7 +150,7 @@ func TestReplayParityWithForks(t *testing.T) {
 			}
 			got := textLines(reg.Snapshot().Text())
 			if sc.Join != nil {
-				// Exemption 2: the join's pending gauge is new.
+				// The exemption: the join's pending gauge is new.
 				kept := got[:0]
 				for _, line := range got {
 					if line != "gauge rebalance.partitions.pending 0 max 1" {
@@ -203,9 +166,6 @@ func TestReplayParityWithForks(t *testing.T) {
 				t.Errorf("registry\n got %s\nwant %s", strings.Join(got, "\n     "), strings.Join(pc.Registry, "\n     "))
 			}
 		})
-	}
-	if exempt != 12 {
-		t.Errorf("%d rows exempted, want exactly the 12 tuned rows at Skew != 1", exempt)
 	}
 }
 

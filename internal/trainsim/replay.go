@@ -21,10 +21,10 @@ type SimObserver struct {
 
 // Scenario is what happens to a replayed run beyond the plain epoch
 // loop. Every part is optional and independent of the others: a rank
-// loss during a fidelity warm-up with the tuner on is one Scenario with
-// three parts set. Each part emits the live store's instruments for what
-// it simulates, so the cluster report renders a simulated run like a
-// real one.
+// loss during a fidelity warm-up with the plan's cold fill priced is one
+// Scenario with three parts set. Each part emits the live store's
+// instruments for what it simulates, so the cluster report renders a
+// simulated run like a real one.
 type Scenario struct {
 	// Rank is the rank this replay stands for (one Replay per rank, like
 	// one node per rank). Only Kill reads it.
@@ -33,7 +33,6 @@ type Scenario struct {
 	Join     *JoinConfig
 	Kill     *ChaosConfig
 	Fidelity *FidelitySim
-	Tune     *TuneSim // tuned.go
 }
 
 // PlanConfig prices the epoch-plan scheduler's cold fill: an async
@@ -116,7 +115,6 @@ type Replay struct {
 	mapVersion int64       // a static map is version 1; every commit adds one
 	scattered  bool        // data spread over all members: RemoteFrac follows (N-1)/N
 	fid        FidelitySim // defaults applied; zero when off
-	tuner      *tuner      // Tune only
 }
 
 // NewReplay starts a replay of c over dataSize files. With the zero
@@ -126,13 +124,6 @@ func (c Config) NewReplay(dataSize int, sc Scenario, obs SimObserver) *Replay {
 	r := &Replay{cfg: c, dataSize: dataSize, sc: sc, obs: obs, mapVersion: 1, scattered: c.RemoteFrac > 0}
 	if obs.Skew <= 0 {
 		r.obs.Skew = 1
-	}
-	if sc.Tune != nil {
-		if r.obs.Metrics == nil {
-			// The controller reads its signals from a registry.
-			r.obs.Metrics = metrics.NewRegistry()
-		}
-		r.tuner = newTuner(*sc.Tune, r.obs.Metrics)
 	}
 	if sc.Plan != nil {
 		remote := int64(float64(c.App.FileSizeBytes()) * c.RemoteFrac * float64(dataSize) / float64(c.Nodes))
@@ -193,9 +184,6 @@ func (r *Replay) Epoch() bool {
 		cfg.DecompressPerFile = time.Duration(float64(cfg.DecompressPerFile) * r.fid.BaseFrac)
 	}
 	iters := NumIters(1, r.dataSize, cfg.App.CBatch*cfg.Nodes)
-	if r.tuner != nil && iters < 1 {
-		iters = 1 // the controller's clock must advance every epoch
-	}
 
 	var degraded time.Duration // per-iteration reconstruction cost of a kill epoch
 	if killed {
@@ -209,19 +197,13 @@ func (r *Replay) Epoch() bool {
 	// One epoch at a raw I/O term: skew multiplies I/O only, a degraded
 	// read adds to it, §VI-A composes it with compute, and the plan's
 	// cold fill is one more round of it before overlap primes.
-	epochAt := func(rawIO time.Duration) (iter, fill, dur time.Duration) {
-		io := time.Duration(float64(rawIO)*r.obs.Skew) + degraded
-		iter = cfg.iterTime(io)
-		if sc.Plan != nil && !cfg.App.Sync {
-			fill = io
-		}
-		return iter, fill, fill + time.Duration(iters)*iter
+	io := time.Duration(float64(cfg.IOTime())*r.obs.Skew) + degraded
+	iter := cfg.iterTime(io)
+	var fill time.Duration
+	if sc.Plan != nil && !cfg.App.Sync {
+		fill = io
 	}
-	rawIO := cfg.IOTime()
-	if r.tuner != nil {
-		rawIO = r.tuner.epoch(cfg, iters, epochAt)
-	}
-	iter, fill, dur := epochAt(rawIO)
+	dur := fill + time.Duration(iters)*iter
 	stall := fill + time.Duration(iters)*(iter-cfg.ComputeTime())
 
 	// The wait/compute split is aggregated per epoch (one span each) so
@@ -290,9 +272,6 @@ func (r *Replay) Epoch() bool {
 	}
 	if joined {
 		r.resize(+1)
-	}
-	if r.tuner != nil {
-		r.tuner.ctrl.Tick(time.Unix(0, 0).Add(r.now))
 	}
 	r.epoch++
 	return true

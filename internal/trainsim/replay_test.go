@@ -346,8 +346,8 @@ func TestTraceEpochsFidelitySchedule(t *testing.T) {
 
 // TestComposedScenario runs what no single fork could: on 4 ranks, rank
 // 3 dies at epoch 1 of a fidelity warm-up (base epochs 0-1) with the
-// plan's cold fill priced and the tuner in the loop — one Replay per rank,
-// every part's instruments in one registry.
+// plan's cold fill priced — one Replay per rank, every part's
+// instruments in one registry.
 func TestComposedScenario(t *testing.T) {
 	cfg := Config{
 		App: cluster.SRGANonGTX, Clust: cluster.GTX, Nodes: 4,
@@ -366,8 +366,6 @@ func TestComposedScenario(t *testing.T) {
 
 	for rank := 0; rank < 4; rank++ {
 		sc := scenario(rank)
-		_, ts := cpuBoundConfig()
-		sc.Tune = &ts
 		reg := metrics.NewRegistry()
 		tr := trace.NewSynthetic(rank, 1<<10)
 		rp := cfg.NewReplay(dataSize, sc, SimObserver{Tracer: tr, Metrics: reg})
@@ -400,7 +398,6 @@ func TestComposedScenario(t *testing.T) {
 			"trainsim.iters", "trainsim.plan.staged.bytes", // engine, Plan
 			"ec.degraded.reads", "ec.repair.bytes", "rebalance.bytes.moved", // Kill
 			"fanstore.fetch.bytes.saved", // Fidelity
-			"tune.ticks",                 // Tune
 		} {
 			if snap.Counters[name] <= 0 {
 				t.Errorf("rank %d: counter %s = %d, want > 0", rank, name, snap.Counters[name])
@@ -416,25 +413,16 @@ func TestComposedScenario(t *testing.T) {
 				t.Errorf("rank %d: histogram %s has %d observations, want %d", rank, name, got, want)
 			}
 		}
-		for _, name := range []string{"decomp.queue.wait.latency", "fanstore.fetch.latency"} {
-			if snap.Histograms[name].Count == 0 {
-				t.Errorf("rank %d: tuner signal %s never observed", rank, name)
-			}
-		}
 		if v := snap.Gauges["member.map.version"].Value; v != 3 {
 			t.Errorf("rank %d: map version %d, want 3 (dead-mark + repair)", rank, v)
 		}
 		if g := snap.Gauges["rebalance.partitions.pending"]; g.Value != 0 || g.Max != 1 {
 			t.Errorf("rank %d: pending gauge %+v, want 0 after a peak of 1", rank, g)
 		}
-		if res := rp.Tuned(); res.Wall != wall || len(res.EpochDurs) != epochs {
-			t.Errorf("rank %d: scorecard wall %v over %d epochs, replay %v over %d", rank, res.Wall, len(res.EpochDurs), wall, epochs)
-		}
 	}
 
-	// With the controller's path not a variable: losing a rank never
-	// shortens a survivor's run, and the victim ran exactly its one
-	// pre-crash base-fidelity epoch.
+	// Losing a rank never shortens a survivor's run, and the victim ran
+	// exactly its one pre-crash base-fidelity epoch.
 	killed := cfg.NewReplay(dataSize, scenario(0), SimObserver{}).Run(epochs)
 	healthy := scenario(0)
 	healthy.Kill = nil
