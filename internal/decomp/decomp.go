@@ -61,7 +61,6 @@ type Pool struct {
 	// synchronous path allocation-free.
 	waiters sync.Pool
 
-	depth    *metrics.Gauge     // queued jobs not yet picked up
 	waitHist *metrics.Histogram // queue wait: enqueue to worker pickup
 	jobs     *metrics.Counter
 	poolSize *metrics.Gauge // worker count
@@ -83,7 +82,6 @@ func New(workers int, reg *metrics.Registry) *Pool {
 		low:      make(chan job, depth),
 		stop:     make(chan struct{}),
 		nworkers: workers,
-		depth:    reg.Gauge("decomp.pool.depth"),
 		waitHist: reg.Histogram("decomp.queue.wait.latency"),
 		jobs:     reg.Counter("decomp.jobs"),
 		poolSize: reg.Gauge("decomp.pool.workers"),
@@ -133,7 +131,6 @@ func (p *Pool) Submit(pri Priority, wg *sync.WaitGroup, fn func(*codec.Scratch))
 	}
 	select {
 	case ch <- j:
-		p.depth.Inc()
 		p.submitting.Add(-1)
 	case <-p.stop:
 		p.submitting.Add(-1)
@@ -156,11 +153,10 @@ func (p *Pool) Run(pri Priority, fn func(*codec.Scratch)) {
 	p.waiters.Put(wg)
 }
 
-// exec runs one job. queued says whether it was counted into the depth
-// gauge (inline fallback jobs were not).
+// exec runs one job. queued says whether it waited in a queue (inline
+// fallback jobs did not), so its wait is observed.
 func (p *Pool) exec(j job, s *codec.Scratch, queued bool) {
 	if queued {
-		p.depth.Dec()
 		p.waitHist.Observe(time.Since(j.enq))
 	}
 	j.fn(s)

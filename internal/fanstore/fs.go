@@ -47,11 +47,8 @@ func (n *Node) Open(path string) (*File, error) {
 	tstart := n.tracer.Begin()
 	defer func() { n.openHist.Observe(time.Since(start)) }()
 	cp := cleanPath(path)
-	n.mu.RLock()
-	m, ok := n.meta[cp]
-	isDir := n.dirs.isDir(cp)
-	n.mu.RUnlock()
-	if !ok {
+	m, isDir := n.lookup(cp)
+	if m == nil {
 		n.tracer.End(trace.OpOpen, cp, trace.OutcomeError, tstart)
 		if isDir {
 			return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
@@ -260,18 +257,40 @@ func (n *Node) metaHome(path string) int {
 }
 
 // Stat returns file attributes from the in-RAM table — no network or
-// shared-filesystem traffic (§IV-C2).
+// shared-filesystem traffic (§IV-C2), except the one lookup a path this
+// node does not know costs (see lookup).
 func (n *Node) Stat(path string) (Info, error) {
 	cp := cleanPath(path)
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if m, ok := n.meta[cp]; ok {
+	m, isDir := n.lookup(cp)
+	switch {
+	case m != nil:
 		return Info{Path: cp, Size: m.Size, Mode: m.Mode, MTime: m.MTime}, nil
-	}
-	if n.dirs.isDir(cp) {
+	case isDir:
 		return Info{Path: cp, Mode: 0o755, IsDir: true}, nil
 	}
 	return Info{}, fmt.Errorf("%w: %s", ErrNotExist, path)
+}
+
+// lookup finds the record of a clean path, or reports it a directory. A
+// path this node knows neither way may be a file another rank wrote: its
+// record went to the writer's table and to metaHome(path) only. So a miss
+// asks that home once (opMetaSync) when it is another rank, and installs
+// what it answers — the next lookup is local. Directory listings never
+// ask: ReadDir and LatestCheckpoint answer from this node's table.
+func (n *Node) lookup(cp string) (m *FileMeta, isDir bool) {
+	n.mu.RLock()
+	m, isDir = n.meta[cp], n.dirs.isDir(cp)
+	n.mu.RUnlock()
+	if m != nil || isDir || n.closed.Load() {
+		return m, isDir
+	}
+	if home := n.metaHome(cp); home == n.comm.Rank() || n.metaSync(home, cp) != nil {
+		return nil, false
+	}
+	n.mu.RLock()
+	m = n.meta[cp]
+	n.mu.RUnlock()
+	return m, false
 }
 
 // ReadDir lists a directory from the in-RAM index (§IV-C2's readdir).
@@ -291,11 +310,9 @@ func (n *Node) ReadDir(dir string) ([]DirEntry, error) {
 // ReadFile is the convenience read-everything path used by training
 // loaders: open, read, close.
 func (n *Node) ReadFile(path string) ([]byte, error) {
-	start := time.Now()
 	tstart := n.tracer.Begin()
 	f, err := n.Open(path)
 	if err != nil {
-		n.readHist.Observe(time.Since(start))
 		n.tracer.End(trace.OpRead, path, trace.OutcomeError, tstart)
 		return nil, err
 	}
@@ -303,7 +320,6 @@ func (n *Node) ReadFile(path string) ([]byte, error) {
 	out := make([]byte, len(f.data))
 	copy(out, f.data)
 	n.bytesRead.Add(int64(len(out)))
-	n.readHist.Observe(time.Since(start))
 	n.tracer.End(trace.OpRead, path, trace.OutcomeNone, tstart)
 	return out, nil
 }
@@ -322,16 +338,18 @@ func (n *Node) WriteFile(path string, data []byte) error {
 	return f.Close()
 }
 
-// serveWriteMeta accepts forwarded write metadata (§V-D).
+// serveWriteMeta accepts forwarded write metadata (§V-D) until its pill:
+// an empty frame from this node's own rank. A peer's empty frame is a
+// malformed one, like any other frame that does not decode.
 func (n *Node) serveWriteMeta() {
 	defer n.daemon.Done()
 	for {
-		data, _, err := n.comm.Recv(mpi.AnySource, tagWriteMeta)
+		data, src, err := n.comm.Recv(mpi.AnySource, tagWriteMeta)
 		if err != nil {
 			return
 		}
-		if len(data) == 0 {
-			return // poison pill
+		if len(data) == 0 && src == n.comm.Rank() {
+			return // pill from stop
 		}
 		metas, err := decodeMetas(data)
 		if err != nil {

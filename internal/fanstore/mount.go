@@ -36,7 +36,7 @@ import (
 // until this rank's mount has announced its objects, which happens after
 // they are loaded (static: both Allgathers follow the load; elastic: the
 // table is sent after every registration). It is what lets every exit
-// after newNode call stop without asking whether Serve ever ran.
+// after newNode call stop without asking whether the daemons ever ran.
 func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	// Validate before anything is started: past this block there is a
 	// decode pool and a worker pool to stop.
@@ -102,7 +102,6 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 		Metrics: reg,
 	})
 	n.daemon.Add(1)
-	go n.server.Serve()
 	go n.serveWriteMeta()
 	return n, nil
 }

@@ -156,11 +156,10 @@ func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 		fmt.Fprintf(w, "remote: %d B fetched  failovers=%d  batched fetches=%d\n", fetched, fo, batched)
 	}
 	// Gauge high-water marks merge by max: the cluster line shows the
-	// deepest queue and the busiest pool any rank saw.
+	// busiest pool any rank saw.
 	if served, nf, errs, calls := c("rpc.server.served"), c("rpc.server.notfound"), c("rpc.server.errors"), c("rpc.client.calls"); served+nf+errs+calls > 0 {
-		fmt.Fprintf(w, "rpc: served=%d not-found=%d errors=%d  peak in-service=%d peak queue=%d  calls=%d retries=%d timeouts=%d\n",
-			served, nf, errs, s.Gauges["rpc.server.inservice"].Max, s.Gauges["rpc.server.queue"].Max,
-			calls, c("rpc.client.retries"), c("rpc.client.timeouts"))
+		fmt.Fprintf(w, "rpc: served=%d not-found=%d errors=%d  peak in-service=%d  calls=%d retries=%d timeouts=%d\n",
+			served, nf, errs, s.Gauges["rpc.server.inservice"].Max, calls, c("rpc.client.retries"), c("rpc.client.timeouts"))
 	}
 	// Elastic clusters only (a static map stays at version 1): rebalance
 	// progress since mount. The map version gauge merges by max, so the

@@ -13,8 +13,8 @@
 //
 // The data path is layered:
 //
-//	routing   — fetchRemote picks among the owner and its replicas,
-//	            rotating for load spreading and failing over on error
+//	routing   — route walks the owner and its replicas, rotated for
+//	            load spreading; each fetch path applies its own failover
 //	transport — internal/rpc: framed request/response over mpi.Comm,
 //	            answered concurrently by a bounded daemon worker pool
 //	cache     — the ref-counted decompressed pool (cache.go)
@@ -31,6 +31,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,7 +359,6 @@ type Node struct {
 	openHist       *metrics.Histogram // whole open(): lookup + fetch + decompress
 	fetchHist      *metrics.Histogram // remote fetch round trips only
 	decompressHist *metrics.Histogram // codec time per decompressed object
-	readHist       *metrics.Histogram // whole-file reads (ReadFile)
 	fidelityHist   *metrics.Histogram // layers decoded per layered decode (µs = level)
 }
 
@@ -382,7 +382,6 @@ func (n *Node) instrument() {
 	n.openHist = n.reg.Histogram("fanstore.open.latency")
 	n.fetchHist = n.reg.Histogram("fanstore.fetch.latency")
 	n.decompressHist = n.reg.Histogram("fanstore.decompress.latency")
-	n.readHist = n.reg.Histogram("fanstore.read.latency")
 	// The fidelity histogram abuses the duration scale as a unitless one:
 	// each layered decode observes its decoded layer count as that many
 	// microseconds, so Snapshot.Sum/Count recovers the mean level.
@@ -741,54 +740,114 @@ func (n *Node) handleFetchRange(body []byte) ([]byte, error) {
 	return append(resp, data[off:end]...), nil
 }
 
-// fetchCandidates lists the node IDs that can serve m's compressed
-// object, owner first, excluding this node. IDs, not ranks: the caller
-// resolves each through the cluster-map view at dial time, so routing
-// survives rank reassignment between a meta read and the fetch.
-func (n *Node) fetchCandidates(m *FileMeta) []member.NodeID {
-	cands := make([]member.NodeID, 0, 1+len(m.Replicas))
+// route is one fetch's walk over the nodes that can serve a record's
+// object: its owner and replicas other than this node, as node IDs in
+// try order, rotated once (the node's one routeSeq read) so load spreads
+// across them. IDs, not ranks: each is resolved through the cluster-map
+// view when it is tried, so a walk survives rank reassignment between
+// the record read and the fetch. The walk is shared; what to do about a
+// failed candidate is each caller's policy, on the verdict of classify.
+type route struct {
+	ids   []member.NodeID
+	tried int
+}
+
+// route starts the walk for m.
+func (n *Node) route(m *FileMeta) route {
+	ids := make([]member.NodeID, 0, 1+len(m.Replicas))
 	self := int32(n.selfID)
 	if m.Owner != self {
-		cands = append(cands, member.NodeID(m.Owner))
+		ids = append(ids, member.NodeID(m.Owner))
 	}
 	for _, r := range m.Replicas {
 		if r != self && r != m.Owner {
-			cands = append(cands, member.NodeID(r))
+			ids = append(ids, member.NodeID(r))
 		}
 	}
-	return cands
+	if len(ids) > 0 {
+		k := int(n.routeSeq.Add(1)) % len(ids) // rotate left by k, in place
+		slices.Reverse(ids[:k])
+		slices.Reverse(ids[k:])
+		slices.Reverse(ids)
+	}
+	return route{ids: ids}
 }
 
-// refreshRoutes is the stale-map recovery path: one call to the
-// coordinator, whose map and table are authoritative after a commit,
-// for the cluster map and the one record this fetch needs; it returns
-// the refreshed record for re-resolution. Static mounts have nothing to
-// refresh and return nil; the coordinator's own record is the answer.
+// more reports whether a candidate is left untried.
+func (r *route) more() bool { return r.tried < len(r.ids) }
+
+// next takes the next candidate and resolves it through view: its ID,
+// and its rank or the view's stale-map error when the map does not know
+// it alive.
+func (r *route) next(view *member.View) (member.NodeID, int, error) {
+	id := r.ids[r.tried]
+	r.tried++
+	dst, err := view.Resolve(id)
+	return id, dst, err
+}
+
+// verdict is what a failed candidate says about the rest of a walk.
+type verdict uint8
+
+const (
+	failover  verdict = iota // the peer errored; the next candidate may serve
+	staleMap                 // the route predates the map: a refresh, not a failover, fixes it
+	notFound                 // the peer answered it holds no such object
+	worldDown                // the world aborted: no candidate can answer
+)
+
+// classify gives a failed candidate — unresolvable, or its call errored —
+// its verdict.
+func classify(err error) verdict {
+	switch {
+	case errors.Is(err, mpi.ErrAborted):
+		return worldDown
+	case errors.Is(err, rpc.ErrStale), errors.Is(err, member.ErrStaleMap):
+		return staleMap
+	case errors.Is(err, rpc.ErrNotFound):
+		return notFound
+	}
+	return failover
+}
+
+// refreshRoutes is the stale-map recovery path: one metaSync with the
+// coordinator, whose map and table are authoritative after a commit; it
+// returns the refreshed record for re-resolution. Static mounts have
+// nothing to refresh and return nil; the coordinator's own record is the
+// answer.
 func (n *Node) refreshRoutes(path string) *FileMeta {
 	if n.ectrl == nil {
 		return nil
 	}
 	n.mapRefreshes.Inc()
-	if n.ectrl.coord == nil {
-		req := make([]byte, 1, 1+len(path))
-		req[0] = opMetaSync
-		resp, err := n.client.Call(n.ectrl.coordRank, append(req, path...))
-		if err != nil {
-			return nil
-		}
-		cm, metas, err := decodeMetaSync(resp)
-		if err != nil {
-			return nil
-		}
-		n.installMap(cm)
-		if len(metas) == 1 {
-			n.addMeta(metas[0])
-		}
+	if n.ectrl.coord == nil && n.metaSync(n.ectrl.coordRank, path) != nil {
+		return nil
 	}
 	n.mu.RLock()
 	m := n.meta[cleanPath(path)]
 	n.mu.RUnlock()
 	return m
+}
+
+// metaSync asks rank for the cluster map and its record of path
+// (opMetaSync) and installs both: the map if it is newer, the record if
+// the rank has one.
+func (n *Node) metaSync(rank int, path string) error {
+	req := make([]byte, 1, 1+len(path))
+	req[0] = opMetaSync
+	resp, err := n.client.Call(rank, append(req, path...))
+	if err != nil {
+		return err
+	}
+	cm, metas, err := decodeMetaSync(resp)
+	if err != nil {
+		return err
+	}
+	n.installMap(cm)
+	if len(metas) == 1 {
+		n.addMeta(metas[0])
+	}
+	return nil
 }
 
 // installMap publishes a newer cluster map to this node's view,
@@ -841,47 +900,38 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 	aborted := false
 	allNotFound := false
 	for {
-		cands := n.fetchCandidates(m)
-		if len(cands) == 0 {
+		r := n.route(m)
+		if !r.more() {
 			lastErr = fmt.Errorf("no remote node serves %q", path)
 			break
 		}
-		first := int(n.routeSeq.Add(1)) % len(cands)
 		stale := false
 		attempts, misses := 0, 0
-		for i := 0; i < len(cands); i++ {
-			id := cands[(first+i)%len(cands)]
-			dst, err := n.view.Resolve(id)
-			if err != nil {
-				// The meta names a node this map doesn't know (or knows
-				// dead): the record and the map disagree — refresh.
-				lastErr = err
-				stale = true
-				continue
-			}
-			attempts++
-			resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), []string{path}, []uint8{level}))
+		for r.more() && !aborted {
+			id, dst, err := r.next(n.view)
 			if err == nil {
-				items, derr := rpc.DecodeItems(resp)
-				if derr != nil || len(items) != 1 || items[0].Status != rpc.ItemOK || len(items[0].Payload) < 2 {
-					lastErr = fmt.Errorf("rank %d sent a malformed object frame", dst)
-					continue
+				attempts++
+				var resp []byte
+				if resp, err = n.client.Call(dst, encodeFetch(n.view.Version(), []string{path}, []uint8{level})); err == nil {
+					items, derr := rpc.DecodeItems(resp)
+					if derr == nil && len(items) == 1 && items[0].Status == rpc.ItemOK && len(items[0].Payload) >= 2 {
+						obj := items[0].Payload
+						n.remoteBytes.Add(int64(len(obj)))
+						n.creditBytesSaved(m, int64(len(obj)-2))
+						return binary.LittleEndian.Uint16(obj), obj[2:], resp, outcome, nil
+					}
+					err = fmt.Errorf("rank %d sent a malformed object frame", dst)
 				}
-				obj := items[0].Payload
-				n.remoteBytes.Add(int64(len(obj)))
-				n.creditBytesSaved(m, int64(len(obj)-2))
-				return binary.LittleEndian.Uint16(obj), obj[2:], resp, outcome, nil
 			}
 			lastErr = err
-			if errors.Is(err, mpi.ErrAborted) {
+			switch classify(err) {
+			case worldDown:
 				aborted = true
-				break // the world is gone; no candidate can answer
-			}
-			if errors.Is(err, rpc.ErrStale) {
+			case staleMap:
+				// The record and the map disagree: an unresolvable ID, or
+				// a version-mismatch answer. A refresh fixes it.
 				stale = true
-				continue // a refresh, not a failover, fixes this
-			}
-			if errors.Is(err, rpc.ErrNotFound) {
+			case notFound:
 				misses++
 				// Even a version-matched miss can be a commit race: map
 				// and meta land in separate steps, so this node may have
@@ -892,14 +942,14 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 				// every candidate still answering not-found is the object
 				// declared vanished.
 				stale = true
-				continue
-			}
-			if i+1 < len(cands) {
-				n.failovers.Inc()
-				outcome = trace.OutcomeFailover
-				if n.events.Enabled() {
-					n.events.Emitf(obs.EvFailover, obs.SevWarn,
-						"fetch %q: node %d errored (%v), failing over", path, id, err)
+			case failover:
+				if r.more() {
+					n.failovers.Inc()
+					outcome = trace.OutcomeFailover
+					if n.events.Enabled() {
+						n.events.Emitf(obs.EvFailover, obs.SevWarn,
+							"fetch %q: node %d errored (%v), failing over", path, id, err)
+					}
 				}
 			}
 		}
@@ -957,56 +1007,50 @@ func (n *Node) creditBytesSaved(m *FileMeta, fetched int64) {
 
 // fetchRemoteRange pulls payload bytes [off, off+length) of m's layered
 // container — the refinement extents an upgrade is missing. It walks the
-// same rotated candidate list as fetchRemote but without the stale-map
-// recovery loop: an upgrade is an opportunistic fast path, so any failure
-// just returns and the caller falls back to a whole budgeted fetch (which
-// owns refresh and failover).
+// route once, without the stale-map recovery loop: an upgrade is an
+// opportunistic fast path, so any failure just returns and the caller
+// falls back to a whole budgeted fetch (which owns refresh and failover).
 func (n *Node) fetchRemoteRange(m *FileMeta, off int64, length int) ([]byte, error) {
-	cands := n.fetchCandidates(m)
-	if len(cands) == 0 {
+	r := n.route(m)
+	if !r.more() {
 		return nil, fmt.Errorf("fanstore: no remote node serves %q", m.Path)
 	}
-	first := int(n.routeSeq.Add(1)) % len(cands)
+	req := make([]byte, 13, 13+len(m.Path))
+	req[0] = opFetchRange
+	binary.LittleEndian.PutUint64(req[1:], uint64(off))
+	binary.LittleEndian.PutUint32(req[9:], uint32(length))
+	req = append(req, m.Path...)
 	var lastErr error
-	for i := 0; i < len(cands); i++ {
-		dst, err := n.view.Resolve(cands[(first+i)%len(cands)])
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		req := make([]byte, 13, 13+len(m.Path))
-		req[0] = opFetchRange
-		binary.LittleEndian.PutUint64(req[1:], uint64(off))
-		binary.LittleEndian.PutUint32(req[9:], uint32(length))
-		resp, err := n.client.Call(dst, append(req, m.Path...))
-		if err != nil {
-			lastErr = err
-			if errors.Is(err, mpi.ErrAborted) {
-				break
+	for r.more() {
+		_, dst, err := r.next(n.view)
+		if err == nil {
+			var resp []byte
+			if resp, err = n.client.Call(dst, req); err == nil {
+				if len(resp) == length {
+					n.remoteBytes.Add(int64(len(resp)))
+					return resp, nil
+				}
+				err = fmt.Errorf("fanstore: range fetch of %q returned %d bytes, want %d", m.Path, len(resp), length)
 			}
-			continue
 		}
-		if len(resp) != length {
-			lastErr = fmt.Errorf("fanstore: range fetch of %q returned %d bytes, want %d", m.Path, len(resp), length)
-			continue
+		lastErr = err
+		if classify(err) == worldDown {
+			break
 		}
-		n.remoteBytes.Add(int64(len(resp)))
-		return resp, nil
 	}
 	return nil, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
 }
 
 // prefetchTarget is one not-yet-staged remote object being walked
-// through its candidate ranks by Prefetch. The target's flight (the
-// prefetch is its leader) is finished nil as soon as the object is
-// staged, or with errFlightAbandoned when every replica failed — so a
-// demand open racing the window either shares the staged entry or
-// falls back to its own fetch, never an error from a best-effort path.
+// along its route by Prefetch. The target's flight (the prefetch is its
+// leader) is finished nil as soon as the object is staged, or with
+// errFlightAbandoned when every candidate failed — so a demand open
+// racing the window either shares the staged entry or falls back to its
+// own fetch, never an error from a best-effort path.
 type prefetchTarget struct {
 	m      *FileMeta
 	flight *flight
-	cands  []member.NodeID // candidate node IDs in try order
-	next   int             // index into cands of the node to ask next
+	route  route
 }
 
 // Prefetch stages an upcoming access window (the sampler's next
@@ -1056,8 +1100,8 @@ func (n *Node) Prefetch(paths []string) int {
 			n.prefetchSuppressed.Inc()
 			continue
 		}
-		cands := n.fetchCandidates(m)
-		if len(cands) == 0 {
+		r := n.route(m)
+		if !r.more() {
 			continue
 		}
 		f, leader := n.beginFlight(cp)
@@ -1067,61 +1111,44 @@ func (n *Node) Prefetch(paths []string) int {
 			n.prefetchSuppressed.Inc()
 			continue
 		}
-		// Rotate the starting candidate like fetchRemote does, so
-		// prefetch load also spreads across the owner and its replicas.
-		rot := int(n.routeSeq.Add(1)) % len(cands)
-		ordered := make([]member.NodeID, 0, len(cands))
-		for i := range cands {
-			ordered = append(ordered, cands[(rot+i)%len(cands)])
-		}
-		targets = append(targets, &prefetchTarget{m: m, flight: f, cands: ordered})
+		targets = append(targets, &prefetchTarget{m: m, flight: f, route: r})
 	}
-	// Round-based failover: each round groups the remaining targets by
-	// their next candidate and fetches the groups concurrently; targets
-	// a peer could not serve move to their next replica.
+	// Round-based failover: each round groups the remaining targets by the
+	// rank of their next candidate and fetches the groups concurrently;
+	// targets a peer could not serve move on to their next candidate in
+	// the round after. A candidate the view cannot resolve (it left, or
+	// the map is behind) is skipped — prefetch is best-effort; the demand
+	// path owns stale-map recovery.
 	staged := 0
 	for len(targets) > 0 {
-		groups := make(map[member.NodeID][]*prefetchTarget)
+		groups := make(map[int][]*prefetchTarget)
+	walk:
 		for _, t := range targets {
-			groups[t.cands[t.next]] = append(groups[t.cands[t.next]], t)
-		}
-		var mu sync.Mutex
-		var retry []*prefetchTarget
-		var wg sync.WaitGroup
-		for id, group := range groups {
-			// Resolve the group's node once per round. An unresolvable ID
-			// (it left, or the map is behind) just moves the group to its
-			// next replica — prefetch is best-effort; the demand path owns
-			// stale-map recovery.
-			dst, err := n.view.Resolve(id)
-			if err != nil {
-				mu.Lock()
-				retry = append(retry, group...)
-				mu.Unlock()
-				continue
+			for t.route.more() {
+				if _, dst, err := t.route.next(n.view); err == nil {
+					groups[dst] = append(groups[dst], t)
+					continue walk
+				}
 			}
+			// Every candidate failed: abandon the flight so waiting opens
+			// retry on demand rather than inheriting a best-effort failure.
+			n.finishFlight(t.m.Path, t.flight, errFlightAbandoned)
+		}
+		targets = targets[:0]
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for dst, group := range groups {
 			wg.Add(1)
 			go func(dst int, group []*prefetchTarget) {
 				defer wg.Done()
 				ok, failed := n.prefetchFrom(dst, group, level)
 				mu.Lock()
 				staged += ok
-				retry = append(retry, failed...)
+				targets = append(targets, failed...)
 				mu.Unlock()
 			}(dst, group)
 		}
 		wg.Wait()
-		targets = targets[:0]
-		for _, t := range retry {
-			if t.next++; t.next < len(t.cands) {
-				targets = append(targets, t)
-			} else {
-				// Every replica failed: abandon the flight so waiting
-				// opens retry on demand rather than inheriting a
-				// best-effort failure.
-				n.finishFlight(t.m.Path, t.flight, errFlightAbandoned)
-			}
-		}
 	}
 	return staged
 }

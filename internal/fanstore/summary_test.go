@@ -35,7 +35,7 @@ func TestWriteSummary(t *testing.T) {
 		reg.Counter(name).Add(v)
 	}
 	for name, v := range map[string]int64{
-		"rpc.server.inservice": 4, "rpc.server.queue": 6, "rebalance.partitions.pending": 2,
+		"rpc.server.inservice": 4, "rebalance.partitions.pending": 2,
 		"member.map.version": 5,
 	} {
 		reg.Gauge(name).Set(v)
@@ -60,7 +60,7 @@ decompress:  n=14 mean=50µs p50<=64µs p99<=64µs max<=64µs
 rpc service: n=12 mean=30µs p50<=32µs p99<=32µs max<=32µs
 cache: hit ratio 60.0%  evictions=3  prefetched opens=5 retained=4 refused=1
 remote: 4096 B fetched  failovers=1  batched fetches=2
-rpc: served=9 not-found=1 errors=2  peak in-service=4 peak queue=6  calls=8 retries=3 timeouts=1
+rpc: served=9 not-found=1 errors=2  peak in-service=4  calls=8 retries=3 timeouts=1
 rebalance: 1048576 B moved  pending=2  map version=5  stale-map refreshes=4
 fidelity: 2048 B saved  upgrades=7  mean level=2.00
 ec: degraded reads=17  reconstruct p99=4.096ms  repaired=8000000 B (4.0 MB/s)

@@ -215,7 +215,7 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fanstore.opens.local").Add(42)
 	r.Counter("fanstore.failovers")
-	g := r.Gauge("rpc.server.queue")
+	g := r.Gauge("rpc.server.inservice")
 	g.Set(4)
 	g.Set(1)
 	h := r.Histogram("fanstore.open.latency")
@@ -226,7 +226,7 @@ func TestExpositionGolden(t *testing.T) {
 
 	const golden = `counter fanstore.failovers 0
 counter fanstore.opens.local 42
-gauge rpc.server.queue 1 max 4
+gauge rpc.server.inservice 1 max 4
 histogram fanstore.open.latency count=4 sum_us=3030 mean_us=757 p50_us=16 p99_us=16 buckets=4:3,12:1
 `
 	if got := r.Snapshot().Text(); got != golden {

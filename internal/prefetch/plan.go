@@ -190,7 +190,6 @@ type Scheduler struct {
 	wg   sync.WaitGroup
 
 	planned *metrics.Counter // remote items in the plan
-	batches *metrics.Counter // Prefetch calls issued
 	staged  *metrics.Counter // objects the store reported staged
 	skipped *metrics.Counter // items dropped as already consumed
 	waits   *metrics.Counter // batches that waited on admission
@@ -218,7 +217,6 @@ func NewScheduler(store PlanStore, plan *Plan, opts SchedOptions) *Scheduler {
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		planned:  opts.Metrics.Counter("prefetch.plan.items"),
-		batches:  opts.Metrics.Counter("prefetch.plan.batches"),
 		staged:   opts.Metrics.Counter("prefetch.plan.staged"),
 		skipped:  opts.Metrics.Counter("prefetch.plan.skipped"),
 		waits:    opts.Metrics.Counter("prefetch.plan.admission.waits"),
@@ -273,7 +271,6 @@ func (s *Scheduler) run() {
 		if !s.admitted(batchBytes) {
 			return // stopped while waiting
 		}
-		s.batches.Inc()
 		s.staged.Add(int64(s.store.Prefetch(paths)))
 		if st := s.store.StagedBytes(); st > s.maxStage.Load() {
 			s.maxStage.Store(st)

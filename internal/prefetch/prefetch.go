@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"fanstore/internal/metrics"
 	"fanstore/internal/trace"
@@ -65,10 +64,9 @@ type Options struct {
 	// delivered iterations to it (Advance) and stops it on teardown.
 	// Nil leaves every remote file to be fetched on demand.
 	Scheduler *Scheduler
-	// Metrics registers the pipeline's instruments ("prefetch.*"):
-	// wait.latency is how long the consumer stalls in Next (I/O the
-	// pipeline failed to hide), batch.latency is worker time producing
-	// one batch. Nil leaves the instruments unregistered but live.
+	// Metrics registers the pipeline's instrument, prefetch.stalls: the
+	// Next calls that blocked (I/O the pipeline failed to hide). Nil
+	// leaves it unregistered but live.
 	Metrics *metrics.Registry
 	// Tracer records a span per consumer stall (OpWait) and per produced
 	// batch (OpCompute), so the trace timeline shows whether Equation 2
@@ -84,11 +82,8 @@ type Pipeline struct {
 	wg    sync.WaitGroup
 	sched *Scheduler // epoch-plan staging; nil fetches on demand
 
-	waitHist  *metrics.Histogram // consumer stall per Next that blocked
-	batchHist *metrics.Histogram // worker time per produced batch
-	batches   *metrics.Counter
-	stalls    *metrics.Counter
-	tracer    *trace.Tracer
+	stalls *metrics.Counter // Next calls that blocked
+	tracer *trace.Tracer
 }
 
 type result struct {
@@ -110,14 +105,11 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 		depth = 2
 	}
 	p := &Pipeline{
-		out:       make(chan result, depth),
-		stop:      make(chan struct{}),
-		sched:     opts.Scheduler,
-		waitHist:  opts.Metrics.Histogram("prefetch.wait.latency"),
-		batchHist: opts.Metrics.Histogram("prefetch.batch.latency"),
-		batches:   opts.Metrics.Counter("prefetch.batches"),
-		stalls:    opts.Metrics.Counter("prefetch.stalls"),
-		tracer:    opts.Tracer,
+		out:    make(chan result, depth),
+		stop:   make(chan struct{}),
+		sched:  opts.Scheduler,
+		stalls: opts.Metrics.Counter("prefetch.stalls"),
+		tracer: opts.Tracer,
 	}
 
 	// The sequencer hands iteration indices to workers; a reorder stage
@@ -152,7 +144,6 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 		go func() {
 			defer workerWG.Done()
 			for j := range jobs {
-				start := time.Now()
 				tstart := p.tracer.Begin()
 				b := Batch{Index: j.index, Paths: j.paths, Data: make([][]byte, 0, len(j.paths))}
 				var err error
@@ -164,8 +155,6 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 					}
 					b.Data = append(b.Data, data)
 				}
-				p.batchHist.Observe(time.Since(start))
-				p.batches.Inc()
 				outcome := trace.OutcomeNone
 				if err != nil {
 					outcome = trace.OutcomeError
@@ -238,14 +227,10 @@ func (p *Pipeline) Next() (Batch, bool, error) {
 	}
 	// The fast path missed: the consumer is about to stall on I/O the
 	// pipeline did not hide. Only this blocking portion counts as wait,
-	// so wait.latency measures stalls, not queue polls.
-	start := time.Now()
+	// so the OpWait span measures stalls, not queue polls.
 	tstart := p.tracer.Begin()
 	p.stalls.Inc()
-	defer func() {
-		p.waitHist.Observe(time.Since(start))
-		p.tracer.End(trace.OpWait, "", trace.OutcomeNone, tstart)
-	}()
+	defer p.tracer.End(trace.OpWait, "", trace.OutcomeNone, tstart)
 	select {
 	case r, ok := <-p.out:
 		if !ok {

@@ -5,14 +5,18 @@
 //
 // A Server answers requests concurrently through a bounded worker pool,
 // so one slow handler (a spill read, a large response copy) does not
-// head-of-line-block every waiting rank. A Client issues calls with
-// per-attempt deadlines and retries, allocating a unique response
-// tag per attempt so late replies can never be mismatched; a reply that
-// comes after its attempt timed out is discarded on arrival.
+// head-of-line-block every waiting rank. There is no dispatcher: each
+// worker receives from the mailbox itself, so a request crosses one
+// goroutine hand-off on the server. A shutdown pill is an empty frame
+// from the server's own rank, one per worker; a peer's empty frame is a
+// malformed request and is dropped. A Client issues calls with per-attempt
+// deadlines and retries, allocating a unique response tag per attempt so
+// late replies can never be mismatched; a reply that comes after its
+// attempt timed out is discarded on arrival.
 //
 // Wire format. Request frame, sent to the server's request tag:
 //
-//	u32 respTag | payload          (len == 0 is the shutdown pill)
+//	u32 respTag | payload          (len == 0 from the own rank: a pill)
 //
 // Response frame, sent back on respTag:
 //
@@ -92,55 +96,38 @@ type ServerOptions struct {
 	Metrics *metrics.Registry
 }
 
-// request is one dequeued unit of work. raw is the whole received
-// frame (payload aliases it); the worker recycles it after the reply.
-type request struct {
-	src     int
-	respTag int
-	payload []byte
-	raw     []byte
-}
-
-// Server answers requests on one tag of a communicator through a bounded
-// worker pool. Start it with Serve (usually in a goroutine); Stop unblocks
-// the receive loop and drains the pool. Its counters, gauges and service-
-// time histogram are registry instruments ("rpc.server.*").
+// Server answers requests on one tag of a communicator through a fixed
+// pool of workers, each receiving from the mailbox itself. Its counters,
+// gauge and service-time histogram are registry instruments
+// ("rpc.server.*").
 type Server struct {
 	comm    *mpi.Comm
 	tag     int
 	handler Handler
-	queue   chan request
-	wg      sync.WaitGroup // receive loop + workers
+	workers int
+	wg      sync.WaitGroup
 
 	served, notFound, errors *metrics.Counter
-	queueDepth, inService    *metrics.Gauge
+	inService                *metrics.Gauge
 	serviceHist              *metrics.Histogram // handler + reply time
 }
 
-// NewServer builds a server for tag on comm. Call Serve to start it.
+// NewServer builds a server for tag on comm and starts its workers.
 func NewServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Server {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers < 4 {
-			workers = 4
-		}
+		workers = max(runtime.GOMAXPROCS(0), 4)
 	}
-	// Requests accepted but not yet in service: a full queue
-	// backpressures the receive loop rather than growing without bound.
-	depth := max(4*workers, 16)
-	reg := opts.Metrics // nil hands out unregistered instruments
 	s := &Server{
 		comm:        comm,
 		tag:         tag,
 		handler:     handler,
-		queue:       make(chan request, depth),
-		served:      reg.Counter("rpc.server.served"),
-		notFound:    reg.Counter("rpc.server.notfound"),
-		errors:      reg.Counter("rpc.server.errors"),
-		queueDepth:  reg.Gauge("rpc.server.queue"),
-		inService:   reg.Gauge("rpc.server.inservice"),
-		serviceHist: reg.Histogram("rpc.server.service.latency"),
+		workers:     workers,
+		served:      opts.Metrics.Counter("rpc.server.served"),
+		notFound:    opts.Metrics.Counter("rpc.server.notfound"),
+		errors:      opts.Metrics.Counter("rpc.server.errors"),
+		inService:   opts.Metrics.Gauge("rpc.server.inservice"),
+		serviceHist: opts.Metrics.Histogram("rpc.server.service.latency"),
 	}
 	s.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -149,41 +136,30 @@ func NewServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Se
 	return s
 }
 
-// Serve receives requests until the world aborts or a shutdown pill
-// (empty frame) arrives, then drains and stops the worker pool. It is
-// the replacement for the store's old serial serve loop: requests are
-// only parsed here; all handler work happens on the pool.
-func (s *Server) Serve() {
-	defer func() {
-		close(s.queue)
-		s.wg.Wait()
-	}()
+// Serve blocks until every worker has taken its pill or the world has
+// aborted. The workers run from NewServer on; Serve only waits for them.
+func (s *Server) Serve() { s.wg.Wait() }
+
+// worker answers requests until it takes a pill or the world aborts. A
+// peer's frame shorter than the header, an empty one included, has no
+// tag to answer on and is dropped.
+func (s *Server) worker() {
+	defer s.wg.Done()
 	for {
 		data, src, err := s.comm.Recv(mpi.AnySource, s.tag)
 		if err != nil {
 			return // world aborted or transport closed
 		}
-		if len(data) == 0 {
-			return // shutdown pill from Stop
-		}
 		if len(data) < 4 {
-			continue // malformed frame; nothing to even reply to
+			if len(data) == 0 && src == s.comm.Rank() {
+				return // pill from Stop
+			}
+			continue
 		}
-		respTag := int(binary.LittleEndian.Uint32(data))
-		s.queueDepth.Inc()
-		s.queue <- request{src: src, respTag: respTag, payload: data[4:], raw: data}
-	}
-}
-
-// worker services queued requests until the queue closes.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for req := range s.queue {
-		s.queueDepth.Dec()
 		s.inService.Inc()
 		start := time.Now()
-		s.answer(req)
-		decomp.PutBuf(req.raw)
+		s.answer(src, int(binary.LittleEndian.Uint32(data)), data[4:])
+		decomp.PutBuf(data)
 		s.serviceHist.Observe(time.Since(start))
 		s.inService.Dec()
 	}
@@ -191,8 +167,8 @@ func (s *Server) worker() {
 
 // answer runs the handler and sends the response: the handler's payload
 // (or the error text) and the status trailer, as two parts.
-func (s *Server) answer(req request) {
-	payload, err := s.handler(req.src, req.payload)
+func (s *Server) answer(src, respTag int, req []byte) {
+	payload, err := s.handler(src, req)
 	status := statusOK
 	switch {
 	case err == nil:
@@ -201,32 +177,29 @@ func (s *Server) answer(req request) {
 		status, payload = statusNotFound, nil
 		s.notFound.Inc()
 	case errors.Is(err, ErrStale):
-		// The payload carries the handler's map version (if it chose to
-		// include one via the error text); status alone is what routing
-		// layers branch on.
+		// The text carries the handler's map version, if it put one there.
 		status, payload = statusStale, []byte(err.Error())
 		s.errors.Inc()
 	default:
 		status, payload = statusError, []byte(err.Error())
 		s.errors.Inc()
 	}
-	_ = s.comm.Sendv(req.src, req.respTag, payload, statusTrailer[status])
+	_ = s.comm.Sendv(src, respTag, payload, statusTrailer[status])
 	// The handler contract transfers payload ownership here, and the
 	// transport is done with it once Sendv returns.
 	decomp.PutBuf(payload)
 }
 
-// Stop unblocks Serve with a self-addressed shutdown pill and waits for
-// the pool to drain. It is safe to call even when the world has already
-// aborted: the failed pill send is ignored because the aborted mailbox
-// unblocks Serve on its own.
+// Stop sends every worker its pill and waits for the pool to exit.
+// Requests queued ahead of the pills are answered first. It is safe to
+// call after the world aborted: the pill sends fail, but the aborted
+// mailbox has already stopped the workers.
 func (s *Server) Stop() {
-	_ = s.comm.Send(s.comm.Rank(), s.tag, nil)
+	for i := 0; i < s.workers; i++ {
+		_ = s.comm.Send(s.comm.Rank(), s.tag, nil)
+	}
 	s.wg.Wait()
 }
-
-// Wait blocks until the receive loop and every worker have exited.
-func (s *Server) Wait() { s.wg.Wait() }
 
 // ClientOptions configures per-call behaviour.
 type ClientOptions struct {

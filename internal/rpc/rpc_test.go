@@ -34,7 +34,7 @@ func TestCallBasic(t *testing.T) {
 			}
 			s.Stop()
 			st := read(t, reg)
-			if st.counter("rpc.server.served") != 3 || st.gauge("rpc.server.queue").Value != 0 || st.gauge("rpc.server.inservice").Value != 0 {
+			if st.counter("rpc.server.served") != 3 || st.gauge("rpc.server.inservice").Value != 0 {
 				return fmt.Errorf("server stats %s", st.snap.Text())
 			}
 			if n := st.hist("rpc.server.service.latency").Count; n != 3 {
