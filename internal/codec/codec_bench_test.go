@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"fanstore/internal/dataset"
 )
 
 // benchInput is a mixed literal/match workload representative of the
@@ -65,6 +67,45 @@ func BenchmarkDecompress(b *testing.B) {
 				dst, err = cfg.Codec.Decompress(dst[:0], comp)
 				if err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecompressShapes decodes the two LZ4-block shapes the ingest
+// benchmark's decoding workloads read: 256 KiB EM files under lzsse8
+// (train_lz) and 4 KiB Tokamak files under lz4hc (train_small), 16
+// generated files each, into a reused buffer as the decode pool does.
+func BenchmarkDecompressShapes(b *testing.B) {
+	for _, shape := range []struct {
+		name  string
+		kind  dataset.Kind
+		size  int
+		codec string
+	}{
+		{"em-256k-lzsse8", dataset.EM, 256 << 10, "lzsse8"},
+		{"tokamak-4k-lz4hc", dataset.Tokamak, 4 << 10, "lz4hc"},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := MustGet(shape.codec)
+			g := dataset.Generator{Kind: shape.kind, Seed: 1, Size: shape.size}
+			comps := make([][]byte, 16)
+			for i := range comps {
+				var err error
+				if comps[i], err = cfg.Codec.Compress(nil, g.Bytes(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(comps) * shape.size))
+			dst := make([]byte, 0, shape.size)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, comp := range comps {
+					var err error
+					if dst, err = cfg.Codec.Decompress(dst[:0], comp); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

@@ -57,6 +57,29 @@ func FuzzDecompress(f *testing.F) {
 	})
 }
 
+// FuzzLZ4Differential runs arbitrary (block, origLen) pairs through
+// lz4Decompress and the byte-at-a-time oracle: no panic, and the same
+// outcome and bytes from both.
+func FuzzLZ4Differential(f *testing.F) {
+	src := bytes.Repeat([]byte("seed data, seed data; 0x0102 0x0102 "), 8)
+	for _, name := range []string{"lz4", "lz4hc-9", "lzsse8-4"} {
+		comp, _ := MustGet(name).Codec.Compress(nil, src)
+		_, block, _ := splitHeader(comp)
+		f.Add(block, len(src))
+	}
+	f.Add(lz4EmitSeq(nil, []byte("abc"), 3, 40), 43)
+	f.Add([]byte{0x1f, 'a', 1, 0, 255, 7}, 1<<30)
+	f.Add([]byte{}, 0)
+	f.Fuzz(func(t *testing.T, block []byte, origLen int) {
+		if len(block) > 4<<10 {
+			block = block[:4<<10] // bounds the declared length a block may carry to ~1 MiB
+		}
+		if err := lz4Agree(block, origLen); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // FuzzLayeredRoundTrip layers arbitrary payloads under both schemes and
 // checks the XOR-prefix contract: full decode is exact, every prefix
 // decodes to a full-length record.

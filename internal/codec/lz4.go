@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -79,17 +81,33 @@ func lz4EmitLen(dst []byte, n int) []byte {
 	return append(dst, byte(n))
 }
 
+// lz4MaxExpansion bounds a block's output per input byte: a literal
+// byte yields one output byte, and every byte of a sequence's match part
+// (offset, extension) yields at most 255. lz4Decompress rejects a larger
+// declared length before it allocates anything.
+const lz4MaxExpansion = 255
+
 // lz4Decompress decodes an LZ4 block, appending exactly origLen bytes.
+// It writes by index into dst[:len(dst)+origLen], growing dst once when
+// its capacity is short, and never writes past that length. A literal
+// run of at most 16 bytes is copied as two 8-byte words when both
+// cursors have 16 bytes of room; the bytes past the run are overwritten
+// by the next sequence. Matches go through copyMatch.
 func lz4Decompress(dst, src []byte, origLen int) ([]byte, error) {
+	if uint64(origLen) > lz4MaxExpansion*uint64(len(src))+16 {
+		return dst, fmt.Errorf("%w: lz4 declares %d bytes from a %d-byte block", ErrCorrupt, origLen, len(src))
+	}
 	base := len(dst)
 	want := base + origLen
-	i := 0
+	dst = slices.Grow(dst, origLen)
+	out := dst[:want]
+	d, i := base, 0
 	for {
 		if i >= len(src) {
-			if len(dst) == want {
-				return dst, nil
+			if d == want {
+				return out, nil
 			}
-			return dst, fmt.Errorf("%w: lz4 truncated (have %d of %d bytes)", ErrCorrupt, len(dst)-base, origLen)
+			return dst, fmt.Errorf("%w: lz4 truncated (have %d of %d bytes)", ErrCorrupt, d-base, origLen)
 		}
 		token := src[i]
 		i++
@@ -101,17 +119,23 @@ func lz4Decompress(dst, src []byte, origLen int) ([]byte, error) {
 				return dst, err
 			}
 		}
-		if i+litLen > len(src) || len(dst)+litLen > want {
+		if i+litLen > len(src) || d+litLen > want {
 			return dst, fmt.Errorf("%w: lz4 literal overrun", ErrCorrupt)
 		}
-		dst = append(dst, src[i:i+litLen]...)
+		if litLen <= 16 && i+16 <= len(src) && d+16 <= want {
+			store64(out, d, load64(src, i))
+			store64(out, d+8, load64(src, i+8))
+		} else {
+			copy(out[d:], src[i:i+litLen])
+		}
+		d += litLen
 		i += litLen
 		if i == len(src) {
 			// Literals-only final sequence.
-			if len(dst) != want {
-				return dst, fmt.Errorf("%w: lz4 decoded %d bytes, want %d", ErrCorrupt, len(dst)-base, origLen)
+			if d != want {
+				return dst, fmt.Errorf("%w: lz4 decoded %d bytes, want %d", ErrCorrupt, d-base, origLen)
 			}
-			return dst, nil
+			return out, nil
 		}
 		if i+2 > len(src) {
 			return dst, fmt.Errorf("%w: lz4 truncated offset", ErrCorrupt)
@@ -130,18 +154,77 @@ func lz4Decompress(dst, src []byte, origLen int) ([]byte, error) {
 			}
 		}
 		mlen += lz4MinMatch
-		ref := len(dst) - off
-		if ref < base || len(dst)+mlen > want {
+		if d-off < base || d+mlen > want {
 			return dst, fmt.Errorf("%w: lz4 bad match (off=%d len=%d)", ErrCorrupt, off, mlen)
 		}
-		if off >= mlen {
-			dst = append(dst, dst[ref:ref+mlen]...)
-		} else {
-			for j := 0; j < mlen; j++ { // overlapping copy
-				dst = append(dst, dst[ref+j])
-			}
+		copyMatch(out, d, off, mlen)
+		d += mlen
+	}
+}
+
+// copyMatch writes an LZ77 match into out[d:d+mlen]: the bytes that
+// start off bytes back (1 <= off <= d). When off < mlen the match
+// overlaps its own output and repeats with period off. With 16 bytes of
+// room past the match it copies 8-byte words, which may write up to 15
+// bytes past d+mlen: offsets 1, 2 and 4 broadcast their period into one
+// word; other offsets below 8 lay the first 8 bytes one at a time, then
+// copy words from a whole number of periods back, at least 8 bytes.
+// Without that room, a copy whose source doubles each round does it.
+func copyMatch(out []byte, d, off, mlen int) {
+	ref, end := d-off, d+mlen
+	if end+16 > len(out) {
+		for d < end {
+			d += copy(out[d:end], out[ref:d])
+		}
+		return
+	}
+	switch {
+	case off >= 8 && mlen <= 16:
+		store64(out, d, load64(out, ref))
+		store64(out, d+8, load64(out, ref+8))
+	case off >= 8 && off >= mlen:
+		copy(out[d:end], out[ref:ref+mlen])
+	case off >= 8:
+		for ; d < end; d, ref = d+8, ref+8 {
+			store64(out, d, load64(out, ref))
+		}
+	case off == 1 || off == 2 || off == 4:
+		var v uint64
+		switch off {
+		case 1:
+			v = uint64(out[ref]) * 0x0101010101010101
+		case 2:
+			v = (uint64(out[ref]) | uint64(out[ref+1])<<8) * 0x0001000100010001
+		default:
+			v = uint64(load32(out, ref)) * 0x0000000100000001
+		}
+		for ; d < end; d += 8 {
+			store64(out, d, v)
+		}
+	default:
+		for j := 0; j < 8; j++ {
+			out[d+j] = out[ref+j]
+		}
+		stride := off * ((8 + off - 1) / off)
+		for d += 8; d < end; d += 8 {
+			store64(out, d, load64(out, d-stride))
 		}
 	}
+}
+
+func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i : i+8]) }
+
+func store64(b []byte, i int, v uint64) { binary.LittleEndian.PutUint64(b[i:i+8], v) }
+
+// appendMatch is copyMatch for the decoders that append (lzf, lzd,
+// lzr): it grows dst by mlen and copies the match into the new bytes.
+// The wide copies use dst's spare capacity as their room, up to want,
+// the length the whole block decodes to.
+func appendMatch(dst []byte, off, mlen, want int) []byte {
+	d := len(dst)
+	dst = slices.Grow(dst, mlen)
+	copyMatch(dst[:min(cap(dst), want)], d, off, mlen)
+	return dst[:d+mlen]
 }
 
 func lz4ReadLen(src []byte, i, n int) (int, int, error) {

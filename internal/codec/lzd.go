@@ -263,9 +263,7 @@ func (c lzdCodec) decode(dst, payload []byte, origLen int, litTable []huffEntry,
 			if ref < base || len(dst)+mlen > want {
 				return dst, fmt.Errorf("%w: lzd bad match (dist=%d len=%d)", ErrCorrupt, dist, mlen)
 			}
-			for j := 0; j < mlen; j++ {
-				dst = append(dst, dst[ref+j])
-			}
+			dst = appendMatch(dst, dist, mlen, want)
 		}
 	}
 }

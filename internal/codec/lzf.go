@@ -146,10 +146,7 @@ func (c lzfCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) 
 		if ref < base || len(dst)+mlen > want {
 			return dst, fmt.Errorf("%w: lzf bad match (off=%d len=%d)", ErrCorrupt, off+1, mlen)
 		}
-		// Byte-at-a-time copy: matches may overlap their own output.
-		for j := 0; j < mlen; j++ {
-			dst = append(dst, dst[ref+j])
-		}
+		dst = appendMatch(dst, off+1, mlen, want)
 	}
 	if len(dst) != want {
 		return dst, fmt.Errorf("%w: lzf decoded %d bytes, want %d", ErrCorrupt, len(dst)-base, origLen)

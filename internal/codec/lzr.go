@@ -213,9 +213,7 @@ func (c lzrCodec) decompressWith(d *rcDecoder, m *lzrModel, dst []byte, origLen 
 		if ref < base || len(dst)+mlen > want {
 			return dst, fmt.Errorf("%w: lzr bad match (dist=%d len=%d)", ErrCorrupt, dist, mlen)
 		}
-		for j := 0; j < mlen; j++ {
-			dst = append(dst, dst[ref+j])
-		}
+		dst = appendMatch(dst, dist, mlen, want)
 		m.prevByte = dst[len(dst)-1]
 		m.prevMatch = 1
 	}

@@ -317,8 +317,9 @@ func (n *Node) ReadFile(path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	out := make([]byte, len(f.data))
-	copy(out, f.data)
+	// append, unlike make+copy, does not clear the bytes it is about to
+	// fill; the non-nil empty base keeps an empty file a non-nil slice.
+	out := append([]byte{}, f.data...)
 	n.bytesRead.Add(int64(len(out)))
 	n.tracer.End(trace.OpRead, path, trace.OutcomeNone, tstart)
 	return out, nil

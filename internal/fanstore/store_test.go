@@ -253,6 +253,14 @@ func TestWritePath(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			return fmt.Errorf("checkpoint readback mismatch")
 		}
+		// An empty file reads back as a non-nil empty slice.
+		empty := fmt.Sprintf("ckpt/empty%d.bin", c.Rank())
+		if err := node.WriteFile(empty, nil); err != nil {
+			return err
+		}
+		if got, err := node.ReadFile(empty); err != nil || got == nil || len(got) != 0 {
+			return fmt.Errorf("empty file read back as %v, %v", got, err)
+		}
 		return nil
 	})
 	if err != nil {
