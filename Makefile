@@ -1,9 +1,9 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race overlap planrule benchsmoke fuzzsmoke soak loc surface knobs
+.PHONY: ci fmt vet test race overlap planrule benchsmoke fuzzsmoke bce soak loc surface knobs
 
-ci: fmt vet race overlap planrule test fuzzsmoke benchsmoke
+ci: fmt vet bce race overlap planrule test fuzzsmoke benchsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -53,6 +53,20 @@ fuzzsmoke:
 		echo "fuzz $$pkg $$fuzz"; \
 		$(GO) test -run '^$$' -fuzz "^$$fuzz\$$" -fuzztime 5s "$$pkg" || exit 1; \
 	done
+
+# The bounds checks the compiler leaves inside lz4Decompress, the loop
+# every lz4/lz4hc/lzsse block decodes through. Its fast zone re-slices
+# once per sequence so that the word loads and stores need none; on one
+# toolchain the count is exact, unlike a timing run, so an edit that puts
+# checks back fails here. Lower BCE_MAX when a change removes some.
+BCE_MAX = 16
+bce:
+	@out="$$($(GO) build -gcflags='fanstore/internal/codec=-d=ssa/check_bce/debug=1' ./internal/codec 2>&1)" || { echo "$$out"; exit 1; }; \
+	lines="$$(awk '/^func lz4Decompress\(/ { s = NR } s && /^}/ { print s, NR; exit }' internal/codec/lz4.go)"; \
+	n=$$(echo "$$out" | awk -F: -v lines="$$lines" 'BEGIN { split(lines, r, " ") } \
+		$$1 == "internal/codec/lz4.go" && $$2 >= r[1] && $$2 <= r[2] { n++ } END { print n + 0 }'); \
+	echo "lz4Decompress (lz4.go:$${lines% *}-$${lines#* }): $$n bounds checks, limit $(BCE_MAX)"; \
+	[ "$$n" -le $(BCE_MAX) ]
 
 # The long-running tests (build tag `soak`), outside ci: those that must
 # wait out a real protocol timeout, such as the survivors' Close after a

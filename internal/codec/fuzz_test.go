@@ -3,6 +3,8 @@ package codec
 import (
 	"bytes"
 	"testing"
+
+	"fanstore/internal/dataset"
 )
 
 // Native fuzz targets. Without -fuzz they run their seed corpus as
@@ -64,6 +66,18 @@ func FuzzLZ4Differential(f *testing.F) {
 	src := bytes.Repeat([]byte("seed data, seed data; 0x0102 0x0102 "), 8)
 	for _, name := range []string{"lz4", "lz4hc-9", "lzsse8-4"} {
 		comp, _ := MustGet(name).Codec.Compress(nil, src)
+		_, block, _ := splitHeader(comp)
+		f.Add(block, len(src))
+	}
+	// Real blocks of the benchmark's two decoding shapes, long enough that
+	// mutations start inside the decoder's fast zone.
+	for _, s := range []struct {
+		kind  dataset.Kind
+		size  int
+		codec string
+	}{{dataset.Tokamak, 4 << 10, "lz4hc"}, {dataset.EM, 2 << 10, "lzsse8"}} {
+		src := dataset.Generator{Kind: s.kind, Seed: 1, Size: s.size}.Bytes(0)
+		comp, _ := MustGet(s.codec).Codec.Compress(nil, src)
 		_, block, _ := splitHeader(comp)
 		f.Add(block, len(src))
 	}

@@ -92,7 +92,9 @@ const lz4MaxExpansion = 255
 // its capacity is short, and never writes past that length. A literal
 // run of at most 16 bytes is copied as two 8-byte words when both
 // cursors have 16 bytes of room; the bytes past the run are overwritten
-// by the next sequence. Matches go through copyMatch.
+// by the next sequence. Matches go through copyMatch, except, away from
+// both ends of the block, those of at most 18 bytes at offsets 1, 2, 4
+// and 8 or more: three fixed words in line.
 func lz4Decompress(dst, src []byte, origLen int) ([]byte, error) {
 	if uint64(origLen) > lz4MaxExpansion*uint64(len(src))+16 {
 		return dst, fmt.Errorf("%w: lz4 declares %d bytes from a %d-byte block", ErrCorrupt, origLen, len(src))
@@ -112,6 +114,55 @@ func lz4Decompress(dst, src []byte, origLen int) ([]byte, error) {
 		token := src[i]
 		i++
 		litLen := int(token >> 4)
+		// The fast zone: a literal of at most 14 bytes, 31 block bytes
+		// after the token and 48 output bytes left. The literal's two
+		// words read in[0:16] and its offset ends by in[16]; they write
+		// out[d:d+16], and a match of at most 18 bytes after it is three
+		// words ending by d+14+24 = d+38 < d+48. So "literal overrun",
+		// "truncated offset" and the literals-only end cannot happen here
+		// and are not checked; the zero-offset, length and bad-match
+		// checks are the loop body's, with the same texts. At offsets of 8
+		// or more each word's source is written before it is read;
+		// offsets 1, 2 and 4 repeat within one word. The fixed slices let
+		// the compiler drop the words' bounds checks (`make bce`).
+		if litLen < 15 && i+31 <= len(src) && d+48 <= want {
+			in, o := src[i:i+31:i+31], out[d:d+48:d+48]
+			store64(o, 0, load64(in, 0))
+			store64(o, 8, load64(in, 8))
+			off := int(in[litLen]) | int(in[litLen+1])<<8
+			i += litLen + 2
+			if off == 0 {
+				return dst, fmt.Errorf("%w: lz4 zero offset", ErrCorrupt)
+			}
+			mlen := int(token&0x0f) + lz4MinMatch
+			if mlen == 15+lz4MinMatch {
+				var err error
+				if mlen, i, err = lz4ReadLen(src, i, mlen); err != nil {
+					return dst, err
+				}
+			}
+			d += litLen
+			if d-off < base || d+mlen > want {
+				return dst, fmt.Errorf("%w: lz4 bad match (off=%d len=%d)", ErrCorrupt, off, mlen)
+			}
+			m := o[litLen : litLen+24 : litLen+24]
+			switch {
+			case mlen <= 18 && off >= 8:
+				r := out[d-off : d-off+24 : d-off+24]
+				store64(m, 0, load64(r, 0))
+				store64(m, 8, load64(r, 8))
+				store64(m, 16, load64(r, 16))
+			case mlen <= 18 && (off == 1 || off == 2 || off == 4):
+				v := lz4Period(out, d-off, off)
+				store64(m, 0, v)
+				store64(m, 8, v)
+				store64(m, 16, v)
+			default:
+				copyMatch(out, d, off, mlen)
+			}
+			d += mlen
+			continue
+		}
 		if litLen == 15 {
 			var err error
 			litLen, i, err = lz4ReadLen(src, i, litLen)
@@ -189,15 +240,7 @@ func copyMatch(out []byte, d, off, mlen int) {
 			store64(out, d, load64(out, ref))
 		}
 	case off == 1 || off == 2 || off == 4:
-		var v uint64
-		switch off {
-		case 1:
-			v = uint64(out[ref]) * 0x0101010101010101
-		case 2:
-			v = (uint64(out[ref]) | uint64(out[ref+1])<<8) * 0x0001000100010001
-		default:
-			v = uint64(load32(out, ref)) * 0x0000000100000001
-		}
+		v := lz4Period(out, ref, off)
 		for ; d < end; d += 8 {
 			store64(out, d, v)
 		}
@@ -210,6 +253,18 @@ func copyMatch(out []byte, d, off, mlen int) {
 			store64(out, d, load64(out, d-stride))
 		}
 	}
+}
+
+// lz4Period broadcasts the off bytes at out[ref:] (off 1, 2 or 4) into
+// one word that repeats them with period off.
+func lz4Period(out []byte, ref, off int) uint64 {
+	switch off {
+	case 1:
+		return uint64(out[ref]) * 0x0101010101010101
+	case 2:
+		return (uint64(out[ref]) | uint64(out[ref+1])<<8) * 0x0001000100010001
+	}
+	return uint64(load32(out, ref)) * 0x0000000100000001
 }
 
 func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i : i+8]) }

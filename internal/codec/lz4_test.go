@@ -110,6 +110,68 @@ func TestLZ4OverlapTable(t *testing.T) {
 	}
 }
 
+// lz4ZoneHead is a block of four short-literal sequences decoding to 64
+// bytes from noise[:58]: enough history for every table offset, so the
+// sequence after it starts inside lz4Decompress's fast zone when the
+// block goes on.
+func lz4ZoneHead(noise []byte) []byte {
+	var head []byte
+	for n := 0; n < 64; n += 16 {
+		head = lz4EmitSeq(head, noise[n:n+10], 10, 6)
+	}
+	return head
+}
+
+// TestLZ4OverlapTableInZone is the overlap table where the fast zone
+// reaches it: one match at every offset 1-24 and length 4-40, 64 and 300,
+// after the 64-byte head and a literal of off%15 bytes, then 0-64 literal
+// bytes one at a time, so the decoder leaves the zone at every distance
+// from the end of the block and of the output. Each case must equal the
+// oracle twice: into a buffer of exactly origLen capacity, where a word
+// past the end panics, and after a prefix into 64 spare bytes that must
+// stay as they were.
+func TestLZ4OverlapTableInZone(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	noise := make([]byte, 160)
+	rng.Read(noise)
+	head, lit, prefix, tail := lz4ZoneHead(noise), noise[64:78], noise[80:87], noise[96:160]
+	lens := []int{64, 300}
+	for mlen := lz4MinMatch; mlen <= 40; mlen++ {
+		lens = append(lens, mlen)
+	}
+	for off := 1; off <= 24; off++ {
+		for _, mlen := range lens {
+			for nt := 0; nt <= 64; nt++ {
+				block := lz4EmitSeq(append([]byte(nil), head...), lit[:off%15], off, mlen)
+				if nt > 0 {
+					block = lz4EmitSeq(block, tail[:nt], 0, 0)
+				}
+				origLen := 64 + off%15 + mlen + nt
+				want, err := lz4DecompressOracle(nil, block, origLen)
+				if err != nil {
+					t.Fatalf("off=%d len=%d tail=%d: oracle: %v", off, mlen, nt, err)
+				}
+				got, err := lz4Decompress(make([]byte, 0, origLen), block, origLen)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("off=%d len=%d tail=%d: got %x, %v; want %x", off, mlen, nt, got, err, want)
+				}
+				dst := append(make([]byte, 0, len(prefix)+origLen+64), prefix...)
+				spare := dst[len(prefix)+origLen : cap(dst)]
+				for j := range spare {
+					spare[j] = 0xa5
+				}
+				got, err = lz4Decompress(dst, block, origLen)
+				if err != nil || !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+					t.Fatalf("off=%d len=%d tail=%d after prefix: got %x, %v; want %x", off, mlen, nt, got, err, want)
+				}
+				if n := bytes.Count(spare, []byte{0xa5}); n != len(spare) {
+					t.Fatalf("off=%d len=%d tail=%d: wrote %d bytes past origLen", off, mlen, nt, len(spare)-n)
+				}
+			}
+		}
+	}
+}
+
 // lz4Agree runs one block through both decoders, after a 3-byte prefix,
 // and reports how they disagree: on error against success, or on the
 // bytes when both succeed.
@@ -198,6 +260,42 @@ func TestLZ4ErrorPaths(t *testing.T) {
 		_, oerr := lz4DecompressOracle(nil, tc.block, tc.origLen)
 		if oerr == nil || (!strings.Contains(tc.want, "declares") && oerr.Error() != err.Error()) {
 			t.Errorf("%x/%d: oracle err = %v, decoder err = %v", tc.block, tc.origLen, oerr, err)
+		}
+	}
+}
+
+// TestLZ4ErrorPathsInZone makes the match checks fire inside the fast
+// zone: each corrupt sequence follows the 64-byte head, has a 5-byte
+// literal and at least 40 block bytes after it, and decodes after a
+// 3-byte dst prefix, so an offset one byte before base is still inside
+// dst. Each error is the oracle's, word for word.
+func TestLZ4ErrorPathsInZone(t *testing.T) {
+	noise := make([]byte, 160)
+	rand.New(rand.NewSource(11)).Read(noise)
+	head, lit := lz4ZoneHead(noise), noise[64:69]
+	seq := func(off, mlen int) []byte {
+		block := lz4EmitSeq(append([]byte(nil), head...), lit, off, mlen)
+		return lz4EmitSeq(block, noise[96:136], 0, 0)
+	}
+	truncated := append(append(append([]byte(nil), head...), 0x5f), lit...)
+	truncated = append(append(truncated, 8, 0), bytes.Repeat([]byte{255}, 40)...)
+	for _, tc := range []struct {
+		block   []byte
+		origLen int
+		want    string
+	}{
+		{seq(0, 8), 64 + 5 + 8 + 40, "lz4 zero offset"},
+		{seq(64+5+1, 8), 64 + 5 + 8 + 40, "lz4 bad match (off=70 len=8)"},
+		{seq(8, 300), 64 + 5 + 100, "lz4 bad match (off=8 len=300)"},
+		{truncated, 64 + 5 + 1000, "lz4 truncated length"},
+	} {
+		_, err := lz4Decompress([]byte("pre"), tc.block, tc.origLen)
+		if !errors.Is(err, ErrCorrupt) || !strings.HasSuffix(err.Error(), tc.want) {
+			t.Errorf("%q: err = %v", tc.want, err)
+		}
+		_, oerr := lz4DecompressOracle([]byte("pre"), tc.block, tc.origLen)
+		if oerr == nil || err == nil || oerr.Error() != err.Error() {
+			t.Errorf("%q: oracle err = %v, decoder err = %v", tc.want, oerr, err)
 		}
 	}
 }
