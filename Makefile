@@ -77,15 +77,18 @@ soak:
 # Non-test Go lines of the directories the ROADMAP's simplicity
 # acceptances quote, so a PR compares `make loc` at parent and change
 # instead of counting by hand. The four after cmd are where lines that
-# leave cmd/ tend to land; "." is the root package alone (api.go);
-# fanstore+member is the pair the store's control protocol lives in;
+# leave cmd/ tend to land; codec and selector are the compressor suite
+# and the Eq. 1-3 selection the model's inputs come from; "." is the
+# root package alone (api.go); fanstore+member is the pair the store's
+# control protocol lives in;
 # rpc+mpi is the pair ROADMAP item 5 bounds ("not larger"); the last line
 # is every non-test .go file of the module (bench/ is a module of its
 # own).
 loc:
 	@for d in internal/fanstore internal/member internal/rpc internal/mpi \
 		internal/prefetch internal/trainsim internal/experiments cmd \
-		internal/dataset internal/cluster examples internal/decomp internal/obs; do \
+		internal/dataset internal/cluster examples internal/decomp internal/obs \
+		internal/codec internal/selector; do \
 		printf '%-22s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 	done
 	@printf '%-22s %6d\n' . $$(cat $$(ls *.go | grep -v _test.go) | wc -l)

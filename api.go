@@ -33,7 +33,6 @@ import (
 	"fanstore/internal/mpi"
 	"fanstore/internal/obs"
 	"fanstore/internal/pack"
-	"fanstore/internal/prefetch"
 	"fanstore/internal/selector"
 	"fanstore/internal/trace"
 )
@@ -97,56 +96,6 @@ const (
 	SyncIO  = selector.Sync
 	AsyncIO = selector.Async
 )
-
-// Progressive compression (layered containers): Pack with
-// BuildOptions.Layers >= 2 encodes every file as a base layer plus
-// refinement layers, any prefix of which decodes to a valid
-// lower-fidelity record. A mounted Node then reads
-// bandwidth-proportionally: Node.SetFidelity caps demand opens and
-// prefetch at a layer budget, and later full-fidelity reads upgrade
-// resident entries in place by fetching only the missing refinement
-// byte ranges.
-type (
-	// LayeredCandidate is one codec measured through the layered
-	// container: the full-fidelity ratio plus the per-level fidelity
-	// curve (bytes fraction, decode cost).
-	LayeredCandidate = selector.LayeredCandidate
-	// FidelityPoint is one level of a LayeredCandidate's curve.
-	FidelityPoint = selector.FidelityPoint
-	// FidelitySchedule maps training epochs to layer budgets.
-	FidelitySchedule = prefetch.FidelitySchedule
-	// FidelityPhase is one schedule phase: Epochs epochs at Level.
-	FidelityPhase = prefetch.FidelityPhase
-)
-
-// Layer bounds and the full-fidelity sentinel.
-const (
-	// MaxLayers bounds BuildOptions.Layers.
-	MaxLayers = codec.MaxLayers
-	// FidelityFull requests every layer (Node.SetFidelity's default).
-	FidelityFull = store.FidelityFull
-)
-
-// ParseFidelitySchedule parses the flag syntax "level@epochs[,...]",
-// e.g. "1@4,2@2": four epochs at the base layer, two at two layers,
-// then full fidelity. Empty input is a valid empty schedule.
-func ParseFidelitySchedule(s string) (FidelitySchedule, error) {
-	return prefetch.ParseFidelitySchedule(s)
-}
-
-// MeasureLayered profiles one codec through the layered container on
-// sample files, producing the per-level fidelity curve SelectFidelity
-// evaluates.
-func MeasureLayered(name string, layersCount int, samples [][]byte) (LayeredCandidate, error) {
-	return selector.MeasureLayered(name, layersCount, samples)
-}
-
-// SelectFidelity applies the Eq. 1-3 budget at every level of the curve
-// and picks the lowest feasible layer budget — the warmup fidelity whose
-// decode still hides in the wire savings. ok is false when none fits.
-func SelectFidelity(app AppProfile, perf IOPerf, lc LayeredCandidate) (FidelityPoint, bool) {
-	return selector.SelectFidelity(app, perf, lc)
-}
 
 // Observability types: the per-rank span tracer, the unified metrics
 // registry, and the cluster-wide aggregated report.

@@ -25,19 +25,11 @@
 // the background repair, and the report shows the ec line (degraded-read
 // count, reconstruct p99, rebuild throughput).
 //
-// -fidelity replays a progressive-compression schedule: the case's codec
-// is measured through the layered container (-layers planes), and the
-// scheduled leading epochs fetch only the base prefix — the
-// bandwidth-proportional read. The run prints the measured byte fraction
-// and the ablation against the same scenario at full fidelity, and the
-// report shows the fidelity line (bytes saved, mean level).
-//
 // -monitor steps the ranks in epoch lockstep with the live health
 // monitor polling after every epoch, instead of one rank after another.
 //
 //	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -redundancy 'ec(4,2)'
-//	fanstore-sim -case srgan-gtx -report -fidelity '1@2'
-//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -fidelity '1@2' -plan
+//	fanstore-sim -case srgan-gtx -report -chaos-kill-rank 3 -plan
 package main
 
 import (
@@ -55,7 +47,6 @@ import (
 	"fanstore/internal/fanstore"
 	"fanstore/internal/metrics"
 	"fanstore/internal/obs"
-	"fanstore/internal/prefetch"
 	"fanstore/internal/selector"
 	"fanstore/internal/trace"
 	"fanstore/internal/trainsim"
@@ -84,8 +75,6 @@ func main() {
 		monitor  = flag.Bool("monitor", false, "step the ranks in epoch lockstep: the live health monitor polls every rank after each epoch and flags the skewed rank mid-run (-skew 0 derives a reliably detectable skew)")
 		opsAddr  = flag.String("ops-addr", "", "serve per-rank HTTP ops endpoints during -monitor (rank r listens on port+r; empty disables)")
 		pace     = flag.Duration("pace", 0, "wall-clock pause per simulated epoch in -monitor, so the ops endpoints can be curled mid-run (0: full speed)")
-		fidSched = flag.String("fidelity", "", "fidelity schedule for the epoch replay, \"level@epochs[,...]\" (e.g. '1@2'): the leading epochs fetch only that many layers of the layered container")
-		layersN  = flag.Int("layers", 4, "layer count of the layered container priced by -fidelity")
 	)
 	flag.Parse()
 
@@ -206,7 +195,7 @@ func main() {
 		log.Fatalf("unknown mode %q", *mode)
 	}
 
-	if *traceOut == "" && !*report && !*monitor && *fidSched == "" {
+	if *traceOut == "" && !*report && !*monitor {
 		return
 	}
 	// Epoch replay: run the case's configuration through the per-rank
@@ -227,38 +216,6 @@ func main() {
 	var sc trainsim.Scenario
 	if *plan {
 		sc.Plan = &trainsim.PlanConfig{AdmissionBytes: int64(*admitMB) << 20}
-	}
-	// Fidelity schedule: measure the codec's layered curve so the replay
-	// prices the measured base-prefix fraction, not a guess.
-	if *fidSched != "" {
-		sched, err := prefetch.ParseFidelitySchedule(*fidSched)
-		if err != nil {
-			log.Fatal(err)
-		}
-		lc, err := selector.MeasureLayered(codecName, *layersN, genSamples())
-		if err != nil {
-			log.Fatal(err)
-		}
-		// The replay models one base level followed by full fidelity, so
-		// take the leading run of the schedule's first sub-full level.
-		level, baseEpochs := 0, 0
-		for e := 0; e < *simEpoch; e++ {
-			l := int(sched.LevelAt(e))
-			if l == 0 || l >= *layersN || (level != 0 && l != level) {
-				break
-			}
-			level = l
-			baseEpochs++
-		}
-		if baseEpochs > 0 {
-			pt := lc.Points[level-1]
-			sc.Fidelity = &trainsim.FidelitySim{
-				BaseEpochs: baseEpochs, BaseFrac: pt.BytesFrac,
-				Level: level, Layers: *layersN,
-			}
-			fmt.Printf("fidelity: level %d/%d moves %.1f%% of the container (wire ratio %.2f vs %.2f full) for %d epoch(s)\n",
-				level, *layersN, 100*pt.BytesFrac, lc.EffectiveRatio(pt), lc.Ratio, baseEpochs)
-		}
 	}
 	if *killRank >= 0 {
 		if *killRank >= n {
@@ -314,18 +271,6 @@ func main() {
 		snaps[rank] = regs[rank].Snapshot()
 	}
 
-	if sc.Fidelity != nil {
-		// The ablation, on an unskewed rank: the same scenario with and
-		// without the schedule.
-		sc.Rank = -1 // no rank: it outlives whichever one -chaos-kill-rank names
-		full := sc
-		full.Fidelity = nil
-		baseline := cfg.NewReplay(*simFiles, full, trainsim.SimObserver{}).Run(*simEpoch)
-		sched := cfg.NewReplay(*simFiles, sc, trainsim.SimObserver{}).Run(*simEpoch)
-		fmt.Printf("fidelity ablation: scheduled %v vs full-fidelity %v (%.1f%% faster)\n",
-			sched.Round(time.Millisecond), baseline.Round(time.Millisecond),
-			100*(1-sched.Seconds()/baseline.Seconds()))
-	}
 	if *report || *monitor {
 		rep := fanstore.BuildClusterReport(snaps, fanstore.ReportOptions{
 			StragglerMetric: "trainsim.epoch.latency",

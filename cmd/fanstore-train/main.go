@@ -6,14 +6,6 @@
 //	fanstore-train -ranks 4 -dataset EM -files 64 -epochs 3 -compressor lzsse8
 //	fanstore-train -tcp -spill /tmp/fanstore -cache-policy immediate
 //	fanstore-train -resume   # continue from the latest checkpoint
-//
-// With -layers the dataset packs into progressive layered containers and
-// -fidelity runs a warmup schedule over them: the scheduled epochs open
-// and prefetch at a reduced layer budget (bandwidth-proportional reads),
-// and later full-fidelity epochs upgrade resident entries in place by
-// fetching only the missing refinement byte ranges:
-//
-//	fanstore-train -layers 4 -fidelity '1@2' -epochs 4 -report
 package main
 
 import (
@@ -60,18 +52,8 @@ func main() {
 		statsJSON  = flag.Bool("stats-json", false, "emit the final merged registry snapshot as one JSON object on stdout")
 		opsAddr    = flag.String("ops-addr", "", "serve live HTTP ops endpoints (/metrics /varz /series /healthz /statusz /trace /events); rank r listens on port+r (empty disables)")
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 polls every rank's registry at this period and flags stragglers mid-run (0 disables)")
-		layers     = flag.Int("layers", 0, "pack every file as a progressive layered container with this many layers (0: classic single-layer objects)")
-		fidelity   = flag.String("fidelity", "", "per-epoch layer budget schedule \"level@epochs[,...]\" (e.g. '1@2': base layer for two epochs, then full); needs -layers")
 	)
 	flag.Parse()
-
-	sched, err := prefetch.ParseFidelitySchedule(*fidelity)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if len(sched) > 0 && *layers < 2 {
-		log.Fatal("-fidelity needs -layers >= 2 (there is only one fidelity without layers)")
-	}
 
 	kind, ok := dataset.KindByName(*dsName)
 	if !ok {
@@ -94,17 +76,12 @@ func main() {
 	bundle, err := fanstore.Pack(inputs, fanstore.BuildOptions{
 		Partitions: *ranks,
 		Compressor: *compressor,
-		Layers:     *layers,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	layered := ""
-	if *layers > 1 {
-		layered = fmt.Sprintf(" (%d layers)", *layers)
-	}
-	fmt.Printf("dataset %s: %d files x %d bytes, ratio %.2fx with %s%s\n",
-		kind, *files, *size, bundle.Ratio(), *compressor, layered)
+	fmt.Printf("dataset %s: %d files x %d bytes, ratio %.2fx with %s\n",
+		kind, *files, *size, bundle.Ratio(), *compressor)
 
 	launch := fanstore.Run
 	if *tcp {
@@ -204,18 +181,6 @@ func main() {
 			shuffled := make([]string, *files)
 			for i, idx := range order {
 				shuffled[i] = paths[idx]
-			}
-			// Fidelity schedule: demand opens and the epoch plan's staging
-			// both read at the node-level budget. Epochs past the schedule run
-			// at full fidelity (level 0), upgrading warm entries in place.
-			level := sched.LevelAt(epoch)
-			node.SetFidelity(level)
-			if c.Rank() == 0 && len(sched) > 0 {
-				if level == 0 {
-					fmt.Printf("epoch %3d: fidelity full\n", epoch)
-				} else {
-					fmt.Printf("epoch %3d: fidelity level %d/%d\n", epoch, level, *layers)
-				}
 			}
 			popts := prefetch.Options{Workers: *workers, Depth: 2, Metrics: reg, Tracer: tr}
 			sampler := prefetch.RangeSampler(shuffled, *batch, c.Rank(), *ranks)

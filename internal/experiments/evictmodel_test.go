@@ -23,10 +23,10 @@ func liveHits(epochs [][]int, slots int, install bool) (hits int) {
 			c.Expect(paths)
 		}
 		for _, id := range seq {
-			if _, _, ok := c.Acquire(path(id), fanstore.FidelityFull); ok {
+			if _, ok := c.Acquire(path(id)); ok {
 				hits++
 			} else {
-				c.Insert(path(id), make([]byte, size), false, fanstore.FidelityFull)
+				c.Insert(path(id), make([]byte, size), false)
 			}
 			c.Release(path(id))
 		}

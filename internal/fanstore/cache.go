@@ -73,11 +73,6 @@ type cacheEntry struct {
 	// the cache does not own (written files, test fixtures) are never
 	// recycled.
 	owned bool
-	// fidelity is the layer count this entry's bytes were decoded at
-	// (FidelityFull for unlayered objects and full decodes). A reader
-	// needing more layers treats the entry as a miss and upgrades it in
-	// place; a reader needing fewer shares it as-is.
-	fidelity uint8
 }
 
 // CacheStats reports cache behaviour for tests and benchmarks.
@@ -304,31 +299,27 @@ func (c *Cache) shard(path string) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
-// Acquire pins and returns the cached decompressed data for path if its
-// fidelity is at least min (FidelityFull: the exact bytes; 1: whatever
-// level is resident — the upgrade path grabs its base that way),
-// reporting the entry's level. An entry below min is a miss (not pinned):
-// the caller fetches or upgrades. The caller must Release once per
-// successful Acquire.
-func (c *Cache) Acquire(path string, min uint8) ([]byte, uint8, bool) {
+// Acquire pins and returns the cached decompressed data for path, if
+// resident. The caller must Release once per successful Acquire.
+func (c *Cache) Acquire(path string) ([]byte, bool) {
 	sh := c.shard(path)
 	sh.mu.Lock()
 	e, ok := sh.entries[path]
-	if !ok || e.fidelity < min {
+	if !ok {
 		sh.mu.Unlock()
 		c.misses.Inc()
-		return nil, 0, false
+		return nil, false
 	}
 	first := c.pinLocked(sh, e)
 	if c.policy == LRU && e.next != &sh.idle {
 		unlinkIdle(e)
 		sh.pushIdle(e)
 	}
-	data, fid := e.data, e.fidelity
+	data := e.data
 	sh.mu.Unlock()
 	c.hits.Inc()
 	first.Inc()
-	return data, fid, true
+	return data, true
 }
 
 // pinLocked takes one reference on a resident entry. The first reader of
@@ -382,42 +373,30 @@ func (c *Cache) creditLocked(sh *cacheShard, e *cacheEntry, delta int64) {
 	}
 }
 
-// Contains reports whether path is cached at fidelity >= min, without
-// pinning it or counting a hit/miss (the prefetcher uses it to skip
-// staged work).
-func (c *Cache) Contains(path string, min uint8) bool {
+// Contains reports whether path is cached, without pinning it or
+// counting a hit/miss (the prefetcher uses it to skip staged work).
+func (c *Cache) Contains(path string) bool {
 	sh := c.shard(path)
 	sh.mu.Lock()
-	e, ok := sh.entries[path]
-	ok = ok && e.fidelity >= min
+	_, ok := sh.entries[path]
 	sh.mu.Unlock()
 	return ok
 }
 
-// Insert adds data decoded at fidelity fid for path pinned once (refs=1)
-// and returns the canonical buffer (an existing entry wins races between
-// two openers decompressing the same file). The caller must Release it.
-// owned marks data as drawn from the decomp buffer pool: ownership
-// transfers to the cache, which recycles it when the entry is removed
-// with no readers, or immediately when an existing entry wins. When the
-// path is already cached at a lower fidelity the entry is upgraded in
-// place: the new bytes become canonical for future readers while current
-// readers keep the buffer they pinned.
-func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
+// Insert adds data for path pinned once (refs=1) and returns the
+// canonical buffer (an existing entry wins races between two openers
+// decompressing the same file). The caller must Release it. owned marks
+// data as drawn from the decomp buffer pool: ownership transfers to the
+// cache, which recycles it when the entry is removed with no readers, or
+// immediately when an existing entry wins.
+func (c *Cache) Insert(path string, data []byte, owned bool) []byte {
 	sh := c.shard(path)
 	sh.mu.Lock()
 	if e, ok := sh.entries[path]; ok {
 		// Another I/O thread decompressed (or the prefetcher staged)
 		// this file first; share its entry. A staged entry acquired
-		// here counts as a prefetched open, same as via Acquire. Pin
-		// before any fidelity upgrade — a pinned entry cannot be chosen
-		// as an eviction victim by the capacity check the upgrade runs.
+		// here counts as a prefetched open, same as via Acquire.
 		first := c.pinLocked(sh, e)
-		if e.fidelity < fid {
-			// Fidelity upgrade in place: swap the canonical bytes.
-			c.replaceLocked(sh, e, data, owned, fid)
-			owned = false // ownership transferred to the cache
-		}
 		canonical := e.data
 		sh.mu.Unlock()
 		c.hits.Inc()
@@ -427,7 +406,7 @@ func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
 		}
 		return canonical
 	}
-	e := &cacheEntry{path: path, data: data, refs: 1, pos: noPos, owned: owned, fidelity: fid}
+	e := &cacheEntry{path: path, data: data, refs: 1, pos: noPos, owned: owned}
 	sh.pushIdle(e)
 	sh.entries[path] = e
 	delete(sh.plan, path) // a demand read: the plan's read of it is no longer ahead
@@ -441,64 +420,31 @@ func (c *Cache) Insert(path string, data []byte, owned bool, fid uint8) []byte {
 	return data
 }
 
-// replaceLocked swaps an entry's bytes for a higher-fidelity decode while
-// preserving every accounting invariant. Readers holding the old buffer
-// keep it: a pinned buffer is never recycled mid-upgrade (it is orphaned
-// to the garbage collector instead), only an unreferenced owned buffer
-// returns to the pool. Pinned/staged byte totals shift by the size delta
-// so the eventual Release/Acquire pairs still balance against the new
-// length.
-func (c *Cache) replaceLocked(sh *cacheShard, e *cacheEntry, data []byte, owned bool, fid uint8) {
-	delta := int64(len(data)) - int64(len(e.data))
-	if e.refs > 0 {
-		sh.pinnedB.Add(delta)
-	}
-	if e.pos != noPos {
-		c.creditLocked(sh, e, delta)
-	}
-	sh.used += delta
-	c.used.Add(delta)
-	if e.owned && e.refs == 0 {
-		decomp.PutBuf(e.data)
-	}
-	e.data = data
-	e.owned = owned
-	e.fidelity = fid
-	c.evictLocked(sh, nil)
-}
-
-// InsertIdle stages data decoded at fidelity fid for path unpinned
-// (refs=0), for the prefetcher: the entry is protected at the path's
-// position in the installed plan (a path no plan knows is stamped after
-// everything known — call order) but evictable, so a canceled epoch cannot
-// wedge the pool with pins nobody will release, and its first Acquire is
-// counted as a prefetched open. It does no harm: when its shard is full
-// of pinned entries and entries needed before it, the newcomer is the one
-// dropped (stage_refused) and the open falls back to demand. An existing
-// entry of equal or higher fidelity wins (an owned duplicate is recycled
-// immediately); a lower-fidelity one is upgraded in place, keeping its
-// pin/staged state. Reports whether the data was staged. owned is as for
-// Insert.
-func (c *Cache) InsertIdle(path string, data []byte, owned bool, fid uint8) bool {
+// InsertIdle stages data for path unpinned (refs=0), for the prefetcher:
+// the entry is protected at the path's position in the installed plan (a
+// path no plan knows is stamped after everything known — call order) but
+// evictable, so a canceled epoch cannot wedge the pool with pins nobody
+// will release, and its first Acquire is counted as a prefetched open. It
+// does no harm: when its shard is full of pinned entries and entries
+// needed before it, the newcomer is the one dropped (stage_refused) and
+// the open falls back to demand. An existing entry wins (an owned
+// duplicate is recycled immediately). Reports whether the data was
+// staged. owned is as for Insert.
+func (c *Cache) InsertIdle(path string, data []byte, owned bool) bool {
 	sh := c.shard(path)
 	sh.mu.Lock()
-	if e, ok := sh.entries[path]; ok {
-		if e.fidelity >= fid {
-			sh.mu.Unlock()
-			if owned {
-				decomp.PutBuf(data)
-			}
-			return false
-		}
-		c.replaceLocked(sh, e, data, owned, fid)
+	if _, ok := sh.entries[path]; ok {
 		sh.mu.Unlock()
-		return true
+		if owned {
+			decomp.PutBuf(data)
+		}
+		return false
 	}
 	pos, planned := sh.plan[path]
 	if !planned {
 		pos = c.planEnd.Add(1) - 1
 	}
-	e := &cacheEntry{path: path, data: data, prefetched: true, owned: owned, fidelity: fid}
+	e := &cacheEntry{path: path, data: data, prefetched: true, owned: owned}
 	c.protectLocked(sh, e, pos)
 	sh.entries[path] = e
 	sh.used += int64(len(data))
@@ -695,16 +641,4 @@ func (c *Cache) Headroom() int64 {
 // pinned reports the number of entries with live references (test hook).
 func (c *Cache) pinned() int {
 	return int(c.pins.Load())
-}
-
-// entryFidelity reports the cached fidelity level of path (test hook).
-func (c *Cache) entryFidelity(path string) (uint8, bool) {
-	sh := c.shard(path)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.entries[path]
-	if !ok {
-		return 0, false
-	}
-	return e.fidelity, true
 }

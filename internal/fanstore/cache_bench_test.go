@@ -24,7 +24,7 @@ func BenchmarkCacheAcquireRelease(b *testing.B) {
 			b.Run(fmt.Sprintf("shards=%d/goroutines=%d", shards, gs), func(b *testing.B) {
 				c := NewCacheShards(nPaths*1024, FIFO, shards)
 				for _, p := range paths {
-					c.Insert(p, make([]byte, 1024), false, FidelityFull)
+					c.Insert(p, make([]byte, 1024), false)
 					c.Release(p)
 				}
 				var next atomic.Int64
@@ -40,7 +40,7 @@ func BenchmarkCacheAcquireRelease(b *testing.B) {
 								return
 							}
 							p := paths[(int64(g)*37+i)%nPaths]
-							if _, _, ok := c.Acquire(p, FidelityFull); ok {
+							if _, ok := c.Acquire(p); ok {
 								c.Release(p)
 							}
 						}

@@ -37,7 +37,7 @@ func TestCacheShardedCapacityAccounting(t *testing.T) {
 	paths := make([]string, 256)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("file-%04d", i)
-		c.Insert(paths[i], make([]byte, per), false, FidelityFull)
+		c.Insert(paths[i], make([]byte, per), false)
 	}
 	st := c.Stats()
 	if st.Pinned != len(paths) {
@@ -88,14 +88,14 @@ func TestCacheShardedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				p := fmt.Sprintf("file-%03d", (g*13+i)%64)
-				if data, _, ok := c.Acquire(p, FidelityFull); ok {
+				if data, ok := c.Acquire(p); ok {
 					if len(data) != per {
 						t.Errorf("%s: pinned entry has %d bytes", p, len(data))
 					}
 					c.Release(p)
 					continue
 				}
-				got := c.Insert(p, make([]byte, per), false, FidelityFull)
+				got := c.Insert(p, make([]byte, per), false)
 				if len(got) != per {
 					t.Errorf("%s: canonical buffer has %d bytes", p, len(got))
 				}
@@ -143,10 +143,10 @@ func TestCacheShardedConcurrent(t *testing.T) {
 func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
 	staged := []byte("staged-by-prefetcher")
-	if !c.InsertIdle("f", staged, false, FidelityFull) {
+	if !c.InsertIdle("f", staged, false) {
 		t.Fatal("stage failed")
 	}
-	got := c.Insert("f", []byte("loser-duplicate"), false, FidelityFull)
+	got := c.Insert("f", []byte("loser-duplicate"), false)
 	if string(got) != string(staged) {
 		t.Fatal("insert race did not return the canonical staged buffer")
 	}
@@ -156,7 +156,7 @@ func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 	c.Release("f")
 	// A second open of the same (no longer prefetched) entry counts a
 	// plain hit, not another prefetched open.
-	if _, _, ok := c.Acquire("f", FidelityFull); !ok {
+	if _, ok := c.Acquire("f"); !ok {
 		t.Fatal("entry vanished")
 	}
 	c.Release("f")
@@ -183,9 +183,9 @@ func TestCacheOwnedBufferRecycledOnEvict(t *testing.T) {
 	c := NewCacheShards(1<<20, Immediate, 1)
 	buf := decomp.GetBuf(8 << 10)
 	buf = append(buf, make([]byte, 8<<10)...)
-	c.Insert("f", buf, true, FidelityFull)
+	c.Insert("f", buf, true)
 	c.Release("f") // Immediate: refs==0 drops the entry and recycles
-	if c.Contains("f", 1) {
+	if c.Contains("f") {
 		t.Fatal("immediate policy kept the entry")
 	}
 	got := decomp.GetBuf(8 << 10)
@@ -203,10 +203,10 @@ func TestCacheInsertRaceLoserRecycled(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := NewCacheShards(1<<20, FIFO, 1)
-	c.Insert("f", []byte("winner"), false, FidelityFull)
+	c.Insert("f", []byte("winner"), false)
 	loser := decomp.GetBuf(8 << 10)
 	loser = append(loser, make([]byte, 8<<10)...)
-	if got := c.Insert("f", loser, true, FidelityFull); samePtr(got, loser) {
+	if got := c.Insert("f", loser, true); samePtr(got, loser) {
 		t.Fatal("losing duplicate became canonical")
 	}
 	back := decomp.GetBuf(8 << 10)
@@ -228,15 +228,15 @@ func TestCachePinnedBufferNeverRecycled(t *testing.T) {
 	c := NewCacheShards(2*size, FIFO, 1) // room for two entries
 	pinned := decomp.GetBuf(size)
 	pinned = append(pinned, make([]byte, size)...)
-	c.Insert("pinned", pinned, true, FidelityFull) // stays pinned for the whole test
+	c.Insert("pinned", pinned, true) // stays pinned for the whole test
 	for i := 0; i < 4; i++ {
 		p := fmt.Sprintf("churn-%d", i)
 		fill := decomp.GetBuf(size)
 		fill = append(fill, make([]byte, size)...)
-		c.Insert(p, fill, true, FidelityFull)
+		c.Insert(p, fill, true)
 		c.Release(p) // unpinned: evictable under pressure
 	}
-	if _, _, ok := c.Acquire("pinned", FidelityFull); !ok {
+	if _, ok := c.Acquire("pinned"); !ok {
 		t.Fatal("pinned entry was evicted under pressure")
 	}
 	c.Release("pinned") // the Acquire's pin; insert pin still held
@@ -256,10 +256,10 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
 	}
 	c := NewCacheShards(1<<20, FIFO, 8)
-	c.Insert("hot", make([]byte, 1024), false, FidelityFull)
+	c.Insert("hot", make([]byte, 1024), false)
 	c.Release("hot")
 	allocs := testing.AllocsPerRun(1000, func() {
-		data, _, ok := c.Acquire("hot", FidelityFull)
+		data, ok := c.Acquire("hot")
 		if !ok || len(data) != 1024 {
 			t.Fatal("lost the hot entry")
 		}

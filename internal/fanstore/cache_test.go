@@ -13,15 +13,15 @@ import (
 
 func TestCacheAcquireInsertRelease(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
-	if _, _, ok := c.Acquire("a", FidelityFull); ok {
+	if _, ok := c.Acquire("a"); ok {
 		t.Fatal("empty cache should miss")
 	}
 	data := []byte("hello")
-	got := c.Insert("a", data, false, FidelityFull)
+	got := c.Insert("a", data, false)
 	if !bytes.Equal(got, data) {
 		t.Fatal("Insert should return the buffer")
 	}
-	d2, _, ok := c.Acquire("a", FidelityFull)
+	d2, ok := c.Acquire("a")
 	if !ok || !bytes.Equal(d2, data) {
 		t.Fatal("Acquire after Insert should hit")
 	}
@@ -37,8 +37,8 @@ func TestCacheInsertRace(t *testing.T) {
 	// Two I/O threads decompress the same file; the second Insert must
 	// adopt the first buffer so both FDs share one entry (Fig. 4).
 	c := NewCache(1<<20, FIFO)
-	first := c.Insert("f", []byte("one"), false, FidelityFull)
-	second := c.Insert("f", []byte("two"), false, FidelityFull)
+	first := c.Insert("f", []byte("one"), false)
+	second := c.Insert("f", []byte("two"), false)
 	if !bytes.Equal(second, first) {
 		t.Fatal("second Insert must return the canonical buffer")
 	}
@@ -54,7 +54,7 @@ func TestCacheFIFOEviction(t *testing.T) {
 	c := NewCache(100, FIFO)
 	for i := 0; i < 10; i++ {
 		path := fmt.Sprintf("f%d", i)
-		c.Insert(path, make([]byte, 30), false, FidelityFull)
+		c.Insert(path, make([]byte, 30), false)
 		c.Release(path)
 	}
 	st := c.Stats()
@@ -62,10 +62,10 @@ func TestCacheFIFOEviction(t *testing.T) {
 		t.Fatalf("used %d exceeds capacity", st.Used)
 	}
 	// FIFO: the survivors must be the most recently inserted files.
-	if _, _, ok := c.Acquire("f0", FidelityFull); ok {
+	if _, ok := c.Acquire("f0"); ok {
 		t.Fatal("oldest entry should have been evicted first")
 	}
-	if _, _, ok := c.Acquire("f9", FidelityFull); !ok {
+	if _, ok := c.Acquire("f9"); !ok {
 		t.Fatal("newest entry should survive")
 	}
 	c.Release("f9")
@@ -76,13 +76,13 @@ func TestCacheFIFOEviction(t *testing.T) {
 
 func TestCacheNeverEvictsPinned(t *testing.T) {
 	c := NewCache(100, FIFO)
-	c.Insert("pinned", make([]byte, 80), false, FidelityFull) // stays pinned
+	c.Insert("pinned", make([]byte, 80), false) // stays pinned
 	for i := 0; i < 5; i++ {
 		p := fmt.Sprintf("x%d", i)
-		c.Insert(p, make([]byte, 60), false, FidelityFull)
+		c.Insert(p, make([]byte, 60), false)
 		c.Release(p)
 	}
-	if _, _, ok := c.Acquire("pinned", FidelityFull); !ok {
+	if _, ok := c.Acquire("pinned"); !ok {
 		t.Fatal("pinned entry was evicted")
 	}
 	c.Release("pinned")
@@ -91,9 +91,9 @@ func TestCacheNeverEvictsPinned(t *testing.T) {
 
 func TestCacheImmediatePolicy(t *testing.T) {
 	c := NewCache(1<<20, Immediate)
-	c.Insert("a", []byte("data"), false, FidelityFull)
+	c.Insert("a", []byte("data"), false)
 	c.Release("a")
-	if _, _, ok := c.Acquire("a", FidelityFull); ok {
+	if _, ok := c.Acquire("a"); ok {
 		t.Fatal("immediate policy must drop at refs==0")
 	}
 	if st := c.Stats(); st.Used != 0 {
@@ -103,21 +103,21 @@ func TestCacheImmediatePolicy(t *testing.T) {
 
 func TestCacheLRUPolicy(t *testing.T) {
 	c := NewCache(100, LRU)
-	c.Insert("a", make([]byte, 40), false, FidelityFull)
+	c.Insert("a", make([]byte, 40), false)
 	c.Release("a")
-	c.Insert("b", make([]byte, 40), false, FidelityFull)
+	c.Insert("b", make([]byte, 40), false)
 	c.Release("b")
 	// Touch a so b becomes the LRU victim.
-	if _, _, ok := c.Acquire("a", FidelityFull); !ok {
+	if _, ok := c.Acquire("a"); !ok {
 		t.Fatal("a should be cached")
 	}
 	c.Release("a")
-	c.Insert("c", make([]byte, 40), false, FidelityFull)
+	c.Insert("c", make([]byte, 40), false)
 	c.Release("c")
-	if _, _, ok := c.Acquire("b", FidelityFull); ok {
+	if _, ok := c.Acquire("b"); ok {
 		t.Fatal("LRU should have evicted b")
 	}
-	if _, _, ok := c.Acquire("a", FidelityFull); !ok {
+	if _, ok := c.Acquire("a"); !ok {
 		t.Fatal("LRU should have kept a")
 	}
 	c.Release("a")
@@ -125,7 +125,7 @@ func TestCacheLRUPolicy(t *testing.T) {
 
 func TestCacheDoubleReleaseTolerated(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
-	c.Insert("a", []byte("x"), false, FidelityFull)
+	c.Insert("a", []byte("x"), false)
 	c.Release("a")
 	c.Release("a") // bug in caller: must not panic or corrupt
 	c.Release("nonexistent")
@@ -144,30 +144,30 @@ func TestCacheDoubleReleaseTolerated(t *testing.T) {
 
 func TestCacheInsertIdleStaysEvictable(t *testing.T) {
 	c := NewCache(100, FIFO)
-	if !c.InsertIdle("a", make([]byte, 60), false, FidelityFull) {
+	if !c.InsertIdle("a", make([]byte, 60), false) {
 		t.Fatal("InsertIdle into empty cache must stage")
 	}
 	if st := c.Stats(); st.Pinned != 0 {
 		t.Fatalf("idle entry is pinned: %+v", st)
 	}
 	// An existing entry wins; nothing is replaced or re-staged.
-	if c.InsertIdle("a", make([]byte, 60), false, FidelityFull) {
+	if c.InsertIdle("a", make([]byte, 60), false) {
 		t.Fatal("InsertIdle must not replace an existing entry")
 	}
 	// Unpinned staged entries yield to capacity pressure immediately.
-	c.Insert("b", make([]byte, 60), false, FidelityFull)
-	if c.Contains("a", 1) {
+	c.Insert("b", make([]byte, 60), false)
+	if c.Contains("a") {
 		t.Fatal("idle entry survived eviction pressure from a pinned insert")
 	}
 	c.Release("b")
 	// The first Acquire of a staged entry counts as a prefetched open;
 	// later acquires are plain hits.
-	c.InsertIdle("p", []byte("staged"), false, FidelityFull)
-	if _, _, ok := c.Acquire("p", FidelityFull); !ok {
+	c.InsertIdle("p", []byte("staged"), false)
+	if _, ok := c.Acquire("p"); !ok {
 		t.Fatal("staged entry must be acquirable")
 	}
 	c.Release("p")
-	if _, _, ok := c.Acquire("p", FidelityFull); !ok {
+	if _, ok := c.Acquire("p"); !ok {
 		t.Fatal("entry must survive under FIFO")
 	}
 	c.Release("p")
@@ -272,7 +272,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 					newcomer := int64(noPos) // the position an InsertIdle stages at
 					switch o.Kind % 8 {
 					case 0, 1:
-						c.Insert(key, make([]byte, size), false, FidelityFull)
+						c.Insert(key, make([]byte, size), false)
 						pins[key]++
 					case 2, 3:
 						if _, resident := before[key]; !resident {
@@ -283,7 +283,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 							newcomer = pos
 						}
 						_, resident := before[key]
-						if !c.InsertIdle(key, make([]byte, size), false, FidelityFull) && !resident {
+						if !c.InsertIdle(key, make([]byte, size), false) && !resident {
 							refused++
 						}
 					case 4:
@@ -293,7 +293,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 						}
 						c.Expect(plan)
 					case 5, 6:
-						if _, _, ok := c.Acquire(key, FidelityFull); ok {
+						if _, ok := c.Acquire(key); ok {
 							pins[key]++
 						}
 					default:
@@ -306,7 +306,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 						return fail("after %+v: %v", o, err)
 					}
 					for path, pos := range before {
-						if c.Contains(path, 1) {
+						if c.Contains(path) {
 							continue
 						}
 						if pins[path] > 0 {
@@ -374,10 +374,10 @@ func demandEvictionHash(policy Policy, shards int) uint64 {
 		key := fmt.Sprintf("k%02d", k)
 		switch r := rng.Intn(10); {
 		case r < 4:
-			c.Insert(key, make([]byte, size), false, FidelityFull)
+			c.Insert(key, make([]byte, size), false)
 			pins[k]++
 		case r < 6:
-			if _, _, ok := c.Acquire(key, FidelityFull); ok {
+			if _, ok := c.Acquire(key); ok {
 				pins[k]++
 			}
 		default:
@@ -387,7 +387,7 @@ func demandEvictionHash(policy Policy, shards int) uint64 {
 			}
 		}
 		for j := range resident {
-			now := c.Contains(fmt.Sprintf("k%02d", j), 1)
+			now := c.Contains(fmt.Sprintf("k%02d", j))
 			if resident[j] && !now {
 				fmt.Fprintf(h, "%d:%d;", op, j)
 			}
@@ -406,13 +406,13 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g*31+i)%20)
-				if data, _, ok := c.Acquire(key, FidelityFull); ok {
+				if data, ok := c.Acquire(key); ok {
 					if len(data) != 512 {
 						t.Errorf("corrupt entry for %s", key)
 					}
 					c.Release(key)
 				} else {
-					c.Insert(key, make([]byte, 512), false, FidelityFull)
+					c.Insert(key, make([]byte, 512), false)
 					c.Release(key)
 				}
 			}
@@ -442,18 +442,18 @@ func TestCacheHeadroomAccounting(t *testing.T) {
 	if h := c.Headroom(); h != 1000 {
 		t.Fatalf("empty cache headroom = %d, want 1000", h)
 	}
-	c.Insert("a", make([]byte, 400), false, FidelityFull) // pinned
+	c.Insert("a", make([]byte, 400), false) // pinned
 	if h := c.Headroom(); h != 600 {
 		t.Fatalf("after 400 pinned, headroom = %d, want 600", h)
 	}
-	c.InsertIdle("b", make([]byte, 300), false, FidelityFull) // staged
+	c.InsertIdle("b", make([]byte, 300), false) // staged
 	if h := c.Headroom(); h != 300 {
 		t.Fatalf("after 300 staged, headroom = %d, want 300", h)
 	}
 	// Pin two more large entries: pinned total 1200 > capacity. The
 	// subtraction would be negative; Headroom must clamp.
-	c.Insert("c", make([]byte, 400), false, FidelityFull)
-	c.Insert("d", make([]byte, 400), false, FidelityFull)
+	c.Insert("c", make([]byte, 400), false)
+	c.Insert("d", make([]byte, 400), false)
 	if h := c.Headroom(); h != 0 {
 		t.Fatalf("overpinned cache headroom = %d, want 0", h)
 	}
@@ -504,12 +504,12 @@ func TestCacheHeadroomNeverNegativeUnderStorm(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := fmt.Sprintf("k%d", (g*7+i)%12)
 				if i%3 == 0 {
-					c.InsertIdle(key, make([]byte, 512), false, FidelityFull)
+					c.InsertIdle(key, make([]byte, 512), false)
 				}
-				if _, _, ok := c.Acquire(key, FidelityFull); ok {
+				if _, ok := c.Acquire(key); ok {
 					c.Release(key)
 				} else {
-					c.Insert(key, make([]byte, 512), false, FidelityFull)
+					c.Insert(key, make([]byte, 512), false)
 					c.Release(key)
 				}
 			}

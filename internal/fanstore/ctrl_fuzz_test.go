@@ -50,9 +50,6 @@ func genMetas(q []byte, n int) ([]FileMeta, []byte) {
 		if shape&0x20 != 0 {
 			m.Replicas = []int32{int32(shape % 3), 7}
 		}
-		if shape&0x40 != 0 {
-			m.LayerPrefix = []uint32{uint32(l) + 1, uint32(l) + 9}
-		}
 		metas, q = append(metas, m), q[2+l:]
 	}
 	return metas, q

@@ -204,7 +204,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 			if member.NodeID(m.Owner) == node.ID() {
 				return fmt.Errorf("coordinator owns the moved path %s", movedPath)
 			}
-			_, blob, _, _, err := node.fetchRemote(m, FidelityFull)
+			_, blob, _, _, err := node.fetchRemote(m)
 			if err != nil {
 				return fmt.Errorf("post-rebalance fetch of %s from new owner: %w", movedPath, err)
 			}

@@ -28,12 +28,7 @@ type flight struct {
 // beginFlight joins or starts the flight for path. leader reports
 // whether the caller owns the data path for this object and must call
 // finishFlight; when false another producer is already fetching it —
-// wait on f.done, then re-check the cache. Flights are keyed by path
-// alone, whatever fidelity their leader produces: a level-2 producer
-// racing a level-1 flight waits for the base rather than duplicating it
-// — the flight's result is a strict prefix of what it wants — then
-// misses the cache at its level and leads an upgrade flight that fetches
-// only the missing refinement extents.
+// wait on f.done, then re-check the cache.
 func (n *Node) beginFlight(path string) (f *flight, leader bool) {
 	n.inflightMu.Lock()
 	if f, ok := n.inflight[path]; ok {

@@ -55,7 +55,7 @@ func (n *Node) Open(path string) (*File, error) {
 		}
 		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
-	data, pinned, outcome, err := n.openBytes(m, n.FidelityLevel())
+	data, pinned, outcome, err := n.openBytes(m)
 	n.tracer.End(trace.OpOpen, cp, outcome, tstart)
 	if err != nil {
 		return nil, err

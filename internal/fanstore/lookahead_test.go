@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -124,18 +125,24 @@ func TestPrefetchSkipsSettledPaths(t *testing.T) {
 
 // TestFetchOverWire drives the one object-fetch request through a live
 // daemon with the production encoder, over every value its header takes:
-// no map version / the server's / a stale one, unbudgeted / a one-layer
-// budget, a batch of one / of three with the middle key absent / of one
-// absent key. Present keys come back ItemOK with a decodable object frame
-// (clipped to the budget's container prefix), the miss comes back per
-// item — not-found, or stale only under a non-zero mismatched version —
-// without failing the call, and a request with nothing to serve maps to
-// the matching rpc error. The separate range op returns exactly the
-// requested extent of the container.
+// no map version / the server's / a stale one, a batch of one / of three
+// with the middle key absent / of one absent key. Present keys come back
+// ItemOK with the whole object framed behind its compressor ID, the miss
+// comes back per item — not-found, or stale only under a non-zero
+// mismatched version — without failing the call, and a request with
+// nothing to serve maps to the matching rpc error. An op byte the daemon
+// does not serve, the retired 5 among them, is refused.
 func TestFetchOverWire(t *testing.T) {
-	const layers = 3
-	bundle, want := buildLayeredBundle(t, dataset.EM, 6, 2, 4<<10, layers)
-	err := mpi.Run(2, func(c *mpi.Comm) error {
+	bundle, want := buildBundle(t, dataset.EM, 6, 2, 4<<10, nil)
+	part, err := pack.Parse(bundle.Scatter[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[string]*pack.Entry, len(part.Entries))
+	for i := range part.Entries {
+		stored[part.Entries[i].Path] = &part.Entries[i]
+	}
+	err = mpi.Run(2, func(c *mpi.Comm) error {
 		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{})
 		if err != nil {
 			return err
@@ -152,71 +159,55 @@ func TestFetchOverWire(t *testing.T) {
 			if ver != 0 && ver != current {
 				missStatus, missErr = rpc.ItemStale, rpc.ErrStale
 			}
-			for _, level := range []uint8{FidelityFull, 1} {
-				for _, keys := range [][]string{{remote[0]}, {remote[0], absent, remote[1]}, {absent}} {
-					name := fmt.Sprintf("v%d level %d keys %v", ver, level, keys)
-					levels := make([]uint8, len(keys))
-					for i := range levels {
-						levels[i] = level
+			for _, keys := range [][]string{{remote[0]}, {remote[0], absent, remote[1]}, {absent}} {
+				name := fmt.Sprintf("v%d keys %v", ver, keys)
+				resp, err := node.client.Call(1, encodeFetch(ver, keys))
+				if len(keys) == 1 && keys[0] == absent {
+					if !errors.Is(err, missErr) {
+						return fmt.Errorf("%s: err %v, want %v", name, err, missErr)
 					}
-					resp, err := node.client.Call(1, encodeFetch(ver, keys, levels))
-					if len(keys) == 1 && keys[0] == absent {
-						if !errors.Is(err, missErr) {
-							return fmt.Errorf("%s: err %v, want %v", name, err, missErr)
+					continue
+				}
+				if err != nil {
+					return fmt.Errorf("%s: %w", name, err)
+				}
+				items, err := rpc.DecodeItems(resp)
+				if err != nil {
+					return fmt.Errorf("%s: %w", name, err)
+				}
+				if len(items) != len(keys) {
+					return fmt.Errorf("%s: got %d items", name, len(items))
+				}
+				for i, key := range keys {
+					it := items[i]
+					if key == absent {
+						if it.Status != missStatus || len(it.Payload) != 0 {
+							return fmt.Errorf("%s: miss came back %+v, want status %d", name, it, missStatus)
 						}
 						continue
 					}
+					e := stored[key]
+					if it.Status != rpc.ItemOK || len(it.Payload) != 2+len(e.Data) {
+						return fmt.Errorf("%s: item %d status %d with %d bytes, want OK with %d", name, i, it.Status, len(it.Payload), 2+len(e.Data))
+					}
+					id := uint16(it.Payload[0]) | uint16(it.Payload[1])<<8
+					if id != e.CompressorID {
+						return fmt.Errorf("%s: item %d framed under compressor %d, stored under %d", name, i, id, e.CompressorID)
+					}
+					data, err := node.decompress(node.meta[key], id, it.Payload[2:], decomp.PriOpen)
 					if err != nil {
-						return fmt.Errorf("%s: %w", name, err)
+						return fmt.Errorf("%s: item %d: %w", name, i, err)
 					}
-					items, err := rpc.DecodeItems(resp)
-					if err != nil {
-						return fmt.Errorf("%s: %w", name, err)
-					}
-					if len(items) != len(keys) {
-						return fmt.Errorf("%s: got %d items", name, len(items))
-					}
-					for i, key := range keys {
-						it := items[i]
-						if key == absent {
-							if it.Status != missStatus || len(it.Payload) != 0 {
-								return fmt.Errorf("%s: miss came back %+v, want status %d", name, it, missStatus)
-							}
-							continue
-						}
-						m := node.meta[key]
-						wantLen := 2 + int(m.LayerPrefix[layers-1])
-						if level == 1 {
-							wantLen = 2 + int(m.LayerPrefix[0])
-						}
-						if it.Status != rpc.ItemOK || len(it.Payload) != wantLen {
-							return fmt.Errorf("%s: item %d status %d with %d bytes, want OK with %d", name, i, it.Status, len(it.Payload), wantLen)
-						}
-						id := uint16(it.Payload[0]) | uint16(it.Payload[1])<<8
-						data, fid, err := node.decompress(m, id, it.Payload[2:], decomp.PriOpen, level)
-						if err != nil {
-							return fmt.Errorf("%s: item %d: %w", name, i, err)
-						}
-						if fid != level || (level == FidelityFull) != bytes.Equal(data, want[key]) {
-							return fmt.Errorf("%s: item %d decoded at fidelity %d, exact=%v", name, i, fid, bytes.Equal(data, want[key]))
-						}
+					if !bytes.Equal(data, want[key]) {
+						return fmt.Errorf("%s: item %d decoded to different bytes", name, i)
 					}
 				}
 			}
 		}
-		// The range op: the refinement extent above the base layer, raw.
-		m := node.meta[remote[0]]
-		_, whole, _, _, err := node.fetchRemote(m, FidelityFull)
-		if err != nil {
-			return err
-		}
-		off, end := int(m.LayerPrefix[0]), int(m.LayerPrefix[1])
-		ext, err := node.fetchRemoteRange(m, int64(off), end-off)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(ext, whole[off:end]) {
-			return fmt.Errorf("range [%d,%d) differs from the container's bytes", off, end)
+		for _, op := range []byte{5, 0xff} {
+			if _, err := node.client.Call(1, append([]byte{op}, remote[0]...)); err == nil || !strings.Contains(err.Error(), "unknown fetch op") {
+				return fmt.Errorf("op %d: err %v, want an unknown-op refusal", op, err)
+			}
 		}
 		return nil
 	})

@@ -42,23 +42,7 @@ type FileMeta struct {
 	// encodeMetas, so a rebalance commit ships the full routing record —
 	// replicas are alternative fetch targets (see fetchRemote's routing).
 	Replicas []int32
-
-	// LayerPrefix is the layered container's cumulative extent table:
-	// LayerPrefix[i] is the container byte count covering layers 0..i
-	// (codec.LayerIndex.PrefixSize(i+1)), so the last element is the full
-	// payload size and layer i's body spans [LayerPrefix[i-1],
-	// LayerPrefix[i]). Empty for non-layered objects. Carried in the
-	// Allgather so any reader can turn a fidelity budget into a byte
-	// range without first fetching the index.
-	LayerPrefix []uint32
 }
-
-// maxLayerFan caps the per-record layer extents on the wire (one byte of
-// count). codec.MaxLayers is 8, so this never truncates in practice.
-const maxLayerFan = 255
-
-// Layers reports the layer count of a layered object (0 if unlayered).
-func (m *FileMeta) Layers() int { return len(m.LayerPrefix) }
 
 // maxReplicaFan caps the replica IDs carried per record on the wire:
 // the count is a single byte, so a longer list is truncated at encode
@@ -70,7 +54,7 @@ const maxReplicaFan = 255
 func encodeMetas(metas []FileMeta) []byte {
 	size := 4
 	for i := range metas {
-		size += 2 + len(metas[i].Path) + 8 + 4 + 8 + 4 + 2 + 4 + 1 + 8 + 8 + 1 + 4*minInt(len(metas[i].Replicas), maxReplicaFan) + 1 + 4*minInt(len(metas[i].LayerPrefix), maxLayerFan)
+		size += 2 + len(metas[i].Path) + 8 + 4 + 8 + 4 + 2 + 4 + 1 + 8 + 8 + 1 + 4*minInt(len(metas[i].Replicas), maxReplicaFan)
 	}
 	out := make([]byte, 0, size)
 	var b [8]byte
@@ -108,12 +92,6 @@ func encodeMetas(metas []FileMeta) []byte {
 			binary.LittleEndian.PutUint32(b[:4], uint32(r))
 			out = append(out, b[:4]...)
 		}
-		nl := minInt(len(m.LayerPrefix), maxLayerFan)
-		out = append(out, byte(nl))
-		for _, lp := range m.LayerPrefix[:nl] {
-			binary.LittleEndian.PutUint32(b[:4], lp)
-			out = append(out, b[:4]...)
-		}
 	}
 	return out
 }
@@ -126,7 +104,7 @@ func decodeMetas(src []byte) ([]FileMeta, error) {
 	off := 4
 	// The declared count is untrusted; bound the preallocation by what
 	// the frame could physically hold.
-	const fixed = 2 + 8 + 4 + 8 + 4 + 2 + 4 + 1 + 8 + 8 + 1 + 1
+	const fixed = 2 + 8 + 4 + 8 + 4 + 2 + 4 + 1 + 8 + 8 + 1
 	out := make([]FileMeta, 0, minInt(n, (len(src)-off)/fixed))
 	for i := 0; i < n; i++ {
 		if off+2 > len(src) {
@@ -166,21 +144,6 @@ func decodeMetas(src []byte) ([]FileMeta, error) {
 			m.Replicas = make([]int32, nr)
 			for j := 0; j < nr; j++ {
 				m.Replicas[j] = int32(binary.LittleEndian.Uint32(src[off:]))
-				off += 4
-			}
-		}
-		if off+1 > len(src) {
-			return nil, fmt.Errorf("fanstore: metadata entry %d truncated", i)
-		}
-		nl := int(src[off])
-		off++
-		if off+4*nl > len(src) {
-			return nil, fmt.Errorf("fanstore: metadata entry %d truncated", i)
-		}
-		if nl > 0 {
-			m.LayerPrefix = make([]uint32, nl)
-			for j := 0; j < nl; j++ {
-				m.LayerPrefix[j] = binary.LittleEndian.Uint32(src[off:])
 				off += 4
 			}
 		}

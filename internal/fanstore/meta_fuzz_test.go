@@ -13,10 +13,10 @@ import (
 // The peer-bytes decoders the frame-level targets only reach through
 // their envelopes: decodeMetas (every tagWriteMeta frame, opMetaSync
 // reply, mount table and ctrlCommit ends in it), decodePaths (the
-// replica announcement), and the two fixed-header fetch requests,
-// opFetchPart and opFetchRange, as a mounted node's daemon sees them.
-// None may panic or allocate more than a small multiple of the frame, or
-// of the object the frame names.
+// replica announcement), and the fixed-header partition request,
+// opFetchPart, as a mounted node's daemon sees it. None may panic or
+// allocate more than a small multiple of the frame, or of the partition
+// the frame names.
 
 // FuzzDecodeMetas fuzzes the metadata-list decoder.
 func FuzzDecodeMetas(f *testing.F) {
@@ -28,7 +28,7 @@ func FuzzDecodeMetas(f *testing.F) {
 	f.Add(enc)
 	f.Add(enc[:len(enc)-3]) // cut short inside the last record
 	fan := encodeMetas(metas[1:])
-	fan[len(fan)-2] = 0xff // 255 replicas declared, none present
+	fan[len(fan)-1] = 0xff // 255 replicas declared, none present
 	f.Add(fan)
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -112,61 +112,40 @@ func mountedForFuzz(f *testing.F, part []byte) *Node {
 	}
 }
 
-// FuzzFetchPartRangeRequest feeds a mounted node's fetch daemon arbitrary
-// opFetchPart and opFetchRange bodies through handleFetch, the way a
-// peer's frame arrives. Neither may panic; a reply is exactly the
-// partition or the extent the request names; and nothing is allocated
-// beyond that object — a length the object cannot hold is refused, not
-// reserved.
-func FuzzFetchPartRangeRequest(f *testing.F) {
-	bundle, _ := buildLayeredBundle(f, dataset.EM, 2, 1, 2<<10, 3)
+// FuzzFetchPartRequest feeds a mounted node's fetch daemon arbitrary
+// opFetchPart bodies through handleFetch, the way a peer's frame arrives.
+// It may not panic; a reply is exactly the partition the request names;
+// and nothing is allocated beyond that partition — a request the node
+// cannot answer is refused, not reserved.
+func FuzzFetchPartRequest(f *testing.F) {
+	bundle, _ := buildBundle(f, dataset.EM, 2, 1, 2<<10, nil)
 	blob := bundle.Scatter[0]
 	n := mountedForFuzz(f, blob)
-	held := ownedPaths(f, blob)[0]
 	var gid uint64
 	for g := range n.parts {
 		gid = g
 	}
 
-	f.Add(false, binary.LittleEndian.AppendUint64(nil, gid))   // the request pullPartition sends
-	f.Add(false, binary.LittleEndian.AppendUint64(nil, gid+1)) // no such partition
-	f.Add(false, []byte{1, 0, 0})                              // short frame
-	rng := func(off uint64, length uint32, path string) []byte {
-		b := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint64(nil, off), length)
-		return append(b, path...)
-	}
-	f.Add(true, rng(4, 16, held))               // the request fetchRemoteRange sends
-	f.Add(true, rng(0, 0xffffffff, held))       // 4 GiB of a 2 KiB object
-	f.Add(true, rng(^uint64(0)-3, 8, held))     // off+len wraps past u64
-	f.Add(true, rng(0, 8, "no/such/object"))    // unknown path
-	f.Add(true, []byte{0, 0, 0, 0, 0, 0, 0, 0}) // short frame
+	id := func(g uint64) []byte { return binary.LittleEndian.AppendUint64(nil, g) }
+	f.Add(id(gid))                     // the request pullPartition sends
+	f.Add(id(gid + 1))                 // no such partition
+	f.Add([]byte{1, 0, 0})             // short frame
+	f.Add(append(id(gid), 0))          // a byte past the id
+	f.Add(id(^uint64(0)))              // the largest id
+	f.Add([]byte{})                    // no id at all
+	f.Add(append(id(gid), id(gid)...)) // two ids
+	f.Add(id(0))                       // id zero
 
-	f.Fuzz(func(t *testing.T, rangeOp bool, body []byte) {
-		op := opFetchPart
-		if rangeOp {
-			op = opFetchRange
-		}
+	f.Fuzz(func(t *testing.T, body []byte) {
 		var resp []byte
 		var err error
-		got := allocated(func() { resp, err = n.handleFetch(0, append([]byte{op}, body...)) })
-		// A pooled reply buffer carries up to 2x slack over the object.
+		got := allocated(func() { resp, err = n.handleFetch(0, append([]byte{opFetchPart}, body...)) })
+		// A pooled reply buffer carries up to 2x slack over the partition.
 		if limit := uint64(2*len(blob) + 16*len(body) + ctrlAllocSlack); got > limit {
-			t.Fatalf("%d-byte request (range %v) made the daemon allocate %d bytes over a %d-byte partition", len(body), rangeOp, got, len(blob))
+			t.Fatalf("%d-byte request made the daemon allocate %d bytes over a %d-byte partition", len(body), got, len(blob))
 		}
-		if err != nil {
-			return
-		}
-		want := blob
-		if rangeOp {
-			_, data, gerr := n.backend.Get(string(body[12:]))
-			if gerr != nil {
-				t.Fatalf("range request %x answered for an object the backend lacks: %v", body, gerr)
-			}
-			off := binary.LittleEndian.Uint64(body)
-			want = data[off : off+uint64(binary.LittleEndian.Uint32(body[8:]))]
-		}
-		if !bytes.Equal(resp, want) {
-			t.Fatalf("request %x (range %v) answered %d bytes, want %d", body, rangeOp, len(resp), len(want))
+		if err == nil && !bytes.Equal(resp, blob) {
+			t.Fatalf("request %x answered %d bytes, want the %d-byte partition", body, len(resp), len(blob))
 		}
 	})
 }

@@ -68,13 +68,6 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	if n.ec != nil {
 		sw.KV("ec.degraded.parts", n.ecDegradedCount())
 	}
-	if lvl := n.FidelityLevel(); lvl != FidelityFull {
-		sw.KV("fidelity.level", lvl)
-	} else {
-		sw.KV("fidelity.level", "full")
-	}
-	sw.KV("fetch.bytes.saved", n.fetchBytesSaved.Value())
-	sw.KV("fetch.upgrades", n.fetchUpgrades.Value())
 	sw.KV("decode.workers", n.DecodeWorkers())
 	if a := n.AdmissionBytes(); a > 0 {
 		sw.KV("admission.bytes", a)

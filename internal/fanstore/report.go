@@ -121,7 +121,7 @@ func GatherReport(comm *mpi.Comm, reg *metrics.Registry, opts ReportOptions) (Cl
 // opens and files/s (the paper's Tables III/VI unit; elapsed is the window
 // the snapshot covers, 0 omits rates), the open/fetch/decompress/service
 // latency split, cache, remote traffic, the fetch daemon and client, and
-// the rebalance / fidelity / ec lines. A line appears when its
+// the rebalance and ec lines. A line appears when its
 // subsystem did something, so the zero snapshot renders nothing. It is
 // the only formatter of these numbers: a rank and the cluster cannot be
 // summarised by different rules.
@@ -169,18 +169,6 @@ func WriteSummary(w io.Writer, s metrics.RegistrySnapshot, elapsed time.Duration
 	if moved, ver := c("rebalance.bytes.moved"), s.Gauges["member.map.version"].Max; moved > 0 || ver > 1 {
 		fmt.Fprintf(w, "rebalance: %d B moved  pending=%d  map version=%d  stale-map refreshes=%d\n",
 			moved, s.Gauges["rebalance.partitions.pending"].Value, ver, c("fanstore.map.refreshes"))
-	}
-	// Progressive-compression clusters only: the bandwidth-proportional
-	// read's dividend. Bytes saved and upgrades are both zero on a
-	// full-fidelity run, which keeps the line out of the classic report.
-	// The fidelity histogram observes each layered decode's layer count
-	// as that many microseconds, so Sum/Count recovers the mean level.
-	if saved, ups := c("fanstore.fetch.bytes.saved"), c("fanstore.fetch.upgrades"); saved > 0 || ups > 0 {
-		line := fmt.Sprintf("fidelity: %d B saved  upgrades=%d", saved, ups)
-		if hs := s.Histograms["fanstore.fidelity.level"]; hs.Count > 0 {
-			line += fmt.Sprintf("  mean level=%.2f", float64(hs.Sum)/float64(hs.Count))
-		}
-		fmt.Fprintf(w, "%s\n", line)
 	}
 	// Erasure-coded clusters that lost (or repaired) a rank: how reads
 	// behaved while the stripe was short. Degraded reads and repaired

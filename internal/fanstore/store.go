@@ -65,22 +65,20 @@ const (
 	// whoever asks (demand open, plan prefetch) and however the cluster is
 	// mounted. The body (encodeFetch / decodeFetch) is
 	//
-	//	[u64 mapVersion][u32 count]{[u8 level][u32 len][path]}×count
+	//	[u64 mapVersion][u32 count]{[u32 len][path]}×count
 	//
 	//	mapVersion  the cluster-map version the caller routed on (1 for
 	//	            the life of a static mount); 0 names no version and
 	//	            asks for no stale diagnosis
-	//	level       the item's layer budget; FidelityFull when unbudgeted
 	//	count       1 for a demand open, the chunk size for a prefetch
 	//
 	// and the answer is an rpc item frame in request order, each OK
-	// payload [u16 compressorID][compressed bytes], a layered object
-	// clipped to the container prefix covering its first `level` layers.
-	// A key the server does not hold is ItemNotFound, or ItemStale when
-	// mapVersion is non-zero and disagrees with the server's — "I don't
-	// have it, and one of us is routing on an old map" — so the caller
-	// refreshes instead of burning failovers. A request with nothing to
-	// serve is answered by the rpc status of its first item, no frame.
+	// payload [u16 compressorID][the whole compressed object]. A key the
+	// server does not hold is ItemNotFound, or ItemStale when mapVersion
+	// is non-zero and disagrees with the server's — "I don't have it, and
+	// one of us is routing on an old map" — so the caller refreshes
+	// instead of burning failovers. A request with nothing to serve is
+	// answered by the rpc status of its first item, no frame.
 	opFetch = byte(0)
 	// opFetchPart requests a whole partition blob by its global id
 	// ([u64 gid]) — the rebalance transfer: the new owner pulls the blob
@@ -100,15 +98,6 @@ const (
 	// node to hold — the shard-placement half of ec redundancy. Re-pushes
 	// of the same (gid, index) overwrite.
 	opStoreShard = byte(4)
-	// opFetchRange requests raw payload bytes of one layered object:
-	// [u64 off][u32 len][path]. The response is the bytes themselves, no
-	// compressor header and no item frame — the upgrade path uses it to
-	// pull only the refinement extents a cached lower-fidelity entry is
-	// missing. It is not folded into opFetch because nothing of that
-	// request applies to it (no level, no written-file or unlayered
-	// answer, no batch, no stale diagnosis): the shared handler would
-	// branch on is-this-a-range at every step.
-	opFetchRange = byte(5)
 )
 
 // batchGetConcurrency bounds concurrent backend reads inside one
@@ -158,7 +147,7 @@ func (e *vanishedError) Unwrap() error { return e.err }
 // Knob lifetimes: every field is mount-only, fixed for the node's
 // lifetime. What moves after Mount is set on the Node: the admission
 // budget (Node.SetAdmissionBytes, read by the plan scheduler on every
-// admission decision) and the fidelity level (Node.SetFidelity).
+// admission decision).
 // CacheBytes and CacheShards could not be otherwise — resizing or
 // restriping the sharded cache would require a stop-the-world rehash of
 // every resident entry.
@@ -335,12 +324,6 @@ type Node struct {
 	closed   atomic.Bool
 	daemon   sync.WaitGroup // the write-metadata service loop
 
-	// fidelity is the node's current layer budget for demand opens and
-	// default prefetches: 0 means full fidelity, k means "decode only the
-	// first k layers of layered objects". A fidelity schedule (epochs 0–3
-	// at the base layer, say) flips it between epochs via SetFidelity.
-	fidelity atomic.Uint32
-
 	// The registry every data-path instrument lives in ("fanstore.*",
 	// "rpc.*", "decomp.*"): the one read-out of the node's numbers.
 	reg    *metrics.Registry
@@ -353,13 +336,11 @@ type Node struct {
 	batchedFetches                         *metrics.Counter
 	fetchCoalesced, prefetchSuppressed     *metrics.Counter
 	mapRefreshes                           *metrics.Counter
-	fetchUpgrades, fetchBytesSaved         *metrics.Counter
 	mapVersion                             *metrics.Gauge
 
 	openHist       *metrics.Histogram // whole open(): lookup + fetch + decompress
 	fetchHist      *metrics.Histogram // remote fetch round trips only
 	decompressHist *metrics.Histogram // codec time per decompressed object
-	fidelityHist   *metrics.Histogram // layers decoded per layered decode (µs = level)
 }
 
 // instrument registers the node's counters and histograms in its
@@ -376,33 +357,28 @@ func (n *Node) instrument() {
 	n.fetchCoalesced = n.reg.Counter("fanstore.fetch.coalesced")
 	n.prefetchSuppressed = n.reg.Counter("fanstore.prefetch.suppressed")
 	n.mapRefreshes = n.reg.Counter("fanstore.map.refreshes")
-	n.fetchUpgrades = n.reg.Counter("fanstore.fetch.upgrades")
-	n.fetchBytesSaved = n.reg.Counter("fanstore.fetch.bytes.saved")
 	n.mapVersion = n.reg.Gauge("member.map.version")
 	n.openHist = n.reg.Histogram("fanstore.open.latency")
 	n.fetchHist = n.reg.Histogram("fanstore.fetch.latency")
 	n.decompressHist = n.reg.Histogram("fanstore.decompress.latency")
-	// The fidelity histogram abuses the duration scale as a unitless one:
-	// each layered decode observes its decoded layer count as that many
-	// microseconds, so Snapshot.Sum/Count recovers the mean level.
-	n.fidelityHist = n.reg.Histogram("fanstore.fidelity.level")
 }
 
 // loadPartition parses one partition blob into the backend and returns
 // this rank's metadata records for its entries, stamped with this node's
-// ID and the current map version.
+// ID and the current map version. A blob with an entry of negative size
+// is refused whole, before the backend sees any of it.
 func (n *Node) loadPartition(blob []byte) ([]FileMeta, error) {
 	p, err := pack.Parse(blob)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.backend.AddPartition(blob, p); err != nil {
-		return nil, err
-	}
 	metas := make([]FileMeta, 0, len(p.Entries))
 	for i := range p.Entries {
 		e := &p.Entries[i]
-		fm := FileMeta{
+		if e.Stat.Size < 0 {
+			return nil, fmt.Errorf("fanstore: %s: negative size %d", e.Path, e.Stat.Size)
+		}
+		metas = append(metas, FileMeta{
 			Path:         cleanPath(e.Path),
 			Size:         e.Stat.Size,
 			Mode:         e.Stat.Mode,
@@ -411,18 +387,10 @@ func (n *Node) loadPartition(blob []byte) ([]FileMeta, error) {
 			CompressorID: e.CompressorID,
 			Owner:        int32(n.selfID),
 			MapVersion:   n.view.Version(),
-		}
-		// Layered entries carry their cumulative extent table in the
-		// metadata record, so every rank can turn a fidelity budget into
-		// a byte range without touching the container first.
-		if ix, ok, err := e.LayerIndex(); err == nil && ok {
-			lp := make([]uint32, ix.Layers())
-			for k := range lp {
-				lp[k] = uint32(ix.PrefixSize(k + 1))
-			}
-			fm.LayerPrefix = lp
-		}
-		metas = append(metas, fm)
+		})
+	}
+	if err := n.backend.AddPartition(blob, p); err != nil {
+		return nil, err
 	}
 	return metas, nil
 }
@@ -511,30 +479,27 @@ func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 		return n.handleFetchShard(payload[1:])
 	case opStoreShard:
 		return n.handleStoreShard(payload[1:])
-	case opFetchRange:
-		return n.handleFetchRange(payload[1:])
 	default:
 		return nil, fmt.Errorf("fanstore: unknown fetch op %d", payload[0])
 	}
 }
 
-// encodeFetch builds an opFetch request (layout at opFetch) for keys
-// with their per-key layer budgets.
-func encodeFetch(mapVersion uint64, keys []string, levels []uint8) []byte {
+// encodeFetch builds an opFetch request (layout at opFetch) for keys.
+func encodeFetch(mapVersion uint64, keys []string) []byte {
 	req := make([]byte, 9, 9+rpc.KeysSize(keys))
 	req[0] = opFetch
 	binary.LittleEndian.PutUint64(req[1:], mapVersion)
-	return rpc.AppendKeysLevels(req, keys, levels)
+	return rpc.AppendKeys(req, keys)
 }
 
 // decodeFetch parses an opFetch request body (the frame after the op
 // byte) as received from a peer.
-func decodeFetch(body []byte) (mapVersion uint64, keys []string, levels []uint8, err error) {
+func decodeFetch(body []byte) (mapVersion uint64, keys []string, err error) {
 	if len(body) < 8 {
-		return 0, nil, nil, fmt.Errorf("fanstore: fetch request truncated (%d bytes)", len(body))
+		return 0, nil, fmt.Errorf("fanstore: fetch request truncated (%d bytes)", len(body))
 	}
-	keys, levels, err = rpc.DecodeKeysLevels(body[8:])
-	return binary.LittleEndian.Uint64(body), keys, levels, err
+	keys, err = rpc.DecodeKeys(body[8:])
+	return binary.LittleEndian.Uint64(body), keys, err
 }
 
 // fetchedObject is one looked-up item of an opFetch answer, before it is
@@ -542,17 +507,14 @@ func decodeFetch(body []byte) (mapVersion uint64, keys []string, levels []uint8,
 type fetchedObject struct {
 	status  byte // rpc.ItemOK unless err is set
 	id      uint16
-	data    []byte // compressed payload clipped to the item's layer budget
+	data    []byte // the whole compressed object (or a written file's bytes)
 	written bool   // data is a written file's bytes, uncompressed: framed as "store"
 	err     error
 }
 
-// lookupObject finds one object for an opFetch item. A layered object's
-// payload is clipped to the container prefix covering the first `level`
-// layers — any prefix of layers decodes to a valid lower-fidelity record,
-// so the answer is self-contained. Unlayered objects (written files
-// included) and the full-fidelity level answer whole.
-func (n *Node) lookupObject(path string, level uint8) fetchedObject {
+// lookupObject finds one object for an opFetch item: a written file's
+// bytes, or the backend's compressed object.
+func (n *Node) lookupObject(path string) fetchedObject {
 	n.mu.RLock()
 	wdata, written := n.writes[path]
 	n.mu.RUnlock()
@@ -560,20 +522,13 @@ func (n *Node) lookupObject(path string, level uint8) fetchedObject {
 		return fetchedObject{data: wdata, written: true}
 	}
 	id, data, err := n.backend.Get(path)
-	if err == nil && level != 0 && level != FidelityFull && codec.IsLayered(id) {
-		// A corrupt index would fail the client's decode anyway; answer
-		// whole so the error surfaces with full evidence.
-		if ix, perr := codec.ParseLayerIndex(data); perr == nil && int(level) < ix.Layers() {
-			data = data[:ix.PrefixSize(int(level))]
-		}
-	}
 	return fetchedObject{id: id, data: data, err: err}
 }
 
 // lookupObjects fills objs[i] for every step-th key from first on.
-func (n *Node) lookupObjects(keys []string, levels []uint8, objs []fetchedObject, first, step int) {
+func (n *Node) lookupObjects(keys []string, objs []fetchedObject, first, step int) {
 	for i := first; i < len(keys); i += step {
-		objs[i] = n.lookupObject(keys[i], levels[i])
+		objs[i] = n.lookupObject(keys[i])
 	}
 }
 
@@ -584,7 +539,7 @@ func (n *Node) lookupObjects(keys []string, levels []uint8, objs []fetchedObject
 // never fails the whole batch. Items are framed straight from the
 // backend's bytes into one pooled response.
 func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
-	callerVer, keys, levels, err := decodeFetch(body)
+	callerVer, keys, err := decodeFetch(body)
 	if err != nil {
 		return nil, err
 	}
@@ -597,10 +552,10 @@ func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.lookupObjects(keys, levels, objs, r, readers)
+			n.lookupObjects(keys, objs, r, readers)
 		}()
 	}
-	n.lookupObjects(keys, levels, objs, 0, readers)
+	n.lookupObjects(keys, objs, 0, readers)
 	wg.Wait()
 
 	// A miss under version disagreement means the caller routed here on a
@@ -709,35 +664,6 @@ func decodeMetaSync(resp []byte) (*member.ClusterMap, []FileMeta, error) {
 	}
 	metas, err := decodeMetas(body[ml:])
 	return cm, metas, err
-}
-
-// handleFetchRange answers a raw byte-range read of one object's payload:
-// [u64 off][u32 len][path] → the bytes themselves, no compressor header.
-// The upgrade path uses it to pull exactly the refinement extents a
-// cached lower-fidelity entry is missing.
-func (n *Node) handleFetchRange(body []byte) ([]byte, error) {
-	if len(body) < 12 {
-		return nil, fmt.Errorf("fanstore: short range fetch frame")
-	}
-	off := binary.LittleEndian.Uint64(body)
-	length := binary.LittleEndian.Uint32(body[8:])
-	path := string(body[12:])
-	id, data, err := n.backend.Get(path)
-	if err != nil {
-		if errors.Is(err, ErrNotExist) {
-			return nil, rpc.ErrNotFound
-		}
-		return nil, err
-	}
-	if !codec.IsLayered(id) {
-		return nil, fmt.Errorf("fanstore: range fetch of unlayered object %q", path)
-	}
-	end := off + uint64(length)
-	if end < off || end > uint64(len(data)) {
-		return nil, fmt.Errorf("fanstore: range [%d,%d) outside %q payload (%d bytes)", off, end, path, len(data))
-	}
-	resp := decomp.GetBuf(int(length))
-	return append(resp, data[off:end]...), nil
 }
 
 // route is one fetch's walk over the nodes that can serve a record's
@@ -873,12 +799,7 @@ func (n *Node) installMap(cm *member.ClusterMap) bool {
 // ID) triggers a map-and-metadata refresh followed by re-resolution
 // against the refreshed record — not a failover: the object exists, the
 // route was just planned on an old map.
-//
-// level is the layer budget: 0 or FidelityFull fetches the whole object;
-// under anything else the server clips layered containers to the level's
-// prefix. Bytes the clip kept off the wire are credited to
-// fetch.bytes.saved.
-func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, trace.Outcome, error) {
+func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
 	outcome := trace.OutcomeRemoteFetch
@@ -912,12 +833,11 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 			if err == nil {
 				attempts++
 				var resp []byte
-				if resp, err = n.client.Call(dst, encodeFetch(n.view.Version(), []string{path}, []uint8{level})); err == nil {
+				if resp, err = n.client.Call(dst, encodeFetch(n.view.Version(), []string{path})); err == nil {
 					items, derr := rpc.DecodeItems(resp)
 					if derr == nil && len(items) == 1 && items[0].Status == rpc.ItemOK && len(items[0].Payload) >= 2 {
 						obj := items[0].Payload
 						n.remoteBytes.Add(int64(len(obj)))
-						n.creditBytesSaved(m, int64(len(obj)-2))
 						return binary.LittleEndian.Uint16(obj), obj[2:], resp, outcome, nil
 					}
 					err = fmt.Errorf("rank %d sent a malformed object frame", dst)
@@ -993,54 +913,6 @@ func (n *Node) fetchRemote(m *FileMeta, level uint8) (uint16, []byte, []byte, tr
 	return 0, nil, nil, outcome, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
 }
 
-// creditBytesSaved accounts a budgeted fetch's dividend: the container
-// bytes a whole-object full-fidelity fetch of m would have moved, minus
-// what actually crossed the wire. No-op for unlayered objects and
-// unclipped responses.
-func (n *Node) creditBytesSaved(m *FileMeta, fetched int64) {
-	if L := m.Layers(); L > 0 {
-		if saved := int64(m.LayerPrefix[L-1]) - fetched; saved > 0 {
-			n.fetchBytesSaved.Add(saved)
-		}
-	}
-}
-
-// fetchRemoteRange pulls payload bytes [off, off+length) of m's layered
-// container — the refinement extents an upgrade is missing. It walks the
-// route once, without the stale-map recovery loop: an upgrade is an
-// opportunistic fast path, so any failure just returns and the caller
-// falls back to a whole budgeted fetch (which owns refresh and failover).
-func (n *Node) fetchRemoteRange(m *FileMeta, off int64, length int) ([]byte, error) {
-	r := n.route(m)
-	if !r.more() {
-		return nil, fmt.Errorf("fanstore: no remote node serves %q", m.Path)
-	}
-	req := make([]byte, 13, 13+len(m.Path))
-	req[0] = opFetchRange
-	binary.LittleEndian.PutUint64(req[1:], uint64(off))
-	binary.LittleEndian.PutUint32(req[9:], uint32(length))
-	req = append(req, m.Path...)
-	var lastErr error
-	for r.more() {
-		_, dst, err := r.next(n.view)
-		if err == nil {
-			var resp []byte
-			if resp, err = n.client.Call(dst, req); err == nil {
-				if len(resp) == length {
-					n.remoteBytes.Add(int64(len(resp)))
-					return resp, nil
-				}
-				err = fmt.Errorf("fanstore: range fetch of %q returned %d bytes, want %d", m.Path, len(resp), length)
-			}
-		}
-		lastErr = err
-		if classify(err) == worldDown {
-			break
-		}
-	}
-	return nil, fmt.Errorf("%w: %v", ErrRemoteGone, lastErr)
-}
-
 // prefetchTarget is one not-yet-staged remote object being walked
 // along its route by Prefetch. The target's flight (the prefetch is its
 // leader) is finished nil as soon as the object is staged, or with
@@ -1063,18 +935,10 @@ type prefetchTarget struct {
 // best-effort: a partial miss or peer failure falls over to the next
 // replica and finally to on-demand fetching at Open; Prefetch never
 // fails the training loop. Returns the number of objects staged.
-//
-// It stages at the node's current fidelity level (SetFidelity): layered
-// objects are fetched as level-layer container prefixes (one budgeted
-// batch round trip per owner) and staged at that fidelity. A resident
-// entry suppresses its target whatever its fidelity; prefetch never
-// upgrades one — upgrades belong to the demand path, which knows a
-// reader actually wants the extra layers.
 func (n *Node) Prefetch(paths []string) int {
 	if n.closed.Load() || len(paths) == 0 {
 		return 0
 	}
-	level := n.FidelityLevel()
 	tstart := n.tracer.Begin()
 	defer n.tracer.End(trace.OpPrefetch, "", trace.OutcomeNone, tstart)
 	// Resolve the window down to remote, uncached, not-in-flight paths.
@@ -1093,11 +957,8 @@ func (n *Node) Prefetch(paths []string) int {
 		if !ok || written || n.backend.Contains(cp) {
 			continue
 		}
-		if n.cache.Contains(cp, 1) {
-			// Already staged or resident. If that is below this budget,
-			// leave it — a demand open at the higher level will upgrade
-			// in place, which is cheaper than a speculative re-stage.
-			n.prefetchSuppressed.Inc()
+		if n.cache.Contains(cp) {
+			n.prefetchSuppressed.Inc() // already staged or resident
 			continue
 		}
 		r := n.route(m)
@@ -1141,7 +1002,7 @@ func (n *Node) Prefetch(paths []string) int {
 			wg.Add(1)
 			go func(dst int, group []*prefetchTarget) {
 				defer wg.Done()
-				ok, failed := n.prefetchFrom(dst, group, level)
+				ok, failed := n.prefetchFrom(dst, group)
 				mu.Lock()
 				staged += ok
 				targets = append(targets, failed...)
@@ -1157,14 +1018,14 @@ func (n *Node) Prefetch(paths []string) int {
 // calls as rpc.DefaultBatchItems requires — an epoch-scale plan batch
 // cannot build one monster frame — and returns the targets dst could not
 // serve so the caller can fail over.
-func (n *Node) prefetchFrom(dst int, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
+func (n *Node) prefetchFrom(dst int, group []*prefetchTarget) (staged int, failed []*prefetchTarget) {
 	keys := make([]string, len(group))
 	for i, t := range group {
 		keys[i] = t.m.Path
 	}
 	off := 0
 	for _, chunk := range rpc.SplitKeys(keys, rpc.DefaultBatchItems) {
-		ok, f := n.prefetchChunk(dst, chunk, group[off:off+len(chunk)], level)
+		ok, f := n.prefetchChunk(dst, chunk, group[off:off+len(chunk)])
 		off += len(chunk)
 		staged += ok
 		failed = append(failed, f...)
@@ -1176,13 +1037,9 @@ func (n *Node) prefetchFrom(dst int, group []*prefetchTarget, level uint8) (stag
 // slice of targets, decompresses and stages what came back, and
 // finishes the flight of every staged target so coalesced opens
 // unblock as soon as their object lands.
-func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, level uint8) (staged int, failed []*prefetchTarget) {
-	levels := make([]uint8, len(keys))
-	for i := range levels {
-		levels[i] = level
-	}
+func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (staged int, failed []*prefetchTarget) {
 	n.batchedFetches.Inc()
-	resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), keys, levels))
+	resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), keys))
 	if err != nil {
 		return 0, group
 	}
@@ -1196,7 +1053,6 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 	// whole window decompresses in parallel while demand opens still
 	// preempt it (they submit at PriOpen and are drained first).
 	decoded := make([][]byte, len(items))
-	fids := make([]uint8, len(items))
 	var wg sync.WaitGroup
 	for i := range items {
 		it := &items[i]
@@ -1204,14 +1060,11 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 			continue
 		}
 		n.remoteBytes.Add(int64(len(it.Payload)))
-		n.creditBytesSaved(group[i].m, int64(len(it.Payload)-2))
 		i, t := i, group[i]
 		wg.Add(1)
 		n.decode.Submit(decomp.PriPrefetch, &wg, func(s *codec.Scratch) {
-			data, fid, err := n.decodeObject(s, t.m, binary.LittleEndian.Uint16(it.Payload), it.Payload[2:], level)
-			if err == nil {
+			if data, err := n.decodeObject(s, t.m, binary.LittleEndian.Uint16(it.Payload), it.Payload[2:]); err == nil {
 				decoded[i] = data
-				fids[i] = fid
 			}
 		})
 	}
@@ -1222,7 +1075,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 			failed = append(failed, t)
 			continue
 		}
-		if n.cache.InsertIdle(t.m.Path, decoded[i], true, fids[i]) {
+		if n.cache.InsertIdle(t.m.Path, decoded[i], true) {
 			staged++
 		}
 		n.finishFlight(t.m.Path, t.flight, nil)
@@ -1232,87 +1085,72 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget, le
 
 // decompress turns a compressed object into file bytes on the shared
 // decode pool at the given priority, validating size against the
-// metadata record. level is the layer budget for layered objects
-// (0/FidelityFull: decode everything the payload carries); the returned
-// fidelity reports what the bytes actually reached. The returned buffer
-// comes from the decomp buffer pool: ownership passes to the caller, who
-// must hand it to the cache via Insert/InsertIdle as owned (or recycle
-// it on failure).
-func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte, pri decomp.Priority, level uint8) ([]byte, uint8, error) {
+// metadata record. The returned buffer comes from the decomp buffer pool:
+// ownership passes to the caller, who must hand it to the cache via
+// Insert/InsertIdle as owned (or recycle it on failure).
+func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte, pri decomp.Priority) ([]byte, error) {
 	var out []byte
-	var fid uint8
 	var err error
 	n.decode.Run(pri, func(s *codec.Scratch) {
-		out, fid, err = n.decodeObject(s, m, compressorID, comp, level)
+		out, err = n.decodeObject(s, m, compressorID, comp)
 	})
-	return out, fid, err
+	return out, err
 }
 
 // decodeObject is the codec work of one decode job, running on a pool
 // worker with its per-worker scratch (or inline with a nil scratch when
 // the pool is closed). The latency histogram brackets codec time only —
 // queue wait has its own instrument ("decomp.queue.wait.latency").
-// Layered objects decode through the container path: any layer prefix
-// XORs to a full-length record, so the m.Size check holds at every
-// fidelity.
-func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, comp []byte, level uint8) ([]byte, uint8, error) {
+func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, comp []byte) ([]byte, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
+	cfg, ok := codec.ByID(compressorID)
+	if !ok {
+		n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeError, tstart)
+		return nil, fmt.Errorf("fanstore: %s: unknown compressor %d", m.Path, compressorID)
+	}
+	// m.Size is a claim — a partition's, or a peer's record — and so is
+	// the length the stream declares, which its codec holds to the
+	// payload. Decode only when the two agree, into a buffer of no more
+	// than 256 bytes a payload byte (the LZ family's ceiling; a denser
+	// stream grows it as it decodes).
 	var out []byte
-	var err error
-	fid := FidelityFull
-	if codec.IsLayered(compressorID) {
-		maxL := 0
-		if level != 0 && level != FidelityFull {
-			maxL = int(level)
-		}
-		var k int
-		out, k, err = codec.DecodeLayeredScratch(s, decomp.GetBuf(int(m.Size)), comp, maxL)
-		if err == nil {
-			n.fidelityHist.Observe(time.Duration(k) * time.Microsecond)
-			fid = metaFidelity(m, uint8(k))
-		}
-	} else {
-		cfg, ok := codec.ByID(compressorID)
-		if !ok {
-			n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeError, tstart)
-			return nil, 0, fmt.Errorf("fanstore: %s: unknown compressor %d", m.Path, compressorID)
-		}
-		out, err = codec.DecompressScratch(cfg.Codec, s, decomp.GetBuf(int(m.Size)), comp)
+	declared, err := codec.DecodedLen(comp)
+	if err == nil && int64(declared) != m.Size {
+		err = fmt.Errorf("stream declares %d bytes, metadata says %d", declared, m.Size)
+	}
+	if err == nil {
+		out, err = codec.DecompressScratch(cfg.Codec, s, decomp.GetBuf(int(min(m.Size, 256*int64(len(comp))))), comp)
 	}
 	n.decompressHist.Observe(time.Since(start))
 	if err != nil {
 		decomp.PutBuf(out)
 		n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeError, tstart)
-		return nil, 0, fmt.Errorf("fanstore: %s: %w", m.Path, err)
+		return nil, fmt.Errorf("fanstore: %s: %w", m.Path, err)
 	}
 	n.tracer.End(trace.OpDecompress, m.Path, trace.OutcomeNone, tstart)
 	if int64(len(out)) != m.Size {
 		decomp.PutBuf(out)
-		return nil, 0, fmt.Errorf("fanstore: %s: decompressed %d bytes, metadata says %d", m.Path, len(out), m.Size)
+		return nil, fmt.Errorf("fanstore: %s: decompressed %d bytes, metadata says %d", m.Path, len(out), m.Size)
 	}
 	n.decompresses.Inc()
-	return out, fid, nil
+	return out, nil
 }
 
-// open produces the decompressed bytes for a metadata record, following
-// Fig. 2: cache, then local backend, then remote fetch. Concurrent
-// producers of the same uncached file — other opens, or a prefetch
-// staging it — share one fetch+decode via singleflight (flight.go): the
-// waiter blocks on the leader's flight, then pins the shared cache
-// entry. pinned reports whether the returned bytes hold a cache pin the
-// caller must Release — false only for the zero-copy passthrough path,
-// which never enters the cache. outcome tells the tracer which arm of
-// Fig. 2 served the open; an open served by another producer's flight
-// reports OutcomeCoalesced.
-// level is the open's layer budget (0/FidelityFull: everything); a
-// cached entry below the budget's fidelity is a miss, and the producer
-// upgrades it in place when a lower-fidelity base is already resident.
-func (n *Node) openBytes(m *FileMeta, level uint8) (data []byte, pinned bool, outcome trace.Outcome, err error) {
-	want := metaFidelity(m, level)
+// openBytes produces the decompressed bytes for a metadata record,
+// following Fig. 2: cache, then local backend, then remote fetch.
+// Concurrent producers of the same uncached file — other opens, or a
+// prefetch staging it — share one fetch+decode via singleflight
+// (flight.go): the waiter blocks on the leader's flight, then pins the
+// shared cache entry. pinned reports whether the returned bytes hold a
+// cache pin the caller must Release — false only for the zero-copy
+// passthrough path, which never enters the cache. outcome tells the
+// tracer which arm of Fig. 2 served the open; an open served by another
+// producer's flight reports OutcomeCoalesced.
+func (n *Node) openBytes(m *FileMeta) (data []byte, pinned bool, outcome trace.Outcome, err error) {
 	coalesced := false
 	for {
-		if data, _, ok := n.cache.Acquire(m.Path, want); ok {
+		if data, ok := n.cache.Acquire(m.Path); ok {
 			outcome := trace.OutcomeCacheHit
 			if coalesced {
 				outcome = trace.OutcomeCoalesced
@@ -1329,31 +1167,26 @@ func (n *Node) openBytes(m *FileMeta, level uint8) (data []byte, pinned bool, ou
 			}
 			// The leader's result is in the cache (pinned by an open
 			// leader, or staged idle by a prefetch leader); Acquire
-			// shares it. If it was abandoned, already evicted (tiny
-			// cache), or a lower-fidelity flight than this open needs,
-			// loop: the next pass leads its own (upgrade) flight.
+			// shares it. If it was abandoned or already evicted (tiny
+			// cache), loop: the next pass leads its own flight.
 			continue
 		}
-		data, pinned, outcome, err := n.produceBytes(m, level)
+		data, pinned, outcome, err := n.produceBytes(m)
 		n.finishFlight(m.Path, f, err)
 		return data, pinned, outcome, err
 	}
 }
 
-// produceBytes performs the actual Fig. 2 data path for one file at the
-// given layer budget. pinned is false for the zero-copy path (no cache
-// entry to release). When a lower-fidelity base is already cached and the
-// object is remote, the refinement extents are fetched by byte range and
-// XORed onto a copy of the base — the upgrade-in-place path — instead of
-// re-fetching the whole prefix.
-func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool, outcome trace.Outcome, err error) {
+// produceBytes performs the actual Fig. 2 data path for one file. pinned
+// is false for the zero-copy path (no cache entry to release).
+func (n *Node) produceBytes(m *FileMeta) (data []byte, pinned bool, outcome trace.Outcome, err error) {
 	n.mu.RLock()
 	wdata, written := n.writes[m.Path]
 	n.mu.RUnlock()
 	switch {
 	case written:
 		n.localOpens.Inc()
-		return n.cache.Insert(m.Path, wdata, false, FidelityFull), true, trace.OutcomeMetaHit, nil
+		return n.cache.Insert(m.Path, wdata, false), true, trace.OutcomeMetaHit, nil
 	case n.backend.Contains(m.Path):
 		n.localOpens.Inc()
 		// Uncompressed RAM-resident objects are served zero-copy from the
@@ -1375,93 +1208,24 @@ func (n *Node) produceBytes(m *FileMeta, level uint8) (data []byte, pinned bool,
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		// The local payload is whole regardless of budget; the budget
-		// still caps decode work (fewer layers XORed).
-		data, fid, err := n.decompress(m, id, comp, decomp.PriOpen, level)
+		data, err := n.decompress(m, id, comp, decomp.PriOpen)
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		return n.cache.Insert(m.Path, data, true, fid), true, outcome, nil
+		return n.cache.Insert(m.Path, data, true), true, outcome, nil
 	default:
 		n.remoteOpens.Inc()
-		want := metaFidelity(m, level)
-		if data, ok := n.upgradeInPlace(m, want); ok {
-			return data, true, trace.OutcomeRemoteFetch, nil
-		}
-		id, comp, frame, outcome, err := n.fetchRemote(m, level)
+		id, comp, frame, outcome, err := n.fetchRemote(m)
 		if err != nil {
 			return nil, false, outcome, err
 		}
-		data, fid, err := n.decompress(m, id, comp, decomp.PriOpen, level)
+		data, err := n.decompress(m, id, comp, decomp.PriOpen)
 		decomp.PutBuf(frame) // every codec copies out of comp: the frame is dead
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		return n.cache.Insert(m.Path, data, true, fid), true, outcome, nil
+		return n.cache.Insert(m.Path, data, true), true, outcome, nil
 	}
-}
-
-// upgradeInPlace promotes an already-cached lower-fidelity entry to want
-// by fetching only the missing refinement extents: the byte range
-// [LayerPrefix[have-1], LayerPrefix[want-1]) of the container, each body
-// decoded and XORed onto a copy of the cached base. On success the
-// upgraded bytes replace the entry and return pinned. Any miss — no base
-// cached, no extent table, a range-fetch or decode failure — reports
-// ok=false and the caller performs a whole budgeted fetch. Opportunistic
-// and lossless: the base entry stays pinned (so untouched and valid)
-// until the upgraded copy is built from it.
-func (n *Node) upgradeInPlace(m *FileMeta, want uint8) (data []byte, ok bool) {
-	L := m.Layers()
-	if L == 0 || want < 2 {
-		return nil, false // unlayered, or nothing above the base to add
-	}
-	base, have, okBase := n.cache.Acquire(m.Path, 1)
-	if !okBase {
-		return nil, false
-	}
-	if have >= want {
-		// Raced with another producer that already got there.
-		return base, true
-	}
-	to := int(want)
-	if want == FidelityFull || to > L {
-		to = L
-	}
-	from := int(have) // have < want <= FidelityFull and have != FidelityFull ⇒ a real level ≥ 1
-	off := int64(m.LayerPrefix[from-1])
-	raw, err := n.fetchRemoteRange(m, off, int(int64(m.LayerPrefix[to-1])-off))
-	if err != nil {
-		n.cache.Release(m.Path)
-		return nil, false
-	}
-	out := decomp.GetBuf(int(m.Size))
-	out = append(out, base...)
-	n.decode.Run(decomp.PriOpen, func(s *codec.Scratch) {
-		plane := decomp.GetBuf(int(m.Size))
-		defer decomp.PutBuf(plane)
-		for j := from; j < to; j++ {
-			lo := int(int64(m.LayerPrefix[j-1]) - off)
-			hi := int(int64(m.LayerPrefix[j]) - off)
-			plane, err = codec.DecodeLayerBodyScratch(s, plane[:0], raw[lo:hi], int(m.Size))
-			if err != nil {
-				return
-			}
-			codec.XORInto(out, plane)
-		}
-	})
-	n.cache.Release(m.Path)
-	if err != nil {
-		decomp.PutBuf(out)
-		return nil, false
-	}
-	// Relative to a whole full-fidelity fetch: the upgrade skipped both
-	// the base prefix it reused from the cache and any layers past want.
-	if saved := int64(m.LayerPrefix[L-1]) - int64(len(raw)); saved > 0 {
-		n.fetchBytesSaved.Add(saved)
-	}
-	n.fetchUpgrades.Inc()
-	n.fidelityHist.Observe(time.Duration(to) * time.Microsecond)
-	return n.cache.Insert(m.Path, out, true, metaFidelity(m, uint8(to))), true
 }
 
 // PlanTarget resolves a path for the epoch planner
@@ -1478,24 +1242,6 @@ func (n *Node) PlanTarget(path string) (size int64, remote bool) {
 		return 0, false
 	}
 	return m.Size, !n.backend.Contains(cp)
-}
-
-// SetFidelity sets the node's layer budget for demand opens and default
-// prefetches: 0 (or FidelityFull) restores full fidelity, k caps layered
-// objects at their first k layers. A fidelity schedule flips it between
-// epochs — entries staged at a lower level upgrade in place the first
-// time a higher-budget open touches them. Written files and unlayered
-// objects are unaffected: they are always exact.
-func (n *Node) SetFidelity(level uint8) { n.fidelity.Store(uint32(normalizeFidelity(level))) }
-
-// FidelityLevel reports the node's current layer budget (FidelityFull
-// when no budget is set).
-func (n *Node) FidelityLevel() uint8 {
-	v := n.fidelity.Load()
-	if v == 0 {
-		return FidelityFull
-	}
-	return uint8(v)
 }
 
 // Expect installs an epoch's access order in the cache

@@ -29,7 +29,6 @@ func TestWriteSummary(t *testing.T) {
 		"rpc.server.served": 9, "rpc.server.notfound": 1, "rpc.server.errors": 2,
 		"rpc.client.calls": 8, "rpc.client.retries": 3, "rpc.client.timeouts": 1,
 		"rebalance.bytes.moved": 1 << 20, "fanstore.map.refreshes": 4,
-		"fanstore.fetch.bytes.saved": 2048, "fanstore.fetch.upgrades": 7,
 		"ec.degraded.reads": 17, "ec.repair.bytes": 8_000_000,
 	} {
 		reg.Counter(name).Add(v)
@@ -46,7 +45,7 @@ func TestWriteSummary(t *testing.T) {
 	}{
 		"fanstore.open.latency": {40, 100 * time.Microsecond}, "fanstore.fetch.latency": {6, 200 * time.Microsecond},
 		"fanstore.decompress.latency": {14, 50 * time.Microsecond}, "rpc.server.service.latency": {12, 30 * time.Microsecond},
-		"fanstore.fidelity.level": {4, 2 * time.Microsecond}, "ec.reconstruct.latency": {2, 3 * time.Millisecond},
+		"ec.reconstruct.latency": {2, 3 * time.Millisecond},
 	} {
 		for i := 0; i < h.n; i++ {
 			reg.Histogram(name).Observe(h.d)
@@ -62,7 +61,6 @@ cache: hit ratio 60.0%  evictions=3  prefetched opens=5 retained=4 refused=1
 remote: 4096 B fetched  failovers=1  batched fetches=2
 rpc: served=9 not-found=1 errors=2  peak in-service=4  calls=8 retries=3 timeouts=1
 rebalance: 1048576 B moved  pending=2  map version=5  stale-map refreshes=4
-fidelity: 2048 B saved  upgrades=7  mean level=2.00
 ec: degraded reads=17  reconstruct p99=4.096ms  repaired=8000000 B (4.0 MB/s)
 `
 	var b strings.Builder

@@ -36,16 +36,6 @@ type BuildOptions struct {
 	// BroadcastDirs lists path prefixes whose files are replicated to
 	// every node instead of scattered (validation data).
 	BroadcastDirs []string
-	// Layers >= 2 switches every file to the progressive layered
-	// container (codec.EncodeLayered): a base layer plus Layers-1
-	// refinements, each compressed with Compressor, so readers can fetch
-	// a fidelity-k byte prefix instead of the whole payload.
-	Layers int
-	// LayerScheme selects the layer split (codec.LayerBits default;
-	// codec.LayerFloat quantizes float32 payloads with an SZ base layer).
-	LayerScheme codec.LayerScheme
-	// FloatBound is the SZ error bound for LayerFloat bases (0 = default).
-	FloatBound float64
 }
 
 // Bundle is the output of the data preparation tool: scatter partitions
@@ -99,40 +89,20 @@ func Build(files []InputFile, opts BuildOptions) (*Bundle, error) {
 			defer wg.Done()
 			for i := w; i < len(files); i += workers {
 				f := files[i]
-				var comp []byte
-				var id uint16
-				var err error
-				if opts.Layers >= 2 {
-					// Layered entries keep the container even when it is
-					// larger than the raw file: the point is the cheap
-					// base-layer prefix, not the full-fidelity ratio.
-					comp, err = codec.EncodeLayered(nil, f.Data, codec.LayerOptions{
-						Layers:     opts.Layers,
-						Scheme:     opts.LayerScheme,
-						Codecs:     []string{opts.Compressor},
-						FloatBound: opts.FloatBound,
-					})
-					if err != nil {
-						errs[w] = fmt.Errorf("pack: layer %s: %w", f.Path, err)
+				comp, err := cfg.Codec.Compress(nil, f.Data)
+				if err != nil {
+					errs[w] = fmt.Errorf("pack: compress %s: %w", f.Path, err)
+					return
+				}
+				id := cfg.ID
+				if len(comp) >= len(f.Data) {
+					// Compression did not help (e.g. ImageNet JPEGs):
+					// store raw so decode cost is a memcpy.
+					if comp, err = store.Codec.Compress(comp[:0], f.Data); err != nil {
+						errs[w] = err
 						return
 					}
-					id = codec.LayeredID
-				} else {
-					comp, err = cfg.Codec.Compress(nil, f.Data)
-					if err != nil {
-						errs[w] = fmt.Errorf("pack: compress %s: %w", f.Path, err)
-						return
-					}
-					id = cfg.ID
-					if len(comp) >= len(f.Data) {
-						// Compression did not help (e.g. ImageNet JPEGs):
-						// store raw so decode cost is a memcpy.
-						if comp, err = store.Codec.Compress(comp[:0], f.Data); err != nil {
-							errs[w] = err
-							return
-						}
-						id = store.ID
-					}
+					id = store.ID
 				}
 				entries[i] = Entry{
 					Path:         f.Path,

@@ -79,21 +79,13 @@ type Entry struct {
 }
 
 // Decompress returns the file's original bytes, verifying the CRC.
-// Layered entries decode at full fidelity here; fidelity-budgeted decodes
-// are the fetch plane's job (codec.DecodeLayered on a container prefix).
 func (e *Entry) Decompress(dst []byte) ([]byte, error) {
 	start := len(dst)
-	var out []byte
-	var err error
-	if codec.IsLayered(e.CompressorID) {
-		out, _, err = codec.DecodeLayered(dst, e.Data, 0)
-	} else {
-		cfg, ok := codec.ByID(e.CompressorID)
-		if !ok {
-			return dst, fmt.Errorf("pack: %s: unknown compressor id %d", e.Path, e.CompressorID)
-		}
-		out, err = cfg.Codec.Decompress(dst, e.Data)
+	cfg, ok := codec.ByID(e.CompressorID)
+	if !ok {
+		return dst, fmt.Errorf("pack: %s: unknown compressor id %d", e.Path, e.CompressorID)
 	}
+	out, err := cfg.Codec.Decompress(dst, e.Data)
 	if err != nil {
 		return dst, fmt.Errorf("pack: %s: %w", e.Path, err)
 	}
@@ -105,21 +97,6 @@ func (e *Entry) Decompress(dst []byte) ([]byte, error) {
 		return dst, fmt.Errorf("pack: %s: CRC mismatch (%08x != %08x)", e.Path, crc, e.Stat.CRC32)
 	}
 	return out, nil
-}
-
-// LayerIndex parses the sub-object extent table of a layered entry: the
-// per-layer (offset, length) ranges within Data that let the fetch plane
-// request byte ranges instead of the whole payload. Non-layered entries
-// return ok=false.
-func (e *Entry) LayerIndex() (codec.LayerIndex, bool, error) {
-	if !codec.IsLayered(e.CompressorID) {
-		return codec.LayerIndex{}, false, nil
-	}
-	ix, err := codec.ParseLayerIndex(e.Data)
-	if err != nil {
-		return codec.LayerIndex{}, true, fmt.Errorf("pack: %s: %w", e.Path, err)
-	}
-	return ix, true, nil
 }
 
 // Partition is a parsed partition blob. Entries reference subslices of

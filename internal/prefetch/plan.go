@@ -11,8 +11,6 @@
 package prefetch
 
 import (
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,9 +29,8 @@ type PlanStore interface {
 	// resident and will be read. It replaces the previous epoch's.
 	Expect(paths []string)
 	// Prefetch stages the remote, uncached files among paths in batched
-	// round trips, at the fidelity the store currently reads at, and
-	// returns how many it staged. Best-effort: a file it does not stage
-	// is fetched on demand when the worker opens it.
+	// round trips and returns how many it staged. Best-effort: a file it
+	// does not stage is fetched on demand when the worker opens it.
 	Prefetch(paths []string) int
 	// PlanTarget resolves one path: its decompressed size and whether
 	// producing it needs a remote fetch (false: local or unknown, the
@@ -45,53 +42,6 @@ type PlanStore interface {
 	// StagedBytes is the bytes held for the plan — staged or kept
 	// resident — and not yet consumed.
 	StagedBytes() int64
-}
-
-// FidelityPhase is one leg of a fidelity schedule: Epochs epochs at
-// layer budget Level (0: full fidelity).
-type FidelityPhase struct {
-	Epochs int
-	Level  uint8
-}
-
-// FidelitySchedule maps training epochs to layer budgets — the
-// progressive-compression curriculum ("epochs 0–3 at the base layer,
-// then full"). Phases apply in order; epochs past the last phase run at
-// full fidelity.
-type FidelitySchedule []FidelityPhase
-
-// LevelAt returns the layer budget for an epoch (0: full fidelity).
-func (fs FidelitySchedule) LevelAt(epoch int) uint8 {
-	for _, ph := range fs {
-		if epoch < ph.Epochs {
-			return ph.Level
-		}
-		epoch -= ph.Epochs
-	}
-	return 0
-}
-
-// ParseFidelitySchedule parses the CLI syntax "level@epochs,...", e.g.
-// "1@4,2@4" — four epochs at the base layer, four at two layers, full
-// fidelity after. A bare "level" final phase is not allowed (it would
-// never end); use the implicit full-fidelity tail instead. Empty input
-// yields a nil schedule (always full fidelity).
-func ParseFidelitySchedule(s string) (FidelitySchedule, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out FidelitySchedule
-	for _, part := range strings.Split(s, ",") {
-		var level, epochs int
-		if _, err := fmt.Sscanf(part, "%d@%d", &level, &epochs); err != nil {
-			return nil, fmt.Errorf("prefetch: bad fidelity phase %q (want level@epochs)", part)
-		}
-		if level < 0 || level > 255 || epochs <= 0 {
-			return nil, fmt.Errorf("prefetch: bad fidelity phase %q (level 0-255, epochs > 0)", part)
-		}
-		out = append(out, FidelityPhase{Epochs: epochs, Level: uint8(level)})
-	}
-	return out, nil
 }
 
 // PlanItem is one remote object the epoch will consume.

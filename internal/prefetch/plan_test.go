@@ -268,26 +268,3 @@ func (f readerFunc) ReadFile(path string) ([]byte, error) { return f(path) }
 
 // schedSkipped reads the scheduler's skipped-items counter.
 func schedSkipped(s *Scheduler) int64 { return s.skipped.Value() }
-
-// TestFidelityScheduleParseAndLevels covers the CLI schedule syntax and
-// the epoch→level mapping, including the implicit full-fidelity tail.
-func TestFidelityScheduleParseAndLevels(t *testing.T) {
-	fs, err := ParseFidelitySchedule("1@4,2@2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantLevels := []uint8{1, 1, 1, 1, 2, 2, 0, 0}
-	for epoch, want := range wantLevels {
-		if got := fs.LevelAt(epoch); got != want {
-			t.Fatalf("epoch %d: level %d, want %d", epoch, got, want)
-		}
-	}
-	if fs, err := ParseFidelitySchedule(""); err != nil || fs != nil {
-		t.Fatalf("empty schedule: %v %v", fs, err)
-	}
-	for _, bad := range []string{"1", "x@2", "1@0", "1@-3", "300@2", "1@2,,2@2"} {
-		if _, err := ParseFidelitySchedule(bad); err == nil {
-			t.Fatalf("schedule %q parsed, want error", bad)
-		}
-	}
-}

@@ -13,16 +13,19 @@ import (
 // request/response payloads — but both daemon sides use this encoding,
 // so it lives with the wire layer.
 //
-// Key frame:   u32 count | (u8 level | u32 len | bytes)*
+// Key frame:   u32 count | (u32 len | bytes)*
 // Item frame:  u32 count | (u8 status | u32 len | bytes)*
 //
 // Both decoders read peer bytes: count is checked against the bytes that
-// remain (every key and item costs at least entryHeader bytes) before
-// anything is allocated for it.
+// remain (every key costs at least keyHeader bytes, every item
+// itemHeader) before anything is allocated for it.
 
-// entryHeader is the fixed cost of one key or item: u8 level/status plus
-// the u32 length.
-const entryHeader = 5
+// The fixed cost of one entry: a key's u32 length, and an item's u8
+// status plus its u32 length.
+const (
+	keyHeader  = 4
+	itemHeader = 5
+)
 
 // DefaultBatchItems is the default ceiling on keys per batched call.
 // Epoch-scale prefetch plans are split into frames of this many objects:
@@ -73,23 +76,15 @@ type Item struct {
 func KeysSize(keys []string) int {
 	n := 4
 	for _, k := range keys {
-		n += entryHeader + len(k)
+		n += keyHeader + len(k)
 	}
 	return n
 }
 
-// AppendKeysLevels appends a key frame to dst: every key with its
-// fidelity budget (the max layer count a budgeted fetch should return;
-// fanstore's FidelityFull sentinel, 0xFF, means the whole object). Keys
-// past the end of levels get the sentinel.
-func AppendKeysLevels(dst []byte, keys []string, levels []uint8) []byte {
+// AppendKeys appends a key frame holding keys to dst.
+func AppendKeys(dst []byte, keys []string) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(keys)))
-	for i, k := range keys {
-		lvl := uint8(0xFF)
-		if i < len(levels) {
-			lvl = levels[i]
-		}
-		dst = append(dst, lvl)
+	for _, k := range keys {
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(k)))
 		dst = append(dst, k...)
 	}
@@ -97,54 +92,51 @@ func AppendKeysLevels(dst []byte, keys []string, levels []uint8) []byte {
 }
 
 // decodeCount reads a frame's u32 entry count and bounds it by what the
-// remaining bytes can hold, so a four-byte frame cannot make the decoder
-// allocate for entries that are not there.
-func decodeCount(p []byte, what string) (int, []byte, error) {
+// remaining bytes can hold at header bytes an entry, so a four-byte frame
+// cannot make the decoder allocate for entries that are not there.
+func decodeCount(p []byte, what string, header uint64) (int, []byte, error) {
 	if len(p) < 4 {
 		return 0, nil, fmt.Errorf("rpc: %s frame truncated (%d bytes)", what, len(p))
 	}
 	count := binary.LittleEndian.Uint32(p)
 	p = p[4:]
-	if uint64(count)*entryHeader > uint64(len(p)) {
+	if uint64(count)*header > uint64(len(p)) {
 		return 0, nil, fmt.Errorf("rpc: %s frame truncated: %d entries declared, %d bytes remain", what, count, len(p))
 	}
 	return int(count), p, nil
 }
 
-// decodeEntry splits one (u8 tag | u32 len | bytes) entry off p.
-func decodeEntry(p []byte, what string, i int) (tag byte, body, rest []byte, err error) {
-	if len(p) < entryHeader {
-		return 0, nil, nil, fmt.Errorf("rpc: %s %d: header truncated", what, i)
+// decodeBody splits one (u32 len | bytes) body off p.
+func decodeBody(p []byte, what string, i int) (body, rest []byte, err error) {
+	if len(p) < 4 {
+		return nil, nil, fmt.Errorf("rpc: %s %d: header truncated", what, i)
 	}
-	tag = p[0]
-	l := binary.LittleEndian.Uint32(p[1:])
-	p = p[entryHeader:]
+	l := binary.LittleEndian.Uint32(p)
+	p = p[4:]
 	if uint64(l) > uint64(len(p)) {
-		return 0, nil, nil, fmt.Errorf("rpc: %s %d: %d bytes declared, %d remain", what, i, l, len(p))
+		return nil, nil, fmt.Errorf("rpc: %s %d: %d bytes declared, %d remain", what, i, l, len(p))
 	}
-	return tag, p[:l], p[l:], nil
+	return p[:l], p[l:], nil
 }
 
-// DecodeKeysLevels parses a key frame into keys and their per-key
-// fidelity budgets.
-func DecodeKeysLevels(p []byte) ([]string, []uint8, error) {
-	count, p, err := decodeCount(p, "batch key")
+// DecodeKeys parses a key frame.
+func DecodeKeys(p []byte) ([]string, error) {
+	count, p, err := decodeCount(p, "batch key", keyHeader)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	keys := make([]string, count)
-	levels := make([]uint8, count)
 	for i := range keys {
 		var key []byte
-		if levels[i], key, p, err = decodeEntry(p, "batch key", i); err != nil {
-			return nil, nil, err
+		if key, p, err = decodeBody(p, "batch key", i); err != nil {
+			return nil, err
 		}
 		keys[i] = string(key)
 	}
 	if len(p) != 0 {
-		return nil, nil, fmt.Errorf("rpc: batch key frame has %d trailing bytes", len(p))
+		return nil, fmt.Errorf("rpc: batch key frame has %d trailing bytes", len(p))
 	}
-	return keys, levels, nil
+	return keys, nil
 }
 
 // BeginItems starts a batched response of count items in dst. Every
@@ -157,7 +149,7 @@ func BeginItems(dst []byte, count int) []byte {
 
 // ItemsSize is the encoded size of an item frame carrying count items
 // whose payloads total payloadBytes.
-func ItemsSize(count, payloadBytes int) int { return 4 + count*entryHeader + payloadBytes }
+func ItemsSize(count, payloadBytes int) int { return 4 + count*itemHeader + payloadBytes }
 
 // BeginItem appends one item's header; the caller appends the payload
 // and then calls EndItem with the frame length BeginItem returned at.
@@ -173,14 +165,18 @@ func EndItem(frame []byte, start int) {
 
 // DecodeItems parses a batched response payload. Item payloads alias p.
 func DecodeItems(p []byte) ([]Item, error) {
-	count, p, err := decodeCount(p, "batch item")
+	count, p, err := decodeCount(p, "batch item", itemHeader)
 	if err != nil {
 		return nil, err
 	}
 	items := make([]Item, count)
 	for i := range items {
+		if len(p) == 0 {
+			return nil, fmt.Errorf("rpc: batch item %d: header truncated", i)
+		}
 		it := &items[i]
-		if it.Status, it.Payload, p, err = decodeEntry(p, "batch item", i); err != nil {
+		it.Status = p[0]
+		if it.Payload, p, err = decodeBody(p[1:], "batch item", i); err != nil {
 			return nil, err
 		}
 	}

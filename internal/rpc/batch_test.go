@@ -47,13 +47,13 @@ func TestBatchItemFrameRoundTrip(t *testing.T) {
 }
 
 func TestBatchFrameMalformed(t *testing.T) {
-	if _, _, err := DecodeKeysLevels(nil); err == nil {
+	if _, err := DecodeKeys(nil); err == nil {
 		t.Fatal("nil key frame decoded")
 	}
-	if _, _, err := DecodeKeysLevels([]byte{9, 0, 0, 0}); err == nil {
+	if _, err := DecodeKeys([]byte{9, 0, 0, 0}); err == nil {
 		t.Fatal("truncated key frame decoded")
 	}
-	if _, _, err := DecodeKeysLevels(append(AppendKeysLevels(nil, []string{"a"}, nil), 0xFF)); err == nil {
+	if _, err := DecodeKeys(append(AppendKeys(nil, []string{"a"}), 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted in key frame")
 	}
 	if _, err := DecodeItems([]byte{1, 0}); err == nil {
@@ -76,7 +76,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
-				keys, _, err := DecodeKeysLevels(req)
+				keys, err := DecodeKeys(req)
 				if err != nil {
 					return nil, err
 				}
@@ -97,7 +97,7 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 			return nil
 		}
 		cl := NewClient(c, 500, 1<<20, ClientOptions{})
-		resp, err := cl.Call(1, AppendKeysLevels(nil, []string{"a", "b", "c"}, nil))
+		resp, err := cl.Call(1, AppendKeys(nil, []string{"a", "b", "c"}))
 		if err != nil {
 			return err
 		}
@@ -124,34 +124,23 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 	}
 }
 
-func TestLeveledKeyFrameRoundTrip(t *testing.T) {
+func TestKeyFrameRoundTrip(t *testing.T) {
 	keys := []string{"train/a", "train/b", "", "train/long/path/c"}
-	levels := []uint8{1, 2, 0xFF, 3}
-	p := AppendKeysLevels(nil, keys, levels)
+	p := AppendKeys(nil, keys)
 	if len(p) != KeysSize(keys) {
 		t.Fatalf("KeysSize %d, frame is %d bytes", KeysSize(keys), len(p))
 	}
-	gotKeys, gotLevels, err := DecodeKeysLevels(p)
+	gotKeys, err := DecodeKeys(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotKeys, keys) || !reflect.DeepEqual(gotLevels, levels) {
-		t.Fatalf("round trip: %v %v", gotKeys, gotLevels)
-	}
-
-	// A short levels slice pads with the full-fidelity sentinel.
-	p = AppendKeysLevels(nil, keys, levels[:1])
-	_, gotLevels, err = DecodeKeysLevels(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotLevels[0] != 1 || gotLevels[1] != 0xFF || gotLevels[3] != 0xFF {
-		t.Fatalf("padding: %v", gotLevels)
+	if !reflect.DeepEqual(gotKeys, keys) {
+		t.Fatalf("round trip: %v", gotKeys)
 	}
 
 	// Degenerate key sets: no keys at all, empty keys, one key.
 	for _, keys := range [][]string{nil, {}, {""}, {"a"}} {
-		got, _, err := DecodeKeysLevels(AppendKeysLevels(nil, keys, nil))
+		got, err := DecodeKeys(AppendKeys(nil, keys))
 		if err != nil {
 			t.Fatalf("%v: %v", keys, err)
 		}
@@ -165,8 +154,8 @@ func TestLeveledKeyFrameRoundTrip(t *testing.T) {
 		}
 	}
 
-	for _, bad := range [][]byte{nil, {1}, {1, 0, 0, 0, 2}, append(AppendKeysLevels(nil, keys, levels), 9)} {
-		if _, _, err := DecodeKeysLevels(bad); err == nil {
+	for _, bad := range [][]byte{nil, {1}, {1, 0, 0, 0, 2}, append(AppendKeys(nil, keys), 9)} {
+		if _, err := DecodeKeys(bad); err == nil {
 			t.Fatalf("malformed frame %v accepted", bad)
 		}
 	}
@@ -200,7 +189,7 @@ func TestDecodeCountBoundedByFrame(t *testing.T) {
 	for _, frame := range hugeCountFrames {
 		var kerr, ierr error
 		got := allocatedBy(func() {
-			_, _, kerr = DecodeKeysLevels(frame)
+			_, kerr = DecodeKeys(frame)
 			_, ierr = DecodeItems(frame)
 		})
 		if kerr == nil || ierr == nil {

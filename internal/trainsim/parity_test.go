@@ -29,7 +29,8 @@ import (
 // comparing.
 //
 // The reactive window's nine rows went with the mode, the tuned replay's
-// eighteen with the autotuner.
+// eighteen with the autotuner, and the fidelity warm-up's nine with
+// layered fidelity.
 
 type parityCase struct {
 	Scenario string   `json:"scenario"`
@@ -91,8 +92,6 @@ func parityScenario(name string) Scenario {
 		return Scenario{Rank: 3, Kill: &ChaosConfig{KillRank: 3, KillEpoch: 1, K: 6, M: 2}}
 	case "kill-at-0": // default geometry
 		return Scenario{Rank: 1, Kill: &ChaosConfig{KillRank: 0, KillEpoch: 0}}
-	case "fidelity":
-		return Scenario{Fidelity: &FidelitySim{BaseEpochs: 2, BaseFrac: 0.4, Level: 1, Layers: 4}}
 	}
 	panic("parity table names an unknown scenario: " + name)
 }
@@ -124,8 +123,8 @@ func loadParity(t *testing.T) parityTable {
 	if err := json.Unmarshal(raw, &tab); err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Cases) != 81 {
-		t.Fatalf("parity table has %d rows, want 81 (9 scenarios x 3 configs x 3 skews)", len(tab.Cases))
+	if len(tab.Cases) != 72 {
+		t.Fatalf("parity table has %d rows, want 72 (8 scenarios x 3 configs x 3 skews)", len(tab.Cases))
 	}
 	return tab
 }

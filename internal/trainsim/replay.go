@@ -21,18 +21,17 @@ type SimObserver struct {
 
 // Scenario is what happens to a replayed run beyond the plain epoch
 // loop. Every part is optional and independent of the others: a rank
-// loss during a fidelity warm-up with the plan's cold fill priced is one
-// Scenario with three parts set. Each part emits the live store's
+// loss during a join with the plan's cold fill priced is one Scenario
+// with three parts set. Each part emits the live store's
 // instruments for what it simulates, so the cluster report renders a
 // simulated run like a real one.
 type Scenario struct {
 	// Rank is the rank this replay stands for (one Replay per rank, like
 	// one node per rank). Only Kill reads it.
-	Rank     int
-	Plan     *PlanConfig
-	Join     *JoinConfig
-	Kill     *ChaosConfig
-	Fidelity *FidelitySim
+	Rank int
+	Plan *PlanConfig
+	Join *JoinConfig
+	Kill *ChaosConfig
 }
 
 // PlanConfig prices the epoch-plan scheduler's cold fill: an async
@@ -78,28 +77,6 @@ type ChaosConfig struct {
 	K, M int
 }
 
-// FidelitySim is a progressive-compression warmup: the first BaseEpochs
-// epochs fetch only the layered container's base prefix — the device,
-// fabric, and decode terms all scale by BaseFrac, the bandwidth-
-// proportional promise — then epochs run at full fidelity. It emits
-// "fanstore.fetch.bytes.saved" (remote prefix bytes never moved) and
-// "fanstore.fidelity.level" (each iteration's layer budget, as that many
-// microseconds). Upgrades are not priced separately: the model re-fetches
-// every epoch, so the first full epoch already pays the whole container.
-type FidelitySim struct {
-	// BaseEpochs is the number of leading epochs run at the base-layer
-	// budget (0 disables the schedule).
-	BaseEpochs int
-	// BaseFrac is the fraction of the full container a base-budget fetch
-	// moves — the measured BytesFrac of the selector's fidelity curve
-	// (default 1/3, the bit-plane split's typical base share).
-	BaseFrac float64
-	// Level is the layer budget during the base epochs and Layers the
-	// container's total layer count; they only feed the fidelity-level
-	// histogram (defaults 1 and 4).
-	Level, Layers int
-}
-
 // Replay steps one rank's training run an epoch at a time onto the
 // observer's sinks: per epoch an OpEpoch span, the wait/compute split of
 // §VI-A, "trainsim.epoch.latency" / "trainsim.iter.latency" and
@@ -112,9 +89,8 @@ type Replay struct {
 
 	epoch      int
 	now        time.Duration
-	mapVersion int64       // a static map is version 1; every commit adds one
-	scattered  bool        // data spread over all members: RemoteFrac follows (N-1)/N
-	fid        FidelitySim // defaults applied; zero when off
+	mapVersion int64 // a static map is version 1; every commit adds one
+	scattered  bool  // data spread over all members: RemoteFrac follows (N-1)/N
 }
 
 // NewReplay starts a replay of c over dataSize files. With the zero
@@ -131,21 +107,6 @@ func (c Config) NewReplay(dataSize int, sc Scenario, obs SimObserver) *Replay {
 			remote = a
 		}
 		r.obs.Metrics.Counter("trainsim.plan.staged.bytes").Add(remote)
-	}
-	if sc.Fidelity != nil && sc.Fidelity.BaseEpochs > 0 {
-		r.fid = *sc.Fidelity
-		if r.fid.BaseFrac <= 0 || r.fid.BaseFrac > 1 {
-			r.fid.BaseFrac = 1.0 / 3
-		}
-		if r.fid.Level <= 0 {
-			r.fid.Level = 1
-		}
-		if r.fid.Layers < r.fid.Level {
-			r.fid.Layers = r.fid.Level
-		}
-		if r.fid.Layers < 2 {
-			r.fid.Layers = 4
-		}
 	}
 	return r
 }
@@ -174,15 +135,7 @@ func (r *Replay) Epoch() bool {
 		return false // the victim never gets past its kill epoch
 	}
 
-	// Fidelity scales the config the epoch reads through: a base-budget
-	// read moves, and decodes, BaseFrac of the compressed bytes.
-	cfg, level := r.cfg, r.fid.Layers
-	base := r.epoch < r.fid.BaseEpochs
-	if base {
-		level = r.fid.Level
-		cfg.Ratio = cfg.ratio() / r.fid.BaseFrac
-		cfg.DecompressPerFile = time.Duration(float64(cfg.DecompressPerFile) * r.fid.BaseFrac)
-	}
+	cfg := r.cfg
 	iters := NumIters(1, r.dataSize, cfg.App.CBatch*cfg.Nodes)
 
 	var degraded time.Duration // per-iteration reconstruction cost of a kill epoch
@@ -228,23 +181,11 @@ func (r *Replay) Epoch() bool {
 	if sc.Plan != nil {
 		reg.Histogram("trainsim.fill.latency").Observe(fill)
 	}
-	if base {
-		compSize := int64(float64(r.cfg.App.FileSizeBytes()) / r.cfg.ratio())
-		remoteFiles := r.cfg.RemoteFrac * float64(cfg.App.CBatch) * float64(iters)
-		reg.Counter("fanstore.fetch.bytes.saved").Add(int64(remoteFiles * float64(compSize) * (1 - r.fid.BaseFrac)))
-	}
-	if r.fid.BaseEpochs > 0 {
-		fidHist := reg.Histogram("fanstore.fidelity.level")
-		for i := 0; i < iters; i++ {
-			fidHist.Observe(time.Duration(level) * time.Microsecond)
-		}
-	}
 
 	// Background streams ride the fabric alongside the epoch and stretch
 	// it only by what they do not hide: the commit (and the next epoch's
-	// membership) waits for the last handoff. Partitions move as whole
-	// containers, so they are sized on r.cfg, not the fidelity-scaled cfg.
-	dataBytes := int64(float64(r.cfg.App.FileSizeBytes()) * float64(r.dataSize) / r.cfg.ratio())
+	// membership) waits for the last handoff.
+	dataBytes := int64(float64(cfg.App.FileSizeBytes()) * float64(r.dataSize) / cfg.ratio())
 	if killed {
 		// Each survivor pulls k shards' worth of its part of the dead
 		// rank's share and re-pushes the re-encoded stripe: (1 + m/k)

@@ -284,70 +284,9 @@ func TestTraceEpochsChaosKillsRank(t *testing.T) {
 	}
 }
 
-func TestTraceEpochsFidelitySchedule(t *testing.T) {
-	cfg := simConfig()
-	cfg.RemoteFrac = float64(cfg.Nodes-1) / float64(cfg.Nodes)
-	cfg.Ratio = 2
-	cfg.DecompressPerFile = time.Millisecond
-	// Make the pipeline network-bound so the base epochs' byte saving
-	// actually shortens the epoch instead of hiding behind compute.
-	cfg.App.TIter = time.Millisecond
-	if cfg.IOTime() <= cfg.ComputeTime() {
-		t.Fatalf("profile not I/O bound: io=%v compute=%v", cfg.IOTime(), cfg.ComputeTime())
-	}
-	const epochs, dataSize = 6, 4000
-	fs := FidelitySim{BaseEpochs: 4, BaseFrac: 1.0 / 3, Level: 1, Layers: 4}
-
-	reg := metrics.NewRegistry()
-	total := cfg.NewReplay(dataSize, Scenario{Fidelity: &fs}, SimObserver{Metrics: reg}).Run(epochs)
-
-	// The schedule beats the full-fidelity baseline, and the total is
-	// exactly base epochs at the scaled config plus full epochs.
-	baseline := cfg.NewReplay(dataSize, Scenario{}, SimObserver{}).Run(epochs)
-	if total >= baseline {
-		t.Fatalf("scheduled run %v not faster than full-fidelity %v", total, baseline)
-	}
-	scaled := cfg
-	scaled.Ratio = cfg.Ratio * 3
-	scaled.DecompressPerFile = cfg.DecompressPerFile / 3
-	want := scaled.TrainTime(fs.BaseEpochs, dataSize) + cfg.TrainTime(epochs-fs.BaseEpochs, dataSize)
-	if total != want {
-		t.Fatalf("scheduled run %v, want %v (4 base + 2 full epochs)", total, want)
-	}
-
-	snap := reg.Snapshot()
-	if got := snap.Counters["trainsim.epochs"]; got != epochs {
-		t.Fatalf("epochs counter = %d, want %d", got, epochs)
-	}
-	// Bytes saved: the remote fraction of every base epoch's compressed
-	// bytes, times the 2/3 of the container a base fetch never moves.
-	iters := NumIters(1, dataSize, cfg.App.CBatch*cfg.Nodes)
-	compSize := int64(float64(cfg.App.FileSizeBytes()) / cfg.Ratio)
-	perEpoch := int64(cfg.RemoteFrac * float64(cfg.App.CBatch) * float64(iters) * float64(compSize) * (2.0 / 3))
-	if got, want := snap.Counters["fanstore.fetch.bytes.saved"], int64(fs.BaseEpochs)*perEpoch; got != want {
-		t.Fatalf("bytes saved = %d, want %d", got, want)
-	}
-	// The fidelity histogram's mean recovers the schedule: 4 epochs at
-	// level 1 and 2 at level 4 average to 2.
-	h := snap.Histograms["fanstore.fidelity.level"]
-	if h.Count != int64(epochs*iters) {
-		t.Fatalf("fidelity observations = %d, want %d", h.Count, epochs*iters)
-	}
-	if mean := float64(h.Sum) / float64(h.Count); mean != 2.0 {
-		t.Fatalf("mean fidelity level = %.2f, want 2.00", mean)
-	}
-
-	// A zero schedule degenerates to the plain replay, and nil sinks are
-	// safe.
-	if plain := cfg.NewReplay(dataSize, Scenario{Fidelity: &FidelitySim{}}, SimObserver{}).Run(epochs); plain != baseline {
-		t.Fatalf("disabled schedule ran %v, want %v", plain, baseline)
-	}
-}
-
 // TestComposedScenario runs what no single fork could: on 4 ranks, rank
-// 3 dies at epoch 1 of a fidelity warm-up (base epochs 0-1) with the
-// plan's cold fill priced — one Replay per rank, every part's
-// instruments in one registry.
+// 3 dies at epoch 1 with the plan's cold fill priced — one Replay per
+// rank, every part's instruments in one registry.
 func TestComposedScenario(t *testing.T) {
 	cfg := Config{
 		App: cluster.SRGANonGTX, Clust: cluster.GTX, Nodes: 4,
@@ -356,13 +295,12 @@ func TestComposedScenario(t *testing.T) {
 	const epochs, dataSize, victim = 4, 4000, 3
 	scenario := func(rank int) Scenario {
 		return Scenario{
-			Rank:     rank,
-			Plan:     &PlanConfig{},
-			Kill:     &ChaosConfig{KillRank: victim, KillEpoch: 1},
-			Fidelity: &FidelitySim{BaseEpochs: 2, BaseFrac: 0.25, Level: 1, Layers: 4},
+			Rank: rank,
+			Plan: &PlanConfig{},
+			Kill: &ChaosConfig{KillRank: victim, KillEpoch: 1},
 		}
 	}
-	oneEpoch := cfg.NewReplay(dataSize, Scenario{Fidelity: scenario(0).Fidelity}, SimObserver{}).Run(1)
+	oneEpoch := cfg.NewReplay(dataSize, Scenario{}, SimObserver{}).Run(1)
 
 	for rank := 0; rank < 4; rank++ {
 		sc := scenario(rank)
@@ -397,7 +335,6 @@ func TestComposedScenario(t *testing.T) {
 		for _, name := range []string{
 			"trainsim.iters", "trainsim.plan.staged.bytes", // engine, Plan
 			"ec.degraded.reads", "ec.repair.bytes", "rebalance.bytes.moved", // Kill
-			"fanstore.fetch.bytes.saved", // Fidelity
 		} {
 			if snap.Counters[name] <= 0 {
 				t.Errorf("rank %d: counter %s = %d, want > 0", rank, name, snap.Counters[name])
@@ -407,7 +344,6 @@ func TestComposedScenario(t *testing.T) {
 			"trainsim.epoch.latency": epochs, "trainsim.fill.latency": epochs,
 			"trainsim.rebalance.latency": 1,
 			"ec.reconstruct.latency":     snap.Counters["ec.degraded.reads"],
-			"fanstore.fidelity.level":    snap.Counters["trainsim.iters"],
 		} {
 			if got := snap.Histograms[name].Count; got != want {
 				t.Errorf("rank %d: histogram %s has %d observations, want %d", rank, name, got, want)
@@ -422,7 +358,7 @@ func TestComposedScenario(t *testing.T) {
 	}
 
 	// Losing a rank never shortens a survivor's run, and the victim ran
-	// exactly its one pre-crash base-fidelity epoch.
+	// exactly its one pre-crash epoch.
 	killed := cfg.NewReplay(dataSize, scenario(0), SimObserver{}).Run(epochs)
 	healthy := scenario(0)
 	healthy.Kill = nil
@@ -430,7 +366,7 @@ func TestComposedScenario(t *testing.T) {
 		t.Errorf("survivor ran %v with the kill, %v without", killed, whole)
 	}
 	if got := cfg.NewReplay(dataSize, scenario(victim), SimObserver{}).Run(epochs); got != oneEpoch {
-		t.Errorf("victim ran %v, want its one base epoch %v", got, oneEpoch)
+		t.Errorf("victim ran %v, want its one epoch %v", got, oneEpoch)
 	}
 
 	// One map-version counter: a join and a kill in one run commit three
