@@ -25,10 +25,12 @@ race:
 	$(GO) test -race ./...
 
 # The two overlapping-membership rows of the lifecycle table (joins
-# released together; a leave racing a join) depend on the schedule, and one
-# pass of `race` draws one: run them twenty times.
+# released together; a leave racing a join) and the written-file
+# visibility rounds (a record reaching its home after the writer's
+# barrier) depend on the schedule, and one pass of `race` draws one: run
+# them twenty times.
 overlap:
-	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)' ./internal/fanstore
+	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)|TestWrittenFileVisibleAfterBarrier' ./internal/fanstore
 
 # The cache's next-use eviction rule: its property test draws new random
 # operation streams on every run, and the live two-rank row (the plan's

@@ -43,9 +43,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Second, "rendezvous timeout")
 		spill      = flag.String("spill", "", "local-disk backend directory (optional)")
 		seed       = flag.Int64("seed", 0, "read-order seed (default: rank)")
-		workers    = flag.Int("workers", 0, "concurrent fetch handlers served by this daemon (0: auto)")
-		decoders   = flag.Int("decode-workers", 0, "decode pool workers (0: GOMAXPROCS, 1: serial)")
-		shards     = flag.Int("cache-shards", 0, "cache lock shards, rounded up to a power of two (0: auto)")
 		fetchTO    = flag.Duration("fetch-timeout", 0, "per-attempt deadline on remote fetches (0: none)")
 		fetchRetry = flag.Int("fetch-retries", 0, "extra same-peer attempts after a timed-out or errored fetch")
 		lookahead  = flag.Int("prefetch", 0, "plan the reads in steps of this many and stage the plan ahead of the read loop (0: fetch on demand)")
@@ -133,16 +130,13 @@ func main() {
 		events = fanstore.NewEventLog(*rank, 0)
 	}
 	opts := fanstore.Options{
-		SpillDir:      *spill,
-		FetchWorkers:  *workers,
-		FetchTimeout:  *fetchTO,
-		FetchRetries:  *fetchRetry,
-		CacheShards:   *shards,
-		DecodeWorkers: *decoders,
-		Metrics:       reg,
-		Tracer:        tr,
-		Redundancy:    red,
-		Events:        events,
+		SpillDir:     *spill,
+		FetchTimeout: *fetchTO,
+		FetchRetries: *fetchRetry,
+		Metrics:      reg,
+		Tracer:       tr,
+		Redundancy:   red,
+		Events:       events,
 	}
 	var node *fanstore.Node
 	if elastic {

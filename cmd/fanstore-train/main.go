@@ -41,8 +41,6 @@ func main() {
 		admission  = flag.Int("admission", 0, "staged-bytes admission budget for -plan, MiB (0: live cache headroom)")
 		policy     = flag.String("cache-policy", "fifo", "fifo|lru|immediate")
 		cacheMB    = flag.Int("cache-mb", 64, "decompressed cache size per rank (MiB)")
-		shards     = flag.Int("cache-shards", 0, "cache lock shards, rounded up to a power of two (0: auto)")
-		decoders   = flag.Int("decode-workers", 0, "decode pool workers per rank (0: GOMAXPROCS, 1: serial)")
 		spill      = flag.String("spill", "", "local-disk backend directory (empty = RAM)")
 		tcp        = flag.Bool("tcp", false, "carry messages over loopback TCP")
 		resume     = flag.Bool("resume", false, "resume from the latest checkpoint epoch")
@@ -115,13 +113,11 @@ func main() {
 			events = fanstore.NewEventLog(c.Rank(), 0)
 		}
 		opts := fanstore.Options{
-			CachePolicy:   pol,
-			CacheBytes:    int64(*cacheMB) << 20,
-			CacheShards:   *shards,
-			DecodeWorkers: *decoders,
-			Metrics:       reg,
-			Tracer:        tr,
-			Events:        events,
+			CachePolicy: pol,
+			CacheBytes:  int64(*cacheMB) << 20,
+			Metrics:     reg,
+			Tracer:      tr,
+			Events:      events,
 		}
 		if *spill != "" {
 			opts.SpillDir = fmt.Sprintf("%s/rank%04d", *spill, c.Rank())

@@ -9,10 +9,14 @@ import (
 
 // liveHits feeds one recorded sequence to the real cache, single-threaded,
 // one shard of slots equal-sized entries: install the epoch's order (or
-// not), then open, fill on a miss, close.
-func liveHits(epochs [][]int, slots int, install bool) (hits int) {
+// not), then open, fill on a miss, close. The cache a mount would build
+// at this capacity has that one shard; liveHits checks it does.
+func liveHits(t *testing.T, epochs [][]int, slots int, install bool) (hits int) {
 	const size = 64
-	c := fanstore.NewCacheShards(int64(slots*size), fanstore.FIFO, 1)
+	c := fanstore.NewCache(int64(slots*size), fanstore.FIFO)
+	if c.NumShards() != 1 {
+		t.Fatalf("a %d-byte cache has %d shards, want 1", slots*size, c.NumShards())
+	}
 	path := func(id int) string { return fmt.Sprintf("f/%05d", id) }
 	for _, seq := range epochs {
 		if install {
@@ -45,10 +49,10 @@ func TestEvictionModelsMatchLiveCache(t *testing.T) {
 		}
 		epochs := s.record(12, 7)
 		fifo, plan, best := replayFIFO(epochs, s.slots), replayPlan(epochs, s.slots), replayMIN(epochs, s.slots)
-		if live := liveHits(epochs, s.slots, false); live != fifo {
+		if live := liveHits(t, epochs, s.slots, false); live != fifo {
 			t.Errorf("%s: live cache without a plan hit %d times, replayFIFO %d", s.name, live, fifo)
 		}
-		if live := liveHits(epochs, s.slots, true); live != plan {
+		if live := liveHits(t, epochs, s.slots, true); live != plan {
 			t.Errorf("%s: live cache with the plan installed hit %d times, replayPlan %d", s.name, live, plan)
 		}
 		if !(fifo < plan && plan < best) {

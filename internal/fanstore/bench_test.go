@@ -31,9 +31,10 @@ func (l *latencyBackend) Peek(path string) (uint16, []byte, bool) {
 // BenchmarkConcurrentRemoteFetch measures aggregate remote-fetch
 // throughput with 8 concurrent openers against one peer daemon, with the
 // cache disabled so every open is a full fetch from the peer's spill
-// backend. "serial" pins the daemon to one worker — the pre-layered
-// architecture's behaviour — and "pooled" uses a worker per opener; the
-// gap is the head-of-line blocking removed by the rpc worker pool.
+// backend. The daemon runs its default worker pool (GOMAXPROCS, floored
+// at 4), so handlers overlap their storage waits; a one-worker daemon,
+// measured once against it, took about eight times as long per file
+// (EXPERIMENTS.md, "Comparison-only settings verdict").
 func BenchmarkConcurrentRemoteFetch(b *testing.B) {
 	const nFiles, fileSize, openers = 16, 32 << 10, 8
 	const readLatency = 100 * time.Microsecond
@@ -46,64 +47,54 @@ func BenchmarkConcurrentRemoteFetch(b *testing.B) {
 	for i := range owned.Entries {
 		paths[i] = owned.Entries[i].Path
 	}
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"pooled", openers},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			spillDir := b.TempDir()
-			err := mpi.Run(2, func(c *mpi.Comm) error {
-				opts := Options{CachePolicy: Immediate, FetchWorkers: bc.workers}
-				if c.Rank() == 1 {
-					inner, err := NewSpillBackend(spillDir, "rank0001")
-					if err != nil {
-						return err
-					}
-					opts.Backend = &latencyBackend{Backend: inner, delay: readLatency}
-				}
-				node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
-				if err != nil {
-					return err
-				}
-				defer node.Close()
-				if c.Rank() != 0 {
-					return nil // serve until rank 0's Close barrier
-				}
-				b.ResetTimer()
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				errCh := make(chan error, openers)
-				for g := 0; g < openers; g++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for {
-							i := next.Add(1) - 1
-							if i >= int64(b.N) {
-								return
-							}
-							if _, err := node.ReadFile(paths[int(i)%len(paths)]); err != nil {
-								errCh <- err
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
-				close(errCh)
-				for err := range errCh {
-					return err
-				}
-				b.SetBytes(int64(fileSize))
-				return nil
-			})
+	spillDir := b.TempDir()
+	err = mpi.Run(2, func(c *mpi.Comm) error {
+		opts := Options{CachePolicy: Immediate}
+		if c.Rank() == 1 {
+			inner, err := NewSpillBackend(spillDir, "rank0001")
 			if err != nil {
-				b.Fatal(err)
+				return err
 			}
-		})
+			opts.Backend = &latencyBackend{Backend: inner, delay: readLatency}
+		}
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		if c.Rank() != 0 {
+			return nil // serve until rank 0's Close barrier
+		}
+		b.ResetTimer()
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		errCh := make(chan error, openers)
+		for g := 0; g < openers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := next.Add(1) - 1
+					if i >= int64(b.N) {
+						return
+					}
+					if _, err := node.ReadFile(paths[int(i)%len(paths)]); err != nil {
+						errCh <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		b.StopTimer()
+		close(errCh)
+		for err := range errCh {
+			return err
+		}
+		b.SetBytes(int64(fileSize))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
 }

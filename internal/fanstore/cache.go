@@ -211,15 +211,16 @@ const minShardBytes = 4 << 20
 // capacities). Pinned entries may transiently exceed the bound (they
 // cannot be evicted); the excess drains as files close.
 func NewCache(capacity int64, policy Policy) *Cache {
-	return NewCacheShards(capacity, policy, 0)
+	return newStripedCache(capacity, policy, 0)
 }
 
-// NewCacheShards is NewCache with an explicit shard count, rounded up to
-// a power of two (<=0 selects automatically). Capacity is striped across
-// the shards; each shard enforces its slice independently, so with
-// uneven path distribution eviction can begin slightly before the
-// aggregate bound is reached — never after.
-func NewCacheShards(capacity int64, policy Policy, shards int) *Cache {
+// newStripedCache is NewCache with an explicit shard count, rounded up to
+// a power of two (<=0 selects automatically), for tests that stripe a
+// cache on purpose. Capacity is striped across the shards; each shard
+// enforces its slice independently, so with uneven path distribution
+// eviction can begin slightly before the aggregate bound is reached —
+// never after.
+func newStripedCache(capacity int64, policy Policy, shards int) *Cache {
 	if shards <= 0 {
 		shards = 1
 		for shards < runtime.GOMAXPROCS(0) && shards < 64 {

@@ -22,7 +22,7 @@ func BenchmarkCacheAcquireRelease(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		for _, gs := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("shards=%d/goroutines=%d", shards, gs), func(b *testing.B) {
-				c := NewCacheShards(nPaths*1024, FIFO, shards)
+				c := newStripedCache(nPaths*1024, FIFO, shards)
 				for _, p := range paths {
 					c.Insert(p, make([]byte, 1024), false)
 					c.Release(p)

@@ -17,7 +17,7 @@ func TestCacheShardRounding(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 1}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {16, 16}, {17, 32},
 	} {
-		c := NewCacheShards(1<<30, FIFO, tc.ask)
+		c := newStripedCache(1<<30, FIFO, tc.ask)
 		if c.NumShards() != tc.want {
 			t.Fatalf("shards=%d: got %d, want %d", tc.ask, c.NumShards(), tc.want)
 		}
@@ -33,7 +33,7 @@ func TestCacheShardRounding(t *testing.T) {
 // once everything is released.
 func TestCacheShardedCapacityAccounting(t *testing.T) {
 	const per = 1 << 10
-	c := NewCacheShards(64*per, FIFO, 8)
+	c := newStripedCache(64*per, FIFO, 8)
 	paths := make([]string, 256)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("file-%04d", i)
@@ -80,7 +80,7 @@ func (sh *cacheShard) orderLen() int {
 // full recount, and no entry evicted while pinned.
 func TestCacheShardedConcurrent(t *testing.T) {
 	const per = 512
-	c := NewCacheShards(32*per, LRU, 4)
+	c := newStripedCache(32*per, LRU, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -180,7 +180,7 @@ func TestCacheOwnedBufferRecycledOnEvict(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c := NewCacheShards(1<<20, Immediate, 1)
+	c := newStripedCache(1<<20, Immediate, 1)
 	buf := decomp.GetBuf(8 << 10)
 	buf = append(buf, make([]byte, 8<<10)...)
 	c.Insert("f", buf, true)
@@ -202,7 +202,7 @@ func TestCacheInsertRaceLoserRecycled(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	c := NewCacheShards(1<<20, FIFO, 1)
+	c := newStripedCache(1<<20, FIFO, 1)
 	c.Insert("f", []byte("winner"), false)
 	loser := decomp.GetBuf(8 << 10)
 	loser = append(loser, make([]byte, 8<<10)...)
@@ -225,7 +225,7 @@ func TestCachePinnedBufferNeverRecycled(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const size = 8 << 10
-	c := NewCacheShards(2*size, FIFO, 1) // room for two entries
+	c := newStripedCache(2*size, FIFO, 1) // room for two entries
 	pinned := decomp.GetBuf(size)
 	pinned = append(pinned, make([]byte, size)...)
 	c.Insert("pinned", pinned, true) // stays pinned for the whole test
@@ -255,7 +255,7 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
 	}
-	c := NewCacheShards(1<<20, FIFO, 8)
+	c := newStripedCache(1<<20, FIFO, 8)
 	c.Insert("hot", make([]byte, 1024), false)
 	c.Release("hot")
 	allocs := testing.AllocsPerRun(1000, func() {

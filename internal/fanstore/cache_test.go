@@ -254,7 +254,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 	for _, policy := range []Policy{FIFO, LRU, Immediate} {
 		for _, shards := range []int{1, 2, 4} {
 			f := func(ops []op) bool {
-				c := NewCacheShards(6*size, policy, shards)
+				c := newStripedCache(6*size, policy, shards)
 				pins := make(map[string]int)
 				refused := int64(0) // stagings of a non-resident path that did not stay
 				fail := func(format string, args ...any) bool {
@@ -364,7 +364,7 @@ func TestCacheDemandEvictionSequenceIsTheParents(t *testing.T) {
 // the (operation, path) of every entry that left the cache, in order.
 func demandEvictionHash(policy Policy, shards int) uint64 {
 	const keys, size, ops = 24, 100, 4000
-	c := NewCacheShards(10*size, policy, shards)
+	c := newStripedCache(10*size, policy, shards)
 	rng := rand.New(rand.NewSource(int64(policy)*16 + int64(shards)))
 	pins := make([]int, keys)
 	resident := make([]bool, keys)
@@ -438,7 +438,7 @@ func TestPolicyString(t *testing.T) {
 // must clamp to zero rather than go negative, which upstream admission
 // code would misread as unlimited room.
 func TestCacheHeadroomAccounting(t *testing.T) {
-	c := NewCacheShards(1000, FIFO, 1)
+	c := newStripedCache(1000, FIFO, 1)
 	if h := c.Headroom(); h != 1000 {
 		t.Fatalf("empty cache headroom = %d, want 1000", h)
 	}
@@ -476,7 +476,7 @@ func TestCacheHeadroomAccounting(t *testing.T) {
 // transiently exceeds capacity; the clamp must keep every sample >= 0.
 // Run with -race.
 func TestCacheHeadroomNeverNegativeUnderStorm(t *testing.T) {
-	c := NewCacheShards(4<<10, FIFO, 2)
+	c := newStripedCache(4<<10, FIFO, 2)
 	stop := make(chan struct{})
 	var bad atomic.Int64
 	var pollers sync.WaitGroup

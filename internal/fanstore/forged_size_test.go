@@ -15,7 +15,7 @@ import (
 
 // A file's size reaches a node from two places it does not control: the
 // stat of a partition entry, and a peer's metadata record (the mount's
-// Allgather, tagWriteMeta, opMetaSync). Either may be forged. An open of
+// Allgather, opWriteMeta, opMetaSync). Either may be forged. An open of
 // such a file must fail with an error naming it, having allocated no more
 // than a small multiple of the object's payload — once, a size of 1<<42
 // preallocated its decode buffer before any codec ran and killed the

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"fanstore/internal/mpi"
 	"fanstore/internal/trace"
 )
 
@@ -219,6 +218,9 @@ func (f *File) Close() error {
 
 // seal commits a written file: dump the write-cache entry to the local
 // backend and forward the metadata record (§V-D, communication case 4).
+// The forward is a call (opWriteMeta) that returns once the home holds
+// the record, so a rank that synchronizes with the writer after Close
+// finds the file. It costs one round trip when the home is another rank.
 func (n *Node) seal(path string, data []byte) error {
 	if data == nil {
 		data = []byte{}
@@ -239,7 +241,8 @@ func (n *Node) seal(path string, data []byte) error {
 	if home == n.comm.Rank() {
 		return nil
 	}
-	return n.comm.Send(home, tagWriteMeta, encodeMetas([]FileMeta{m}))
+	_, err := n.sealer.Call(home, append([]byte{opWriteMeta}, encodeMetas([]FileMeta{m})...))
+	return err
 }
 
 // metaHome maps a written file's path to the rank responsible for its
@@ -337,27 +340,4 @@ func (n *Node) WriteFile(path string, data []byte) error {
 		return err
 	}
 	return f.Close()
-}
-
-// serveWriteMeta accepts forwarded write metadata (§V-D) until its pill:
-// an empty frame from this node's own rank. A peer's empty frame is a
-// malformed one, like any other frame that does not decode.
-func (n *Node) serveWriteMeta() {
-	defer n.daemon.Done()
-	for {
-		data, src, err := n.comm.Recv(mpi.AnySource, tagWriteMeta)
-		if err != nil {
-			return
-		}
-		if len(data) == 0 && src == n.comm.Rank() {
-			return // pill from stop
-		}
-		metas, err := decodeMetas(data)
-		if err != nil {
-			continue // a malformed frame must not kill the daemon
-		}
-		for i := range metas {
-			n.addMeta(metas[i])
-		}
-	}
 }

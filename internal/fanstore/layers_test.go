@@ -15,7 +15,7 @@ import (
 )
 
 // Coordination tags for multi-rank tests; well away from the store's
-// tagFetch/tagWriteMeta/tagRing range and below tagRespBase.
+// tagFetch/tagRing/tagCtrl range and below tagRespBase.
 const (
 	tagTestGo   = 7000
 	tagTestDone = 7001
@@ -142,7 +142,7 @@ func TestSpillFetchConcurrency(t *testing.T) {
 	}
 	spillDir := t.TempDir()
 	err = mpi.Run(ranks, func(c *mpi.Comm) error {
-		opts := Options{CachePolicy: Immediate, FetchWorkers: openers}
+		opts := Options{CachePolicy: Immediate}
 		if c.Rank() == 1 {
 			opts.SpillDir = spillDir
 		}
@@ -220,7 +220,7 @@ func TestDaemonConcurrentUnderStall(t *testing.T) {
 	slow, fast := paths[0], paths[1:]
 	spillDir := t.TempDir()
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		opts := Options{CachePolicy: Immediate, FetchWorkers: openers}
+		opts := Options{CachePolicy: Immediate}
 		var parts [][]byte
 		var gate *gateBackend
 		if c.Rank() == 0 {

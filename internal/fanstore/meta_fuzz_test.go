@@ -11,7 +11,7 @@ import (
 )
 
 // The peer-bytes decoders the frame-level targets only reach through
-// their envelopes: decodeMetas (every tagWriteMeta frame, opMetaSync
+// their envelopes: decodeMetas (every opWriteMeta body, opMetaSync
 // reply, mount table and ctrlCommit ends in it), decodePaths (the
 // replica announcement), and the fixed-header partition request,
 // opFetchPart, as a mounted node's daemon sees it. None may panic or

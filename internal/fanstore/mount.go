@@ -71,9 +71,9 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	}
 	n := &Node{
 		comm:     comm,
-		cache:    NewCacheShards(opts.CacheBytes, opts.CachePolicy, opts.CacheShards),
+		cache:    NewCache(opts.CacheBytes, opts.CachePolicy),
 		backend:  backend,
-		decode:   decomp.New(opts.DecodeWorkers, reg),
+		decode:   decomp.New(0, reg),
 		view:     view,
 		selfID:   selfID,
 		meta:     make(map[string]*FileMeta),
@@ -92,17 +92,16 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	n.mapVersion.Set(int64(view.Version()))
 	n.cache.instrument(reg, opts.Tracer)
 	n.cache.setEvents(opts.Events)
-	n.server = rpc.NewServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{
-		Workers: opts.FetchWorkers,
-		Metrics: reg,
-	})
+	n.server = rpc.NewServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{Metrics: reg})
 	n.client = rpc.NewClient(comm, tagFetch, tagRespBase, rpc.ClientOptions{
 		Timeout: opts.FetchTimeout,
 		Retries: opts.FetchRetries,
 		Metrics: reg,
 	})
-	n.daemon.Add(1)
-	go n.serveWriteMeta()
+	n.sealer = rpc.NewClient(comm, tagFetch, tagSealRespBase, rpc.ClientOptions{
+		Timeout: opts.FetchTimeout,
+		Retries: opts.FetchRetries,
+	})
 	return n, nil
 }
 
@@ -214,17 +213,15 @@ func (n *Node) Close() error {
 }
 
 // stop is the one teardown, downstream first: control loop, fetch
-// server, write-metadata loop, decode pool, backend. The pills are
-// sent unconditionally: when the world is already aborted the sends fail
-// too, but then the loops have exited on their closed mailboxes.
+// server, decode pool, backend. The pills are sent unconditionally: when
+// the world is already aborted the sends fail too, but then the loops
+// have exited on their closed mailboxes.
 func (n *Node) stop() error {
 	if n.ectrl != nil {
 		n.ectrl.stopLoop()
 	}
 	n.server.Stop()
-	_ = n.comm.Send(n.comm.Rank(), tagWriteMeta, nil)
-	n.daemon.Wait()
-	// With the daemons down no new decode work arrives; the pool drains
+	// With the server down no new decode work arrives; the pool drains
 	// whatever is queued (stragglers run inline on their submitters).
 	n.decode.Close()
 	return n.backend.Close()

@@ -2,19 +2,24 @@ package fanstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"fanstore/internal/dataset"
 	"fanstore/internal/mpi"
+	"fanstore/internal/rpc"
 )
 
-// TestPeerEmptyFrameStopsNoDaemon: an empty frame is a daemon's pill only
-// when it comes from the daemon's own rank. A peer's — on the fetch tag or
-// the write-metadata tag — is a malformed frame, and the daemon keeps
-// serving: rank 1 still reads a rank-0 object, and rank 0, the home of a
-// file rank 1 seals, still learns its record.
+// TestPeerEmptyFrameStopsNoDaemon: an empty frame is the fetch server's
+// pill only when it comes from the server's own rank. A peer's is a
+// malformed frame, and the server keeps serving: rank 1 still reads a
+// rank-0 object. A peer's malformed opWriteMeta gets an error reply, the
+// server keeps serving, and the dataset record it names is unchanged:
+// rank 0, the home of a file rank 1 then seals, holds that record as
+// soon as the writer's barrier is passed.
 func TestPeerEmptyFrameStopsNoDaemon(t *testing.T) {
 	bundle, want := buildBundle(t, dataset.Language, 8, 2, 1<<10, nil)
 	t.Run("fetch", func(t *testing.T) {
@@ -46,6 +51,20 @@ func TestPeerEmptyFrameStopsNoDaemon(t *testing.T) {
 	})
 	t.Run("writemeta", func(t *testing.T) {
 		body := []byte("sealed by rank 1")
+		dataPath := ownedPaths(t, bundle.Scatter[0])[0]
+		forged := func(written bool) []byte {
+			return encodeMetas([]FileMeta{{Path: dataPath, Size: 1 << 42, Owner: 1, Written: written}})
+		}
+		valid := encodeMetas([]FileMeta{{Path: "out/forged", Size: 1, Owner: 1, Written: true}})
+		bad := []struct {
+			name string
+			body []byte
+		}{
+			{"empty", nil},
+			{"truncated", valid[:len(valid)-3]},
+			{"not written", forged(false)},
+			{"over a partition record", forged(true)},
+		}
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{FetchTimeout: 2 * time.Second})
 			if err != nil {
@@ -56,29 +75,39 @@ func TestPeerEmptyFrameStopsNoDaemon(t *testing.T) {
 			for i := 0; node.metaHome(path) != 0; i++ {
 				path = fmt.Sprintf("out/homed-on-0.%d", i)
 			}
+			node.mu.RLock()
+			before := *node.meta[dataPath]
+			node.mu.RUnlock()
 			if c.Rank() == 1 {
-				if err := c.Send(0, tagWriteMeta, nil); err != nil {
-					return err
+				for _, b := range bad {
+					if _, err := node.client.Call(0, append([]byte{opWriteMeta}, b.body...)); !errors.Is(err, rpc.ErrRemote) {
+						return fmt.Errorf("%s opWriteMeta: err %v, want an error reply", b.name, err)
+					}
 				}
 				if err := node.WriteFile(path, body); err != nil {
 					return err
 				}
-				return c.Barrier()
 			}
 			if err := c.Barrier(); err != nil {
 				return err
 			}
-			// The record is forwarded one way: it lands when the home's
-			// write-metadata loop takes it.
-			if err := awaitCond("the home's record of "+path, func() bool {
-				_, err := node.Stat(path)
-				return err == nil
-			}); err != nil {
-				return err
+			node.mu.RLock()
+			after := *node.meta[dataPath]
+			node.mu.RUnlock()
+			if !reflect.DeepEqual(before, after) {
+				return fmt.Errorf("%s: record %+v became %+v", dataPath, before, after)
 			}
-			data, err := node.ReadFile(path)
-			if err != nil || !bytes.Equal(data, body) {
-				return fmt.Errorf("%s on its home: %q, %v", path, data, err)
+			if data, err := node.ReadFile(dataPath); err != nil || !bytes.Equal(data, want[dataPath]) {
+				return fmt.Errorf("%s after the forgeries: %v", dataPath, err)
+			}
+			if c.Rank() == 0 {
+				if _, err := node.Stat("out/forged"); err == nil {
+					return fmt.Errorf("a truncated record was installed")
+				}
+				data, err := node.ReadFile(path)
+				if err != nil || !bytes.Equal(data, body) {
+					return fmt.Errorf("%s on its home: %q, %v", path, data, err)
+				}
 			}
 			return nil
 		})
@@ -86,6 +115,75 @@ func TestPeerEmptyFrameStopsNoDaemon(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestWrittenFileVisibleAfterBarrier: a written file is visible to every
+// rank as soon as the writer's Close is ordered before it. In each of 200
+// rounds rank 0 writes four files homed on rank 1 and every rank passes a
+// barrier; then rank 1, the home, and rank 2, which knows neither the
+// writer's table nor the home's, Stat and read every file, once each.
+// When the record went to the home one way, the home's receive loop
+// could take it after the barrier: 9 of 10 runs missed a Stat.
+func TestWrittenFileVisibleAfterBarrier(t *testing.T) {
+	const ranks = 3
+	bundle, _ := buildBundle(t, dataset.Language, 6, ranks, 1<<10, nil)
+	for _, tr := range []struct {
+		name string
+		run  func(int, func(*mpi.Comm) error) error
+	}{{"inproc", mpi.Run}, {"tcp", mpi.RunTCP}} {
+		t.Run(tr.name, func(t *testing.T) {
+			// A miss aborts the world, and the run reports the lowest
+			// rank's error, the abort: keep every rank's.
+			errs := make([]error, ranks)
+			err := tr.run(ranks, func(c *mpi.Comm) error {
+				errs[c.Rank()] = visibleRounds(c, bundle.Scatter[c.Rank()])
+				return errs[c.Rank()]
+			})
+			if err != nil {
+				t.Fatal(errors.Join(errs...))
+			}
+		})
+	}
+}
+
+// visibleRounds is one rank of TestWrittenFileVisibleAfterBarrier.
+func visibleRounds(c *mpi.Comm, part []byte) error {
+	const rounds, perRound = 200, 4
+	node, err := Mount(c, [][]byte{part}, nil, Options{FetchTimeout: 5 * time.Second})
+	if err != nil {
+		return err
+	}
+	defer node.Close()
+	for round := 0; round < rounds; round++ {
+		paths := make([]string, 0, perRound)
+		for i := 0; len(paths) < perRound; i++ {
+			if p := fmt.Sprintf("ckpt/r%03d/f%d", round, i); node.metaHome(p) == 1 {
+				paths = append(paths, p)
+			}
+		}
+		if c.Rank() == 0 {
+			for _, p := range paths {
+				if err := node.WriteFile(p, []byte(p)); err != nil {
+					return err
+				}
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			continue
+		}
+		for _, p := range paths {
+			if info, err := node.Stat(p); err != nil || info.Size != int64(len(p)) {
+				return fmt.Errorf("round %d: Stat(%s) = %+v, %v", round, p, info, err)
+			}
+			if data, err := node.ReadFile(p); err != nil || string(data) != p {
+				return fmt.Errorf("round %d: ReadFile(%s) = %q, %v", round, p, data, err)
+			}
+		}
+	}
+	return nil
 }
 
 // TestWrittenFileReadableFromEveryRank: a written file's record lives on
@@ -113,18 +211,8 @@ func TestWrittenFileReadableFromEveryRank(t *testing.T) {
 		}
 		for r := 0; r < ranks; r++ {
 			path, body := ckpt(r)
-			// The home learns the record one way (seal's Send), so the
-			// first asks may come before it has.
-			var info Info
-			var statErr error
-			if err := awaitCond(path+" visible", func() bool {
-				info, statErr = node.Stat(path)
-				return statErr == nil
-			}); err != nil {
-				return fmt.Errorf("%w (Stat: %v)", err, statErr)
-			}
-			if info.Size != int64(len(body)) || info.IsDir {
-				return fmt.Errorf("Stat(%s) = %+v", path, info)
+			if info, err := node.Stat(path); err != nil || info.Size != int64(len(body)) || info.IsDir {
+				return fmt.Errorf("Stat(%s) = %+v, %v", path, info, err)
 			}
 			data, err := node.ReadFile(path)
 			if err != nil || !bytes.Equal(data, body) {

@@ -15,7 +15,7 @@ import (
 
 // TestPlanDecidesEvictionLive runs the benchmark's headline shape small:
 // 2 ranks over the in-process mailbox, 512 files, a cache of a quarter of
-// the data in two shards, four shuffled epochs through BuildPlan,
+// the data (one shard at this size), four shuffled epochs through BuildPlan,
 // NewScheduler and the pipeline, with a 2 ms training step per iteration —
 // a consumer that only reads outruns any stager on a loaded box, and then
 // every count below measures the race, not the cache. The plan must not
@@ -26,14 +26,15 @@ import (
 // 71–75 % of what it staged and fetched 75–83 % of its items on demand:
 // the stager laid the whole epoch into a FIFO.
 //
-// What is still fetched on demand here, 6–12 %, is refusals, logged: a
-// consumer slower than the stager keeps admission at its edge, and
-// admission assumes a batch splits evenly over the shards (these paths
-// hash 53:47), so the part of a batch that overfills the fuller shard is
-// dropped (ROADMAP item 2; the benchmark's consumer keeps up, room grows
-// while a batch is in flight, and it refuses under 0.3 %). Every byte is
-// checked, and the end state is quiet: no pin, and nothing staged once an
-// empty plan replaces the last.
+// Refusals are logged. Striped in two, this cache refused 6–12 % of the
+// plan: a consumer slower than the stager keeps admission at its edge,
+// and admission assumes a batch splits evenly over the shards (these
+// paths hash 53:47), so the part of a batch that overfills the fuller
+// shard is dropped (ROADMAP item 4; the benchmark's caches have two
+// shards on two Ps, its consumer keeps up, room grows while a batch is in
+// flight, and it refuses under 0.3 %). In one shard it refuses none. Every
+// byte is checked, and the end state is quiet: no pin, and nothing staged
+// once an empty plan replaces the last.
 func TestPlanDecidesEvictionLive(t *testing.T) {
 	const ranks, files, size, batch, epochs = 2, 512, 2 << 10, 8, 4
 	const step = 2 * time.Millisecond
@@ -53,7 +54,7 @@ func TestPlanDecidesEvictionLive(t *testing.T) {
 	}
 	err = mpi.Run(ranks, func(c *mpi.Comm) error {
 		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil,
-			Options{CacheBytes: files * size / 4, CacheShards: 2})
+			Options{CacheBytes: files * size / 4})
 		if err != nil {
 			return err
 		}

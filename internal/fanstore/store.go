@@ -49,11 +49,12 @@ import (
 
 // Message tags used by the FanStore daemon protocol.
 const (
-	tagFetch     = 1000 // fetch request: rpc frame carrying an op + body
-	tagWriteMeta = 1001 // write metadata forward: encoded []FileMeta
-	tagRing      = 1002 // ring replication of extra partitions
-	tagCtrl      = 1003 // elastic control plane: join/rebalance/shutdown (elastic.go)
-	tagRespBase  = 1 << 20
+	tagFetch = 1000 // fetch request: rpc frame carrying an op + body
+	tagRing  = 1002 // ring replication of extra partitions
+	tagCtrl  = 1003 // elastic control plane: join/rebalance/shutdown (elastic.go)
+	// Each rpc.Client answers on its own window of 2^30 response tags.
+	tagRespBase     = 1 << 20
+	tagSealRespBase = tagRespBase + 1<<30
 )
 
 // Fetch request ops, the first byte of every tagFetch payload. All ops
@@ -98,6 +99,11 @@ const (
 	// node to hold — the shard-placement half of ec redundancy. Re-pushes
 	// of the same (gid, index) overwrite.
 	opStoreShard = byte(4)
+	// opWriteMeta delivers a sealed output file's record to its metadata
+	// home (encodeMetas of one Written record); the answer is empty, so a
+	// writer's WriteFile returns once the home holds the record. Op byte 5
+	// is unassigned: it was a byte-range fetch.
+	opWriteMeta = byte(6)
 )
 
 // batchGetConcurrency bounds concurrent backend reads inside one
@@ -147,28 +153,17 @@ func (e *vanishedError) Unwrap() error { return e.err }
 // Knob lifetimes: every field is mount-only, fixed for the node's
 // lifetime. What moves after Mount is set on the Node: the admission
 // budget (Node.SetAdmissionBytes, read by the plan scheduler on every
-// admission decision).
-// CacheBytes and CacheShards could not be otherwise — resizing or
-// restriping the sharded cache would require a stop-the-world rehash of
-// every resident entry.
+// admission decision). The node sizes its pools itself: the cache's
+// shards from GOMAXPROCS and CacheBytes, GOMAXPROCS decode workers, and
+// the rpc server's handlers (rpc.NewServer).
 type Options struct {
 	// CacheBytes bounds the decompressed data cache (default 256 MiB).
-	// Mount-only: the cache never resizes live (see the knob-lifetimes
-	// note above).
+	// Mount-only: resizing the sharded cache live would rehash every
+	// resident entry.
 	CacheBytes int64
 	// CachePolicy selects the replacement order among entries no
 	// installed epoch plan will read (default FIFO); see Policy.
 	CachePolicy Policy
-	// CacheShards overrides the decompressed cache's stripe count,
-	// rounded up to a power of two (0: automatic — sized to GOMAXPROCS,
-	// reduced for small capacities). 1 reproduces the old single-lock
-	// cache for comparison benchmarks. Mount-only: restriping live
-	// would rehash every resident entry (see the knob-lifetimes note).
-	CacheShards int
-	// DecodeWorkers bounds the shared decode pool that demand opens and
-	// the look-ahead prefetcher decompress through (default GOMAXPROCS).
-	// 1 reproduces serial decode for comparison benchmarks.
-	DecodeWorkers int
 	// Replicas are extra partition blobs this node serves locally
 	// without owning them (typically obtained via RingReplicate when the
 	// node has spare local storage, §V-D). Their paths are announced to
@@ -185,10 +180,6 @@ type Options struct {
 	// NewSpillBackend. The mount owns it: the node closes it on every
 	// exit, a failed mount included.
 	Backend Backend
-	// FetchWorkers bounds the daemon's concurrent fetch handlers
-	// (default: GOMAXPROCS, floored at 4). 1 reproduces the old serial
-	// daemon for comparison benchmarks.
-	FetchWorkers int
 	// FetchTimeout bounds each remote fetch attempt (0: no deadline).
 	FetchTimeout time.Duration
 	// FetchRetries is how many extra attempts follow a timed-out or
@@ -319,10 +310,13 @@ type Node struct {
 
 	server *rpc.Server // answers peers' fetch requests (tagFetch)
 	client *rpc.Client // issues fetch requests to peers
+	// sealer forwards sealed files' records (opWriteMeta). It has no
+	// instruments: rpc.client.* count what reads cost, so a read-only
+	// window shows no calls whatever the job writes.
+	sealer *rpc.Client
 
 	routeSeq atomic.Int64 // rotates fetch routing across owner+replicas
 	closed   atomic.Bool
-	daemon   sync.WaitGroup // the write-metadata service loop
 
 	// The registry every data-path instrument lives in ("fanstore.*",
 	// "rpc.*", "decomp.*"): the one read-out of the node's numbers.
@@ -479,6 +473,8 @@ func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
 		return n.handleFetchShard(payload[1:])
 	case opStoreShard:
 		return n.handleStoreShard(payload[1:])
+	case opWriteMeta:
+		return n.handleWriteMeta(payload[1:])
 	default:
 		return nil, fmt.Errorf("fanstore: unknown fetch op %d", payload[0])
 	}
@@ -649,6 +645,29 @@ func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
 	enc := encodeMetas(recs)
 	resp := binary.LittleEndian.AppendUint32(decomp.GetBuf(4+len(mapEnc)+len(enc)), uint32(len(mapEnc)))
 	return append(append(resp, mapEnc...), enc...), nil
+}
+
+// handleWriteMeta installs a peer's sealed-file record (opWriteMeta). The
+// record is a peer's claim: only one Written record is taken, and never
+// over a partition's record, which the write path cannot replace.
+func (n *Node) handleWriteMeta(body []byte) ([]byte, error) {
+	metas, err := decodeMetas(body)
+	if err != nil {
+		return nil, err
+	}
+	if len(metas) != 1 || !metas[0].Written {
+		return nil, errors.New("fanstore: write metadata: not one written record")
+	}
+	m := metas[0]
+	m.Path = cleanPath(m.Path)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if old := n.meta[m.Path]; m.Path == "" || old != nil && !old.Written {
+		return nil, fmt.Errorf("fanstore: write metadata: %q is not a writable path", m.Path)
+	}
+	n.meta[m.Path] = &m
+	n.dirs.add(m.Path, m.Size)
+	return nil, nil
 }
 
 // decodeMetaSync parses an opMetaSync reply. The map length is a peer's:
@@ -1274,9 +1293,6 @@ func (n *Node) CacheHeadroom() int64 { return n.cache.Headroom() }
 // staged by prefetch or retained from an earlier epoch — and not yet
 // consumed by an open: the quantity the planner's admission rule bounds.
 func (n *Node) StagedBytes() int64 { return n.cache.StagedBytes() }
-
-// DecodeWorkers reports the decode pool's worker count.
-func (n *Node) DecodeWorkers() int { return n.decode.Workers() }
 
 // AdmissionBytes reports the node's staged-bytes budget (0: the plan
 // scheduler falls back to live cache headroom). Hand this method to

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -290,14 +291,7 @@ func TestWriteMetadataForwarding(t *testing.T) {
 		}
 		home := node.metaHome(path)
 		if c.Rank() == home || c.Rank() == 0 {
-			// The forward is a one-way send: the barrier orders its delivery
-			// to the home's mailbox, not the home daemon's processing of it.
-			var info Info
-			err := awaitCond("the forwarded record", func() bool {
-				var serr error
-				info, serr = node.Stat(path)
-				return serr == nil
-			})
+			info, err := node.Stat(path)
 			if err != nil {
 				return fmt.Errorf("rank %d (home=%d): %w", c.Rank(), home, err)
 			}
@@ -736,21 +730,22 @@ func TestSingleflightFetch(t *testing.T) {
 	}
 }
 
-// TestDecodeWorkersIsMountOnly: Options.DecodeWorkers sizes the decode
-// pool at mount and nothing moves it afterwards — the node and the
-// "decomp.pool.workers" gauge read the mounted count before and after
-// the pool has worked, until Close.
-func TestDecodeWorkersIsMountOnly(t *testing.T) {
+// TestDecodePoolIsGOMAXPROCSWide: a mount sizes its decode pool to
+// GOMAXPROCS and nothing moves it afterwards — the pool and the
+// "decomp.pool.workers" gauge read that width before and after the pool
+// has worked, until Close.
+func TestDecodePoolIsGOMAXPROCSWide(t *testing.T) {
 	bundle, want := buildBundle(t, dataset.EM, 4, 1, 2<<10, nil)
+	width := runtime.GOMAXPROCS(0)
 	err := mpi.Run(1, func(c *mpi.Comm) error {
-		node, err := Mount(c, bundle.Scatter, nil, Options{CacheBytes: 1 << 20, DecodeWorkers: 3})
+		node, err := Mount(c, bundle.Scatter, nil, Options{CacheBytes: 1 << 20})
 		if err != nil {
 			return err
 		}
 		defer node.Close()
 		for round := 0; round < 2; round++ {
-			if n, g := node.DecodeWorkers(), read(t, node).gauge("decomp.pool.workers"); n != 3 || g.Value != 3 || g.Max != 3 {
-				return fmt.Errorf("round %d: DecodeWorkers() = %d, gauge %+v, want 3 throughout", round, n, g)
+			if n, g := node.decode.Workers(), read(t, node).gauge("decomp.pool.workers"); n != width || g.Value != int64(width) || g.Max != int64(width) {
+				return fmt.Errorf("round %d: %d decode workers, gauge %+v, want %d throughout", round, n, g, width)
 			}
 			if err := readAll(node, want); err != nil {
 				return err

@@ -52,7 +52,7 @@ func TestRemoteOpenAllocBudget(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			err := tr.run(2, func(c *mpi.Comm) error {
 				node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil,
-					Options{CacheBytes: int64(len(remote)) * size / 8, CacheShards: 1})
+					Options{CacheBytes: int64(len(remote)) * size / 8})
 				if err != nil {
 					return err
 				}

@@ -111,10 +111,10 @@ func TestLateRepliesAreReaped(t *testing.T) {
 			err := tr.run(2, func(c *mpi.Comm) error {
 				if c.Rank() == 1 {
 					reg := metrics.NewRegistry()
-					s := serveOn(c, func(int, []byte) ([]byte, error) {
+					s := serveN(c, func(int, []byte) ([]byte, error) {
 						time.Sleep(50 * time.Millisecond)
 						return append(decomp.GetBuf(4000), make([]byte, 4000)...), nil
-					}, ServerOptions{Workers: calls, Metrics: reg})
+					}, ServerOptions{Metrics: reg}, calls)
 					if err := c.Barrier(); err != nil {
 						return err
 					}

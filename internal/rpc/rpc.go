@@ -87,10 +87,6 @@ type Handler func(src int, req []byte) ([]byte, error)
 
 // ServerOptions configures a Server.
 type ServerOptions struct {
-	// Workers bounds concurrent handler invocations. 0 means
-	// GOMAXPROCS, floored at 4 — fetch handlers block on backend I/O,
-	// so even a single-core node benefits from a few in flight.
-	Workers int
 	// Metrics is the registry the server's instruments live in
 	// ("rpc.server.*"), the only way to read them. Nil: unregistered.
 	Metrics *metrics.Registry
@@ -112,12 +108,16 @@ type Server struct {
 	serviceHist              *metrics.Histogram // handler + reply time
 }
 
-// NewServer builds a server for tag on comm and starts its workers.
+// NewServer builds a server for tag on comm and starts its workers:
+// GOMAXPROCS of them, floored at 4 — fetch handlers block on backend
+// I/O, so even a single-core node benefits from a few in flight.
 func NewServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Server {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = max(runtime.GOMAXPROCS(0), 4)
-	}
+	return newServer(comm, tag, handler, opts, max(runtime.GOMAXPROCS(0), 4))
+}
+
+// newServer is NewServer with an explicit worker count, for tests that
+// need one.
+func newServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions, workers int) *Server {
 	s := &Server{
 		comm:        comm,
 		tag:         tag,

@@ -22,6 +22,13 @@ func serveOn(c *mpi.Comm, h Handler, opts ServerOptions) *Server {
 	return s
 }
 
+// serveN is serveOn with workers handlers.
+func serveN(c *mpi.Comm, h Handler, opts ServerOptions, workers int) *Server {
+	s := newServer(c, 500, h, opts, workers)
+	go s.Serve()
+	return s
+}
+
 func TestCallBasic(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		reg := metrics.NewRegistry()
@@ -141,12 +148,12 @@ func TestCallDeadline(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		release := make(chan struct{})
 		if c.Rank() == 1 {
-			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveN(c, func(_ int, req []byte) ([]byte, error) {
 				if string(req) == "slow" {
 					<-release
 				}
 				return append([]byte(nil), req...), nil
-			}, ServerOptions{Workers: 2})
+			}, ServerOptions{}, 2)
 			if err := c.Barrier(); err != nil {
 				return err
 			}
@@ -225,10 +232,10 @@ func TestWorkerPoolStress(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			reg := metrics.NewRegistry()
-			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveN(c, func(_ int, req []byte) ([]byte, error) {
 				time.Sleep(time.Millisecond) // give requests time to pile up
 				return append([]byte(nil), req...), nil
-			}, ServerOptions{Workers: goroutines, Metrics: reg})
+			}, ServerOptions{Metrics: reg}, goroutines)
 			if err := c.Barrier(); err != nil {
 				return err
 			}

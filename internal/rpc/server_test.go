@@ -41,13 +41,13 @@ func TestServerStop(t *testing.T) {
 			err := mpi.Run(2, func(c *mpi.Comm) error {
 				if c.Rank() == 0 {
 					workersBefore, pendingBefore := serverWorkers(), c.Pending()
-					s := NewServer(c, 500, func(src int, req []byte) ([]byte, error) {
+					s := newServer(c, 500, func(src int, req []byte) ([]byte, error) {
 						if tc == "in-flight" {
 							entered <- struct{}{}
 							<-release
 						}
 						return echo(src, req)
-					}, ServerOptions{Workers: 3})
+					}, ServerOptions{}, 3)
 					if err := c.Send(1, tagGo, nil); err != nil {
 						return err
 					}
@@ -145,7 +145,7 @@ func FuzzFetchServerFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		err := mpi.Run(2, func(c *mpi.Comm) error {
 			if c.Rank() == 0 {
-				s := NewServer(c, 500, echo, ServerOptions{Workers: 2})
+				s := newServer(c, 500, echo, ServerOptions{}, 2)
 				err := c.Barrier()
 				s.Stop()
 				return err
