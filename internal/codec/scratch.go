@@ -2,9 +2,9 @@ package codec
 
 import "fmt"
 
-// Decode scratch: reusable per-worker decoder state. The decompression
-// hot path (fanstore's decode pool) calls the entropy-coded codecs
-// thousands of times per epoch; without scratch every block allocates a
+// Decode scratch: reusable per-goroutine decoder state. The decompression
+// hot path (fanstore's openers and decode pool) calls the entropy-coded
+// codecs thousands of times per epoch; without scratch every block allocates a
 // fresh Huffman decode table, a range-coder model, and filter
 // intermediates. A Scratch owns all of that state so a long-lived decode
 // worker allocates only when a table or buffer must grow. The public
@@ -15,7 +15,8 @@ import "fmt"
 // Scratch holds reusable decoder state: Huffman code-length arrays and
 // decode tables, the lzr probability model and range-decoder state, and
 // a filter/lzh intermediate buffer. A Scratch must not be used by two
-// goroutines at once; the decode pool keeps one per worker.
+// goroutines at once; the decode pool keeps one per worker, and an
+// opener borrows one from a free list for the length of one decode.
 type Scratch struct {
 	// Huffman: code lengths for the largest alphabet (lzd's 286-symbol
 	// literal/length table; huff uses the first 256, lzd's distance

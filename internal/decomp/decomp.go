@@ -1,16 +1,18 @@
 // Package decomp is the decode engine of the FanStore hot path: a
-// bounded, two-priority worker pool that demand opens and the look-ahead
-// prefetcher share, plus the size-classed buffer pool (buf.go) feeding
+// bounded, two-priority worker pool for the decodes nobody is blocked on
+// one by one — the look-ahead prefetcher's batches and erasure-coded
+// reconstruction — plus the size-classed buffer pool (buf.go) feeding
 // decode outputs and RPC frames.
 //
 // The paper's bet (§IV-C, §VII-D) is that decompressing from node-local
 // memory beats shared-filesystem I/O — which only holds if decode
 // throughput scales with cores. A 64-item fetch batch therefore must
 // not decompress serially on the fetch goroutine: the prefetcher fans
-// its items out across this pool while the next round trip is in flight.
-// Demand opens outrank prefetch (two priority classes) so a deep
-// prefetch backlog can never starve the open a training thread is
-// actually blocked on.
+// its items out across this pool, one job per worker, while the next
+// round trip is in flight. A demand open does not use the pool: it
+// decodes on its own goroutine, which would only wait for a worker
+// otherwise. The two priority classes stay for callers that submit
+// work a caller is blocked on (PriOpen is drained first).
 package decomp
 
 import (
@@ -27,8 +29,8 @@ import (
 type Priority uint8
 
 const (
-	// PriOpen is for demand opens a caller is blocked on; workers drain
-	// these before looking at prefetch work.
+	// PriOpen is for work a caller is blocked on; workers drain these
+	// before looking at prefetch work.
 	PriOpen Priority = iota
 	// PriPrefetch is for speculative look-ahead decodes.
 	PriPrefetch
@@ -138,9 +140,13 @@ func (p *Pool) Submit(pri Priority, wg *sync.WaitGroup, fn func(*codec.Scratch))
 	}
 }
 
-// Run executes fn on the pool at pri and waits for it to finish. The
+// Run executes fn on the pool at pri and waits for it to finish: one job
+// and two goroutine hand-offs (wake a worker, wake the caller back). The
 // waiter comes from a free list, so the synchronous path stays
-// allocation-free.
+// allocation-free. Use it for work that wants a worker's scratch or must
+// queue behind the pool's bound, such as a partition reconstruction;
+// work that is cheap next to the hand-offs and whose caller would only
+// wait should run on the caller.
 func (p *Pool) Run(pri Priority, fn func(*codec.Scratch)) {
 	if p == nil {
 		fn(nil)

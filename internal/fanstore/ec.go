@@ -408,7 +408,8 @@ func (n *Node) ecGatherShards(gid uint64) ([][]byte, pack.ShardHeader, error) {
 
 // ecRebuildPart reconstructs one partition blob from surviving shards.
 // The matrix work runs on the shared decode pool at prefetch priority,
-// so demand opens already in the queue keep their precedence.
+// so it is bounded by the pool's width together with the stager's
+// batches.
 func (n *Node) ecRebuildPart(gid uint64) (*degradedPart, error) {
 	start := time.Now()
 	shards, hdr, err := n.ecGatherShards(gid)

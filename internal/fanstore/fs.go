@@ -39,27 +39,36 @@ type File struct {
 // cache if needed (Fig. 2). Concurrent opens of the same file share one
 // cache entry and bump its reference count (Fig. 4).
 func (n *Node) Open(path string) (*File, error) {
-	if n.closed.Load() {
-		return nil, ErrUnmounted
-	}
-	start := time.Now()
-	tstart := n.tracer.Begin()
-	defer func() { n.openHist.Observe(time.Since(start)) }()
-	cp := cleanPath(path)
-	m, isDir := n.lookup(cp)
-	if m == nil {
-		n.tracer.End(trace.OpOpen, cp, trace.OutcomeError, tstart)
-		if isDir {
-			return nil, fmt.Errorf("%w: %s", ErrIsDir, path)
-		}
-		return nil, fmt.Errorf("%w: %s", ErrNotExist, path)
-	}
-	data, pinned, outcome, err := n.openBytes(m)
-	n.tracer.End(trace.OpOpen, cp, outcome, tstart)
+	cp, data, pinned, err := n.open(path)
 	if err != nil {
 		return nil, err
 	}
 	return &File{node: n, path: cp, data: data, pinned: pinned}, nil
+}
+
+// open is the read half Open and ReadFile share: lookup, then openBytes,
+// timed by the open histogram and traced as the open span. It returns the
+// clean path and the file's bytes; pinned says they hold a cache pin on
+// that path, which the caller releases when it is done with them.
+func (n *Node) open(path string) (cp string, data []byte, pinned bool, err error) {
+	if n.closed.Load() {
+		return "", nil, false, ErrUnmounted
+	}
+	start := time.Now()
+	tstart := n.tracer.Begin()
+	defer func() { n.openHist.Observe(time.Since(start)) }()
+	cp = cleanPath(path)
+	m, isDir := n.lookup(cp)
+	if m == nil {
+		n.tracer.End(trace.OpOpen, cp, trace.OutcomeError, tstart)
+		if isDir {
+			return cp, nil, false, fmt.Errorf("%w: %s", ErrIsDir, path)
+		}
+		return cp, nil, false, fmt.Errorf("%w: %s", ErrNotExist, path)
+	}
+	data, pinned, outcome, err := n.openBytes(m)
+	n.tracer.End(trace.OpOpen, cp, outcome, tstart)
+	return cp, data, pinned, err
 }
 
 // Create opens a new output file for writing. FanStore's restricted
@@ -115,7 +124,10 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if f.writable {
 		return 0, ErrWriteOnly
 	}
-	if off < 0 || off >= int64(len(f.data)) {
+	if off < 0 {
+		return 0, fmt.Errorf("fanstore: ReadAt %s: negative offset %d", f.path, off)
+	}
+	if off >= int64(len(f.data)) {
 		return 0, io.EOF
 	}
 	c := copy(p, f.data[off:])
@@ -279,10 +291,13 @@ func (n *Node) Stat(path string) (Info, error) {
 // record went to the writer's table and to metaHome(path) only. So a miss
 // asks that home once (opMetaSync) when it is another rank, and installs
 // what it answers — the next lookup is local. Directory listings never
-// ask: ReadDir and LatestCheckpoint answer from this node's table.
+// ask: ReadDir and LatestCheckpoint answer from this node's table. Only a
+// path with no record is looked up in the directory index.
 func (n *Node) lookup(cp string) (m *FileMeta, isDir bool) {
 	n.mu.RLock()
-	m, isDir = n.meta[cp], n.dirs.isDir(cp)
+	if m = n.meta[cp]; m == nil {
+		isDir = n.dirs.isDir(cp)
+	}
 	n.mu.RUnlock()
 	if m != nil || isDir || n.closed.Load() {
 		return m, isDir
@@ -311,18 +326,20 @@ func (n *Node) ReadDir(dir string) ([]DirEntry, error) {
 }
 
 // ReadFile is the convenience read-everything path used by training
-// loaders: open, read, close.
+// loaders: open, copy out, release — with no File in between.
 func (n *Node) ReadFile(path string) ([]byte, error) {
 	tstart := n.tracer.Begin()
-	f, err := n.Open(path)
+	cp, data, pinned, err := n.open(path)
 	if err != nil {
 		n.tracer.End(trace.OpRead, path, trace.OutcomeError, tstart)
 		return nil, err
 	}
-	defer f.Close()
 	// append, unlike make+copy, does not clear the bytes it is about to
 	// fill; the non-nil empty base keeps an empty file a non-nil slice.
-	out := append([]byte{}, f.data...)
+	out := append([]byte{}, data...)
+	if pinned {
+		n.cache.Release(cp)
+	}
 	n.bytesRead.Add(int64(len(out)))
 	n.tracer.End(trace.OpRead, path, trace.OutcomeNone, tstart)
 	return out, nil

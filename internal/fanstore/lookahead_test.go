@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"fanstore/internal/dataset"
-	"fanstore/internal/decomp"
 	"fanstore/internal/mpi"
 	"fanstore/internal/pack"
 	"fanstore/internal/rpc"
@@ -194,7 +193,7 @@ func TestFetchOverWire(t *testing.T) {
 					if id != e.CompressorID {
 						return fmt.Errorf("%s: item %d framed under compressor %d, stored under %d", name, i, id, e.CompressorID)
 					}
-					data, err := node.decompress(node.meta[key], id, it.Payload[2:], decomp.PriOpen)
+					data, err := node.decompress(node.meta[key], id, it.Payload[2:])
 					if err != nil {
 						return fmt.Errorf("%s: item %d: %w", name, i, err)
 					}

@@ -266,8 +266,18 @@ func (d *dirIndex) isDir(dir string) bool {
 }
 
 // cleanPath normalizes a user path: no leading/trailing slashes, "." and
-// ".." resolved. The root is "".
+// ".." resolved. The root is "". A path that is clean already (no empty,
+// "." or ".." segment), as nearly every open, stat and plan entry's is,
+// comes back as it is, without allocating.
 func cleanPath(p string) string {
-	p = path.Clean("/" + p)
-	return strings.TrimPrefix(p, "/")
+	for seg, i := 0, 0; p != "" && i <= len(p); i++ {
+		if i < len(p) && p[i] != '/' {
+			continue
+		}
+		if s := p[seg:i]; s == "" || s == "." || s == ".." {
+			return strings.TrimPrefix(path.Clean("/"+p), "/")
+		}
+		seg = i + 1
+	}
+	return p
 }

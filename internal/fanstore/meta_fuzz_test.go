@@ -3,7 +3,9 @@ package fanstore
 import (
 	"bytes"
 	"encoding/binary"
+	"path"
 	"slices"
+	"strings"
 	"testing"
 
 	"fanstore/internal/dataset"
@@ -77,6 +79,31 @@ func FuzzDecodePaths(f *testing.F) {
 		}
 		if back, err := decodePaths(encodePaths(gen)); err != nil || !slices.Equal(back, gen) {
 			t.Fatalf("generated paths %q came back %q, err %v", gen, back, err)
+		}
+	})
+}
+
+// cleaned is where FuzzCleanPath's allocation check stores its result,
+// so the call it measures cannot be optimized away.
+var cleaned string
+
+// FuzzCleanPath holds cleanPath to its definition, path.Clean rooted at
+// "/" with the root's slash removed, and to its fast path: a path that
+// is its own clean form comes back unchanged and without allocating.
+func FuzzCleanPath(f *testing.F) {
+	for _, p := range []string{"", "a", "a/b", "/a", "a/", "a//b", "a/./b", "a/../b", ".", "..", "...", "a/..b", ".a/b."} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		want := strings.TrimPrefix(path.Clean("/"+p), "/")
+		if got := cleanPath(p); got != want {
+			t.Fatalf("cleanPath(%q) = %q, want %q", p, got, want)
+		}
+		if want != p || raceDetectorEnabled {
+			return
+		}
+		if allocs := testing.AllocsPerRun(1, func() { cleaned = cleanPath(p) }); allocs != 0 {
+			t.Fatalf("cleanPath(%q) of a clean path allocates %.0f objects", p, allocs)
 		}
 	})
 }

@@ -2,12 +2,15 @@ package fanstore
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"fanstore/internal/dataset"
 	"fanstore/internal/mpi"
+	"fanstore/internal/pack"
 	"fanstore/internal/prefetch"
 )
 
@@ -86,6 +89,93 @@ func BenchmarkCoalescedOpenStorm(b *testing.B) {
 		}
 		b.ReportMetric(float64(st.counter("rpc.client.calls"))/float64(b.N), "fetches/storm")
 		b.SetBytes(int64(fileSize))
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSmallFileEpoch is the benchmark's train_small loop in one
+// process, for profiling what a small file costs (bench/ has no profile
+// hook): two ranks on the in-process transport, 4 KiB Tokamak files
+// packed with lz4hc, a cache of a quarter of the data, and the plan
+// pipeline with one worker, two batches deep. It reads 4 096 files, not
+// train_small's 16 384: the per-file shape, batch and cache ratio are
+// the same at a quarter of the memory. One iteration is one epoch of
+// both ranks; ns/file and allocs/file count the whole process.
+//
+//	go test -run '^$' -bench SmallFileEpoch -benchtime 20x -cpuprofile cpu.prof ./internal/fanstore
+func BenchmarkSmallFileEpoch(b *testing.B) {
+	const ranks, nFiles, fileSize, batch = 2, 4096, 4 << 10, 64
+	g := dataset.Generator{Kind: dataset.Tokamak, Seed: 1, Size: fileSize}
+	files := make([]pack.InputFile, nFiles)
+	paths := make([]string, nFiles)
+	for i := range files {
+		f := g.File(i, nFiles)
+		files[i] = pack.InputFile{Path: f.Path, Data: f.Data}
+		paths[i] = f.Path
+	}
+	bundle, err := pack.Build(files, pack.BuildOptions{Partitions: ranks, Compressor: "lz4hc"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var start time.Time
+	var before runtime.MemStats
+	err = mpi.Run(ranks, func(c *mpi.Comm) error {
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: nFiles * fileSize / 4})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		epoch := func(e int) error {
+			order := rand.New(rand.NewSource(int64(e))).Perm(nFiles)
+			shuffled := make([]string, nFiles)
+			for i, idx := range order {
+				shuffled[i] = paths[idx]
+			}
+			sampler := prefetch.RangeSampler(shuffled, batch, c.Rank(), ranks)
+			sched := prefetch.NewScheduler(node, prefetch.BuildPlan(sampler, node), prefetch.SchedOptions{AdmissionSource: node.AdmissionBytes})
+			pipe := prefetch.New(node, sampler, prefetch.Options{Workers: 1, Depth: 2, Scheduler: sched})
+			defer pipe.Stop()
+			for {
+				if _, ok, err := pipe.Next(); err != nil || !ok {
+					return err
+				}
+			}
+		}
+		if err := epoch(-1); err != nil { // warm: the cache holds what an epoch leaves
+			return err
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			start = time.Now()
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		for e := 0; e < b.N; e++ {
+			if err := epoch(e); err != nil {
+				return err
+			}
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+		}
+		if c.Rank() == 0 {
+			elapsed := time.Since(start)
+			b.StopTimer()
+			var after runtime.MemStats
+			runtime.ReadMemStats(&after)
+			read := float64(b.N) * nFiles
+			b.ReportMetric(float64(elapsed.Nanoseconds())/read, "ns/file")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/read, "allocs/file")
+		}
 		return nil
 	})
 	if err != nil {

@@ -276,7 +276,7 @@ type Node struct {
 	comm    *mpi.Comm
 	cache   *Cache
 	backend Backend
-	decode  *decomp.Pool // shared decode workers (opens > prefetch)
+	decode  *decomp.Pool // prefetch batch decodes and EC reconstruction
 
 	// Cluster identity. In a static Mount the view is the identity
 	// StaticMap (node ID i == rank i, version 1) and every membership
@@ -508,51 +508,63 @@ type fetchedObject struct {
 	err     error
 }
 
-// lookupObject finds one object for an opFetch item: a written file's
-// bytes, or the backend's compressed object.
-func (n *Node) lookupObject(path string) fetchedObject {
+// peekObject finds one object for an opFetch item without I/O: a written
+// file's bytes, or the backend's RAM-resident compressed object. ok is
+// false when only Get can answer (a spill backend's object, or a miss).
+func (n *Node) peekObject(path string) (o fetchedObject, ok bool) {
 	n.mu.RLock()
 	wdata, written := n.writes[path]
 	n.mu.RUnlock()
 	if written && wdata != nil {
-		return fetchedObject{data: wdata, written: true}
+		return fetchedObject{data: wdata, written: true}, true
 	}
-	id, data, err := n.backend.Get(path)
-	return fetchedObject{id: id, data: data, err: err}
+	o.id, o.data, ok = n.backend.Peek(path)
+	return o, ok
 }
 
-// lookupObjects fills objs[i] for every step-th key from first on.
-func (n *Node) lookupObjects(keys []string, objs []fetchedObject, first, step int) {
-	for i := first; i < len(keys); i += step {
-		objs[i] = n.lookupObject(keys[i])
+// getObjects reads the items at idx from the backend with Get, with up
+// to batchGetConcurrency readers that take every readers-th index each;
+// the handler's own goroutine is the first of them.
+func (n *Node) getObjects(keys []string, objs []fetchedObject, idx []int) {
+	readers := min(len(idx), batchGetConcurrency)
+	get := func(first int) {
+		for j := first; j < len(idx); j += readers {
+			o := &objs[idx[j]]
+			o.id, o.data, o.err = n.backend.Get(keys[idx[j]])
+		}
 	}
-}
-
-// handleFetchObjects answers opFetch. Every requested object is read
-// from the backend with bounded concurrency (a cold batch over the spill
-// backend overlaps its disk reads; a batch of one reads inline) and
-// answered in request order with per-item status, so a partial miss
-// never fails the whole batch. Items are framed straight from the
-// backend's bytes into one pooled response.
-func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
-	callerVer, keys, err := decodeFetch(body)
-	if err != nil {
-		return nil, err
-	}
-	// Up to batchGetConcurrency readers take every readers-th key each;
-	// the handler's own goroutine is the first of them.
-	objs := make([]fetchedObject, len(keys))
-	readers := min(len(keys), batchGetConcurrency)
 	var wg sync.WaitGroup
 	for r := 1; r < readers; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.lookupObjects(keys, objs, r, readers)
+			get(r)
 		}()
 	}
-	n.lookupObjects(keys, objs, 0, readers)
+	get(0)
 	wg.Wait()
+}
+
+// handleFetchObjects answers opFetch. Objects Peek can return are framed
+// from RAM on the handler; the rest are read from the backend with
+// bounded concurrency (a cold batch over the spill backend overlaps its
+// disk reads). Items are answered in request order with per-item status,
+// so a partial miss never fails the whole batch, and framed straight
+// from the backend's bytes into one pooled response.
+func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
+	callerVer, keys, err := decodeFetch(body)
+	if err != nil {
+		return nil, err
+	}
+	objs := make([]fetchedObject, len(keys))
+	var cold []int
+	for i, key := range keys {
+		var ok bool
+		if objs[i], ok = n.peekObject(key); !ok {
+			cold = append(cold, i)
+		}
+	}
+	n.getObjects(keys, objs, cold)
 
 	// A miss under version disagreement means the caller routed here on a
 	// map that predates (or postdates) a rebalance. The version check only
@@ -1068,22 +1080,26 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 	if err != nil || len(items) != len(group) {
 		return 0, group
 	}
-	// Fan the batch out across the decode pool at prefetch priority: the
-	// whole window decompresses in parallel while demand opens still
-	// preempt it (they submit at PriOpen and are drained first).
+	// Fan the batch out across the decode pool: one job per worker (at
+	// least one, a nil pool runs it inline), each decoding every jobs-th
+	// item, so a batch of small objects costs a handful of hand-offs, not
+	// one per object. Demand opens decode on their own goroutine and never
+	// wait behind it.
 	decoded := make([][]byte, len(items))
+	jobs := max(1, min(len(items), n.decode.Workers()))
 	var wg sync.WaitGroup
-	for i := range items {
-		it := &items[i]
-		if it.Status != rpc.ItemOK || len(it.Payload) < 2 {
-			continue
-		}
-		n.remoteBytes.Add(int64(len(it.Payload)))
-		i, t := i, group[i]
-		wg.Add(1)
+	wg.Add(jobs)
+	for j := 0; j < jobs; j++ {
 		n.decode.Submit(decomp.PriPrefetch, &wg, func(s *codec.Scratch) {
-			if data, err := n.decodeObject(s, t.m, binary.LittleEndian.Uint16(it.Payload), it.Payload[2:]); err == nil {
-				decoded[i] = data
+			for i := j; i < len(items); i += jobs {
+				it := &items[i]
+				if it.Status != rpc.ItemOK || len(it.Payload) < 2 {
+					continue
+				}
+				n.remoteBytes.Add(int64(len(it.Payload)))
+				if data, err := n.decodeObject(s, group[i].m, binary.LittleEndian.Uint16(it.Payload), it.Payload[2:]); err == nil {
+					decoded[i] = data
+				}
 			}
 		})
 	}
@@ -1102,24 +1118,27 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 	return staged, failed
 }
 
-// decompress turns a compressed object into file bytes on the shared
-// decode pool at the given priority, validating size against the
-// metadata record. The returned buffer comes from the decomp buffer pool:
-// ownership passes to the caller, who must hand it to the cache via
-// Insert/InsertIdle as owned (or recycle it on failure).
-func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte, pri decomp.Priority) ([]byte, error) {
-	var out []byte
-	var err error
-	n.decode.Run(pri, func(s *codec.Scratch) {
-		out, err = n.decodeObject(s, m, compressorID, comp)
-	})
-	return out, err
+// scratches is the free list of decoder state demand decodes borrow: an
+// open decodes on its own goroutine, which is blocked on the result
+// anyway, rather than handing the object to a pool worker and waiting.
+var scratches = sync.Pool{New: func() any { return codec.NewScratch() }}
+
+// decompress turns a compressed object into file bytes on the calling
+// goroutine, validating size against the metadata record. The returned
+// buffer comes from the decomp buffer pool: ownership passes to the
+// caller, who must hand it to the cache via Insert/InsertIdle as owned
+// (or recycle it on failure).
+func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte) ([]byte, error) {
+	s := scratches.Get().(*codec.Scratch)
+	defer scratches.Put(s)
+	return n.decodeObject(s, m, compressorID, comp)
 }
 
-// decodeObject is the codec work of one decode job, running on a pool
-// worker with its per-worker scratch (or inline with a nil scratch when
-// the pool is closed). The latency histogram brackets codec time only —
-// queue wait has its own instrument ("decomp.queue.wait.latency").
+// decodeObject is the codec work of one object: an opener's (decompress)
+// or a prefetch job's on a pool worker, with that goroutine's scratch (a
+// nil scratch when the pool is closed). The latency histogram brackets
+// codec time only — a prefetch job's queue wait has its own instrument
+// ("decomp.queue.wait.latency").
 func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, comp []byte) ([]byte, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
@@ -1213,8 +1232,9 @@ func (n *Node) produceBytes(m *FileMeta) (data []byte, pinned bool, outcome trac
 		// is already resident node-local storage). Counted separately so
 		// the decompression count stays truthful for uncompressed datasets.
 		outcome = trace.OutcomeLocal
-		if id, raw, ok := n.backend.Peek(m.Path); ok {
-			if payload, ok := codec.Passthrough(id, raw); ok {
+		id, comp, ok := n.backend.Peek(m.Path)
+		if ok {
+			if payload, ok := codec.Passthrough(id, comp); ok {
 				n.zeroCopyOpens.Inc()
 				return payload, false, trace.OutcomeZeroCopy, nil
 			}
@@ -1222,12 +1242,11 @@ func (n *Node) produceBytes(m *FileMeta) (data []byte, pinned bool, outcome trac
 			// Peek declined: the compressed object lives on the spill
 			// backend, so this open pays a disk read.
 			outcome = trace.OutcomeSpill
+			if id, comp, err = n.backend.Get(m.Path); err != nil {
+				return nil, false, trace.OutcomeError, err
+			}
 		}
-		id, comp, err := n.backend.Get(m.Path)
-		if err != nil {
-			return nil, false, trace.OutcomeError, err
-		}
-		data, err := n.decompress(m, id, comp, decomp.PriOpen)
+		data, err := n.decompress(m, id, comp)
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
@@ -1238,7 +1257,7 @@ func (n *Node) produceBytes(m *FileMeta) (data []byte, pinned bool, outcome trac
 		if err != nil {
 			return nil, false, outcome, err
 		}
-		data, err := n.decompress(m, id, comp, decomp.PriOpen)
+		data, err := n.decompress(m, id, comp)
 		decomp.PutBuf(frame) // every codec copies out of comp: the frame is dead
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
@@ -1272,11 +1291,7 @@ func (n *Node) Expect(paths []string) {
 	known := make([]string, 0, len(paths))
 	n.mu.RLock()
 	for _, p := range paths {
-		m, ok := n.meta[p] // a clean path is its own key; cleaning allocates
-		if !ok {
-			m, ok = n.meta[cleanPath(p)]
-		}
-		if ok {
+		if m, ok := n.meta[cleanPath(p)]; ok {
 			known = append(known, m.Path)
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"fanstore/internal/dataset"
 	"fanstore/internal/mpi"
 	"fanstore/internal/pack"
+	"fanstore/internal/rpc"
 )
 
 // buildBundle packs a small synthetic dataset for n ranks and returns the
@@ -358,6 +359,9 @@ func TestFileSemantics(t *testing.T) {
 		if _, err := f.ReadAt(buf[:4], 4); err != nil || !bytes.Equal(buf[:4], data[4:8]) {
 			return fmt.Errorf("ReadAt")
 		}
+		if n, err := f.ReadAt(buf[:4], -1); n != 0 || err == nil || errors.Is(err, io.EOF) {
+			return fmt.Errorf("ReadAt at a negative offset: n=%d err=%v, want an error that is not EOF", n, err)
+		}
 		if _, err := f.Write([]byte("x")); !errors.Is(err, ErrReadOnly) {
 			return fmt.Errorf("write to read FD: %v", err)
 		}
@@ -408,6 +412,73 @@ func TestFileSemantics(t *testing.T) {
 		}
 		if !bytes.Equal(got, []byte{'a', 'b', 0, 0, 0, 'z'}) {
 			return fmt.Errorf("sparse content %v", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHitPathAllocs is the allocation gate of the file surface on a
+// cache hit: ReadFile allocates only the slice it returns, Open+Read+Close
+// only the *File, and Stat nothing. The counts are exact, so a change that
+// moves one either way has to say why.
+func TestHitPathAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
+	}
+	bundle, want := buildBundle(t, dataset.EM, 1, 1, 4<<10, nil)
+	var path string
+	for p := range want {
+		path = p
+	}
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		node, err := Mount(c, bundle.Scatter, nil, Options{})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		if _, err := node.ReadFile(path); err != nil {
+			return err
+		}
+		buf := make([]byte, len(want[path]))
+		for _, op := range []struct {
+			name string
+			want float64
+			run  func() error
+		}{
+			{"ReadFile", 1, func() error {
+				_, err := node.ReadFile(path)
+				return err
+			}},
+			{"Open+Read+Close", 1, func() error {
+				f, err := node.Open(path)
+				if err != nil {
+					return err
+				}
+				if _, err := io.ReadFull(f, buf); err != nil {
+					return err
+				}
+				return f.Close()
+			}},
+			{"Stat", 0, func() error {
+				_, err := node.Stat(path)
+				return err
+			}},
+		} {
+			var opErr error
+			allocs := testing.AllocsPerRun(1000, func() {
+				if err := op.run(); err != nil {
+					opErr = err
+				}
+			})
+			if opErr != nil {
+				return fmt.Errorf("%s: %w", op.name, opErr)
+			}
+			if allocs != op.want {
+				return fmt.Errorf("a cache-hit %s allocates %.0f objects, want %.0f", op.name, allocs, op.want)
+			}
 		}
 		return nil
 	})
@@ -733,28 +804,50 @@ func TestSingleflightFetch(t *testing.T) {
 // TestDecodePoolIsGOMAXPROCSWide: a mount sizes its decode pool to
 // GOMAXPROCS and nothing moves it afterwards — the pool and the
 // "decomp.pool.workers" gauge read that width before and after the pool
-// has worked, until Close.
+// has worked, until Close. Opens decode on their own goroutine, so
+// reading every local file submits no job; a prefetch batch of more
+// objects than workers is one job per worker.
 func TestDecodePoolIsGOMAXPROCSWide(t *testing.T) {
-	bundle, want := buildBundle(t, dataset.EM, 4, 1, 2<<10, nil)
 	width := runtime.GOMAXPROCS(0)
-	err := mpi.Run(1, func(c *mpi.Comm) error {
-		node, err := Mount(c, bundle.Scatter, nil, Options{CacheBytes: 1 << 20})
+	batch := min(width+1, rpc.DefaultBatchItems) // one opFetch call
+	bundle, want := buildBundle(t, dataset.EM, 2*batch+8, 2, 2<<10, nil)
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: 1 << 20})
 		if err != nil {
 			return err
 		}
 		defer node.Close()
-		for round := 0; round < 2; round++ {
+		if c.Rank() != 0 {
+			return nil // serve until rank 0's Close barrier
+		}
+		checkWidth := func(when string) error {
 			if n, g := node.decode.Workers(), read(t, node).gauge("decomp.pool.workers"); n != width || g.Value != int64(width) || g.Max != int64(width) {
-				return fmt.Errorf("round %d: %d decode workers, gauge %+v, want %d throughout", round, n, g, width)
+				return fmt.Errorf("%s: %d decode workers, gauge %+v, want %d throughout", when, n, g, width)
 			}
-			if err := readAll(node, want); err != nil {
-				return err
+			return nil
+		}
+		if err := checkWidth("at mount"); err != nil {
+			return err
+		}
+		for _, p := range ownedPaths(t, bundle.Scatter[0]) {
+			if got, err := node.ReadFile(p); err != nil || !bytes.Equal(got, want[p]) {
+				return fmt.Errorf("%s: err %v or wrong bytes", p, err)
 			}
 		}
-		if jobs := read(t, node).counter("decomp.jobs"); jobs == 0 {
-			return fmt.Errorf("the reads never went through the decode pool")
+		if jobs := read(t, node).counter("decomp.jobs"); jobs != 0 {
+			return fmt.Errorf("reading the local files submitted %d decode jobs, want 0", jobs)
 		}
-		return nil
+		remote := ownedPaths(t, bundle.Scatter[1])
+		if len(remote) < batch {
+			return fmt.Errorf("rank 1 owns %d files, want at least %d", len(remote), batch)
+		}
+		if staged := node.Prefetch(remote[:batch]); staged != batch {
+			return fmt.Errorf("prefetch staged %d of %d", staged, batch)
+		}
+		if jobs, want := read(t, node).counter("decomp.jobs"), int64(min(batch, width)); jobs != want {
+			return fmt.Errorf("a prefetch of %d objects ran %d decode jobs on %d workers, want %d", batch, jobs, width, want)
+		}
+		return checkWidth("after the prefetch")
 	})
 	if err != nil {
 		t.Fatal(err)
