@@ -130,13 +130,17 @@ func main() {
 		events = fanstore.NewEventLog(*rank, 0)
 	}
 	opts := fanstore.Options{
-		SpillDir:     *spill,
 		FetchTimeout: *fetchTO,
 		FetchRetries: *fetchRetry,
 		Metrics:      reg,
 		Tracer:       tr,
 		Redundancy:   red,
 		Events:       events,
+	}
+	if *spill != "" {
+		if opts.Backend, err = fanstore.NewSpillBackend(*spill, fmt.Sprintf("rank%04d", *rank)); err != nil {
+			log.Fatal(err)
+		}
 	}
 	var node *fanstore.Node
 	if elastic {

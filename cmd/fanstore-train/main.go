@@ -120,7 +120,12 @@ func main() {
 			Events:      events,
 		}
 		if *spill != "" {
-			opts.SpillDir = fmt.Sprintf("%s/rank%04d", *spill, c.Rank())
+			prefix := fmt.Sprintf("rank%04d", c.Rank())
+			backend, err := fanstore.NewSpillBackend(*spill+"/"+prefix, prefix)
+			if err != nil {
+				return err
+			}
+			opts.Backend = backend
 		}
 		node, err := fanstore.Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
 		if err != nil {

@@ -1,18 +1,12 @@
-// Package decomp is the decode engine of the FanStore hot path: a
-// bounded, two-priority worker pool for the decodes nobody is blocked on
-// one by one — the look-ahead prefetcher's batches and erasure-coded
-// reconstruction — plus the size-classed buffer pool (buf.go) feeding
-// decode outputs and RPC frames.
+// Package decomp holds the size-classed buffer pool (buf.go) that feeds
+// decode outputs, RPC responses and received frames across the hot
+// path, and a bounded, two-priority decode worker pool.
 //
-// The paper's bet (§IV-C, §VII-D) is that decompressing from node-local
-// memory beats shared-filesystem I/O — which only holds if decode
-// throughput scales with cores. A 64-item fetch batch therefore must
-// not decompress serially on the fetch goroutine: the prefetcher fans
-// its items out across this pool, one job per worker, while the next
-// round trip is in flight. A demand open does not use the pool: it
-// decodes on its own goroutine, which would only wait for a worker
-// otherwise. The two priority classes stay for callers that submit
-// work a caller is blocked on (PriOpen is drained first).
+// The store does not use the worker pool: an object decodes on the
+// goroutine that waits for it — an opener, a prefetch batch's stride,
+// an EC rebuild's reader — with a codec.Scratch from a free list. The
+// pool stays only because the benchmark's isolated dispatch probe calls
+// New, Pool.Run and PriOpen; nothing else in the module does.
 package decomp
 
 import (
@@ -143,10 +137,9 @@ func (p *Pool) Submit(pri Priority, wg *sync.WaitGroup, fn func(*codec.Scratch))
 // Run executes fn on the pool at pri and waits for it to finish: one job
 // and two goroutine hand-offs (wake a worker, wake the caller back). The
 // waiter comes from a free list, so the synchronous path stays
-// allocation-free. Use it for work that wants a worker's scratch or must
-// queue behind the pool's bound, such as a partition reconstruction;
-// work that is cheap next to the hand-offs and whose caller would only
-// wait should run on the caller.
+// allocation-free. Its one caller is the benchmark's dispatch probe,
+// which times those hand-offs; work whose caller would only wait runs
+// better on the caller.
 func (p *Pool) Run(pri Priority, fn func(*codec.Scratch)) {
 	if p == nil {
 		fn(nil)

@@ -13,8 +13,8 @@ import (
 // The control-plane decoders that size allocations from a peer's count
 // or length: decodeRegister (MountElastic's gather on the coordinator),
 // decodeCommit (every table and every commit, on every member's ctrl
-// loop) and decodeMetaSync (every stale-map refresh); member.DecodeMap,
-// which the last two reach, is fuzzed in its own package. None may panic
+// loop, and every opMetaSync answer); member.DecodeMap, which it
+// reaches, is fuzzed in its own package. None may panic
 // on arbitrary bytes or allocate more than a small multiple of the frame
 // — a count the frame cannot hold is refused, not reserved — and a frame
 // generated from the input survives encode → decode unchanged.
@@ -166,17 +166,19 @@ func FuzzDecodeCommit(f *testing.F) {
 	})
 }
 
-// FuzzDecodeMetaSync fuzzes the decoder of the opMetaSync reply, against
-// the handler that encodes it.
+// FuzzDecodeMetaSync fuzzes the decoding of the opMetaSync answer — the
+// commit layout with no node and no transfers — against the handler that
+// encodes it.
 func FuzzDecodeMetaSync(f *testing.F) {
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})                          // map length past the frame
-	f.Add([]byte{12, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}) // map declares 4 G nodes... in two bytes
-	f.Add([]byte{12, 0})                                           // truncated length
-	f.Add(append([]byte{12, 0, 0, 0}, append((&member.ClusterMap{Version: 3}).Encode(), encodeMetas(nil)...)...))
+	noNode := []byte{0xff, 0xff, 0xff, 0xff}
+	f.Add(append(noNode, 0xff, 0xff, 0xff, 0x7f))                                                // map length past the frame
+	f.Add(append(noNode, 12, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff))                       // map declares 4 G nodes... in two bytes
+	f.Add(append(noNode, 12, 0))                                                                 // truncated length
+	f.Add(encodeCommit(opMetaSync, member.NoNode, &member.ClusterMap{Version: 3}, nil, nil)[1:]) // an empty table's answer
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if got := allocated(func() { _, _, _ = decodeMetaSync(body) }); got > uint64(16*len(body)+ctrlAllocSlack) {
-			t.Fatalf("%d-byte reply made decodeMetaSync allocate %d bytes", len(body), got)
+		if got := allocated(func() { _, _, _, _, _ = decodeCommit(body) }); got > uint64(16*len(body)+ctrlAllocSlack) {
+			t.Fatalf("%d-byte answer made decodeCommit allocate %d bytes", len(body), got)
 		}
 
 		// Generate a coordinator from the input — a version byte, a node
@@ -198,12 +200,14 @@ func FuzzDecodeMetaSync(f *testing.F) {
 			n.meta[cleanPath(path)] = &recs[i]
 		}
 		resp, err := n.handleMetaSync([]byte(path))
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || len(resp) == 0 || resp[0] != opMetaSync {
+			t.Fatalf("meta sync answer %x, err %v", resp, err)
 		}
-		gotMap, gotMetas, err := decodeMetaSync(resp)
-		if err != nil || gotMap.Version != gen.Version || !slices.Equal(gotMap.Nodes, gen.Nodes) || !sameMetas(gotMetas, recs) {
-			t.Fatalf("reply for map %+v and %d record(s) came back %+v, %d record(s), err %v", gen, len(recs), gotMap, len(gotMetas), err)
+		gotNode, gotMap, gotTransfers, gotMetas, err := decodeCommit(resp[1:])
+		if err != nil || gotNode != member.NoNode || gotMap.Version != gen.Version || !slices.Equal(gotMap.Nodes, gen.Nodes) ||
+			len(gotTransfers) != 0 || !sameMetas(gotMetas, recs) {
+			t.Fatalf("meta sync answer for map %+v and %d record(s) came back node %d, %+v, %d transfer(s), %d record(s), err %v",
+				gen, len(recs), gotNode, gotMap, len(gotTransfers), len(gotMetas), err)
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"fanstore/internal/codec"
 	"fanstore/internal/decomp"
 	"fanstore/internal/ec"
 	"fanstore/internal/member"
@@ -406,10 +405,9 @@ func (n *Node) ecGatherShards(gid uint64) ([][]byte, pack.ShardHeader, error) {
 	return shards, hdr, nil
 }
 
-// ecRebuildPart reconstructs one partition blob from surviving shards.
-// The matrix work runs on the shared decode pool at prefetch priority,
-// so it is bounded by the pool's width together with the stager's
-// batches.
+// ecRebuildPart reconstructs one partition blob from surviving shards,
+// on the caller: it gathered the shards here and waits for the blob, and
+// the scheduler already bounds the matrix work to GOMAXPROCS threads.
 func (n *Node) ecRebuildPart(gid uint64) (*degradedPart, error) {
 	start := time.Now()
 	shards, hdr, err := n.ecGatherShards(gid)
@@ -417,13 +415,10 @@ func (n *Node) ecRebuildPart(gid uint64) (*degradedPart, error) {
 		return nil, err
 	}
 	code := n.ec.code
-	var blob []byte
-	n.decode.Run(decomp.PriPrefetch, func(*codec.Scratch) {
-		if err = code.Reconstruct(shards); err != nil {
-			return
-		}
-		blob, err = code.Join(make([]byte, 0, hdr.BlobSize), shards, int(hdr.BlobSize))
-	})
+	if err := code.Reconstruct(shards); err != nil {
+		return nil, err
+	}
+	blob, err := code.Join(make([]byte, 0, hdr.BlobSize), shards, int(hdr.BlobSize))
 	if err != nil {
 		return nil, err
 	}

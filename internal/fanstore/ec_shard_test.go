@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"fanstore/internal/decomp"
 	"fanstore/internal/ec"
 	"fanstore/internal/member"
 	"fanstore/internal/pack"
@@ -23,13 +22,10 @@ func shardNode(t testing.TB, k, m int) *Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &Node{
-		view:   member.NewView(member.StaticMap(1)),
-		ec:     newECState(code, nil),
-		decode: decomp.New(1, nil),
+	return &Node{
+		view: member.NewView(member.StaticMap(1)),
+		ec:   newECState(code, nil),
 	}
-	t.Cleanup(n.decode.Close)
-	return n
 }
 
 // stripeFrames splits blob into its k+m framed shards; edit adjusts each

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fanstore/internal/dataset"
-	"fanstore/internal/decomp"
 	"fanstore/internal/member"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
@@ -137,8 +136,6 @@ func FuzzOpenPartition(f *testing.F) {
 	f.Add(odd)
 
 	reg := metrics.NewRegistry()
-	pool := decomp.New(1, reg)
-	f.Cleanup(pool.Close)
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if _, err := pack.Parse(blob); err != nil {
 			return
@@ -146,7 +143,6 @@ func FuzzOpenPartition(f *testing.F) {
 		n := &Node{
 			cache:    NewCache(1<<20, FIFO),
 			backend:  NewRAMBackend(),
-			decode:   pool,
 			view:     member.NewView(member.StaticMap(1)),
 			meta:     make(map[string]*FileMeta),
 			dirs:     newDirIndex(),

@@ -82,6 +82,9 @@ func (n *Node) Create(path string) (*File, error) {
 	if cp == "" {
 		return nil, fmt.Errorf("%w: empty path", ErrNotExist)
 	}
+	if len(cp) > maxPathLen {
+		return nil, fmt.Errorf("fanstore: a %d-byte path is over the %d-byte limit", len(cp), maxPathLen)
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, ok := n.meta[cp]; ok {

@@ -144,7 +144,11 @@ func TestSpillFetchConcurrency(t *testing.T) {
 	err = mpi.Run(ranks, func(c *mpi.Comm) error {
 		opts := Options{CachePolicy: Immediate}
 		if c.Rank() == 1 {
-			opts.SpillDir = spillDir
+			backend, err := NewSpillBackend(spillDir, "rank0001")
+			if err != nil {
+				return err
+			}
+			opts.Backend = backend
 		}
 		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
 		if err != nil {

@@ -942,3 +942,72 @@ func TestElasticNodeRunsOneControlGoroutine(t *testing.T) {
 			world, got, static, world)
 	}
 }
+
+// TestStaticNodeRunsOnlyRPCWorkers is the census of a static node's
+// daemons: a mounted three-rank world at rest runs, over the same world
+// unmounted, only goroutines parked in rpc.(*Server).worker — each node's
+// full server width of them, and no decode pool or loop of its own.
+func TestStaticNodeRunsOnlyRPCWorkers(t *testing.T) {
+	const world = 3
+	bundle, _ := buildBundle(t, dataset.ImageNet, 12, 6, 2<<10, nil)
+	// stacks splits the process's goroutines into rpc server workers and
+	// the rest, by stack.
+	stacks := func() (workers, others int) {
+		buf := make([]byte, 1<<16)
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				buf = buf[:n]
+				break
+			}
+			buf = make([]byte, 2*len(buf))
+		}
+		for _, g := range bytes.Split(buf, []byte("\n\n")) {
+			if bytes.Contains(g, []byte("rpc.(*Server).worker(")) {
+				workers++
+			} else {
+				others++
+			}
+		}
+		return workers, others
+	}
+	atRest := func(mounted bool) (workers, others int) {
+		err := mpi.Run(world, func(c *mpi.Comm) error {
+			if mounted {
+				node, err := Mount(c, [][]byte{bundle.Scatter[2*c.Rank()], bundle.Scatter[2*c.Rank()+1]}, nil, Options{CacheBytes: 1 << 20})
+				if err != nil {
+					return err
+				}
+				defer node.Close()
+			}
+			// Everyone is past the first barrier and parked in the second
+			// while rank 0 counts; the lowest of a few samples is the world
+			// at rest.
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				workers, others = stacks()
+				for i := 0; i < 50; i++ {
+					time.Sleep(time.Millisecond)
+					w, o := stacks()
+					workers, others = min(workers, w), min(others, o)
+				}
+			}
+			return c.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return workers, others
+	}
+	_, bare := atRest(false)
+	workers, others := atRest(true)
+	if width := max(runtime.GOMAXPROCS(0), 4); workers != world*width {
+		t.Fatalf("a mounted %d-rank static world runs %d rpc server workers, want %d (%d a node)", world, workers, world*width, width)
+	}
+	if others != bare {
+		t.Fatalf("a mounted %d-rank static world at rest runs %d goroutines besides its rpc server workers, an unmounted one %d: want none added",
+			world, others, bare)
+	}
+}

@@ -50,6 +50,12 @@ type FileMeta struct {
 // A rotation set anywhere near 255 alternates is far beyond useful.
 const maxReplicaFan = 255
 
+// maxPathLen is the longest path a record can carry: encodeMetas writes
+// a path's length as a u16, so Create refuses a longer one rather than
+// let the length wrap and a peer decode a record nobody wrote. Packed
+// paths are at most 255 bytes.
+const maxPathLen = 1<<16 - 1
+
 // encodeMetas serializes a metadata list for the Allgather exchange.
 func encodeMetas(metas []FileMeta) []byte {
 	size := 4

@@ -3,7 +3,6 @@ package fanstore
 import (
 	"fmt"
 
-	"fanstore/internal/decomp"
 	"fanstore/internal/member"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
@@ -22,12 +21,12 @@ import (
 //	FailStop, failed mount    none
 //	failed JoinCluster        none before its hello, a best-effort drain request after
 
-// newNode builds a Node's data-path machinery — cache, backend, decode
-// pool, rpc server/client, instruments — and starts its daemons, without
-// any collective traffic. A static mount's world is the identity map:
-// node ID i is rank i and the version never moves past 1, so every
-// membership code path runs unchanged and finds nothing to do. An
-// elastic node starts as nobody on the empty map (version 0); its
+// newNode builds a Node's data-path machinery — cache, backend, rpc
+// server/client, instruments — and starts its daemons, the rpc server's
+// workers, without any collective traffic. A static mount's world is the
+// identity map: node ID i is rank i and the version never moves past 1,
+// so every membership code path runs unchanged and finds nothing to do.
+// An elastic node starts as nobody on the empty map (version 0); its
 // admission installs its identity and its map before any peer can know
 // it (recvTable). The node owns opts.Backend from here on, whatever
 // newNode returns.
@@ -39,7 +38,7 @@ import (
 // after newNode call stop without asking whether the daemons ever ran.
 func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	// Validate before anything is started: past this block there is a
-	// decode pool and a worker pool to stop.
+	// worker pool to stop.
 	code, err := opts.Redundancy.code(elastic)
 	if err != nil {
 		if opts.Backend != nil {
@@ -49,14 +48,7 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	}
 	backend := opts.Backend
 	if backend == nil {
-		if opts.SpillDir != "" {
-			backend, err = NewSpillBackend(opts.SpillDir, fmt.Sprintf("rank%04d", comm.Rank()))
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			backend = NewRAMBackend()
-		}
+		backend = NewRAMBackend()
 	}
 	if opts.CacheBytes <= 0 {
 		opts.CacheBytes = 256 << 20
@@ -73,7 +65,6 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 		comm:     comm,
 		cache:    NewCache(opts.CacheBytes, opts.CachePolicy),
 		backend:  backend,
-		decode:   decomp.New(0, reg),
 		view:     view,
 		selfID:   selfID,
 		meta:     make(map[string]*FileMeta),
@@ -213,16 +204,13 @@ func (n *Node) Close() error {
 }
 
 // stop is the one teardown, downstream first: control loop, fetch
-// server, decode pool, backend. The pills are sent unconditionally: when
-// the world is already aborted the sends fail too, but then the loops
-// have exited on their closed mailboxes.
+// server, backend. The pills are sent unconditionally: when the world is
+// already aborted the sends fail too, but then the loops have exited on
+// their closed mailboxes.
 func (n *Node) stop() error {
 	if n.ectrl != nil {
 		n.ectrl.stopLoop()
 	}
 	n.server.Stop()
-	// With the server down no new decode work arrives; the pool drains
-	// whatever is queued (stragglers run inline on their submitters).
-	n.decode.Close()
 	return n.backend.Close()
 }

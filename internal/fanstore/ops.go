@@ -68,7 +68,6 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	if n.ec != nil {
 		sw.KV("ec.degraded.parts", n.ecDegradedCount())
 	}
-	sw.KV("decode.workers", n.decode.Workers())
 	if a := n.AdmissionBytes(); a > 0 {
 		sw.KV("admission.bytes", a)
 	} else {

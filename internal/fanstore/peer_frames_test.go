@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,6 +223,55 @@ func TestWrittenFileReadableFromEveryRank(t *testing.T) {
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOverlongWrittenPathPlantsNoRecord: a record carries its path's
+// length as a u16, so a written path over 65 535 bytes would wrap it, and
+// a rank that asks the writer for the path would install a record nobody
+// wrote. Create refuses such a path: WriteFile fails, naming the limit,
+// and neither rank's table changes when the other rank looks it up.
+func TestOverlongWrittenPathPlantsNoRecord(t *testing.T) {
+	bundle, _ := buildBundle(t, dataset.Language, 4, 2, 1<<10, nil)
+	errs := make([]error, 2)
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		// A 70 000-byte path whose metadata home is its writer, rank 0, so
+		// rank 1's lookup asks rank 0 for it.
+		var long string
+		for i := 0; ; i++ {
+			if long = fmt.Sprintf("out/%d/%s", i, strings.Repeat("x", 70000)); node.metaHome(long) == 0 {
+				break
+			}
+		}
+		before := node.NumFiles()
+		if c.Rank() == 0 {
+			if err := node.WriteFile(long, []byte("phantom")); err == nil || !strings.Contains(err.Error(), "65535") {
+				errs[0] = fmt.Errorf("WriteFile of a %d-byte path: %v, want an error naming the 65535-byte limit", len(long), err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if _, err := node.Stat(long); !errors.Is(err, ErrNotExist) {
+				errs[1] = fmt.Errorf("Stat of the %d-byte path: %v, want ErrNotExist", len(long), err)
+			}
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		if got := node.NumFiles(); got != before {
+			errs[c.Rank()] = errors.Join(errs[c.Rank()], fmt.Errorf("rank %d holds %d records, %d before the write", c.Rank(), got, before))
+		}
+		return nil
+	})
+	if err = errors.Join(append(errs, err)...); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -211,23 +211,3 @@ func PlanDelta(partSizes []int64, prevOwner []int, nodes int, capacity int64) (*
 	p.fillRingReplicas(partSizes, free)
 	return p, moves, nil
 }
-
-// NodesNeeded returns the minimum node count that can hold the
-// partitions, assuming perfect packing — the N >= |T|/M bound of Fig. 1.
-func NodesNeeded(partSizes []int64, capacity int64) (int, error) {
-	if capacity <= 0 {
-		return 0, fmt.Errorf("fanstore: capacity %d", capacity)
-	}
-	var total int64
-	for i, s := range partSizes {
-		if s > capacity {
-			return 0, fmt.Errorf("fanstore: partition %d exceeds capacity", i)
-		}
-		total += s
-	}
-	n := int((total + capacity - 1) / capacity)
-	if n < 1 {
-		n = 1
-	}
-	return n, nil
-}

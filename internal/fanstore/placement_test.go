@@ -346,24 +346,6 @@ func TestPlanDeltaDepartedOwner(t *testing.T) {
 	}
 }
 
-func TestNodesNeeded(t *testing.T) {
-	// The §I example: 140 GB over 60 GB nodes needs 3.
-	sizes := make([]int64, 14)
-	for i := range sizes {
-		sizes[i] = 10 << 30
-	}
-	n, err := NodesNeeded(sizes, 60<<30)
-	if err != nil || n != 3 {
-		t.Fatalf("NodesNeeded = %d, %v", n, err)
-	}
-	if _, err := NodesNeeded([]int64{10}, 0); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if n, _ := NodesNeeded(nil, 100); n != 1 {
-		t.Errorf("empty set needs %d nodes", n)
-	}
-}
-
 func TestPlacementBalances(t *testing.T) {
 	// First-fit decreasing keeps nodes within 2x of each other on random
 	// workloads with adequate headroom.

@@ -17,6 +17,8 @@
 //	            load spreading; each fetch path applies its own failover
 //	transport — internal/rpc: framed request/response over mpi.Comm,
 //	            answered concurrently by a bounded daemon worker pool
+//	decode    — on the opener, or on a prefetch batch's ≤ GOMAXPROCS
+//	            stride goroutines; the node has no decode pool
 //	cache     — the ref-counted decompressed pool (cache.go)
 //	backend   — Backend (backend.go): RAM or spill-to-disk storage of
 //	            the compressed objects
@@ -31,6 +33,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -86,9 +89,11 @@ const (
 	// from the old owner over the ordinary fetch pool while the old
 	// owner keeps serving its objects until the handoff commits.
 	opFetchPart = byte(1)
-	// opMetaSync is the stale-map refresh, asked of the coordinator: one
-	// path in, the cluster map and the path's current metadata record out
-	// ([u32 mapLen][map][encodeMetas of zero or one record]).
+	// opMetaSync is the stale-map refresh, asked of a path's metadata
+	// home or the coordinator: one path in, the cluster map and the
+	// path's current metadata record out, in the commit layout
+	// (encodeCommit under op opMetaSync, no node, no transfers, zero or
+	// one record).
 	opMetaSync = byte(2)
 	// opFetchShard requests every erasure shard of one partition held by
 	// the answering node ([u64 gid]); the response is a concatenation of
@@ -154,8 +159,10 @@ func (e *vanishedError) Unwrap() error { return e.err }
 // lifetime. What moves after Mount is set on the Node: the admission
 // budget (Node.SetAdmissionBytes, read by the plan scheduler on every
 // admission decision). The node sizes its pools itself: the cache's
-// shards from GOMAXPROCS and CacheBytes, GOMAXPROCS decode workers, and
-// the rpc server's handlers (rpc.NewServer).
+// shards from GOMAXPROCS and CacheBytes, and the rpc server's handlers
+// (rpc.NewServer). It runs no decode workers: an open decodes on its
+// own goroutine, and a prefetch batch on at most GOMAXPROCS goroutines
+// of its own.
 type Options struct {
 	// CacheBytes bounds the decompressed data cache (default 256 MiB).
 	// Mount-only: resizing the sharded cache live would rehash every
@@ -170,14 +177,10 @@ type Options struct {
 	// all peers during Mount, so remote opens route to this node as an
 	// alternative to the owner.
 	Replicas [][]byte
-	// SpillDir selects the local-disk backend: partition blobs are
-	// written under this directory and compressed payloads are read back
-	// on demand, freeing RAM for the training program (the paper's SSD
-	// backend). Empty means the RAM backend. Ignored when Backend is set.
-	SpillDir string
-	// Backend overrides the storage backend entirely (nil: RAM, or the
-	// spill backend when SpillDir is set). See NewRAMBackend and
-	// NewSpillBackend. The mount owns it: the node closes it on every
+	// Backend stores the compressed objects (nil: NewRAMBackend).
+	// NewSpillBackend keeps partition blobs on local disk and reads
+	// payloads back on demand, freeing RAM for the training program (the
+	// paper's SSD backend). The mount owns it: the node closes it on every
 	// exit, a failed mount included.
 	Backend Backend
 	// FetchTimeout bounds each remote fetch attempt (0: no deadline).
@@ -276,7 +279,6 @@ type Node struct {
 	comm    *mpi.Comm
 	cache   *Cache
 	backend Backend
-	decode  *decomp.Pool // prefetch batch decodes and EC reconstruction
 
 	// Cluster identity. In a static Mount the view is the identity
 	// StaticMap (node ID i == rank i, version 1) and every membership
@@ -319,7 +321,7 @@ type Node struct {
 	closed   atomic.Bool
 
 	// The registry every data-path instrument lives in ("fanstore.*",
-	// "rpc.*", "decomp.*"): the one read-out of the node's numbers.
+	// "rpc.*"): the one read-out of the node's numbers.
 	reg    *metrics.Registry
 	tracer *trace.Tracer
 	events *obs.EventLog // nil unless the ops plane is enabled
@@ -641,22 +643,20 @@ func (n *Node) handleFetchPart(body []byte) ([]byte, error) {
 
 // handleMetaSync answers a stale-map refresh from this node's map and
 // table (callers direct it at the coordinator, whose table is
-// authoritative after a commit). An answer racing a commit may pair the
-// new map with the old record: the caller's fetch then misses at the old
-// owner and refreshes once more, which fetchRemote bounds. Unknown paths
-// return an empty list, not an error: the caller's next fetch will
-// surface the real miss.
+// authoritative after a commit) in the commit layout, with no node and
+// no transfers. An answer racing a commit may pair the new map with the
+// old record: the caller's fetch then misses at the old owner and
+// refreshes once more, which fetchRemote bounds. Unknown paths return an
+// empty list, not an error: the caller's next fetch will surface the
+// real miss.
 func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
-	mapEnc := n.view.Map().Encode()
 	var recs []FileMeta
 	n.mu.RLock()
 	if m, ok := n.meta[cleanPath(string(body))]; ok {
 		recs = []FileMeta{*m}
 	}
 	n.mu.RUnlock()
-	enc := encodeMetas(recs)
-	resp := binary.LittleEndian.AppendUint32(decomp.GetBuf(4+len(mapEnc)+len(enc)), uint32(len(mapEnc)))
-	return append(append(resp, mapEnc...), enc...), nil
+	return encodeCommit(opMetaSync, member.NoNode, n.view.Map(), nil, recs), nil
 }
 
 // handleWriteMeta installs a peer's sealed-file record (opWriteMeta). The
@@ -680,21 +680,6 @@ func (n *Node) handleWriteMeta(body []byte) ([]byte, error) {
 	n.meta[m.Path] = &m
 	n.dirs.add(m.Path, m.Size)
 	return nil, nil
-}
-
-// decodeMetaSync parses an opMetaSync reply. The map length is a peer's:
-// it is checked against the frame before anything is decoded from it.
-func decodeMetaSync(resp []byte) (*member.ClusterMap, []FileMeta, error) {
-	if len(resp) < 4 || uint64(binary.LittleEndian.Uint32(resp)) > uint64(len(resp)-4) {
-		return nil, nil, errors.New("fanstore: meta sync reply truncated")
-	}
-	ml, body := int(binary.LittleEndian.Uint32(resp)), resp[4:]
-	cm, err := member.DecodeMap(body[:ml])
-	if err != nil {
-		return nil, nil, err
-	}
-	metas, err := decodeMetas(body[ml:])
-	return cm, metas, err
 }
 
 // route is one fetch's walk over the nodes that can serve a record's
@@ -796,7 +781,10 @@ func (n *Node) metaSync(rank int, path string) error {
 	if err != nil {
 		return err
 	}
-	cm, metas, err := decodeMetaSync(resp)
+	if len(resp) == 0 || resp[0] != opMetaSync {
+		return errors.New("fanstore: not a meta sync reply")
+	}
+	_, cm, _, metas, err := decodeCommit(resp[1:])
 	if err != nil {
 		return err
 	}
@@ -1029,16 +1017,23 @@ func (n *Node) Prefetch(paths []string) int {
 		targets = targets[:0]
 		var mu sync.Mutex
 		var wg sync.WaitGroup
+		wg.Add(len(groups))
+		fetch := func(dst int, group []*prefetchTarget) {
+			defer wg.Done()
+			ok, failed := n.prefetchFrom(dst, group)
+			mu.Lock()
+			staged += ok
+			targets = append(targets, failed...)
+			mu.Unlock()
+		}
+		// The last group runs here: this goroutine only waits otherwise.
+		left := len(groups)
 		for dst, group := range groups {
-			wg.Add(1)
-			go func(dst int, group []*prefetchTarget) {
-				defer wg.Done()
-				ok, failed := n.prefetchFrom(dst, group)
-				mu.Lock()
-				staged += ok
-				targets = append(targets, failed...)
-				mu.Unlock()
-			}(dst, group)
+			if left--; left > 0 {
+				go fetch(dst, group)
+			} else {
+				fetch(dst, group)
+			}
 		}
 		wg.Wait()
 	}
@@ -1080,18 +1075,21 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 	if err != nil || len(items) != len(group) {
 		return 0, group
 	}
-	// Fan the batch out across the decode pool: one job per worker (at
-	// least one, a nil pool runs it inline), each decoding every jobs-th
-	// item, so a batch of small objects costs a handful of hand-offs, not
-	// one per object. Demand opens decode on their own goroutine and never
-	// wait behind it.
+	// Split the batch into at most GOMAXPROCS strides, each a goroutine
+	// decoding every strides-th item with a scratch from the free list,
+	// and wait for them: a batch of small objects costs a handful of
+	// goroutines, not one per object. Stride 0 stays off this goroutine:
+	// run here, it raised train_lz's step_p95 by a tenth on two vCPUs.
 	decoded := make([][]byte, len(items))
-	jobs := max(1, min(len(items), n.decode.Workers()))
+	strides := max(1, min(len(items), runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for j := 0; j < jobs; j++ {
-		n.decode.Submit(decomp.PriPrefetch, &wg, func(s *codec.Scratch) {
-			for i := j; i < len(items); i += jobs {
+	wg.Add(strides)
+	for j := 0; j < strides; j++ {
+		go func() {
+			defer wg.Done()
+			s := scratches.Get().(*codec.Scratch)
+			defer scratches.Put(s)
+			for i := j; i < len(items); i += strides {
 				it := &items[i]
 				if it.Status != rpc.ItemOK || len(it.Payload) < 2 {
 					continue
@@ -1101,7 +1099,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 					decoded[i] = data
 				}
 			}
-		})
+		}()
 	}
 	wg.Wait()
 	for i, it := range items {
@@ -1118,9 +1116,9 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 	return staged, failed
 }
 
-// scratches is the free list of decoder state demand decodes borrow: an
+// scratches is the free list of decoder state every decode borrows: an
 // open decodes on its own goroutine, which is blocked on the result
-// anyway, rather than handing the object to a pool worker and waiting.
+// anyway, and each stride of a prefetch batch borrows one too.
 var scratches = sync.Pool{New: func() any { return codec.NewScratch() }}
 
 // decompress turns a compressed object into file bytes on the calling
@@ -1134,11 +1132,9 @@ func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte) ([]byte
 	return n.decodeObject(s, m, compressorID, comp)
 }
 
-// decodeObject is the codec work of one object: an opener's (decompress)
-// or a prefetch job's on a pool worker, with that goroutine's scratch (a
-// nil scratch when the pool is closed). The latency histogram brackets
-// codec time only — a prefetch job's queue wait has its own instrument
-// ("decomp.queue.wait.latency").
+// decodeObject is the codec work of one object, an opener's (decompress)
+// or a prefetch stride's, with the scratch that goroutine borrowed. The
+// latency histogram brackets codec time only.
 func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, comp []byte) ([]byte, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()

@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
 	"fanstore/internal/dataset"
 	"fanstore/internal/mpi"
 	"fanstore/internal/pack"
-	"fanstore/internal/rpc"
 )
 
 // buildBundle packs a small synthetic dataset for n ranks and returns the
@@ -633,8 +631,12 @@ func TestDiskBackend(t *testing.T) {
 	bundle, want := buildBundle(t, dataset.EM, 8, ranks, 16<<10, nil)
 	dir := t.TempDir()
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
+		backend, err := NewSpillBackend(fmt.Sprintf("%s/rank%d", dir, c.Rank()), fmt.Sprintf("rank%04d", c.Rank()))
+		if err != nil {
+			return err
+		}
 		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{
-			SpillDir:    fmt.Sprintf("%s/rank%d", dir, c.Rank()),
+			Backend:     backend,
 			CachePolicy: Immediate, // force the disk path on every open
 		})
 		if err != nil {
@@ -672,7 +674,10 @@ func TestDiskBackend(t *testing.T) {
 func TestDiskBackendBadDir(t *testing.T) {
 	bundle, _ := buildBundle(t, dataset.Language, 2, 1, 1<<10, nil)
 	err := mpi.Run(1, func(c *mpi.Comm) error {
-		_, err := Mount(c, bundle.Scatter, nil, Options{SpillDir: "/proc/definitely/not/writable"})
+		backend, err := NewSpillBackend("/proc/definitely/not/writable", "rank0000")
+		if err == nil {
+			_, err = Mount(c, bundle.Scatter, nil, Options{Backend: backend})
+		}
 		if err == nil {
 			return errors.New("unwritable spill dir accepted")
 		}
@@ -795,59 +800,6 @@ func TestSingleflightFetch(t *testing.T) {
 			}
 		}
 		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestDecodePoolIsGOMAXPROCSWide: a mount sizes its decode pool to
-// GOMAXPROCS and nothing moves it afterwards — the pool and the
-// "decomp.pool.workers" gauge read that width before and after the pool
-// has worked, until Close. Opens decode on their own goroutine, so
-// reading every local file submits no job; a prefetch batch of more
-// objects than workers is one job per worker.
-func TestDecodePoolIsGOMAXPROCSWide(t *testing.T) {
-	width := runtime.GOMAXPROCS(0)
-	batch := min(width+1, rpc.DefaultBatchItems) // one opFetch call
-	bundle, want := buildBundle(t, dataset.EM, 2*batch+8, 2, 2<<10, nil)
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: 1 << 20})
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		if c.Rank() != 0 {
-			return nil // serve until rank 0's Close barrier
-		}
-		checkWidth := func(when string) error {
-			if n, g := node.decode.Workers(), read(t, node).gauge("decomp.pool.workers"); n != width || g.Value != int64(width) || g.Max != int64(width) {
-				return fmt.Errorf("%s: %d decode workers, gauge %+v, want %d throughout", when, n, g, width)
-			}
-			return nil
-		}
-		if err := checkWidth("at mount"); err != nil {
-			return err
-		}
-		for _, p := range ownedPaths(t, bundle.Scatter[0]) {
-			if got, err := node.ReadFile(p); err != nil || !bytes.Equal(got, want[p]) {
-				return fmt.Errorf("%s: err %v or wrong bytes", p, err)
-			}
-		}
-		if jobs := read(t, node).counter("decomp.jobs"); jobs != 0 {
-			return fmt.Errorf("reading the local files submitted %d decode jobs, want 0", jobs)
-		}
-		remote := ownedPaths(t, bundle.Scatter[1])
-		if len(remote) < batch {
-			return fmt.Errorf("rank 1 owns %d files, want at least %d", len(remote), batch)
-		}
-		if staged := node.Prefetch(remote[:batch]); staged != batch {
-			return fmt.Errorf("prefetch staged %d of %d", staged, batch)
-		}
-		if jobs, want := read(t, node).counter("decomp.jobs"), int64(min(batch, width)); jobs != want {
-			return fmt.Errorf("a prefetch of %d objects ran %d decode jobs on %d workers, want %d", batch, jobs, width, want)
-		}
-		return checkWidth("after the prefetch")
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -225,34 +224,4 @@ func (s Snapshot) Delta(prev Snapshot) Snapshot {
 func (s Snapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50<=%v p99<=%v max<=%v",
 		s.Count, s.Mean, s.P50, s.P99, s.Max)
-}
-
-// Bars renders an ASCII bucket chart of the non-empty range (for CLI
-// diagnostics).
-func (s Snapshot) Bars(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	var max int64
-	lo, hi := -1, -1
-	for i, c := range s.Buckets {
-		if c > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-			if c > max {
-				max = c
-			}
-		}
-	}
-	if lo < 0 {
-		return "(empty)\n"
-	}
-	var b strings.Builder
-	for i := lo; i <= hi; i++ {
-		n := int(s.Buckets[i] * int64(width) / max)
-		fmt.Fprintf(&b, "%10v | %-*s %d\n", bucketUpper(i), width, strings.Repeat("#", n), s.Buckets[i])
-	}
-	return b.String()
 }

@@ -77,12 +77,6 @@ func TestSnapshotAndRendering(t *testing.T) {
 	if str := s.String(); !strings.Contains(str, "n=2") {
 		t.Fatalf("String() = %q", str)
 	}
-	if bars := s.Bars(20); strings.Count(bars, "\n") < 2 || !strings.Contains(bars, "#") {
-		t.Fatalf("Bars() = %q", bars)
-	}
-	if empty := (Snapshot{}).Bars(10); empty != "(empty)\n" {
-		t.Fatalf("empty Bars() = %q", empty)
-	}
 }
 
 func TestConcurrentObserve(t *testing.T) {

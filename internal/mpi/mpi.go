@@ -1,6 +1,6 @@
 // Package mpi is a small in-process SPMD message-passing runtime modeled
 // on the MPI subset FanStore uses (§V-D): tagged point-to-point Send/Recv,
-// Allgather for the metadata exchange, Bcast, Barrier, and a ring-neighbor
+// Allgather for the metadata exchange, Barrier, and a ring-neighbor
 // helper for partition replication.
 //
 // Each rank runs as a goroutine with a tag-matched mailbox. This is the
@@ -407,8 +407,7 @@ const (
 	opBarrierRelease
 	opGather
 	opScatterBack
-	opBcast
-	numOps = 5
+	numOps = 4
 )
 
 func collTag(op, seq int) int {
@@ -479,24 +478,6 @@ func (c *Comm) Allgather(data []byte) ([][]byte, error) {
 		return nil, err
 	}
 	return unflatten(flat)
-}
-
-// Bcast distributes root's data to every rank.
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	seq := c.nextSeq()
-	if c.rank == root {
-		for i := 0; i < c.world.size; i++ {
-			if i == root {
-				continue
-			}
-			if err := c.send(i, collTag(opBcast, seq), data); err != nil {
-				return nil, err
-			}
-		}
-		return data, nil
-	}
-	d, _, err := c.recv(root, collTag(opBcast, seq))
-	return d, err
 }
 
 // flatten encodes a slice-of-slices with uvarint-free framing (4-byte

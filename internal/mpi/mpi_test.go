@@ -158,26 +158,6 @@ func TestRepeatedCollectives(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	err := Run(5, func(c *Comm) error {
-		var data []byte
-		if c.Rank() == 2 {
-			data = []byte("from root two")
-		}
-		got, err := c.Bcast(2, data)
-		if err != nil {
-			return err
-		}
-		if string(got) != "from root two" {
-			return fmt.Errorf("rank %d got %q", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierOrdering(t *testing.T) {
 	var before, after atomic.Int32
 	err := Run(8, func(c *Comm) error {

@@ -44,13 +44,6 @@ func TestTCPCollectives(t *testing.T) {
 				return err
 			}
 		}
-		got, err := c.Bcast(3, []byte("tcp broadcast"))
-		if err != nil {
-			return err
-		}
-		if string(got) != "tcp broadcast" {
-			return fmt.Errorf("bcast got %q", got)
-		}
 		return nil
 	})
 	if err != nil {
