@@ -102,7 +102,7 @@ loc:
 # package-level identifiers (`go doc -short`: constants, variables,
 # functions, types — an alias counts as a type) and exported methods.
 surface:
-	@for p in . ./internal/fanstore ./internal/rpc ./internal/prefetch ./internal/decomp; do \
+	@for p in . ./internal/fanstore ./internal/rpc ./internal/prefetch ./internal/decomp ./internal/codec; do \
 		printf '%-22s %4d identifiers %4d methods\n' $$p \
 			$$($(GO) doc -short $$p | wc -l) \
 			$$($(GO) doc -short -all $$p | grep -c '^func ('); \

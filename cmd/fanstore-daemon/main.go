@@ -119,9 +119,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if red.Mode == fanstore.RedundancyEC && !elastic {
-		log.Fatal("-redundancy ec(k,m) needs an elastic mount (-members); static worlds replicate via -broadcast/ring placement")
-	}
 	if *healthInt > 0 && *opsAddr == "" {
 		log.Fatal("-health-interval needs -ops-addr (the monitor scrapes member /varz endpoints)")
 	}

@@ -57,7 +57,10 @@ type Codec interface {
 	// Compress appends the compressed representation of src to dst.
 	Compress(dst, src []byte) ([]byte, error)
 	// Decompress appends the decompressed payload to dst. It returns
-	// ErrCorrupt (possibly wrapped) if the stream is malformed.
+	// ErrCorrupt (possibly wrapped) if the stream is malformed. It is
+	// DecompressScratch with a scratch borrowed from the package's free
+	// list: the one decode path every caller runs, so a warm decode
+	// allocates nothing beyond growing dst.
 	Decompress(dst, src []byte) ([]byte, error)
 }
 
@@ -70,8 +73,9 @@ type blockCodec interface {
 	// may return the input uncompressed only via their own framing; the
 	// outer container does not fall back automatically.
 	compressBlock(dst, src []byte) ([]byte, error)
-	// decompressBlock appends exactly origLen bytes to dst.
-	decompressBlock(dst, src []byte, origLen int) ([]byte, error)
+	// decompressBlock appends exactly origLen bytes to dst, keeping any
+	// per-call decoder state in s.
+	decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error)
 }
 
 // wrapped adapts a blockCodec to the public Codec interface by adding the
@@ -93,11 +97,21 @@ func (w wrapped) Compress(dst, src []byte) ([]byte, error) {
 }
 
 func (w wrapped) Decompress(dst, src []byte) ([]byte, error) {
+	return w.decompress(nil, dst, src)
+}
+
+// decompress decodes src through s, or through a scratch borrowed from
+// the free list when s is nil.
+func (w wrapped) decompress(s *Scratch, dst, src []byte) ([]byte, error) {
 	origLen, payload, err := splitHeader(src)
 	if err != nil {
 		return dst, err
 	}
-	return w.bc.decompressBlock(dst, payload, origLen)
+	if s == nil {
+		s = scratches.Get().(*Scratch)
+		defer scratches.Put(s)
+	}
+	return w.bc.decompressBlock(s, dst, payload, origLen)
 }
 
 // splitHeader parses the uvarint original-length header common to all

@@ -26,8 +26,8 @@ func (f deltaFilter) compressBlock(dst, src []byte) ([]byte, error) {
 	return f.inner.compressBlock(dst, tmp)
 }
 
-func (f deltaFilter) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
-	tmp, err := f.inner.decompressBlock(make([]byte, 0, origLen), src, origLen)
+func (f deltaFilter) decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
+	tmp, err := f.inner.decompressBlock(s, grow(&s.tmp, origLen), src, origLen)
 	if err != nil {
 		return dst, err
 	}
@@ -35,20 +35,6 @@ func (f deltaFilter) decompressBlock(dst, src []byte, origLen int) ([]byte, erro
 		tmp[i] += tmp[i-f.stride]
 	}
 	return append(dst, tmp...), nil
-}
-
-func (f deltaFilter) decompressBlockScratch(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
-	tmp, err := innerDecompressScratch(s, f.inner, s.takeTmp(origLen), src, origLen)
-	if err != nil {
-		s.giveTmp(tmp)
-		return dst, err
-	}
-	for i := f.stride; i < len(tmp); i++ {
-		tmp[i] += tmp[i-f.stride]
-	}
-	dst = append(dst, tmp...)
-	s.giveTmp(tmp)
-	return dst, nil
 }
 
 func min(a, b int) int {
@@ -74,37 +60,21 @@ func (f shuffleFilter) name() string {
 }
 
 func (f shuffleFilter) compressBlock(dst, src []byte) ([]byte, error) {
-	return f.inner.compressBlock(dst, shuffleBytes(src, f.stride, false))
+	return f.inner.compressBlock(dst, shuffleBytesTo(make([]byte, 0, len(src)), src, f.stride, false))
 }
 
-func (f shuffleFilter) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
-	tmp, err := f.inner.decompressBlock(make([]byte, 0, origLen), src, origLen)
+func (f shuffleFilter) decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
+	tmp, err := f.inner.decompressBlock(s, grow(&s.tmp, origLen), src, origLen)
 	if err != nil {
 		return dst, err
 	}
-	return append(dst, shuffleBytes(tmp, f.stride, true)...), nil
-}
-
-func (f shuffleFilter) decompressBlockScratch(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
-	tmp, err := innerDecompressScratch(s, f.inner, s.takeTmp(origLen), src, origLen)
-	if err != nil {
-		s.giveTmp(tmp)
-		return dst, err
-	}
-	dst = shuffleBytesTo(dst, tmp, f.stride, true)
-	s.giveTmp(tmp)
-	return dst, nil
-}
-
-// shuffleBytes (un)shuffles the length-aligned prefix; the tail (len %
-// stride bytes) is copied through untouched so any input length round
-// trips.
-func shuffleBytes(src []byte, stride int, inverse bool) []byte {
-	return shuffleBytesTo(make([]byte, 0, len(src)), src, stride, inverse)
+	return shuffleBytesTo(dst, tmp, f.stride, true), nil
 }
 
 // shuffleBytesTo appends the (un)shuffled src to dst, writing straight
-// into dst's storage so the scratch path needs no third buffer.
+// into dst's storage. Only the length-aligned prefix is (un)shuffled; the
+// tail (len % stride bytes) is copied through untouched so any input
+// length round trips.
 func shuffleBytesTo(dst, src []byte, stride int, inverse bool) []byte {
 	base := len(dst)
 	dst = append(dst, src...) // reserves space and copies the unshuffled tail

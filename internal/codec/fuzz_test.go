@@ -42,18 +42,40 @@ func FuzzRoundTrip(f *testing.F) {
 }
 
 // FuzzDecompress feeds arbitrary bytes to every decoder: errors are fine,
-// panics and runaway allocations are not.
+// panics and runaway allocations are not. Each stream is decoded twice,
+// through Codec.Decompress and through one Scratch the target keeps for
+// every input, and the two must agree; a clean stream decoded through
+// that same Scratch must then still round-trip, so a corrupt frame
+// cannot poison the state the next decode inherits.
 func FuzzDecompress(f *testing.F) {
 	seed, _ := MustGet("lz4").Codec.Compress(nil, []byte("seed data for the corpus"))
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff})
+	clean := bytes.Repeat([]byte("clean stream after a fuzzed one 0123456789 "), 40)
+	cleanComp := make(map[string][]byte, len(fuzzCodecs))
+	for _, name := range fuzzCodecs {
+		comp, err := MustGet(name).Codec.Compress(nil, clean)
+		if err != nil {
+			f.Fatalf("%s: compress: %v", name, err)
+		}
+		cleanComp[name] = comp
+	}
+	s := NewScratch()
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		for _, name := range fuzzCodecs {
 			cfg := MustGet(name)
 			out, err := cfg.Codec.Decompress(nil, stream)
 			if err == nil && len(out) > MaxDecodedSize {
 				t.Fatalf("%s: decoded %d bytes", name, len(out))
+			}
+			sout, serr := DecompressScratch(cfg.Codec, s, nil, stream)
+			if (serr == nil) != (err == nil) || (err == nil && !bytes.Equal(sout, out)) {
+				t.Fatalf("%s: scratch decode (err %v) diverges from Decompress (err %v)", name, serr, err)
+			}
+			got, err := DecompressScratch(cfg.Codec, s, nil, cleanComp[name])
+			if err != nil || !bytes.Equal(got, clean) {
+				t.Fatalf("%s: clean stream after a fuzzed one: err %v, round trip %v", name, err, bytes.Equal(got, clean))
 			}
 		}
 	})

@@ -148,9 +148,45 @@ type huffEntry struct {
 	bits byte // 0 marks an invalid code point
 }
 
-// huffDecodeTable builds a single-level lookup table of width maxSeen
-// bits for an arbitrary alphabet.
-func huffDecodeTable(lengths []byte) ([]huffEntry, uint, error) {
+// huffCanonicalCodesInto assigns the same canonical codes as
+// huffCanonicalCodes into s.codes, replacing the sort.Slice ordering
+// with an allocation-free counting sort by (length, symbol).
+func huffCanonicalCodesInto(s *Scratch, lengths []byte) []uint32 {
+	codes := s.codes[:len(lengths)]
+	clear(codes) // zero-length symbols read code 0, as in huffCanonicalCodes
+	var count [16]int
+	for _, l := range lengths {
+		count[l]++
+	}
+	var next [16]int
+	pos := 0
+	for l := 1; l <= 15; l++ {
+		next[l] = pos
+		pos += count[l]
+	}
+	order := s.symOrder[:pos]
+	for sym, l := range lengths {
+		if l > 0 {
+			order[next[l]] = uint16(sym)
+			next[l]++
+		}
+	}
+	code := uint32(0)
+	prevLen := byte(0)
+	for _, sym := range order {
+		l := lengths[sym]
+		code <<= uint(l - prevLen)
+		prevLen = l
+		codes[sym] = code
+		code++
+	}
+	return codes
+}
+
+// huffBuildTable builds a single-level lookup table of width maxSeen bits
+// for an arbitrary alphabet into *tbl (one of s.table / s.table2),
+// reusing its storage across blocks.
+func huffBuildTable(s *Scratch, tbl *[]huffEntry, lengths []byte) ([]huffEntry, uint, error) {
 	maxSeen := byte(0)
 	nsyms := 0
 	for _, l := range lengths {
@@ -167,20 +203,28 @@ func huffDecodeTable(lengths []byte) ([]huffEntry, uint, error) {
 	if nsyms == 0 {
 		return nil, 0, fmt.Errorf("%w: huffman empty code table", ErrCorrupt)
 	}
-	codes := huffCanonicalCodes(lengths)
-	table := make([]huffEntry, 1<<maxSeen)
-	for s, l := range lengths {
+	codes := huffCanonicalCodesInto(s, lengths)
+	size := 1 << maxSeen
+	table := *tbl
+	if cap(table) < size {
+		table = make([]huffEntry, size)
+	} else {
+		table = table[:size]
+		clear(table)
+	}
+	*tbl = table
+	for sym, l := range lengths {
 		if l == 0 {
 			continue
 		}
-		prefix := codes[s] << (uint(maxSeen) - uint(l))
+		prefix := codes[sym] << (uint(maxSeen) - uint(l))
 		n := 1 << (uint(maxSeen) - uint(l))
 		for i := 0; i < n; i++ {
 			idx := prefix | uint32(i)
 			if int(idx) >= len(table) || table[idx].bits != 0 {
 				return nil, 0, fmt.Errorf("%w: huffman overfull code table", ErrCorrupt)
 			}
-			table[idx] = huffEntry{sym: uint16(s), bits: l}
+			table[idx] = huffEntry{sym: uint16(sym), bits: l}
 		}
 	}
 	return table, uint(maxSeen), nil
@@ -198,13 +242,14 @@ func packNibbles(dst []byte, lengths []byte) []byte {
 	return dst
 }
 
-// unpackNibbles reads n code lengths packed two per byte.
-func unpackNibbles(src []byte, n int) ([]byte, []byte, error) {
-	bytes := (n + 1) / 2
-	if len(src) < bytes {
-		return nil, nil, fmt.Errorf("%w: huffman header truncated", ErrCorrupt)
+// readNibbles reads len(out) code lengths packed two per byte from src
+// into out and returns the rest of src.
+func readNibbles(out []byte, src []byte) ([]byte, error) {
+	n := len(out)
+	nbytes := (n + 1) / 2
+	if len(src) < nbytes {
+		return nil, fmt.Errorf("%w: huffman header truncated", ErrCorrupt)
 	}
-	out := make([]byte, n)
 	for i := 0; i < n; i++ {
 		b := src[i/2]
 		if i%2 == 0 {
@@ -213,7 +258,7 @@ func unpackNibbles(src []byte, n int) ([]byte, []byte, error) {
 			out[i] = b & 0x0f
 		}
 	}
-	return out, src[bytes:], nil
+	return src[nbytes:], nil
 }
 
 // huffCodec is order-0 canonical Huffman coding over bytes. On its own it
@@ -246,38 +291,18 @@ func (huffCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	return w.finish(), nil
 }
 
-func (huffCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (huffCodec) decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	if origLen == 0 {
 		return dst, nil
 	}
-	lengths, payload, err := unpackNibbles(src, 256)
+	payload, err := readNibbles(s.lens[:256], src)
 	if err != nil {
 		return dst, err
 	}
-	table, maxBits, err := huffDecodeTable(lengths)
+	table, maxBits, err := huffBuildTable(s, &s.table, s.lens[:256])
 	if err != nil {
 		return dst, err
 	}
-	return huffDecode(dst, payload, origLen, table, maxBits)
-}
-
-func (huffCodec) decompressBlockScratch(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
-	if origLen == 0 {
-		return dst, nil
-	}
-	payload, err := unpackNibblesInto(s.lens[:256], src)
-	if err != nil {
-		return dst, err
-	}
-	table, maxBits, err := huffDecodeTableInto(s, &s.table, s.lens[:256])
-	if err != nil {
-		return dst, err
-	}
-	return huffDecode(dst, payload, origLen, table, maxBits)
-}
-
-// huffDecode is the shared symbol loop of both decompress paths.
-func huffDecode(dst, payload []byte, origLen int, table []huffEntry, maxBits uint) ([]byte, error) {
 	r := bitReader{src: payload}
 	for i := 0; i < origLen; i++ {
 		e := table[r.peek(maxBits)]

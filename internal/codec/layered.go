@@ -456,11 +456,7 @@ func DecodeLayeredScratch(s *Scratch, dst, container []byte, maxLayers int) ([]b
 		return dst, 1, nil
 	}
 	out := dst[mark:]
-	var plane []byte
-	if s != nil {
-		plane = s.takeTmp(ix.OrigLen)
-		defer func() { s.giveTmp(plane) }()
-	}
+	plane := make([]byte, 0, ix.OrigLen)
 	for i := 1; i < k; i++ {
 		var err error
 		plane, err = decodeBodyInto(s, plane[:0], body(i), ix.OrigLen)

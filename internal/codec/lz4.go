@@ -347,7 +347,7 @@ func (c lz4Fast) compressBlock(dst, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (c lz4Fast) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (c lz4Fast) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	return lz4Decompress(dst, src, origLen)
 }
 
@@ -362,7 +362,7 @@ func (c lz4HC) compressBlock(dst, src []byte) ([]byte, error) {
 	return lzChainCompress(dst, src, lz4MinMatch, 1<<uint(c.level/2+2))
 }
 
-func (c lz4HC) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (c lz4HC) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	return lz4Decompress(dst, src, origLen)
 }
 
@@ -380,7 +380,7 @@ func (c lzsse) compressBlock(dst, src []byte) ([]byte, error) {
 	return lzChainCompress(dst, src, c.minMatch, 1<<uint(c.level+1))
 }
 
-func (c lzsse) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (c lzsse) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	return lz4Decompress(dst, src, origLen)
 }
 

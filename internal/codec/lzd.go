@@ -169,56 +169,28 @@ func (c lzdCodec) parse(src []byte) []lzdToken {
 	return tokens
 }
 
-func (c lzdCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
-	litLengths, rest, err := unpackNibbles(src, lzdNumLitLen)
-	if err != nil {
-		return dst, fmt.Errorf("lzd: %w", err)
-	}
-	distLengths, payload, err := unpackNibbles(rest, lzdNumDist)
-	if err != nil {
-		return dst, fmt.Errorf("lzd: %w", err)
-	}
-	litTable, litBits, err := huffDecodeTable(litLengths)
-	if err != nil {
-		return dst, fmt.Errorf("lzd: %w", err)
-	}
-	var distTable []huffEntry
-	var distBits uint
-	if anyNonZero(distLengths) {
-		if distTable, distBits, err = huffDecodeTable(distLengths); err != nil {
-			return dst, fmt.Errorf("lzd: %w", err)
-		}
-	}
-	return c.decode(dst, payload, origLen, litTable, litBits, distTable, distBits)
-}
-
-func (c lzdCodec) decompressBlockScratch(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
+func (c lzdCodec) decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	// Both alphabets live in the scratch at once: lengths in the two
 	// fixed arrays, decode tables in the two reusable table slots.
-	rest, err := unpackNibblesInto(s.lens[:lzdNumLitLen], src)
+	rest, err := readNibbles(s.lens[:lzdNumLitLen], src)
 	if err != nil {
 		return dst, fmt.Errorf("lzd: %w", err)
 	}
-	payload, err := unpackNibblesInto(s.distLens[:], rest)
+	payload, err := readNibbles(s.distLens[:], rest)
 	if err != nil {
 		return dst, fmt.Errorf("lzd: %w", err)
 	}
-	litTable, litBits, err := huffDecodeTableInto(s, &s.table, s.lens[:lzdNumLitLen])
+	litTable, litBits, err := huffBuildTable(s, &s.table, s.lens[:lzdNumLitLen])
 	if err != nil {
 		return dst, fmt.Errorf("lzd: %w", err)
 	}
 	var distTable []huffEntry
 	var distBits uint
 	if anyNonZero(s.distLens[:]) {
-		if distTable, distBits, err = huffDecodeTableInto(s, &s.table2, s.distLens[:]); err != nil {
+		if distTable, distBits, err = huffBuildTable(s, &s.table2, s.distLens[:]); err != nil {
 			return dst, fmt.Errorf("lzd: %w", err)
 		}
 	}
-	return c.decode(dst, payload, origLen, litTable, litBits, distTable, distBits)
-}
-
-// decode is the shared symbol loop of both decompress paths.
-func (c lzdCodec) decode(dst, payload []byte, origLen int, litTable []huffEntry, litBits uint, distTable []huffEntry, distBits uint) ([]byte, error) {
 	base := len(dst)
 	want := base + origLen
 	r := bitReader{src: payload}

@@ -113,7 +113,7 @@ func lzfEmitMatch(dst []byte, off, mlen int) []byte {
 	return dst
 }
 
-func (c lzfCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (c lzfCodec) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	base := len(dst)
 	want := base + origLen
 	i := 0

@@ -30,32 +30,16 @@ func (c lzhCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	return huffCodec{}.compressBlock(dst, lz)
 }
 
-func (c lzhCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (c lzhCodec) decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	lzLen, payload, err := splitHeader(src)
 	if err != nil {
 		return dst, fmt.Errorf("lzh: %w", err)
 	}
-	lz, err := huffCodec{}.decompressBlock(make([]byte, 0, lzLen), payload, lzLen)
+	// The intermediate LZ block has its own slot, so a filter over lzh
+	// keeps its pre-image in s.tmp meanwhile.
+	lz, err := huffCodec{}.decompressBlock(s, grow(&s.lz, lzLen), payload, lzLen)
 	if err != nil {
 		return dst, fmt.Errorf("lzh: %w", err)
 	}
 	return lz4Decompress(dst, lz, origLen)
-}
-
-func (c lzhCodec) decompressBlockScratch(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
-	lzLen, payload, err := splitHeader(src)
-	if err != nil {
-		return dst, fmt.Errorf("lzh: %w", err)
-	}
-	// The intermediate LZ block lives in the scratch tmp buffer; the
-	// entropy stage shares the same scratch (it uses the Huffman slots,
-	// not tmp).
-	lz, err := huffCodec{}.decompressBlockScratch(s, s.takeTmp(lzLen), payload, lzLen)
-	if err != nil {
-		s.giveTmp(lz)
-		return dst, fmt.Errorf("lzh: %w", err)
-	}
-	dst, err = lz4Decompress(dst, lz, origLen)
-	s.giveTmp(lz)
-	return dst, err
 }

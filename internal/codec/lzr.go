@@ -18,8 +18,9 @@ const (
 	lzrLitCtx   = 8                      // literal contexts: prev byte >> 5
 )
 
-// lzrModel holds every adaptive probability used by the stream. A fresh
-// model per block keeps codecs stateless and concurrency-safe.
+// lzrModel holds every adaptive probability used by the stream. Every
+// block starts from a fresh (or freshly reset) model, which keeps codecs
+// stateless and concurrency-safe.
 type lzrModel struct {
 	isMatch   [2]prob // context: previous op was a match
 	isRep     prob    // match reuses the previous distance (LZMA's rep0)
@@ -162,25 +163,12 @@ func distSlot(d uint32) uint32 {
 	return nb*2 + (d>>(nb-1))&1
 }
 
-func (c lzrCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
-	d, err := newRcDecoder(src)
-	if err != nil {
+func (c lzrCodec) decompressBlock(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
+	d, m := &s.rc, &s.model
+	if err := d.init(src); err != nil {
 		return dst, err
 	}
-	return c.decompressWith(d, newLzrModel(), dst, origLen)
-}
-
-func (c lzrCodec) decompressBlockScratch(s *Scratch, dst, src []byte, origLen int) ([]byte, error) {
-	if err := s.rc.init(src); err != nil {
-		return dst, err
-	}
-	s.model.reset()
-	return c.decompressWith(&s.rc, &s.model, dst, origLen)
-}
-
-// decompressWith is the shared decode loop over an initialized decoder
-// and a fresh (or freshly reset) model.
-func (c lzrCodec) decompressWith(d *rcDecoder, m *lzrModel, dst []byte, origLen int) ([]byte, error) {
+	m.reset()
 	base := len(dst)
 	want := base + origLen
 	for len(dst) < want {

@@ -103,16 +103,8 @@ type rcDecoder struct {
 	code uint32
 }
 
-func newRcDecoder(src []byte) (*rcDecoder, error) {
-	d := &rcDecoder{}
-	if err := d.init(src); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// init (re)starts the decoder on src, so a long-lived decoder value (the
-// decode scratch's) is reused without allocating.
+// init (re)starts the decoder on src, so the decode scratch's decoder
+// value is reused without allocating.
 func (d *rcDecoder) init(src []byte) error {
 	if len(src) < 5 {
 		return fmt.Errorf("%w: range coder stream too short", ErrCorrupt)

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"fanstore/internal/dataset"
 )
 
 // TestDecompressScratchMatchesRegistry reuses ONE Scratch serially across
-// every registry config and every input distribution, checking that the
-// scratch path is byte-identical to the allocating path. Reuse across
-// codec families is the point: a huff decode must not be perturbed by the
-// lzr model state a previous job left behind.
+// every registry config and every input distribution, checking that a
+// decode through it is byte-identical to Codec.Decompress (which borrows
+// a scratch of its own) and to the original input. Reuse across codec
+// families is the point: a huff decode must not be perturbed by the lzr
+// model state a previous job left behind.
 func TestDecompressScratchMatchesRegistry(t *testing.T) {
 	inputs := testInputs()
 	s := NewScratch()
@@ -31,6 +34,42 @@ func TestDecompressScratchMatchesRegistry(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s: scratch mismatch on %s: got %d bytes, want %d", cfg.Name, name, len(got), len(want))
 			}
+			if !bytes.Equal(got, src) {
+				t.Fatalf("%s: scratch decode of %s differs from the input: got %d bytes, want %d", cfg.Name, name, len(got), len(src))
+			}
+		}
+	}
+}
+
+// TestWarmDecodeAllocatesNothing: every registry config decodes a 4 KiB
+// EM file through Codec.Decompress with no allocation once one decode
+// has warmed the borrowed scratch — a filter over lzh included, whose
+// pre-image and LZ block have a slot each. The stdlib flate/lzw wrappers
+// build their readers per call and are exempt.
+func TestWarmDecodeAllocatesNothing(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
+	}
+	src := dataset.Generator{Kind: dataset.EM, Seed: 1, Size: 4 << 10}.Bytes(0)
+	dst := make([]byte, 0, len(src))
+	for _, cfg := range Registry() {
+		if cfg.Family == "flate" || cfg.Family == "lzw" {
+			continue
+		}
+		comp, err := cfg.Codec.Compress(nil, src)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", cfg.Name, err)
+		}
+		if out, err := cfg.Codec.Decompress(dst, comp); err != nil || !bytes.Equal(out, src) {
+			t.Fatalf("%s: warm-up decode: %v", cfg.Name, err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := cfg.Codec.Decompress(dst, comp); err != nil {
+				t.Fatalf("%s: %v", cfg.Name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: warm decode allocates %.1f objects/op, want 0", cfg.Name, allocs)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func (c flateCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	return append(dst, buf.Bytes()...), nil
 }
 
-func (c flateCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (c flateCodec) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	r := flate.NewReader(bytes.NewReader(src))
 	defer r.Close()
 	out, err := readExactly(r, origLen)
@@ -60,7 +60,7 @@ func (lzwCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	return append(dst, buf.Bytes()...), nil
 }
 
-func (lzwCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (lzwCodec) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	r := lzw.NewReader(bytes.NewReader(src), lzw.LSB, 8)
 	defer r.Close()
 	out, err := readExactly(r, origLen)

@@ -13,7 +13,7 @@ func (storeCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	return append(dst, src...), nil
 }
 
-func (storeCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (storeCodec) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	if len(src) != origLen {
 		return dst, fmt.Errorf("%w: store payload length %d != declared %d", ErrCorrupt, len(src), origLen)
 	}
@@ -69,7 +69,7 @@ func (rleCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func (rleCodec) decompressBlock(dst, src []byte, origLen int) ([]byte, error) {
+func (rleCodec) decompressBlock(_ *Scratch, dst, src []byte, origLen int) ([]byte, error) {
 	want := len(dst) + origLen
 	i := 0
 	for i < len(src) {

@@ -4,7 +4,8 @@
 //
 // The store does not use the worker pool: an object decodes on the
 // goroutine that waits for it — an opener, a prefetch batch's stride,
-// an EC rebuild's reader — with a codec.Scratch from a free list. The
+// an EC rebuild's reader — through Codec.Decompress, which borrows its
+// decoder state from the codec package's free list. The
 // pool stays only because the benchmark's isolated dispatch probe calls
 // New, Pool.Run and PriOpen; nothing else in the module does.
 package decomp
@@ -40,8 +41,8 @@ type job struct {
 // Pool is the shared decode worker pool. Each worker owns a
 // codec.Scratch, so entropy-coded decodes reuse Huffman tables and
 // range-coder models instead of allocating them per block. A nil *Pool
-// is valid and runs every job inline on the caller (with a nil scratch),
-// which keeps single-threaded tools and tests dependency-free.
+// is valid and runs every job inline on the caller (with a nil scratch,
+// which codec.DecompressScratch replaces with a borrowed one).
 type Pool struct {
 	high, low chan job
 	stop      chan struct{}

@@ -37,9 +37,12 @@ import (
 // table is sent after every registration). It is what lets every exit
 // after newNode call stop without asking whether the daemons ever ran.
 func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
-	// Validate before anything is started: past this block there is a
-	// worker pool to stop.
+	// Validate before anything is started: past this block there are
+	// rpc workers to stop.
 	code, err := opts.Redundancy.code(elastic)
+	if err == nil && elastic && len(opts.Replicas) > 0 {
+		err = fmt.Errorf("fanstore: Options.Replicas needs a static mount (Mount); an elastic mount announces no replicas")
+	}
 	if err != nil {
 		if opts.Backend != nil {
 			_ = opts.Backend.Close()

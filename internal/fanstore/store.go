@@ -175,7 +175,8 @@ type Options struct {
 	// without owning them (typically obtained via RingReplicate when the
 	// node has spare local storage, §V-D). Their paths are announced to
 	// all peers during Mount, so remote opens route to this node as an
-	// alternative to the owner.
+	// alternative to the owner. Static mounts only: MountElastic and
+	// JoinCluster refuse them.
 	Replicas [][]byte
 	// Backend stores the compressed objects (nil: NewRAMBackend).
 	// NewSpillBackend keeps partition blobs on local disk and reads
@@ -1076,10 +1077,10 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 		return 0, group
 	}
 	// Split the batch into at most GOMAXPROCS strides, each a goroutine
-	// decoding every strides-th item with a scratch from the free list,
-	// and wait for them: a batch of small objects costs a handful of
-	// goroutines, not one per object. Stride 0 stays off this goroutine:
-	// run here, it raised train_lz's step_p95 by a tenth on two vCPUs.
+	// decoding every strides-th item, and wait for them: a batch of small
+	// objects costs a handful of goroutines, not one per object. Stride 0
+	// stays off this goroutine: run here, it raised train_lz's step_p95 by
+	// a tenth on two vCPUs.
 	decoded := make([][]byte, len(items))
 	strides := max(1, min(len(items), runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
@@ -1087,15 +1088,13 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 	for j := 0; j < strides; j++ {
 		go func() {
 			defer wg.Done()
-			s := scratches.Get().(*codec.Scratch)
-			defer scratches.Put(s)
 			for i := j; i < len(items); i += strides {
 				it := &items[i]
 				if it.Status != rpc.ItemOK || len(it.Payload) < 2 {
 					continue
 				}
 				n.remoteBytes.Add(int64(len(it.Payload)))
-				if data, err := n.decodeObject(s, group[i].m, binary.LittleEndian.Uint16(it.Payload), it.Payload[2:]); err == nil {
+				if data, err := n.decompress(group[i].m, binary.LittleEndian.Uint16(it.Payload), it.Payload[2:]); err == nil {
 					decoded[i] = data
 				}
 			}
@@ -1116,26 +1115,15 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 	return staged, failed
 }
 
-// scratches is the free list of decoder state every decode borrows: an
-// open decodes on its own goroutine, which is blocked on the result
-// anyway, and each stride of a prefetch batch borrows one too.
-var scratches = sync.Pool{New: func() any { return codec.NewScratch() }}
-
 // decompress turns a compressed object into file bytes on the calling
-// goroutine, validating size against the metadata record. The returned
+// goroutine, an opener's or a prefetch stride's, validating size against
+// the metadata record. It runs the codec's one decoder, Decompress, whose
+// decoder state the codec package lends for the call. The returned
 // buffer comes from the decomp buffer pool: ownership passes to the
 // caller, who must hand it to the cache via Insert/InsertIdle as owned
-// (or recycle it on failure).
+// (or recycle it on failure). The latency histogram brackets codec time
+// only.
 func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte) ([]byte, error) {
-	s := scratches.Get().(*codec.Scratch)
-	defer scratches.Put(s)
-	return n.decodeObject(s, m, compressorID, comp)
-}
-
-// decodeObject is the codec work of one object, an opener's (decompress)
-// or a prefetch stride's, with the scratch that goroutine borrowed. The
-// latency histogram brackets codec time only.
-func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, comp []byte) ([]byte, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
 	cfg, ok := codec.ByID(compressorID)
@@ -1154,7 +1142,7 @@ func (n *Node) decodeObject(s *codec.Scratch, m *FileMeta, compressorID uint16, 
 		err = fmt.Errorf("stream declares %d bytes, metadata says %d", declared, m.Size)
 	}
 	if err == nil {
-		out, err = codec.DecompressScratch(cfg.Codec, s, decomp.GetBuf(int(min(m.Size, 256*int64(len(comp))))), comp)
+		out, err = cfg.Codec.Decompress(decomp.GetBuf(int(min(m.Size, 256*int64(len(comp))))), comp)
 	}
 	n.decompressHist.Observe(time.Since(start))
 	if err != nil {

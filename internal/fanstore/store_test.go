@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -204,6 +205,37 @@ func TestRingReplicate(t *testing.T) {
 		for path := range want {
 			if _, err := node.Stat(path); err != nil {
 				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestElasticMountsRefuseReplicas: Options.Replicas is announced only by a
+// static mount's exchange, so MountElastic and JoinCluster refuse it with
+// an error naming the static mount instead of mounting without the
+// replicas the caller asked for.
+func TestElasticMountsRefuseReplicas(t *testing.T) {
+	bundle, _ := buildBundle(t, dataset.ImageNet, 4, 2, 1<<10, nil)
+	opts := ElasticOptions{Options: Options{Replicas: [][]byte{bundle.Scatter[1]}}}
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		for _, m := range []struct {
+			name  string
+			mount func() (*Node, error)
+		}{
+			{"MountElastic", func() (*Node, error) { return MountElastic(c, [][]byte{bundle.Scatter[0]}, opts) }},
+			{"JoinCluster", func() (*Node, error) { return JoinCluster(c, 0, opts) }},
+		} {
+			node, err := m.mount()
+			if err == nil {
+				node.Close()
+				return fmt.Errorf("%s mounted with Options.Replicas", m.name)
+			}
+			if !strings.Contains(err.Error(), "static mount (Mount)") {
+				return fmt.Errorf("%s: error %q does not name the static mount", m.name, err)
 			}
 		}
 		return nil
