@@ -7,11 +7,12 @@ import (
 
 // Size-classed buffer pool for the hot-path byte buffers: decode
 // outputs (cache entries recycle here on eviction via the ownership
-// flag), the handlers' response payloads, and the frames the transport
+// flag), the handlers' response payloads, the frames the transport
 // receives into (internal/mpi draws them here; the receiver that owns
-// one may hand it back). Classes are powers of two from MinBuf to
-// MaxBuf; smaller buffers are cheaper to allocate than to pool, larger
-// ones are rare enough to leave to the GC.
+// one may hand it back), and the files Node.ReadFile delivers (the
+// prefetch pipeline hands them back). Classes are powers of two from
+// MinBuf to MaxBuf; smaller buffers are cheaper to allocate than to
+// pool, larger ones are rare enough to leave to the GC.
 
 const (
 	minClassBits = 9  // 512 B
@@ -28,7 +29,14 @@ const (
 	MaxBuf = 1 << maxClassBits
 )
 
-var bufClasses [numClasses]sync.Pool
+// Each class pools its buffers boxed in a *[]byte, because a []byte put
+// in a sync.Pool as it is costs an interface box per Put. The emptied
+// boxes wait in their own free list for the next PutBuf, so a warm
+// GetBuf→PutBuf round trip allocates nothing.
+var (
+	bufClasses [numClasses]sync.Pool // *[]byte, each holding a buffer
+	boxes      sync.Pool             // *[]byte, empty
+)
 
 // GetBuf returns a zero-length buffer with capacity at least n, drawn
 // from the pool when a buffer of n's size class is available.
@@ -41,7 +49,11 @@ func GetBuf(n int) []byte {
 		c = bits.Len(uint(n-1)) - minClassBits
 	}
 	if v := bufClasses[c].Get(); v != nil {
-		return v.([]byte)
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxes.Put(box)
+		return b
 	}
 	return make([]byte, 0, 1<<(c+minClassBits))
 }
@@ -56,11 +68,13 @@ func PutBuf(b []byte) {
 		return
 	}
 	c := bits.Len(uint(cap(b))) - 1 - minClassBits
-	if c < 0 {
+	if c < 0 || c >= numClasses {
 		return
 	}
-	if c >= numClasses {
-		return
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
 	}
-	bufClasses[c].Put(b[:0]) //nolint:staticcheck // []byte in a sync.Pool costs one small box per Put; acceptable against the buffer sizes pooled here
+	*box = b[:0]
+	bufClasses[c].Put(box)
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"fanstore/internal/decomp"
 	"fanstore/internal/trace"
 )
 
@@ -329,7 +330,9 @@ func (n *Node) ReadDir(dir string) ([]DirEntry, error) {
 }
 
 // ReadFile is the convenience read-everything path used by training
-// loaders: open, copy out, release — with no File in between.
+// loaders: open, copy out, release — with no File in between. The copy
+// is a decomp.GetBuf buffer the caller owns, as with os.ReadFile; the
+// prefetch pipeline hands it back (decomp.PutBuf) once its batch is read.
 func (n *Node) ReadFile(path string) ([]byte, error) {
 	tstart := n.tracer.Begin()
 	cp, data, pinned, err := n.open(path)
@@ -337,9 +340,7 @@ func (n *Node) ReadFile(path string) ([]byte, error) {
 		n.tracer.End(trace.OpRead, path, trace.OutcomeError, tstart)
 		return nil, err
 	}
-	// append, unlike make+copy, does not clear the bytes it is about to
-	// fill; the non-nil empty base keeps an empty file a non-nil slice.
-	out := append([]byte{}, data...)
+	out := append(decomp.GetBuf(len(data)), data...)
 	if pinned {
 		n.cache.Release(cp)
 	}

@@ -387,3 +387,65 @@ func TestConcurrentOpenCloseStormPinInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBatchedFetchAnswersAPrefix: a batched fetch whose objects exceed
+// rpc.DefaultBatchBytes on the wire is answered with the longest prefix
+// of its keys that fits (so no frame the buffer pool keeps grows past
+// the bound), and Prefetch asks again for the rest until every object
+// is staged.
+func TestBatchedFetchAnswersAPrefix(t *testing.T) {
+	bundle, want := buildBundle(t, dataset.ImageNet, 32, 2, 256<<10, nil)
+	part, err := pack.Parse(bundle.Scatter[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(part.Entries))
+	fit, size := 0, 0
+	for i, e := range part.Entries {
+		keys[i] = e.Path
+		if size += 2 + len(e.Data); fit == i && (i == 0 || size <= rpc.DefaultBatchBytes) {
+			fit++
+		}
+	}
+	if fit == len(keys) {
+		t.Fatalf("%d objects of %d B all fit in %d B: the test asks nothing", len(keys), size, rpc.DefaultBatchBytes)
+	}
+	err = mpi.Run(2, func(c *mpi.Comm) error {
+		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: 64 << 20})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		if c.Rank() != 0 {
+			return nil
+		}
+		resp, err := node.client.Call(1, encodeFetch(0, keys))
+		if err != nil {
+			return err
+		}
+		items, err := rpc.DecodeItems(resp)
+		if err != nil {
+			return err
+		}
+		if len(items) != fit {
+			return fmt.Errorf("%d keys of %d B objects answered with %d items, want the %d that fit in %d B",
+				len(keys), 256<<10, len(items), fit, rpc.DefaultBatchBytes)
+		}
+		if staged := node.Prefetch(keys); staged != len(keys) {
+			return fmt.Errorf("Prefetch staged %d of %d objects", staged, len(keys))
+		}
+		for _, key := range keys {
+			data, err := node.ReadFile(key)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(data, want[key]) {
+				return fmt.Errorf("%s: wrong bytes", key)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

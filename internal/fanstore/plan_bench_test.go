@@ -103,7 +103,8 @@ func BenchmarkCoalescedOpenStorm(b *testing.B) {
 // pipeline with one worker, two batches deep. It reads 4 096 files, not
 // train_small's 16 384: the per-file shape, batch and cache ratio are
 // the same at a quarter of the memory. One iteration is one epoch of
-// both ranks; ns/file and allocs/file count the whole process.
+// both ranks; ns/file, allocs/file and B/file (heap bytes allocated, the
+// benchmark's alloc_kb_per_file) count the whole process.
 //
 //	go test -run '^$' -bench SmallFileEpoch -benchtime 20x -cpuprofile cpu.prof ./internal/fanstore
 func BenchmarkSmallFileEpoch(b *testing.B) {
@@ -175,6 +176,7 @@ func BenchmarkSmallFileEpoch(b *testing.B) {
 			read := float64(b.N) * nFiles
 			b.ReportMetric(float64(elapsed.Nanoseconds())/read, "ns/file")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/read, "allocs/file")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/read, "B/file")
 		}
 		return nil
 	})

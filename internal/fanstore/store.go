@@ -553,7 +553,9 @@ func (n *Node) getObjects(keys []string, objs []fetchedObject, idx []int) {
 // bounded concurrency (a cold batch over the spill backend overlaps its
 // disk reads). Items are answered in request order with per-item status,
 // so a partial miss never fails the whole batch, and framed straight
-// from the backend's bytes into one pooled response.
+// from the backend's bytes into one pooled response. The answer stops
+// before the object that would take it past rpc.DefaultBatchBytes (it
+// always carries one); the caller asks again for the keys past it.
 func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 	callerVer, keys, err := decodeFetch(body)
 	if err != nil {
@@ -575,9 +577,11 @@ func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 	// is simply present, the version changes nothing.
 	have := n.view.Version()
 	size, served := 0, false
-	for i := range objs {
+	for i := 0; i < len(objs); i++ {
 		o := &objs[i]
 		switch {
+		case o.err == nil && served && size+2+len(o.data) > rpc.DefaultBatchBytes:
+			objs = objs[:i] // ends the loop; the caller asks again for the rest
 		case o.err == nil:
 			served = true
 			size += 2 + len(o.data)
@@ -1042,18 +1046,18 @@ func (n *Node) Prefetch(paths []string) int {
 }
 
 // prefetchFrom fetches group from dst with as many plan-sized opFetch
-// calls as rpc.DefaultBatchItems requires — an epoch-scale plan batch
-// cannot build one monster frame — and returns the targets dst could not
-// serve so the caller can fail over.
+// calls as rpc.DefaultBatchItems and the answers' byte bound require —
+// an epoch-scale plan batch cannot build one monster frame — and returns
+// the targets dst could not serve so the caller can fail over.
 func (n *Node) prefetchFrom(dst int, group []*prefetchTarget) (staged int, failed []*prefetchTarget) {
 	keys := make([]string, len(group))
 	for i, t := range group {
 		keys[i] = t.m.Path
 	}
-	off := 0
-	for _, chunk := range rpc.SplitKeys(keys, rpc.DefaultBatchItems) {
-		ok, f := n.prefetchChunk(dst, chunk, group[off:off+len(chunk)])
-		off += len(chunk)
+	for len(group) > 0 {
+		end := min(len(group), rpc.DefaultBatchItems)
+		ok, f, answered := n.prefetchChunk(dst, keys[:end], group[:end])
+		keys, group = keys[answered:], group[answered:]
 		staged += ok
 		failed = append(failed, f...)
 	}
@@ -1063,19 +1067,21 @@ func (n *Node) prefetchFrom(dst int, group []*prefetchTarget) (staged int, faile
 // prefetchChunk issues one opFetch call to dst for one plan-sized
 // slice of targets, decompresses and stages what came back, and
 // finishes the flight of every staged target so coalesced opens
-// unblock as soon as their object lands.
-func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (staged int, failed []*prefetchTarget) {
+// unblock as soon as their object lands. answered is how many of the
+// first targets the call settled: fewer than all if dst answered a prefix.
+func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (staged int, failed []*prefetchTarget, answered int) {
 	n.batchedFetches.Inc()
 	resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), keys))
 	if err != nil {
-		return 0, group
+		return 0, group, len(group)
 	}
 	// The items alias resp; it is recycled once the last one is decoded.
 	defer decomp.PutBuf(resp)
 	items, err := rpc.DecodeItems(resp)
-	if err != nil || len(items) != len(group) {
-		return 0, group
+	if err != nil || len(items) == 0 || len(items) > len(group) {
+		return 0, group, len(group)
 	}
+	group = group[:len(items)]
 	// Split the batch into at most GOMAXPROCS strides, each a goroutine
 	// decoding every strides-th item, and wait for them: a batch of small
 	// objects costs a handful of goroutines, not one per object. Stride 0
@@ -1112,7 +1118,7 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 		}
 		n.finishFlight(t.m.Path, t.flight, nil)
 	}
-	return staged, failed
+	return staged, failed, len(group)
 }
 
 // decompress turns a compressed object into file bytes on the calling

@@ -451,9 +451,11 @@ func TestFileSemantics(t *testing.T) {
 }
 
 // TestHitPathAllocs is the allocation gate of the file surface on a
-// cache hit: ReadFile allocates only the slice it returns, Open+Read+Close
-// only the *File, and Stat nothing. The counts are exact, so a change that
-// moves one either way has to say why.
+// cache hit: ReadFile allocates only the slice it returns (it draws from
+// the decomp pool, and this loop drops what it gets instead of handing it
+// back with decomp.PutBuf as the prefetch pipeline does), Open+Read+Close
+// only the *File, and Stat nothing. The counts are exact, so a change
+// that moves one either way has to say why.
 func TestHitPathAllocs(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")

@@ -17,6 +17,14 @@
 // staged-but-unread bytes never exceed the cache's unpinned capacity,
 // backing off until delivered batches (reported via Advance) free room.
 // Without a Scheduler the workers fetch on demand.
+//
+// Delivered bytes live in recycled memory. A Reader returns each file in
+// a distinct buffer the caller owns, and Next hands the previous batch's
+// buffers back to the shared size-classed pool (decomp.PutBuf) before it
+// returns the next batch; FanStore's Node.ReadFile draws from that pool,
+// so in steady state a delivered file costs one copy into warm memory
+// and no allocation. A batch's Data is valid until the next Next: a
+// consumer that keeps a file longer copies it.
 package prefetch
 
 import (
@@ -24,11 +32,16 @@ import (
 	"fmt"
 	"sync"
 
+	"fanstore/internal/decomp"
 	"fanstore/internal/metrics"
 	"fanstore/internal/trace"
 )
 
 // Reader is the data source: FanStore's Node.ReadFile satisfies it.
+// ReadFile returns a distinct buffer that the caller owns, as
+// os.ReadFile does; the pipeline hands it to decomp.PutBuf once the
+// consumer has moved past its batch, so a Reader that draws from
+// decomp.GetBuf gets its buffers back.
 type Reader interface {
 	ReadFile(path string) ([]byte, error)
 }
@@ -39,7 +52,9 @@ type Batch struct {
 	Index int
 	// Paths are the files of the batch.
 	Paths []string
-	// Data holds the file contents, parallel to Paths.
+	// Data holds the file contents, parallel to Paths. It is valid
+	// until the next Next, which recycles the buffers and nils the
+	// entries.
 	Data [][]byte
 }
 
@@ -84,6 +99,7 @@ type Pipeline struct {
 
 	stalls *metrics.Counter // Next calls that blocked
 	tracer *trace.Tracer
+	held   [][]byte // the last delivered batch's Data; the next Next recycles it
 }
 
 type result struct {
@@ -216,13 +232,19 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 // output queue win over Stop: after an error shuts the pipeline down,
 // the buffered error (and any batches completed before it) still reach
 // the consumer deterministically instead of racing ErrStopped.
+//
+// Next first hands the previous batch's Data back to the buffer pool
+// (decomp.PutBuf) and nils its entries: a batch's bytes are valid until
+// the next Next, and a consumer that kept the old Batch sees nils, never
+// another file's bytes. Call it from one goroutine, the consumer's.
 func (p *Pipeline) Next() (Batch, bool, error) {
+	for i, b := range p.held {
+		decomp.PutBuf(b)
+		p.held[i] = nil
+	}
 	select {
 	case r, ok := <-p.out:
-		if !ok {
-			return Batch{}, false, nil
-		}
-		return r.batch, r.err == nil, r.err
+		return p.deliver(r, ok)
 	default:
 	}
 	// The fast path missed: the consumer is about to stall on I/O the
@@ -233,27 +255,32 @@ func (p *Pipeline) Next() (Batch, bool, error) {
 	defer p.tracer.End(trace.OpWait, "", trace.OutcomeNone, tstart)
 	select {
 	case r, ok := <-p.out:
-		if !ok {
-			return Batch{}, false, nil
-		}
-		return r.batch, r.err == nil, r.err
+		return p.deliver(r, ok)
 	case <-p.stop:
 		// Stop raced an in-flight delivery; drain it if it landed.
 		select {
 		case r, ok := <-p.out:
-			if !ok {
-				return Batch{}, false, nil
-			}
-			return r.batch, r.err == nil, r.err
+			return p.deliver(r, ok)
 		default:
 			return Batch{}, false, ErrStopped
 		}
 	}
 }
 
+// deliver returns one received result to the consumer and remembers its
+// buffers for the next Next to recycle.
+func (p *Pipeline) deliver(r result, ok bool) (Batch, bool, error) {
+	if !ok {
+		return Batch{}, false, nil
+	}
+	p.held = r.batch.Data
+	return r.batch, r.err == nil, r.err
+}
+
 // Stop cancels the pipeline and releases its goroutines, including the
 // epoch-plan scheduler when one is attached. Safe to call multiple
-// times and after exhaustion.
+// times, after exhaustion and from any goroutine: it recycles nothing,
+// so the last delivered batch stays valid and the GC frees it.
 func (p *Pipeline) Stop() {
 	p.once.Do(func() {
 		close(p.stop)

@@ -27,29 +27,22 @@ const (
 	itemHeader = 5
 )
 
-// DefaultBatchItems is the default ceiling on keys per batched call.
-// Epoch-scale prefetch plans are split into frames of this many objects:
-// large enough to amortize the round trip, small enough that one call
-// neither builds a monster frame nor monopolizes a daemon worker.
-const DefaultBatchItems = 64
-
-// SplitKeys cuts keys into consecutive plan-sized slices of at most max
-// keys each (one slice per batched call). The slices alias the input.
-// A non-positive max means no splitting.
-func SplitKeys(keys []string, max int) [][]string {
-	if len(keys) == 0 {
-		return nil
-	}
-	if max <= 0 || len(keys) <= max {
-		return [][]string{keys}
-	}
-	out := make([][]string, 0, (len(keys)+max-1)/max)
-	for len(keys) > max {
-		out = append(out, keys[:max])
-		keys = keys[max:]
-	}
-	return append(out, keys)
-}
+// DefaultBatchItems and DefaultBatchBytes bound one batched call.
+// Epoch-scale prefetch plans are split into calls of at most
+// DefaultBatchItems keys, and a server answers the longest prefix of a
+// call's keys whose objects fit in DefaultBatchBytes (at least one); the
+// caller asks again for the rest. Large enough to amortize the round
+// trip, small enough that one call neither monopolizes a daemon worker
+// nor builds a monster frame. The byte bound is on the wire, where only
+// the server knows an object's compressed size, and it also caps what
+// the buffer pool keeps: the server's response and the client's receive
+// frame return to decomp's size classes, which hold their high-water
+// mark until a garbage collection. At 32 raw objects of 256 KiB those
+// frames were 16 MiB each.
+const (
+	DefaultBatchItems = 64
+	DefaultBatchBytes = 4 << 20
+)
 
 // Per-item statuses of a batched response.
 const (
