@@ -27,11 +27,14 @@ race:
 # The two overlapping-membership rows of the lifecycle table (joins
 # released together; a leave racing a join), the written-file
 # visibility rounds (a record reaching its home after the writer's
-# barrier) and the four-worker delivery run (a batch's buffers recycled
-# while its consumer still reads them) depend on the schedule, and one
-# pass of `race` draws one: run them twenty times.
+# barrier), the four-worker delivery run (a batch's buffers recycled
+# while its consumer still reads them) and the pipeline's Stop rows (the
+# last batch recycled at Stop, and never by the pipeline's own shutdown
+# after a failed read while the consumer holds it) depend on the
+# schedule, and one pass of `race` draws one: run them twenty times.
 overlap:
 	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)|TestWrittenFileVisibleAfterBarrier|TestPipelineRecyclesDeliveredBuffers/workers=4' ./internal/fanstore
+	$(GO) test -race -count 20 -run 'TestStopRecyclesLastBatch' ./internal/prefetch
 
 # The cache's next-use eviction rule: its property test draws new random
 # operation streams on every run, and the live two-rank row (the plan's

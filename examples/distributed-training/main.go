@@ -87,9 +87,10 @@ func main() {
 			// Asynchronous I/O (Fig. 5b): the prefetch pipeline reads
 			// and decompresses iteration i+1's batch while iteration i
 			// computes, with the paper's 4 I/O threads per process. A
-			// batch's bytes are valid until the next Next, which hands
-			// them back to the buffer pool the reads draw from: digest
-			// a batch inside its iteration, or copy what must outlive it.
+			// batch's bytes are valid until the next Next or Stop, which
+			// hand them back to the buffer pool the reads draw from:
+			// digest a batch inside its iteration, or copy what must
+			// outlive it.
 			pipe := prefetch.New(node,
 				prefetch.RangeSampler(shuffled, batchSize, c.Rank(), ranks),
 				prefetch.Options{Workers: 4, Depth: 2})

@@ -1,15 +1,15 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
 
 	"fanstore/internal/fanstore"
 )
 
 // liveHits feeds one recorded sequence to the real cache, single-threaded,
-// one shard of slots equal-sized entries: install the epoch's order (or
-// not), then open, fill on a miss, close. The cache a mount would build
+// one shard of slots equal-sized entries, each file named by its index as
+// its object ID: install the epoch's order (or not), then open, fill on a
+// miss, close. The cache a mount would build
 // at this capacity has that one shard; liveHits checks it does.
 func liveHits(t *testing.T, epochs [][]int, slots int, install bool) (hits int) {
 	const size = 64
@@ -17,22 +17,21 @@ func liveHits(t *testing.T, epochs [][]int, slots int, install bool) (hits int) 
 	if c.NumShards() != 1 {
 		t.Fatalf("a %d-byte cache has %d shards, want 1", slots*size, c.NumShards())
 	}
-	path := func(id int) string { return fmt.Sprintf("f/%05d", id) }
 	for _, seq := range epochs {
 		if install {
-			paths := make([]string, len(seq))
+			ids := make([]uint32, len(seq))
 			for i, id := range seq {
-				paths[i] = path(id)
+				ids[i] = uint32(id)
 			}
-			c.Expect(paths)
+			c.Expect(ids)
 		}
 		for _, id := range seq {
-			if _, ok := c.Acquire(path(id)); ok {
+			if _, ok := c.Acquire(uint32(id)); ok {
 				hits++
 			} else {
-				c.Insert(path(id), make([]byte, size), false)
+				c.Insert(uint32(id), make([]byte, size), false)
 			}
-			c.Release(path(id))
+			c.Release(uint32(id))
 		}
 	}
 	return hits

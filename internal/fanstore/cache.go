@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -52,9 +53,11 @@ func (p Policy) String() string {
 // noPos is the next use of an entry no installed plan will read: +∞.
 const noPos = math.MaxInt64
 
-// cacheEntry is one decompressed file in the shared memory pool.
+// cacheEntry is one decompressed file in the shared memory pool. A
+// removed entry goes on its shard's free list and is reused by the next
+// insert, so a resident working set that turns over allocates none.
 type cacheEntry struct {
-	path string
+	id   uint32
 	data []byte
 	refs int
 	// pos is the entry's next use: its position in the installed plan
@@ -99,23 +102,31 @@ type CacheStats struct {
 }
 
 // cacheShard is one stripe of the cache: its own lock, entry table,
-// eviction order, capacity slice and slice of the installed plan. Entries
-// never move between shards (a path's shard is a pure function of its
-// hash), so every pin/evict invariant holds shard-locally.
+// eviction order, capacity slice and slice of the installed plan. An
+// object's shard is its ID modulo the shard count and its slot in the
+// shard's tables the ID's remaining bits, so entries never move between
+// shards and every pin/evict invariant holds shard-locally.
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	entries  map[string]*cacheEntry
+	// entries holds the resident entry of each slot, nil for none.
+	entries []*cacheEntry
 	// Eviction order: the entries with no known next use, in policy order
 	// from idle.next (the next victim) around the ring, then the protected
 	// entries, furthest position first. Intrusive links and an
 	// index-tracked heap: moving an entry between the two allocates nothing.
 	idle cacheEntry // ring sentinel
 	far  farthest
-	// plan maps each path the installed plan has not seen opened yet to
-	// its position.
-	plan map[string]int64
+	// plan is the position in the installed plan of each ID the plan has
+	// not seen opened yet, 0 for none (positions start at 1).
+	plan []int64
+	// flights holds the flight producing each slot's object, nil for none:
+	// concurrent producers of a not-yet-cached object — demand opens and
+	// prefetch staging alike — share one fetch and decode (flight.go).
+	flights []*flight
+	// free holds removed entries for reuse, linked through next.
+	free *cacheEntry
 	// pinnedB and staged are the bytes this shard cannot give to a
 	// newcomer: entries with live references, and protected ones. Written
 	// under mu; atomic so Headroom and Stats read them without it.
@@ -161,13 +172,17 @@ func unlinkIdle(e *cacheEntry) {
 // replacement. It deliberately uses a small capacity: the training
 // program itself is memory-hungry (§IV-C3).
 //
-// The table is striped into power-of-two shards keyed by path hash, so
-// concurrent I/O threads stop serializing on one lock; aggregate
-// used/entries/pinned are maintained incrementally with atomics so
-// Acquire/Release/Stats never scan.
+// Objects are named by the store's dense uint32 object IDs (Node
+// resolves a path to its ID once, in lookup). The table is striped into
+// power-of-two shards by the ID's low bits, so concurrent I/O threads
+// stop serializing on one lock, and each shard indexes its entries and
+// plan positions by the ID's high bits: no path is hashed here.
+// Aggregate used/entries/pinned are maintained incrementally with
+// atomics so Acquire/Release/Stats never scan.
 type Cache struct {
 	shards   []cacheShard
 	mask     uint32
+	shift    uint8 // log2 of the shard count: id>>shift is the slot
 	policy   Policy
 	capacity int64 // aggregate byte bound across all shards
 
@@ -176,8 +191,8 @@ type Cache struct {
 	pins     atomic.Int64 // entries with refs > 0
 	retained atomic.Int64 // protected bytes no prefetch fetched: residents the plan kept
 	// planEnd is the first position past every plan installed so far, so
-	// positions grow across plans and a path the plan does not know is
-	// stamped "after everything known".
+	// positions grow across plans and an object the plan does not know is
+	// stamped "after everything known". It starts at 1: 0 is "no position".
 	planEnd atomic.Int64
 
 	// Counters are registry-backed ("fanstore.cache.*") once instrument
@@ -187,6 +202,7 @@ type Cache struct {
 	prefetchedHits, retainedHits *metrics.Counter
 	stageRefused, doubleReleases *metrics.Counter
 	tracer                       *trace.Tracer
+	names                        func(id uint32) string // an ID's path, for eviction spans
 
 	// events, when set, receives an eviction-pressure event once per
 	// evictionPressureStride evictions (the first eviction also fires,
@@ -217,7 +233,7 @@ func NewCache(capacity int64, policy Policy) *Cache {
 // newStripedCache is NewCache with an explicit shard count, rounded up to
 // a power of two (<=0 selects automatically), for tests that stripe a
 // cache on purpose. Capacity is striped across the shards; each shard
-// enforces its slice independently, so with uneven path distribution
+// enforces its slice independently, so with uneven ID distribution
 // eviction can begin slightly before the aggregate bound is reached —
 // never after.
 func newStripedCache(capacity int64, policy Policy, shards int) *Cache {
@@ -239,9 +255,11 @@ func newStripedCache(capacity int64, policy Policy, shards int) *Cache {
 	c := &Cache{
 		shards:   make([]cacheShard, shards),
 		mask:     uint32(shards - 1),
+		shift:    uint8(bits.TrailingZeros(uint(shards))),
 		policy:   policy,
 		capacity: capacity,
 	}
+	c.planEnd.Store(1)
 	per := capacity / int64(shards)
 	rem := capacity % int64(shards)
 	for i := range c.shards {
@@ -250,18 +268,17 @@ func newStripedCache(capacity int64, policy Policy, shards int) *Cache {
 		if int64(i) < rem {
 			sh.capacity++
 		}
-		sh.entries = make(map[string]*cacheEntry)
-		sh.plan = make(map[string]int64)
 		sh.idle.prev, sh.idle.next = &sh.idle, &sh.idle
 	}
-	c.instrument(nil, nil)
+	c.instrument(nil, nil, nil)
 	return c
 }
 
 // instrument re-homes the cache's counters in reg ("fanstore.cache.*")
-// and attaches a tracer for eviction events. Mount calls it before the
-// cache sees any traffic; calling it later would orphan prior counts.
-func (c *Cache) instrument(reg *metrics.Registry, tr *trace.Tracer) {
+// and attaches a tracer for eviction events, whose spans name the path
+// names gives an ID. Mount calls it before the cache sees any traffic;
+// calling it later would orphan prior counts.
+func (c *Cache) instrument(reg *metrics.Registry, tr *trace.Tracer, names func(uint32) string) {
 	c.hits = reg.Counter("fanstore.cache.hits")
 	c.misses = reg.Counter("fanstore.cache.misses")
 	c.evictions = reg.Counter("fanstore.cache.evictions")
@@ -269,7 +286,7 @@ func (c *Cache) instrument(reg *metrics.Registry, tr *trace.Tracer) {
 	c.retainedHits = reg.Counter("fanstore.cache.retained_opens")
 	c.stageRefused = reg.Counter("fanstore.cache.stage_refused")
 	c.doubleReleases = reg.Counter("fanstore.cache.double_releases")
-	c.tracer = tr
+	c.tracer, c.names = tr, names
 	// Occupancy is published when somebody looks (a snapshot, so every
 	// sampler tick), from the atomics the data path already keeps: no
 	// gauge is touched on a pin or unpin.
@@ -290,23 +307,59 @@ func (c *Cache) setEvents(ev *obs.EventLog) { c.events = ev }
 // NumShards reports the shard count (test and benchmark hook).
 func (c *Cache) NumShards() int { return len(c.shards) }
 
-// shard maps a path to its stripe with an inline FNV-1a hash (the
-// allocation-free path of the cache-hit gate).
-func (c *Cache) shard(path string) *cacheShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(path); i++ {
-		h = (h ^ uint32(path[i])) * 16777619
-	}
-	return &c.shards[h&c.mask]
+// shard maps an ID to its stripe and its slot there.
+func (c *Cache) shard(id uint32) (*cacheShard, uint32) {
+	return &c.shards[id&c.mask], id >> c.shift
 }
 
-// Acquire pins and returns the cached decompressed data for path, if
-// resident. The caller must Release once per successful Acquire.
-func (c *Cache) Acquire(path string) ([]byte, bool) {
-	sh := c.shard(path)
+// reserve sizes every shard's tables for the IDs below n, once, when a
+// mount has numbered its objects; later IDs grow them on demand.
+func (c *Cache) reserve(n int) {
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		sh.grow(uint32(n) >> c.shift)
+		sh.mu.Unlock()
+	}
+}
+
+// grow makes slot addressable in the shard's tables, at least doubling
+// them. Callers hold sh.mu.
+func (sh *cacheShard) grow(slot uint32) {
+	if int(slot) < len(sh.entries) {
+		return
+	}
+	n := max(int(slot)+1, 2*len(sh.entries)) - len(sh.entries)
+	sh.entries = append(sh.entries, make([]*cacheEntry, n)...)
+	sh.plan = append(sh.plan, make([]int64, n)...)
+	sh.flights = append(sh.flights, make([]*flight, n)...)
+}
+
+// entry returns the resident entry at slot, or nil. Callers hold sh.mu.
+func (sh *cacheShard) entry(slot uint32) *cacheEntry {
+	if int(slot) < len(sh.entries) {
+		return sh.entries[slot]
+	}
+	return nil
+}
+
+// newEntry takes a recycled entry, or allocates one. Callers hold sh.mu.
+func (sh *cacheShard) newEntry() *cacheEntry {
+	e := sh.free
+	if e == nil {
+		return new(cacheEntry)
+	}
+	sh.free, e.next = e.next, nil
+	return e
+}
+
+// Acquire pins and returns the cached decompressed data for object id,
+// if resident. The caller must Release once per successful Acquire.
+func (c *Cache) Acquire(id uint32) ([]byte, bool) {
+	sh, slot := c.shard(id)
 	sh.mu.Lock()
-	e, ok := sh.entries[path]
-	if !ok {
+	e := sh.entry(slot)
+	if e == nil {
 		sh.mu.Unlock()
 		c.misses.Inc()
 		return nil, false
@@ -334,7 +387,7 @@ func (c *Cache) pinLocked(sh *cacheShard, e *cacheEntry) (first *metrics.Counter
 		first = c.retainedHits
 		c.unprotectLocked(sh, e)
 		sh.pushIdle(e)
-		delete(sh.plan, e.path)
+		sh.plan[e.id>>c.shift] = 0
 	}
 	if e.prefetched {
 		e.prefetched = false
@@ -374,26 +427,26 @@ func (c *Cache) creditLocked(sh *cacheShard, e *cacheEntry, delta int64) {
 	}
 }
 
-// Contains reports whether path is cached, without pinning it or
+// Contains reports whether object id is cached, without pinning it or
 // counting a hit/miss (the prefetcher uses it to skip staged work).
-func (c *Cache) Contains(path string) bool {
-	sh := c.shard(path)
+func (c *Cache) Contains(id uint32) bool {
+	sh, slot := c.shard(id)
 	sh.mu.Lock()
-	_, ok := sh.entries[path]
+	ok := sh.entry(slot) != nil
 	sh.mu.Unlock()
 	return ok
 }
 
-// Insert adds data for path pinned once (refs=1) and returns the
+// Insert adds data for object id pinned once (refs=1) and returns the
 // canonical buffer (an existing entry wins races between two openers
 // decompressing the same file). The caller must Release it. owned marks
 // data as drawn from the decomp buffer pool: ownership transfers to the
 // cache, which recycles it when the entry is removed with no readers, or
 // immediately when an existing entry wins.
-func (c *Cache) Insert(path string, data []byte, owned bool) []byte {
-	sh := c.shard(path)
+func (c *Cache) Insert(id uint32, data []byte, owned bool) []byte {
+	sh, slot := c.shard(id)
 	sh.mu.Lock()
-	if e, ok := sh.entries[path]; ok {
+	if e := sh.entry(slot); e != nil {
 		// Another I/O thread decompressed (or the prefetcher staged)
 		// this file first; share its entry. A staged entry acquired
 		// here counts as a prefetched open, same as via Acquire.
@@ -407,10 +460,12 @@ func (c *Cache) Insert(path string, data []byte, owned bool) []byte {
 		}
 		return canonical
 	}
-	e := &cacheEntry{path: path, data: data, refs: 1, pos: noPos, owned: owned}
+	sh.grow(slot)
+	e := sh.newEntry()
+	e.id, e.data, e.refs, e.pos, e.owned = id, data, 1, noPos, owned
 	sh.pushIdle(e)
-	sh.entries[path] = e
-	delete(sh.plan, path) // a demand read: the plan's read of it is no longer ahead
+	sh.entries[slot] = e
+	sh.plan[slot] = 0 // a demand read: the plan's read of it is no longer ahead
 	sh.used += int64(len(data))
 	c.used.Add(int64(len(data)))
 	c.entries.Add(1)
@@ -421,33 +476,35 @@ func (c *Cache) Insert(path string, data []byte, owned bool) []byte {
 	return data
 }
 
-// InsertIdle stages data for path unpinned (refs=0), for the prefetcher:
-// the entry is protected at the path's position in the installed plan (a
-// path no plan knows is stamped after everything known — call order) but
-// evictable, so a canceled epoch cannot wedge the pool with pins nobody
-// will release, and its first Acquire is counted as a prefetched open. It
-// does no harm: when its shard is full of pinned entries and entries
-// needed before it, the newcomer is the one dropped (stage_refused) and
-// the open falls back to demand. An existing entry wins (an owned
-// duplicate is recycled immediately). Reports whether the data was
-// staged. owned is as for Insert.
-func (c *Cache) InsertIdle(path string, data []byte, owned bool) bool {
-	sh := c.shard(path)
+// InsertIdle stages data for object id unpinned (refs=0), for the
+// prefetcher: the entry is protected at the object's position in the
+// installed plan (an object no plan knows is stamped after everything
+// known — call order) but evictable, so a canceled epoch cannot wedge
+// the pool with pins nobody will release, and its first Acquire is
+// counted as a prefetched open. It does no harm: when its shard is full
+// of pinned entries and entries needed before it, the newcomer is the
+// one dropped (stage_refused) and the open falls back to demand. An
+// existing entry wins (an owned duplicate is recycled immediately).
+// Reports whether the data was staged. owned is as for Insert.
+func (c *Cache) InsertIdle(id uint32, data []byte, owned bool) bool {
+	sh, slot := c.shard(id)
 	sh.mu.Lock()
-	if _, ok := sh.entries[path]; ok {
+	if sh.entry(slot) != nil {
 		sh.mu.Unlock()
 		if owned {
 			decomp.PutBuf(data)
 		}
 		return false
 	}
-	pos, planned := sh.plan[path]
-	if !planned {
+	sh.grow(slot)
+	pos := sh.plan[slot]
+	if pos == 0 {
 		pos = c.planEnd.Add(1) - 1
 	}
-	e := &cacheEntry{path: path, data: data, prefetched: true, owned: owned}
+	e := sh.newEntry()
+	e.id, e.data, e.prefetched, e.owned = id, data, true, owned
 	c.protectLocked(sh, e, pos)
-	sh.entries[path] = e
+	sh.entries[slot] = e
 	sh.used += int64(len(data))
 	c.used.Add(int64(len(data)))
 	c.entries.Add(1)
@@ -459,14 +516,16 @@ func (c *Cache) InsertIdle(path string, data []byte, owned bool) bool {
 	return !refused
 }
 
-// Expect installs a plan: paths, distinct, in the order they will be
-// read. Whatever an older plan left protected is first demoted to no
-// known next use (a stopped epoch cannot wedge the pool), then every path
+// Expect installs a plan: object IDs, distinct, in the order they will
+// be read. Whatever an older plan left protected is first demoted to no
+// known next use (a stopped epoch cannot wedge the pool), then every ID
 // takes the next position, and an unpinned resident entry among them is
 // protected at it before any staging starts, instead of being evicted as
 // old and fetched again when its turn comes. An empty plan only demotes.
-func (c *Cache) Expect(paths []string) {
-	base := c.planEnd.Add(int64(len(paths))) - int64(len(paths))
+// The install holds every shard's lock at once, in shard order: one
+// pass over the plan, not a lock round trip per object.
+func (c *Cache) Expect(ids []uint32) {
+	base := c.planEnd.Add(int64(len(ids))) - int64(len(ids))
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
@@ -476,30 +535,32 @@ func (c *Cache) Expect(paths []string) {
 			sh.pushIdle(e)
 		}
 		clear(sh.plan)
-		sh.mu.Unlock()
 	}
-	for i, path := range paths {
-		sh := c.shard(path)
-		sh.mu.Lock()
-		if _, dup := sh.plan[path]; !dup {
-			pos := base + int64(i)
-			sh.plan[path] = pos
-			if e, ok := sh.entries[path]; ok && e.refs == 0 && e.pos == noPos {
-				unlinkIdle(e)
-				c.protectLocked(sh, e, pos)
-			}
+	for i, id := range ids {
+		sh, slot := c.shard(id)
+		sh.grow(slot)
+		if sh.plan[slot] != 0 {
+			continue // a duplicate keeps its first position
 		}
-		sh.mu.Unlock()
+		pos := base + int64(i)
+		sh.plan[slot] = pos
+		if e := sh.entries[slot]; e != nil && e.refs == 0 && e.pos == noPos {
+			unlinkIdle(e)
+			c.protectLocked(sh, e, pos)
+		}
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
 	}
 }
 
 // Release unpins one reference. With the Immediate policy the entry is
 // dropped at refs==0; otherwise it stays until capacity pressure.
-func (c *Cache) Release(path string) {
-	sh := c.shard(path)
+func (c *Cache) Release(id uint32) {
+	sh, slot := c.shard(id)
 	sh.mu.Lock()
-	e, ok := sh.entries[path]
-	if !ok || e.refs == 0 {
+	e := sh.entry(slot)
+	if e == nil || e.refs == 0 {
 		sh.mu.Unlock()
 		// Double release is a caller bug; tolerate it rather than
 		// corrupting the pool shared by all I/O threads, but count it
@@ -537,13 +598,16 @@ func (c *Cache) evictLocked(sh *cacheShard, newcomer *cacheEntry) (refused bool)
 		} else {
 			break
 		}
+		id := e.id
 		c.removeLocked(sh, e)
 		if e == newcomer {
 			refused = true
 			continue
 		}
 		c.evictions.Inc()
-		c.tracer.Event(trace.OpEvict, e.path, trace.OutcomeNone)
+		if c.tracer.Enabled() {
+			c.tracer.Event(trace.OpEvict, c.names(id), trace.OutcomeNone)
+		}
 		if c.events.Enabled() {
 			if seq := c.evictSeq.Add(1); seq%evictionPressureStride == 1 {
 				c.events.Emitf(obs.EvEvictionPressure, obs.SevWarn,
@@ -555,23 +619,25 @@ func (c *Cache) evictLocked(sh *cacheShard, newcomer *cacheEntry) (refused bool)
 	return refused
 }
 
-// removeLocked unlinks an entry and recycles its buffer if the cache
-// owns it. Callers guarantee refs == 0: a pinned entry's buffer is
-// still visible to a reader and must never reach the pool.
+// removeLocked unlinks an entry, recycles its buffer if the cache owns
+// it and puts the entry on the shard's free list. Callers guarantee
+// refs == 0: a pinned entry's buffer is still visible to a reader and
+// must never reach the pool.
 func (c *Cache) removeLocked(sh *cacheShard, e *cacheEntry) {
 	if e.pos != noPos {
 		c.unprotectLocked(sh, e) // evicted unread: the consumer will fetch on demand
 	} else {
 		unlinkIdle(e)
 	}
-	delete(sh.entries, e.path)
+	sh.entries[e.id>>c.shift] = nil
 	sh.used -= int64(len(e.data))
 	c.used.Add(-int64(len(e.data)))
 	c.entries.Add(-1)
 	if e.owned {
 		decomp.PutBuf(e.data)
-		e.data = nil
 	}
+	*e = cacheEntry{next: sh.free}
+	sh.free = e
 }
 
 // Stats snapshots the cache counters. Aggregates are read from the

@@ -15,9 +15,9 @@ import (
 // gap needs a multi-core run.
 func BenchmarkCacheAcquireRelease(b *testing.B) {
 	const nPaths = 256
-	paths := make([]string, nPaths)
+	paths := make([]uint32, nPaths)
 	for i := range paths {
-		paths[i] = fmt.Sprintf("file-%04d", i)
+		paths[i] = oid(fmt.Sprintf("file-%04d", i))
 	}
 	for _, shards := range []int{1, 16} {
 		for _, gs := range []int{1, 4, 16} {

@@ -37,7 +37,7 @@ func TestCacheShardedCapacityAccounting(t *testing.T) {
 	paths := make([]string, 256)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("file-%04d", i)
-		c.Insert(paths[i], make([]byte, per), false)
+		c.Insert(oid(paths[i]), make([]byte, per), false)
 	}
 	st := c.Stats()
 	if st.Pinned != len(paths) {
@@ -47,7 +47,7 @@ func TestCacheShardedCapacityAccounting(t *testing.T) {
 		t.Fatalf("used %d inconsistent with %d entries of %d bytes", st.Used, st.Entries, per)
 	}
 	for _, p := range paths {
-		c.Release(p)
+		c.Release(oid(p))
 	}
 	st = c.Stats()
 	if st.Pinned != 0 {
@@ -88,18 +88,18 @@ func TestCacheShardedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
 				p := fmt.Sprintf("file-%03d", (g*13+i)%64)
-				if data, ok := c.Acquire(p); ok {
+				if data, ok := c.Acquire(oid(p)); ok {
 					if len(data) != per {
 						t.Errorf("%s: pinned entry has %d bytes", p, len(data))
 					}
-					c.Release(p)
+					c.Release(oid(p))
 					continue
 				}
-				got := c.Insert(p, make([]byte, per), false)
+				got := c.Insert(oid(p), make([]byte, per), false)
 				if len(got) != per {
 					t.Errorf("%s: canonical buffer has %d bytes", p, len(got))
 				}
-				c.Release(p)
+				c.Release(oid(p))
 			}
 		}(g)
 	}
@@ -113,21 +113,26 @@ func TestCacheShardedConcurrent(t *testing.T) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		if n := sh.orderLen(); n != len(sh.entries) {
-			t.Fatalf("shard %d: eviction order holds %d != table %d", i, n, len(sh.entries))
-		}
 		var shUsed int64
+		resident := 0
 		for _, e := range sh.entries {
+			if e == nil {
+				continue
+			}
+			resident++
 			shUsed += int64(len(e.data))
 			if e.refs != 0 {
-				t.Fatalf("shard %d: %s still pinned", i, e.path)
+				t.Fatalf("shard %d: #%d still pinned", i, e.id)
 			}
+		}
+		if n := sh.orderLen(); n != resident {
+			t.Fatalf("shard %d: eviction order holds %d != table %d", i, n, resident)
 		}
 		if shUsed != sh.used {
 			t.Fatalf("shard %d: recount %d != incremental %d", i, shUsed, sh.used)
 		}
 		used += shUsed
-		entries += len(sh.entries)
+		entries += resident
 		sh.mu.Unlock()
 	}
 	if used != st.Used || entries != st.Entries {
@@ -143,23 +148,23 @@ func TestCacheShardedConcurrent(t *testing.T) {
 func TestCacheInsertRaceCountsPrefetchedOpen(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
 	staged := []byte("staged-by-prefetcher")
-	if !c.InsertIdle("f", staged, false) {
+	if !c.InsertIdle(oid("f"), staged, false) {
 		t.Fatal("stage failed")
 	}
-	got := c.Insert("f", []byte("loser-duplicate"), false)
+	got := c.Insert(oid("f"), []byte("loser-duplicate"), false)
 	if string(got) != string(staged) {
 		t.Fatal("insert race did not return the canonical staged buffer")
 	}
 	if n := c.prefetchedHits.Value(); n != 1 {
 		t.Fatalf("prefetchedOpens = %d, want 1 (insert-race open not counted)", n)
 	}
-	c.Release("f")
+	c.Release(oid("f"))
 	// A second open of the same (no longer prefetched) entry counts a
 	// plain hit, not another prefetched open.
-	if _, ok := c.Acquire("f"); !ok {
+	if _, ok := c.Acquire(oid("f")); !ok {
 		t.Fatal("entry vanished")
 	}
-	c.Release("f")
+	c.Release(oid("f"))
 	if n := c.prefetchedHits.Value(); n != 1 {
 		t.Fatalf("prefetchedOpens = %d after plain re-open, want 1", n)
 	}
@@ -183,9 +188,9 @@ func TestCacheOwnedBufferRecycledOnEvict(t *testing.T) {
 	c := newStripedCache(1<<20, Immediate, 1)
 	buf := decomp.GetBuf(8 << 10)
 	buf = append(buf, make([]byte, 8<<10)...)
-	c.Insert("f", buf, true)
-	c.Release("f") // Immediate: refs==0 drops the entry and recycles
-	if c.Contains("f") {
+	c.Insert(oid("f"), buf, true)
+	c.Release(oid("f")) // Immediate: refs==0 drops the entry and recycles
+	if c.Contains(oid("f")) {
 		t.Fatal("immediate policy kept the entry")
 	}
 	got := decomp.GetBuf(8 << 10)
@@ -203,10 +208,10 @@ func TestCacheInsertRaceLoserRecycled(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := newStripedCache(1<<20, FIFO, 1)
-	c.Insert("f", []byte("winner"), false)
+	c.Insert(oid("f"), []byte("winner"), false)
 	loser := decomp.GetBuf(8 << 10)
 	loser = append(loser, make([]byte, 8<<10)...)
-	if got := c.Insert("f", loser, true); samePtr(got, loser) {
+	if got := c.Insert(oid("f"), loser, true); samePtr(got, loser) {
 		t.Fatal("losing duplicate became canonical")
 	}
 	back := decomp.GetBuf(8 << 10)
@@ -228,18 +233,18 @@ func TestCachePinnedBufferNeverRecycled(t *testing.T) {
 	c := newStripedCache(2*size, FIFO, 1) // room for two entries
 	pinned := decomp.GetBuf(size)
 	pinned = append(pinned, make([]byte, size)...)
-	c.Insert("pinned", pinned, true) // stays pinned for the whole test
+	c.Insert(oid("pinned"), pinned, true) // stays pinned for the whole test
 	for i := 0; i < 4; i++ {
 		p := fmt.Sprintf("churn-%d", i)
 		fill := decomp.GetBuf(size)
 		fill = append(fill, make([]byte, size)...)
-		c.Insert(p, fill, true)
-		c.Release(p) // unpinned: evictable under pressure
+		c.Insert(oid(p), fill, true)
+		c.Release(oid(p)) // unpinned: evictable under pressure
 	}
-	if _, ok := c.Acquire("pinned"); !ok {
+	if _, ok := c.Acquire(oid("pinned")); !ok {
 		t.Fatal("pinned entry was evicted under pressure")
 	}
-	c.Release("pinned") // the Acquire's pin; insert pin still held
+	c.Release(oid("pinned")) // the Acquire's pin; insert pin still held
 	for i := 0; i < 16; i++ {
 		b := decomp.GetBuf(size)
 		if samePtr(b, pinned) {
@@ -256,14 +261,14 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		t.Skip("race detector randomizes sync.Pool; pool determinism untestable")
 	}
 	c := newStripedCache(1<<20, FIFO, 8)
-	c.Insert("hot", make([]byte, 1024), false)
-	c.Release("hot")
+	c.Insert(oid("hot"), make([]byte, 1024), false)
+	c.Release(oid("hot"))
 	allocs := testing.AllocsPerRun(1000, func() {
-		data, ok := c.Acquire("hot")
+		data, ok := c.Acquire(oid("hot"))
 		if !ok || len(data) != 1024 {
 			t.Fatal("lost the hot entry")
 		}
-		c.Release("hot")
+		c.Release(oid("hot"))
 	})
 	if allocs != 0 {
 		t.Fatalf("cache-hit Acquire+Release allocates %.1f objects/op, want 0", allocs)

@@ -11,22 +11,49 @@ import (
 	"testing/quick"
 )
 
+// oids interns the names cache tests give their objects.
+var oids struct {
+	sync.Mutex
+	m map[string]uint32
+}
+
+// oid is the object ID a cache test calls name: small and dense in the
+// order names are first seen, with the low six bits of name's FNV-1a
+// hash, so a name lands in the shard its path hashed to when the cache
+// was keyed by path (up to 64 shards) and the recorded eviction
+// sequences hold.
+func oid(name string) uint32 {
+	oids.Lock()
+	defer oids.Unlock()
+	if oids.m == nil {
+		oids.m = make(map[string]uint32)
+	}
+	id, ok := oids.m[name]
+	if !ok {
+		h := fnv.New32a()
+		h.Write([]byte(name))
+		id = uint32(len(oids.m))<<6 | h.Sum32()&63
+		oids.m[name] = id
+	}
+	return id
+}
+
 func TestCacheAcquireInsertRelease(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
-	if _, ok := c.Acquire("a"); ok {
+	if _, ok := c.Acquire(oid("a")); ok {
 		t.Fatal("empty cache should miss")
 	}
 	data := []byte("hello")
-	got := c.Insert("a", data, false)
+	got := c.Insert(oid("a"), data, false)
 	if !bytes.Equal(got, data) {
 		t.Fatal("Insert should return the buffer")
 	}
-	d2, ok := c.Acquire("a")
+	d2, ok := c.Acquire(oid("a"))
 	if !ok || !bytes.Equal(d2, data) {
 		t.Fatal("Acquire after Insert should hit")
 	}
-	c.Release("a")
-	c.Release("a")
+	c.Release(oid("a"))
+	c.Release(oid("a"))
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
 		t.Fatalf("stats %+v", st)
@@ -37,8 +64,8 @@ func TestCacheInsertRace(t *testing.T) {
 	// Two I/O threads decompress the same file; the second Insert must
 	// adopt the first buffer so both FDs share one entry (Fig. 4).
 	c := NewCache(1<<20, FIFO)
-	first := c.Insert("f", []byte("one"), false)
-	second := c.Insert("f", []byte("two"), false)
+	first := c.Insert(oid("f"), []byte("one"), false)
+	second := c.Insert(oid("f"), []byte("two"), false)
 	if !bytes.Equal(second, first) {
 		t.Fatal("second Insert must return the canonical buffer")
 	}
@@ -54,21 +81,21 @@ func TestCacheFIFOEviction(t *testing.T) {
 	c := NewCache(100, FIFO)
 	for i := 0; i < 10; i++ {
 		path := fmt.Sprintf("f%d", i)
-		c.Insert(path, make([]byte, 30), false)
-		c.Release(path)
+		c.Insert(oid(path), make([]byte, 30), false)
+		c.Release(oid(path))
 	}
 	st := c.Stats()
 	if st.Used > 100 {
 		t.Fatalf("used %d exceeds capacity", st.Used)
 	}
 	// FIFO: the survivors must be the most recently inserted files.
-	if _, ok := c.Acquire("f0"); ok {
+	if _, ok := c.Acquire(oid("f0")); ok {
 		t.Fatal("oldest entry should have been evicted first")
 	}
-	if _, ok := c.Acquire("f9"); !ok {
+	if _, ok := c.Acquire(oid("f9")); !ok {
 		t.Fatal("newest entry should survive")
 	}
-	c.Release("f9")
+	c.Release(oid("f9"))
 	if st.Evictions == 0 {
 		t.Fatal("expected evictions")
 	}
@@ -76,24 +103,24 @@ func TestCacheFIFOEviction(t *testing.T) {
 
 func TestCacheNeverEvictsPinned(t *testing.T) {
 	c := NewCache(100, FIFO)
-	c.Insert("pinned", make([]byte, 80), false) // stays pinned
+	c.Insert(oid("pinned"), make([]byte, 80), false) // stays pinned
 	for i := 0; i < 5; i++ {
 		p := fmt.Sprintf("x%d", i)
-		c.Insert(p, make([]byte, 60), false)
-		c.Release(p)
+		c.Insert(oid(p), make([]byte, 60), false)
+		c.Release(oid(p))
 	}
-	if _, ok := c.Acquire("pinned"); !ok {
+	if _, ok := c.Acquire(oid("pinned")); !ok {
 		t.Fatal("pinned entry was evicted")
 	}
-	c.Release("pinned")
-	c.Release("pinned")
+	c.Release(oid("pinned"))
+	c.Release(oid("pinned"))
 }
 
 func TestCacheImmediatePolicy(t *testing.T) {
 	c := NewCache(1<<20, Immediate)
-	c.Insert("a", []byte("data"), false)
-	c.Release("a")
-	if _, ok := c.Acquire("a"); ok {
+	c.Insert(oid("a"), []byte("data"), false)
+	c.Release(oid("a"))
+	if _, ok := c.Acquire(oid("a")); ok {
 		t.Fatal("immediate policy must drop at refs==0")
 	}
 	if st := c.Stats(); st.Used != 0 {
@@ -103,32 +130,32 @@ func TestCacheImmediatePolicy(t *testing.T) {
 
 func TestCacheLRUPolicy(t *testing.T) {
 	c := NewCache(100, LRU)
-	c.Insert("a", make([]byte, 40), false)
-	c.Release("a")
-	c.Insert("b", make([]byte, 40), false)
-	c.Release("b")
+	c.Insert(oid("a"), make([]byte, 40), false)
+	c.Release(oid("a"))
+	c.Insert(oid("b"), make([]byte, 40), false)
+	c.Release(oid("b"))
 	// Touch a so b becomes the LRU victim.
-	if _, ok := c.Acquire("a"); !ok {
+	if _, ok := c.Acquire(oid("a")); !ok {
 		t.Fatal("a should be cached")
 	}
-	c.Release("a")
-	c.Insert("c", make([]byte, 40), false)
-	c.Release("c")
-	if _, ok := c.Acquire("b"); ok {
+	c.Release(oid("a"))
+	c.Insert(oid("c"), make([]byte, 40), false)
+	c.Release(oid("c"))
+	if _, ok := c.Acquire(oid("b")); ok {
 		t.Fatal("LRU should have evicted b")
 	}
-	if _, ok := c.Acquire("a"); !ok {
+	if _, ok := c.Acquire(oid("a")); !ok {
 		t.Fatal("LRU should have kept a")
 	}
-	c.Release("a")
+	c.Release(oid("a"))
 }
 
 func TestCacheDoubleReleaseTolerated(t *testing.T) {
 	c := NewCache(1<<20, FIFO)
-	c.Insert("a", []byte("x"), false)
-	c.Release("a")
-	c.Release("a") // bug in caller: must not panic or corrupt
-	c.Release("nonexistent")
+	c.Insert(oid("a"), []byte("x"), false)
+	c.Release(oid("a"))
+	c.Release(oid("a")) // bug in caller: must not panic or corrupt
+	c.Release(oid("nonexistent"))
 	st := c.Stats()
 	if st.Entries > 1 {
 		t.Fatalf("stats corrupted: %+v", st)
@@ -144,33 +171,33 @@ func TestCacheDoubleReleaseTolerated(t *testing.T) {
 
 func TestCacheInsertIdleStaysEvictable(t *testing.T) {
 	c := NewCache(100, FIFO)
-	if !c.InsertIdle("a", make([]byte, 60), false) {
+	if !c.InsertIdle(oid("a"), make([]byte, 60), false) {
 		t.Fatal("InsertIdle into empty cache must stage")
 	}
 	if st := c.Stats(); st.Pinned != 0 {
 		t.Fatalf("idle entry is pinned: %+v", st)
 	}
 	// An existing entry wins; nothing is replaced or re-staged.
-	if c.InsertIdle("a", make([]byte, 60), false) {
+	if c.InsertIdle(oid("a"), make([]byte, 60), false) {
 		t.Fatal("InsertIdle must not replace an existing entry")
 	}
 	// Unpinned staged entries yield to capacity pressure immediately.
-	c.Insert("b", make([]byte, 60), false)
-	if c.Contains("a") {
+	c.Insert(oid("b"), make([]byte, 60), false)
+	if c.Contains(oid("a")) {
 		t.Fatal("idle entry survived eviction pressure from a pinned insert")
 	}
-	c.Release("b")
+	c.Release(oid("b"))
 	// The first Acquire of a staged entry counts as a prefetched open;
 	// later acquires are plain hits.
-	c.InsertIdle("p", []byte("staged"), false)
-	if _, ok := c.Acquire("p"); !ok {
+	c.InsertIdle(oid("p"), []byte("staged"), false)
+	if _, ok := c.Acquire(oid("p")); !ok {
 		t.Fatal("staged entry must be acquirable")
 	}
-	c.Release("p")
-	if _, ok := c.Acquire("p"); !ok {
+	c.Release(oid("p"))
+	if _, ok := c.Acquire(oid("p")); !ok {
 		t.Fatal("entry must survive under FIFO")
 	}
-	c.Release("p")
+	c.Release(oid("p"))
 	if got := c.prefetchedHits.Value(); got != 1 {
 		t.Fatalf("prefetched opens = %d, want 1", got)
 	}
@@ -181,7 +208,7 @@ func TestCacheInsertIdleStaysEvictable(t *testing.T) {
 // two order structures; a protected entry is unpinned and sits at its heap
 // index, and the heap is ordered furthest-first. Headroom is the tightest
 // shard's room times the shard count.
-func checkCacheInvariants(c *Cache, pins map[string]int) error {
+func checkCacheInvariants(c *Cache, pins map[uint32]int) error {
 	var used, staged, pinned int64
 	tightest := int64(noPos)
 	for i := range c.shards {
@@ -190,11 +217,19 @@ func checkCacheInvariants(c *Cache, pins map[string]int) error {
 		err := func() error {
 			sh.mu.Lock()
 			defer sh.mu.Unlock()
-			for path, e := range sh.entries {
+			resident := 0
+			for slot, e := range sh.entries {
+				if e == nil {
+					continue
+				}
+				resident++
+				if e.id != uint32(slot)<<c.shift|uint32(i) {
+					return fmt.Errorf("shard %d slot %d holds object %d", i, slot, e.id)
+				}
 				size := int64(len(e.data))
 				shUsed += size
-				if e.refs != pins[path] {
-					return fmt.Errorf("%s: %d refs, the model holds %d pins", path, e.refs, pins[path])
+				if e.refs != pins[e.id] {
+					return fmt.Errorf("#%d: %d refs, the model holds %d pins", e.id, e.refs, pins[e.id])
 				}
 				if e.refs > 0 {
 					shPinned += size
@@ -204,7 +239,7 @@ func checkCacheInvariants(c *Cache, pins map[string]int) error {
 				}
 				shStaged += size
 				if e.refs > 0 || e.hidx >= len(sh.far) || sh.far[e.hidx] != e {
-					return fmt.Errorf("%s: protected at %d with %d refs, heap index %d of %d", path, e.pos, e.refs, e.hidx, len(sh.far))
+					return fmt.Errorf("#%d: protected at %d with %d refs, heap index %d of %d", e.id, e.pos, e.refs, e.hidx, len(sh.far))
 				}
 			}
 			for j := 1; j < len(sh.far); j++ {
@@ -213,8 +248,8 @@ func checkCacheInvariants(c *Cache, pins map[string]int) error {
 				}
 			}
 			switch n := sh.orderLen(); {
-			case n != len(sh.entries):
-				return fmt.Errorf("shard %d: eviction order holds %d entries, table %d", i, n, len(sh.entries))
+			case n != resident:
+				return fmt.Errorf("shard %d: eviction order holds %d entries, table %d", i, n, resident)
 			case shUsed != sh.used || shStaged != sh.staged.Load() || shPinned != sh.pinnedB.Load():
 				return fmt.Errorf("shard %d: recount used/staged/pinned %d/%d/%d != %d/%d/%d", i,
 					shUsed, shStaged, shPinned, sh.used, sh.staged.Load(), sh.pinnedB.Load())
@@ -250,23 +285,23 @@ func checkCacheInvariants(c *Cache, pins map[string]int) error {
 func TestCacheInvariantsQuick(t *testing.T) {
 	type op struct{ Kind, Key, Arg uint8 }
 	const keys, size = 16, 100
-	name := func(k uint8) string { return fmt.Sprintf("k%d", k%keys) }
+	name := func(k uint8) uint32 { return uint32(k % keys) } // object IDs 0..keys-1
 	for _, policy := range []Policy{FIFO, LRU, Immediate} {
 		for _, shards := range []int{1, 2, 4} {
 			f := func(ops []op) bool {
 				c := newStripedCache(6*size, policy, shards)
-				pins := make(map[string]int)
-				refused := int64(0) // stagings of a non-resident path that did not stay
+				pins := make(map[uint32]int)
+				refused := int64(0) // stagings of a non-resident object that did not stay
 				fail := func(format string, args ...any) bool {
 					t.Logf("%v/%d shards: "+format, append([]any{policy, shards}, args...)...)
 					return false
 				}
 				for _, o := range ops {
 					key := name(o.Key)
-					before := make(map[string]int64) // resident path -> next use
+					before := make(map[uint32]int64) // resident object -> next use
 					for k := uint8(0); k < keys; k++ {
-						if sh := c.shard(name(k)); sh.entries[name(k)] != nil {
-							before[name(k)] = sh.entries[name(k)].pos
+						if sh, slot := c.shard(name(k)); sh.entry(slot) != nil {
+							before[name(k)] = sh.entry(slot).pos
 						}
 					}
 					newcomer := int64(noPos) // the position an InsertIdle stages at
@@ -276,8 +311,11 @@ func TestCacheInvariantsQuick(t *testing.T) {
 						pins[key]++
 					case 2, 3:
 						if _, resident := before[key]; !resident {
-							pos, planned := c.shard(key).plan[key]
-							if !planned {
+							pos := int64(0)
+							if sh, slot := c.shard(key); int(slot) < len(sh.plan) {
+								pos = sh.plan[slot]
+							}
+							if pos == 0 { // not planned
 								pos = c.planEnd.Load()
 							}
 							newcomer = pos
@@ -287,7 +325,7 @@ func TestCacheInvariantsQuick(t *testing.T) {
 							refused++
 						}
 					case 4:
-						var plan []string // Arg picks the plan: a rotation of a prefix of the keys
+						var plan []uint32 // Arg picks the plan: a rotation of a prefix of the keys
 						for k := uint8(0); k < o.Arg%keys; k++ {
 							plan = append(plan, name(o.Key+k))
 						}
@@ -305,19 +343,20 @@ func TestCacheInvariantsQuick(t *testing.T) {
 					if err := checkCacheInvariants(c, pins); err != nil {
 						return fail("after %+v: %v", o, err)
 					}
-					for path, pos := range before {
-						if c.Contains(path) {
+					for id, pos := range before {
+						if c.Contains(id) {
 							continue
 						}
-						if pins[path] > 0 {
-							return fail("%+v evicted %s while pinned", o, path)
+						if pins[id] > 0 {
+							return fail("%+v evicted #%d while pinned", o, id)
 						}
 						if pos < newcomer && newcomer != noPos {
-							return fail("%+v staged at %d over %s, needed at %d", o, newcomer, path, pos)
+							return fail("%+v staged at %d over #%d, needed at %d", o, newcomer, id, pos)
 						}
-						for _, e := range c.shard(path).entries {
-							if pos != noPos && e.pos == noPos && e.refs == 0 {
-								return fail("%+v evicted %s, needed at %d, before %s, which no plan reads", o, path, pos, e.path)
+						sh, _ := c.shard(id)
+						for _, e := range sh.entries {
+							if e != nil && pos != noPos && e.pos == noPos && e.refs == 0 {
+								return fail("%+v evicted #%d, needed at %d, before #%d, which no plan reads", o, id, pos, e.id)
 							}
 						}
 					}
@@ -374,20 +413,20 @@ func demandEvictionHash(policy Policy, shards int) uint64 {
 		key := fmt.Sprintf("k%02d", k)
 		switch r := rng.Intn(10); {
 		case r < 4:
-			c.Insert(key, make([]byte, size), false)
+			c.Insert(oid(key), make([]byte, size), false)
 			pins[k]++
 		case r < 6:
-			if _, ok := c.Acquire(key); ok {
+			if _, ok := c.Acquire(oid(key)); ok {
 				pins[k]++
 			}
 		default:
 			if pins[k] > 0 {
-				c.Release(key)
+				c.Release(oid(key))
 				pins[k]--
 			}
 		}
 		for j := range resident {
-			now := c.Contains(fmt.Sprintf("k%02d", j))
+			now := c.Contains(oid(fmt.Sprintf("k%02d", j)))
 			if resident[j] && !now {
 				fmt.Fprintf(h, "%d:%d;", op, j)
 			}
@@ -406,14 +445,14 @@ func TestCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g*31+i)%20)
-				if data, ok := c.Acquire(key); ok {
+				if data, ok := c.Acquire(oid(key)); ok {
 					if len(data) != 512 {
 						t.Errorf("corrupt entry for %s", key)
 					}
-					c.Release(key)
+					c.Release(oid(key))
 				} else {
-					c.Insert(key, make([]byte, 512), false)
-					c.Release(key)
+					c.Insert(oid(key), make([]byte, 512), false)
+					c.Release(oid(key))
 				}
 			}
 		}(g)
@@ -442,18 +481,18 @@ func TestCacheHeadroomAccounting(t *testing.T) {
 	if h := c.Headroom(); h != 1000 {
 		t.Fatalf("empty cache headroom = %d, want 1000", h)
 	}
-	c.Insert("a", make([]byte, 400), false) // pinned
+	c.Insert(oid("a"), make([]byte, 400), false) // pinned
 	if h := c.Headroom(); h != 600 {
 		t.Fatalf("after 400 pinned, headroom = %d, want 600", h)
 	}
-	c.InsertIdle("b", make([]byte, 300), false) // staged
+	c.InsertIdle(oid("b"), make([]byte, 300), false) // staged
 	if h := c.Headroom(); h != 300 {
 		t.Fatalf("after 300 staged, headroom = %d, want 300", h)
 	}
 	// Pin two more large entries: pinned total 1200 > capacity. The
 	// subtraction would be negative; Headroom must clamp.
-	c.Insert("c", make([]byte, 400), false)
-	c.Insert("d", make([]byte, 400), false)
+	c.Insert(oid("c"), make([]byte, 400), false)
+	c.Insert(oid("d"), make([]byte, 400), false)
 	if h := c.Headroom(); h != 0 {
 		t.Fatalf("overpinned cache headroom = %d, want 0", h)
 	}
@@ -462,9 +501,9 @@ func TestCacheHeadroomAccounting(t *testing.T) {
 		t.Fatalf("accounting drifted: %+v", st)
 	}
 	// Releasing the pins restores positive headroom.
-	c.Release("a")
-	c.Release("c")
-	c.Release("d")
+	c.Release(oid("a"))
+	c.Release(oid("c"))
+	c.Release(oid("d"))
 	if h := c.Headroom(); h < 0 {
 		t.Fatalf("headroom went negative after release: %d", h)
 	}
@@ -504,13 +543,13 @@ func TestCacheHeadroomNeverNegativeUnderStorm(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				key := fmt.Sprintf("k%d", (g*7+i)%12)
 				if i%3 == 0 {
-					c.InsertIdle(key, make([]byte, 512), false)
+					c.InsertIdle(oid(key), make([]byte, 512), false)
 				}
-				if _, ok := c.Acquire(key); ok {
-					c.Release(key)
+				if _, ok := c.Acquire(oid(key)); ok {
+					c.Release(oid(key))
 				} else {
-					c.Insert(key, make([]byte, 512), false)
-					c.Release(key)
+					c.Insert(oid(key), make([]byte, 512), false)
+					c.Release(oid(key))
 				}
 			}
 		}(g)

@@ -152,7 +152,7 @@ func TestECKillRankDegradedReadsAndRepair(t *testing.T) {
 			for {
 				orphans := 0
 				node.mu.RLock()
-				for _, m := range node.meta {
+				for _, m := range node.recordsLocked() {
 					if member.NodeID(m.Owner) == victimID {
 						orphans++
 					}
@@ -189,7 +189,7 @@ func TestECKillRankDegradedReadsAndRepair(t *testing.T) {
 			for {
 				orphans := 0
 				node.mu.RLock()
-				for _, m := range node.meta {
+				for _, m := range node.recordsLocked() {
 					if member.NodeID(m.Owner) == victimID {
 						orphans++
 					}
@@ -350,7 +350,7 @@ func TestLeaveWithDeadDestinationFailsLoudly(t *testing.T) {
 			// mode without replicas their only copy died with it).
 			node.mu.RLock()
 			var readable []string
-			for p, m := range node.meta {
+			for p, m := range node.recordsLocked() {
 				if member.NodeID(m.Owner) != deadID {
 					readable = append(readable, p)
 				}

@@ -193,11 +193,12 @@ func FuzzDecodeMetaSync(f *testing.F) {
 			gen.Nodes = append(gen.Nodes, member.Node{ID: member.NodeID(i), Rank: int(q[0] % 8), State: member.State(q[0] % 4)})
 		}
 		recs, _ := genMetas(q, 1)
-		n := &Node{view: member.NewView(gen), meta: map[string]*FileMeta{}}
+		n := &Node{view: member.NewView(gen), names: map[string]uint32{}}
 		path := "absent"
 		for i := range recs {
 			path = recs[i].Path
-			n.meta[cleanPath(path)] = &recs[i]
+			n.names[cleanPath(path)] = uint32(len(n.objs))
+			n.objs = append(n.objs, object{meta: &recs[i]})
 		}
 		resp, err := n.handleMetaSync([]byte(path))
 		if err != nil || len(resp) == 0 || resp[0] != opMetaSync {

@@ -259,6 +259,7 @@ func (e *elasticCtrl) mount(partitions [][]byte, members int) error {
 				deferred = append(deferred, ctrlFrame{data: data, src: src})
 			}
 		}
+		n.numberObjects()
 		table := e.encodeTable(member.NoNode) // encoded once, addressed to each in turn
 		for _, node := range e.coord.cur.Alive() {
 			if node.Rank == comm.Rank() {
@@ -363,6 +364,7 @@ func (e *elasticCtrl) recvTable() error {
 	for i := range metas {
 		e.n.addMeta(metas[i])
 	}
+	e.n.numberObjects()
 	return nil
 }
 
@@ -1122,9 +1124,9 @@ func (n *Node) FailStop() {
 // identity, the map and the full metadata table (coordinator's view).
 func (e *elasticCtrl) encodeTable(id member.NodeID) []byte {
 	e.n.mu.RLock()
-	metas := make([]FileMeta, 0, len(e.n.meta))
-	for _, m := range e.n.meta {
-		metas = append(metas, *m)
+	metas := make([]FileMeta, len(e.n.objs))
+	for i := range e.n.objs {
+		metas[i] = *e.n.objs[i].meta
 	}
 	e.n.mu.RUnlock()
 	return encodeCommit(ctrlTable, id, e.coord.cur, nil, metas)

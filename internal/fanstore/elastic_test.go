@@ -100,7 +100,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 		v0 := node.MapVersion()
 		preOwner := make(map[string]int32, len(paths))
 		node.mu.RLock()
-		for p, m := range node.meta {
+		for p, m := range node.recordsLocked() {
 			preOwner[p] = m.Owner
 		}
 		node.mu.RUnlock()
@@ -161,7 +161,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 		for {
 			moved = 0
 			node.mu.RLock()
-			for _, m := range node.meta {
+			for _, m := range node.recordsLocked() {
 				if m.Owner == joiner {
 					moved++
 				}
@@ -180,7 +180,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 		// the joiner — the rebalance must not shuffle survivors around.
 		var movedPath string
 		node.mu.RLock()
-		for p, m := range node.meta {
+		for p, m := range node.recordsLocked() {
 			if m.Owner != preOwner[p] && m.Owner != joiner {
 				node.mu.RUnlock()
 				return fmt.Errorf("rank %d: %s moved %d -> %d, not to the joiner %d", c.Rank(), p, preOwner[p], m.Owner, joiner)
@@ -199,7 +199,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 			// Post-rebalance routing: a direct fetch of a moved object
 			// resolves its new owner (the joiner) and is served there.
 			node.mu.RLock()
-			m := node.meta[movedPath]
+			m := node.recordsLocked()[movedPath]
 			node.mu.RUnlock()
 			if member.NodeID(m.Owner) == node.ID() {
 				return fmt.Errorf("coordinator owns the moved path %s", movedPath)
@@ -353,7 +353,7 @@ func TestElasticLeaveDrains(t *testing.T) {
 		for {
 			orphans := 0
 			node.mu.RLock()
-			for _, m := range node.meta {
+			for _, m := range node.recordsLocked() {
 				if m.Owner == leaver {
 					orphans++
 				}

@@ -62,7 +62,8 @@ func readForged(node *Node, path string, payload int) error {
 // forgeRecord replaces path's record on node with one of the given size,
 // as a peer's metadata record would.
 func forgeRecord(node *Node, path string, size int64) {
-	m := *node.meta[path]
+	_, o, _ := node.resolve(path)
+	m := *o.meta
 	m.Size = size
 	node.addMeta(m)
 }
@@ -141,14 +142,13 @@ func FuzzOpenPartition(f *testing.F) {
 			return
 		}
 		n := &Node{
-			cache:    NewCache(1<<20, FIFO),
-			backend:  NewRAMBackend(),
-			view:     member.NewView(member.StaticMap(1)),
-			meta:     make(map[string]*FileMeta),
-			dirs:     newDirIndex(),
-			writes:   make(map[string][]byte),
-			inflight: make(map[string]*flight),
-			reg:      reg,
+			cache:   NewCache(1<<20, FIFO),
+			backend: NewRAMBackend(),
+			view:    member.NewView(member.StaticMap(1)),
+			names:   make(map[string]uint32),
+			dirs:    newDirIndex(),
+			writes:  make(map[string][]byte),
+			reg:     reg,
 		}
 		n.instrument()
 		var decoded int64

@@ -26,6 +26,7 @@ type Info struct {
 type File struct {
 	node *Node
 	path string
+	id   uint32 // read mode: the object a pin is held on
 
 	mu       sync.Mutex
 	off      int64
@@ -40,36 +41,37 @@ type File struct {
 // cache if needed (Fig. 2). Concurrent opens of the same file share one
 // cache entry and bump its reference count (Fig. 4).
 func (n *Node) Open(path string) (*File, error) {
-	cp, data, pinned, err := n.open(path)
+	cp, id, data, pinned, err := n.open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &File{node: n, path: cp, data: data, pinned: pinned}, nil
+	return &File{node: n, path: cp, id: id, data: data, pinned: pinned}, nil
 }
 
 // open is the read half Open and ReadFile share: lookup, then openBytes,
 // timed by the open histogram and traced as the open span. It returns the
-// clean path and the file's bytes; pinned says they hold a cache pin on
-// that path, which the caller releases when it is done with them.
-func (n *Node) open(path string) (cp string, data []byte, pinned bool, err error) {
+// clean path, the object ID and the file's bytes; pinned says they hold a
+// cache pin on that object, which the caller releases when it is done
+// with them.
+func (n *Node) open(path string) (cp string, id uint32, data []byte, pinned bool, err error) {
 	if n.closed.Load() {
-		return "", nil, false, ErrUnmounted
+		return "", 0, nil, false, ErrUnmounted
 	}
 	start := time.Now()
 	tstart := n.tracer.Begin()
 	defer func() { n.openHist.Observe(time.Since(start)) }()
 	cp = cleanPath(path)
-	m, isDir := n.lookup(cp)
-	if m == nil {
+	id, o, isDir := n.lookup(cp)
+	if o.meta == nil {
 		n.tracer.End(trace.OpOpen, cp, trace.OutcomeError, tstart)
 		if isDir {
-			return cp, nil, false, fmt.Errorf("%w: %s", ErrIsDir, path)
+			return cp, 0, nil, false, fmt.Errorf("%w: %s", ErrIsDir, path)
 		}
-		return cp, nil, false, fmt.Errorf("%w: %s", ErrNotExist, path)
+		return cp, 0, nil, false, fmt.Errorf("%w: %s", ErrNotExist, path)
 	}
-	data, pinned, outcome, err := n.openBytes(m)
+	data, pinned, outcome, err := n.openBytes(id, o)
 	n.tracer.End(trace.OpOpen, cp, outcome, tstart)
-	return cp, data, pinned, err
+	return cp, id, data, pinned, err
 }
 
 // Create opens a new output file for writing. FanStore's restricted
@@ -88,7 +90,7 @@ func (n *Node) Create(path string) (*File, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, ok := n.meta[cp]; ok {
+	if _, ok := n.names[cp]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrExist, path)
 	}
 	if _, ok := n.writes[cp]; ok {
@@ -225,7 +227,7 @@ func (f *File) Close() error {
 		// pin; releasing one anyway would mask real unpin bugs behind
 		// the cache's double-release tolerance.
 		if pinned {
-			f.node.cache.Release(f.path)
+			f.node.cache.Release(f.id)
 		}
 		return nil
 	}
@@ -280,9 +282,10 @@ func (n *Node) metaHome(path string) int {
 // node does not know costs (see lookup).
 func (n *Node) Stat(path string) (Info, error) {
 	cp := cleanPath(path)
-	m, isDir := n.lookup(cp)
+	_, o, isDir := n.lookup(cp)
 	switch {
-	case m != nil:
+	case o.meta != nil:
+		m := o.meta
 		return Info{Path: cp, Size: m.Size, Mode: m.Mode, MTime: m.MTime}, nil
 	case isDir:
 		return Info{Path: cp, Mode: 0o755, IsDir: true}, nil
@@ -290,29 +293,33 @@ func (n *Node) Stat(path string) (Info, error) {
 	return Info{}, fmt.Errorf("%w: %s", ErrNotExist, path)
 }
 
-// lookup finds the record of a clean path, or reports it a directory. A
-// path this node knows neither way may be a file another rank wrote: its
+// lookup finds the object of a clean path — its ID and its record and
+// locality — or reports the path a directory (o.meta is nil unless a file
+// was found). It is the one place a read hashes its path: below it the
+// cache, the flight table and the plan are indexed by the ID. A path
+// this node knows neither way may be a file another rank wrote: its
 // record went to the writer's table and to metaHome(path) only. So a miss
 // asks that home once (opMetaSync) when it is another rank, and installs
 // what it answers — the next lookup is local. Directory listings never
 // ask: ReadDir and LatestCheckpoint answer from this node's table. Only a
 // path with no record is looked up in the directory index.
-func (n *Node) lookup(cp string) (m *FileMeta, isDir bool) {
+func (n *Node) lookup(cp string) (id uint32, o object, isDir bool) {
 	n.mu.RLock()
-	if m = n.meta[cp]; m == nil {
+	id, ok := n.names[cp]
+	if ok {
+		o = n.objs[id]
+	} else {
 		isDir = n.dirs.isDir(cp)
 	}
 	n.mu.RUnlock()
-	if m != nil || isDir || n.closed.Load() {
-		return m, isDir
+	if ok || isDir || n.closed.Load() {
+		return id, o, isDir
 	}
 	if home := n.metaHome(cp); home == n.comm.Rank() || n.metaSync(home, cp) != nil {
-		return nil, false
+		return 0, object{}, false
 	}
-	n.mu.RLock()
-	m = n.meta[cp]
-	n.mu.RUnlock()
-	return m, false
+	id, o, _ = n.resolve(cp)
+	return id, o, false
 }
 
 // ReadDir lists a directory from the in-RAM index (§IV-C2's readdir).
@@ -323,7 +330,7 @@ func (n *Node) ReadDir(dir string) ([]DirEntry, error) {
 	if entries, ok := n.dirs.list(cp); ok {
 		return entries, nil
 	}
-	if _, ok := n.meta[cp]; ok {
+	if _, ok := n.names[cp]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotDir, dir)
 	}
 	return nil, fmt.Errorf("%w: %s", ErrNotExist, dir)
@@ -335,14 +342,14 @@ func (n *Node) ReadDir(dir string) ([]DirEntry, error) {
 // prefetch pipeline hands it back (decomp.PutBuf) once its batch is read.
 func (n *Node) ReadFile(path string) ([]byte, error) {
 	tstart := n.tracer.Begin()
-	cp, data, pinned, err := n.open(path)
+	_, id, data, pinned, err := n.open(path)
 	if err != nil {
 		n.tracer.End(trace.OpRead, path, trace.OutcomeError, tstart)
 		return nil, err
 	}
 	out := append(decomp.GetBuf(len(data)), data...)
 	if pinned {
-		n.cache.Release(cp)
+		n.cache.Release(id)
 	}
 	n.bytesRead.Add(int64(len(out)))
 	n.tracer.End(trace.OpRead, path, trace.OutcomeNone, tstart)

@@ -131,8 +131,8 @@ func readAll(n *Node, want map[string][]byte) error { return readLive(n, want, m
 // readLive is readAll over the files not owned by the dead node.
 func readLive(n *Node, want map[string][]byte, dead member.NodeID) error {
 	n.mu.RLock()
-	paths := make([]string, 0, len(n.meta))
-	for p, m := range n.meta {
+	paths := make([]string, 0, len(n.objs))
+	for p, m := range n.recordsLocked() {
 		if member.NodeID(m.Owner) != dead {
 			paths = append(paths, p)
 		}
@@ -170,7 +170,7 @@ func ownedBy(n *Node, id member.NodeID) int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	owned := 0
-	for _, m := range n.meta {
+	for _, m := range n.recordsLocked() {
 		if member.NodeID(m.Owner) == id {
 			owned++
 		}
@@ -736,7 +736,7 @@ func settle(c *mpi.Comm, node *Node, observed func() error, others []int, gone m
 	stranded := func() (count int) {
 		node.mu.RLock()
 		defer node.mu.RUnlock()
-		for _, m := range node.meta {
+		for _, m := range node.recordsLocked() {
 			if _, err := node.View().Resolve(member.NodeID(m.Owner)); err != nil {
 				count++
 			}

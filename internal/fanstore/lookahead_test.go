@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -193,7 +194,8 @@ func TestFetchOverWire(t *testing.T) {
 					if id != e.CompressorID {
 						return fmt.Errorf("%s: item %d framed under compressor %d, stored under %d", name, i, id, e.CompressorID)
 					}
-					data, err := node.decompress(node.meta[key], id, it.Payload[2:])
+					_, o, _ := node.resolve(key)
+					data, err := node.decompress(o.meta, id, it.Payload[2:])
 					if err != nil {
 						return fmt.Errorf("%s: item %d: %w", name, i, err)
 					}
@@ -390,62 +392,129 @@ func TestConcurrentOpenCloseStormPinInvariants(t *testing.T) {
 
 // TestBatchedFetchAnswersAPrefix: a batched fetch whose objects exceed
 // rpc.DefaultBatchBytes on the wire is answered with the longest prefix
-// of its keys that fits (so no frame the buffer pool keeps grows past
+// of its keys whose frame — the items' count and headers and the status
+// trailer included — fits (so no frame the buffer pool keeps grows past
 // the bound), and Prefetch asks again for the rest until every object
-// is staged.
+// is staged. The second row's sixteen objects fill the bound exactly
+// with their payloads alone, so counting the framing is what keeps the
+// answer in the bound's pool class.
 func TestBatchedFetchAnswersAPrefix(t *testing.T) {
-	bundle, want := buildBundle(t, dataset.ImageNet, 32, 2, 256<<10, nil)
-	part, err := pack.Parse(bundle.Scatter[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, len(part.Entries))
-	fit, size := 0, 0
-	for i, e := range part.Entries {
-		keys[i] = e.Path
-		if size += 2 + len(e.Data); fit == i && (i == 0 || size <= rpc.DefaultBatchBytes) {
-			fit++
-		}
-	}
-	if fit == len(keys) {
-		t.Fatalf("%d objects of %d B all fit in %d B: the test asks nothing", len(keys), size, rpc.DefaultBatchBytes)
-	}
-	err = mpi.Run(2, func(c *mpi.Comm) error {
-		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{CacheBytes: 64 << 20})
-		if err != nil {
-			return err
-		}
-		defer node.Close()
-		if c.Rank() != 0 {
-			return nil
-		}
-		resp, err := node.client.Call(1, encodeFetch(0, keys))
-		if err != nil {
-			return err
-		}
-		items, err := rpc.DecodeItems(resp)
-		if err != nil {
-			return err
-		}
-		if len(items) != fit {
-			return fmt.Errorf("%d keys of %d B objects answered with %d items, want the %d that fit in %d B",
-				len(keys), 256<<10, len(items), fit, rpc.DefaultBatchBytes)
-		}
-		if staged := node.Prefetch(keys); staged != len(keys) {
-			return fmt.Errorf("Prefetch staged %d of %d objects", staged, len(keys))
-		}
-		for _, key := range keys {
-			data, err := node.ReadFile(key)
+	for _, tc := range []struct {
+		name  string
+		fill  bool // rank 1's payloads total rpc.DefaultBatchBytes exactly
+		build func(t *testing.T) (scatter [][]byte, want map[string][]byte)
+	}{
+		{"256 KiB lzsse8 objects", false, func(t *testing.T) ([][]byte, map[string][]byte) {
+			bundle, want := buildBundle(t, dataset.ImageNet, 32, 2, 256<<10, nil)
+			return bundle.Scatter, want
+		}},
+		{"16 payloads fill the bound", true, func(t *testing.T) ([][]byte, map[string][]byte) {
+			// The store codec's framing, measured at the size it frames:
+			// each object is its bytes plus a length header.
+			const probeSize = rpc.DefaultBatchBytes / 16
+			probe, err := pack.Build([]pack.InputFile{{Path: "probe", Data: make([]byte, probeSize)}}, pack.BuildOptions{Partitions: 1, Compressor: "memcpy"})
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			if !bytes.Equal(data, want[key]) {
-				return fmt.Errorf("%s: wrong bytes", key)
+			part, err := pack.Parse(probe.Scatter[0])
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+			header := len(part.Entries[0].Data) - probeSize
+			size := rpc.DefaultBatchBytes/16 - 2 - header // 2: the compressor ID in each payload
+			want := make(map[string][]byte)
+			var served []pack.InputFile
+			rng := rand.New(rand.NewSource(35))
+			for i := 0; i < 16; i++ {
+				data := make([]byte, size)
+				rng.Read(data)
+				f := pack.InputFile{Path: fmt.Sprintf("fill/%02d.bin", i), Data: data}
+				served, want[f.Path] = append(served, f), data
+			}
+			other := pack.InputFile{Path: "rank0/only.bin", Data: []byte("rank 0's")}
+			want[other.Path] = other.Data
+			var scatter [][]byte
+			for _, files := range [][]pack.InputFile{{other}, served} {
+				b, err := pack.Build(files, pack.BuildOptions{Partitions: 1, Compressor: "memcpy"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scatter = append(scatter, b.Scatter[0])
+			}
+			return scatter, want
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scatter, want := tc.build(t)
+			part, err := pack.Parse(scatter[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := make([]string, len(part.Entries))
+			fit, size := 0, 0
+			for i, e := range part.Entries {
+				keys[i] = e.Path
+				// +1: the status trailer of the received frame.
+				if size += 2 + len(e.Data); fit == i && (i == 0 || rpc.ItemsSize(i+1, size)+1 <= rpc.DefaultBatchBytes) {
+					fit++
+				}
+			}
+			if fit == len(keys) {
+				t.Fatalf("%d objects of %d B all fit in %d B: the test asks nothing", len(keys), size, rpc.DefaultBatchBytes)
+			}
+			if tc.fill && size != rpc.DefaultBatchBytes {
+				t.Fatalf("16 payloads of %d B in all, want exactly %d", size, rpc.DefaultBatchBytes)
+			}
+			err = mpi.Run(2, func(c *mpi.Comm) error {
+				node, err := Mount(c, [][]byte{scatter[c.Rank()]}, nil, Options{CacheBytes: 64 << 20})
+				if err != nil {
+					return err
+				}
+				defer node.Close()
+				if c.Rank() != 0 {
+					return nil
+				}
+				// Ask until every key is answered: each answer is a prefix
+				// of what is left, and each frame — as received, status
+				// trailer included — stays within the bound.
+				for left, calls := keys, 0; len(left) > 0; calls++ {
+					resp, err := node.client.Call(1, encodeFetch(0, left))
+					if err != nil {
+						return err
+					}
+					if frame := len(resp) + 1; frame > rpc.DefaultBatchBytes {
+						return fmt.Errorf("answer %d is a %d B frame, %d B over the %d B bound", calls, frame, frame-rpc.DefaultBatchBytes, rpc.DefaultBatchBytes)
+					}
+					items, err := rpc.DecodeItems(resp)
+					if err != nil {
+						return err
+					}
+					if calls == 0 && len(items) != fit {
+						return fmt.Errorf("%d keys answered with %d items, want the %d that fit in %d B",
+							len(keys), len(items), fit, rpc.DefaultBatchBytes)
+					}
+					if len(items) == 0 {
+						return fmt.Errorf("answer %d carries no item", calls)
+					}
+					left = left[len(items):]
+				}
+				if staged := node.Prefetch(keys); staged != len(keys) {
+					return fmt.Errorf("Prefetch staged %d of %d objects", staged, len(keys))
+				}
+				for _, key := range keys {
+					data, err := node.ReadFile(key)
+					if err != nil {
+						return err
+					}
+					if !bytes.Equal(data, want[key]) {
+						return fmt.Errorf("%s: wrong bytes", key)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -65,26 +65,25 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 		view, selfID = member.NewView(&member.ClusterMap{}), member.NoNode
 	}
 	n := &Node{
-		comm:     comm,
-		cache:    NewCache(opts.CacheBytes, opts.CachePolicy),
-		backend:  backend,
-		view:     view,
-		selfID:   selfID,
-		meta:     make(map[string]*FileMeta),
-		dirs:     newDirIndex(),
-		writes:   make(map[string][]byte),
-		parts:    make(map[uint64]*nodePart),
-		inflight: make(map[string]*flight),
-		reg:      reg,
-		tracer:   opts.Tracer,
-		events:   opts.Events,
+		comm:    comm,
+		cache:   NewCache(opts.CacheBytes, opts.CachePolicy),
+		backend: backend,
+		view:    view,
+		selfID:  selfID,
+		names:   make(map[string]uint32),
+		dirs:    newDirIndex(),
+		writes:  make(map[string][]byte),
+		parts:   make(map[uint64]*nodePart),
+		reg:     reg,
+		tracer:  opts.Tracer,
+		events:  opts.Events,
 	}
 	if code != nil {
 		n.ec = newECState(code, reg)
 	}
 	n.instrument()
 	n.mapVersion.Set(int64(view.Version()))
-	n.cache.instrument(reg, opts.Tracer)
+	n.cache.instrument(reg, opts.Tracer, n.pathOf)
 	n.cache.setEvents(opts.Events)
 	n.server = rpc.NewServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{Metrics: reg})
 	n.client = rpc.NewClient(comm, tagFetch, tagRespBase, rpc.ClientOptions{
@@ -167,6 +166,7 @@ func (n *Node) exchange(partitions, replicas [][]byte, broadcast []byte) error {
 			n.addMeta(metas[i])
 		}
 	}
+	n.numberObjects()
 
 	// Second collective: replica announcements. Running it after the
 	// metadata exchange guarantees every owner record exists before a

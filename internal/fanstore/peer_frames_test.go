@@ -77,7 +77,7 @@ func TestPeerEmptyFrameStopsNoDaemon(t *testing.T) {
 				path = fmt.Sprintf("out/homed-on-0.%d", i)
 			}
 			node.mu.RLock()
-			before := *node.meta[dataPath]
+			before := *node.recordsLocked()[dataPath]
 			node.mu.RUnlock()
 			if c.Rank() == 1 {
 				for _, b := range bad {
@@ -93,7 +93,7 @@ func TestPeerEmptyFrameStopsNoDaemon(t *testing.T) {
 				return err
 			}
 			node.mu.RLock()
-			after := *node.meta[dataPath]
+			after := *node.recordsLocked()[dataPath]
 			node.mu.RUnlock()
 			if !reflect.DeepEqual(before, after) {
 				return fmt.Errorf("%s: record %+v became %+v", dataPath, before, after)

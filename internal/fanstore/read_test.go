@@ -49,3 +49,13 @@ func (r reading) hist(name string) metrics.Snapshot {
 	}
 	return v
 }
+
+// recordsLocked maps every path in n's table to its record, for tests
+// that walk the namespace. Callers hold n.mu.
+func (n *Node) recordsLocked() map[string]*FileMeta {
+	recs := make(map[string]*FileMeta, len(n.objs))
+	for _, o := range n.objs {
+		recs[o.meta.Path] = o.meta
+	}
+	return recs
+}

@@ -290,9 +290,13 @@ type Node struct {
 	ectrl  *elasticCtrl // elastic control plane; nil on static mounts
 	ec     *ecState     // erasure redundancy; nil on replicate mounts
 
-	mu   sync.RWMutex
-	meta map[string]*FileMeta
-	dirs *dirIndex
+	mu sync.RWMutex
+	// names maps a clean path to its object ID, the index of its object
+	// in objs (objects.go); the first dataset IDs are the dataset's, in
+	// path order, the same on every rank.
+	names map[string]uint32
+	objs  []object
+	dirs  *dirIndex
 	// writes holds sealed output files (uncompressed, write-once).
 	writes map[string][]byte
 	// parts tracks the loaded partition blobs by global id for rebalance
@@ -301,12 +305,6 @@ type Node struct {
 	// keeps the spill backend's RAM profile unchanged.
 	parts map[uint64]*nodePart
 
-	// inflight deduplicates concurrent producers of the same not-yet-
-	// cached file — demand opens and prefetch staging alike: one leader
-	// fetches and decompresses, the rest wait and share the cache entry
-	// (Fig. 4's refcount, extended through the fetch by flight.go).
-	inflightMu sync.Mutex
-	inflight   map[string]*flight
 	// admission is the live staged-bytes budget the plan scheduler reads
 	// through AdmissionBytes each admission decision (0: cache headroom).
 	admission atomic.Int64
@@ -415,6 +413,7 @@ func (n *Node) loadPartitionGID(gid uint64, blob []byte) ([]FileMeta, error) {
 	n.mu.Lock()
 	n.parts[gid] = &nodePart{gid: gid, blob: blob, paths: paths}
 	n.mu.Unlock()
+	n.setLocal(paths, true)
 	return metas, nil
 }
 
@@ -428,29 +427,20 @@ func (n *Node) dropPartition(gid uint64) {
 	delete(n.parts, gid)
 	n.mu.Unlock()
 	if p != nil {
+		n.setLocal(p.paths, false)
 		n.backend.Remove(p.paths)
 	}
-}
-
-// addMeta inserts one record into the namespace (last writer wins, which
-// only matters for the broadcast partition seen via rank 0).
-func (n *Node) addMeta(m FileMeta) {
-	n.mu.Lock()
-	cp := cleanPath(m.Path)
-	m.Path = cp
-	n.meta[cp] = &m
-	n.dirs.add(cp, m.Size)
-	n.mu.Unlock()
 }
 
 // noteReplica records that rank also serves path's compressed object.
 func (n *Node) noteReplica(path string, rank int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m, ok := n.meta[cleanPath(path)]
-	if !ok || m.Owner == int32(rank) {
+	id, ok := n.names[cleanPath(path)]
+	if !ok || n.objs[id].meta.Owner == int32(rank) {
 		return // replica of an unannounced partition, or the owner itself
 	}
+	m := n.objs[id].meta
 	for _, r := range m.Replicas {
 		if r == int32(rank) {
 			return
@@ -511,18 +501,21 @@ type fetchedObject struct {
 	err     error
 }
 
-// peekObject finds one object for an opFetch item without I/O: a written
-// file's bytes, or the backend's RAM-resident compressed object. ok is
+// peekObject finds one object for an opFetch item without I/O: the
+// backend's RAM-resident compressed object, or a written file's bytes
+// (asked second: written files are few, and never in the backend). ok is
 // false when only Get can answer (a spill backend's object, or a miss).
 func (n *Node) peekObject(path string) (o fetchedObject, ok bool) {
+	if o.id, o.data, ok = n.backend.Peek(path); ok {
+		return o, true
+	}
 	n.mu.RLock()
 	wdata, written := n.writes[path]
 	n.mu.RUnlock()
 	if written && wdata != nil {
 		return fetchedObject{data: wdata, written: true}, true
 	}
-	o.id, o.data, ok = n.backend.Peek(path)
-	return o, ok
+	return o, false
 }
 
 // getObjects reads the items at idx from the backend with Get, with up
@@ -554,8 +547,9 @@ func (n *Node) getObjects(keys []string, objs []fetchedObject, idx []int) {
 // disk reads). Items are answered in request order with per-item status,
 // so a partial miss never fails the whole batch, and framed straight
 // from the backend's bytes into one pooled response. The answer stops
-// before the object that would take it past rpc.DefaultBatchBytes (it
-// always carries one); the caller asks again for the keys past it.
+// before the object that would take its frame — item headers and count
+// included — past rpc.DefaultBatchBytes (it always carries one); the
+// caller asks again for the keys past it.
 func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 	callerVer, keys, err := decodeFetch(body)
 	if err != nil {
@@ -580,7 +574,10 @@ func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 	for i := 0; i < len(objs); i++ {
 		o := &objs[i]
 		switch {
-		case o.err == nil && served && size+2+len(o.data) > rpc.DefaultBatchBytes:
+		case o.err == nil && served && rpc.ItemsSize(i+1, size+2+len(o.data))+1 > rpc.DefaultBatchBytes:
+			// +1 is the status trailer the transport carries with the
+			// answer: the frame the caller receives stays in the pool's
+			// DefaultBatchBytes class.
 			objs = objs[:i] // ends the loop; the caller asks again for the rest
 		case o.err == nil:
 			served = true
@@ -656,11 +653,9 @@ func (n *Node) handleFetchPart(body []byte) ([]byte, error) {
 // real miss.
 func (n *Node) handleMetaSync(body []byte) ([]byte, error) {
 	var recs []FileMeta
-	n.mu.RLock()
-	if m, ok := n.meta[cleanPath(string(body))]; ok {
-		recs = []FileMeta{*m}
+	if _, o, ok := n.resolve(cleanPath(string(body))); ok {
+		recs = []FileMeta{*o.meta}
 	}
-	n.mu.RUnlock()
 	return encodeCommit(opMetaSync, member.NoNode, n.view.Map(), nil, recs), nil
 }
 
@@ -679,11 +674,10 @@ func (n *Node) handleWriteMeta(body []byte) ([]byte, error) {
 	m.Path = cleanPath(m.Path)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if old := n.meta[m.Path]; m.Path == "" || old != nil && !old.Written {
+	if id, ok := n.names[m.Path]; m.Path == "" || ok && !n.objs[id].meta.Written {
 		return nil, fmt.Errorf("fanstore: write metadata: %q is not a writable path", m.Path)
 	}
-	n.meta[m.Path] = &m
-	n.dirs.add(m.Path, m.Size)
+	n.installLocked(m)
 	return nil, nil
 }
 
@@ -770,10 +764,8 @@ func (n *Node) refreshRoutes(path string) *FileMeta {
 	if n.ectrl.coord == nil && n.metaSync(n.ectrl.coordRank, path) != nil {
 		return nil
 	}
-	n.mu.RLock()
-	m := n.meta[cleanPath(path)]
-	n.mu.RUnlock()
-	return m
+	_, o, _ := n.resolve(path)
+	return o.meta
 }
 
 // metaSync asks rank for the cluster map and its record of path
@@ -939,11 +931,12 @@ func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, 
 
 // prefetchTarget is one not-yet-staged remote object being walked
 // along its route by Prefetch. The target's flight (the prefetch is its
-// leader) is finished nil as soon as the object is staged, or with
+// leader) is finished nil once the object is staged, or with
 // errFlightAbandoned when every candidate failed — so a demand open
 // racing the window either shares the staged entry or falls back to its
 // own fetch, never an error from a best-effort path.
 type prefetchTarget struct {
+	id     uint32
 	m      *FileMeta
 	flight *flight
 	route  route
@@ -958,45 +951,45 @@ type prefetchTarget struct {
 // stay evictable and a canceled epoch cannot wedge the pool. It is
 // best-effort: a partial miss or peer failure falls over to the next
 // replica and finally to on-demand fetching at Open; Prefetch never
-// fails the training loop. Returns the number of objects staged.
+// fails the training loop. Each path is resolved once, to its object
+// ID, and the rest of the walk is by ID (the wire still names paths).
+// Returns the number of objects staged.
 func (n *Node) Prefetch(paths []string) int {
 	if n.closed.Load() || len(paths) == 0 {
 		return 0
 	}
 	tstart := n.tracer.Begin()
 	defer n.tracer.End(trace.OpPrefetch, "", trace.OutcomeNone, tstart)
-	// Resolve the window down to remote, uncached, not-in-flight paths.
-	targets := make([]*prefetchTarget, 0, len(paths))
-	seen := make(map[string]bool, len(paths))
+	// Resolve the window down to remote, uncached, not-in-flight objects.
+	all := make([]prefetchTarget, 0, len(paths))
 	for _, p := range paths {
-		cp := cleanPath(p)
-		if seen[cp] {
+		id, o, ok := n.resolve(cleanPath(p))
+		if !ok || o.local {
 			continue
 		}
-		seen[cp] = true
-		n.mu.RLock()
-		m, ok := n.meta[cp]
-		_, written := n.writes[cp]
-		n.mu.RUnlock()
-		if !ok || written || n.backend.Contains(cp) {
-			continue
-		}
-		if n.cache.Contains(cp) {
+		if n.cache.Contains(id) {
 			n.prefetchSuppressed.Inc() // already staged or resident
 			continue
 		}
-		r := n.route(m)
+		r := n.route(o.meta)
 		if !r.more() {
 			continue
 		}
-		f, leader := n.beginFlight(cp)
+		f, leader := n.cache.beginFlight(id)
 		if !leader {
 			// A demand open or an overlapping prefetch is already
-			// producing it; that flight's result lands in the cache.
-			n.prefetchSuppressed.Inc()
+			// producing it; that flight's result lands in the cache. A
+			// path this window named twice leads one flight, here.
+			if !slices.ContainsFunc(all, func(t prefetchTarget) bool { return t.flight == f }) {
+				n.prefetchSuppressed.Inc()
+			}
 			continue
 		}
-		targets = append(targets, &prefetchTarget{m: m, flight: f, route: r})
+		all = append(all, prefetchTarget{id: id, m: o.meta, flight: f, route: r})
+	}
+	targets := make([]*prefetchTarget, len(all))
+	for i := range all {
+		targets[i] = &all[i]
 	}
 	// Round-based failover: each round groups the remaining targets by the
 	// rank of their next candidate and fetches the groups concurrently;
@@ -1017,7 +1010,7 @@ func (n *Node) Prefetch(paths []string) int {
 			}
 			// Every candidate failed: abandon the flight so waiting opens
 			// retry on demand rather than inheriting a best-effort failure.
-			n.finishFlight(t.m.Path, t.flight, errFlightAbandoned)
+			n.cache.finishFlight(t.id, t.flight, errFlightAbandoned)
 		}
 		targets = targets[:0]
 		var mu sync.Mutex
@@ -1065,10 +1058,11 @@ func (n *Node) prefetchFrom(dst int, group []*prefetchTarget) (staged int, faile
 }
 
 // prefetchChunk issues one opFetch call to dst for one plan-sized
-// slice of targets, decompresses and stages what came back, and
-// finishes the flight of every staged target so coalesced opens
-// unblock as soon as their object lands. answered is how many of the
-// first targets the call settled: fewer than all if dst answered a prefix.
+// slice of targets, decompresses what came back, and once every stride
+// has decoded stages it and finishes each staged target's flight: an open
+// coalesced on one of them waits for the whole call, not its own object.
+// answered is how many of the first targets the call settled: fewer than
+// all if dst answered a prefix.
 func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (staged int, failed []*prefetchTarget, answered int) {
 	n.batchedFetches.Inc()
 	resp, err := n.client.Call(dst, encodeFetch(n.view.Version(), keys))
@@ -1113,10 +1107,10 @@ func (n *Node) prefetchChunk(dst int, keys []string, group []*prefetchTarget) (s
 			failed = append(failed, t)
 			continue
 		}
-		if n.cache.InsertIdle(t.m.Path, decoded[i], true) {
+		if n.cache.InsertIdle(t.id, decoded[i], true) {
 			staged++
 		}
-		n.finishFlight(t.m.Path, t.flight, nil)
+		n.cache.finishFlight(t.id, t.flight, nil)
 	}
 	return staged, failed, len(group)
 }
@@ -1165,31 +1159,31 @@ func (n *Node) decompress(m *FileMeta, compressorID uint16, comp []byte) ([]byte
 	return out, nil
 }
 
-// openBytes produces the decompressed bytes for a metadata record,
-// following Fig. 2: cache, then local backend, then remote fetch.
-// Concurrent producers of the same uncached file — other opens, or a
-// prefetch staging it — share one fetch+decode via singleflight
-// (flight.go): the waiter blocks on the leader's flight, then pins the
-// shared cache entry. pinned reports whether the returned bytes hold a
-// cache pin the caller must Release — false only for the zero-copy
-// passthrough path, which never enters the cache. outcome tells the
-// tracer which arm of Fig. 2 served the open; an open served by another
-// producer's flight reports OutcomeCoalesced.
-func (n *Node) openBytes(m *FileMeta) (data []byte, pinned bool, outcome trace.Outcome, err error) {
+// openBytes produces the decompressed bytes of object id, whose record
+// and locality lookup read, following Fig. 2: cache, then local backend,
+// then remote fetch. Concurrent producers of the same uncached file —
+// other opens, or a prefetch staging it — share one fetch+decode via
+// singleflight (flight.go): the waiter blocks on the leader's flight,
+// then pins the shared cache entry. pinned reports whether the returned
+// bytes hold a cache pin the caller must Release — false only for the
+// zero-copy passthrough path, which never enters the cache. outcome tells
+// the tracer which arm of Fig. 2 served the open; an open served by
+// another producer's flight reports OutcomeCoalesced.
+func (n *Node) openBytes(id uint32, o object) (data []byte, pinned bool, outcome trace.Outcome, err error) {
 	coalesced := false
 	for {
-		if data, ok := n.cache.Acquire(m.Path); ok {
+		if data, ok := n.cache.Acquire(id); ok {
 			outcome := trace.OutcomeCacheHit
 			if coalesced {
 				outcome = trace.OutcomeCoalesced
 			}
 			return data, true, outcome, nil
 		}
-		f, leader := n.beginFlight(m.Path)
+		f, leader := n.cache.beginFlight(id)
 		if !leader {
 			n.fetchCoalesced.Inc()
 			coalesced = true
-			<-f.done
+			f.done.Wait()
 			if f.err != nil && !errors.Is(f.err, errFlightAbandoned) {
 				return nil, false, trace.OutcomeError, f.err
 			}
@@ -1199,32 +1193,34 @@ func (n *Node) openBytes(m *FileMeta) (data []byte, pinned bool, outcome trace.O
 			// cache), loop: the next pass leads its own flight.
 			continue
 		}
-		data, pinned, outcome, err := n.produceBytes(m)
-		n.finishFlight(m.Path, f, err)
+		data, pinned, outcome, err := n.produceBytes(id, o)
+		n.cache.finishFlight(id, f, err)
 		return data, pinned, outcome, err
 	}
 }
 
 // produceBytes performs the actual Fig. 2 data path for one file. pinned
-// is false for the zero-copy path (no cache entry to release).
-func (n *Node) produceBytes(m *FileMeta) (data []byte, pinned bool, outcome trace.Outcome, err error) {
-	n.mu.RLock()
-	wdata, written := n.writes[m.Path]
-	n.mu.RUnlock()
+// is false for the zero-copy path (no cache entry to release). The
+// backend and the writes table are asked by path, for the bytes only.
+func (n *Node) produceBytes(id uint32, o object) (data []byte, pinned bool, outcome trace.Outcome, err error) {
+	m := o.meta
 	switch {
-	case written:
+	case o.local && m.Written:
+		n.mu.RLock()
+		wdata := n.writes[m.Path]
+		n.mu.RUnlock()
 		n.localOpens.Inc()
-		return n.cache.Insert(m.Path, wdata, false), true, trace.OutcomeMetaHit, nil
-	case n.backend.Contains(m.Path):
+		return n.cache.Insert(id, wdata, false), true, trace.OutcomeMetaHit, nil
+	case o.local:
 		n.localOpens.Inc()
 		// Uncompressed RAM-resident objects are served zero-copy from the
 		// partition blob: no decompression, no cache footprint (the blob
 		// is already resident node-local storage). Counted separately so
 		// the decompression count stays truthful for uncompressed datasets.
 		outcome = trace.OutcomeLocal
-		id, comp, ok := n.backend.Peek(m.Path)
+		cid, comp, ok := n.backend.Peek(m.Path)
 		if ok {
-			if payload, ok := codec.Passthrough(id, comp); ok {
+			if payload, ok := codec.Passthrough(cid, comp); ok {
 				n.zeroCopyOpens.Inc()
 				return payload, false, trace.OutcomeZeroCopy, nil
 			}
@@ -1232,61 +1228,64 @@ func (n *Node) produceBytes(m *FileMeta) (data []byte, pinned bool, outcome trac
 			// Peek declined: the compressed object lives on the spill
 			// backend, so this open pays a disk read.
 			outcome = trace.OutcomeSpill
-			if id, comp, err = n.backend.Get(m.Path); err != nil {
+			if cid, comp, err = n.backend.Get(m.Path); err != nil {
 				return nil, false, trace.OutcomeError, err
 			}
 		}
-		data, err := n.decompress(m, id, comp)
+		data, err := n.decompress(m, cid, comp)
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		return n.cache.Insert(m.Path, data, true), true, outcome, nil
+		return n.cache.Insert(id, data, true), true, outcome, nil
 	default:
 		n.remoteOpens.Inc()
-		id, comp, frame, outcome, err := n.fetchRemote(m)
+		cid, comp, frame, outcome, err := n.fetchRemote(m)
 		if err != nil {
 			return nil, false, outcome, err
 		}
-		data, err := n.decompress(m, id, comp)
+		data, err := n.decompress(m, cid, comp)
 		decomp.PutBuf(frame) // every codec copies out of comp: the frame is dead
 		if err != nil {
 			return nil, false, trace.OutcomeError, err
 		}
-		return n.cache.Insert(m.Path, data, true), true, outcome, nil
+		return n.cache.Insert(id, data, true), true, outcome, nil
 	}
 }
 
-// PlanTarget resolves a path for the epoch planner
-// (prefetch.PlanStore): its decompressed size, and whether producing it
-// requires a remote fetch (neither written locally, backend-resident,
-// nor unknown). Unknown paths report (0, false) and plan as free.
-func (n *Node) PlanTarget(path string) (size int64, remote bool) {
-	cp := cleanPath(path)
-	n.mu.RLock()
-	m, ok := n.meta[cp]
-	_, written := n.writes[cp]
-	n.mu.RUnlock()
-	if !ok || written {
-		return 0, false
+// PlanObject resolves a path for the epoch planner (prefetch.PlanStore):
+// its object ID, its decompressed size, and whether producing it
+// requires a remote fetch (neither written here nor backend-resident).
+// ok is false for a path this node does not know; the plan skips it.
+func (n *Node) PlanObject(path string) (id uint32, size int64, remote, ok bool) {
+	id, o, ok := n.resolve(cleanPath(path))
+	if !ok {
+		return 0, 0, false, false
 	}
-	return m.Size, !n.backend.Contains(cp)
+	return id, o.meta.Size, !o.local, true
+}
+
+// PlanTarget is PlanObject without the ID: a path's decompressed size and
+// whether reading it needs a remote fetch. Unknown paths report
+// (0, false).
+func (n *Node) PlanTarget(path string) (size int64, remote bool) {
+	_, size, remote, _ = n.PlanObject(path)
+	return size, remote
 }
 
 // Expect installs an epoch's access order in the cache
-// (prefetch.PlanStore): every distinct path the epoch will read, local
-// and remote, in order. Until the next call the cache evicts by next use,
-// and what is already resident and will be read is protected before
-// staging starts (Cache.Expect). Unknown paths are dropped.
-func (n *Node) Expect(paths []string) {
-	known := make([]string, 0, len(paths))
+// (prefetch.PlanStore): the object ID of every distinct path the epoch
+// will read, local and remote, in order, as PlanObject gave them. Until
+// the next call the cache evicts by next use, and what is already
+// resident and will be read is protected before staging starts
+// (Cache.Expect). IDs this node never gave are dropped.
+func (n *Node) Expect(ids []uint32) {
 	n.mu.RLock()
-	for _, p := range paths {
-		if m, ok := n.meta[cleanPath(p)]; ok {
-			known = append(known, m.Path)
-		}
-	}
+	count := uint32(len(n.objs))
 	n.mu.RUnlock()
-	n.cache.Expect(known)
+	if slices.ContainsFunc(ids, func(id uint32) bool { return id >= count }) {
+		ids = slices.DeleteFunc(slices.Clone(ids), func(id uint32) bool { return id >= count })
+	}
+	n.cache.Expect(ids)
 }
 
 // CacheHeadroom reports the decompressed cache capacity the planner may
@@ -1341,7 +1340,7 @@ func (n *Node) MapVersion() uint64 { return n.view.Version() }
 func (n *Node) NumFiles() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.meta)
+	return len(n.objs)
 }
 
 // LocalFiles reports how many objects this rank's backend holds.

@@ -22,20 +22,27 @@ import (
 // PlanStore is the store surface the epoch planner schedules against:
 // the install and staging entry points plus the three signals the plan
 // and its admission rule are built from. fanstore's Node satisfies it.
+//
+// The store names its objects with dense uint32 IDs (fanstore numbers
+// its dataset at mount): the plan resolves each path once, dedupes and
+// orders the epoch by ID, and installs the order as IDs. Staging still
+// names paths, so a store is asked by path only for what it fetches.
 type PlanStore interface {
-	// Expect installs the epoch's access order — every distinct path, in
-	// the order it will be read — before any of it is staged, so the
-	// store's cache can evict by next use and keep what is already
+	// Expect installs the epoch's access order — the ID of every distinct
+	// object, in the order it will be read — before any of it is staged,
+	// so the store's cache can evict by next use and keep what is already
 	// resident and will be read. It replaces the previous epoch's.
-	Expect(paths []string)
+	Expect(ids []uint32)
 	// Prefetch stages the remote, uncached files among paths in batched
 	// round trips and returns how many it staged. Best-effort: a file it
-	// does not stage is fetched on demand when the worker opens it.
+	// does not stage is fetched on demand when the worker opens it. It
+	// must not keep paths past its return: the scheduler reuses it.
 	Prefetch(paths []string) int
-	// PlanTarget resolves one path: its decompressed size and whether
-	// producing it needs a remote fetch (false: local or unknown, the
-	// plan skips it).
-	PlanTarget(path string) (size int64, remote bool)
+	// PlanObject resolves one path: the store's ID for it, its
+	// decompressed size and whether producing it needs a remote fetch
+	// (false: local, the plan orders it but stages nothing). ok is false
+	// for a path the store does not know; the plan skips it.
+	PlanObject(path string) (id uint32, size int64, remote, ok bool)
 	// CacheHeadroom is the cache capacity neither pinned by open files
 	// nor staged — the bytes one more batch may occupy.
 	CacheHeadroom() int64
@@ -58,19 +65,21 @@ type Plan struct {
 	Iters int   // iterations the sampler yielded
 	Bytes int64 // total decompressed bytes of Items
 
-	// order is every distinct path of the epoch, local ones too, in
-	// access order: what the scheduler installs in the store.
-	order []string
+	// order is the ID of every distinct object of the epoch, local ones
+	// too, in access order: what the scheduler installs in the store.
+	order []uint32
 }
 
 // BuildPlan consumes sampler's full permutation (iteration 0 until
 // ok=false) and keeps the paths store reports as remote, with their
-// sizes. Duplicate paths are planned once, at their first appearance —
-// after that first fetch the object is cached or evicted-and-refetched
-// on demand, and replanning it would double-count admission.
+// sizes. Each path is resolved once (PlanObject); paths the store does
+// not know are skipped. Duplicates — the same object ID again — are
+// planned once, at their first appearance: after that first fetch the
+// object is cached or evicted-and-refetched on demand, and replanning it
+// would double-count admission. The dedupe is a bit per ID.
 func BuildPlan(sampler Sampler, store PlanStore) *Plan {
 	p := &Plan{}
-	seen := make(map[string]bool)
+	var seen []uint64
 	for i := 0; ; i++ {
 		paths, ok := sampler(i)
 		if !ok {
@@ -78,12 +87,19 @@ func BuildPlan(sampler Sampler, store PlanStore) *Plan {
 		}
 		p.Iters = i + 1
 		for _, path := range paths {
-			if seen[path] {
+			id, size, remote, known := store.PlanObject(path)
+			if !known {
 				continue
 			}
-			seen[path] = true
-			p.order = append(p.order, path)
-			size, remote := store.PlanTarget(path)
+			w, bit := int(id>>6), uint64(1)<<(id&63)
+			if w >= len(seen) {
+				seen = append(seen, make([]uint64, max(w+1, 2*len(seen))-len(seen))...)
+			}
+			if seen[w]&bit != 0 {
+				continue
+			}
+			seen[w] |= bit
+			p.order = append(p.order, id)
 			if !remote {
 				continue
 			}
@@ -186,6 +202,7 @@ func (s *Scheduler) run() {
 	tstart := s.tracer.Begin()
 	defer s.tracer.End(trace.OpPrefetch, "epoch-plan", trace.OutcomeNone, tstart)
 	cursor := 0
+	var paths []string // one batch's, reused: Prefetch keeps none
 	for cursor < len(s.plan.Items) {
 		select {
 		case <-s.done:
@@ -199,7 +216,7 @@ func (s *Scheduler) run() {
 		// the cache's shards; the admission wait below re-reads it live.
 		consumed := int(s.consumed.Load())
 		budget := s.budget()
-		var paths []string
+		paths = paths[:0]
 		var batchBytes int64
 		for cursor < len(s.plan.Items) && len(paths) < s.batch {
 			it := s.plan.Items[cursor]

@@ -8,11 +8,12 @@ import (
 )
 
 // fakePlanStore is an in-memory PlanStore: every path in remote is a
-// fixed-size remote object; Prefetch stages instantly and the test
-// drains staged bytes to play the consumer.
+// fixed-size remote object, named by its ID in ids; Prefetch stages
+// instantly and the test drains staged bytes to play the consumer.
 type fakePlanStore struct {
 	mu       sync.Mutex
 	remote   map[string]int64
+	ids      map[string]uint32
 	staged   int64
 	headroom int64
 	maxStage int64
@@ -22,14 +23,15 @@ type fakePlanStore struct {
 	entered  chan struct{} // non-nil: Prefetch signals entry before blocking
 }
 
-func (f *fakePlanStore) PlanTarget(path string) (int64, bool) {
+func (f *fakePlanStore) PlanObject(path string) (uint32, int64, bool, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	size, ok := f.remote[path]
-	return size, ok
+	id, ok := f.ids[path]
+	size, remote := f.remote[path]
+	return id, size, remote, ok
 }
 
-func (f *fakePlanStore) Expect([]string) {}
+func (f *fakePlanStore) Expect([]uint32) {}
 
 func (f *fakePlanStore) CacheHeadroom() int64 {
 	f.mu.Lock()
@@ -87,11 +89,13 @@ func fakeStore(files, size int) (*fakePlanStore, []string) {
 // embedders avoid copying its mutex) and returns the remote paths.
 func initFakeStore(f *fakePlanStore, files, size int) []string {
 	f.remote = make(map[string]int64)
+	f.ids = make(map[string]uint32)
 	f.headroom = 1 << 30
 	paths := make([]string, files)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("data/%04d.bin", i)
 		f.remote[paths[i]] = int64(size)
+		f.ids[paths[i]] = uint32(i)
 	}
 	return paths
 }

@@ -21,10 +21,11 @@
 // Delivered bytes live in recycled memory. A Reader returns each file in
 // a distinct buffer the caller owns, and Next hands the previous batch's
 // buffers back to the shared size-classed pool (decomp.PutBuf) before it
-// returns the next batch; FanStore's Node.ReadFile draws from that pool,
-// so in steady state a delivered file costs one copy into warm memory
-// and no allocation. A batch's Data is valid until the next Next: a
-// consumer that keeps a file longer copies it.
+// returns the next batch, as Stop does with the last one; FanStore's
+// Node.ReadFile draws from that pool, so in steady state a delivered
+// file costs one copy into warm memory and no allocation. A batch's Data
+// is valid until the next Next or Stop: a consumer that keeps a file
+// longer copies it.
 package prefetch
 
 import (
@@ -53,8 +54,8 @@ type Batch struct {
 	// Paths are the files of the batch.
 	Paths []string
 	// Data holds the file contents, parallel to Paths. It is valid
-	// until the next Next, which recycles the buffers and nils the
-	// entries.
+	// until the next Next or Stop, which recycles the buffers and nils
+	// the entries.
 	Data [][]byte
 }
 
@@ -99,7 +100,11 @@ type Pipeline struct {
 
 	stalls *metrics.Counter // Next calls that blocked
 	tracer *trace.Tracer
-	held   [][]byte // the last delivered batch's Data; the next Next recycles it
+	// held is the last delivered batch's Data; the next Next or Stop
+	// recycles it. heldMu lets a Stop from another goroutine unblock a
+	// waiting Next without racing its delivery.
+	heldMu sync.Mutex
+	held   [][]byte
 }
 
 type result struct {
@@ -217,8 +222,9 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 					// stages down now: without this, the sequencer and
 					// workers stay blocked on their channels until Stop,
 					// and a consumer that abandons the pipeline after a
-					// failed Next leaks them all.
-					p.Stop()
+					// failed Next leaks them all. It recycles nothing:
+					// the consumer may still be reading its last batch.
+					p.cancel()
 					return
 				}
 			}
@@ -235,13 +241,11 @@ func New(r Reader, sampler Sampler, opts Options) *Pipeline {
 //
 // Next first hands the previous batch's Data back to the buffer pool
 // (decomp.PutBuf) and nils its entries: a batch's bytes are valid until
-// the next Next, and a consumer that kept the old Batch sees nils, never
-// another file's bytes. Call it from one goroutine, the consumer's.
+// the next Next or Stop, and a consumer that kept the old Batch sees
+// nils, never another file's bytes. Call it from one goroutine, the
+// consumer's.
 func (p *Pipeline) Next() (Batch, bool, error) {
-	for i, b := range p.held {
-		decomp.PutBuf(b)
-		p.held[i] = nil
-	}
+	p.recycle()
 	select {
 	case r, ok := <-p.out:
 		return p.deliver(r, ok)
@@ -268,20 +272,44 @@ func (p *Pipeline) Next() (Batch, bool, error) {
 }
 
 // deliver returns one received result to the consumer and remembers its
-// buffers for the next Next to recycle.
+// buffers for the next Next or Stop to recycle.
 func (p *Pipeline) deliver(r result, ok bool) (Batch, bool, error) {
 	if !ok {
 		return Batch{}, false, nil
 	}
+	p.heldMu.Lock()
 	p.held = r.batch.Data
+	p.heldMu.Unlock()
 	return r.batch, r.err == nil, r.err
 }
 
+// recycle hands the last delivered batch's buffers back to the pool and
+// nils its entries.
+func (p *Pipeline) recycle() {
+	p.heldMu.Lock()
+	for i, b := range p.held {
+		decomp.PutBuf(b)
+		p.held[i] = nil
+	}
+	p.held = nil
+	p.heldMu.Unlock()
+}
+
 // Stop cancels the pipeline and releases its goroutines, including the
-// epoch-plan scheduler when one is attached. Safe to call multiple
-// times, after exhaustion and from any goroutine: it recycles nothing,
-// so the last delivered batch stays valid and the GC frees it.
+// epoch-plan scheduler when one is attached, then hands the last
+// delivered batch's buffers back as Next would: after Stop no delivered
+// batch is valid. It is the consumer's call, made once it is done with
+// that batch — as every loop's deferred Stop is; a Stop from another
+// goroutine also unblocks a waiting Next. Safe to call multiple times and
+// after exhaustion.
 func (p *Pipeline) Stop() {
+	p.cancel()
+	p.recycle()
+}
+
+// cancel is Stop without the recycling: the pipeline's own shutdown,
+// which must not take a batch from a consumer still reading it.
+func (p *Pipeline) cancel() {
 	p.once.Do(func() {
 		close(p.stop)
 		p.sched.Stop()
