@@ -17,6 +17,8 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 
+# Both run the kill-schedule runner's ci seed set (TestKillSchedules:
+# four seeds under none, ec(1,0) and ec(2,1), ~10 s plain or -race).
 test:
 	$(GO) build ./... && $(GO) test ./...
 	$(GO) test -C bench ./...
@@ -31,10 +33,13 @@ race:
 # while its consumer still reads them) and the pipeline's Stop rows (the
 # last batch recycled at Stop, and never by the pipeline's own shutdown
 # after a failed read while the consumer holds it) depend on the
-# schedule, and one pass of `race` draws one: run them twenty times.
+# schedule, and one pass of `race` draws one: run them twenty times. The
+# kill table (a rank dies mid-read under each redundancy; reads degrade,
+# or fail with ErrLost, while the repair races them) runs ten times.
 overlap:
 	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)|TestWrittenFileVisibleAfterBarrier|TestPipelineRecyclesDeliveredBuffers/workers=4' ./internal/fanstore
 	$(GO) test -race -count 20 -run 'TestStopRecyclesLastBatch' ./internal/prefetch
+	$(GO) test -race -count 10 -run 'TestECKillRankDegradedReadsAndRepair' ./internal/fanstore
 
 # The cache's next-use eviction rule: its property test draws new random
 # operation streams on every run, and the live two-rank row (the plan's
@@ -76,9 +81,10 @@ bce:
 
 # The long-running tests (build tag `soak`), outside ci: those that must
 # wait out a real protocol timeout, such as the survivors' Close after a
-# member died without saying bye (60 s).
+# member died without saying bye (60 s), and the kill-schedule runner
+# over a hundred seeds past the ci set (~4 min).
 soak:
-	$(GO) test -tags soak -run Soak -timeout 10m ./internal/fanstore
+	$(GO) test -tags soak -run Soak -timeout 20m ./internal/fanstore
 
 # Non-test Go lines of the directories the ROADMAP's simplicity
 # acceptances quote, so a PR compares `make loc` at parent and change

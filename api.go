@@ -274,22 +274,14 @@ func JoinCluster(c *Comm, coordRank int, opts ElasticOptions) (*Node, error) {
 }
 
 // Redundancy is the mount-time redundancy selection for elastic mounts:
-// whole-partition replication (the default) or ec(k,m) erasure coding,
-// which stripes every partition into k data + m parity shards at m/k
-// memory overhead and keeps objects readable through degraded
-// reconstruction when up to m members die.
+// none (the zero value), under which a dead owner's data is lost and
+// reads of it return ErrLost, or ec(k,m) erasure coding, which stripes
+// every partition into k data + m parity shards held by nodes other than
+// its owner and keeps objects readable through degraded reconstruction
+// when up to m members die. ec(1,m) is (m+2)-way mirroring.
 type Redundancy = store.Redundancy
 
-// RedundancyMode selects how a mount survives losing a node.
-type RedundancyMode = store.RedundancyMode
-
-// Redundancy modes for Options.Redundancy.
-const (
-	RedundancyReplicate = store.RedundancyReplicate
-	RedundancyEC        = store.RedundancyEC
-)
-
-// ParseRedundancy parses the flag syntax: "replicate" (or empty) and
+// ParseRedundancy parses the flag syntax: "none" (or empty) and
 // "ec(k,m)", e.g. "ec(4,2)".
 func ParseRedundancy(s string) (Redundancy, error) { return store.ParseRedundancy(s) }
 
@@ -373,4 +365,8 @@ var (
 	// authoritatively no longer has the object (deleted or lost), as
 	// opposed to unreachable peers or a stale map.
 	ErrVanished = store.ErrVanished
+	// ErrLost reports a read whose owner the reader's cluster map marks
+	// dead, when no copy of its partition survives: always under
+	// redundancy none, and under ec(k,m) once fewer than k shards do.
+	ErrLost = store.ErrLost
 )

@@ -51,7 +51,7 @@ func main() {
 		members    = flag.Int("members", 0, "initial elastic members: ranks 0..members-1 mount, the rest are spare slots (0: static world)")
 		joinLate   = flag.Bool("join", false, "join a running elastic cluster as a new member (requires -members; no -part)")
 		leaveEarly = flag.Bool("leave", false, "leave the elastic cluster after the reads, draining partitions to the survivors")
-		redun      = flag.String("redundancy", "", "elastic redundancy: replicate (default) or ec(k,m), e.g. ec(4,2)")
+		redun      = flag.String("redundancy", "", "elastic redundancy: none (default) or ec(k,m); n copies = ec(1,n-2)")
 		opsAddr    = flag.String("ops-addr", "", "serve live HTTP ops endpoints; pass the same base address to every daemon, rank r listens on port+r (empty disables)")
 		healthInt  = flag.Duration("health-interval", 0, "rank 0 scrapes every member's /varz at this period and flags stragglers mid-run (needs -ops-addr; 0 disables)")
 		healthN    = flag.Int("health-members", 0, "member count the health monitor scrapes (0: -members for elastic worlds, else -size)")

@@ -71,7 +71,7 @@ func main() {
 		admitMB  = flag.Int("admission", 0, "staged-bytes admission budget reported by the -plan replay, MiB (0: unbounded)")
 		killRank = flag.Int("chaos-kill-rank", -1, "fail-stop this simulated rank and replay the degraded reads + repair (-1: no chaos)")
 		killAt   = flag.Int("chaos-at-epoch", 1, "epoch at whose start -chaos-kill-rank dies")
-		redun    = flag.String("redundancy", "ec(4,2)", "redundancy mode of the chaos replay: ec(k,m) (replicate is not survivable by reconstruction)")
+		redun    = flag.String("redundancy", "ec(4,2)", "redundancy of the chaos replay: ec(k,m) (none loses the killed rank's data)")
 		monitor  = flag.Bool("monitor", false, "step the ranks in epoch lockstep: the live health monitor polls every rank after each epoch and flags the skewed rank mid-run (-skew 0 derives a reliably detectable skew)")
 		opsAddr  = flag.String("ops-addr", "", "serve per-rank HTTP ops endpoints during -monitor (rank r listens on port+r; empty disables)")
 		pace     = flag.Duration("pace", 0, "wall-clock pause per simulated epoch in -monitor, so the ops endpoints can be curled mid-run (0: full speed)")
@@ -225,8 +225,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if red.Mode != fanstore.RedundancyEC {
-			log.Fatalf("-chaos-kill-rank needs -redundancy ec(k,m); %q cannot reconstruct a lost rank", red)
+		if red == (fanstore.Redundancy{}) {
+			log.Fatalf("-chaos-kill-rank needs -redundancy ec(k,m); %q keeps no copy to reconstruct a lost rank from", red)
 		}
 		sc.Kill = &trainsim.ChaosConfig{KillRank: *killRank, KillEpoch: *killAt, K: red.K, M: red.M}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,65 +19,47 @@ import (
 	"fanstore/internal/rpc"
 )
 
-// RedundancyMode selects how a mount survives losing a node.
-type RedundancyMode uint8
+// Redundancy is the mount-time redundancy selection of an elastic mount:
+// the zero value is none (a dead owner's data is lost, ErrLost), any
+// other an ec(k,m) geometry. ec(1,m) is (m+2)-way mirroring: each of the
+// k+m shards alone rebuilds the blob, and the owner keeps its own copy.
+type Redundancy struct{ K, M int }
 
-const (
-	// RedundancyReplicate is the default whole-partition replication:
-	// extra copies placed via Options.Replicas / RingReplicate, n-way
-	// memory overhead, reads never degrade.
-	RedundancyReplicate RedundancyMode = iota
-	// RedundancyEC stripes every partition blob into k data + m parity
-	// shards (internal/ec) scattered across the cluster at m/k overhead.
-	// Losing up to m nodes keeps every object readable through degraded
-	// reads that reconstruct the stripe from k survivors; a background
-	// repair restores full redundancy. Elastic mounts only.
-	RedundancyEC
-)
-
-// Redundancy is the mount-time redundancy selection.
-type Redundancy struct {
-	Mode RedundancyMode
-	K, M int // ec(k,m) geometry; ignored for replicate
-}
-
-// ParseRedundancy parses the flag syntax: "replicate" (or empty) and
-// "ec(k,m)", e.g. "ec(4,2)".
+// ParseRedundancy parses the flag syntax: "none" (or empty) and
+// "ec(k,m)", e.g. "ec(4,2)"; n copies of every partition are ec(1,n-2).
 func ParseRedundancy(s string) (Redundancy, error) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	switch {
-	case s == "" || s == "replicate":
-		return Redundancy{Mode: RedundancyReplicate}, nil
-	case strings.HasPrefix(s, "ec(") && strings.HasSuffix(s, ")"):
-		var k, m int
-		if _, err := fmt.Sscanf(s, "ec(%d,%d)", &k, &m); err != nil {
-			return Redundancy{}, fmt.Errorf("fanstore: bad redundancy %q (want ec(k,m))", s)
-		}
-		if _, err := ec.New(k, m); err != nil {
-			return Redundancy{}, err
-		}
-		return Redundancy{Mode: RedundancyEC, K: k, M: m}, nil
-	default:
-		return Redundancy{}, fmt.Errorf("fanstore: unknown redundancy %q (want replicate or ec(k,m))", s)
+	var r Redundancy
+	switch s = strings.ReplaceAll(strings.ToLower(s), " ", ""); s {
+	case "", "none":
+		return r, nil
+	case "replicate":
+		return r, fmt.Errorf("fanstore: redundancy %q places no copy; two copies of every partition are ec(1,0)", s)
 	}
+	if _, err := fmt.Sscanf(s, "ec(%d,%d)", &r.K, &r.M); err != nil || r.String() != s {
+		return Redundancy{}, fmt.Errorf("fanstore: unknown redundancy %q (want none or ec(k,m))", s)
+	}
+	if _, err := ec.New(r.K, r.M); err != nil {
+		return Redundancy{}, err
+	}
+	return r, nil
 }
 
 // String renders the flag syntax back.
 func (r Redundancy) String() string {
-	if r.Mode == RedundancyEC {
-		return fmt.Sprintf("ec(%d,%d)", r.K, r.M)
+	if r == (Redundancy{}) {
+		return "none"
 	}
-	return "replicate"
+	return fmt.Sprintf("ec(%d,%d)", r.K, r.M)
 }
 
 // code validates the redundancy selection and returns the erasure code
-// of an ec(k,m) mount (nil when replicating).
+// of an ec(k,m) mount (nil for none).
 func (r Redundancy) code(elastic bool) (*ec.Code, error) {
-	if r.Mode != RedundancyEC {
+	if r == (Redundancy{}) {
 		return nil, nil
 	}
 	if !elastic {
-		return nil, fmt.Errorf("fanstore: ec redundancy requires an elastic mount (static mounts replicate)")
+		return nil, fmt.Errorf("fanstore: ec redundancy requires an elastic mount (a static mount's Replicas are read locality)")
 	}
 	return ec.New(r.K, r.M)
 }
@@ -95,7 +78,7 @@ type degradedPart struct {
 	byPath map[string]*pack.Entry
 }
 
-// ecState is the per-node erasure machinery of a RedundancyEC mount.
+// ecState is the per-node erasure machinery of an ec(k,m) mount.
 type ecState struct {
 	code *ec.Code
 
@@ -103,6 +86,9 @@ type ecState struct {
 	// held maps gid -> shard index -> shard stored on this node for
 	// peers (and for its own partitions — the owner is a holder too).
 	held map[uint64]map[uint8]ecShard
+	// placed maps each partition this node owns to the holder of each
+	// of its shard indices, as last pushed (ecRestore).
+	placed map[uint64][]member.NodeID
 	// deg caches reconstructed partitions serving degraded reads;
 	// degWait singleflights the reconstruction per gid.
 	deg     map[uint64]*degradedPart
@@ -117,46 +103,13 @@ func newECState(code *ec.Code, reg *metrics.Registry) *ecState {
 	return &ecState{
 		code:            code,
 		held:            make(map[uint64]map[uint8]ecShard),
+		placed:          make(map[uint64][]member.NodeID),
 		deg:             make(map[uint64]*degradedPart),
 		degWait:         make(map[uint64]chan struct{}),
 		degradedReads:   reg.Counter("ec.degraded.reads"),
 		reconstructHist: reg.Histogram("ec.reconstruct.latency"),
 		repairBytes:     reg.Counter("ec.repair.bytes"),
 	}
-}
-
-// ecShardHolders lists the k+m node IDs that hold gid's shards, in
-// shard-index order, under map cm. The placement is deterministic in
-// (cm, gid) — push and gather recompute it independently — spreading
-// shards round-robin over the alive nodes other than the owner (the
-// owner's loss must not take shards with it), wrapping when the cluster
-// is smaller than the stripe. With fewer than k+m+1 nodes the owner
-// joins the rotation rather than leaving slots empty.
-func (n *Node) ecShardHolders(cm *member.ClusterMap, owner member.NodeID, gid uint64) []member.NodeID {
-	alive := cm.Alive()
-	ids := make([]member.NodeID, 0, len(alive))
-	for _, node := range alive {
-		if node.ID != owner {
-			ids = append(ids, node.ID)
-		}
-	}
-	total := n.ec.code.Shards()
-	if len(ids) < total {
-		ids = ids[:0]
-		for _, node := range alive {
-			ids = append(ids, node.ID)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if len(ids) == 0 {
-		return nil
-	}
-	out := make([]member.NodeID, total)
-	start := int(gid % uint64(len(ids)))
-	for i := range out {
-		out[i] = ids[(start+i)%len(ids)]
-	}
-	return out
 }
 
 // handleFetchShard answers opFetchShard: every shard of the requested
@@ -171,22 +124,18 @@ func (n *Node) handleFetchShard(body []byte) ([]byte, error) {
 	gid := binary.LittleEndian.Uint64(body)
 	n.ec.mu.Lock()
 	set := n.ec.held[gid]
-	idxs := make([]int, 0, len(set))
-	for idx := range set {
-		idxs = append(idxs, int(idx))
-	}
-	sort.Ints(idxs)
 	size := 0
-	for _, idx := range idxs {
-		size += pack.ShardFrameLen(len(set[uint8(idx)].data))
+	for _, sh := range set {
+		size += pack.ShardFrameLen(len(sh.data))
 	}
 	resp := decomp.GetBuf(size)
-	for _, idx := range idxs {
-		sh := set[uint8(idx)]
-		resp = pack.MarshalShard(resp, sh.hdr, sh.data)
+	for i := range n.ec.code.Shards() {
+		if sh, ok := set[uint8(i)]; ok {
+			resp = pack.MarshalShard(resp, sh.hdr, sh.data)
+		}
 	}
 	n.ec.mu.Unlock()
-	if len(idxs) == 0 {
+	if len(set) == 0 {
 		decomp.PutBuf(resp)
 		return nil, fmt.Errorf("%w: no shards of partition %d", rpc.ErrNotFound, gid)
 	}
@@ -241,17 +190,68 @@ func (n *Node) ecStoreShard(sh pack.Shard) {
 	n.ec.mu.Unlock()
 }
 
-// ecPushParts encodes and scatters the shards of the given partitions
-// this node owns, under map cm: every partition it mounted with (the
-// initial placement), or the ones a commit just made it the owner of
-// (repair: the re-encode that restores full m-loss redundancy after a
-// loss or move — shards the dead node held are regenerated; the pushed
-// bytes count into ec.repair.bytes and the batch reports one event). A
-// partition handed off again before its push ran is skipped.
-func (n *Node) ecPushParts(cm *member.ClusterMap, gids []uint64, repair bool) error {
+// ecRestore lists the shard pushes due under map cm, by partition: the
+// holder of each shard index to push, NoNode where none is due. Due are
+// every shard of the partitions in fresh (mounted, or taken over by a
+// commit) and of each other partition this node owns, the shards whose
+// holder cm no longer has alive. A due shard goes to a live non-owner
+// (the owner's loss must not take shards with it) holding no shard of
+// the stripe, else another live node, else the owner, picked by gid.
+func (n *Node) ecRestore(cm *member.ClusterMap, fresh []uint64) map[uint64][]member.NodeID {
+	pushes := make(map[uint64][]member.NodeID)
+	due := func() []member.NodeID {
+		to := make([]member.NodeID, n.ec.code.Shards())
+		for i := range to {
+			to[i] = member.NoNode
+		}
+		return to
+	}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	n.ec.mu.Lock()
+	defer n.ec.mu.Unlock()
+	for _, gid := range fresh {
+		n.ec.placed[gid] = due()
+	}
+	for gid, holders := range n.ec.placed {
+		for i, h := range holders {
+			if _, err := cm.RankOf(h); err == nil || n.parts[gid] == nil {
+				continue
+			}
+			var free, others []member.NodeID
+			for _, node := range cm.Alive() {
+				if node.ID != n.selfID {
+					others = append(others, node.ID)
+					if !slices.Contains(holders, node.ID) {
+						free = append(free, node.ID)
+					}
+				}
+			}
+			if len(free) == 0 {
+				free = others // each holds a shard of the stripe already
+			}
+			if len(free) == 0 {
+				free = []member.NodeID{n.selfID} // no other node is alive
+			}
+			holders[i] = free[gid%uint64(len(free))]
+			if pushes[gid] == nil {
+				pushes[gid] = due()
+			}
+			pushes[gid][i] = holders[i]
+		}
+	}
+	return pushes
+}
+
+// ecPushParts encodes and delivers shard pushes of partitions this node
+// owns, under map cm: a mount's initial placement, or (repair) what a
+// commit made due — the pushed bytes count into ec.repair.bytes and the
+// batch reports one event. A partition handed off again before its push
+// ran is skipped.
+func (n *Node) ecPushParts(cm *member.ClusterMap, pushes map[uint64][]member.NodeID, repair bool) error {
 	var lastErr error
 	pushed := 0
-	for _, gid := range gids {
+	for gid, to := range pushes {
 		n.mu.RLock()
 		p := n.parts[gid]
 		n.mu.RUnlock()
@@ -259,7 +259,7 @@ func (n *Node) ecPushParts(cm *member.ClusterMap, gids []uint64, repair bool) er
 			continue
 		}
 		pushed++
-		if err := n.ecPushPartition(cm, p, repair); err != nil {
+		if err := n.ecPushPartition(cm, p, to, repair); err != nil {
 			lastErr = err
 		}
 	}
@@ -275,10 +275,11 @@ func (n *Node) ecPushParts(cm *member.ClusterMap, gids []uint64, repair bool) er
 	return lastErr
 }
 
-// ecPushPartition splits, encodes, and delivers one partition's shards
-// to their holders. Local slots store directly; remote slots go through
-// opStoreShard, one call per holder carrying all its shards.
-func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, countRepair bool) error {
+// ecPushPartition splits and encodes one partition, and delivers shard i
+// to to[i] for every index to names. Local slots store directly; remote
+// slots go through opStoreShard, one call per holder carrying all its
+// shards.
+func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, to []member.NodeID, countRepair bool) error {
 	code := n.ec.code
 	shards := code.Split(p.blob)
 	if err := code.Encode(shards); err != nil {
@@ -291,16 +292,16 @@ func (n *Node) ecPushPartition(cm *member.ClusterMap, p *nodePart, countRepair b
 		BlobSize: uint64(len(p.blob)),
 		BlobCRC:  crc32.ChecksumIEEE(p.blob),
 	}
-	holders := n.ecShardHolders(cm, n.selfID, p.gid)
-	if len(holders) == 0 {
+	if len(to) == 0 {
 		return fmt.Errorf("fanstore: no holders for partition %d", p.gid)
 	}
 	frames := make(map[member.NodeID][]byte)
 	for i, sh := range shards {
-		h := base
-		h.Index = uint8(i)
-		dst := holders[i]
-		frames[dst] = pack.MarshalShard(frames[dst], h, sh)
+		if dst := to[i]; dst != member.NoNode {
+			h := base
+			h.Index = uint8(i)
+			frames[dst] = pack.MarshalShard(frames[dst], h, sh)
+		}
 	}
 	dsts := make([]member.NodeID, 0, len(frames))
 	for dst := range frames {
@@ -510,17 +511,13 @@ func (n *Node) ecDegradedCount() int {
 	return len(n.ec.deg)
 }
 
-// ecDropDegraded forgets cached reconstructions for the given
-// partitions — called when a repair commit lands and the partitions
-// have live owners again, so subsequent reads route normally and stop
-// counting as degraded.
-func (n *Node) ecDropDegraded(gids []uint64) {
-	if n.ec == nil || len(gids) == 0 {
-		return
-	}
+// ecDropDegraded forgets cached reconstructions of the partitions a
+// commit moved — they have live owners again, so subsequent reads route
+// normally and stop counting as degraded.
+func (n *Node) ecDropDegraded(moved []transfer) {
 	n.ec.mu.Lock()
-	for _, gid := range gids {
-		delete(n.ec.deg, gid)
+	for _, tr := range moved {
+		delete(n.ec.deg, tr.gid)
 	}
 	n.ec.mu.Unlock()
 }

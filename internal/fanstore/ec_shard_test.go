@@ -13,6 +13,40 @@ import (
 	"fanstore/internal/pack"
 )
 
+// TestParseRedundancy is the flag syntax's table: none and ec(k,m) with
+// a geometry the code accepts parse, and String gives back what a second
+// parse reads the same; replicate is refused naming its mirror.
+func TestParseRedundancy(t *testing.T) {
+	for in, want := range map[string]Redundancy{
+		"":         {},
+		"none":     {},
+		"ec(1,0)":  {K: 1, M: 0},
+		"ec(2,1)":  {K: 2, M: 1},
+		"EC(4, 2)": {K: 4, M: 2},
+	} {
+		got, err := ParseRedundancy(in)
+		if err != nil || got != want {
+			t.Errorf("ParseRedundancy(%q) = %+v, %v; want %+v", in, got, err, want)
+			continue
+		}
+		if again, err := ParseRedundancy(got.String()); err != nil || again != got {
+			t.Errorf("ParseRedundancy(%q.String() = %q) = %+v, %v", in, got.String(), again, err)
+		}
+	}
+	for _, in := range []string{"replicate", "ec(0,1)", "ec(2)", "ec(2,1)x", "ec(0,0)", "raid6", "ec(-1,2)"} {
+		got, err := ParseRedundancy(in)
+		if err == nil {
+			t.Errorf("ParseRedundancy(%q) = %+v, want an error", in, got)
+		}
+		if in == "replicate" && (err == nil || !strings.Contains(err.Error(), "ec(1,0)")) {
+			t.Errorf("ParseRedundancy(%q) error %v does not name ec(1,0)", in, err)
+		}
+	}
+	if s := (Redundancy{}).String(); s != "none" {
+		t.Errorf("the zero Redundancy renders %q, want none", s)
+	}
+}
+
 // shardNode is a hand-built ec(k,m) node that is its whole cluster: the
 // shard door and the gather run as mounted, and a gather that comes up
 // short finds no peer to ask.

@@ -286,7 +286,8 @@ func (e *elasticCtrl) mount(partitions [][]byte, members int) error {
 		// map, which the table that ended the gather carried complete.
 		// Every rank's server has been serving since newNode, so the
 		// cross-pushes cannot deadlock.
-		if err := n.ecPushParts(n.view.Map(), gids, false); err != nil {
+		cm := n.view.Map()
+		if err := n.ecPushParts(cm, n.ecRestore(cm, gids), false); err != nil {
 			return fmt.Errorf("shard placement: %w", err)
 		}
 	}
@@ -679,7 +680,8 @@ func movedFrame(gid uint64, ok bool) []byte {
 
 // planRebalance computes the transfers for the current membership: a
 // minimal-movement delta placement over the registry, excluding leaver
-// from the candidate set. Coordinator-only; called from the ctrl loop.
+// from the candidate set; under none a dead owner's partitions are lost
+// and never planned. Coordinator-only; called from the ctrl loop.
 func (e *elasticCtrl) planRebalance(leaver member.NodeID) []transfer {
 	alive := e.coord.cur.Alive()
 	ids := make([]member.NodeID, 0, len(alive))
@@ -699,6 +701,9 @@ func (e *elasticCtrl) planRebalance(leaver member.NodeID) []transfer {
 	gids := make([]uint64, 0, len(e.coord.registry))
 	var total int64
 	for gid, rec := range e.coord.registry {
+		if owner, _ := e.coord.cur.Lookup(rec.owner); e.n.ec == nil && owner.State == member.StateDead {
+			continue
+		}
 		gids = append(gids, gid)
 		total += rec.size
 	}
@@ -888,7 +893,6 @@ func (e *elasticCtrl) commitJob(job *rebalanceJob) {
 		for i := range rec.metas {
 			rec.metas[i].Owner = int32(tr.to)
 			rec.metas[i].MapVersion = cm.Version
-			rec.metas[i].Replicas = nil // replicas are re-announced, not carried
 		}
 		moved = append(moved, rec.metas...)
 	}
@@ -956,17 +960,11 @@ func (e *elasticCtrl) applyCommit(joiner member.NodeID, cm *member.ClusterMap, t
 		// The moved partitions have live owners again: degraded reads for
 		// them end here — drop the reconstructed blobs so subsequent
 		// reads route normally and stop counting ec.degraded.reads.
-		gids := make([]uint64, len(transfers))
-		for i, tr := range transfers {
-			gids[i] = tr.gid
-		}
-		e.n.ecDropDegraded(gids)
-		if len(takenOver) > 0 {
-			// New owner: re-encode and re-scatter the shards under the
-			// post-commit map, restoring full m-loss redundancy (shards
-			// previously held by the dead node are regenerated). Async —
-			// reads are already healthy, only redundancy is catching up.
-			go e.n.ecPushParts(cm, takenOver, true)
+		e.n.ecDropDegraded(transfers)
+		// Restore full redundancy under the new map (ecRestore). Async —
+		// reads are already healthy, only redundancy is catching up.
+		if pushes := e.n.ecRestore(cm, takenOver); len(pushes) > 0 {
+			go e.n.ecPushParts(cm, pushes, true)
 		}
 	}
 	if joiner == e.n.selfID {
@@ -1070,15 +1068,15 @@ func (n *Node) RebalancedBytes() int64 {
 	return n.ectrl.rebalBytes.Value()
 }
 
-// MarkDead declares a member failed: the coordinator publishes the
-// node as StateDead (routes to it start erroring toward refresh) and
-// queues a repair rebalance that re-homes its partitions onto the
-// survivors — on an ec mount by reconstructing them from surviving
-// shards, there being no live full copy to pull. The death is handed to
-// the ctrl loop, which alone changes the map, and MarkDead returns once
-// the loop has published it and queued the repair. Coordinator-only; the
-// failure detection itself (missed heartbeats, a scheduler signal) is
-// the caller's.
+// MarkDead declares a member failed: the coordinator publishes the node
+// as StateDead, which no member with that map calls again (reads of its
+// data degrade under ec, or return ErrLost under none), and queues a
+// repair that on an ec mount rebuilds its partitions on the survivors
+// and replaces the shards it held. The death is handed to the ctrl
+// loop, which alone changes the map, and MarkDead returns once the loop
+// has published it and queued the repair. Coordinator-only; the failure
+// detection itself (missed heartbeats, a scheduler signal) is the
+// caller's.
 func (n *Node) MarkDead(id member.NodeID) error {
 	e := n.ectrl
 	if e == nil {

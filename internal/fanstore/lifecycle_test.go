@@ -200,7 +200,7 @@ func TestNodeLifecycle(t *testing.T) {
 	bundle, want := buildBundle(t, dataset.ImageNet, 12, 6, 2<<10, nil)
 	parts := func(rank int) [][]byte { return [][]byte{bundle.Scatter[2*rank], bundle.Scatter[2*rank+1]} }
 	garbage := [][]byte{[]byte("not a partition")}
-	badEC := Redundancy{Mode: RedundancyEC}
+	badEC := Redundancy{M: 1}
 
 	// ---- exits of a mounted node ----
 
@@ -281,7 +281,7 @@ func TestNodeLifecycle(t *testing.T) {
 	})
 	t.Run("static/ec", func(t *testing.T) {
 		runLifecycle(t, 1, false, func(c *mpi.Comm, x *exited) error {
-			ec21 := Redundancy{Mode: RedundancyEC, K: 2, M: 1}
+			ec21 := Redundancy{K: 2, M: 1}
 			return mustFail(x, func(o Options) (*Node, error) { return Mount(c, parts(0), nil, withEC(o, ec21)) })
 		})
 	})
@@ -408,7 +408,7 @@ func TestNodeLifecycle(t *testing.T) {
 				}
 				return nil
 			}
-			o := withEC(x.options(), Redundancy{Mode: RedundancyEC, K: 2, M: 1})
+			o := withEC(x.options(), Redundancy{K: 2, M: 1})
 			o.FetchTimeout = 300 * time.Millisecond
 			if _, err := MountElastic(c, parts(c.Rank())[:1], ElasticOptions{Options: o}); err == nil {
 				return fmt.Errorf("mount placed shards on a dead member")
@@ -863,9 +863,9 @@ func elasticExit(c *mpi.Comm, x *exited, joiner bool, exit string, parts func(in
 	}
 	gone := member.NodeID(int32(binary.LittleEndian.Uint32(data)))
 	if exit == "FailStop" {
-		// A replicate mount has no second copy of what the dead node
-		// owned: the repair job fails its pulls and commits nothing, and
-		// the survivors read what is left.
+		// A mount under redundancy none has no second copy of what the
+		// dead node owned: the repair job plans no pull of it and commits
+		// nothing, and the survivors read what is left.
 		if c.Rank() == 0 {
 			if err := node.MarkDead(gone); err != nil {
 				return err

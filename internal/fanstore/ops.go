@@ -49,11 +49,11 @@ func (n *Node) WriteStatus(sw *obs.StatusWriter) {
 	sw.KV("rank", n.Rank())
 	sw.KV("node.id", n.selfID)
 	sw.KV("elastic", n.ectrl != nil)
-	red := "replicate"
+	var red Redundancy
 	if n.ec != nil {
-		red = fmt.Sprintf("ec(%d,%d)", n.ec.code.K(), n.ec.code.M())
+		red = Redundancy{K: n.ec.code.K(), M: n.ec.code.M()}
 	}
-	sw.KV("redundancy", red)
+	sw.KV("redundancy", red.String())
 	sw.KV("map.version", n.view.Version())
 	sw.KV("files.global", n.NumFiles())
 	sw.KV("files.local", n.LocalFiles())

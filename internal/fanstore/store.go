@@ -30,6 +30,7 @@
 package fanstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -41,6 +42,7 @@ import (
 
 	"fanstore/internal/codec"
 	"fanstore/internal/decomp"
+	"fanstore/internal/ec"
 	"fanstore/internal/member"
 	"fanstore/internal/metrics"
 	"fanstore/internal/mpi"
@@ -134,6 +136,9 @@ var (
 	// ErrRemoteGone's unreachable-or-stale routes. It matches ErrNotExist
 	// and ErrRemoteGone under errors.Is for backward compatibility.
 	ErrVanished = errors.New("fanstore: object vanished")
+	// ErrLost reports a read whose owner this node's map marks dead, with
+	// no copy left: under none, or under ec(k,m) with < k shards.
+	ErrLost = errors.New("fanstore: data lost with its dead owner")
 )
 
 // vanishedError carries the vanished diagnosis while staying matchable
@@ -175,8 +180,8 @@ type Options struct {
 	// without owning them (typically obtained via RingReplicate when the
 	// node has spare local storage, §V-D). Their paths are announced to
 	// all peers during Mount, so remote opens route to this node as an
-	// alternative to the owner. Static mounts only: MountElastic and
-	// JoinCluster refuse them.
+	// alternative to the owner: read locality, not fault tolerance.
+	// Static mounts only: MountElastic and JoinCluster refuse them.
 	Replicas [][]byte
 	// Backend stores the compressed objects (nil: NewRAMBackend).
 	// NewSpillBackend keeps partition blobs on local disk and reads
@@ -190,12 +195,11 @@ type Options struct {
 	// errored fetch to the same peer, before routing fails over to the
 	// next replica (default 0).
 	FetchRetries int
-	// Redundancy selects the fault-tolerance mode: whole-partition
-	// replication (default) or ec(k,m) erasure coding, which stripes
-	// every partition into k data + m parity shards scattered across the
-	// cluster at m/k overhead (see ParseRedundancy for the flag syntax).
-	// Erasure coding requires an elastic mount — the shard placement and
-	// the repair job route through the membership coordinator.
+	// Redundancy is none (the zero value: a dead node's data is lost) or
+	// ec(k,m), which stripes every partition into k data + m parity shards
+	// on nodes other than its owner (see ParseRedundancy for the flag
+	// syntax). It needs an elastic mount — the shard placement and the
+	// repair job route through the membership coordinator.
 	Redundancy Redundancy
 	// Metrics re-homes every data-path instrument (cache, rpc, store) in
 	// a shared registry, so one snapshot captures the whole rank and the
@@ -288,7 +292,7 @@ type Node struct {
 	view   *member.View
 	selfID member.NodeID
 	ectrl  *elasticCtrl // elastic control plane; nil on static mounts
-	ec     *ecState     // erasure redundancy; nil on replicate mounts
+	ec     *ecState     // erasure redundancy; nil under none and on static mounts
 
 	mu sync.RWMutex
 	// names maps a clean path to its object ID, the index of its object
@@ -814,7 +818,8 @@ func (n *Node) installMap(cm *member.ClusterMap) bool {
 // and a version-mismatch answer (rpc.ErrStale, or an unresolvable node
 // ID) triggers a map-and-metadata refresh followed by re-resolution
 // against the refreshed record — not a failover: the object exists, the
-// route was just planned on an old map.
+// route was just planned on an old map. A candidate the map marks dead
+// ends the walk unrefreshed, in the ec degraded path or ErrLost.
 func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, error) {
 	start := time.Now()
 	tstart := n.tracer.Begin()
@@ -834,7 +839,7 @@ func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, 
 	const maxRefreshes = 2
 	refreshes := 0
 	var lastErr error
-	aborted := false
+	aborted, lost := false, false
 	allNotFound := false
 	for {
 		r := n.route(m)
@@ -842,11 +847,15 @@ func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, 
 			lastErr = fmt.Errorf("no remote node serves %q", path)
 			break
 		}
-		stale := false
+		// A commit landing mid-walk (a drained leaver's) makes it stale.
+		stale, version := false, n.view.Version()
 		attempts, misses := 0, 0
-		for r.more() && !aborted {
+		for r.more() && !aborted && !lost {
 			id, dst, err := r.next(n.view)
-			if err == nil {
+			if err != nil {
+				node, _ := n.view.Map().Lookup(id)
+				lost = node.State == member.StateDead
+			} else {
 				attempts++
 				var resp []byte
 				if resp, err = n.client.Call(dst, encodeFetch(n.view.Version(), []string{path})); err == nil {
@@ -890,9 +899,10 @@ func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, 
 			}
 		}
 		allNotFound = attempts > 0 && misses == attempts
-		if aborted {
+		if aborted || lost {
 			break
 		}
+		stale = stale || n.view.Version() != version
 		if stale && refreshes < maxRefreshes {
 			refreshes++
 			if fresh := n.refreshRoutes(path); fresh != nil {
@@ -906,16 +916,21 @@ func (n *Node) fetchRemote(m *FileMeta) (uint16, []byte, []byte, trace.Outcome, 
 	// the partition is still recoverable while at least k shards survive:
 	// reconstruct it and serve the read degraded. This is the path that
 	// keeps reads flowing between a rank dying and the repair commit.
+	var degErr error
 	if n.ec != nil && m.PartGID != 0 && !aborted {
 		if id, comp, err := n.ecDegradedObject(m); err == nil {
 			n.remoteBytes.Add(int64(len(comp)))
 			outcome = trace.OutcomeDegraded
 			return id, comp, nil, outcome, nil
-		} else if lastErr == nil {
+		} else if degErr = err; lastErr == nil {
 			lastErr = err
 		}
 	}
 	outcome = trace.OutcomeError
+	if lost && (degErr == nil || errors.Is(degErr, ec.ErrShortSet)) {
+		return 0, nil, nil, outcome, fmt.Errorf("%w: %q: owner node %d is dead on map v%d (%w)",
+			ErrLost, path, m.Owner, n.view.Version(), cmp.Or(degErr, errors.New("redundancy none")))
+	}
 	if allNotFound {
 		// Every miss above asked for a refresh, so the routes are as
 		// current as they get and every candidate authoritatively answered
@@ -1229,6 +1244,10 @@ func (n *Node) produceBytes(id uint32, o object) (data []byte, pinned bool, outc
 			// backend, so this open pays a disk read.
 			outcome = trace.OutcomeSpill
 			if cid, comp, err = n.backend.Get(m.Path); err != nil {
+				// Handed off since the lookup: the new record routes it.
+				if _, now, _ := n.resolve(m.Path); errors.Is(err, ErrNotExist) && !now.local {
+					return n.produceBytes(id, now)
+				}
 				return nil, false, trace.OutcomeError, err
 			}
 		}

@@ -157,7 +157,7 @@ func TestSummaryNamesAreRegistered(t *testing.T) {
 	err := mpi.Run(world, func(c *mpi.Comm) error {
 		node, err := MountElastic(c, [][]byte{bundle.Scatter[c.Rank()]}, ElasticOptions{Options: Options{
 			CacheBytes: 1 << 20,
-			Redundancy: Redundancy{Mode: RedundancyEC, K: 2, M: 1},
+			Redundancy: Redundancy{K: 2, M: 1},
 		}})
 		if err != nil {
 			return err
