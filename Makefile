@@ -36,10 +36,16 @@ race:
 # schedule, and one pass of `race` draws one: run them twenty times. The
 # kill table (a rank dies mid-read under each redundancy; reads degrade,
 # or fail with ErrLost, while the repair races them) runs ten times.
+# The hash encoders borrow match tables from one sync.Pool, which under
+# -race drops entries at random: twenty passes of the concurrent
+# compress and of the history test on the pooled encoders hand them
+# fresh tables and tables dirty with other inputs, and the output must
+# not tell them apart.
 overlap:
 	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)|TestWrittenFileVisibleAfterBarrier|TestPipelineRecyclesDeliveredBuffers/workers=4' ./internal/fanstore
 	$(GO) test -race -count 20 -run 'TestStopRecyclesLastBatch' ./internal/prefetch
 	$(GO) test -race -count 10 -run 'TestECKillRankDegradedReadsAndRepair' ./internal/fanstore
+	$(GO) test -race -count 20 -run '^(TestConcurrentUse|TestCompressIndependentOfHistory)$$/^(compress|lz4|lz4fast-8|lzf-2|lz4hc-9|lzsse8-4)$$' ./internal/codec
 
 # The cache's next-use eviction rule: its property test draws new random
 # operation streams on every run, and the live two-rank row (the plan's

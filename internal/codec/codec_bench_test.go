@@ -73,27 +73,69 @@ func BenchmarkDecompress(b *testing.B) {
 	}
 }
 
+// benchShape is one file shape the ingest benchmark packs: 16 generated
+// files of one dataset kind and size, under one codec.
+type benchShape struct {
+	name  string
+	kind  dataset.Kind
+	size  int
+	codec string
+}
+
+func (s benchShape) files() [][]byte {
+	g := dataset.Generator{Kind: s.kind, Seed: 1, Size: s.size}
+	files := make([][]byte, 16)
+	for i := range files {
+		files[i] = g.Bytes(i)
+	}
+	return files
+}
+
+// BenchmarkCompressShapes compresses the shapes the ingest benchmark
+// packs: 4 KiB Tokamak files under lz4hc (train_small) and EM files under
+// lzsse8 of 128 KiB (train_cached) and 256 KiB (train_lz), into a reused
+// buffer as one pack worker does. At 4 KiB an encoder's per-call set-up
+// is a share of the cost that the larger shapes hide.
+func BenchmarkCompressShapes(b *testing.B) {
+	for _, shape := range []benchShape{
+		{"tokamak-4k-lz4hc", dataset.Tokamak, 4 << 10, "lz4hc"},
+		{"em-128k-lzsse8", dataset.EM, 128 << 10, "lzsse8"},
+		{"em-256k-lzsse8", dataset.EM, 256 << 10, "lzsse8"},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			cfg := MustGet(shape.codec)
+			files := shape.files()
+			b.SetBytes(int64(len(files) * shape.size))
+			b.ReportAllocs()
+			var dst []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range files {
+					var err error
+					if dst, err = cfg.Codec.Compress(dst[:0], f); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkDecompressShapes decodes the two LZ4-block shapes the ingest
 // benchmark's decoding workloads read: 256 KiB EM files under lzsse8
 // (train_lz) and 4 KiB Tokamak files under lz4hc (train_small), 16
 // generated files each, into a reused buffer as the decode pool does.
 func BenchmarkDecompressShapes(b *testing.B) {
-	for _, shape := range []struct {
-		name  string
-		kind  dataset.Kind
-		size  int
-		codec string
-	}{
+	for _, shape := range []benchShape{
 		{"em-256k-lzsse8", dataset.EM, 256 << 10, "lzsse8"},
 		{"tokamak-4k-lz4hc", dataset.Tokamak, 4 << 10, "lz4hc"},
 	} {
 		b.Run(shape.name, func(b *testing.B) {
 			cfg := MustGet(shape.codec)
-			g := dataset.Generator{Kind: shape.kind, Seed: 1, Size: shape.size}
-			comps := make([][]byte, 16)
-			for i := range comps {
+			comps := shape.files()
+			for i, f := range comps {
 				var err error
-				if comps[i], err = cfg.Codec.Compress(nil, g.Bytes(i)); err != nil {
+				if comps[i], err = cfg.Codec.Compress(nil, f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -128,6 +170,7 @@ func BenchmarkMatchFinder(b *testing.B) {
 						pos += l
 					}
 				}
+				m.release()
 			}
 		})
 	}

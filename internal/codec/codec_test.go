@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"fanstore/internal/dataset"
 )
 
 // testInputs returns a spread of byte distributions covering the corner
@@ -299,8 +302,9 @@ func TestAliases(t *testing.T) {
 
 func TestConcurrentUse(t *testing.T) {
 	// Codecs must be safe for concurrent use: FanStore decompresses on
-	// many I/O threads at once (§II-B1).
+	// many I/O threads at once (§II-B1), and packs on many workers.
 	src := genStructured(rand.New(rand.NewSource(5)), 64<<10)
+	t.Run("compress", func(t *testing.T) { concurrentCompress(t, src) })
 	for _, name := range []string{"lz4hc-9", "lzr-4", "lzh-6", "huff"} {
 		cfg := MustGet(name)
 		comp, err := cfg.Codec.Compress(nil, src)
@@ -325,6 +329,44 @@ func TestConcurrentUse(t *testing.T) {
 				t.Fatalf("%s: concurrent decompress: %v", name, err)
 			}
 		}
+	}
+}
+
+// concurrentCompress compresses from 8 goroutines that share the pool of
+// match tables, each walking the inputs from its own start, so a table
+// reaches a goroutine dirty with another's input; every output must be
+// the sequential one.
+func concurrentCompress(t *testing.T, src []byte) {
+	g := dataset.Generator{Kind: dataset.Tokamak, Seed: 3, Size: 4 << 10}
+	inputs := [][]byte{src}
+	for i := 0; i < 15; i++ {
+		inputs = append(inputs, g.Bytes(i))
+	}
+	for _, name := range []string{"lz4hc-9", "lzsse8-4", "lz4", "lzf-2"} {
+		cfg := MustGet(name)
+		want := make([][]byte, len(inputs))
+		for i, in := range inputs {
+			var err error
+			if want[i], err = cfg.Codec.Compress(nil, in); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range inputs {
+					i := (w + k) % len(inputs)
+					got, err := cfg.Codec.Compress(nil, inputs[i])
+					if err != nil || !bytes.Equal(got, want[i]) {
+						t.Errorf("%s: concurrent compress of input %d differs (err %v)", name, i, err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

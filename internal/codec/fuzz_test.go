@@ -12,7 +12,7 @@ import (
 // explore further.
 
 // fuzzCodecs is a cross-family subset kept cheap enough for fuzzing.
-var fuzzCodecs = []string{"store", "rle", "lzf-2", "lz4", "lzsse8-2", "huff", "lzh-3", "lzd-3", "lzr-2", "shuffle2+lz4"}
+var fuzzCodecs = []string{"store", "rle", "lzf-2", "lz4", "lz4fast-8", "lz4hc-9", "lzsse8-2", "huff", "lzh-3", "lzd-3", "lzr-2", "shuffle2+lz4"}
 
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte(nil))
@@ -37,9 +37,22 @@ func FuzzRoundTrip(f *testing.F) {
 			if !bytes.Equal(got, src) {
 				t.Fatalf("%s: round trip mismatch", name)
 			}
+			// An unrelated input between two compressions of src
+			// must not change what src compresses to.
+			if _, err := cfg.Codec.Compress(nil, fuzzUnrelated); err != nil {
+				t.Fatalf("%s: compress: %v", name, err)
+			}
+			if again, err := cfg.Codec.Compress(nil, src); err != nil || !bytes.Equal(again, comp) {
+				t.Fatalf("%s: compressed differently after an unrelated input (err %v)", name, err)
+			}
 		}
 	})
 }
+
+// fuzzUnrelated is the input FuzzRoundTrip compresses between two
+// compressions of the fuzzed one: 16 KiB of Tokamak data, whose table
+// entries the second compression must not take for its own.
+var fuzzUnrelated = dataset.Generator{Kind: dataset.Tokamak, Seed: 3, Size: 16 << 10}.Bytes(0)
 
 // FuzzDecompress feeds arbitrary bytes to every decoder: errors are fine,
 // panics and runaway allocations are not. Each stream is decoded twice,

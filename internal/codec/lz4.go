@@ -4,17 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 )
-
-// lz4Tables pools the 256 KiB hash tables of the greedy encoder. Entries
-// hold position+1 and are validated against the current input (candidate
-// must precede the cursor and its 4 bytes must match), so tables are
-// reused dirty — no 256 KiB clear per call, which matters at FanStore's
-// per-file compression granularity.
-var lz4Tables = sync.Pool{
-	New: func() interface{} { return new([1 << lz4HashLog]int32) },
-}
 
 // This file implements the LZ4 block format from scratch, with three
 // encoder strategies sharing one decoder:
@@ -37,7 +27,6 @@ var lz4Tables = sync.Pool{
 const (
 	lz4MinMatch = 4
 	lz4MaxDist  = 65535
-	lz4HashLog  = 16
 )
 
 // lz4EmitSeq appends one LZ4 sequence. mlen==0 emits a literals-only
@@ -312,8 +301,9 @@ func (c lz4Fast) compressBlock(dst, src []byte) ([]byte, error) {
 	if len(src) < lz4MinMatch+1 {
 		return lz4EmitSeq(dst, src, 0, 0), nil
 	}
-	table := lz4Tables.Get().(*[1 << lz4HashLog]int32)
-	defer lz4Tables.Put(table)
+	t, base := getMatchTable(len(src))
+	defer matchTables.Put(t)
+	table := &t.head
 	i := 0
 	litStart := 0
 	limit := len(src) - lz4MinMatch
@@ -322,9 +312,9 @@ func (c lz4Fast) compressBlock(dst, src []byte) ([]byte, error) {
 	tries := searchTrigger
 	for i < limit {
 		h := cmHash(load32(src, i))
-		cand := int(table[h]) - 1 // entries are pos+1; stale ones are validated below
-		table[h] = int32(i + 1)
-		if cand >= 0 && cand < i && i-cand <= lz4MaxDist && cand+lz4MinMatch <= len(src) && load32(src, cand) == load32(src, i) {
+		cand := int(table[h] - base) // < 0: empty, left by an earlier call
+		table[h] = base + int32(i)
+		if cand >= 0 && i-cand <= lz4MaxDist && load32(src, cand) == load32(src, i) {
 			mlen := lz4MinMatch + matchLen(src, cand+lz4MinMatch, i+lz4MinMatch, len(src)-i-lz4MinMatch)
 			dst = lz4EmitSeq(dst, src[litStart:i], i-cand, mlen)
 			i += mlen
@@ -332,7 +322,7 @@ func (c lz4Fast) compressBlock(dst, src []byte) ([]byte, error) {
 			step = 1
 			tries = searchTrigger
 			if i < limit {
-				table[cmHash(load32(src, i-2))] = int32(i - 1)
+				table[cmHash(load32(src, i-2))] = base + int32(i-2)
 			}
 		} else {
 			i += step
@@ -391,6 +381,7 @@ func lzChainCompress(dst, src []byte, minMatch, attempts int) ([]byte, error) {
 		return lz4EmitSeq(dst, src, 0, 0), nil
 	}
 	m := newChainMatcher(src, lz4MaxDist)
+	defer m.release()
 	i := 0
 	litStart := 0
 	limit := len(src) - lz4MinMatch

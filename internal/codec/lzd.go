@@ -138,6 +138,7 @@ func (c lzdCodec) parse(src []byte) []lzdToken {
 		return tokens
 	}
 	m := newChainMatcher(src, lzdMaxDist)
+	defer m.release()
 	attempts := 2 << uint(c.level)
 	lazy := c.level >= 4
 	i := 0

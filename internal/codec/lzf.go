@@ -1,16 +1,6 @@
 package codec
 
-import (
-	"fmt"
-	"sync"
-)
-
-// lzfTables pools the encoder hash tables; entries hold position+1 and
-// stale entries are validated against the current input, so tables are
-// reused without clearing (see lz4Tables).
-var lzfTables = sync.Pool{
-	New: func() interface{} { return new([1 << lzfHashLog]int32) },
-}
+import "fmt"
 
 // lzfCodec is a LibLZF-style byte-oriented LZ77 compressor: an 8 KiB
 // window, 3-byte hashing, and a branch-light decoder. It represents the
@@ -49,25 +39,19 @@ func (c lzfCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	if len(src) < lzfMinMatch+1 {
 		return lzfEmitLit(dst, src), nil
 	}
-	table := lzfTables.Get().(*[1 << lzfHashLog]int32)
-	defer lzfTables.Put(table)
+	t, base := getMatchTable(len(src))
+	defer matchTables.Put(t)
+	table := &t.head
 	i := 0
 	litStart := 0
 	limit := len(src) - lzfMinMatch
 	for i < limit {
 		h := lzfHash(load24(src, i))
-		cand := int(table[h]) - 1 // pos+1 encoding; stale entries validated below
-		table[h] = int32(i + 1)
-		if cand >= 0 && cand < i && i-cand <= lzfWindow && cand+lzfMinMatch <= len(src) && load24(src, cand) == load24(src, i) {
-			// Extend the match forward.
-			mlen := lzfMinMatch
-			maxLen := len(src) - i
-			if maxLen > lzfMaxMatch {
-				maxLen = lzfMaxMatch
-			}
-			for mlen < maxLen && cand+mlen < len(src) && src[cand+mlen] == src[i+mlen] {
-				mlen++
-			}
+		cand := int(table[h] - base) // < 0: empty, left by an earlier call
+		table[h] = base + int32(i)
+		if cand >= 0 && i-cand <= lzfWindow && load24(src, cand) == load24(src, i) {
+			maxLen := min(len(src)-i, lzfMaxMatch)
+			mlen := lzfMinMatch + matchLen(src, cand+lzfMinMatch, i+lzfMinMatch, maxLen-lzfMinMatch)
 			dst = lzfEmitLit(dst, src[litStart:i])
 			dst = lzfEmitMatch(dst, i-cand, mlen)
 			// Insert hashes inside the match so later data can reference it.
@@ -77,7 +61,7 @@ func (c lzfCodec) compressBlock(dst, src []byte) ([]byte, error) {
 			}
 			end := i + mlen
 			for j := i + 1; j < end-lzfMinMatch && j < limit; j += step {
-				table[lzfHash(load24(src, j))] = int32(j + 1)
+				table[lzfHash(load24(src, j))] = base + int32(j)
 			}
 			i = end
 			litStart = i

@@ -76,6 +76,7 @@ func (c lzrCodec) compressBlock(dst, src []byte) ([]byte, error) {
 	var matcher *chainMatcher
 	if len(src) >= lzrMinMatch+1 {
 		matcher = newChainMatcher(src, 0)
+		defer matcher.release()
 	}
 	attempts := 4 << uint(c.level)
 	i := 0

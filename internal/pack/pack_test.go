@@ -206,6 +206,36 @@ func TestBuildScattersAndBroadcasts(t *testing.T) {
 	}
 }
 
+// TestBuildIndependentOfWorkers checks that a bundle is a function of its
+// inputs: one worker and four, which compress the files in different
+// orders on different goroutines, must build the same bytes.
+func TestBuildIndependentOfWorkers(t *testing.T) {
+	var files []InputFile
+	for i := 0; i < 48; i++ {
+		size := 4 << 10
+		if i%8 == 0 {
+			size = 16 << 10
+		}
+		g := dataset.Generator{Kind: dataset.Tokamak, Seed: 3, Size: size}
+		files = append(files, InputFile{Path: fmt.Sprintf("tokamak/f%02d.npz", i), Data: g.Bytes(i)})
+	}
+	for _, compressor := range []string{"lz4", "lz4fast", "lzf", "lz4hc"} {
+		var bundles [2]*Bundle
+		for k, workers := range []int{1, 4} {
+			var err error
+			bundles[k], err = Build(files, BuildOptions{Partitions: 2, Compressor: compressor, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for p := range bundles[0].Scatter {
+			if !bytes.Equal(bundles[0].Scatter[p], bundles[1].Scatter[p]) {
+				t.Errorf("%s: partition %d differs between 1 and 4 workers", compressor, p)
+			}
+		}
+	}
+}
+
 func TestBuildStoresIncompressible(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := make([]byte, 32<<10)
