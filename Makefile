@@ -40,12 +40,16 @@ race:
 # -race drops entries at random: twenty passes of the concurrent
 # compress and of the history test on the pooled encoders hand them
 # fresh tables and tables dirty with other inputs, and the output must
-# not tell them apart.
+# not tell them apart. A fetch reply lends stored bytes that writev reads
+# after the handler has returned: ten passes of the one fanstore test that
+# drives demand and batched fetches over real sockets, and of the rpc
+# server's owned-and-lent reply over TCP.
 overlap:
 	$(GO) test -race -count 20 -run 'TestNodeLifecycle/joiner/(concurrent|during-leave)|TestWrittenFileVisibleAfterBarrier|TestPipelineRecyclesDeliveredBuffers/workers=4' ./internal/fanstore
 	$(GO) test -race -count 20 -run 'TestStopRecyclesLastBatch' ./internal/prefetch
-	$(GO) test -race -count 10 -run 'TestECKillRankDegradedReadsAndRepair' ./internal/fanstore
+	$(GO) test -race -count 10 -run 'TestECKillRankDegradedReadsAndRepair|^TestRecycledFrameNeverReachesTheCache$$' ./internal/fanstore
 	$(GO) test -race -count 20 -run '^(TestConcurrentUse|TestCompressIndependentOfHistory)$$/^(compress|lz4|lz4fast-8|lzf-2|lz4hc-9|lzsse8-4)$$' ./internal/codec
+	$(GO) test -race -count 10 -run '^TestReplyOwnedAndLentParts$$/^tcp$$' ./internal/rpc
 
 # The cache's next-use eviction rule: its property test draws new random
 # operation streams on every run, and the live two-rank row (the plan's

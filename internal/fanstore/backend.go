@@ -14,7 +14,9 @@ import (
 // disk (the paper's SSD back end), or anything future — mmap, tiered —
 // that can answer Get. Both the local open path and the daemon serve
 // from it. Implementations must be safe for concurrent use; the daemon
-// worker pool calls Get from many goroutines.
+// worker pool calls Get from many goroutines. Bytes Get and Peek return
+// are never written again, not even after Remove, so a fetch reply lends
+// them to the transport, which reads them after the handler has returned.
 type Backend interface {
 	// AddPartition ingests every entry of a parsed partition blob, making
 	// the compressed objects retrievable by their clean path.

@@ -113,33 +113,33 @@ func newECState(code *ec.Code, reg *metrics.Registry) *ecState {
 }
 
 // handleFetchShard answers opFetchShard: every shard of the requested
-// partition held locally, as concatenated shard frames.
-func (n *Node) handleFetchShard(body []byte) ([]byte, error) {
+// partition held locally, as concatenated shard frames: headers cut from
+// one pooled buffer, shard bytes lent (ecStoreShard replaces, never writes).
+func (n *Node) handleFetchShard(body []byte, r *rpc.Reply) error {
 	if n.ec == nil {
-		return nil, fmt.Errorf("fanstore: shard fetch on a non-ec mount")
+		return fmt.Errorf("fanstore: shard fetch on a non-ec mount")
 	}
 	if len(body) != 8 {
-		return nil, fmt.Errorf("fanstore: bad shard fetch frame")
+		return fmt.Errorf("fanstore: bad shard fetch frame")
 	}
 	gid := binary.LittleEndian.Uint64(body)
 	n.ec.mu.Lock()
+	defer n.ec.mu.Unlock()
 	set := n.ec.held[gid]
-	size := 0
-	for _, sh := range set {
-		size += pack.ShardFrameLen(len(sh.data))
+	if len(set) == 0 {
+		return fmt.Errorf("%w: no shards of partition %d", rpc.ErrNotFound, gid)
 	}
-	resp := decomp.GetBuf(size)
+	hdr := decomp.GetBuf(len(set) * pack.ShardFrameLen(0))
+	r.Own(hdr)
 	for i := range n.ec.code.Shards() {
 		if sh, ok := set[uint8(i)]; ok {
-			resp = pack.MarshalShard(resp, sh.hdr, sh.data)
+			at := len(hdr)
+			hdr = pack.AppendShardHeader(hdr, sh.hdr, len(sh.data))
+			r.Lend(hdr[at:])
+			r.Lend(sh.data)
 		}
 	}
-	n.ec.mu.Unlock()
-	if len(set) == 0 {
-		decomp.PutBuf(resp)
-		return nil, fmt.Errorf("%w: no shards of partition %d", rpc.ErrNotFound, gid)
-	}
-	return resp, nil
+	return nil
 }
 
 // handleStoreShard answers opStoreShard: one or more concatenated shard
@@ -165,8 +165,7 @@ func (n *Node) handleStoreShard(body []byte) ([]byte, error) {
 		}
 		n.ecStoreShard(sh)
 	}
-	resp := decomp.GetBuf(1)
-	return append(resp, 1), nil
+	return []byte{1}, nil
 }
 
 // shardFits bounds BlobSize — a peer's u64, which sizes the allocation a
@@ -175,8 +174,8 @@ func shardFits(sh pack.Shard) bool {
 	return sh.Header.BlobSize <= uint64(sh.Header.K)*uint64(len(sh.Data))
 }
 
-// ecStoreShard copies one shard into the held set (the frame's backing
-// buffer belongs to the rpc layer and dies with the request).
+// ecStoreShard copies one shard into the held set (the frame dies with the
+// request), replacing a held copy, never writing it: replies lend them.
 func (n *Node) ecStoreShard(sh pack.Shard) {
 	cp := make([]byte, len(sh.Data))
 	copy(cp, sh.Data)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -109,13 +108,14 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 		}
 
 		// Continuous read workload across the join — the "mid-epoch" part.
-		stop := make(chan struct{})
+		// The reader closes `first` after its first verified read, and only
+		// then is the joiner told to start, so the join always runs under
+		// load however fast the rebalance commits.
+		stop, first, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 		var reads atomic.Int64
 		var readerErr error
-		var wg sync.WaitGroup
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer close(done)
 			for {
 				select {
 				case <-stop:
@@ -132,11 +132,18 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 						readerErr = fmt.Errorf("rank %d mid-epoch read %s: content mismatch", c.Rank(), p)
 						return
 					}
-					reads.Add(1)
+					if reads.Add(1) == 1 {
+						close(first)
+					}
 				}
 			}
 		}()
 
+		select {
+		case <-first:
+		case <-done: // failed before its first read
+			return readerErr
+		}
 		if err := c.Send(world-1, tagTestReady, nil); err != nil {
 			return err
 		}
@@ -146,7 +153,7 @@ func TestElasticJoinMidEpoch(t *testing.T) {
 		}
 		joiner := int32(binary.LittleEndian.Uint32(data[1:]))
 		close(stop)
-		wg.Wait()
+		<-done
 		if readerErr != nil {
 			return readerErr
 		}

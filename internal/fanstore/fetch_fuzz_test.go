@@ -8,6 +8,7 @@ import (
 
 	"fanstore/internal/dataset"
 	"fanstore/internal/member"
+	"fanstore/internal/rpc"
 )
 
 // FuzzDecodeFetchRequest feeds the object-fetch decoder arbitrary peer
@@ -54,7 +55,7 @@ func FuzzDecodeFetchRequest(f *testing.F) {
 				t.Fatalf("request %x decoded to v%d %q, which encodes as %x", body, ver, keys, back)
 			}
 		}
-		_, _ = n.handleFetchObjects(body)
+		_ = n.handleFetchObjects(body, new(rpc.Reply))
 
 		// Generate a request from the input: 8 version bytes, then length
 		// byte and key bytes per key.

@@ -2,6 +2,7 @@ package fanstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -397,16 +398,41 @@ func TestConcurrentOpenCloseStormPinInvariants(t *testing.T) {
 // the bound), and Prefetch asks again for the rest until every object
 // is staged. The second row's sixteen objects fill the bound exactly
 // with their payloads alone, so counting the framing is what keeps the
-// answer in the bound's pool class.
+// answer in the bound's pool class. In the third, rank 1 has written a
+// file that fills the bound behind a small object if its item is counted
+// as a dataset object's: only the uvarint length of its "store" framing
+// is over, so that header must be counted too.
 func TestBatchedFetchAnswersAPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		fill  bool // rank 1's payloads total rpc.DefaultBatchBytes exactly
 		build func(t *testing.T) (scatter [][]byte, want map[string][]byte)
+		// written is the file rank 1 writes before the fetches, asked for
+		// after its partition's objects; nil for none.
+		written func(small int) (path string, data []byte)
 	}{
 		{"256 KiB lzsse8 objects", false, func(t *testing.T) ([][]byte, map[string][]byte) {
 			bundle, want := buildBundle(t, dataset.ImageNet, 32, 2, 256<<10, nil)
 			return bundle.Scatter, want
+		}, nil},
+		{"a written file fills the bound", false, func(t *testing.T) ([][]byte, map[string][]byte) {
+			small := pack.InputFile{Path: "rank1/small.bin", Data: bytes.Repeat([]byte("memcpy"), 200)}
+			other := pack.InputFile{Path: "rank0/only.bin", Data: []byte("rank 0's")}
+			var scatter [][]byte
+			for _, f := range []pack.InputFile{other, small} {
+				b, err := pack.Build([]pack.InputFile{f}, pack.BuildOptions{Partitions: 1, Compressor: "memcpy"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				scatter = append(scatter, b.Scatter[0])
+			}
+			return scatter, map[string][]byte{small.Path: small.Data, other.Path: other.Data}
+		}, func(small int) (string, []byte) {
+			// 2+len per item, as a dataset object is counted, and +1 for
+			// the status trailer: the two items end exactly at the bound.
+			data := make([]byte, rpc.DefaultBatchBytes-1-rpc.ItemsSize(2, 2+small+2))
+			rand.New(rand.NewSource(41)).Read(data)
+			return "out/fill.bin", data
 		}},
 		{"16 payloads fill the bound", true, func(t *testing.T) ([][]byte, map[string][]byte) {
 			// The store codec's framing, measured at the size it frames:
@@ -442,7 +468,7 @@ func TestBatchedFetchAnswersAPrefix(t *testing.T) {
 				scatter = append(scatter, b.Scatter[0])
 			}
 			return scatter, want
-		}},
+		}, nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scatter, want := tc.build(t)
@@ -450,12 +476,24 @@ func TestBatchedFetchAnswersAPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := make([]string, len(part.Entries))
+			var keys []string
+			var payloads []int // each item's payload as framed
+			for _, e := range part.Entries {
+				keys, payloads = append(keys, e.Path), append(payloads, 2+len(e.Data))
+			}
+			var wpath string
+			if tc.written != nil {
+				var wdata []byte
+				wpath, wdata = tc.written(len(part.Entries[len(part.Entries)-1].Data))
+				want[wpath] = wdata
+				// A written file is framed as "store": its uvarint length, then its bytes.
+				var uv [binary.MaxVarintLen64]byte
+				keys, payloads = append(keys, wpath), append(payloads, 2+binary.PutUvarint(uv[:], uint64(len(wdata)))+len(wdata))
+			}
 			fit, size := 0, 0
-			for i, e := range part.Entries {
-				keys[i] = e.Path
+			for i, payload := range payloads {
 				// +1: the status trailer of the received frame.
-				if size += 2 + len(e.Data); fit == i && (i == 0 || rpc.ItemsSize(i+1, size)+1 <= rpc.DefaultBatchBytes) {
+				if size += payload; fit == i && (i == 0 || rpc.ItemsSize(i+1, size)+1 <= rpc.DefaultBatchBytes) {
 					fit++
 				}
 			}
@@ -471,6 +509,14 @@ func TestBatchedFetchAnswersAPrefix(t *testing.T) {
 					return err
 				}
 				defer node.Close()
+				if wpath != "" && c.Rank() == 1 {
+					if err := node.WriteFile(wpath, want[wpath]); err != nil {
+						return err
+					}
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
 				if c.Rank() != 0 {
 					return nil
 				}

@@ -10,6 +10,7 @@ import (
 
 	"fanstore/internal/dataset"
 	"fanstore/internal/mpi"
+	"fanstore/internal/rpc"
 )
 
 // The peer-bytes decoders the frame-level targets only reach through
@@ -17,8 +18,7 @@ import (
 // reply, mount table and ctrlCommit ends in it), decodePaths (the
 // replica announcement), and the fixed-header partition request,
 // opFetchPart, as a mounted node's daemon sees it. None may panic or
-// allocate more than a small multiple of the frame, or of the partition
-// the frame names.
+// allocate more than a small multiple of the frame.
 
 // FuzzDecodeMetas fuzzes the metadata-list decoder.
 func FuzzDecodeMetas(f *testing.F) {
@@ -142,11 +142,16 @@ func mountedForFuzz(f *testing.F, part []byte) *Node {
 // FuzzFetchPartRequest feeds a mounted node's fetch daemon arbitrary
 // opFetchPart bodies through handleFetch, the way a peer's frame arrives.
 // It may not panic; a reply is exactly the partition the request names;
-// and nothing is allocated beyond that partition — a request the node
-// cannot answer is refused, not reserved.
+// and the reply lends the partition instead of copying it, so what the
+// daemon allocates is bounded by the request, not the partition — a
+// request the node cannot answer is refused, not reserved. The partition
+// is larger than the slack, so a copy of it shows.
 func FuzzFetchPartRequest(f *testing.F) {
-	bundle, _ := buildBundle(f, dataset.EM, 2, 1, 2<<10, nil)
+	bundle, _ := buildBundle(f, dataset.EM, 2, 1, 256<<10, nil)
 	blob := bundle.Scatter[0]
+	if len(blob) <= ctrlAllocSlack {
+		f.Fatalf("a %d-byte partition fits in the %d-byte slack: a copy would not show", len(blob), ctrlAllocSlack)
+	}
 	n := mountedForFuzz(f, blob)
 	var gid uint64
 	for g := range n.parts {
@@ -164,14 +169,13 @@ func FuzzFetchPartRequest(f *testing.F) {
 	f.Add(id(0))                       // id zero
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var resp []byte
+		var r rpc.Reply
 		var err error
-		got := allocated(func() { resp, err = n.handleFetch(0, append([]byte{opFetchPart}, body...)) })
-		// A pooled reply buffer carries up to 2x slack over the partition.
-		if limit := uint64(2*len(blob) + 16*len(body) + ctrlAllocSlack); got > limit {
+		got := allocated(func() { err = n.handleFetch(0, append([]byte{opFetchPart}, body...), &r) })
+		if limit := uint64(16*len(body) + ctrlAllocSlack); got > limit {
 			t.Fatalf("%d-byte request made the daemon allocate %d bytes over a %d-byte partition", len(body), got, len(blob))
 		}
-		if err == nil && !bytes.Equal(resp, blob) {
+		if resp := bytes.Join(r.Parts(), nil); err == nil && !bytes.Equal(resp, blob) {
 			t.Fatalf("request %x answered %d bytes, want the %d-byte partition", body, len(resp), len(blob))
 		}
 	})

@@ -85,7 +85,7 @@ func newNode(comm *mpi.Comm, elastic bool, opts Options) (*Node, error) {
 	n.mapVersion.Set(int64(view.Version()))
 	n.cache.instrument(reg, opts.Tracer, n.pathOf)
 	n.cache.setEvents(opts.Events)
-	n.server = rpc.NewServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{Metrics: reg})
+	n.server = rpc.NewReplyServer(comm, tagFetch, n.handleFetch, rpc.ServerOptions{Metrics: reg})
 	n.client = rpc.NewClient(comm, tagFetch, tagRespBase, rpc.ClientOptions{
 		Timeout: opts.FetchTimeout,
 		Retries: opts.FetchRetries,

@@ -165,7 +165,7 @@ func (e *vanishedError) Unwrap() error { return e.err }
 // budget (Node.SetAdmissionBytes, read by the plan scheduler on every
 // admission decision). The node sizes its pools itself: the cache's
 // shards from GOMAXPROCS and CacheBytes, and the rpc server's handlers
-// (rpc.NewServer). It runs no decode workers: an open decodes on its
+// (rpc.NewReplyServer). It runs no decode workers: an open decodes on its
 // own goroutine, and a prefetch batch on at most GOMAXPROCS goroutines
 // of its own.
 type Options struct {
@@ -455,26 +455,30 @@ func (n *Node) noteReplica(path string, rank int) {
 
 // handleFetch answers one peer request on a daemon worker, dispatching
 // on the op byte.
-func (n *Node) handleFetch(_ int, payload []byte) ([]byte, error) {
+func (n *Node) handleFetch(_ int, payload []byte, r *rpc.Reply) error {
 	if len(payload) == 0 {
-		return nil, fmt.Errorf("fanstore: empty fetch frame")
+		return fmt.Errorf("fanstore: empty fetch frame")
 	}
-	switch payload[0] {
+	var resp []byte
+	var err error
+	switch body := payload[1:]; payload[0] {
 	case opFetch:
-		return n.handleFetchObjects(payload[1:])
+		return n.handleFetchObjects(body, r)
 	case opFetchPart:
-		return n.handleFetchPart(payload[1:])
-	case opMetaSync:
-		return n.handleMetaSync(payload[1:])
+		return n.handleFetchPart(body, r)
 	case opFetchShard:
-		return n.handleFetchShard(payload[1:])
+		return n.handleFetchShard(body, r)
+	case opMetaSync:
+		resp, err = n.handleMetaSync(body)
 	case opStoreShard:
-		return n.handleStoreShard(payload[1:])
+		resp, err = n.handleStoreShard(body)
 	case opWriteMeta:
-		return n.handleWriteMeta(payload[1:])
+		resp, err = n.handleWriteMeta(body)
 	default:
-		return nil, fmt.Errorf("fanstore: unknown fetch op %d", payload[0])
+		return fmt.Errorf("fanstore: unknown fetch op %d", payload[0])
 	}
+	r.Lend(resp) // fresh memory no one else holds
+	return err
 }
 
 // encodeFetch builds an opFetch request (layout at opFetch) for keys.
@@ -549,15 +553,16 @@ func (n *Node) getObjects(keys []string, objs []fetchedObject, idx []int) {
 // from RAM on the handler; the rest are read from the backend with
 // bounded concurrency (a cold batch over the spill backend overlaps its
 // disk reads). Items are answered in request order with per-item status,
-// so a partial miss never fails the whole batch, and framed straight
-// from the backend's bytes into one pooled response. The answer stops
-// before the object that would take its frame — item headers and count
-// included — past rpc.DefaultBatchBytes (it always carries one); the
-// caller asks again for the keys past it.
-func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
+// so a partial miss never fails the whole batch. The reply lends each
+// object's bytes where the backend keeps them, between parts cut from one
+// pooled buffer that holds everything else. The answer stops before the
+// object that would take its frame — item headers and count included —
+// past rpc.DefaultBatchBytes (it always carries one); the caller asks
+// again for the keys past it.
+func (n *Node) handleFetchObjects(body []byte, r *rpc.Reply) error {
 	callerVer, keys, err := decodeFetch(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	objs := make([]fetchedObject, len(keys))
 	var cold []int
@@ -574,20 +579,25 @@ func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 	// triggers on a miss: while both sides agree on the map, or the object
 	// is simply present, the version changes nothing.
 	have := n.view.Version()
-	size, served := 0, false
+	size, lent, served := 0, 0, false
 	for i := 0; i < len(objs); i++ {
 		o := &objs[i]
+		payload := 2 + len(o.data)
+		if o.written { // framed as "store": a uvarint length, then the bytes
+			var uv [binary.MaxVarintLen64]byte
+			payload += binary.PutUvarint(uv[:], uint64(len(o.data)))
+		}
 		switch {
-		case o.err == nil && served && rpc.ItemsSize(i+1, size+2+len(o.data))+1 > rpc.DefaultBatchBytes:
+		case o.err == nil && served && rpc.ItemsSize(i+1, size+payload)+1 > rpc.DefaultBatchBytes:
 			// +1 is the status trailer the transport carries with the
 			// answer: the frame the caller receives stays in the pool's
 			// DefaultBatchBytes class.
 			objs = objs[:i] // ends the loop; the caller asks again for the rest
 		case o.err == nil:
 			served = true
-			size += 2 + len(o.data)
-			if o.written {
-				size += binary.MaxVarintLen64
+			size += payload
+			if !o.written {
+				lent += len(o.data)
 			}
 		case !errors.Is(o.err, ErrNotExist):
 			o.status = rpc.ItemError
@@ -601,50 +611,59 @@ func (n *Node) handleFetchObjects(body []byte) ([]byte, error) {
 		}
 	}
 	if !served && len(objs) > 0 {
-		return nil, objs[0].err
+		return objs[0].err
 	}
-	resp := rpc.BeginItems(decomp.GetBuf(rpc.ItemsSize(len(objs), size)), len(objs))
+	// The buffer is sized here and never grows, so the parts cut from it
+	// stay valid while it fills; hdr[cut:] is not a part yet.
+	hdr := decomp.GetBuf(rpc.ItemsSize(len(objs), size) - lent)
+	r.Own(hdr)
+	hdr, cut := rpc.BeginItems(hdr, len(objs)), 0
 	for i := range objs {
 		o := &objs[i]
-		resp = rpc.BeginItem(resp, o.status)
-		start := len(resp)
+		hdr = rpc.BeginItem(hdr, o.status)
+		start := len(hdr)
 		switch {
 		case o.status == rpc.ItemError:
-			resp = append(resp, o.err.Error()...)
+			hdr = append(hdr, o.err.Error()...)
 		case o.err != nil: // a miss carries no payload
 		case o.written:
 			// Output files are stored uncompressed; frame them as "store",
-			// compressing straight into the response.
-			resp = binary.LittleEndian.AppendUint16(resp, codec.StoreID)
-			if resp, err = codec.MustGet("store").Codec.Compress(resp, o.data); err != nil {
-				decomp.PutBuf(resp)
-				return nil, err
+			// compressing straight into the buffer.
+			hdr = binary.LittleEndian.AppendUint16(hdr, codec.StoreID)
+			if hdr, err = codec.MustGet("store").Codec.Compress(hdr, o.data); err != nil {
+				return err
 			}
 		default:
-			resp = binary.LittleEndian.AppendUint16(resp, o.id)
-			resp = append(resp, o.data...)
+			hdr = binary.LittleEndian.AppendUint16(hdr, o.id)
+			// EndItem's length field, counting the lent bytes after it.
+			binary.LittleEndian.PutUint32(hdr[start-4:], uint32(2+len(o.data)))
+			r.Lend(hdr[cut:])
+			r.Lend(o.data)
+			cut = len(hdr)
+			continue
 		}
-		rpc.EndItem(resp, start)
+		rpc.EndItem(hdr, start)
 	}
-	return resp, nil
+	r.Lend(hdr[cut:])
+	return nil
 }
 
-// handleFetchPart streams one loaded partition blob to a new owner —
-// the rebalance transfer. It runs on the ordinary fetch worker pool, so
+// handleFetchPart lends one loaded partition blob to a new owner — the
+// rebalance transfer. It runs on the ordinary fetch worker pool, so
 // handoffs share bandwidth with reads instead of stopping them.
-func (n *Node) handleFetchPart(body []byte) ([]byte, error) {
+func (n *Node) handleFetchPart(body []byte, r *rpc.Reply) error {
 	if len(body) != 8 {
-		return nil, fmt.Errorf("fanstore: bad partition fetch frame")
+		return fmt.Errorf("fanstore: bad partition fetch frame")
 	}
 	gid := binary.LittleEndian.Uint64(body)
 	n.mu.RLock()
 	p := n.parts[gid]
 	n.mu.RUnlock()
 	if p == nil {
-		return nil, fmt.Errorf("%w: partition %d", rpc.ErrNotFound, gid)
+		return fmt.Errorf("%w: partition %d", rpc.ErrNotFound, gid)
 	}
-	resp := decomp.GetBuf(len(p.blob))
-	return append(resp, p.blob...), nil
+	r.Lend(p.blob)
+	return nil
 }
 
 // handleMetaSync answers a stale-map refresh from this node's map and

@@ -36,17 +36,17 @@ type Shard struct {
 
 // MarshalShard appends one framed shard to dst and returns it.
 func MarshalShard(dst []byte, h ShardHeader, data []byte) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], h.GID)
-	dst = append(dst, b[:]...)
+	return append(AppendShardHeader(dst, h, len(data)), data...)
+}
+
+// AppendShardHeader appends the header of a frame whose payload is n
+// bytes, for a sender that sends the payload as a part of its own.
+func AppendShardHeader(dst []byte, h ShardHeader, n int) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, h.GID)
 	dst = append(dst, h.Index, h.K, h.M)
-	binary.LittleEndian.PutUint64(b[:], h.BlobSize)
-	dst = append(dst, b[:]...)
-	binary.LittleEndian.PutUint32(b[:4], h.BlobCRC)
-	dst = append(dst, b[:4]...)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(data)))
-	dst = append(dst, b[:4]...)
-	return append(dst, data...)
+	dst = binary.LittleEndian.AppendUint64(dst, h.BlobSize)
+	dst = binary.LittleEndian.AppendUint32(dst, h.BlobCRC)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
 }
 
 // ShardFrameLen is the framed size of a shard with a payload of n bytes.

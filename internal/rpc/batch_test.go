@@ -75,10 +75,10 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 	objects := map[string]string{"a": "alpha", "c": "gamma"}
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
-			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveOn(c, func(_ int, req []byte, r *Reply) error {
 				keys, err := DecodeKeys(req)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				items := make([]Item, len(keys))
 				for i, k := range keys {
@@ -88,7 +88,8 @@ func TestBatchedCallPartialMiss(t *testing.T) {
 						items[i] = Item{Status: ItemNotFound}
 					}
 				}
-				return encodeItems(items), nil
+				r.Lend(encodeItems(items))
+				return nil
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err

@@ -10,8 +10,9 @@ import (
 
 // BenchmarkRPCCall is one call with a 48-byte request and a response of
 // the given size, over the in-process mailbox and over loopback TCP. The
-// handler returns a pooled copy, as the store's fetch handler does, and
-// the caller releases the response frame, as the store's open path does.
+// handler lends the payload, as the store's fetch handler lends a stored
+// object, and the caller releases the response frame, as the store's open
+// path does.
 func BenchmarkRPCCall(b *testing.B) {
 	for _, tr := range transports {
 		for _, size := range []int{1 << 10, 128 << 10} {
@@ -22,8 +23,9 @@ func BenchmarkRPCCall(b *testing.B) {
 				b.ReportAllocs()
 				err := tr.run(2, func(c *mpi.Comm) error {
 					if c.Rank() == 1 {
-						s := serveOn(c, func(int, []byte) ([]byte, error) {
-							return append(decomp.GetBuf(size), payload...), nil
+						s := serveOn(c, func(_ int, _ []byte, r *Reply) error {
+							r.Lend(payload)
+							return nil
 						}, ServerOptions{})
 						err := c.Barrier()
 						s.Stop()

@@ -26,26 +26,29 @@ var transports = []struct {
 // behind it — what lets the caller recycle it.
 func TestStatusTrailerRoundTrip(t *testing.T) {
 	big := bytes.Repeat([]byte("fanstore"), 1000) // pooled on both sides
-	handler := func(_ int, req []byte) ([]byte, error) {
+	handler := func(_ int, req []byte, r *Reply) error {
 		switch string(req) {
 		case "ok-empty":
-			return nil, nil
+			return nil
 		case "ok-small":
-			return []byte("x"), nil
+			r.Lend([]byte("x"))
+			return nil
 		case "ok-big":
-			return append(decomp.GetBuf(len(big)), big...), nil
+			r.Own(append(decomp.GetBuf(len(big)), big...))
+			return nil
 		case "missing":
-			return nil, ErrNotFound
+			return ErrNotFound
 		case "missing-text":
-			return []byte("ignored"), fmt.Errorf("%w: no such object", ErrNotFound)
+			r.Lend([]byte("ignored"))
+			return fmt.Errorf("%w: no such object", ErrNotFound)
 		case "stale":
-			return nil, ErrStale
+			return ErrStale
 		case "stale-text":
-			return nil, fmt.Errorf("%w: have v3, got v2", ErrStale)
+			return fmt.Errorf("%w: have v3, got v2", ErrStale)
 		case "error-empty":
-			return nil, errors.New("")
+			return errors.New("")
 		}
-		return nil, errors.New("spill read failed")
+		return errors.New("spill read failed")
 	}
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -111,9 +114,10 @@ func TestLateRepliesAreReaped(t *testing.T) {
 			err := tr.run(2, func(c *mpi.Comm) error {
 				if c.Rank() == 1 {
 					reg := metrics.NewRegistry()
-					s := serveN(c, func(int, []byte) ([]byte, error) {
+					s := serveN(c, func(_ int, _ []byte, r *Reply) error {
 						time.Sleep(50 * time.Millisecond)
-						return append(decomp.GetBuf(4000), make([]byte, 4000)...), nil
+						r.Own(append(decomp.GetBuf(4000), make([]byte, 4000)...))
+						return nil
 					}, ServerOptions{Metrics: reg}, calls)
 					if err := c.Barrier(); err != nil {
 						return err
@@ -155,4 +159,97 @@ func TestLateRepliesAreReaped(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplyOwnedAndLentParts: a reply mixing owned and lent parts — two
+// owned pool buffers, each with a lent slice of itself, then a lent
+// buffer and the request — reaches the caller as their concatenation over
+// both transports. Every other call fails after filling its reply the same
+// way, and the caller gets the error text alone. The server recycles only
+// what a reply owns, on both paths: the handler's GetBuf hands buffers of
+// earlier replies back, of failed ones too, and never the lent one, which
+// is of the same size class and whose bytes stay as they were.
+func TestReplyOwnedAndLentParts(t *testing.T) {
+	const calls, head = 32, 600 // GetBuf(head) and the lent part share a class
+	seq := make([]byte, head)
+	for i := range seq {
+		seq[i] = byte(i)
+	}
+	for _, tr := range transports {
+		t.Run(tr.name, func(t *testing.T) {
+			lent := make([]byte, 900, 2*decomp.MinBuf)
+			for i := range lent {
+				lent[i] = byte(i * 7)
+			}
+			orig := append([]byte(nil), lent...)
+			// owned maps each buffer a reply owned to whether that reply
+			// failed; reused counts GetBufs that returned one, by that flag.
+			owned, reused := make(map[*byte]bool), [2]int{}
+			handler := func(_ int, req []byte, r *Reply) error {
+				fail := bytes.HasPrefix(req, []byte("fail"))
+				for k := 0; k < 2; k++ {
+					b := decomp.GetBuf(head)
+					p := &b[:1][0]
+					if p == &lent[0] {
+						return errors.New("GetBuf handed out the lent part")
+					}
+					if failed, ok := owned[p]; ok {
+						reused[btoi(failed)]++
+					}
+					owned[p] = fail
+					b = append(b, seq...)
+					r.Own(b[:head/2])
+					r.Lend(b[head/2:])
+				}
+				r.Lend(lent)
+				r.Lend(req)
+				if fail {
+					return fmt.Errorf("refused %s", req)
+				}
+				return nil
+			}
+			err := tr.run(2, func(c *mpi.Comm) error {
+				if c.Rank() == 1 {
+					s := serveN(c, handler, ServerOptions{}, 1)
+					err := c.Barrier()
+					s.Stop()
+					if err == nil && (reused[0] == 0 || reused[1] == 0) {
+						err = fmt.Errorf("%d replies, and GetBuf handed back %d buffers of served replies and %d of failed ones, want both > 0", calls, reused[0], reused[1])
+					}
+					return err
+				}
+				cl := NewClient(c, 500, 1<<20, ClientOptions{Timeout: 5 * time.Second})
+				for i := 0; i < calls; i++ {
+					if i%2 == 1 {
+						req := fmt.Sprintf("fail %02d", i)
+						_, err := cl.Call(1, []byte(req))
+						if want := fmt.Sprintf("%v: rank 1: refused %s", ErrRemote, req); err == nil || err.Error() != want {
+							return fmt.Errorf("call %d: %v, want the remote error naming %q alone", i, err, req)
+						}
+					} else {
+						req := []byte(fmt.Sprintf("call %02d", i))
+						want := append(append(append(append([]byte(nil), seq...), seq...), lent...), req...)
+						resp, err := cl.Call(1, req)
+						if err != nil || !bytes.Equal(resp, want) {
+							return fmt.Errorf("call %d: %d bytes, %v", i, len(resp), err)
+						}
+					}
+					if !bytes.Equal(lent, orig) {
+						return fmt.Errorf("call %d: the lent part changed", i)
+					}
+				}
+				return c.Barrier()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -4,7 +4,7 @@
 // below, fetch routing above, and this package in between.
 //
 // A Server answers requests concurrently through a bounded worker pool,
-// so one slow handler (a spill read, a large response copy) does not
+// so one slow handler (a spill read, a large response write) does not
 // head-of-line-block every waiting rank. There is no dispatcher: each
 // worker receives from the mailbox itself, so a request crosses one
 // goroutine hand-off on the server. A shutdown pill is an empty frame
@@ -22,11 +22,18 @@
 //
 //	payload | u8 status            (payload is the error text on failure)
 //
-// Neither frame is assembled: both sides send their two parts with one
+// Neither frame is assembled: each side sends its parts with one
 // mpi.Sendv. The status is a trailer so that the payload starts where the
 // received frame does — Call returns frame[:len-1], same base pointer and
 // capacity, and the caller that owns it can hand it straight back to the
 // buffer pool (decomp.PutBuf) once nothing aliases it.
+//
+// A handler fills a Reply with parts: owned (a decomp.GetBuf buffer,
+// recycled once Sendv returns or an error drops the reply) or lent (bytes
+// that must not change until the send returns: a stored object, the
+// request), which the TCP transport's writev reads after the handler has
+// returned, uncopied. NewServer, whose handler returns one pooled buffer,
+// is an adapter kept only because bench/probes.go passes it such a literal.
 package rpc
 
 import (
@@ -72,18 +79,43 @@ var (
 	ErrStale = errors.New("rpc: stale cluster map")
 )
 
-// Handler services one request and returns the response payload.
-// Returning an error wrapping ErrNotFound maps to a not-found status,
-// one wrapping ErrStale maps to a stale-map status; any other error
-// maps to a remote-error status carrying the text.
-//
-// Buffer ownership: req is only valid for the duration of the call —
-// the server recycles the request frame into the shared buffer pool
-// once the reply is sent. A successfully returned payload transfers to
-// the server, which sends it as it is (no response frame is built) and
-// recycles it into the pool when the send returns; it therefore must not
-// alias req or be retained or reused by the handler.
-type Handler func(src int, req []byte) ([]byte, error)
+// Handler services one request by filling r with the response's parts.
+// Returning an error wrapping ErrNotFound maps to a not-found status, one
+// wrapping ErrStale to a stale-map status; any other error maps to a
+// remote-error status carrying the text. On an error the server drops the
+// parts, recycling what r owns. req stays valid until the reply is sent (the
+// server then recycles the request frame), so a part may lend it.
+type Handler func(src int, req []byte, r *Reply) error
+
+// Reply is the response a Handler builds: parts, sent in order with the
+// status trailer in one mpi.Sendv, the frame never assembled. Each worker
+// reuses one Reply, so a handler must not keep r or its parts.
+type Reply struct {
+	parts, owned [][]byte
+}
+
+// Own adds b as the next part and hands its decomp.GetBuf buffer to the
+// server, which recycles it after the send. b may be empty: slices of the
+// buffer, filled within its capacity, may follow as lent parts.
+func (r *Reply) Own(b []byte) { r.parts, r.owned = append(r.parts, b), append(r.owned, b) }
+
+// Lend adds b as the next part. The server only reads it, after the
+// handler returned (the TCP transport's writev), so b must not change
+// until the send returns: stored bytes, fresh memory, req, owned slices.
+func (r *Reply) Lend(b []byte) { r.parts = append(r.parts, b) }
+
+// Parts returns the parts added so far, in order.
+func (r *Reply) Parts() [][]byte { return r.parts }
+
+// reset recycles what r owns and empties it, keeping no lent part alive.
+func (r *Reply) reset() {
+	for _, b := range r.owned {
+		decomp.PutBuf(b)
+	}
+	clear(r.parts)
+	clear(r.owned)
+	r.parts, r.owned = r.parts[:0], r.owned[:0]
+}
 
 // ServerOptions configures a Server.
 type ServerOptions struct {
@@ -108,14 +140,27 @@ type Server struct {
 	serviceHist              *metrics.Histogram // handler + reply time
 }
 
-// NewServer builds a server for tag on comm and starts its workers:
+// NewReplyServer builds a server for tag on comm and starts its workers:
 // GOMAXPROCS of them, floored at 4 — fetch handlers block on backend
 // I/O, so even a single-core node benefits from a few in flight.
-func NewServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Server {
+func NewReplyServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions) *Server {
 	return newServer(comm, tag, handler, opts, max(runtime.GOMAXPROCS(0), 4))
 }
 
-// newServer is NewServer with an explicit worker count, for tests that
+// NewServer is NewReplyServer for a handler returning one decomp.GetBuf
+// buffer, owned once returned without an error: the shape of the literal
+// in bench/probes.go, its only caller. ROADMAP 2(e) deletes it.
+func NewServer(comm *mpi.Comm, tag int, handler func(src int, req []byte) ([]byte, error), opts ServerOptions) *Server {
+	return NewReplyServer(comm, tag, func(src int, req []byte, r *Reply) error {
+		payload, err := handler(src, req)
+		if err == nil {
+			r.Own(payload)
+		}
+		return err
+	}, opts)
+}
+
+// newServer is NewReplyServer with an explicit worker count, for tests that
 // need one.
 func newServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions, workers int) *Server {
 	s := &Server{
@@ -137,7 +182,7 @@ func newServer(comm *mpi.Comm, tag int, handler Handler, opts ServerOptions, wor
 }
 
 // Serve blocks until every worker has taken its pill or the world has
-// aborted. The workers run from NewServer on; Serve only waits for them.
+// aborted. The workers run from NewReplyServer on; Serve only waits for them.
 func (s *Server) Serve() { s.wg.Wait() }
 
 // worker answers requests until it takes a pill or the world aborts. A
@@ -145,6 +190,7 @@ func (s *Server) Serve() { s.wg.Wait() }
 // tag to answer on and is dropped.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var reply Reply
 	for {
 		data, src, err := s.comm.Recv(mpi.AnySource, s.tag)
 		if err != nil {
@@ -158,36 +204,40 @@ func (s *Server) worker() {
 		}
 		s.inService.Inc()
 		start := time.Now()
-		s.answer(src, int(binary.LittleEndian.Uint32(data)), data[4:])
+		s.answer(src, int(binary.LittleEndian.Uint32(data)), data[4:], &reply)
 		decomp.PutBuf(data)
 		s.serviceHist.Observe(time.Since(start))
 		s.inService.Dec()
 	}
 }
 
-// answer runs the handler and sends the response: the handler's payload
-// (or the error text) and the status trailer, as two parts.
-func (s *Server) answer(src, respTag int, req []byte) {
-	payload, err := s.handler(src, req)
+// answer runs the handler and sends its parts (or the error text) and the
+// status trailer, then recycles what the reply owns.
+func (s *Server) answer(src, respTag int, req []byte, r *Reply) {
+	err := s.handler(src, req, r)
 	status := statusOK
+	if err != nil {
+		r.reset()
+	}
 	switch {
 	case err == nil:
 		s.served.Inc()
 	case errors.Is(err, ErrNotFound):
-		status, payload = statusNotFound, nil
+		status = statusNotFound
 		s.notFound.Inc()
 	case errors.Is(err, ErrStale):
 		// The text carries the handler's map version, if it put one there.
-		status, payload = statusStale, []byte(err.Error())
+		status = statusStale
+		r.Lend([]byte(err.Error()))
 		s.errors.Inc()
 	default:
-		status, payload = statusError, []byte(err.Error())
+		status = statusError
+		r.Lend([]byte(err.Error()))
 		s.errors.Inc()
 	}
-	_ = s.comm.Sendv(src, respTag, payload, statusTrailer[status])
-	// The handler contract transfers payload ownership here, and the
-	// transport is done with it once Sendv returns.
-	decomp.PutBuf(payload)
+	r.Lend(statusTrailer[status])
+	_ = s.comm.Sendv(src, respTag, r.parts...)
+	r.reset() // the transport is done with every part once Sendv returns
 }
 
 // Stop sends every worker its pill and waits for the pool to exit.

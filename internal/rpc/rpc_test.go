@@ -17,7 +17,7 @@ import (
 // serveOn starts a server on rank with the handler and returns it; the
 // caller stops it after the closing barrier.
 func serveOn(c *mpi.Comm, h Handler, opts ServerOptions) *Server {
-	s := NewServer(c, 500, h, opts)
+	s := NewReplyServer(c, 500, h, opts)
 	go s.Serve()
 	return s
 }
@@ -33,8 +33,9 @@ func TestCallBasic(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		reg := metrics.NewRegistry()
 		if c.Rank() == 1 {
-			s := serveOn(c, func(src int, req []byte) ([]byte, error) {
-				return append(bytes.ToUpper(req), byte('0'+src)), nil
+			s := serveOn(c, func(src int, req []byte, r *Reply) error {
+				r.Lend(append(bytes.ToUpper(req), byte('0'+src)))
+				return nil
 			}, ServerOptions{Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -73,14 +74,15 @@ func TestNotFoundAndRemoteError(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			reg := metrics.NewRegistry()
-			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveOn(c, func(_ int, req []byte, r *Reply) error {
 				switch string(req) {
 				case "missing":
-					return nil, fmt.Errorf("%w: nope", ErrNotFound)
+					return fmt.Errorf("%w: nope", ErrNotFound)
 				case "boom":
-					return nil, errors.New("handler exploded")
+					return errors.New("handler exploded")
 				}
-				return append([]byte(nil), req...), nil
+				r.Lend(req)
+				return nil
 			}, ServerOptions{Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -115,9 +117,9 @@ func TestStaleStatus(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
 			var calls atomic.Int32
-			s := serveOn(c, func(_ int, _ []byte) ([]byte, error) {
+			s := serveOn(c, func(int, []byte, *Reply) error {
 				calls.Add(1)
-				return nil, fmt.Errorf("%w: have v3, got v2", ErrStale)
+				return fmt.Errorf("%w: have v3, got v2", ErrStale)
 			}, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -148,11 +150,11 @@ func TestCallDeadline(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		release := make(chan struct{})
 		if c.Rank() == 1 {
-			s := serveN(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveN(c, func(src int, req []byte, r *Reply) error {
 				if string(req) == "slow" {
 					<-release
 				}
-				return append([]byte(nil), req...), nil
+				return echo(src, req, r)
 			}, ServerOptions{}, 2)
 			if err := c.Barrier(); err != nil {
 				return err
@@ -194,11 +196,11 @@ func TestRetryUntilServed(t *testing.T) {
 		reg := metrics.NewRegistry()
 		if c.Rank() == 1 {
 			var fails atomic.Int32
-			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveOn(c, func(src int, req []byte, r *Reply) error {
 				if fails.Add(1) <= 2 {
-					return nil, errors.New("transient")
+					return errors.New("transient")
 				}
-				return append([]byte(nil), req...), nil
+				return echo(src, req, r)
 			}, ServerOptions{Metrics: reg})
 			if err := c.Barrier(); err != nil {
 				return err
@@ -232,9 +234,9 @@ func TestWorkerPoolStress(t *testing.T) {
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			reg := metrics.NewRegistry()
-			s := serveN(c, func(_ int, req []byte) ([]byte, error) {
+			s := serveN(c, func(src int, req []byte, r *Reply) error {
 				time.Sleep(time.Millisecond) // give requests time to pile up
-				return append([]byte(nil), req...), nil
+				return echo(src, req, r)
 			}, ServerOptions{Metrics: reg}, goroutines)
 			if err := c.Barrier(); err != nil {
 				return err
@@ -290,7 +292,7 @@ func TestServerStopOnAbortedWorld(t *testing.T) {
 	var s *Server
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
-			s = serveOn(c, func(_ int, req []byte) ([]byte, error) { return append([]byte(nil), req...), nil }, ServerOptions{})
+			s = serveOn(c, echo, ServerOptions{})
 			return boom // aborts the world with the server running
 		}
 		return nil
@@ -317,9 +319,7 @@ func TestResponseTagsStayInTheirWindow(t *testing.T) {
 	const respBase = 1 << 20
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		if c.Rank() == 1 {
-			s := serveOn(c, func(_ int, req []byte) ([]byte, error) {
-				return append([]byte(nil), req...), nil
-			}, ServerOptions{})
+			s := serveOn(c, echo, ServerOptions{})
 			if err := c.Barrier(); err != nil {
 				return err
 			}

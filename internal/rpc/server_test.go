@@ -20,7 +20,12 @@ const (
 	tagDone  = 602
 )
 
-func echo(_ int, req []byte) ([]byte, error) { return append([]byte(nil), req...), nil }
+// echo answers with the request itself, lent: it stays put until the
+// reply is sent.
+func echo(_ int, req []byte, r *Reply) error {
+	r.Lend(req)
+	return nil
+}
 
 // serverWorkers counts the goroutines running a Server worker.
 func serverWorkers() int {
@@ -41,12 +46,12 @@ func TestServerStop(t *testing.T) {
 			err := mpi.Run(2, func(c *mpi.Comm) error {
 				if c.Rank() == 0 {
 					workersBefore, pendingBefore := serverWorkers(), c.Pending()
-					s := newServer(c, 500, func(src int, req []byte) ([]byte, error) {
+					s := newServer(c, 500, func(src int, req []byte, r *Reply) error {
 						if tc == "in-flight" {
 							entered <- struct{}{}
 							<-release
 						}
-						return echo(src, req)
+						return echo(src, req, r)
 					}, ServerOptions{}, 3)
 					if err := c.Send(1, tagGo, nil); err != nil {
 						return err
@@ -80,7 +85,7 @@ func TestServerStop(t *testing.T) {
 						time.Sleep(time.Millisecond)
 					}
 					if n := c.Pending(); n != pendingBefore {
-						return fmt.Errorf("%d frames queued after Stop, %d before NewServer", n, pendingBefore)
+						return fmt.Errorf("%d frames queued after Stop, %d before newServer", n, pendingBefore)
 					}
 					return c.Send(1, tagDone, nil)
 				}
