@@ -1,9 +1,9 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 GO ?= go
 
-.PHONY: ci fmt vet test race overlap planrule benchsmoke fuzzsmoke bce soak loc surface knobs
+.PHONY: ci fmt vet crossbuild test race overlap planrule benchsmoke fuzzsmoke bce soak loc surface knobs
 
-ci: fmt vet bce race overlap planrule test fuzzsmoke benchsmoke
+ci: fmt vet crossbuild bce race overlap planrule test fuzzsmoke benchsmoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -16,6 +16,14 @@ fmt:
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+
+# Both sides of pack.Map's build tag: unix maps a partition file, every
+# other platform reads it into memory. Vetting the module, tests included,
+# for a GOOS of each kind keeps the side this host does not build from
+# going stale.
+crossbuild:
+	GOOS=windows $(GO) vet ./...
+	GOOS=darwin $(GO) vet ./...
 
 # Both run the kill-schedule runner's ci seed set (TestKillSchedules:
 # four seeds under none, ec(1,0) and ec(2,1), ~10 s plain or -race).

@@ -53,9 +53,9 @@ type (
 	DirEntry = store.DirEntry
 	// Policy selects the cache replacement strategy.
 	Policy = store.Policy
-	// Backend stores a rank's compressed objects (RAM or spill-to-disk);
-	// Options.Backend accepts custom implementations for testing or
-	// alternative storage tiers.
+	// Backend stores a rank's compressed objects, aliasing heap or
+	// mapped partition blobs; Options.Backend accepts custom
+	// implementations for testing or alternative storage tiers.
 	Backend = store.Backend
 )
 
@@ -292,17 +292,10 @@ func RingReplicate(c *Comm, partitions [][]byte) ([][]byte, error) {
 	return store.RingReplicate(c, partitions)
 }
 
-// NewRAMBackend returns the default in-RAM storage backend: compressed
-// objects alias the partition blobs, so uncompressed datasets can be
-// served zero-copy.
+// NewRAMBackend returns the default storage backend: compressed objects
+// alias the partition blobs, heap or mapped from local disk, so
+// uncompressed datasets can be served zero-copy.
 func NewRAMBackend() Backend { return store.NewRAMBackend() }
-
-// NewSpillBackend returns a storage backend keeping partition blobs on
-// local disk under dir (§V-C's burst-buffer mode); only file offsets stay
-// in RAM. prefix namespaces this rank's spill files within dir.
-func NewSpillBackend(dir, prefix string) (Backend, error) {
-	return store.NewSpillBackend(dir, prefix)
-}
 
 // Pack runs the data preparation tool (§V-B): it compresses every input
 // file and serializes the partitioned compressed representation.

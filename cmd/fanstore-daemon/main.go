@@ -10,16 +10,19 @@
 //	                  -part packed/part-000$r.fst -reads 64 &
 //	done; wait
 //
-// Each daemon mounts its partition, joins the collective metadata
-// exchange, serves its objects to peers, reads -reads random files from
-// the global namespace (fetching remote ones over TCP), prints the
-// summary of its registry, and shuts down collectively.
+// Each daemon maps its partition files read-only (the packed file is the
+// node-local store, §IV-C1), joins the collective metadata exchange,
+// serves its objects to peers, reads -reads random files from the global
+// namespace (fetching remote ones over TCP), checks each against the CRC
+// its Stat reports, prints the summary of its registry, and shuts down
+// collectively. A partition file must not change while its daemon runs.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"log"
 	"math/rand"
 	"os"
@@ -28,6 +31,7 @@ import (
 
 	"fanstore"
 	"fanstore/internal/mpi"
+	"fanstore/internal/pack"
 	"fanstore/internal/prefetch"
 )
 
@@ -41,7 +45,6 @@ func main() {
 		broadcast  = flag.String("broadcast", "", "broadcast partition file (optional)")
 		reads      = flag.Int("reads", 32, "random whole-file reads to perform")
 		timeout    = flag.Duration("timeout", 30*time.Second, "rendezvous timeout")
-		spill      = flag.String("spill", "", "local-disk backend directory (optional)")
 		seed       = flag.Int64("seed", 0, "read-order seed (default: rank)")
 		fetchTO    = flag.Duration("fetch-timeout", 0, "per-attempt deadline on remote fetches (0: none)")
 		fetchRetry = flag.Int("fetch-retries", 0, "extra same-peer attempts after a timed-out or errored fetch")
@@ -73,22 +76,28 @@ func main() {
 		log.Fatal("-part is required (a joining member receives partitions from the rebalance instead)")
 	}
 
+	// The node serves straight from the mappings; they are released only
+	// after Close or LeaveCluster has returned, so a read of a partition
+	// past shutdown breaks this run (a fault, or a peer's lost reply)
+	// instead of passing unseen.
+	var unmaps []func() error
+	mapPart := func(path string) []byte {
+		blob, unmap, err := pack.Map(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		unmaps = append(unmaps, unmap)
+		return blob
+	}
 	var own [][]byte
 	if *parts != "" {
 		for _, p := range strings.Split(*parts, ",") {
-			blob, err := os.ReadFile(strings.TrimSpace(p))
-			if err != nil {
-				log.Fatal(err)
-			}
-			own = append(own, blob)
+			own = append(own, mapPart(strings.TrimSpace(p)))
 		}
 	}
 	var bcast []byte
 	if *broadcast != "" {
-		var err error
-		if bcast, err = os.ReadFile(*broadcast); err != nil {
-			log.Fatal(err)
-		}
+		bcast = mapPart(*broadcast)
 	}
 
 	var comm *fanstore.Comm
@@ -133,11 +142,6 @@ func main() {
 		Tracer:       tr,
 		Redundancy:   red,
 		Events:       events,
-	}
-	if *spill != "" {
-		if opts.Backend, err = fanstore.NewSpillBackend(*spill, fmt.Sprintf("rank%04d", *rank)); err != nil {
-			log.Fatal(err)
-		}
 	}
 	var node *fanstore.Node
 	if elastic {
@@ -252,6 +256,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		info, err := node.Stat(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if crc := crc32.ChecksumIEEE(data); crc != info.CRC32 {
+			log.Fatalf("%s: read %d bytes with CRC %08x, packed CRC is %08x", path, len(data), crc, info.CRC32)
+		}
 		byteCount += int64(len(data))
 		if sched != nil && (i+1)%*lookahead == 0 {
 			sched.Advance(i / *lookahead)
@@ -260,6 +271,7 @@ func main() {
 	sched.Stop()
 	elapsed := time.Since(start)
 	log.Printf("read %d files (%d bytes) in %v", *reads, byteCount, elapsed.Round(time.Millisecond))
+	log.Printf("verified %d reads", *reads)
 	// One write, so daemons sharing a terminal do not interleave their lines.
 	var summary bytes.Buffer
 	fanstore.WriteSummary(&summary, reg.Snapshot(), elapsed)
@@ -300,14 +312,21 @@ func main() {
 	// elastic path replaces the barrier with a bye/ack handshake through
 	// the coordinator) — no rank exits while peers may still fetch.
 	if *leaveEarly {
-		if err := node.LeaveCluster(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("left the cluster")
-		return
+		err = node.LeaveCluster()
+	} else {
+		err = node.Close()
 	}
-	if err := node.Close(); err != nil {
+	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("done")
+	for _, unmap := range unmaps {
+		if err := unmap(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if *leaveEarly {
+		log.Printf("left the cluster")
+	} else {
+		log.Printf("done")
+	}
 }

@@ -4,7 +4,7 @@
 // checkpoint every epoch, and report throughput and I/O statistics.
 //
 //	fanstore-train -ranks 4 -dataset EM -files 64 -epochs 3 -compressor lzsse8
-//	fanstore-train -tcp -spill /tmp/fanstore -cache-policy immediate
+//	fanstore-train -tcp -cache-policy immediate
 //	fanstore-train -resume   # continue from the latest checkpoint
 package main
 
@@ -41,7 +41,6 @@ func main() {
 		admission  = flag.Int("admission", 0, "staged-bytes admission budget for -plan, MiB (0: live cache headroom)")
 		policy     = flag.String("cache-policy", "fifo", "fifo|lru|immediate")
 		cacheMB    = flag.Int("cache-mb", 64, "decompressed cache size per rank (MiB)")
-		spill      = flag.String("spill", "", "local-disk backend directory (empty = RAM)")
 		tcp        = flag.Bool("tcp", false, "carry messages over loopback TCP")
 		resume     = flag.Bool("resume", false, "resume from the latest checkpoint epoch")
 		seed       = flag.Int64("seed", 9, "dataset seed")
@@ -118,14 +117,6 @@ func main() {
 			Metrics:     reg,
 			Tracer:      tr,
 			Events:      events,
-		}
-		if *spill != "" {
-			prefix := fmt.Sprintf("rank%04d", c.Rank())
-			backend, err := fanstore.NewSpillBackend(*spill+"/"+prefix, prefix)
-			if err != nil {
-				return err
-			}
-			opts.Backend = backend
 		}
 		node, err := fanstore.Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
 		if err != nil {

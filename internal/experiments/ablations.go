@@ -261,7 +261,7 @@ func ablationRouting(w io.Writer, opt Options) error {
 }
 
 // slowBackend models storage with a fixed per-read access latency (a
-// cold spill read on a busy disk), so fetch-path round-trip structure
+// cold read on a busy disk), so fetch-path round-trip structure
 // dominates the cold-epoch cost — the regime the planner's batched
 // fetches are designed for.
 type slowBackend struct {

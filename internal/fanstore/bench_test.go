@@ -12,7 +12,7 @@ import (
 )
 
 // latencyBackend models storage with a fixed per-read access latency
-// (a cold spill read on a busy disk), the regime the daemon worker pool
+// (a cold read on a busy disk), the regime the daemon worker pool
 // is designed for: while one handler waits on storage, others proceed.
 type latencyBackend struct {
 	Backend
@@ -30,8 +30,8 @@ func (l *latencyBackend) Peek(path string) (uint16, []byte, bool) {
 
 // BenchmarkConcurrentRemoteFetch measures aggregate remote-fetch
 // throughput with 8 concurrent openers against one peer daemon, with the
-// cache disabled so every open is a full fetch from the peer's spill
-// backend. The daemon runs its default worker pool (GOMAXPROCS, floored
+// cache disabled so every open is a full fetch from the peer's mapped
+// partition, each Get paying a fixed storage latency. The daemon runs its default worker pool (GOMAXPROCS, floored
 // at 4), so handlers overlap their storage waits; a one-worker daemon,
 // measured once against it, took about eight times as long per file
 // (EXPERIMENTS.md, "Comparison-only settings verdict").
@@ -47,17 +47,13 @@ func BenchmarkConcurrentRemoteFetch(b *testing.B) {
 	for i := range owned.Entries {
 		paths[i] = owned.Entries[i].Path
 	}
-	spillDir := b.TempDir()
+	parts := [][]byte{bundle.Scatter[0], mappedBlob(b, bundle.Scatter[1])}
 	err = mpi.Run(2, func(c *mpi.Comm) error {
 		opts := Options{CachePolicy: Immediate}
 		if c.Rank() == 1 {
-			inner, err := NewSpillBackend(spillDir, "rank0001")
-			if err != nil {
-				return err
-			}
-			opts.Backend = &latencyBackend{Backend: inner, delay: readLatency}
+			opts.Backend = &latencyBackend{Backend: NewRAMBackend(), delay: readLatency}
 		}
-		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
+		node, err := Mount(c, [][]byte{parts[c.Rank()]}, nil, opts)
 		if err != nil {
 			return err
 		}

@@ -17,6 +17,7 @@ type Info struct {
 	Size  int64
 	Mode  uint32
 	MTime int64
+	CRC32 uint32 // IEEE CRC of the file's bytes, as packed (0: a written file)
 	IsDir bool
 }
 
@@ -286,7 +287,7 @@ func (n *Node) Stat(path string) (Info, error) {
 	switch {
 	case o.meta != nil:
 		m := o.meta
-		return Info{Path: cp, Size: m.Size, Mode: m.Mode, MTime: m.MTime}, nil
+		return Info{Path: cp, Size: m.Size, Mode: m.Mode, MTime: m.MTime, CRC32: m.CRC32}, nil
 	case isDir:
 		return Info{Path: cp, Mode: 0o755, IsDir: true}, nil
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -30,109 +32,107 @@ func sortedPaths(want map[string][]byte) []string {
 	return paths
 }
 
-// TestBackendsUnit exercises the Backend implementations directly: the
-// RAM backend must alias blob bytes (Peek succeeds), the spill backend
-// must round-trip the same compressed objects through disk.
+// mappedBlob writes blob to a packed file and maps it with pack.Map, the
+// way the daemon loads its partitions. It unmaps when the test ends: call
+// it on the test goroutine, and Close every node that holds the blob
+// before the test returns.
+func mappedBlob(tb testing.TB, blob []byte) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "part.fst")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	mapped, unmap, err := pack.Map(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() {
+		if err := unmap(); err != nil {
+			tb.Error(err)
+		}
+	})
+	return mapped
+}
+
+// TestBackendsUnit exercises the RAM backend directly over a heap blob
+// and over a mapped one: Get and Peek alias the blob's bytes, every
+// object round-trips, misses wrap ErrNotExist, and concurrent Gets agree.
 func TestBackendsUnit(t *testing.T) {
 	bundle, _ := buildBundle(t, dataset.EM, 6, 1, 4<<10, nil)
-	blob := bundle.Scatter[0]
-	part, err := pack.Parse(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ram := NewRAMBackend()
-	spill, err := NewSpillBackend(t.TempDir(), "rank0000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []Backend{ram, spill} {
-		if err := b.AddPartition(blob, part); err != nil {
-			t.Fatal(err)
-		}
-		if b.Len() != len(part.Entries) {
-			t.Fatalf("Len() = %d, want %d", b.Len(), len(part.Entries))
-		}
-	}
-
-	for i := range part.Entries {
-		e := &part.Entries[i]
-		p := cleanPath(e.Path)
-		for name, b := range map[string]Backend{"ram": ram, "spill": spill} {
-			if !b.Contains(p) {
-				t.Fatalf("%s: Contains(%q) = false", name, p)
-			}
-			id, comp, err := b.Get(p)
+	for name, blob := range map[string][]byte{
+		"heap":   bundle.Scatter[0],
+		"mapped": mappedBlob(t, bundle.Scatter[0]),
+	} {
+		t.Run(name, func(t *testing.T) {
+			part, err := pack.Parse(blob)
 			if err != nil {
-				t.Fatalf("%s: Get(%q): %v", name, p, err)
+				t.Fatal(err)
 			}
-			if id != e.CompressorID || !bytes.Equal(comp, e.Data) {
-				t.Fatalf("%s: Get(%q) returned wrong object", name, p)
+			b := NewRAMBackend()
+			if err := b.AddPartition(blob, part); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Peek is the zero-copy path: RAM-resident aliases only.
-		if id, comp, ok := ram.Peek(p); !ok || id != e.CompressorID || !bytes.Equal(comp, e.Data) {
-			t.Fatalf("ram: Peek(%q) = %v", p, ok)
-		}
-		if _, _, ok := spill.Peek(p); ok {
-			t.Fatalf("spill: Peek(%q) succeeded; spill objects are not RAM-resident", p)
-		}
-	}
-
-	// Misses wrap fs.ErrNotExist so the store maps them to rpc.ErrNotFound.
-	for name, b := range map[string]Backend{"ram": ram, "spill": spill} {
-		if _, _, err := b.Get("no/such/file"); err == nil {
-			t.Fatalf("%s: Get on a missing path succeeded", name)
-		}
-		if b.Contains("no/such/file") {
-			t.Fatalf("%s: Contains on a missing path", name)
-		}
-	}
-
-	// Concurrent spill reads share one *os.File via ReadAt.
-	var wg sync.WaitGroup
-	errCh := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+			if b.Len() != len(part.Entries) {
+				t.Fatalf("Len() = %d, want %d", b.Len(), len(part.Entries))
+			}
 			for i := range part.Entries {
 				e := &part.Entries[i]
-				_, comp, err := spill.Get(cleanPath(e.Path))
-				if err != nil {
-					errCh <- err
-					return
+				p := cleanPath(e.Path)
+				if !b.Contains(p) {
+					t.Fatalf("Contains(%q) = false", p)
 				}
-				if !bytes.Equal(comp, e.Data) {
-					errCh <- fmt.Errorf("concurrent spill Get(%q): wrong bytes", e.Path)
-					return
+				id, comp, err := b.Get(p)
+				if err != nil || id != e.CompressorID || !bytes.Equal(comp, e.Data) || &comp[0] != &e.Data[0] {
+					t.Fatalf("Get(%q) = %d, %d bytes, %v: not the blob's object", p, id, len(comp), err)
+				}
+				// Peek lends the same bytes: an alias of the blob.
+				if id, comp, ok := b.Peek(p); !ok || id != e.CompressorID || &comp[0] != &e.Data[0] {
+					t.Fatalf("Peek(%q) = %v: not an alias of the blob", p, ok)
 				}
 			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
+			// Misses wrap ErrNotExist so the store maps them to rpc.ErrNotFound.
+			if _, _, err := b.Get("no/such/file"); !errors.Is(err, ErrNotExist) {
+				t.Fatalf("Get on a missing path: %v", err)
+			}
+			if b.Contains("no/such/file") {
+				t.Fatal("Contains on a missing path")
+			}
 
-	if err := spill.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := spill.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, _, err := spill.Get(cleanPath(part.Entries[0].Path)); err == nil {
-		t.Fatal("spill: Get after Close succeeded")
-	}
-	if err := ram.Close(); err != nil {
-		t.Fatal(err)
+			var wg sync.WaitGroup
+			errCh := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range part.Entries {
+						e := &part.Entries[i]
+						_, comp, err := b.Get(cleanPath(e.Path))
+						if err != nil {
+							errCh <- err
+							return
+						}
+						if !bytes.Equal(comp, e.Data) {
+							errCh <- fmt.Errorf("concurrent Get(%q): wrong bytes", e.Path)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(errCh)
+			for err := range errCh {
+				t.Fatal(err)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestSpillFetchConcurrency drives 8 concurrent openers against a peer
-// whose objects live on the spill backend, with the cache disabled so
-// every open is a fresh remote fetch and a fresh disk read.
+// that serves its objects from a mapped partition file, with the cache
+// disabled so every open is a fresh remote fetch of mapped bytes.
 func TestSpillFetchConcurrency(t *testing.T) {
 	const ranks, openers, rounds = 2, 8, 3
 	bundle, want := buildBundle(t, dataset.EM, 8, ranks, 8<<10, nil)
@@ -140,17 +140,9 @@ func TestSpillFetchConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spillDir := t.TempDir()
+	parts := [][]byte{bundle.Scatter[0], mappedBlob(t, bundle.Scatter[1])}
 	err = mpi.Run(ranks, func(c *mpi.Comm) error {
-		opts := Options{CachePolicy: Immediate}
-		if c.Rank() == 1 {
-			backend, err := NewSpillBackend(spillDir, "rank0001")
-			if err != nil {
-				return err
-			}
-			opts.Backend = backend
-		}
-		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, opts)
+		node, err := Mount(c, [][]byte{parts[c.Rank()]}, nil, Options{CachePolicy: Immediate})
 		if err != nil {
 			return err
 		}
@@ -196,7 +188,8 @@ func TestSpillFetchConcurrency(t *testing.T) {
 }
 
 // gateBackend blocks the first Get of one path until released, so tests
-// can hold a daemon worker mid-request deterministically.
+// can hold a daemon worker mid-request deterministically. It declines
+// Peek, so every fetch of its objects goes through Get.
 type gateBackend struct {
 	Backend
 	slow    string
@@ -213,8 +206,10 @@ func (g *gateBackend) Get(path string) (uint16, []byte, error) {
 	return g.Backend.Get(path)
 }
 
+func (g *gateBackend) Peek(string) (uint16, []byte, bool) { return 0, nil, false }
+
 // TestDaemonConcurrentUnderStall is the acceptance test for the worker
-// pool: with rank 0's daemon stalled on a slow spill read, peers' fetches
+// pool: with rank 0's daemon stalled on a slow backend read, peers' fetches
 // must still be served concurrently (in-service > 1), which the old
 // serial serve loop could not do.
 func TestDaemonConcurrentUnderStall(t *testing.T) {
@@ -222,24 +217,20 @@ func TestDaemonConcurrentUnderStall(t *testing.T) {
 	bundle, want := buildBundle(t, dataset.Language, 9, 1, 4<<10, nil)
 	paths := sortedPaths(want)
 	slow, fast := paths[0], paths[1:]
-	spillDir := t.TempDir()
+	mapped := mappedBlob(t, bundle.Scatter[0])
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
 		opts := Options{CachePolicy: Immediate}
 		var parts [][]byte
 		var gate *gateBackend
 		if c.Rank() == 0 {
-			inner, err := NewSpillBackend(spillDir, "rank0000")
-			if err != nil {
-				return err
-			}
 			gate = &gateBackend{
-				Backend: inner,
+				Backend: NewRAMBackend(),
 				slow:    cleanPath(slow),
 				started: make(chan struct{}),
 				release: make(chan struct{}),
 			}
 			opts.Backend = gate
-			parts = [][]byte{bundle.Scatter[0]}
+			parts = [][]byte{mapped}
 		}
 		node, err := Mount(c, parts, nil, opts)
 		if err != nil {
@@ -248,7 +239,7 @@ func TestDaemonConcurrentUnderStall(t *testing.T) {
 		defer node.Close()
 		switch c.Rank() {
 		case 0:
-			<-gate.started // a worker is now stalled inside the spill read
+			<-gate.started // a worker is now stalled inside the backend read
 			for _, dst := range []int{2, 3} {
 				if err := c.Send(dst, tagTestGo, nil); err != nil {
 					return err

@@ -15,7 +15,7 @@ import (
 )
 
 // failingBackend fails Get for one path with an error that is not a
-// miss, the way a spill read fails.
+// miss, the way a failing disk read does.
 type failingBackend struct {
 	Backend
 	bad string
@@ -23,7 +23,7 @@ type failingBackend struct {
 
 func (b failingBackend) Get(path string) (uint16, []byte, error) {
 	if path == b.bad {
-		return 0, nil, errors.New("spill read failed")
+		return 0, nil, errors.New("backend read failed")
 	}
 	return b.Backend.Get(path)
 }
@@ -98,7 +98,7 @@ func TestFetchReplyLendsAndFramesAsBefore(t *testing.T) {
 				want = rpc.BeginItem(want, it.status)
 				start := len(want)
 				if it.status == rpc.ItemError {
-					want = append(want, "spill read failed"...)
+					want = append(want, "backend read failed"...)
 				} else if it.path != "" {
 					want = append(want, payload(t, it.path)...)
 				}

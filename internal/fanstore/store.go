@@ -20,8 +20,8 @@
 //	decode    — on the opener, or on a prefetch batch's ≤ GOMAXPROCS
 //	            stride goroutines; the node has no decode pool
 //	cache     — the ref-counted decompressed pool (cache.go)
-//	backend   — Backend (backend.go): RAM or spill-to-disk storage of
-//	            the compressed objects
+//	backend   — Backend (backend.go): the compressed objects, slices of
+//	            heap or mapped partition blobs
 //
 // The paper's glibc function interception (LD_PRELOAD + trampoline, §V-C)
 // is replaced by the equivalent user-space API surface on Node/File:
@@ -114,9 +114,9 @@ const (
 )
 
 // batchGetConcurrency bounds concurrent backend reads inside one
-// opFetch handler, so a batch over a spill backend overlaps its disk
-// reads instead of serializing them, without letting one huge batch
-// monopolize the backend.
+// opFetch handler, so a batch over a backend whose Peek declines (one
+// that reads on Get) overlaps its reads instead of serializing them,
+// without letting one huge batch monopolize the backend.
 const batchGetConcurrency = 8
 
 // Errors returned by the FS surface.
@@ -183,11 +183,11 @@ type Options struct {
 	// alternative to the owner: read locality, not fault tolerance.
 	// Static mounts only: MountElastic and JoinCluster refuse them.
 	Replicas [][]byte
-	// Backend stores the compressed objects (nil: NewRAMBackend).
-	// NewSpillBackend keeps partition blobs on local disk and reads
-	// payloads back on demand, freeing RAM for the training program (the
-	// paper's SSD backend). The mount owns it: the node closes it on every
-	// exit, a failed mount included.
+	// Backend stores the compressed objects (nil: NewRAMBackend, which
+	// aliases the partition blobs; a blob mapped from local disk with
+	// pack.Map keeps them out of the heap, the paper's SSD back end). The
+	// mount owns it: the node closes it on every exit, a failed mount
+	// included.
 	Backend Backend
 	// FetchTimeout bounds each remote fetch attempt (0: no deadline).
 	FetchTimeout time.Duration
@@ -305,8 +305,8 @@ type Node struct {
 	writes map[string][]byte
 	// parts tracks the loaded partition blobs by global id for rebalance
 	// transfers (opFetchPart). Only elastic mounts populate it — static
-	// mounts never hand partitions off, and not retaining the blobs
-	// keeps the spill backend's RAM profile unchanged.
+	// mounts never hand partitions off, and their blobs stay the
+	// caller's, referenced by the backend's entries only.
 	parts map[uint64]*nodePart
 
 	// admission is the live staged-bytes budget the plan scheduler reads
@@ -510,9 +510,9 @@ type fetchedObject struct {
 }
 
 // peekObject finds one object for an opFetch item without I/O: the
-// backend's RAM-resident compressed object, or a written file's bytes
+// compressed object the backend lends, or a written file's bytes
 // (asked second: written files are few, and never in the backend). ok is
-// false when only Get can answer (a spill backend's object, or a miss).
+// false when only Get can answer (a backend that reads on Get, or a miss).
 func (n *Node) peekObject(path string) (o fetchedObject, ok bool) {
 	if o.id, o.data, ok = n.backend.Peek(path); ok {
 		return o, true
@@ -550,9 +550,9 @@ func (n *Node) getObjects(keys []string, objs []fetchedObject, idx []int) {
 }
 
 // handleFetchObjects answers opFetch. Objects Peek can return are framed
-// from RAM on the handler; the rest are read from the backend with
-// bounded concurrency (a cold batch over the spill backend overlaps its
-// disk reads). Items are answered in request order with per-item status,
+// on the handler; the rest are read from the backend with
+// bounded concurrency (a batch over a backend that reads on Get overlaps
+// those reads). Items are answered in request order with per-item status,
 // so a partial miss never fails the whole batch. The reply lends each
 // object's bytes where the backend keeps them, between parts cut from one
 // pooled buffer that holds everything else. The answer stops before the
@@ -1259,9 +1259,9 @@ func (n *Node) produceBytes(id uint32, o object) (data []byte, pinned bool, outc
 				return payload, false, trace.OutcomeZeroCopy, nil
 			}
 		} else {
-			// Peek declined: the compressed object lives on the spill
-			// backend, so this open pays a disk read.
-			outcome = trace.OutcomeSpill
+			// Peek declined: the backend cannot lend the object, so this
+			// open pays a Get.
+			outcome = trace.OutcomeBackendGet
 			if cid, comp, err = n.backend.Get(m.Path); err != nil {
 				// Handed off since the lookup: the new record routes it.
 				if _, now, _ := n.resolve(m.Path); errors.Is(err, ErrNotExist) && !now.local {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -660,25 +661,25 @@ func TestOpsAfterClose(t *testing.T) {
 	}
 }
 
+// TestDiskBackend is the paper's SSD back end: each rank writes its
+// partition to local disk, maps it and mounts the mapping, and every
+// file, local (read from the mapping) or remote (fetched from the peer's
+// mapping), round-trips byte-exact.
 func TestDiskBackend(t *testing.T) {
 	const ranks = 2
 	bundle, want := buildBundle(t, dataset.EM, 8, ranks, 16<<10, nil)
-	dir := t.TempDir()
+	mapped := make([][]byte, ranks)
+	for r := range mapped {
+		mapped[r] = mappedBlob(t, bundle.Scatter[r])
+	}
 	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		backend, err := NewSpillBackend(fmt.Sprintf("%s/rank%d", dir, c.Rank()), fmt.Sprintf("rank%04d", c.Rank()))
-		if err != nil {
-			return err
-		}
-		node, err := Mount(c, [][]byte{bundle.Scatter[c.Rank()]}, nil, Options{
-			Backend:     backend,
-			CachePolicy: Immediate, // force the disk path on every open
+		node, err := Mount(c, [][]byte{mapped[c.Rank()]}, nil, Options{
+			CachePolicy: Immediate, // read the mapping on every open
 		})
 		if err != nil {
 			return err
 		}
 		defer node.Close()
-		// Every file — local (from the spill file) and remote (fetched
-		// from the peer's spill file) — round-trips.
 		for path, data := range want {
 			for round := 0; round < 2; round++ {
 				got, err := node.ReadFile(path)
@@ -686,7 +687,7 @@ func TestDiskBackend(t *testing.T) {
 					return fmt.Errorf("rank %d: %s: %w", c.Rank(), path, err)
 				}
 				if !bytes.Equal(got, data) {
-					return fmt.Errorf("rank %d: %s corrupted via disk backend", c.Rank(), path)
+					return fmt.Errorf("rank %d: %s corrupted via a mapped partition", c.Rank(), path)
 				}
 			}
 		}
@@ -698,22 +699,36 @@ func TestDiskBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The spill files were actually written.
-	matches, err := filepath.Glob(dir + "/rank*/rank*.fst")
-	if err != nil || len(matches) != ranks {
-		t.Fatalf("spill files = %v, %v", matches, err)
-	}
 }
 
+// TestDiskBackendBadDir is a bad partition file failing with an error,
+// never a fault: pack.Map refuses a missing file, a directory and an
+// empty file, naming it; a truncated partition maps, and Mount refuses it
+// through pack.Parse.
 func TestDiskBackendBadDir(t *testing.T) {
 	bundle, _ := buildBundle(t, dataset.Language, 2, 1, 1<<10, nil)
-	err := mpi.Run(1, func(c *mpi.Comm) error {
-		backend, err := NewSpillBackend("/proc/definitely/not/writable", "rank0000")
-		if err == nil {
-			_, err = Mount(c, bundle.Scatter, nil, Options{Backend: backend})
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.fst")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, path, want string }{
+		{"missing", filepath.Join(dir, "no-such.fst"), ""}, // and an os.ErrNotExist
+		{"directory", dir, "not a regular file"},
+		{"empty", empty, "empty file"},
+	} {
+		_, _, err := pack.Map(c.path)
+		if err == nil || !strings.Contains(err.Error(), c.path) || !strings.Contains(err.Error(), c.want) ||
+			c.want == "" && !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: Map error = %v; want one naming %s with %q", c.name, err, c.path, c.want)
 		}
-		if err == nil {
-			return errors.New("unwritable spill dir accepted")
+	}
+
+	blob := bundle.Scatter[0]
+	truncated := mappedBlob(t, blob[:len(blob)/2])
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		if _, err := Mount(c, [][]byte{truncated}, nil, Options{}); err == nil || !strings.Contains(err.Error(), "truncated") {
+			return fmt.Errorf("truncated partition: Mount error = %v", err)
 		}
 		return nil
 	})

@@ -73,9 +73,6 @@ type Entry struct {
 	CompressorID uint16
 	Stat         Stat
 	Data         []byte // compressed payload (subslice of the partition blob)
-	// Offset is the payload's position within the partition blob, for
-	// backends that keep partitions on disk and read payloads on demand.
-	Offset int64
 }
 
 // Decompress returns the file's original bytes, verifying the CRC.
@@ -164,7 +161,6 @@ func Parse(blob []byte) (*Partition, error) {
 			CompressorID: compressor,
 			Stat:         st,
 			Data:         blob[off : off+int(dataLen) : off+int(dataLen)],
-			Offset:       int64(off),
 		})
 		off += int(dataLen)
 	}

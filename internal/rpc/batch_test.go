@@ -26,7 +26,7 @@ func TestBatchItemFrameRoundTrip(t *testing.T) {
 	items := []Item{
 		{Status: ItemOK, Payload: []byte("compressed bytes")},
 		{Status: ItemNotFound},
-		{Status: ItemError, Payload: []byte("spill read failed")},
+		{Status: ItemError, Payload: []byte("backend read failed")},
 		{Status: ItemOK, Payload: nil},
 	}
 	got, err := DecodeItems(encodeItems(items))

@@ -48,7 +48,7 @@ func TestStatusTrailerRoundTrip(t *testing.T) {
 		case "error-empty":
 			return errors.New("")
 		}
-		return errors.New("spill read failed")
+		return errors.New("backend read failed")
 	}
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
@@ -86,7 +86,7 @@ func TestStatusTrailerRoundTrip(t *testing.T) {
 					{"stale", ErrStale, "stale cluster map"},
 					{"stale-text", ErrStale, "have v3, got v2"},
 					{"error-empty", ErrRemote, ""},
-					{"error-text", ErrRemote, "spill read failed"},
+					{"error-text", ErrRemote, "backend read failed"},
 				} {
 					resp, err := cl.Call(1, []byte(tc.req))
 					if resp != nil || !errors.Is(err, tc.want) || !strings.Contains(err.Error(), tc.text) {

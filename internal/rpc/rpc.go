@@ -4,7 +4,7 @@
 // below, fetch routing above, and this package in between.
 //
 // A Server answers requests concurrently through a bounded worker pool,
-// so one slow handler (a spill read, a large response write) does not
+// so one slow handler (a backend read, a large response write) does not
 // head-of-line-block every waiting rank. There is no dispatcher: each
 // worker receives from the mailbox itself, so a request crosses one
 // goroutine hand-off on the server. A shutdown pill is an empty frame
@@ -68,7 +68,7 @@ var (
 	// It is terminal: the same peer will keep not having it, so Call
 	// does not retry (routing layers fail over to a replica instead).
 	ErrNotFound = errors.New("rpc: object not found")
-	// ErrRemote wraps a handler-side failure (spill read error, ...).
+	// ErrRemote wraps a handler-side failure (a backend read error, ...).
 	ErrRemote = errors.New("rpc: remote handler error")
 	// ErrTimeout reports that an attempt exceeded its deadline.
 	ErrTimeout = errors.New("rpc: call timed out")

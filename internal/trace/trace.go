@@ -100,8 +100,9 @@ const (
 	OutcomeRemoteFetch
 	// OutcomeFailover required routing away from an errored peer.
 	OutcomeFailover
-	// OutcomeSpill touched the local-disk spill backend.
-	OutcomeSpill
+	// OutcomeBackendGet paid a Backend.Get because Peek declined to
+	// lend the local object.
+	OutcomeBackendGet
 	// OutcomeCoalesced waited on another caller's in-flight fetch+decode
 	// of the same path instead of issuing its own (singleflight).
 	OutcomeCoalesced
@@ -121,7 +122,7 @@ var outcomeNames = [numOutcomes]string{
 	OutcomeZeroCopy:    "zero-copy",
 	OutcomeRemoteFetch: "remote-fetch",
 	OutcomeFailover:    "failover",
-	OutcomeSpill:       "spill",
+	OutcomeBackendGet:  "backend-get",
 	OutcomeCoalesced:   "coalesced",
 	OutcomeDegraded:    "degraded",
 	OutcomeError:       "error",
